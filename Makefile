@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check bench-smoke trace-smoke fuzz-corpus bench-parallel bench-parallel-smoke bench-nodecache bench-approx bench-approx-smoke bench-shard chaos chaos-recover fuzz-smoke race-sched serve-smoke obs-serve-smoke router-smoke
+.PHONY: build test race vet check bench-smoke bench-spine-smoke trace-smoke fuzz-corpus bench-parallel bench-parallel-smoke bench-nodecache bench-approx bench-approx-smoke bench-shard chaos chaos-recover fuzz-smoke race-sched serve-smoke obs-serve-smoke router-smoke
 
 build:
 	$(GO) build ./...
@@ -84,6 +84,13 @@ obs-serve-smoke:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
+# bench-spine-smoke vets and tests the benchmark spine, a Go module of its
+# own (benchmark/) that the root `go test ./...` neither builds nor runs:
+# all five workloads at 1/50 size with the brute-force oracle on. Run it
+# after changing any package the benchmark imports.
+bench-spine-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # trace-smoke validates the observability artifacts end to end: it runs
 # the traced "mba" experiment and checks the emitted Chrome trace JSON
 # (span coverage and nesting) and QueryReport against the registry.
@@ -101,12 +108,13 @@ bench-parallel:
 bench-parallel-smoke:
 	GOMAXPROCS=4 $(GO) run ./cmd/annbench -exp parallel -scale 0.05 -parallelism 4 -min-speedup4 1.5
 
-# race-sched runs the scheduler and batch-kernel suites under the race
-# detector — the fast, targeted version of `make race` for iterating on
+# race-sched runs the scheduler, fused-leaf-join and batch-kernel suites
+# under the race detector, plus one iteration of the AkNN leaf-join
+# benchmark — the fast, targeted version of `make race` for iterating on
 # internal/core/parallel.go and mba.go.
 race-sched:
 	$(GO) vet ./internal/core ./internal/geom
-	$(GO) test -race -run 'Scheduler|EmitTree|Parallel|BatchLeafJoin|DistSqBlock' -count=1 ./internal/core ./internal/geom
+	$(GO) test -race -run 'Scheduler|EmitTree|Parallel|BatchLeafJoin|FusedLeaf|DistSqBlock' -bench 'LeafJoinAkNN' -benchtime 1x -count=1 ./internal/core ./internal/geom
 
 bench-nodecache:
 	$(GO) run ./cmd/annbench -exp nodecache -json BENCH_nodecache.json

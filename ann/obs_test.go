@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 )
 
@@ -115,5 +116,46 @@ func TestNilMetricsRegistry(t *testing.T) {
 	}
 	if m.Handler() == nil {
 		t.Fatal("nil registry Handler must still serve (an empty snapshot)")
+	}
+}
+
+// TestQueryReportPoolFileBacked: a query report taken through
+// QueryConfig.OnReport must account the page traffic the query caused.
+// The join runs over a published snapshot of the index, and the report's
+// pool section has to see through it: over a file-backed index whose pool
+// is far smaller than the page file, Pool.Reads equals the Index.Stats()
+// delta around the join (and is not zero), for both index kinds.
+func TestQueryReportPoolFileBacked(t *testing.T) {
+	pts := randomPoints(9, 4000, 2)
+	for _, kind := range []IndexKind{MBRQT, RStar} {
+		ix, err := BuildIndex(pts, IndexConfig{
+			Kind:            kind,
+			PageFile:        filepath.Join(t.TempDir(), "ix.pages"),
+			BufferPoolBytes: 8 * 8192,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep QueryReport
+		cfg := QueryConfig{
+			Parallelism:    1,
+			NodeCacheBytes: -1, // every expansion goes to the pool
+			OnReport:       func(r QueryReport) { rep = r },
+		}
+		before := ix.Stats()
+		if _, err := SelfAllKNearestNeighbors(ix, 1, cfg); err != nil {
+			t.Fatal(err)
+		}
+		after := ix.Stats()
+		if want := after.PoolReads - before.PoolReads; want == 0 || rep.Pool.Reads != want {
+			t.Errorf("%v: report Pool.Reads = %d, Index.Stats() delta = %d (want equal, non-zero)",
+				kind, rep.Pool.Reads, want)
+		}
+		if want := after.PoolMisses - before.PoolMisses; rep.Pool.Misses != want {
+			t.Errorf("%v: report Pool.Misses = %d, Index.Stats() delta = %d", kind, rep.Pool.Misses, want)
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -10,70 +10,114 @@ import (
 	"allnn/internal/index"
 )
 
+// probeOne is the scalar reference leaf join — the oracle the batch path
+// (add + flush) is held to. It offers one candidate to every owner of the
+// leaf with a plain early-abort distance loop against the live bounds and
+// commits through the same accumulators, one candidate at a time.
+func probeOne(j *leafJoin, cand *index.Entry) {
+	cp := cand.Point
+	j.e.stats.DistanceCalcs++
+	if geom.MinDistPointRectSq(cp, j.leafMBR) > j.maxOwnerBound {
+		j.e.stats.PrunedOnProbe += uint64(j.m)
+		j.sinceAdmit++
+		return
+	}
+	j.e.stats.DistanceCalcs += uint64(j.m)
+	ref, admitted := -1, false
+	for i := 0; i < j.m; i++ {
+		base := j.flat[i*j.dim : (i+1)*j.dim]
+		limit := j.bounds[i]
+		var s float64
+		pruned := false
+		for d := 0; d < j.dim; d++ {
+			diff := base[d] - cp[d]
+			s += diff * diff
+			if s > limit {
+				pruned = true
+				break
+			}
+		}
+		if pruned {
+			j.e.stats.PrunedOnProbe++
+			continue
+		}
+		ref = j.admit(i, s, cand, ref)
+		admitted = true
+	}
+	if admitted {
+		j.sinceAdmit = 0
+	} else {
+		j.sinceAdmit++
+	}
+}
+
 // joinOutcome captures everything observable about a leaf join run: the
-// work counters, every owner's surviving queue contents (object ids and
-// exact distance bits), and the final per-owner bounds.
+// work counters, every owner's accumulator row (candidate ids and exact
+// distance bits, in slot order) and the final per-owner bounds. (The
+// stopping rule's drought counter is not compared: the batch path counts
+// a prefilter reject when the candidate is offered and an admission when
+// its tile commits, so the two interleave differently by design.)
 type joinOutcome struct {
-	stats  Stats
-	queues [][]lpqItem
-	bounds []float64
+	stats   Stats
+	rowDist [][]float64
+	rowObj  [][]index.ObjectID
+	bounds  []float64
 }
 
 // runLeafJoin replays one leaf-join scenario — a fixed owner set and a
 // fixed sequence of candidate batches — through either the batch kernel
-// path (add/probeAll + flush) or the scalar reference path (probeOne per
-// candidate). The batch path deliberately defers its final flush to the
-// end, maximising prefilter staleness; the commit pass must still
-// reproduce the scalar decisions exactly.
-func runLeafJoin(owners []index.Entry, leafOwner *index.Entry, inherited []float64,
-	k int, batches [][]index.Entry, asLeaf []bool, batch bool) joinOutcome {
+// path or the scalar oracle. The batch path flushes only where flushAfter
+// says so (and once at the end), maximising prefilter staleness; the
+// commit pass must still reproduce the scalar decisions exactly.
+func runLeafJoin(owners []index.Entry, leafOwner *index.Entry, seeds []float64, shrink float64,
+	k int, batches [][]index.Entry, flushAfter []bool, batch bool) joinOutcome {
 
 	var stats Stats
-	lpqcs := make([]*lpq, len(owners))
-	for i := range owners {
-		lpqcs[i] = newLPQ(&owners[i], inherited[i], k, KBoundKth, true, 1, &stats)
-	}
-	q := newLPQ(leafOwner, math.Inf(1), k, KBoundKth, true, 1, &stats)
+	e := &engine{opts: Options{BoundSeedSq: seeds}, stats: &stats, shrink: shrink}
+	q := newLPQ(leafOwner, math.Inf(1), k, KBoundKth, true, shrink, &stats)
+	stats = Stats{} // the leaf owner's own LPQ is not part of the comparison
 
-	dim := len(owners[0].Point)
-	j := &leafJoin{}
-	j.reset(dim, q, lpqcs, &stats, nil)
+	j := &e.join
+	j.reset(e, q, owners)
 	for bi, cands := range batches {
-		switch {
-		case !batch:
-			for ci := range cands {
-				j.probeOne(&cands[ci])
-			}
-		case asLeaf[bi]:
-			j.probeAll(cands)
-		default:
-			for ci := range cands {
+		for ci := range cands {
+			if batch {
 				j.add(&cands[ci])
+			} else {
+				probeOne(j, &cands[ci])
 			}
 		}
+		if batch && flushAfter[bi] {
+			j.flush()
+		}
 	}
-	if batch {
-		j.flush()
-	}
+	j.flush()
 
 	out := joinOutcome{stats: stats, bounds: append([]float64(nil), j.bounds...)}
-	for _, c := range lpqcs {
-		out.queues = append(out.queues, append([]lpqItem(nil), c.items[c.head:]...))
+	for i := 0; i < j.m; i++ {
+		n := j.fill[i]
+		out.rowDist = append(out.rowDist, append([]float64(nil), j.dist[i*k:i*k+n]...))
+		ids := make([]index.ObjectID, n)
+		for x, r := range j.ref[i*k : i*k+n] {
+			ids[x] = j.cands[r].Object
+		}
+		out.rowObj = append(out.rowObj, ids)
 	}
 	j.finish()
 	return out
 }
 
 // TestBatchLeafJoinMatchesScalar is the property test for the batch
-// kernel path: on random leaves (random owner counts, bounds, dimensions
-// and candidate streams, including streams long enough to force mid-batch
-// tile flushes) the batch path must produce bit-identical distances,
-// identical queue contents, identical bounds and identical Stats to the
-// scalar probeOne path.
+// kernel path: on random leaves (random owner counts, inherited bounds,
+// dimensions, k, exact and approximate shrink, and candidate streams —
+// including exact duplicates that tie at the k-th distance and streams
+// long enough to force mid-batch tile flushes) the batch path must leave
+// bit-identical accumulator rows, identical bounds and identical Stats to
+// the scalar oracle.
 func TestBatchLeafJoinMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for _, dim := range []int{2, 3, 7} {
-		for _, k := range []int{1, 3} {
+		for _, k := range []int{1, 3, 10} {
 			for trial := 0; trial < 25; trial++ {
 				m := 1 + rng.Intn(70)
 				owners := make([]index.Entry, m)
@@ -98,32 +142,44 @@ func TestBatchLeafJoinMatchesScalar(t *testing.T) {
 				}
 				leafOwner := &index.Entry{Kind: index.NodeEntry, MBR: geom.Rect{Lo: lo, Hi: hi},
 					Count: uint32(m)}
-				inherited := make([]float64, m)
-				for i := range inherited {
+				// Per-owner inherited bounds arrive as BoundSeedSq entries
+				// (the leaf owner's own bound is +Inf).
+				seeds := make([]float64, m)
+				for i := range seeds {
 					switch rng.Intn(3) {
 					case 0:
-						inherited[i] = math.Inf(1)
+						seeds[i] = math.Inf(1)
 					case 1:
-						inherited[i] = 0.05 + 0.1*rng.Float64()
+						seeds[i] = 0.05 + 0.1*rng.Float64()
 					default:
-						inherited[i] = 0.5 + rng.Float64()
+						seeds[i] = 0.5 + rng.Float64()
 					}
+				}
+				shrink := 1.0
+				if trial%3 == 2 {
+					shrink = 1 / (1 + rng.Float64())
 				}
 
 				nBatches := 1 + rng.Intn(4)
 				batches := make([][]index.Entry, nBatches)
-				asLeaf := make([]bool, nBatches)
+				flushAfter := make([]bool, nBatches)
 				id := 1000
 				for bi := range batches {
 					n := 1 + rng.Intn(2*geom.BlockCandTile)
 					cands := make([]index.Entry, n)
 					for ci := range cands {
-						p := make(geom.Point, dim)
-						for d := 0; d < dim; d++ {
-							if rng.Intn(4) == 0 {
-								p[d] = rng.Float64() * 10 // far: exercises the prefilter
-							} else {
-								p[d] = rng.Float64()
+						var p geom.Point
+						switch {
+						case ci > 0 && rng.Intn(5) == 0:
+							p = cands[rng.Intn(ci)].Point // duplicate: ties at every owner
+						default:
+							p = make(geom.Point, dim)
+							for d := 0; d < dim; d++ {
+								if rng.Intn(4) == 0 {
+									p[d] = rng.Float64() * 10 // far: exercises the prefilter
+								} else {
+									p[d] = rng.Float64()
+								}
 							}
 						}
 						cands[ci] = index.Entry{Kind: index.ObjectEntry, Object: index.ObjectID(id),
@@ -131,31 +187,14 @@ func TestBatchLeafJoinMatchesScalar(t *testing.T) {
 						id++
 					}
 					batches[bi] = cands
-					asLeaf[bi] = rng.Intn(2) == 0
+					flushAfter[bi] = rng.Intn(2) == 0
 				}
 
-				scalar := runLeafJoin(owners, leafOwner, inherited, k, batches, asLeaf, false)
-				batched := runLeafJoin(owners, leafOwner, inherited, k, batches, asLeaf, true)
-
-				if scalar.stats != batched.stats {
-					t.Fatalf("dim=%d k=%d trial=%d: stats differ:\nscalar: %+v\nbatch:  %+v",
-						dim, k, trial, scalar.stats, batched.stats)
-				}
-				if !reflect.DeepEqual(scalar.bounds, batched.bounds) {
-					t.Fatalf("dim=%d k=%d trial=%d: bounds differ", dim, k, trial)
-				}
-				for i := range scalar.queues {
-					sq, bq := scalar.queues[i], batched.queues[i]
-					if len(sq) != len(bq) {
-						t.Fatalf("dim=%d k=%d trial=%d owner=%d: queue lengths %d vs %d",
-							dim, k, trial, i, len(sq), len(bq))
-					}
-					for x := range sq {
-						if sq[x].e.Object != bq[x].e.Object || sq[x].mind != bq[x].mind || sq[x].maxd != bq[x].maxd {
-							t.Fatalf("dim=%d k=%d trial=%d owner=%d item=%d: %v/%v vs %v/%v",
-								dim, k, trial, i, x, sq[x].e.Object, sq[x].mind, bq[x].e.Object, bq[x].mind)
-						}
-					}
+				scalar := runLeafJoin(owners, leafOwner, seeds, shrink, k, batches, flushAfter, false)
+				batched := runLeafJoin(owners, leafOwner, seeds, shrink, k, batches, flushAfter, true)
+				if !reflect.DeepEqual(scalar, batched) {
+					t.Fatalf("dim=%d k=%d trial=%d shrink=%v: batch path diverges from the scalar oracle:\nscalar: %+v\nbatch:  %+v",
+						dim, k, trial, shrink, scalar, batched)
 				}
 			}
 		}

@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"allnn/internal/datagen"
 	"allnn/internal/geom"
 	"allnn/internal/index"
+	"allnn/internal/mbrqt"
 )
 
 // benchBuilders pairs each index kind with its test builder so the
@@ -88,5 +90,41 @@ func BenchmarkCollect(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// fcTree bulk-loads a default-configuration MBRQT over an FC-like 10-D
+// dataset — the shape of the paper's AkNN experiments (Figures 5-6).
+func fcTree(tb testing.TB, n int) index.Tree {
+	tb.Helper()
+	tree, err := mbrqt.BulkLoad(newPool(1<<14), datagen.FCSurrogate(5, n), nil, mbrqt.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tree
+}
+
+// BenchmarkLeafJoinAkNN measures the serial AkNN self-join over a 10-D
+// FC-like 20 K tree with a warm node cache, where the fused leaf join is
+// nearly all of the run. allocs/op should sit just above the row count
+// (one neighbor slice per row): accumulator maintenance allocates
+// nothing in steady state.
+func BenchmarkLeafJoinAkNN(b *testing.B) {
+	tree := fcTree(b, 20000)
+	for _, k := range []int{1, 10, 50} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			opts := Options{K: k, ExcludeSelf: true}
+			emit := func(Result) error { return nil }
+			if _, err := Run(tree, tree, opts, emit); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(tree, tree, opts, emit); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -62,10 +62,10 @@ type lpq struct {
 }
 
 // lpqPool recycles LPQ structs together with their items/scratch backing
-// arrays. An ANN run creates one LPQ per I_R entry (millions at paper
-// scale) but only O(height x fanout) are ever live at once under the
-// depth-first traversal, so pooling turns the dominant engine allocation
-// into a constant number of live objects per worker.
+// arrays. An ANN run creates one LPQ per I_R node but only
+// O(height x fanout) are ever live at once under the depth-first
+// traversal, so pooling turns them into a constant number of live
+// objects per worker.
 var lpqPool = sync.Pool{New: func() any { return new(lpq) }}
 
 // newLPQ creates an LPQ for owner with an inherited bound (Lemma 3.2
@@ -92,57 +92,9 @@ func newLPQ(owner *index.Entry, inherited float64, k int, kb KBound, monotone bo
 // touch q afterwards. Entry pointers held by the retained items backing
 // array are cleared so the pool does not pin evicted cache slices.
 func releaseLPQ(q *lpq) {
-	clearLPQ(q)
-	lpqPool.Put(q)
-}
-
-func clearLPQ(q *lpq) {
-	items := q.items[:cap(q.items)]
-	for i := range items {
-		items[i].e = nil
-	}
+	clear(q.items[:cap(q.items)])
 	q.owner = nil
 	q.stats = nil
-}
-
-// lpqFreeListCap bounds each engine's private LPQ freelist. The
-// depth-first traversal keeps O(height x fanout) queues live, so a small
-// worker-local list absorbs nearly every create/release pair without
-// touching the shared sync.Pool (whose Get/Put are per-P atomics —
-// measurable in the leaf join, where LPQs recycle once per I_R object).
-const lpqFreeListCap = 64
-
-// getLPQ is newLPQ through the engine's private freelist.
-func (e *engine) getLPQ(owner *index.Entry, inherited float64, k int, kb KBound, monotone bool) *lpq {
-	if n := len(e.lpqFree); n > 0 {
-		q := e.lpqFree[n-1]
-		e.lpqFree[n-1] = nil
-		e.lpqFree = e.lpqFree[:n-1]
-		e.stats.LPQsCreated++
-		*q = lpq{
-			owner:     owner,
-			items:     q.items[:0],
-			inherited: inherited,
-			cached:    inherited,
-			monotone:  monotone,
-			k:         k,
-			kb:        kb,
-			shrink:    e.shrink,
-			scratch:   q.scratch[:0],
-			stats:     e.stats,
-		}
-		return q
-	}
-	return newLPQ(owner, inherited, k, kb, monotone, e.shrink, e.stats)
-}
-
-// putLPQ is releaseLPQ through the engine's private freelist.
-func (e *engine) putLPQ(q *lpq) {
-	clearLPQ(q)
-	if len(e.lpqFree) < lpqFreeListCap {
-		e.lpqFree = append(e.lpqFree, q)
-		return
-	}
 	lpqPool.Put(q)
 }
 

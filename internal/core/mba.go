@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -150,9 +151,8 @@ func RunContext(ctx context.Context, ir, is index.Tree, opts Options, emit func(
 		return stats, e.emitEmpty(&rootR)
 	}
 
-	root := e.getLPQ(&rootR, infinity, opts.effectiveK(), opts.KBound, !opts.VolatileBounds)
-	mind, maxd := e.distances(&rootR, &rootS)
-	root.enqueue(lpqItem{e: &rootS, mind: mind, maxd: maxd})
+	root := newLPQ(&rootR, infinity, opts.effectiveK(), opts.KBound, !opts.VolatileBounds, e.shrink, e.stats)
+	root.enqueue(lpqItem{e: &rootS, mind: e.minDist(&rootR, &rootS), maxd: e.maxDist(&rootR, &rootS)})
 	if obsOn {
 		now := time.Now()
 		tr.Complete("seed", obs.TidMain, tMark, now, "", 0)
@@ -174,7 +174,7 @@ func RunContext(ctx context.Context, ir, is index.Tree, opts Options, emit func(
 			var children []*lpq
 			children, err = e.expandAndPrune(q)
 			if err == nil {
-				e.putLPQ(q)
+				releaseLPQ(q)
 				queue = append(queue, children...)
 			}
 		}
@@ -240,20 +240,19 @@ type engine struct {
 	tm  *Timings
 
 	// Per-engine scratch reused across expandAndPrune calls. The engine
-	// is single-threaded (each parallel worker builds its own), and the
-	// leaf join and the Gather Stage never nest, so one set suffices.
+	// is single-threaded (each parallel worker builds its own) and leaf
+	// joins never nest, so one set suffices. gatherTop stages the row being
+	// emitted; gatherBest is the k-best heap of gather and heapOrderTop.
 	join       leafJoin
 	gatherBest *pq.KBest[*index.Entry]
 	gatherTop  []pq.Item[*index.Entry]
 
-	// lpqFree is the engine-private LPQ freelist (see getLPQ); memoS is
-	// the engine-local decoded-node lookaside for I_S (nil unless the
-	// target index has a node cache attached); sched accumulates the
-	// scheduler and batch-kernel counters, merged into Options.Sched at
-	// the end of the run.
-	lpqFree []*lpq
-	memoS   *nodeMemo
-	sched   SchedStats
+	// memoS is the engine-local decoded-node lookaside for I_S (nil
+	// unless the target index has a node cache attached); sched
+	// accumulates the scheduler and batch-kernel counters, merged into
+	// Options.Sched at the end of the run.
+	memoS *nodeMemo
+	sched SchedStats
 }
 
 // memoSlots sizes the engine-local decoded-node lookaside: a
@@ -334,7 +333,7 @@ func (e *engine) dfbi(q *lpq) error {
 	if err != nil {
 		return err
 	}
-	e.putLPQ(q)
+	releaseLPQ(q)
 	for _, c := range children {
 		if err := e.dfbi(c); err != nil {
 			return err
@@ -343,19 +342,9 @@ func (e *engine) dfbi(q *lpq) error {
 	return nil
 }
 
-// distances computes the squared (MIND, MAXD) pair between an owner entry
-// and a candidate entry — the Distances() call of Algorithm 4.
-func (e *engine) distances(owner, cand *index.Entry) (mind, maxd float64) {
-	mind = e.minDist(owner, cand)
-	if owner.IsObject() && cand.IsObject() {
-		return mind, mind
-	}
-	return mind, e.maxDist(owner, cand)
-}
-
 // minDist is the squared MINMINDIST between an owner and a candidate
-// entry. It is the cheap half of Distances(); the engine evaluates it
-// first and computes the pruning metric only for survivors.
+// entry. It is the cheap half of Algorithm 4's Distances(); the engine
+// evaluates it first and computes the pruning metric only for survivors.
 func (e *engine) minDist(owner, cand *index.Entry) float64 {
 	e.stats.DistanceCalcs++
 	return e.minDistUncounted(owner, cand)
@@ -387,39 +376,38 @@ func (e *engine) maxDist(owner, cand *index.Entry) float64 {
 }
 
 // probe offers a candidate to an LPQ: the cheap MIND test runs first and
-// the metric is evaluated only if the candidate survives it. The
-// object/object case — the bulk of all probes during the leaf-level join
-// — uses an early-abort distance computation against the bound.
+// the metric is evaluated only if the candidate survives it (between two
+// objects — the PerObjectGather ablation — the exact distance is both).
 func (e *engine) probe(c *lpq, cand *index.Entry) {
 	e.stats.DistanceCalcs++
-	bound := c.admitBound()
-	if c.owner.Kind == index.ObjectEntry && cand.Kind == index.ObjectEntry {
-		d, ok := geom.DistSqWithin(c.owner.Point, cand.Point, bound)
-		if !ok {
-			e.stats.PrunedOnProbe++
-			return
-		}
-		c.enqueueChecked(lpqItem{e: cand, mind: d, maxd: d})
-		return
-	}
 	mind := e.minDistUncounted(c.owner, cand)
-	if mind > bound {
+	if mind > c.admitBound() {
 		e.stats.PrunedOnProbe++
 		return
 	}
-	c.enqueueChecked(lpqItem{e: cand, mind: mind, maxd: e.maxDist(c.owner, cand)})
+	maxd := mind
+	if !c.owner.IsObject() || !cand.IsObject() {
+		maxd = e.maxDist(c.owner, cand)
+	}
+	c.enqueueChecked(lpqItem{e: cand, mind: mind, maxd: maxd})
 }
 
-// expandAndPrune is Algorithm 4. For an object owner it runs the Gather
-// Stage (emitting that owner's result); for a node owner it runs the
-// Expand Stage, distributing the queued candidates over freshly created
-// child LPQs (Filter Stage pruning happens inside lpq.enqueue).
+// expandAndPrune is Algorithm 4 for a node owner: the Expand Stage
+// distributes the queued candidates over freshly created child LPQs
+// (Filter Stage pruning happens inside lpq.enqueue) and returns the
+// children that kept candidates. A leaf of I_R — whose children are the
+// query objects themselves — gets the fused leaf join instead: joinLeaf
+// drains the candidates to object level into one accumulator table (each
+// I_S node expanded once, shared by every object of the leaf), emitLeaf
+// — the Gather Stage — emits every object's row from it, and no children
+// are returned. Object owners only reach this function under the
+// PerObjectGather ablation, which runs the paper-literal Gather here.
 //
-// With observability enabled (engine.obsOn) the call is bracketed by an
-// "expand" span with a nested "filter" span over the candidate drain (or
-// a "gather" span for an object owner); the stage clocks in Timings
-// attribute the drain to Filter and the remainder to Expand, so the
-// three stage totals are disjoint.
+// With observability enabled (engine.obsOn) the call is an "expand" span
+// nesting a "filter" span over the drain and, for a leaf, a "gather" span
+// over the emit loop (an object owner is one "gather" span); Timings
+// attributes the drain to Filter, the emit loop to Gather and the
+// remainder to Expand, so the three stage totals are disjoint.
 func (e *engine) expandAndPrune(q *lpq) ([]*lpq, error) {
 	if q.owner.IsObject() {
 		if !e.obsOn() {
@@ -445,32 +433,28 @@ func (e *engine) expandAndPrune(q *lpq) ([]*lpq, error) {
 		return nil, err
 	}
 	e.stats.NodesExpandedR++
-	lpqcs := make([]*lpq, len(children))
-	for i := range children {
-		inherited := q.bound()
-		if s := e.opts.BoundSeedSq; s != nil && children[i].Kind == index.ObjectEntry {
-			if id := int(children[i].Object); id >= 0 && id < len(s) && s[id] < inherited {
-				inherited = s[id]
-			}
+	leaf := !e.opts.PerObjectGather && len(children) > 0 && children[0].Kind == index.ObjectEntry
+	var lpqcs []*lpq
+	if leaf {
+		e.join.reset(e, q, children)
+		defer e.join.finish()
+	} else {
+		lpqcs = make([]*lpq, len(children))
+		for i := range children {
+			lpqcs[i] = newLPQ(&children[i], e.seededBound(&children[i], q.bound()), q.k, q.kb, q.monotone, e.shrink, e.stats)
 		}
-		lpqcs[i] = e.getLPQ(&children[i], inherited, q.k, q.kb, q.monotone)
 	}
 
 	var tDrain time.Time
 	if obsOn {
 		tDrain = time.Now()
 	}
-	if !e.opts.PerObjectGather && len(children) > 0 && children[0].Kind == index.ObjectEntry {
-		// The owner is a leaf of I_R: its children are the query objects
-		// themselves. Drain the candidates all the way to object level
-		// here, where each I_S node is expanded once and shared by every
-		// object LPQ — rather than letting each object's Gather Stage
-		// re-expand the same nodes (index heights need not align across
-		// branches, so candidates may still be several levels up).
-		if err := e.drainToObjects(q, lpqcs); err != nil {
-			return nil, err
-		}
-	} else if err := e.drainToChildren(q, lpqcs); err != nil {
+	if leaf {
+		err = e.joinLeaf(q)
+	} else {
+		err = e.drainToChildren(q, lpqcs)
+	}
+	if err != nil {
 		return nil, err
 	}
 	var tDrainEnd time.Time
@@ -478,30 +462,53 @@ func (e *engine) expandAndPrune(q *lpq) ([]*lpq, error) {
 		tDrainEnd = time.Now()
 	}
 
+	if leaf {
+		err = e.emitLeaf()
+	}
 	out := lpqcs[:0]
 	for _, c := range lpqcs {
 		if c.len() > 0 {
 			out = append(out, c)
 		} else if c.owner.Count > 0 {
-			// A child owner with data but no candidates can only happen
-			// when the target index is empty below every probed entry —
-			// impossible while S is non-empty. Guard anyway.
-			return nil, fmt.Errorf("core: child LPQ starved for owner %v", c.owner.MBR)
+			return nil, errStarved(c.owner)
 		} else {
-			e.putLPQ(c)
+			releaseLPQ(c)
 		}
 	}
 	if obsOn {
 		end := time.Now()
+		drain := tDrainEnd.Sub(tDrain)
+		var gather time.Duration
 		e.tr.Complete("filter", e.tid, tDrain, tDrainEnd, "kept", int64(len(out)))
+		if leaf {
+			gather = end.Sub(tDrainEnd)
+			e.tr.Complete("gather", e.tid, tDrainEnd, end, "rows", int64(len(children)))
+		}
 		e.tr.Complete("expand", e.tid, tExpand, end, "children", int64(len(children)))
 		if e.tm != nil {
-			drain := tDrainEnd.Sub(tDrain)
 			e.tm.Filter += drain
-			e.tm.Expand += end.Sub(tExpand) - drain
+			e.tm.Gather += gather
+			e.tm.Expand += end.Sub(tExpand) - drain - gather
 		}
 	}
-	return out, nil
+	return out, err
+}
+
+// errStarved reports an owner with data but no candidates: the target
+// index was empty below every probed entry, impossible while S is not.
+func errStarved(owner *index.Entry) error {
+	return fmt.Errorf("core: child LPQ starved for owner %v", owner.MBR)
+}
+
+// seededBound is the bound a child owner inherits: the parent's, or the
+// caller's BoundSeedSq entry for a query object when that is tighter.
+func (e *engine) seededBound(child *index.Entry, inherited float64) float64 {
+	if s := e.opts.BoundSeedSq; s != nil && child.Kind == index.ObjectEntry {
+		if id := int(child.Object); id >= 0 && id < len(s) && s[id] < inherited {
+			return s[id]
+		}
+	}
+	return inherited
 }
 
 // discardRest accounts a terminal cut: the already-dequeued item it plus
@@ -585,35 +592,47 @@ func (e *engine) drainToChildren(q *lpq, lpqcs []*lpq) error {
 	}
 }
 
-// leafJoin is the engine's scratch state for drainToObjects: the packed
-// owner coordinates and cached bounds of the leaf-level object join, the
-// candidate-node work heap, and the batch-kernel gather buffers. One
-// instance lives per engine (one per parallel worker) and is reset for
-// each I_R leaf, so the join performs no steady-state allocations beyond
-// growth of the retained buffers.
+// leafJoin is the fused leaf join of one I_R leaf: the packed coordinates
+// and admission bounds of the leaf's m owners (the query objects), one
+// k-best accumulator row per owner, the candidate-node work heap and the
+// batch-kernel gather buffers. One lives per engine (so per parallel
+// worker), reset for each leaf: the join allocates nothing in steady
+// state. DESIGN.md §13 has the long form.
 //
-// The join runs in two interchangeable forms. probeOne is the scalar
-// reference: one candidate against every owner, bounds updated live. The
-// batch form (add/flush) gathers prefilter survivors into contiguous
-// arrays and pushes whole candidate tiles through geom.DistSqBlock, then
-// commits the results in candidate order against the live bounds. The
-// commit pass reproduces the scalar path's decisions and counters
-// exactly: during a leaf join bounds only tighten (the phase is
-// enqueue-only), so a snapshot bound taken at gather or kernel time is
-// always >= the live bound at commit time — a kernel early-out therefore
-// implies the scalar path would have pruned too, and every committed
-// distance is the full sum, accumulated in the same dimension order as
-// the scalar loop, hence bit-identical.
+// Owner i's row is its fill[i] <= k nearest candidates so far: dist[i*k:]
+// squared distances, ascending, and ref[i*k:] indexes into cands, the
+// leaf's append-only table of every candidate some owner retained — flat
+// and pointer-free, so an insertion meets no write barrier. Insertion is
+// stable (equal distances keep arrival order, slot k falls off): a row is
+// the first k of the stream in (distance, arrival) order, which is what a
+// MIND-ordered object LPQ drained by the Gather Stage selected.
+//
+// bounds[i] is owner i's admission bound. Between objects MIND = MAXD =
+// the exact distance, so a row yields one bound, its k-th distance: once
+// full, bounds[i] = min(inherited[i], k-th) x (1+boundSlack) x shrink;
+// until then only the inherited bound applies (also the approximate
+// mode's non-starvation guard). Bounds only tighten, so a snapshot taken
+// when a tile is gathered or run through the kernel is never tighter than
+// the live bound its commit re-checks: the batch path decides every pair
+// as the one-at-a-time oracle in batchjoin_test.go does.
 type leafJoin struct {
-	dim     int
-	lpqcs   []*lpq
-	leafMBR geom.Rect
+	e         *engine // stats, sched and shrink of the engine running the join
+	dim, m, k int
+	owners    []index.Entry
+	leafMBR   geom.Rect
 	// The object/object probes of the leaf-level join dominate the whole
 	// ANN computation. The owners' coordinates are packed into one flat
 	// row-major matrix and their bounds cached in a parallel slice, so the
 	// kernel runs over contiguous memory with an early-out distance.
-	flat   []float64
-	bounds []float64
+	flat      []float64
+	inherited []float64
+	bounds    []float64
+
+	dist  []float64
+	ref   []uint32
+	fill  []int
+	cands []*index.Entry
+
 	// dirty marks the stragglers of the recall-targeted selection: owners
 	// excluded from the shared prefilter/cut-off bound (see
 	// markStragglers). Always all-false in exact mode.
@@ -636,8 +655,6 @@ type leafJoin struct {
 	maxOwnerBound float64
 	maxOwnerIdx   int
 	work          pq.Heap[*index.Entry]
-	stats         *Stats
-	sched         *SchedStats
 
 	// Batch gather buffers: candidates surviving the snapshot prefilter,
 	// their packed coordinates, and their precomputed leaf-MBR distances
@@ -648,26 +665,33 @@ type leafJoin struct {
 	block    []float64
 }
 
-// reset points the scratch at a new leaf owner and its object LPQs.
-func (j *leafJoin) reset(dim int, q *lpq, lpqcs []*lpq, stats *Stats, sched *SchedStats) {
-	j.dim = dim
-	j.lpqcs = lpqcs
+// reset points the scratch at a new leaf owner q and its query objects.
+func (j *leafJoin) reset(e *engine, q *lpq, owners []index.Entry) {
+	m := len(owners)
+	j.e = e
+	j.dim, j.m, j.k = len(owners[0].Point), m, q.k
+	j.owners = owners
 	j.leafMBR = q.owner.MBR
 	j.flat = j.flat[:0]
-	j.bounds = append(j.bounds[:0], make([]float64, len(lpqcs))...)
-	j.dirty = append(j.dirty[:0], make([]bool, len(lpqcs))...)
+	j.inherited = slices.Grow(j.inherited[:0], m)[:m]
+	j.bounds = slices.Grow(j.bounds[:0], m)[:m]
+	j.fill = slices.Grow(j.fill[:0], m)[:m]
+	j.dirty = slices.Grow(j.dirty[:0], m)[:m]
+	j.dist = slices.Grow(j.dist[:0], m*j.k)[:m*j.k]
+	j.ref = slices.Grow(j.ref[:0], m*j.k)[:m*j.k]
+	inherited := q.bound()
+	for i := range owners {
+		j.flat = append(j.flat, owners[i].Point...)
+		b := e.seededBound(&owners[i], inherited)
+		j.inherited[i] = b
+		j.bounds[i] = b + b*boundSlack
+		j.fill[i] = 0
+		j.dirty[i] = false
+	}
 	j.hasDirty = false
 	j.patience = 0
 	j.sinceAdmit = 0
-	for i, c := range lpqcs {
-		j.flat = append(j.flat, c.owner.Point...)
-		j.bounds[i] = c.admitBound()
-	}
 	j.refreshMaxOwnerBound()
-	j.work.Reset()
-	j.stats = stats
-	j.sched = sched
-	j.clearBatch()
 }
 
 // markStragglers is the recall-targeted leaf selection: with
@@ -687,15 +711,15 @@ func (j *leafJoin) reset(dim int, q *lpq, lpqcs []*lpq, stats *Stats, sched *Sch
 // selection needs live bounds, and most owners only reach k admitted
 // candidates once the leaf's inherited candidate list has been
 // distributed.
-func (j *leafJoin) markStragglers(lpqcs []*lpq, rt float64) {
+func (j *leafJoin) markStragglers(rt float64) {
 	if rt <= 0 || rt >= 1 {
 		return
 	}
-	want := len(lpqcs) - int(math.Ceil(rt*float64(len(lpqcs))))
+	want := j.m - int(math.Ceil(rt*float64(j.m)))
 	for ; want > 0; want-- {
 		worst := -1
-		for i, c := range lpqcs {
-			if j.dirty[i] || c.len() < c.k {
+		for i := 0; i < j.m; i++ {
+			if j.dirty[i] || j.fill[i] < j.k {
 				continue
 			}
 			if worst < 0 || j.bounds[i] > j.bounds[worst] {
@@ -734,29 +758,28 @@ func patienceFor(rt float64, slots int) int {
 // allFull reports whether every owner already holds its full k
 // candidates — the stopping rule's non-starvation guard.
 func (j *leafJoin) allFull() bool {
-	for _, c := range j.lpqcs {
-		if c.len() < c.k {
+	for _, n := range j.fill {
+		if n < j.k {
 			return false
 		}
 	}
 	return true
 }
 
-// finish drops the references held by the scratch so recycled LPQs and
-// evicted cache slices are not pinned between leaves.
+// finish drops the references held by the scratch so evicted cache
+// slices are not pinned between leaves.
 func (j *leafJoin) finish() {
-	j.lpqcs = nil
+	j.owners = nil
 	j.leafMBR = geom.Rect{}
+	clear(j.cands)
+	j.cands = j.cands[:0]
 	j.work.Reset()
-	j.stats = nil
-	j.sched = nil
+	j.e = nil
 	j.clearBatch()
 }
 
 func (j *leafJoin) clearBatch() {
-	for i := range j.candEnts {
-		j.candEnts[i] = nil
-	}
+	clear(j.candEnts)
 	j.candEnts = j.candEnts[:0]
 	j.candFlat = j.candFlat[:0]
 	j.candPre = j.candPre[:0]
@@ -776,79 +799,79 @@ func (j *leafJoin) refreshMaxOwnerBound() {
 	}
 }
 
-// tighten records owner i's new bound after an enqueue. Bounds never grow
-// during a leaf join, so the cached max only needs a rescan when the
-// argmax owner itself tightened.
-func (j *leafJoin) tighten(i int, b float64) {
-	j.bounds[i] = b
-	if i == j.maxOwnerIdx {
-		j.refreshMaxOwnerBound()
+// exactBound is owner i's admission bound before any approximate
+// shrinking: the inherited bound, or the k-th distance of a full row when
+// that is tighter, inflated by the relative slack.
+func (j *leafJoin) exactBound(i int) float64 {
+	b := j.inherited[i]
+	if j.fill[i] == j.k {
+		if kth := j.dist[i*j.k+j.k-1]; kth < b {
+			b = kth
+		}
 	}
+	return b + b*boundSlack
 }
 
-// probeOne offers one candidate object to every owner of the leaf — the
-// scalar reference path the batch form is tested against.
-func (j *leafJoin) probeOne(cand *index.Entry) {
-	cp := cand.Point
-	// Pre-filter against the leaf MBR: a candidate farther from the whole
-	// leaf than every owner's bound cannot survive any per-owner probe.
-	// The vast majority of candidates fall here for the price of a single
-	// distance evaluation.
-	j.stats.DistanceCalcs++
-	if geom.MinDistPointRectSq(cp, j.leafMBR) > j.maxOwnerBound {
-		j.stats.PrunedOnProbe += uint64(len(j.lpqcs))
-		j.sinceAdmit++
-		return
-	}
-	j.stats.DistanceCalcs += uint64(len(j.lpqcs))
-	admitted := false
-	for i := range j.lpqcs {
-		base := j.flat[i*j.dim : (i+1)*j.dim]
-		limit := j.bounds[i]
-		var s float64
-		pruned := false
-		for d := 0; d < j.dim; d++ {
-			diff := base[d] - cp[d]
-			s += diff * diff
-			if s > limit {
-				pruned = true
-				break
-			}
+// admit commits one (owner, candidate) pair whose squared distance d
+// passed the owner's admission bound: a stable bounded insertion into the
+// owner's row, after which a full row's k-th distance tightens the bound
+// (the cached max needs a rescan only when the argmax owner tightened).
+// ref is the candidate's index in cands, or -1 while no owner has retained
+// it yet; the (possibly assigned) index is returned.
+func (j *leafJoin) admit(i int, d float64, cand *index.Entry, ref int) int {
+	j.e.stats.Enqueued++
+	k := j.k
+	row := j.dist[i*k : i*k+k]
+	n := j.fill[i]
+	if n == k {
+		// One entry falls off slot k: the candidate itself when it ties or
+		// trails the k-th (it passed only by the slack), else the k-th.
+		j.e.stats.PrunedByFilter++
+		if d >= row[k-1] {
+			return ref
 		}
-		if pruned {
-			j.stats.PrunedOnProbe++
-			continue
-		}
-		c := j.lpqcs[i]
-		c.enqueueChecked(lpqItem{e: cand, mind: s, maxd: s})
-		j.tighten(i, c.admitBound())
-		admitted = true
-	}
-	if admitted {
-		j.sinceAdmit = 0
+		n--
 	} else {
-		j.sinceAdmit++
+		j.fill[i] = n + 1
 	}
+	if ref < 0 {
+		ref = len(j.cands)
+		j.cands = append(j.cands, cand)
+	}
+	refs := j.ref[i*k : i*k+k]
+	for ; n > 0 && row[n-1] > d; n-- {
+		row[n], refs[n] = row[n-1], refs[n-1]
+	}
+	row[n], refs[n] = d, uint32(ref)
+	if j.fill[i] == k {
+		b := j.exactBound(i)
+		if j.e.shrink != 1 {
+			b *= j.e.shrink
+		}
+		j.bounds[i] = b
+		if i == j.maxOwnerIdx {
+			j.refreshMaxOwnerBound()
+		}
+	}
+	return ref
 }
 
-// add runs the snapshot prefilter on one candidate and gathers survivors
-// into the batch buffers, flushing a full tile through the kernel. The
-// prefilter bound may be stale by up to one tile (looser than live), so a
-// reject here is always also a live reject; survivors are re-checked
-// against the live bound when their tile commits.
+// add runs the snapshot prefilter on one candidate — farther from the leaf
+// MBR than every owner's bound means no per-owner probe can succeed, and
+// most candidates fall here for one distance evaluation — and gathers
+// survivors into the batch buffers, flushing a full tile through the
+// kernel. The prefilter bound may be stale by up to one tile (looser
+// than live), so a reject here is always also a live reject; survivors
+// are re-checked against the live bound when their tile commits.
 func (j *leafJoin) add(cand *index.Entry) {
 	cp := cand.Point
-	j.stats.DistanceCalcs++
+	j.e.stats.DistanceCalcs++
 	pre := geom.MinDistPointRectSq(cp, j.leafMBR)
 	if pre > j.maxOwnerBound {
-		j.stats.PrunedOnProbe += uint64(len(j.lpqcs))
+		j.e.stats.PrunedOnProbe += uint64(j.m)
 		j.sinceAdmit++
 		return
 	}
-	j.gatherCand(cand, cp, pre)
-}
-
-func (j *leafJoin) gatherCand(cand *index.Entry, cp geom.Point, pre float64) {
 	j.candEnts = append(j.candEnts, cand)
 	j.candFlat = append(j.candFlat, cp...)
 	j.candPre = append(j.candPre, pre)
@@ -868,81 +891,46 @@ func (j *leafJoin) flush() {
 	if n == 0 {
 		return
 	}
-	m := len(j.lpqcs)
-	need := n * m
-	if cap(j.block) < need {
-		j.block = make([]float64, need)
-	}
-	blk := j.block[:need]
-	earlyOuts := geom.DistSqBlock(j.flat, m, j.candFlat, n, j.dim, j.bounds, blk)
-	if j.sched != nil {
-		j.sched.KernelBlocks++
-		j.sched.KernelPairs += uint64(need)
-		j.sched.KernelEarlyOuts += uint64(earlyOuts)
-	}
-	for k := 0; k < n; k++ {
-		// Re-run the prefilter against the now-live max bound: identical
-		// to the scalar path's live decision for this candidate.
-		if j.candPre[k] > j.maxOwnerBound {
-			j.stats.PrunedOnProbe += uint64(m)
-			j.candEnts[k] = nil
+	m := j.m
+	j.block = slices.Grow(j.block[:0], n*m)[:n*m]
+	earlyOuts := geom.DistSqBlock(j.flat, m, j.candFlat, n, j.dim, j.bounds, j.block)
+	j.e.sched.KernelBlocks++
+	j.e.sched.KernelPairs += uint64(n * m)
+	j.e.sched.KernelEarlyOuts += uint64(earlyOuts)
+	for c := 0; c < n; c++ {
+		// Re-run the prefilter against the now-live max bound: the decision
+		// a one-at-a-time join would make for this candidate.
+		if j.candPre[c] > j.maxOwnerBound {
+			j.e.stats.PrunedOnProbe += uint64(m)
 			j.sinceAdmit++
 			continue
 		}
-		j.stats.DistanceCalcs += uint64(m)
-		row := blk[k*m : k*m+m]
-		cand := j.candEnts[k]
-		admitted := false
-		for i := 0; i < m; i++ {
-			if row[i] > j.bounds[i] {
-				j.stats.PrunedOnProbe++
-				continue
+		j.e.stats.DistanceCalcs += uint64(m)
+		ref, admitted := -1, 0
+		for i, d := range j.block[c*m : c*m+m] {
+			if d <= j.bounds[i] {
+				ref = j.admit(i, d, j.candEnts[c], ref)
+				admitted++
 			}
-			c := j.lpqcs[i]
-			c.enqueueChecked(lpqItem{e: cand, mind: row[i], maxd: row[i]})
-			j.tighten(i, c.admitBound())
-			admitted = true
 		}
-		if admitted {
+		j.e.stats.PrunedOnProbe += uint64(m - admitted)
+		if admitted > 0 {
 			j.sinceAdmit = 0
 		} else {
 			j.sinceAdmit++
 		}
-		j.candEnts[k] = nil
 	}
-	j.candEnts = j.candEnts[:0]
-	j.candFlat = j.candFlat[:0]
-	j.candPre = j.candPre[:0]
+	j.clearBatch()
 }
 
-// probeAll offers every candidate of a fully expanded leaf node through
-// the batch path. Candidates are read by index over the shared slice; an
-// entry pointer is materialised only for prefilter survivors.
-func (j *leafJoin) probeAll(cands []index.Entry) {
-	m := uint64(len(j.lpqcs))
-	for ci := range cands {
-		cp := cands[ci].Point
-		j.stats.DistanceCalcs++
-		pre := geom.MinDistPointRectSq(cp, j.leafMBR)
-		if pre > j.maxOwnerBound {
-			j.stats.PrunedOnProbe += m
-			j.sinceAdmit++
-			continue
-		}
-		j.gatherCand(&cands[ci], cp, pre)
-	}
-	j.flush()
-}
-
-// drainToObjects distributes the candidates of a leaf owner's LPQ over
-// the per-object child LPQs, expanding candidate nodes (best-first by
-// MIND to the leaf owner) until only objects remain. Nodes whose MIND
-// exceeds every object's bound are discarded along with everything
+// joinLeaf drains the candidates of leaf owner q's LPQ into the owners'
+// accumulators, expanding candidate nodes (best-first by MIND to the leaf
+// owner) until only objects remain — index heights need not align across
+// branches, so candidates may still be several levels up. Nodes whose
+// MIND exceeds every owner's bound are discarded along with everything
 // farther.
-func (e *engine) drainToObjects(q *lpq, lpqcs []*lpq) error {
+func (e *engine) joinLeaf(q *lpq) error {
 	j := &e.join
-	j.reset(e.ir.Dim(), q, lpqcs, e.stats, &e.sched)
-	defer j.finish()
 	for {
 		it, ok := q.dequeue()
 		if !ok {
@@ -956,11 +944,11 @@ func (e *engine) drainToObjects(q *lpq, lpqcs []*lpq) error {
 	}
 	// Every bound-dependent decision below (the heap cut-off and the
 	// node-push pruning) must see bounds that reflect all earlier probes,
-	// exactly as the scalar path would — so the gathered tile is flushed
-	// before each work-heap pop.
+	// exactly as a one-at-a-time join would — so the gathered tile is
+	// flushed before each work-heap pop.
 	j.flush()
-	j.markStragglers(lpqcs, e.opts.RecallTarget)
-	j.patience = patienceFor(e.opts.RecallTarget, q.k*len(lpqcs))
+	j.markStragglers(e.opts.RecallTarget)
+	j.patience = patienceFor(e.opts.RecallTarget, j.k*j.m)
 	j.sinceAdmit = 0
 	for j.work.Len() > 0 {
 		if err := e.checkCancel(); err != nil {
@@ -982,8 +970,8 @@ func (e *engine) drainToObjects(q *lpq, lpqcs []*lpq) error {
 				// owners only; the cut is approx-attributable when the
 				// exact all-owner bounds disagree.
 				exact := math.Inf(-1)
-				for _, c := range lpqcs {
-					if b := c.slackBound(); b > exact {
+				for i := 0; i < j.m; i++ {
+					if b := j.exactBound(i); b > exact {
 						exact = b
 					}
 				}
@@ -999,29 +987,18 @@ func (e *engine) drainToObjects(q *lpq, lpqcs []*lpq) error {
 			return err
 		}
 		e.stats.NodesExpandedS++
-		allObjects := true
-		for ci := range cands {
-			if cands[ci].Kind != index.ObjectEntry {
-				allObjects = false
-				break
-			}
-		}
-		if allObjects {
-			j.probeAll(cands)
-			continue
-		}
 		for ci := range cands {
 			cand := &cands[ci]
 			if cand.Kind == index.ObjectEntry {
 				j.add(cand)
+				continue
+			}
+			e.stats.DistanceCalcs++
+			mind := e.minDistUncounted(q.owner, cand)
+			if mind <= maxBound {
+				j.work.Push(mind, cand)
 			} else {
-				e.stats.DistanceCalcs++
-				mind := e.minDistUncounted(q.owner, cand)
-				if mind <= maxBound {
-					j.work.Push(mind, cand)
-				} else {
-					e.stats.PrunedOnProbe++
-				}
+				e.stats.PrunedOnProbe++
 			}
 		}
 		j.flush()
@@ -1029,17 +1006,39 @@ func (e *engine) drainToObjects(q *lpq, lpqcs []*lpq) error {
 	return nil
 }
 
-// gather is the Gather Stage: the owner is a data object r, and the LPQ
-// is drained best-first until the k nearest objects are known.
+// emitLeaf is the Gather Stage of the fused leaf join: every owner's row
+// is already its k nearest candidates in ascending order, so each result
+// is read straight off the accumulator table.
+func (e *engine) emitLeaf() error {
+	j := &e.join
+	for i, n := range j.fill {
+		if n == 0 {
+			return errStarved(&j.owners[i])
+		}
+		row, refs := j.dist[i*j.k:i*j.k+n], j.ref[i*j.k:i*j.k+n]
+		top := e.gatherTop[:0]
+		ties := false
+		for x, d := range row {
+			top = append(top, pq.Item[*index.Entry]{Key: d, Value: j.cands[refs[x]]})
+			ties = ties || (x > 0 && d == row[x-1])
+		}
+		e.gatherTop = top
+		if ties {
+			e.heapOrderTop(j.k)
+		}
+		if err := e.emitTop(&j.owners[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// gather is the paper-literal Gather Stage, reached only under the
+// PerObjectGather ablation: the owner is a data object r, and its LPQ is
+// drained best-first until the k nearest objects are known.
 func (e *engine) gather(q *lpq) error {
 	r := q.owner
-	k := q.k
-	if e.gatherBest == nil || e.gatherBest.K() != k {
-		e.gatherBest = pq.NewKBest[*index.Entry](k)
-	} else {
-		e.gatherBest.Reset()
-	}
-	best := e.gatherBest
+	best := e.kBest(q.k)
 	for {
 		if err := e.checkCancel(); err != nil {
 			return err
@@ -1103,10 +1102,39 @@ func (e *engine) gather(q *lpq) error {
 	}
 
 	e.gatherTop = best.AppendItems(e.gatherTop[:0])
-	items := e.gatherTop
+	return e.emitTop(r)
+}
+
+// kBest returns the engine's recycled k-best collector, emptied.
+func (e *engine) kBest(k int) *pq.KBest[*index.Entry] {
+	if e.gatherBest == nil || e.gatherBest.K() != k {
+		e.gatherBest = pq.NewKBest[*index.Entry](k)
+	}
+	e.gatherBest.Reset()
+	return e.gatherBest
+}
+
+// heapOrderTop re-orders gatherTop (ascending, equal distances in arrival
+// order) the way the Gather Stage has always reported it: pushed through
+// the k-best max-heap and popped back. Distinct distances come back
+// unchanged; a run of equal distances comes back in the heap's pop order,
+// which served and routed byte-parity is pinned to. Only rows with a tie
+// pay for it.
+func (e *engine) heapOrderTop(k int) {
+	best := e.kBest(k)
+	for _, it := range e.gatherTop {
+		best.Add(it.Key, it.Value)
+	}
+	e.gatherTop = best.AppendItems(e.gatherTop[:0])
+}
+
+// emitTop emits query object r's result from gatherTop, its candidates in
+// ascending distance order: the ExcludeSelf skip, the cut to K, and the
+// square roots are paid here.
+func (e *engine) emitTop(r *index.Entry) error {
 	neighbors := make([]Neighbor, 0, e.opts.K)
 	selfSeen := false
-	for _, it := range items {
+	for _, it := range e.gatherTop {
 		if e.opts.ExcludeSelf && !selfSeen && it.Value.Object == r.Object {
 			selfSeen = true
 			continue

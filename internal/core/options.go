@@ -87,7 +87,8 @@ const (
 	KBoundKth KBound = iota
 	// KBoundMaxAll is the paper's formulation: once at least k entries
 	// have been seen, the maximum MAXD is an upper bound. Looser;
-	// provided for ablation.
+	// provided for ablation. It governs node-owner LPQs only: between
+	// objects MAXD is the exact distance and the k-th is the one bound.
 	KBoundMaxAll
 )
 
@@ -116,13 +117,14 @@ type Options struct {
 	// where a loose metric (MAXMAXDIST) keeps hurting after dequeues; it
 	// exists for ablation.
 	VolatileBounds bool
-	// PerObjectGather selects the paper's literal leaf handling: each
-	// query object's Gather Stage individually re-expands whatever
-	// candidate nodes remain above object level. By default the engine
-	// instead drains candidates to object level once per I_R leaf and
-	// shares the expansions across all of the leaf's object LPQs,
-	// maximising the synchronized-traversal locality the paper argues
-	// for. The literal variant exists for ablation.
+	// PerObjectGather selects the paper's literal leaf handling: every
+	// query object owns an LPQ, and its Gather Stage individually
+	// re-expands whatever candidate nodes remain above object level. By
+	// default the engine instead drains candidates to object level once
+	// per I_R leaf into one k-best accumulator table shared by the leaf's
+	// objects (the fused leaf join), maximising the
+	// synchronized-traversal locality the paper argues for. The literal
+	// variant exists for ablation.
 	PerObjectGather bool
 	// Parallelism is the number of worker goroutines draining independent
 	// subtrees of the query index concurrently. 0 and 1 run the serial
@@ -212,7 +214,7 @@ type Options struct {
 	// rejected with ErrInvalidOptions.
 	RecallTarget float64
 
-	// BoundSeedSq, when non-nil, seeds each query object's LPQ admission
+	// BoundSeedSq, when non-nil, seeds each query object's admission
 	// bound with the given squared distance, indexed by ObjectID. A seed
 	// must be an upper bound on the object's true k-th neighbor distance
 	// (squared) or neighbors beyond the seed are silently lost — the
@@ -301,13 +303,16 @@ type Stats struct {
 	// DistanceCalcs counts (MIND, MAXD) evaluations between an owner and
 	// a candidate entry — the Distances() calls of Algorithm 4.
 	DistanceCalcs uint64
-	// LPQsCreated counts LPQ allocations (one per unique I_R entry reached).
+	// LPQsCreated counts LPQs created: one per I_R node reached (query
+	// objects own none, except under PerObjectGather).
 	LPQsCreated uint64
-	// Enqueued counts entries accepted into some LPQ.
+	// Enqueued counts entries accepted into some LPQ or, at object level,
+	// passing some query object's admission bound.
 	Enqueued uint64
 	// PrunedOnProbe counts candidates rejected by MIND > bound at probe time.
 	PrunedOnProbe uint64
-	// PrunedByFilter counts queued entries truncated by the Filter Stage.
+	// PrunedByFilter counts queued entries truncated by the Filter Stage
+	// and, at object level, entries pushed off a full accumulator row.
 	PrunedByFilter uint64
 	// NodesExpandedR / NodesExpandedS count index node expansions.
 	NodesExpandedR uint64

@@ -39,7 +39,9 @@ const (
 //
 // The root of I_R (and as many further levels as needed) is expanded
 // serially into a frontier of LPQs whose concatenated depth-first
-// traversal equals the serial traversal exactly. The frontier seeds a
+// traversal equals the serial traversal exactly (a leaf of I_R is the
+// atomic unit: its fused join emits the leaf's rows in one piece, into
+// its place in that order). The frontier seeds a
 // work-stealing scheduler: each worker owns a deque of subtree tasks,
 // pops locally from the tail (LIFO — depth-first order, warm caches) and
 // steals from another worker's head (FIFO — the oldest, typically
@@ -55,6 +57,7 @@ const (
 // grow it — byte-identical to serial output.
 func (e *engine) runParallel(root *lpq, workers int) error {
 	totalCount := uint64(root.owner.Count)
+	userEmit := e.emit // ordered, buildFrontier redirects e.emit into the frontier
 	var tFrontier time.Time
 	if e.obsOn() {
 		tFrontier = time.Now()
@@ -98,24 +101,33 @@ func (e *engine) runParallel(root *lpq, workers int) error {
 	)
 	var rootSlots []*emitSlot
 	if e.opts.OrderedEmit {
-		tree, rootSlots = newEmitTree(e.emit, n)
+		tree, rootSlots = newEmitTree(userEmit, n)
 	}
 
 	// Seed the deques: worker w starts with a contiguous block of the
 	// depth-first frontier, pushed in reverse so its LIFO pops drain the
 	// block in depth-first order (thieves take the block's tail first).
-	s.pending.Store(int64(n))
-	s.queued.Store(int64(n))
+	// Leaves the serial prefix already joined go to their emit slots.
+	tasks := 0
 	for w := 0; w < workers; w++ {
 		lo, hi := w*n/workers, (w+1)*n/workers
 		for i := hi - 1; i >= lo; i-- {
-			t := &wsTask{q: frontier[i], seq: int64(i)}
+			if frontier[i].q == nil {
+				if err := tree.finish(rootSlots[i], frontier[i].rows); err != nil {
+					return err
+				}
+				continue
+			}
+			t := &wsTask{q: frontier[i].q, seq: int64(i)}
 			if tree != nil {
 				t.slot = rootSlots[i]
 			}
 			s.deques[w].push(t)
+			tasks++
 		}
 	}
+	s.pending.Store(int64(tasks))
+	s.queued.Store(int64(tasks))
 	s.nextSeq.Store(int64(n))
 
 	var statsMu sync.Mutex
@@ -136,6 +148,19 @@ func (e *engine) runParallel(root *lpq, workers int) error {
 				tr: e.tr, tid: wtid, tm: wtm}
 			if e.memoS != nil {
 				we.memoS = new(nodeMemo)
+			}
+			// buf collects the rows of the task in hand (ordered mode).
+			var buf []Result
+			we.emit = func(r Result) error {
+				buf = append(buf, r)
+				return nil
+			}
+			if tree == nil {
+				we.emit = func(r Result) error {
+					emitMu.Lock()
+					defer emitMu.Unlock()
+					return userEmit(r)
+				}
 			}
 			var wSpan obs.Span
 			if e.tr != nil {
@@ -175,32 +200,30 @@ func (e *engine) runParallel(root *lpq, workers int) error {
 				// touching them concurrently.
 				q.stats = &wstats
 
+				buf = nil
+				var tSub time.Time
+				if timed {
+					tSub = time.Now()
+				}
+				var children []*lpq
+				var err error
 				if !q.owner.IsObject() && uint64(q.owner.Count) > s.threshold {
 					// Straggler: split instead of draining in place.
-					var tSplit time.Time
-					if e.tr != nil {
-						tSplit = time.Now()
+					if children, err = we.expandAndPrune(q); err == nil {
+						releaseLPQ(q)
 					}
-					children, err := we.expandAndPrune(q)
-					if err != nil {
-						s.fail(err)
-						s.retire()
-						break
-					}
-					we.putLPQ(q)
+				} else {
+					err = we.dfbi(q)
+				}
+				if err != nil {
+					s.fail(err)
+					s.retire()
+					break
+				}
+				if len(children) > 0 {
 					we.sched.Splits++
 					if e.tr != nil {
-						e.tr.Complete("split", wtid, tSplit, time.Now(), "children", int64(len(children)))
-					}
-					if len(children) == 0 {
-						// Nothing below survived pruning; the slot is done.
-						if tree != nil {
-							if err := tree.finish(t.slot, nil); err != nil {
-								s.fail(err)
-							}
-						}
-						s.retire()
-						continue
+						e.tr.Complete("split", wtid, tSub, time.Now(), "children", int64(len(children)))
 					}
 					var slots []*emitSlot
 					if tree != nil {
@@ -222,43 +245,19 @@ func (e *engine) runParallel(root *lpq, workers int) error {
 					s.retire()
 					continue
 				}
-
-				var tSub time.Time
+				// The task is drained: dfbi ran its subtree to completion, or
+				// the split attempt met an I_R leaf (whose fused join emitted
+				// its rows in place) or a subtree that pruned to nothing.
 				if timed {
-					tSub = time.Now()
+					end := time.Now()
+					e.tr.Complete("subtree", wtid, tSub, end, "subtree", t.seq)
+					subtreeHist.Observe(float64(end.Sub(tSub).Nanoseconds()))
 				}
 				if tree != nil {
-					var buf []Result
-					we.emit = func(r Result) error {
-						buf = append(buf, r)
-						return nil
-					}
-					if err := we.dfbi(q); err != nil {
-						s.fail(err)
-						s.retire()
-						break
-					}
-					if timed {
-						finishSubtree(e.tr, subtreeHist, wtid, t.seq, tSub)
-					}
 					if err := tree.finish(t.slot, buf); err != nil {
 						s.fail(err)
 						s.retire()
 						break
-					}
-				} else {
-					we.emit = func(r Result) error {
-						emitMu.Lock()
-						defer emitMu.Unlock()
-						return e.emit(r)
-					}
-					if err := we.dfbi(q); err != nil {
-						s.fail(err)
-						s.retire()
-						break
-					}
-					if timed {
-						finishSubtree(e.tr, subtreeHist, wtid, t.seq, tSub)
 					}
 				}
 				we.sched.Tasks++
@@ -278,55 +277,69 @@ func (e *engine) runParallel(root *lpq, workers int) error {
 	return s.firstErr()
 }
 
-// finishSubtree records one subtree task's drain: a "subtree" span on the
-// worker's lane (nesting the expand/filter/gather spans the drain
-// emitted) and an observation in the subtree-duration histogram.
-func finishSubtree(tr *obs.Tracer, hist *obs.Histogram, tid int64, seq int64, start time.Time) {
-	end := time.Now()
-	tr.Complete("subtree", tid, start, end, "subtree", seq)
-	hist.Observe(float64(end.Sub(start).Nanoseconds()))
+// frontierItem is one depth-first-ordered unit of the serial prefix: a
+// pending LPQ subtree (q), or — where the prefix reached a leaf of I_R,
+// whose fused join emits rows instead of returning child LPQs — that
+// leaf's finished rows.
+type frontierItem struct {
+	q    *lpq
+	rows []Result
 }
 
 // buildFrontier expands the query index serially, level by level, until
-// the frontier holds at least target LPQs or only object owners remain.
+// the frontier holds at least target items or nothing expandable remains.
 // Each node-owner LPQ is replaced in place by its children, so the
-// concatenation of the frontier subtrees' depth-first traversals is
-// exactly the serial traversal order.
-func (e *engine) buildFrontier(root *lpq, target int) ([]*lpq, error) {
-	frontier := []*lpq{root}
+// concatenation of the frontier items' depth-first traversals is exactly
+// the serial traversal order. A leaf met on the way emits its rows at
+// once when order is free, into its place in the frontier otherwise.
+func (e *engine) buildFrontier(root *lpq, target int) ([]frontierItem, error) {
+	var rows []Result
+	if e.opts.OrderedEmit {
+		e.emit = func(r Result) error {
+			rows = append(rows, r)
+			return nil
+		}
+	}
+	frontier := []frontierItem{{q: root}}
 	for {
 		if err := e.checkCancel(); err != nil {
 			return nil, err
 		}
 		expandable := 0
-		for _, q := range frontier {
-			if !q.owner.IsObject() {
+		for _, it := range frontier {
+			if it.q != nil && !it.q.owner.IsObject() {
 				expandable++
 			}
 		}
 		if expandable == 0 || len(frontier) >= target {
 			return frontier, nil
 		}
-		next := make([]*lpq, 0, len(frontier)*2)
-		for _, q := range frontier {
-			if q.owner.IsObject() {
-				next = append(next, q)
+		next := make([]frontierItem, 0, len(frontier)*2)
+		for _, it := range frontier {
+			if it.q == nil || it.q.owner.IsObject() {
+				next = append(next, it)
 				continue
 			}
-			children, err := e.expandAndPrune(q)
+			children, err := e.expandAndPrune(it.q)
 			if err != nil {
 				return nil, err
 			}
-			e.putLPQ(q)
-			next = append(next, children...)
+			releaseLPQ(it.q)
+			if len(rows) > 0 {
+				next = append(next, frontierItem{rows: rows})
+				rows = nil
+			}
+			for _, c := range children {
+				next = append(next, frontierItem{q: c})
+			}
 		}
 		frontier = next
 	}
 }
 
-// wsTask is one unit of schedulable work: an independent LPQ subtree,
-// its slot in the ordered-emit tree (nil in unordered mode), and a
-// sequence number for tracing.
+// wsTask is one unit of schedulable work: an independent LPQ subtree
+// (atomic once down to one I_R leaf), its slot in the ordered-emit tree
+// (nil in unordered mode), and a sequence number for tracing.
 type wsTask struct {
 	q    *lpq
 	slot *emitSlot

@@ -13,8 +13,10 @@ import (
 // Timings is the wall-time breakdown of one execution. Wall covers the
 // whole query; Setup, Seed, Frontier and Traverse partition the main
 // goroutine's time; Expand, Filter and Gather split the traversal into
-// the paper's three stages and are disjoint (the Filter drain is
-// subtracted from its enclosing Expand). Under parallel execution the
+// the paper's three stages and are disjoint: Filter is the candidate
+// drains (into child LPQs, or into a leaf's accumulators), Gather the
+// per-leaf emit loops, Expand the rest of each expansion (both are
+// subtracted from their enclosing Expand). Under parallel execution the
 // stage clocks sum every worker's time, so Expand+Filter+Gather is CPU
 // time and may exceed Wall — that excess is exactly the parallel
 // speed-up.
@@ -67,8 +69,8 @@ type QueryReport struct {
 }
 
 // pooled is implemented by indexes whose pages live in a buffer pool
-// (both mbrqt.Tree and rstar.Tree do). Structural, so core needs no
-// dependency on the index implementations.
+// (mbrqt.Tree, rstar.Tree and the snapshots both publish). Structural, so
+// core needs no dependency on the index implementations.
 type pooled interface {
 	Pool() *storage.BufferPool
 }

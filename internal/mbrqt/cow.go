@@ -163,3 +163,7 @@ func (s *Snapshot) SetNodeCache(c *index.NodeCache) { s.t.SetNodeCache(c) }
 
 // NodeCacheRef implements index.NodeCacher.
 func (s *Snapshot) NodeCacheRef() *index.NodeCache { return s.t.NodeCacheRef() }
+
+// Pool returns the parent tree's buffer pool, so a query report over a
+// snapshot accounts the page traffic it caused (core.QueryReport.Pool).
+func (s *Snapshot) Pool() *storage.BufferPool { return s.t.pool }

@@ -2,10 +2,16 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"allnn/ann"
 	"allnn/ann/client"
+	"allnn/internal/obs"
 	"allnn/internal/wire"
 )
 
@@ -68,5 +74,58 @@ func TestServedMutations(t *testing.T) {
 	}
 	if client.IsWriteFailed(&wire.Error{Code: wire.CodeBadRequest}) {
 		t.Fatal("IsWriteFailed must not match other codes")
+	}
+}
+
+// TestWriteLatencyHistograms: every op a client can send has a per-op
+// latency histogram, the write ops included — an acknowledged insert and
+// delete must show up under server.insert.latency_ns and
+// server.delete.latency_ns on /metrics and on /metrics/prom.
+func TestWriteLatencyHistograms(t *testing.T) {
+	reg := obs.NewRegistry()
+	ix := buildIndex(t, randomPoints(111, 200, 2), ann.MBRQT)
+	srv, cl, _ := startServer(t, Config{Metrics: reg})
+	if err := srv.Catalog().Add("pts", ix); err != nil {
+		t.Fatal(err)
+	}
+	web := httptest.NewServer(obs.Mux(reg, srv.DebugRoutes()...))
+	defer web.Close()
+
+	ctx := context.Background()
+	p := ann.Point{50.5, 50.5}
+	if _, err := cl.Insert(ctx, "pts", []uint64{9001}, []ann.Point{p}); err != nil {
+		t.Fatalf("insert: %v", err)
+	}
+	if _, _, err := cl.Delete(ctx, "pts", []uint64{9001}, []ann.Point{p}); err != nil {
+		t.Fatalf("delete: %v", err)
+	}
+
+	get := func(path string) string {
+		resp, err := http.Get(web.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal([]byte(get("/metrics")), &snap); err != nil {
+		t.Fatalf("/metrics is not a registry snapshot: %v", err)
+	}
+	for _, op := range []string{"insert", "delete"} {
+		h, ok := snap.Histograms["server."+op+".latency_ns"]
+		if !ok || h.Count != 1 {
+			t.Errorf("/metrics: server.%s.latency_ns = %+v (present %v), want count 1", op, h, ok)
+		}
+	}
+	prom := get("/metrics/prom")
+	for _, want := range []string{"server_insert_latency_ns_count 1", "server_delete_latency_ns_count 1"} {
+		if !strings.Contains(prom, want) {
+			t.Errorf("/metrics/prom missing %q", want)
+		}
 	}
 }

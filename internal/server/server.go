@@ -160,6 +160,7 @@ func New(cfg Config) *Server {
 		wire.OpOpen, wire.OpClose, wire.OpList, wire.OpStats,
 		wire.OpKNN, wire.OpBatchKNN, wire.OpRange, wire.OpRangePoints,
 		wire.OpJoin, wire.OpWithinDistance, wire.OpClosestPairs,
+		wire.OpInsert, wire.OpDelete, wire.OpShardMap,
 	} {
 		s.latencies[op] = reg.Histogram("server."+op.String()+".latency_ns", obs.LatencyBuckets())
 	}
