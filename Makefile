@@ -29,10 +29,11 @@ chaos:
 # kill-9-style crash loops sweeping the failure point across every WAL
 # write, fsync, and checkpoint page write (recovered state must be
 # byte-identical to a never-crashed reference), plus concurrent insert
-# batches against parallel snapshot-isolated queries on GOMAXPROCS=4.
+# batches against parallel snapshot-isolated queries — joins, and kNN
+# probes reading pages in place under a 64-frame pool — on GOMAXPROCS=4.
 chaos-recover:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'ChaosCrashRecovery|RecoveryAfterCrash|WriteFailedClassification|ConcurrentWritesAndQueries|SnapshotIsolation' \
+		-run 'ChaosCrashRecovery|RecoveryAfterCrash|WriteFailedClassification|ConcurrentWritesAndQueries|KNNReadersBesideWriter|SnapshotIsolation' \
 		./ann/ ./internal/mbrqt ./internal/rstar
 
 # fuzz-corpus regenerates the wire seed corpora from the sample frame
@@ -43,11 +44,13 @@ fuzz-corpus:
 
 # fuzz-smoke gives each decode fuzzer a short budget on top of the
 # checked-in corpora (which every plain `go test` already replays).
-# `go test -fuzz` accepts one matching target per invocation, hence the
-# three lines.
+# `go test -fuzz` accepts one matching target per invocation, hence one
+# line each. The mbrqt and rstar decoder targets also run every input
+# through the in-place node visitor; FuzzVisit feeds it whole pages.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/mbrqt
 	$(GO) test -run=NONE -fuzz=FuzzRecordFromPage -fuzztime=5s ./internal/mbrqt
+	$(GO) test -run=NONE -fuzz=FuzzVisit -fuzztime=5s ./internal/mbrqt
 	$(GO) test -run=NONE -fuzz=FuzzDecodeNode -fuzztime=5s ./internal/rstar
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRequest -fuzztime=5s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzDecodeResponse -fuzztime=5s ./internal/wire
@@ -81,6 +84,9 @@ bench-shard:
 obs-serve-smoke:
 	$(GO) test -run TestObsServeSmoke -count=1 -v ./cmd/annserve
 
+# bench-smoke runs every benchmark of every package once — the root
+# suite's BenchmarkPointKNN and BenchmarkRangeSearch (point verbs on both
+# trees, in memory and behind 64 frames) included.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 

@@ -151,13 +151,15 @@ type QueryConfig struct {
 	// the execution is serial (serial output is always in traversal
 	// order).
 	UnorderedEmit bool
-	// NodeCacheBytes bounds the decoded-node cache each index keeps above
-	// its buffer pool: decoded node entry slices are shared across the
+	// NodeCacheBytes bounds the decoded-node cache a join keeps above each
+	// index's buffer pool: decoded node entry slices are shared across the
 	// repeated expansions of ANN traversal instead of being re-parsed
 	// from page bytes. 0 (the default) uses a 32 MiB budget per index; a
-	// positive value sets the budget in bytes; a negative value disables
+	// positive value sets the budget in bytes; a negative value detaches
 	// the cache so every expansion decodes from the pool. The cache only
-	// changes speed, never results.
+	// changes speed, never results. It governs joins only: the point
+	// queries (Index.NearestNeighbors, Index.RangeSearch*) read each node
+	// once, in its pinned page, and neither use nor fill it.
 	NodeCacheBytes int64
 	// TraceOut, when non-nil, receives the query's execution trace as
 	// Chrome trace-event JSON when the query completes — open it at

@@ -600,17 +600,32 @@ func toNeighbors(nbs []wire.Neighbor) []ann.Neighbor {
 	if nbs == nil {
 		return nil
 	}
-	out := make([]ann.Neighbor, len(nbs))
-	for i, n := range nbs {
-		out[i] = ann.Neighbor{ID: n.ID, Point: n.Point, Dist: n.Dist}
-	}
-	return out
+	return appendNeighbors(make([]ann.Neighbor, 0, len(nbs)), nbs)
 }
 
+func appendNeighbors(dst []ann.Neighbor, nbs []wire.Neighbor) []ann.Neighbor {
+	for _, n := range nbs {
+		dst = append(dst, ann.Neighbor{ID: n.ID, Point: n.Point, Dist: n.Dist})
+	}
+	return dst
+}
+
+// toResults converts a reply's results; their neighbor lists are carved
+// from one array, as the decoder carved the wire lists.
 func toResults(rs []wire.Result) []ann.Result {
+	total := 0
+	for i := range rs {
+		total += len(rs[i].Neighbors)
+	}
+	nbs := make([]ann.Neighbor, 0, total)
 	out := make([]ann.Result, len(rs))
 	for i, r := range rs {
-		out[i] = ann.Result{ID: r.ID, Point: r.Point, Neighbors: toNeighbors(r.Neighbors)}
+		out[i] = ann.Result{ID: r.ID, Point: r.Point}
+		if r.Neighbors != nil {
+			at := len(nbs)
+			nbs = appendNeighbors(nbs, r.Neighbors)
+			out[i].Neighbors = nbs[at:len(nbs):len(nbs)]
+		}
 	}
 	return out
 }

@@ -7,6 +7,7 @@
 package allnn_test
 
 import (
+	"path/filepath"
 	"testing"
 
 	"allnn/internal/bench"
@@ -34,7 +35,13 @@ const poolBytes = 512 * 1024
 // (self-join), as in the TAC/FC experiments.
 func buildSelf(b *testing.B, kind bench.IndexKind, pts []geom.Point) (index.Tree, *storage.BufferPool) {
 	b.Helper()
-	store := storage.NewMemStore()
+	return buildOn(b, kind, pts, storage.NewMemStore(), storage.FramesForBytes(poolBytes))
+}
+
+// buildOn bulk-loads an index over pts into store, flushes it, and reopens
+// it through a fresh pool of the given number of frames.
+func buildOn(b *testing.B, kind bench.IndexKind, pts []geom.Point, store storage.Store, frames int) (index.Tree, *storage.BufferPool) {
+	b.Helper()
 	buildPool := storage.NewBufferPool(store, 1<<14)
 	var meta storage.PageID
 	switch kind {
@@ -57,7 +64,7 @@ func buildSelf(b *testing.B, kind bench.IndexKind, pts []geom.Point) (index.Tree
 		}
 		meta = t.MetaPage()
 	}
-	pool := storage.NewBufferPool(store, storage.FramesForBytes(poolBytes))
+	pool := storage.NewBufferPool(store, frames)
 	var tree index.Tree
 	var err error
 	if kind == bench.KindRStar {
@@ -338,6 +345,78 @@ func benchCollectCache(b *testing.B, budget int64) {
 
 func BenchmarkCollectANN_CacheOff(b *testing.B)  { benchCollectCache(b, core.NodeCacheDisabled) }
 func BenchmarkCollectANN_CacheWarm(b *testing.B) { benchCollectCache(b, 0) }
+
+// --- Point queries ----------------------------------------------------------------
+
+// pointN is the cardinality of the point-query benchmarks: the served
+// workloads' 200K, so the tree has their height and leaf fill.
+const pointN = 200_000
+
+// buildPoint builds a TAC-like pointN index of the given kind: "mem" keeps
+// the pages in memory under a pool that holds them all, "file64" puts them
+// in a page file behind 64 frames, so most node visits miss the pool.
+func buildPoint(b *testing.B, kind bench.IndexKind, backing string) (index.Tree, []geom.Point) {
+	b.Helper()
+	pts := datagen.TACSurrogate(1, pointN)
+	if backing == "mem" {
+		tree, _ := buildOn(b, kind, pts, storage.NewMemStore(), 1<<14)
+		return tree, pts
+	}
+	fs, err := storage.NewFileStore(filepath.Join(b.TempDir(), "pages"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { fs.Close() })
+	tree, _ := buildOn(b, kind, pts, fs, 64)
+	return tree, pts
+}
+
+func forEachPointIndex(b *testing.B, run func(b *testing.B, tree index.Tree, pts []geom.Point)) {
+	for _, ix := range []struct {
+		name string
+		kind bench.IndexKind
+	}{{"mbrqt", bench.KindMBRQT}, {"rstar", bench.KindRStar}} {
+		for _, backing := range []string{"mem", "file64"} {
+			b.Run(ix.name+"/"+backing, func(b *testing.B) {
+				tree, pts := buildPoint(b, ix.kind, backing)
+				b.ReportAllocs()
+				b.ResetTimer()
+				run(b, tree, pts)
+			})
+		}
+	}
+}
+
+// BenchmarkPointKNN is one k = 10 probe at a data point, the unit of the
+// served mix, of the MNN baseline and of the router's join fix-up.
+func BenchmarkPointKNN(b *testing.B) {
+	forEachPointIndex(b, func(b *testing.B, tree index.Tree, pts []geom.Point) {
+		for i := 0; i < b.N; i++ {
+			if _, err := index.NearestNeighbors(tree, pts[(i*7919)%len(pts)], 10); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkRangeSearch is one box query of 1% of the extent per side
+// around a data point.
+func BenchmarkRangeSearch(b *testing.B) {
+	forEachPointIndex(b, func(b *testing.B, tree index.Tree, pts []geom.Point) {
+		bounds := tree.Bounds()
+		for i := 0; i < b.N; i++ {
+			c := pts[(i*7919)%len(pts)]
+			lo, hi := c.Clone(), c.Clone()
+			for d := range c {
+				half := (bounds.Hi[d] - bounds.Lo[d]) / 200
+				lo[d], hi[d] = c[d]-half, c[d]+half
+			}
+			if _, err := index.RangeSearch(tree, geom.Rect{Lo: lo, Hi: hi}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
 
 // --- Index micro-benchmarks -----------------------------------------------------
 

@@ -57,9 +57,14 @@ func (r Rect) IsEmpty() bool {
 	return len(r.Lo) == 0
 }
 
-// Clone returns a deep copy of the rectangle.
+// Clone returns a deep copy of the rectangle. Both bounds share one
+// allocation: Tree.Root clones the index bounds once per point query.
 func (r Rect) Clone() Rect {
-	return Rect{Lo: r.Lo.Clone(), Hi: r.Hi.Clone()}
+	n := len(r.Lo)
+	buf := make(Point, n+len(r.Hi))
+	copy(buf, r.Lo)
+	copy(buf[n:], r.Hi)
+	return Rect{Lo: buf[:n:n], Hi: buf[n:]}
 }
 
 // Equal reports whether r and s have identical bounds.

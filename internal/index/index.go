@@ -44,7 +44,7 @@ type Entry struct {
 func (e *Entry) IsObject() bool { return e.Kind == ObjectEntry }
 
 // Tree is the traversal interface shared by MBRQT and the R*-tree.
-// The read path — Dim, Len, Root, Expand, Bounds — is safe for
+// The read path — Dim, Len, Root, Expand, Visit, Bounds — is safe for
 // concurrent use by both implementations (the buffer pool and the
 // decoded-node cache are concurrency-safe, and the cache attachment is
 // an atomic pointer), which is what lets parallel workers and the
@@ -64,6 +64,18 @@ type Tree interface {
 	// slice may be shared (served from a decoded-node cache) and must be
 	// treated as immutable by the caller.
 	Expand(e *Entry) ([]Entry, error)
+	// Visit reads the node stored at child (the Child of a NodeEntry, or
+	// of Root) in place: it pins the node's page, calls fn once per slot
+	// in storage order, and keeps nothing. The Entry handed to fn — child
+	// reference, count and MBR, or object id and point — is scratch
+	// decoded from the page bytes: it and every slice in it are valid
+	// only until fn returns. A non-nil error from fn stops the visit and
+	// is returned as is; no page stays pinned once Visit returns. A
+	// structurally damaged node yields an error wrapping
+	// storage.ErrCorruptPage before fn has seen any slot of the damaged
+	// record. Point queries traverse with Visit; joins, which expand a
+	// node once per owning LPQ, use Expand and its decoded-node cache.
+	Visit(child storage.PageID, fn func(e *Entry) error) error
 	// Bounds returns the MBR of all indexed points (empty rect if none).
 	Bounds() geom.Rect
 }

@@ -156,6 +156,11 @@ func (s *Snapshot) Root() (index.Entry, error) {
 // writer never rewrites, so the parent tree's read path serves them.
 func (s *Snapshot) Expand(e *index.Entry) ([]index.Entry, error) { return s.t.Expand(e) }
 
+// Visit implements index.Tree the same way.
+func (s *Snapshot) Visit(child storage.PageID, fn func(*index.Entry) error) error {
+	return s.t.Visit(child, fn)
+}
+
 // SetNodeCache implements index.NodeCacher by attaching to the parent
 // tree: refs are unique across snapshots of one tree (recycled only
 // after invalidation), so the cache is shared.

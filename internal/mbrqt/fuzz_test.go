@@ -2,11 +2,128 @@ package mbrqt
 
 import (
 	"encoding/binary"
+	"hash"
+	"hash/fnv"
+	"math"
+	"slices"
 	"testing"
 
 	"allnn/internal/geom"
+	"allnn/internal/index"
 	"allnn/internal/storage"
 )
+
+// visitPage stores data as one page of a fresh tree (cut or zero-padded to
+// the page size) and runs the in-place visitor on the node at its given
+// slot, beside readNode on the same ref. Whatever the bytes are, the
+// visitor must not panic, must fail only with ErrCorruptPage, must agree
+// with readNode on success and on the entries, must hand out nothing past
+// the first bad record, and must leave no frame pinned.
+func visitPage(t *testing.T, data []byte, slot, dim int) {
+	t.Helper()
+	pool := storage.NewBufferPool(storage.NewMemStore(), 8)
+	f, err := pool.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(f.Data(), data)
+	f.MarkDirty()
+	ref := makeRef(f.ID(), slot&slotMask)
+	f.Release()
+	tree := &Tree{pool: pool, rs: newRecordStore(pool), dim: dim}
+
+	want, wantErr := tree.readNode(ref)
+	got := newEntryDigest()
+	visitErr := tree.Visit(storage.PageID(ref), func(e *index.Entry) error {
+		if e.IsObject() {
+			got.add(uint64(e.Object), 0, e.Point, nil)
+		} else {
+			got.add(uint64(e.Child), e.Count, e.MBR.Lo, e.MBR.Hi)
+		}
+		return nil
+	})
+	storage.RequireNoPinnedFrames(t, pool)
+	if (visitErr == nil) != (wantErr == nil) {
+		t.Fatalf("Visit returned %v, readNode %v", visitErr, wantErr)
+	}
+	if visitErr != nil {
+		if !storage.IsCorrupt(visitErr) {
+			t.Fatalf("visit error does not wrap ErrCorruptPage: %v", visitErr)
+		}
+		// The slots handed out before the failure are those of the
+		// records that parsed: whole records, in chain order.
+		n, ref, leaf := 0, ref, false
+		for steps := 0; ; steps++ {
+			fr, err := pool.Get(ref.page())
+			if err != nil {
+				break
+			}
+			rec, err := recordFromPage(fr.Data(), ref.slot())
+			var v recordView
+			if err == nil {
+				v, err = parseRecord(rec, dim, steps == 0, leaf)
+			}
+			fr.Release()
+			if err != nil || n+v.num > got.n {
+				break
+			}
+			n, ref, leaf = n+v.num, v.next, v.leaf
+		}
+		if n != got.n {
+			t.Fatalf("failed visit handed out %d slots, the records before the bad one hold %d", got.n, n)
+		}
+		return
+	}
+	wantDigest := newEntryDigest()
+	for i := range want.objects {
+		wantDigest.add(uint64(want.objects[i].id), 0, want.objects[i].pt, nil)
+	}
+	for i := range want.children {
+		c := &want.children[i]
+		wantDigest.add(uint64(c.ref), c.count, c.mbr.Lo, c.mbr.Hi)
+	}
+	if got.n != wantDigest.n || got.h.Sum64() != wantDigest.h.Sum64() {
+		t.Fatalf("Visit hands out %d slots, readNode decodes %d entries, or their contents differ", got.n, wantDigest.n)
+	}
+}
+
+// entryDigest counts and hashes a sequence of node entries (coordinates
+// by bit pattern, so NaNs compare).
+type entryDigest struct {
+	n int
+	h hash.Hash64
+}
+
+func newEntryDigest() *entryDigest { return &entryDigest{h: fnv.New64a()} }
+
+func (g *entryDigest) add(ref uint64, count uint32, lo, hi []float64) {
+	g.n++
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		g.h.Write(b[:])
+	}
+	put(ref)
+	put(uint64(count))
+	for _, v := range lo {
+		put(math.Float64bits(v))
+	}
+	for _, v := range hi {
+		put(math.Float64bits(v))
+	}
+}
+
+// pageWithRecord renders a slotted page holding rec in slot 0.
+func pageWithRecord(rec []byte) []byte {
+	page := make([]byte, storage.PageSize)
+	initPage(page)
+	high := storage.PageSize - len(rec)
+	copy(page[high:], rec)
+	setPageNumSlots(page, 1)
+	setPageFreeHigh(page, high)
+	setSlot(page, 0, high, len(rec))
+	return page
+}
 
 // seedRecords renders one valid leaf and one valid internal record at the
 // given dimensionality, so the fuzzers start from the real wire format.
@@ -36,6 +153,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{1, 0, 255, 255, 0, 0, 0, 0}, uint8(2), true)
 	f.Fuzz(func(t *testing.T, rec []byte, dimByte uint8, first bool) {
 		dim := int(dimByte)%MaxDim + 1
+		visitRecord(t, rec, dim)
 		n := &node{}
 		next, err := decodeRecord(n, rec, dim, first)
 		if err != nil {
@@ -52,22 +170,24 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
+// visitRecord feeds rec to the visitor as the head record of a node.
+func visitRecord(t *testing.T, rec []byte, dim int) {
+	if len(rec) == 0 || len(rec) > maxRecordSize {
+		return // not storable as a record
+	}
+	visitPage(t, pageWithRecord(rec), 0, dim)
+}
+
 // FuzzRecordFromPage feeds arbitrary bytes to the slotted-page accessor.
 func FuzzRecordFromPage(f *testing.F) {
 	// A valid one-record page.
-	page := make([]byte, storage.PageSize)
-	initPage(page)
-	rec := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	high := storage.PageSize - len(rec)
-	copy(page[high:], rec)
-	setPageNumSlots(page, 1)
-	setPageFreeHigh(page, high)
-	setSlot(page, 0, high, len(rec))
+	page := pageWithRecord([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add(page, 0)
 	f.Add(page, 1)
 	f.Add([]byte{}, 0)
 	f.Add(make([]byte, recHeaderLen), -1)
 	f.Fuzz(func(t *testing.T, data []byte, slot int) {
+		visitPage(t, data, slot, 2)
 		out, err := recordFromPage(data, slot)
 		if err != nil {
 			if !storage.IsCorrupt(err) {
@@ -85,5 +205,34 @@ func FuzzRecordFromPage(f *testing.F) {
 		if off < dirLen || off+len(out) > len(data) {
 			t.Fatalf("record [%d, %d) escapes page of %d bytes", off, off+len(out), len(data))
 		}
+	})
+}
+
+// FuzzVisit feeds arbitrary page bytes to the in-place node visitor: a
+// slotted page whose records may be damaged in any way, and whose chain
+// refs may dangle, leave the page or loop back into it.
+func FuzzVisit(f *testing.F) {
+	for _, dim := range []int{1, 2, 3, 10} {
+		leaf, internal := seedRecords(dim)
+		f.Add(pageWithRecord(leaf), uint16(0), uint8(dim))
+		f.Add(pageWithRecord(internal), uint16(0), uint8(dim))
+		// A leaf whose continuation is itself: a ref cycle.
+		loop := slices.Clone(leaf)
+		binary.LittleEndian.PutUint32(loop[4:], uint32(makeRef(0, 0)))
+		f.Add(pageWithRecord(loop), uint16(0), uint8(dim))
+	}
+	// Two records chained inside one page, the second of the wrong type.
+	leaf, internal := seedRecords(2)
+	binary.LittleEndian.PutUint32(leaf[4:], uint32(makeRef(0, 1)))
+	page := pageWithRecord(leaf)
+	high := pageFreeHigh(page) - len(internal)
+	copy(page[high:], internal)
+	setPageNumSlots(page, 2)
+	setPageFreeHigh(page, high)
+	setSlot(page, 1, high, len(internal))
+	f.Add(page, uint16(0), uint8(2))
+	f.Add([]byte{}, uint16(0), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, slot uint16, dimByte uint8) {
+		visitPage(t, data, int(slot), int(dimByte)%MaxDim+1)
 	})
 }

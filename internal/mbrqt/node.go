@@ -99,103 +99,175 @@ func entriesPerRecord(entrySize int) int {
 	return (maxRecordSize - recNodeHeader) / entrySize
 }
 
-// decodeRecord appends one record's entries to n, validating the record
-// structurally before touching a byte past the header: rec may be
-// arbitrary bytes (logically damaged but checksum-valid pages, legacy
-// files without checksums, fuzzer input). first selects whether the
-// record establishes the node type or must continue it. The returned ref
-// is the chain continuation. Violations wrap storage.ErrCorruptPage.
-func decodeRecord(n *node, rec []byte, dim int, first bool) (nodeRef, error) {
+// recordView is one node record parsed in place: parseRecord has done
+// every structural check, so the entries decode straight from body (which
+// aliases the page) with no further validation. readNode, Expand's miss
+// path and Visit are all collectors over it.
+type recordView struct {
+	leaf bool
+	num  int
+	next nodeRef // chain continuation
+	body []byte  // num entries of the record's type
+}
+
+// parseRecord validates one record structurally before touching a byte
+// past the header: rec may be arbitrary bytes (logically damaged but
+// checksum-valid pages, legacy files without checksums, fuzzer input).
+// first selects whether the record establishes the node type or must
+// continue a chain of the given type. Violations wrap
+// storage.ErrCorruptPage.
+func parseRecord(rec []byte, dim int, first, leaf bool) (recordView, error) {
 	if len(rec) < recNodeHeader {
-		return invalidRef, fmt.Errorf("mbrqt: node record truncated to %d bytes: %w", len(rec), storage.ErrCorruptPage)
+		return recordView{}, fmt.Errorf("mbrqt: node record truncated to %d bytes: %w", len(rec), storage.ErrCorruptPage)
 	}
 	typ := rec[0]
 	if typ != nodeTypeLeaf && typ != nodeTypeInternal {
-		return invalidRef, fmt.Errorf("mbrqt: invalid node type %d: %w", typ, storage.ErrCorruptPage)
+		return recordView{}, fmt.Errorf("mbrqt: invalid node type %d: %w", typ, storage.ErrCorruptPage)
 	}
-	leaf := typ == nodeTypeLeaf
-	if first {
-		n.leaf = leaf
-	} else if n.leaf != leaf {
-		return invalidRef, fmt.Errorf("mbrqt: node chain mixes record types: %w", storage.ErrCorruptPage)
+	v := recordView{
+		leaf: typ == nodeTypeLeaf,
+		num:  int(binary.LittleEndian.Uint16(rec[2:])),
+		next: nodeRef(binary.LittleEndian.Uint32(rec[4:])),
+		body: rec[recNodeHeader:],
 	}
-	num := int(binary.LittleEndian.Uint16(rec[2:]))
-	next := nodeRef(binary.LittleEndian.Uint32(rec[4:]))
+	if !first && v.leaf != leaf {
+		return recordView{}, fmt.Errorf("mbrqt: node chain mixes record types: %w", storage.ErrCorruptPage)
+	}
 	entrySize := internalEntrySize(dim)
-	if n.leaf {
+	if v.leaf {
 		entrySize = leafEntrySize(dim)
 	}
-	if want := recNodeHeader + num*entrySize; want != len(rec) {
-		return invalidRef, fmt.Errorf("mbrqt: node record of %d bytes claims %d entries (want %d bytes): %w",
-			len(rec), num, want, storage.ErrCorruptPage)
+	if want := recNodeHeader + v.num*entrySize; want != len(rec) {
+		return recordView{}, fmt.Errorf("mbrqt: node record of %d bytes claims %d entries (want %d bytes): %w",
+			len(rec), v.num, want, storage.ErrCorruptPage)
 	}
-	off := recNodeHeader
-	if n.leaf {
-		// One flat coordinate array per record keeps deserialisation at
-		// two allocations instead of one per point.
-		coords := make([]float64, num*dim)
-		n.objects = append(n.objects, make([]object, num)...)
-		base := len(n.objects) - num
-		for i := 0; i < num; i++ {
-			o := &n.objects[base+i]
-			o.id = index.ObjectID(binary.LittleEndian.Uint64(rec[off:]))
-			off += 8
-			o.pt = coords[i*dim : (i+1)*dim]
-			for d := 0; d < dim; d++ {
-				o.pt[d] = math.Float64frombits(binary.LittleEndian.Uint64(rec[off:]))
-				off += 8
-			}
-		}
-	} else {
-		coords := make([]float64, num*2*dim)
-		n.children = append(n.children, make([]childSlot, num)...)
-		base := len(n.children) - num
-		for i := 0; i < num; i++ {
-			c := &n.children[base+i]
-			c.ref = nodeRef(binary.LittleEndian.Uint32(rec[off:]))
-			c.quad = binary.LittleEndian.Uint32(rec[off+4:])
-			c.count = binary.LittleEndian.Uint32(rec[off+8:])
-			off += 12
-			lo := coords[i*2*dim : i*2*dim+dim]
-			hi := coords[i*2*dim+dim : (i+1)*2*dim]
-			for d := 0; d < dim; d++ {
-				lo[d] = math.Float64frombits(binary.LittleEndian.Uint64(rec[off:]))
-				off += 8
-			}
-			for d := 0; d < dim; d++ {
-				hi[d] = math.Float64frombits(binary.LittleEndian.Uint64(rec[off:]))
-				off += 8
-			}
-			c.mbr = geom.Rect{Lo: lo, Hi: hi}
-		}
-	}
-	return next, nil
+	return v, nil
 }
 
-// maxChainLen bounds a node chain walk: a chain cannot hold more records
-// than the store has slots, so exceeding that proves a ref cycle planted
-// by corruption (which record reads alone would follow forever).
-func (t *Tree) maxChainLen() int {
-	return t.pool.Store().NumPages() * maxSlots
+// object decodes leaf slot i: its point into pt (len dim), returning the
+// object id.
+func (v recordView) object(i int, pt []float64) index.ObjectID {
+	b := v.body[i*leafEntrySize(len(pt)):]
+	for d := range pt {
+		pt[d] = math.Float64frombits(binary.LittleEndian.Uint64(b[8+8*d:]))
+	}
+	return index.ObjectID(binary.LittleEndian.Uint64(b))
+}
+
+// child decodes internal slot i: its MBR into lo and hi (len dim each),
+// returning the rest of the slot.
+func (v recordView) child(i int, lo, hi []float64) (ref nodeRef, quad, count uint32) {
+	b := v.body[i*internalEntrySize(len(lo)):]
+	ref = nodeRef(binary.LittleEndian.Uint32(b))
+	quad = binary.LittleEndian.Uint32(b[4:])
+	count = binary.LittleEndian.Uint32(b[8:])
+	b = b[12:]
+	for d := range lo {
+		lo[d] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*d:]))
+	}
+	b = b[8*len(lo):]
+	for d := range hi {
+		hi[d] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*d:]))
+	}
+	return ref, quad, count
+}
+
+// collect appends a parsed record's entries to n.
+func (n *node) collect(v recordView, dim int) {
+	n.leaf = v.leaf
+	if v.leaf {
+		// One flat coordinate array per record keeps deserialisation at
+		// two allocations instead of one per point.
+		coords := make([]float64, v.num*dim)
+		n.objects = append(n.objects, make([]object, v.num)...)
+		base := len(n.objects) - v.num
+		for i := 0; i < v.num; i++ {
+			o := &n.objects[base+i]
+			o.pt = coords[i*dim : (i+1)*dim]
+			o.id = v.object(i, o.pt)
+		}
+		return
+	}
+	coords := make([]float64, v.num*2*dim)
+	n.children = append(n.children, make([]childSlot, v.num)...)
+	base := len(n.children) - v.num
+	for i := 0; i < v.num; i++ {
+		c := &n.children[base+i]
+		c.mbr = geom.Rect{Lo: coords[i*2*dim : i*2*dim+dim], Hi: coords[i*2*dim+dim : (i+1)*2*dim]}
+		c.ref, c.quad, c.count = v.child(i, c.mbr.Lo, c.mbr.Hi)
+	}
+}
+
+// decodeRecord appends one record's entries to n (see parseRecord for
+// first and the validation). The returned ref is the chain continuation.
+func decodeRecord(n *node, rec []byte, dim int, first bool) (nodeRef, error) {
+	v, err := parseRecord(rec, dim, first, n.leaf)
+	if err != nil {
+		return invalidRef, err
+	}
+	n.collect(v, dim)
+	return v.next, nil
+}
+
+// walkRecords reads the node chain starting at ref in place: fn sees each
+// record as a view into its pinned page, valid only until it returns.
+// One pool.Get per record, in chain order; no page stays pinned once
+// walkRecords returns, whether fn stopped it or a read failed.
+func (t *Tree) walkRecords(ref nodeRef, fn func(ref nodeRef, v recordView) error) error {
+	leaf := false
+	for steps := 0; ref != invalidRef; steps++ {
+		// Almost every node is a single record, so the store is asked
+		// for its size only once a chain actually continues. A
+		// continuation ref must name an allocated page, and a chain
+		// cannot hold more records than the store has slots: exceeding
+		// that proves a ref cycle planted by corruption, which record
+		// reads alone would follow forever.
+		if steps > 0 {
+			pages := t.pool.Store().NumPages()
+			if int(ref.page()) >= pages {
+				return fmt.Errorf("mbrqt: node chain continues at %v, beyond the store's %d pages: %w", ref, pages, storage.ErrCorruptPage)
+			}
+			if steps >= pages*maxSlots {
+				return fmt.Errorf("mbrqt: node chain exceeds %d records (ref cycle): %w", steps, storage.ErrCorruptPage)
+			}
+		}
+		next, err := t.walkRecord(ref, steps == 0, &leaf, fn)
+		if err != nil {
+			return err
+		}
+		ref = next
+	}
+	return nil
+}
+
+// walkRecord is one step of walkRecords: pin, parse, hand to fn, unpin.
+func (t *Tree) walkRecord(ref nodeRef, first bool, leaf *bool, fn func(ref nodeRef, v recordView) error) (nodeRef, error) {
+	f, err := t.pool.Get(ref.page())
+	if err != nil {
+		return invalidRef, fmt.Errorf("mbrqt: read record %v: %w", ref, err)
+	}
+	defer f.Release()
+	rec, err := recordFromPage(f.Data(), ref.slot())
+	if err != nil {
+		return invalidRef, fmt.Errorf("page %d: %w", ref.page(), err)
+	}
+	v, err := parseRecord(rec, t.dim, first, *leaf)
+	if err != nil {
+		return invalidRef, fmt.Errorf("record %v: %w", ref, err)
+	}
+	*leaf = v.leaf
+	return v.next, fn(ref, v)
 }
 
 // readNode loads the node chain starting at ref into memory.
 func (t *Tree) readNode(ref nodeRef) (*node, error) {
 	n := &node{}
-	limit := t.maxChainLen()
-	for steps := 0; ref != invalidRef; steps++ {
-		if steps >= limit {
-			return nil, fmt.Errorf("mbrqt: node chain exceeds %d records (ref cycle): %w", limit, storage.ErrCorruptPage)
-		}
-		rec, err := t.rs.read(ref)
-		if err != nil {
-			return nil, err
-		}
-		next, err := decodeRecord(n, rec, t.dim, steps == 0)
-		if err != nil {
-			return nil, fmt.Errorf("record %v: %w", ref, err)
-		}
-		ref = next
+	err := t.walkRecords(ref, func(_ nodeRef, v recordView) error {
+		n.collect(v, t.dim)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return n, nil
 }
@@ -313,22 +385,11 @@ func (t *Tree) updateNode(ref nodeRef, n *node) (nodeRef, error) {
 // chainRefs returns the record refs of the node chain starting at ref.
 func (t *Tree) chainRefs(ref nodeRef) ([]nodeRef, error) {
 	var refs []nodeRef
-	limit := t.maxChainLen()
-	for ref != invalidRef {
-		if len(refs) >= limit {
-			return nil, fmt.Errorf("mbrqt: node chain exceeds %d records (ref cycle): %w", limit, storage.ErrCorruptPage)
-		}
-		refs = append(refs, ref)
-		rec, err := t.rs.read(ref)
-		if err != nil {
-			return nil, err
-		}
-		if len(rec) < recNodeHeader {
-			return nil, fmt.Errorf("mbrqt: node record %v truncated to %d bytes: %w", ref, len(rec), storage.ErrCorruptPage)
-		}
-		ref = nodeRef(binary.LittleEndian.Uint32(rec[4:]))
-	}
-	return refs, nil
+	err := t.walkRecords(ref, func(r nodeRef, _ recordView) error {
+		refs = append(refs, r)
+		return nil
+	})
+	return refs, err
 }
 
 // freeNode releases every record of the node chain at ref. Every ref in

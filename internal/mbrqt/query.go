@@ -3,51 +3,16 @@ package mbrqt
 import (
 	"allnn/internal/geom"
 	"allnn/internal/index"
-	"allnn/internal/pq"
 )
 
-// Result is a point returned by a query.
-type Result struct {
-	Object index.ObjectID
-	Point  geom.Point
-	// DistSq is the squared distance to the query point (kNN queries only).
-	DistSq float64
-}
+// Result is a point returned by a query. DistSq is the squared distance
+// to the query point (kNN queries only).
+type Result = index.QueryResult
 
 // RangeSearch returns every indexed point inside rect (boundaries
 // inclusive), in no particular order.
 func (t *Tree) RangeSearch(rect geom.Rect) ([]Result, error) {
-	if t.root == invalidRef {
-		return nil, nil
-	}
-	var out []Result
-	err := t.rangeAt(t.root, rect, &out)
-	return out, err
-}
-
-func (t *Tree) rangeAt(ref nodeRef, rect geom.Rect, out *[]Result) error {
-	n, err := t.readNode(ref)
-	if err != nil {
-		return err
-	}
-	if n.leaf {
-		for i := range n.objects {
-			o := &n.objects[i]
-			if rect.Contains(o.pt) {
-				*out = append(*out, Result{Object: o.id, Point: o.pt})
-			}
-		}
-		return nil
-	}
-	for i := range n.children {
-		c := &n.children[i]
-		if rect.Intersects(c.mbr) {
-			if err := t.rangeAt(c.ref, rect, out); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return index.RangeSearch(t, rect)
 }
 
 // Contains reports whether the tree holds a point with exactly the given
@@ -62,43 +27,5 @@ func (t *Tree) Contains(pt geom.Point) (bool, error) {
 // than k. This is the classic best-first (Hjaltason & Samet) search, used
 // here by the MNN baseline and for standalone kNN queries.
 func (t *Tree) NearestNeighbors(q geom.Point, k int) ([]Result, error) {
-	if t.root == invalidRef || k < 1 {
-		return nil, nil
-	}
-	frontier := pq.NewHeap[index.Entry](64)
-	root, err := t.Root()
-	if err != nil {
-		return nil, err
-	}
-	frontier.Push(geom.MinDistPointRectSq(q, root.MBR), root)
-	best := pq.NewKBest[Result](k)
-	for frontier.Len() > 0 {
-		item, _ := frontier.Pop()
-		if item.Key >= best.Worst() {
-			break // every remaining entry is at least this far away
-		}
-		entries, err := t.Expand(&item.Value)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range entries {
-			if e.IsObject() {
-				d := geom.DistSq(q, e.Point)
-				if d < best.Worst() {
-					best.Add(d, Result{Object: e.Object, Point: e.Point, DistSq: d})
-				}
-			} else {
-				d := geom.MinDistPointRectSq(q, e.MBR)
-				if d < best.Worst() {
-					frontier.Push(d, e)
-				}
-			}
-		}
-	}
-	items := best.Items()
-	out := make([]Result, len(items))
-	for i, it := range items {
-		out[i] = it.Value
-	}
-	return out, nil
+	return index.NearestNeighbors(t, q, k)
 }

@@ -408,22 +408,6 @@ func recordFromPage(data []byte, slot int) ([]byte, error) {
 	return data[off : off+l], nil
 }
 
-// read returns a copy of the record bytes.
-func (rs *recordStore) read(ref nodeRef) ([]byte, error) {
-	f, err := rs.pool.Get(ref.page())
-	if err != nil {
-		return nil, fmt.Errorf("mbrqt: read record %v: %w", ref, err)
-	}
-	defer f.Release()
-	rec, err := recordFromPage(f.Data(), ref.slot())
-	if err != nil {
-		return nil, fmt.Errorf("page %d: %w", ref.page(), err)
-	}
-	out := make([]byte, len(rec))
-	copy(out, rec)
-	return out, nil
-}
-
 // free releases the record's slot. The page is re-registered as a fill
 // candidate. In CoW mode a record on a published page is not touched:
 // snapshots may still read it, so the free is deferred until publish

@@ -12,6 +12,18 @@ func newRS() *recordStore {
 	return newRecordStore(storage.NewBufferPool(storage.NewMemStore(), 256))
 }
 
+// read returns a copy of the record bytes. Production code reads records
+// in place (walkRecords); the record-store tests want the bytes.
+func (rs *recordStore) read(ref nodeRef) ([]byte, error) {
+	f, err := rs.pool.Get(ref.page())
+	if err != nil {
+		return nil, err
+	}
+	defer f.Release()
+	rec, err := recordFromPage(f.Data(), ref.slot())
+	return bytes.Clone(rec), err
+}
+
 func mkRec(seed byte, n int) []byte {
 	rec := make([]byte, n)
 	for i := range rec {

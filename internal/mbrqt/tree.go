@@ -248,37 +248,66 @@ func (t *Tree) Expand(e *index.Entry) ([]index.Entry, error) {
 	return out, nil
 }
 
-// decodeEntries reads the node at ref and materialises its entry slice.
+// decodeEntries reads the node at ref and materialises its entry slice
+// straight from the page bytes: one entry array and one coordinate slab
+// per record.
 func (t *Tree) decodeEntries(ref nodeRef) ([]index.Entry, error) {
-	n, err := t.readNode(ref)
+	var out []index.Entry
+	dim := t.dim
+	err := t.walkRecords(ref, func(_ nodeRef, v recordView) error {
+		if out == nil {
+			out = make([]index.Entry, 0, v.num) // exact unless the node chains
+		}
+		if v.leaf {
+			coords := make([]float64, v.num*dim)
+			for i := 0; i < v.num; i++ {
+				pt := geom.Point(coords[i*dim : (i+1)*dim])
+				id := v.object(i, pt)
+				out = append(out, index.Entry{Kind: index.ObjectEntry, MBR: geom.PointRect(pt), Count: 1, Object: id, Point: pt})
+			}
+			return nil
+		}
+		coords := make([]float64, v.num*2*dim)
+		for i := 0; i < v.num; i++ {
+			mbr := geom.Rect{Lo: coords[i*2*dim : i*2*dim+dim], Hi: coords[i*2*dim+dim : (i+1)*2*dim]}
+			child, _, count := v.child(i, mbr.Lo, mbr.Hi)
+			out = append(out, index.Entry{Kind: index.NodeEntry, MBR: mbr, Child: storage.PageID(child), Count: count})
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if n.leaf {
-		out := make([]index.Entry, len(n.objects))
-		for i := range n.objects {
-			o := &n.objects[i]
-			out[i] = index.Entry{
-				Kind:   index.ObjectEntry,
-				MBR:    geom.PointRect(o.pt),
-				Count:  1,
-				Object: o.id,
-				Point:  o.pt,
+	return out, nil
+}
+
+// Visit implements index.Tree: the node's records are walked in their
+// pinned pages and each slot is decoded into one pooled scratch Entry.
+func (t *Tree) Visit(child storage.PageID, fn func(*index.Entry) error) error {
+	s := index.AcquireSlot(t.dim)
+	defer s.Release()
+	e := &s.Entry
+	return t.walkRecords(nodeRef(child), func(_ nodeRef, v recordView) error {
+		if v.leaf {
+			pt := s.Object()
+			for i := 0; i < v.num; i++ {
+				e.Object = v.object(i, pt)
+				if err := fn(e); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		lo, hi := s.Node()
+		for i := 0; i < v.num; i++ {
+			ref, _, count := v.child(i, lo, hi)
+			e.Child, e.Count = storage.PageID(ref), count
+			if err := fn(e); err != nil {
+				return err
 			}
 		}
-		return out, nil
-	}
-	out := make([]index.Entry, len(n.children))
-	for i := range n.children {
-		c := &n.children[i]
-		out[i] = index.Entry{
-			Kind:  index.NodeEntry,
-			MBR:   c.mbr,
-			Child: storage.PageID(c.ref),
-			Count: c.count,
-		}
-	}
-	return out, nil
+		return nil
+	})
 }
 
 // quadOf returns the quadrant code of pt within cell: bit d is set when

@@ -211,9 +211,16 @@ func NewSharded[V any](maxBytes int64, numShards int) *Cache[V] {
 	return c
 }
 
-// shardOf returns the shard owning page id.
+// shardOf returns the shard owning page id. The id is mixed first and the
+// shard taken from the product's high bits: MBRQT keys are page<<10|slot
+// and shard counts are powers of two, so a plain modulo shards on the low
+// bits of the slot, and a bulk-loaded tree (a few large records at the low
+// slots of every page) piles into one shard and evicts for ever while the
+// others stand empty. A multiplicative hash spreads consecutive pages
+// evenly rather than randomly, which a byte budget split per shard needs.
 func (c *Cache[V]) shardOf(id storage.PageID) *shard[V] {
-	return &c.shards[uint32(id)%uint32(len(c.shards))]
+	h := uint32(id) * 0x9E3779B1 // 2^32 / golden ratio
+	return &c.shards[uint64(h)*uint64(len(c.shards))>>32]
 }
 
 // Cap returns the configured byte budget.

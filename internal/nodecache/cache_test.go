@@ -240,3 +240,33 @@ func ExampleCache() {
 	fmt.Println(v, ok)
 	// Output: decoded node true
 }
+
+// TestShardingSpreadsSlottedIDs guards the shard choice against MBRQT's
+// key shape. Its keys are page<<10|slot and a bulk-loaded tree keeps its
+// large records at slot 0, so sharding on the key's low bits put every
+// node in one shard: the cache held a quarter (or a 64th) of its budget
+// and evicted for ever. N equal values under ids p<<10 that fill 90% of
+// the budget must all stay resident, spread evenly over the shards.
+func TestShardingSpreadsSlottedIDs(t *testing.T) {
+	const valueBytes = 10 << 10
+	for _, shards := range []int{4, 64} {
+		budget := int64(shards) * 256 * valueBytes
+		c := NewSharded[int](budget, shards)
+		n := int(budget * 9 / 10 / valueBytes)
+		for p := 0; p < n; p++ {
+			c.Put(storage.PageID(p<<10), p, valueBytes)
+		}
+		st := c.Stats()
+		if st.Evictions != 0 || st.Entries != n {
+			t.Errorf("%d shards: %d evictions, %d of %d values resident at 90%% of the budget",
+				shards, st.Evictions, st.Entries, n)
+		}
+		lo, hi := c.shards[0].bytes, c.shards[0].bytes
+		for i := range c.shards {
+			lo, hi = min(lo, c.shards[i].bytes), max(hi, c.shards[i].bytes)
+		}
+		if hi > 2*lo {
+			t.Errorf("%d shards: byte loads range from %d to %d, more than 2x apart", shards, lo, hi)
+		}
+	}
+}

@@ -123,10 +123,10 @@ type KBest[T any] struct {
 
 // NewKBest returns a collector for the k smallest keys. k must be >= 1.
 func NewKBest[T any](k int) *KBest[T] {
-	if k < 1 {
-		panic("pq: KBest requires k >= 1")
-	}
-	return &KBest[T]{k: k, items: make([]Item[T], 0, k)}
+	b := &KBest[T]{}
+	b.ResetK(k)
+	b.items = make([]Item[T], 0, k)
+	return b
 }
 
 // K returns the configured capacity.
@@ -146,6 +146,11 @@ func (b *KBest[T]) Worst() float64 {
 	}
 	return b.items[0].Key
 }
+
+// WorstValue returns the value of the largest-key item collected so far —
+// the one a successful Add displaces once the collector is full. The
+// collector must not be empty.
+func (b *KBest[T]) WorstValue() T { return b.items[0].Value }
 
 // Add offers an item. It is kept iff its key beats the current bound;
 // the return value reports whether it was kept.
@@ -193,6 +198,17 @@ func (b *KBest[T]) AppendItems(dst []Item[T]) []Item[T] {
 
 // Reset empties the collector, retaining capacity.
 func (b *KBest[T]) Reset() { b.items = b.items[:0] }
+
+// ResetK empties the collector and re-arms it for the k smallest keys,
+// retaining capacity, so a pooled collector serves queries of any k.
+// k must be >= 1.
+func (b *KBest[T]) ResetK(k int) {
+	if k < 1 {
+		panic("pq: KBest requires k >= 1")
+	}
+	b.k = k
+	b.items = b.items[:0]
+}
 
 func (b *KBest[T]) popMax() Item[T] {
 	top := b.items[0]

@@ -160,6 +160,11 @@ func (s *Snapshot) Root() (index.Entry, error) {
 // the writer, so the parent tree's read path serves them.
 func (s *Snapshot) Expand(e *index.Entry) ([]index.Entry, error) { return s.t.Expand(e) }
 
+// Visit implements index.Tree the same way.
+func (s *Snapshot) Visit(child storage.PageID, fn func(*index.Entry) error) error {
+	return s.t.Visit(child, fn)
+}
+
 // SetNodeCache implements index.NodeCacher by attaching to the parent
 // tree: page ids are unique across snapshots of one tree (recycled only
 // after invalidation), so the cache is shared.

@@ -3,10 +3,66 @@ package rstar
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
+	"allnn/internal/index"
 	"allnn/internal/storage"
 )
+
+// visitPage stores data as a node page of a fresh tree (cut or zero-padded
+// to the page size) and runs the in-place visitor on it beside decodeNode
+// on the same bytes. Whatever the bytes are, the visitor must not panic,
+// must fail exactly when decodeNode does, with ErrCorruptPage and before
+// handing out a single slot, must agree with it on the entries, and must
+// leave no frame pinned.
+func visitPage(t *testing.T, data []byte, dim int) {
+	t.Helper()
+	pool := storage.NewBufferPool(storage.NewMemStore(), 8)
+	f, err := pool.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(f.Data(), data)
+	f.MarkDirty()
+	pid := f.ID()
+	want, wantErr := decodeNode(f.Data(), dim)
+	f.Release()
+	tree := &Tree{pool: pool, dim: dim}
+
+	// Coordinates compare by bit pattern, so that NaNs do.
+	bits := func(p []float64) []uint64 {
+		out := make([]uint64, len(p))
+		for i, v := range p {
+			out[i] = math.Float64bits(v)
+		}
+		return out
+	}
+	slots := 0
+	visitErr := tree.Visit(pid, func(e *index.Entry) error {
+		if wantErr != nil || slots >= len(want.entries) {
+			t.Fatalf("slot %d handed out; decodeNode: %v, %d entries", slots, wantErr, len(want.entries))
+		}
+		w := &want.entries[slots]
+		if e.IsObject() != want.leaf || e.Child != w.child || e.Count != w.count || e.Object != w.obj ||
+			!slices.Equal(bits(e.Point), bits(w.pt)) ||
+			!slices.Equal(bits(e.MBR.Lo), bits(w.mbr.Lo)) || !slices.Equal(bits(e.MBR.Hi), bits(w.mbr.Hi)) {
+			t.Fatalf("slot %d: visited %+v, decoded %+v", slots, *e, *w)
+		}
+		slots++
+		return nil
+	})
+	storage.RequireNoPinnedFrames(t, pool)
+	if (visitErr == nil) != (wantErr == nil) {
+		t.Fatalf("Visit returned %v, decodeNode %v", visitErr, wantErr)
+	}
+	if visitErr != nil && !storage.IsCorrupt(visitErr) {
+		t.Fatalf("visit error does not wrap ErrCorruptPage: %v", visitErr)
+	}
+	if visitErr == nil && slots != len(want.entries) {
+		t.Fatalf("visit handed out %d slots, decodeNode %d entries", slots, len(want.entries))
+	}
+}
 
 // seedNodePage hand-renders a valid node page at the given dimensionality
 // using the same layout writeNode produces.
@@ -40,9 +96,10 @@ func seedNodePage(dim int, leaf bool) []byte {
 	return data
 }
 
-// FuzzDecodeNode feeds arbitrary bytes to the R*-tree node decoder: it
-// must reject malformed pages with an error wrapping ErrCorruptPage and
-// never panic or read out of bounds.
+// FuzzDecodeNode feeds arbitrary bytes to the R*-tree node decoder and,
+// as a stored page, to the in-place visitor built on the same parser:
+// both must reject malformed pages with an error wrapping ErrCorruptPage
+// and never panic or read out of bounds.
 func FuzzDecodeNode(f *testing.F) {
 	for _, dim := range []int{1, 2, 3, 10} {
 		f.Add(seedNodePage(dim, true), uint8(dim))
@@ -56,6 +113,7 @@ func FuzzDecodeNode(f *testing.F) {
 	f.Add(bad, uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, dimByte uint8) {
 		dim := int(dimByte)%16 + 1
+		visitPage(t, data, dim)
 		n, err := decodeNode(data, dim)
 		if err != nil {
 			if !storage.IsCorrupt(err) {

@@ -70,83 +70,127 @@ func (n *node) countPoints() uint32 {
 	return c
 }
 
-// decodeNode parses a node page, validating the header before trusting
-// any count in it: data may be arbitrary bytes (a logically damaged page
-// that still checksums, a legacy file without checksums, fuzzer input).
-// Structural violations wrap storage.ErrCorruptPage.
-func decodeNode(data []byte, dim int) (*node, error) {
+// nodeView is one node page parsed in place: parseNode has done every
+// structural check, so the entries decode straight from body (which
+// aliases the page) with no further validation. readNode, Expand's miss
+// path and Visit are all collectors over it.
+type nodeView struct {
+	leaf bool
+	num  int
+	body []byte // num entries of the node's type
+}
+
+// parseNode validates a node page's header before trusting any count in
+// it: data may be arbitrary bytes (a logically damaged page that still
+// checksums, a legacy file without checksums, fuzzer input). Structural
+// violations wrap storage.ErrCorruptPage.
+func parseNode(data []byte, dim int) (nodeView, error) {
 	if len(data) < pageHeaderSize {
-		return nil, fmt.Errorf("rstar: node page truncated to %d bytes: %w", len(data), storage.ErrCorruptPage)
+		return nodeView{}, fmt.Errorf("rstar: node page truncated to %d bytes: %w", len(data), storage.ErrCorruptPage)
 	}
-	n := &node{}
+	var v nodeView
 	switch data[offType] {
 	case nodeTypeLeaf:
-		n.leaf = true
+		v.leaf = true
 	case nodeTypeInternal:
-		n.leaf = false
+		v.leaf = false
 	default:
-		return nil, fmt.Errorf("rstar: invalid node type %d: %w", data[offType], storage.ErrCorruptPage)
+		return nodeView{}, fmt.Errorf("rstar: invalid node type %d: %w", data[offType], storage.ErrCorruptPage)
 	}
-	num := int(binary.LittleEndian.Uint16(data[offNumEntries:]))
+	v.num = int(binary.LittleEndian.Uint16(data[offNumEntries:]))
 	entrySize := internalEntrySize(dim)
-	if n.leaf {
+	if v.leaf {
 		entrySize = leafEntrySize(dim)
 	}
-	if pageHeaderSize+num*entrySize > len(data) {
-		return nil, fmt.Errorf("rstar: node claims %d entries, page fits %d: %w",
-			num, (len(data)-pageHeaderSize)/entrySize, storage.ErrCorruptPage)
+	if pageHeaderSize+v.num*entrySize > len(data) {
+		return nodeView{}, fmt.Errorf("rstar: node claims %d entries, page fits %d: %w",
+			v.num, (len(data)-pageHeaderSize)/entrySize, storage.ErrCorruptPage)
 	}
-	n.entries = make([]entry, 0, num)
-	off := pageHeaderSize
-	if n.leaf {
-		for i := 0; i < num; i++ {
-			e := entry{
-				obj:   index.ObjectID(binary.LittleEndian.Uint64(data[off:])),
-				pt:    make(geom.Point, dim),
-				count: 1,
-			}
-			off += 8
-			for d := 0; d < dim; d++ {
-				e.pt[d] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-				off += 8
-			}
+	v.body = data[pageHeaderSize : pageHeaderSize+v.num*entrySize]
+	return v, nil
+}
+
+// object decodes leaf slot i: its point into pt (len dim), returning the
+// object id.
+func (v nodeView) object(i int, pt []float64) index.ObjectID {
+	b := v.body[i*leafEntrySize(len(pt)):]
+	for d := range pt {
+		pt[d] = math.Float64frombits(binary.LittleEndian.Uint64(b[8+8*d:]))
+	}
+	return index.ObjectID(binary.LittleEndian.Uint64(b))
+}
+
+// child decodes internal slot i: its MBR into lo and hi (len dim each),
+// returning the child page and subtree count.
+func (v nodeView) child(i int, lo, hi []float64) (child storage.PageID, count uint32) {
+	b := v.body[i*internalEntrySize(len(lo)):]
+	child = storage.PageID(binary.LittleEndian.Uint32(b))
+	count = binary.LittleEndian.Uint32(b[4:])
+	b = b[8:]
+	for d := range lo {
+		lo[d] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*d:]))
+	}
+	b = b[8*len(lo):]
+	for d := range hi {
+		hi[d] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*d:]))
+	}
+	return child, count
+}
+
+// collectNode materialises a parsed node. Every entry owns its
+// coordinate slices: the mutation paths move entries between nodes and
+// grow MBRs in place.
+func collectNode(v nodeView, dim int) *node {
+	n := &node{leaf: v.leaf, entries: make([]entry, v.num)}
+	for i := range n.entries {
+		e := &n.entries[i]
+		if v.leaf {
+			e.pt = make(geom.Point, dim)
+			e.obj = v.object(i, e.pt)
+			e.count = 1
 			e.mbr = geom.NewRect(e.pt, e.pt)
-			n.entries = append(n.entries, e)
-		}
-	} else {
-		for i := 0; i < num; i++ {
-			e := entry{
-				child: storage.PageID(binary.LittleEndian.Uint32(data[off:])),
-				count: binary.LittleEndian.Uint32(data[off+4:]),
-				mbr:   geom.Rect{Lo: make(geom.Point, dim), Hi: make(geom.Point, dim)},
-			}
-			off += 8
-			for d := 0; d < dim; d++ {
-				e.mbr.Lo[d] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-				off += 8
-			}
-			for d := 0; d < dim; d++ {
-				e.mbr.Hi[d] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-				off += 8
-			}
-			n.entries = append(n.entries, e)
+		} else {
+			e.mbr = geom.Rect{Lo: make(geom.Point, dim), Hi: make(geom.Point, dim)}
+			e.child, e.count = v.child(i, e.mbr.Lo, e.mbr.Hi)
 		}
 	}
-	return n, nil
+	return n
+}
+
+// decodeNode parses a node page into its in-memory form (see parseNode
+// for the validation).
+func decodeNode(data []byte, dim int) (*node, error) {
+	v, err := parseNode(data, dim)
+	if err != nil {
+		return nil, err
+	}
+	return collectNode(v, dim), nil
+}
+
+// viewNode pins the node page at pid and hands its parsed view to fn; the
+// view is valid only until fn returns, and the page is unpinned whether
+// fn fails or not.
+func (t *Tree) viewNode(pid storage.PageID, fn func(v nodeView) error) error {
+	f, err := t.pool.Get(pid)
+	if err != nil {
+		return fmt.Errorf("rstar: read node page %d: %w", pid, err)
+	}
+	defer f.Release()
+	v, err := parseNode(f.Data(), t.dim)
+	if err != nil {
+		return fmt.Errorf("rstar: page %d: %w", pid, err)
+	}
+	return fn(v)
 }
 
 // readNode loads the node at pid.
 func (t *Tree) readNode(pid storage.PageID) (*node, error) {
-	f, err := t.pool.Get(pid)
-	if err != nil {
-		return nil, fmt.Errorf("rstar: read node page %d: %w", pid, err)
-	}
-	defer f.Release()
-	n, err := decodeNode(f.Data(), t.dim)
-	if err != nil {
-		return nil, fmt.Errorf("rstar: page %d: %w", pid, err)
-	}
-	return n, nil
+	var n *node
+	err := t.viewNode(pid, func(v nodeView) error {
+		n = collectNode(v, t.dim)
+		return nil
+	})
+	return n, err
 }
 
 // writeNode stores n, normally at pid, and returns the page the node now

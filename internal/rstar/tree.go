@@ -263,33 +263,62 @@ func (t *Tree) Expand(e *index.Entry) ([]index.Entry, error) {
 	return out, nil
 }
 
-// decodeEntries reads the node at pid and materialises its entry slice.
+// decodeEntries reads the node at pid and materialises its entry slice
+// straight from the page bytes: one entry array and one coordinate slab.
 func (t *Tree) decodeEntries(pid storage.PageID) ([]index.Entry, error) {
-	n, err := t.readNode(pid)
+	var out []index.Entry
+	dim := t.dim
+	err := t.viewNode(pid, func(v nodeView) error {
+		out = make([]index.Entry, v.num)
+		if v.leaf {
+			coords := make([]float64, v.num*dim)
+			for i := range out {
+				pt := geom.Point(coords[i*dim : (i+1)*dim])
+				id := v.object(i, pt)
+				out[i] = index.Entry{Kind: index.ObjectEntry, MBR: geom.PointRect(pt), Count: 1, Object: id, Point: pt}
+			}
+			return nil
+		}
+		coords := make([]float64, v.num*2*dim)
+		for i := range out {
+			mbr := geom.Rect{Lo: coords[i*2*dim : i*2*dim+dim], Hi: coords[i*2*dim+dim : (i+1)*2*dim]}
+			child, count := v.child(i, mbr.Lo, mbr.Hi)
+			out[i] = index.Entry{Kind: index.NodeEntry, MBR: mbr, Child: child, Count: count}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]index.Entry, len(n.entries))
-	for i := range n.entries {
-		en := &n.entries[i]
-		if n.leaf {
-			out[i] = index.Entry{
-				Kind:   index.ObjectEntry,
-				MBR:    en.mbr,
-				Count:  1,
-				Object: en.obj,
-				Point:  en.pt,
+	return out, nil
+}
+
+// Visit implements index.Tree: the node is walked in its pinned page and
+// each slot is decoded into one pooled scratch Entry.
+func (t *Tree) Visit(child storage.PageID, fn func(*index.Entry) error) error {
+	s := index.AcquireSlot(t.dim)
+	defer s.Release()
+	e := &s.Entry
+	return t.viewNode(child, func(v nodeView) error {
+		if v.leaf {
+			pt := s.Object()
+			for i := 0; i < v.num; i++ {
+				e.Object = v.object(i, pt)
+				if err := fn(e); err != nil {
+					return err
+				}
 			}
-		} else {
-			out[i] = index.Entry{
-				Kind:  index.NodeEntry,
-				MBR:   en.mbr,
-				Child: en.child,
-				Count: en.count,
+			return nil
+		}
+		lo, hi := s.Node()
+		for i := 0; i < v.num; i++ {
+			e.Child, e.Count = v.child(i, lo, hi)
+			if err := fn(e); err != nil {
+				return err
 			}
 		}
-	}
-	return out, nil
+		return nil
+	})
 }
 
 // Insert adds one point to the tree.

@@ -371,10 +371,19 @@ func (p *BufferPool) ResetStats() {
 	}
 }
 
-// Get pins the page id, reading it from the store on a miss.
+// Get pins the page id, reading it from the store on a miss. It is a
+// wrapper small enough to inline, so a caller that releases the frame
+// before returning keeps the handle on its stack: a point query pins a
+// page per visited node and must not pay an allocation for each.
 func (p *BufferPool) Get(id PageID) (*Frame, error) {
+	return p.pin(id, new(Frame))
+}
+
+// pin pins page id, fills in the handle and returns it.
+func (p *BufferPool) pin(id PageID, h *Frame) (*Frame, error) {
 	tr := p.trace.Load()
 	sh := p.shardOf(id)
+	h.shard, h.id = sh, id
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if idx, ok := sh.table[id]; ok {
@@ -384,7 +393,8 @@ func (p *BufferPool) Get(id PageID) (*Frame, error) {
 			sh.lruRemove(idx)
 		}
 		f.pins++
-		return &Frame{shard: sh, idx: idx, id: id}, nil
+		h.idx = idx
+		return h, nil
 	}
 	sh.stats.Misses++
 	idx, err := sh.grabFrame()
@@ -410,7 +420,8 @@ func (p *BufferPool) Get(id PageID) (*Frame, error) {
 	f.pins = 1
 	f.dirty = false
 	sh.table[id] = idx
-	return &Frame{shard: sh, idx: idx, id: id}, nil
+	h.idx = idx
+	return h, nil
 }
 
 // NewPage allocates a fresh page in the store and returns it pinned and

@@ -481,3 +481,27 @@ func TestStatsAdd(t *testing.T) {
 		t.Fatalf("IOs = %d, want 77", want.IOs())
 	}
 }
+
+// TestGetOfResidentPageDoesNotAllocate: Get is an inlinable wrapper, so a
+// caller that releases the frame before returning keeps the handle on its
+// stack. A point query pins one page per visited node and relies on it.
+func TestGetOfResidentPageDoesNotAllocate(t *testing.T) {
+	pool := NewBufferPool(NewMemStore(), 8)
+	f, err := pool.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := f.ID()
+	f.Release()
+	allocs := testing.AllocsPerRun(100, func() {
+		f, err := pool.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = f.Data()[0]
+		f.Release()
+	})
+	if allocs != 0 {
+		t.Errorf("Get + Release of a resident page allocates %.0f times, want 0", allocs)
+	}
+}

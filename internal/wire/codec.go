@@ -70,6 +70,11 @@ type Decoder struct {
 	buf []byte
 	off int
 	err error
+	// f64s and nbs are the arrays F64s and neighbors carve their results
+	// from once reserve has sized them, so a reply of many small points
+	// and neighbor lists costs two allocations, not one per slice.
+	f64s []float64
+	nbs  []Neighbor
 }
 
 // NewDecoder returns a decoder over the payload.
@@ -191,7 +196,10 @@ func (d *Decoder) Count(minElemBytes int, what string) int {
 	if minElemBytes < 1 {
 		minElemBytes = 1
 	}
-	if v > uint64(d.Remaining()/minElemBytes) {
+	// v*minElemBytes <= remaining, without the division (this runs once per
+	// point of a reply) and without overflow: the product is formed only
+	// once v itself is known to be at most the remaining byte count.
+	if rem := uint64(d.Remaining()); v > rem || v*uint64(minElemBytes) > rem {
 		d.fail(what)
 		return 0
 	}
@@ -207,14 +215,24 @@ func (d *Decoder) String(what string) string {
 	return string(b)
 }
 
+// F64s reads a coordinate list. After reserve, the lists of a reply share
+// one backing array (capped, so appending to one cannot reach the next):
+// whoever retains one of them retains the reply's coordinates.
 func (d *Decoder) F64s(what string) []float64 {
 	n := d.Count(8, what)
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	vs := make([]float64, n)
+	b := d.take(8*n, what) // cannot fail: Count checked n against the same bytes
+	var vs []float64
+	if at := len(d.f64s); cap(d.f64s)-at >= n {
+		d.f64s = d.f64s[:at+n]
+		vs = d.f64s[at : at+n : at+n]
+	} else {
+		vs = make([]float64, n)
+	}
 	for i := range vs {
-		vs[i] = d.F64(what)
+		vs[i] = math.Float64frombits(binary.BigEndian.Uint64(b[8*i:]))
 	}
 	return vs
 }
@@ -224,9 +242,10 @@ func (d *Decoder) U64s(what string) []uint64 {
 	if d.err != nil || n == 0 {
 		return nil
 	}
+	b := d.take(8*n, what) // cannot fail: Count checked n against the same bytes
 	vs := make([]uint64, n)
 	for i := range vs {
-		vs[i] = d.U64(what)
+		vs[i] = binary.BigEndian.Uint64(b[8*i:])
 	}
 	return vs
 }

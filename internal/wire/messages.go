@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -30,9 +31,82 @@ func (n *Neighbor) encode(e *Encoder) {
 }
 
 func (n *Neighbor) decode(d *Decoder) {
-	n.ID = d.U64("neighbor id")
-	n.Dist = d.F64("neighbor dist")
+	if b := d.take(16, "neighbor id and dist"); b != nil {
+		n.ID = binary.BigEndian.Uint64(b)
+		n.Dist = math.Float64frombits(binary.BigEndian.Uint64(b[8:]))
+	}
 	n.Point = d.F64s("neighbor point")
+}
+
+// minNeighborBytes is the smallest encoding of a Neighbor (empty point),
+// used to validate counts before allocating.
+const minNeighborBytes = 8 + 8 + 1
+
+// neighbors reads a counted neighbor list, carved from the reply's
+// neighbor array when reserve has sized one.
+func (d *Decoder) neighbors(what string) []Neighbor {
+	n := d.Count(minNeighborBytes, what)
+	if d.Err() != nil || n == 0 {
+		return nil
+	}
+	var nbs []Neighbor
+	if at := len(d.nbs); cap(d.nbs)-at >= n {
+		d.nbs = d.nbs[:at+n]
+		nbs = d.nbs[at : at+n : at+n]
+	} else {
+		nbs = make([]Neighbor, n)
+	}
+	for i := range nbs {
+		nbs[i].decode(d)
+	}
+	return nbs
+}
+
+// reserve walks the rest of a reply body — results encoded Results, or a
+// bare neighbor list when results is 0 — without decoding it, counts the
+// coordinates and neighbors it holds, and allocates the two arrays F64s
+// and neighbors then carve from: exactly what the reply needs, and never
+// more than its bytes can encode. It is advisory: on a malformed body it
+// stops counting, and the decode proper (which falls back to one
+// allocation per list) reports the error.
+func (d *Decoder) reserve(results int) {
+	b := d.buf[d.off:]
+	floats, nbs := 0, 0
+	count := func(elemBytes int) (int, bool) {
+		n, w := binary.Uvarint(b)
+		if w <= 0 || n > uint64(len(b)-w)/uint64(elemBytes) {
+			return 0, false
+		}
+		b = b[w:]
+		return int(n), true
+	}
+	point := func() bool {
+		n, ok := count(8)
+		floats, b = floats+n, b[8*n:]
+		return ok
+	}
+	list := func() bool {
+		k, ok := count(minNeighborBytes)
+		for ; ok && k > 0; k-- {
+			if len(b) < 16 {
+				return false
+			}
+			b = b[16:] // id, dist
+			ok = point()
+			nbs++
+		}
+		return ok
+	}
+	if results == 0 {
+		list()
+	}
+	for ; results > 0 && len(b) >= 8; results-- {
+		b = b[8:] // id
+		if !point() || !list() {
+			break
+		}
+	}
+	d.f64s, d.nbs = make([]float64, 0, floats), make([]Neighbor, 0, nbs)
 }
 
 // Result mirrors ann.Result on the wire.
@@ -58,14 +132,7 @@ func (r *Result) encode(e *Encoder) {
 func (r *Result) decode(d *Decoder) {
 	r.ID = d.U64("result id")
 	r.Point = d.F64s("result point")
-	n := d.Count(8+8+1, "result neighbors")
-	if d.Err() != nil || n == 0 {
-		return
-	}
-	r.Neighbors = make([]Neighbor, n)
-	for i := range r.Neighbors {
-		r.Neighbors[i].decode(d)
-	}
+	r.Neighbors = d.neighbors("result neighbors")
 }
 
 // Pair mirrors ann.Pair on the wire.
@@ -461,15 +528,10 @@ func (m *KNNReply) encode(e *Encoder) {
 }
 
 func (m *KNNReply) decode(d *Decoder) {
-	n := d.Count(8+8+1, "knn neighbors")
+	d.reserve(0)
+	m.Neighbors = d.neighbors("knn neighbors")
 	if d.Err() != nil {
 		return
-	}
-	if n > 0 {
-		m.Neighbors = make([]Neighbor, n)
-		for i := range m.Neighbors {
-			m.Neighbors[i].decode(d)
-		}
 	}
 	m.Partial = decodeTrailingPartial(d)
 }
@@ -497,6 +559,7 @@ func (m *BatchKNNReply) decode(d *Decoder) {
 		return
 	}
 	if n > 0 {
+		d.reserve(n)
 		m.Results = make([]Result, n)
 		for i := range m.Results {
 			m.Results[i].decode(d)
@@ -541,6 +604,7 @@ func (m *JoinFrame) decode(d *Decoder) {
 	if d.Err() != nil || n == 0 {
 		return
 	}
+	d.reserve(n)
 	m.Results = make([]Result, n)
 	for i := range m.Results {
 		m.Results[i].decode(d)
