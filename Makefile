@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check bench-smoke bench-spine-smoke trace-smoke fuzz-corpus bench-parallel bench-parallel-smoke bench-nodecache bench-approx bench-approx-smoke bench-shard chaos chaos-recover fuzz-smoke race-sched serve-smoke obs-serve-smoke router-smoke
+.PHONY: build test race vet fmt-check check bench-smoke bench-spine-smoke trace-smoke fuzz-corpus bench-parallel bench-parallel-smoke bench-nodecache bench-approx bench-approx-smoke bench-shard chaos chaos-recover fuzz-smoke race-sched serve-smoke obs-serve-smoke router-smoke
 
 build:
 	$(GO) build ./...
@@ -14,9 +14,16 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# check is what CI runs: vet plus the full suite under the race detector,
-# plus a one-iteration pass over every benchmark so they cannot rot.
-check: vet race bench-smoke trace-smoke
+# fmt-check fails when any Go file of the root module or of the nested
+# benchmark/ module (gofmt walks directories, not modules) is not
+# gofmt-clean, and names the files.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
+
+# check is what CI runs: formatting, vet plus the full suite under the
+# race detector, plus a one-iteration pass over every benchmark so they
+# cannot rot.
+check: fmt-check vet race bench-smoke trace-smoke
 
 # chaos runs the fault-injection suite under the race detector: thousands
 # of queries over a store that fails 1% of reads, corruption surfacing,
@@ -46,7 +53,8 @@ fuzz-corpus:
 # checked-in corpora (which every plain `go test` already replays).
 # `go test -fuzz` accepts one matching target per invocation, hence one
 # line each. The mbrqt and rstar decoder targets also run every input
-# through the in-place node visitor; FuzzVisit feeds it whole pages.
+# through the in-place node visitor and the point-query scan kernels;
+# FuzzVisit feeds them whole pages.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/mbrqt
 	$(GO) test -run=NONE -fuzz=FuzzRecordFromPage -fuzztime=5s ./internal/mbrqt
@@ -85,8 +93,9 @@ obs-serve-smoke:
 	$(GO) test -run TestObsServeSmoke -count=1 -v ./cmd/annserve
 
 # bench-smoke runs every benchmark of every package once — the root
-# suite's BenchmarkPointKNN and BenchmarkRangeSearch (point verbs on both
-# trees, in memory and behind 64 frames) included.
+# suite's BenchmarkPointKNN (single probes, batches of 64, 10-D) and
+# BenchmarkRangeSearch (both trees, in memory and behind 64 frames)
+# included.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 

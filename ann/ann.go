@@ -368,9 +368,43 @@ func (ix *Index) NearestNeighbors(q Point, k int) ([]Neighbor, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Neighbor, len(res))
-	for i, r := range res {
-		out[i] = Neighbor{ID: uint64(r.Object), Point: Point(r.Point), Dist: math.Sqrt(r.DistSq)}
+	return appendNeighbors(make([]Neighbor, 0, len(res)), res), nil
+}
+
+// appendNeighbors appends the index layer's results to dst in this
+// package's form.
+func appendNeighbors(dst []Neighbor, res []index.QueryResult) []Neighbor {
+	for _, r := range res {
+		dst = append(dst, Neighbor{ID: uint64(r.Object), Point: Point(r.Point), Dist: math.Sqrt(r.DistSq)})
+	}
+	return dst
+}
+
+// BatchNearestNeighbors answers NearestNeighbors(q, k) for every q of qs,
+// in order, as one query: the whole batch reads one snapshot (so its
+// answers are mutually consistent beside a writer) and shares one search
+// state and one result array. ctx is checked between probes; once it is
+// done the batch ends with ctx's error and no partial result.
+func (ix *Index) BatchNearestNeighbors(ctx context.Context, qs []Point, k int) ([][]Neighbor, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	v, t := ix.acquire()
+	defer ix.release(v)
+	res, err := index.BatchNearestNeighbors(t, qs, k, ctx.Err)
+	if err != nil {
+		return nil, err
+	}
+	total := 0
+	for _, r := range res {
+		total += len(r)
+	}
+	flat := make([]Neighbor, 0, total)
+	out := make([][]Neighbor, len(res))
+	for i, rs := range res {
+		base := len(flat)
+		flat = appendNeighbors(flat, rs)
+		out[i] = flat[base:len(flat):len(flat)]
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package ann
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -204,11 +205,78 @@ func TestKNNReadersBesideWriter(t *testing.T) {
 	}
 }
 
+// cancelOnErr is a context that cancels itself the after-th time its Err
+// is consulted, so a test decides between which probes of a batch the
+// caller gives up.
+type cancelOnErr struct {
+	context.Context
+	cancel       context.CancelFunc
+	calls, after int
+}
+
+func (c *cancelOnErr) Err() error {
+	if c.calls++; c.calls == c.after {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestBatchKNN: a batch equals its probes run one by one; and a context
+// cancelled between probe 1 and probe 2 of 64 ends the batch there with
+// context.Canceled, no partial result, no pinned frame and the batch's
+// snapshot released.
+func TestBatchKNN(t *testing.T) {
+	pts := randomPoints(5, 20_000, 2)
+	for _, kind := range []IndexKind{MBRQT, RStar} {
+		ix, err := BuildIndex(pts, IndexConfig{
+			Kind:            kind,
+			PageFile:        filepath.Join(t.TempDir(), "batch.pages"),
+			BufferPoolBytes: 64 * storage.PageSize,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := pts[100:164]
+		batch, err := ix.BatchNearestNeighbors(context.Background(), qs, 10)
+		if err != nil || len(batch) != len(qs) {
+			t.Fatalf("%v: %d answers, %v", kind, len(batch), err)
+		}
+		for i, q := range qs {
+			single, err := ix.NearestNeighbors(q, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(batch[i]) != fmt.Sprint(single) {
+				t.Fatalf("%v: probe %d: batch %v, single %v", kind, i, batch[i], single)
+			}
+		}
+
+		// Err is consulted once on entry, then before every probe but the
+		// first: the second consultation follows probe 1.
+		base, cancel := context.WithCancel(context.Background())
+		ctx := &cancelOnErr{Context: base, cancel: cancel, after: 2}
+		res, err := ix.BatchNearestNeighbors(ctx, qs, 10)
+		if err != context.Canceled || res != nil {
+			t.Fatalf("%v: cancelled batch returned %d answers, %v", kind, len(res), err)
+		}
+		if ctx.calls != 2 {
+			t.Fatalf("%v: the context was consulted %d times, want 2: the batch ran on after it was cancelled", kind, ctx.calls)
+		}
+		storage.RequireNoPinnedFrames(t, ix.pool)
+		if pins := ix.Stats().SnapshotPins; pins != 0 {
+			t.Fatalf("%v: %d snapshot pins left", kind, pins)
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestWarmKNNAllocations pins a warm k = 10 probe to what it hands back:
 // this package's neighbor slice, the index layer's result slice, the
-// coordinate slab behind both, and the root entry's bounds. The frontier,
-// the k-best and the per-node slot scratch are pooled, and pinning a page
-// allocates nothing.
+// coordinate slab behind both, and the root entry's bounds. The frontier
+// and the k-best are pooled, a node's records are scanned where they lie,
+// and pinning a page allocates nothing.
 func TestWarmKNNAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops items at random")
@@ -228,6 +296,36 @@ func TestWarmKNNAllocations(t *testing.T) {
 		})
 		if allocs > 4 {
 			t.Errorf("%v: a warm kNN k=10 allocates %.0f times, want <= 4", kind, allocs)
+		}
+		ix.Close()
+	}
+}
+
+// TestWarmBatchKNNAllocations: a batch allocates what a single probe does
+// plus the two outer slices of its answers, and nothing per probe — 64
+// probes and 512 allocate alike.
+func TestWarmBatchKNNAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items at random")
+	}
+	pts := randomPoints(3, 20_000, 2)
+	ctx := context.Background()
+	for _, kind := range []IndexKind{MBRQT, RStar} {
+		ix, err := BuildIndex(pts, IndexConfig{Kind: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{64, 512} {
+			i := 0
+			allocs := testing.AllocsPerRun(20, func() {
+				i += 37
+				if _, err := ix.BatchNearestNeighbors(ctx, pts[i:i+n], 10); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 6 {
+				t.Errorf("%v: a warm batch of %d kNN k=10 allocates %.0f times, want <= 6", kind, n, allocs)
+			}
 		}
 		ix.Close()
 	}

@@ -352,15 +352,14 @@ func BenchmarkCollectANN_CacheWarm(b *testing.B) { benchCollectCache(b, 0) }
 // workloads' 200K, so the tree has their height and leaf fill.
 const pointN = 200_000
 
-// buildPoint builds a TAC-like pointN index of the given kind: "mem" keeps
-// the pages in memory under a pool that holds them all, "file64" puts them
-// in a page file behind 64 frames, so most node visits miss the pool.
-func buildPoint(b *testing.B, kind bench.IndexKind, backing string) (index.Tree, []geom.Point) {
+// buildPoint indexes pts with the given kind: "mem" keeps the pages in
+// memory under a pool that holds them all, "file64" puts them in a page
+// file behind 64 frames, so most node visits miss the pool.
+func buildPoint(b *testing.B, kind bench.IndexKind, backing string, pts []geom.Point) index.Tree {
 	b.Helper()
-	pts := datagen.TACSurrogate(1, pointN)
 	if backing == "mem" {
 		tree, _ := buildOn(b, kind, pts, storage.NewMemStore(), 1<<14)
-		return tree, pts
+		return tree
 	}
 	fs, err := storage.NewFileStore(filepath.Join(b.TempDir(), "pages"))
 	if err != nil {
@@ -368,41 +367,66 @@ func buildPoint(b *testing.B, kind bench.IndexKind, backing string) (index.Tree,
 	}
 	b.Cleanup(func() { fs.Close() })
 	tree, _ := buildOn(b, kind, pts, fs, 64)
-	return tree, pts
+	return tree
 }
 
-func forEachPointIndex(b *testing.B, run func(b *testing.B, tree index.Tree, pts []geom.Point)) {
+// forEachPointIndex runs one sub-benchmark per tree kind and backing over
+// an index of pts, named <kind>/<backing><suffix>.
+func forEachPointIndex(b *testing.B, suffix string, pts []geom.Point, backings []string, run func(b *testing.B, tree index.Tree)) {
 	for _, ix := range []struct {
 		name string
 		kind bench.IndexKind
 	}{{"mbrqt", bench.KindMBRQT}, {"rstar", bench.KindRStar}} {
-		for _, backing := range []string{"mem", "file64"} {
-			b.Run(ix.name+"/"+backing, func(b *testing.B) {
-				tree, pts := buildPoint(b, ix.kind, backing)
+		for _, backing := range backings {
+			b.Run(ix.name+"/"+backing+suffix, func(b *testing.B) {
+				tree := buildPoint(b, ix.kind, backing, pts)
 				b.ReportAllocs()
 				b.ResetTimer()
-				run(b, tree, pts)
+				run(b, tree)
 			})
 		}
 	}
 }
 
+var pointBackings = []string{"mem", "file64"}
+
 // BenchmarkPointKNN is one k = 10 probe at a data point, the unit of the
-// served mix, of the MNN baseline and of the router's join fix-up.
+// served mix, of the MNN baseline and of the router's join fix-up — alone
+// and as one of a batch of 64 (the served BatchKNN; ns/op is per probe
+// there too) over the TAC-like 2-D 200K, and alone over the FC-like 10-D
+// 40K, where the leaf scan abandons most points part-way.
 func BenchmarkPointKNN(b *testing.B) {
-	forEachPointIndex(b, func(b *testing.B, tree index.Tree, pts []geom.Point) {
-		for i := 0; i < b.N; i++ {
-			if _, err := index.NearestNeighbors(tree, pts[(i*7919)%len(pts)], 10); err != nil {
+	single := func(pts []geom.Point) func(b *testing.B, tree index.Tree) {
+		return func(b *testing.B, tree index.Tree) {
+			for i := 0; i < b.N; i++ {
+				if _, err := index.NearestNeighbors(tree, pts[(i*7919)%len(pts)], 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	tac := datagen.TACSurrogate(1, pointN)
+	forEachPointIndex(b, "", tac, pointBackings, single(tac))
+	forEachPointIndex(b, "-batch64", tac, pointBackings, func(b *testing.B, tree index.Tree) {
+		qs := make([][]float64, 64)
+		for i := 0; i < b.N; i += len(qs) {
+			for j := range qs {
+				qs[j] = tac[((i+j)*7919)%len(tac)]
+			}
+			if _, err := index.BatchNearestNeighbors(tree, qs, 10, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+	fc := datagen.FCSurrogate(1, 40_000)
+	forEachPointIndex(b, "-fc10", fc, []string{"mem"}, single(fc))
 }
 
 // BenchmarkRangeSearch is one box query of 1% of the extent per side
 // around a data point.
 func BenchmarkRangeSearch(b *testing.B) {
-	forEachPointIndex(b, func(b *testing.B, tree index.Tree, pts []geom.Point) {
+	pts := datagen.TACSurrogate(1, pointN)
+	forEachPointIndex(b, "", pts, pointBackings, func(b *testing.B, tree index.Tree) {
 		bounds := tree.Bounds()
 		for i := 0; i < b.N; i++ {
 			c := pts[(i*7919)%len(pts)]

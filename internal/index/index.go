@@ -43,6 +43,27 @@ type Entry struct {
 // IsObject reports whether the entry is a data point.
 func (e *Entry) IsObject() bool { return e.Kind == ObjectEntry }
 
+// Block is one validated node record as it lies in its page: N slots of
+// Stride bytes each in Data. Both trees lay a leaf slot out as the u64
+// object id followed by Dim × f64 coordinates, and start an internal slot
+// with the u32 child reference; where the rest of an internal slot lies
+// is the tree's business, which it states in CountOff and BoxOff. All
+// integers and floats are little-endian. A Block is passed by value: it
+// is a view, and a pointer to it would escape through the visitor.
+type Block struct {
+	Leaf bool
+	N    int // slots in Data
+	Dim  int
+	// Stride is the size of one slot in bytes.
+	Stride int
+	// CountOff and BoxOff locate, inside an internal slot, the u32
+	// subtree point count and the MBR (Dim × f64 low corner, then
+	// Dim × f64 high corner). Unused for a leaf.
+	CountOff, BoxOff int
+	// Data holds exactly N·Stride bytes and aliases the pinned page.
+	Data []byte
+}
+
 // Tree is the traversal interface shared by MBRQT and the R*-tree.
 // The read path — Dim, Len, Root, Expand, Visit, Bounds — is safe for
 // concurrent use by both implementations (the buffer pool and the
@@ -65,17 +86,18 @@ type Tree interface {
 	// treated as immutable by the caller.
 	Expand(e *Entry) ([]Entry, error)
 	// Visit reads the node stored at child (the Child of a NodeEntry, or
-	// of Root) in place: it pins the node's page, calls fn once per slot
-	// in storage order, and keeps nothing. The Entry handed to fn — child
-	// reference, count and MBR, or object id and point — is scratch
-	// decoded from the page bytes: it and every slice in it are valid
-	// only until fn returns. A non-nil error from fn stops the visit and
-	// is returned as is; no page stays pinned once Visit returns. A
-	// structurally damaged node yields an error wrapping
-	// storage.ErrCorruptPage before fn has seen any slot of the damaged
-	// record. Point queries traverse with Visit; joins, which expand a
-	// node once per owning LPQ, use Expand and its decoded-node cache.
-	Visit(child storage.PageID, fn func(e *Entry) error) error
+	// of Root) in place: it pins the node's page and calls fn once per
+	// record of the node, in storage order (an R*-tree node is one
+	// record, an MBRQT node one per page of its chain), and keeps
+	// nothing. Each record has passed the tree's structural validation
+	// before fn sees it; the Block handed to fn aliases the pinned page
+	// and is valid only until fn returns. A non-nil error from fn stops
+	// the visit and is returned as is; no page stays pinned once Visit
+	// returns. A structurally damaged node yields an error wrapping
+	// storage.ErrCorruptPage before fn has seen the damaged record.
+	// Point queries traverse with Visit; joins, which expand a node once
+	// per owning LPQ, use Expand and its decoded-node cache.
+	Visit(child storage.PageID, fn func(Block) error) error
 	// Bounds returns the MBR of all indexed points (empty rect if none).
 	Bounds() geom.Rect
 }

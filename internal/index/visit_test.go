@@ -11,6 +11,7 @@ import (
 	"allnn/internal/bruteforce"
 	"allnn/internal/geom"
 	"allnn/internal/index"
+	"allnn/internal/index/indextest"
 	"allnn/internal/storage"
 )
 
@@ -21,8 +22,8 @@ func sameEntry(a, b *index.Entry) bool {
 }
 
 // requireVisitMatchesExpand walks the whole tree and checks, node by node,
-// that Visit hands out exactly Expand's entries in Expand's order. It
-// returns the size of the longest leaf seen.
+// that the Blocks Visit hands out decode to exactly Expand's entries in
+// Expand's order. It returns the size of the longest leaf seen.
 func requireVisitMatchesExpand(t *testing.T, tree index.Tree) (longestLeaf int) {
 	t.Helper()
 	root, err := tree.Root()
@@ -40,22 +41,21 @@ func requireVisitMatchesExpand(t *testing.T, tree index.Tree) (longestLeaf int) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		i := 0
-		err = tree.Visit(node.Child, func(e *index.Entry) error {
-			if i >= len(want) {
-				return fmt.Errorf("node %d: visit yields more than Expand's %d entries", node.Child, len(want))
-			}
-			if !sameEntry(e, &want[i]) {
-				return fmt.Errorf("node %d slot %d: visited %+v, expanded %+v", node.Child, i, *e, want[i])
-			}
-			i++
+		var got []index.Entry
+		err = tree.Visit(node.Child, func(b index.Block) error {
+			got = append(got, indextest.Entries(b)...)
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i != len(want) {
-			t.Fatalf("node %d: visit yields %d slots, Expand %d entries", node.Child, i, len(want))
+		if len(got) != len(want) {
+			t.Fatalf("node %d: visit yields %d slots, Expand %d entries", node.Child, len(got), len(want))
+		}
+		for i := range want {
+			if !sameEntry(&got[i], &want[i]) {
+				t.Fatalf("node %d slot %d: visited %+v, expanded %+v", node.Child, i, got[i], want[i])
+			}
 		}
 		for j := range want {
 			if !want[j].IsObject() {
@@ -184,8 +184,8 @@ func TestPointQueriesVsBruteForce(t *testing.T) {
 }
 
 // TestVisitReleasesPinsOnEveryExit: a visit that the callback stops, at
-// any slot of any record of a chained node, returns the callback's error
-// as is and leaves no frame pinned; so does one whose page read fails.
+// any record of a chained node, returns the callback's error as is and
+// leaves no frame pinned; so does one whose page read fails.
 func TestVisitReleasesPinsOnEveryExit(t *testing.T) {
 	stop := errors.New("stop")
 	rng := rand.New(rand.NewSource(9))
@@ -197,16 +197,16 @@ func TestVisitReleasesPinsOnEveryExit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slots := 0
-		if err := tree.Visit(root.Child, func(*index.Entry) error { slots++; return nil }); err != nil {
+		records, slots := 0, 0
+		if err := tree.Visit(root.Child, func(b index.Block) error { records++; slots += b.N; return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if kind == "mbrqt" && slots != 1000 {
-			t.Fatalf("mbrqt root holds %d slots, want the 1000 points in one chained leaf", slots)
+		if kind == "mbrqt" && (slots != 1000 || records != 3) {
+			t.Fatalf("mbrqt root holds %d slots in %d records, want the 1000 points in one leaf chained over three", slots, records)
 		}
-		for after := 0; after < slots; after++ {
+		for after := 0; after < records; after++ {
 			seen := 0
-			err := tree.Visit(root.Child, func(*index.Entry) error {
+			err := tree.Visit(root.Child, func(index.Block) error {
 				if seen == after {
 					return stop
 				}
@@ -214,7 +214,7 @@ func TestVisitReleasesPinsOnEveryExit(t *testing.T) {
 				return nil
 			})
 			if err != stop {
-				t.Fatalf("%s: stopping at slot %d returned %v", kind, after, err)
+				t.Fatalf("%s: stopping at record %d returned %v", kind, after, err)
 			}
 		}
 		storage.RequireNoPinnedFrames(t, pool)

@@ -10,15 +10,18 @@ import (
 
 	"allnn/internal/geom"
 	"allnn/internal/index"
+	"allnn/internal/index/indextest"
 	"allnn/internal/storage"
 )
 
 // visitPage stores data as one page of a fresh tree (cut or zero-padded to
 // the page size) and runs the in-place visitor on the node at its given
-// slot, beside readNode on the same ref. Whatever the bytes are, the
-// visitor must not panic, must fail only with ErrCorruptPage, must agree
-// with readNode on success and on the entries, must hand out nothing past
-// the first bad record, and must leave no frame pinned.
+// slot, beside readNode on the same ref, and then the point-query scan
+// kernels over the same node. Whatever the bytes are, the visitor must not
+// panic, must fail only with ErrCorruptPage, must agree with readNode on
+// success and on the entries its Blocks decode to, must hand out nothing
+// past the first bad record, and must leave no frame pinned; the kernels
+// must stay inside every Block they are handed.
 func visitPage(t *testing.T, data []byte, slot, dim int) {
 	t.Helper()
 	pool := storage.NewBufferPool(storage.NewMemStore(), 8)
@@ -34,14 +37,17 @@ func visitPage(t *testing.T, data []byte, slot, dim int) {
 
 	want, wantErr := tree.readNode(ref)
 	got := newEntryDigest()
-	visitErr := tree.Visit(storage.PageID(ref), func(e *index.Entry) error {
-		if e.IsObject() {
-			got.add(uint64(e.Object), 0, e.Point, nil)
-		} else {
-			got.add(uint64(e.Child), e.Count, e.MBR.Lo, e.MBR.Hi)
+	visitErr := tree.Visit(storage.PageID(ref), func(b index.Block) error {
+		for _, e := range indextest.Entries(b) {
+			if e.IsObject() {
+				got.add(uint64(e.Object), 0, e.Point, nil)
+			} else {
+				got.add(uint64(e.Child), e.Count, e.MBR.Lo, e.MBR.Hi)
+			}
 		}
 		return nil
 	})
+	indextest.ScanNode(t, tree, storage.PageID(ref))
 	storage.RequireNoPinnedFrames(t, pool)
 	if (visitErr == nil) != (wantErr == nil) {
 		t.Fatalf("Visit returned %v, readNode %v", visitErr, wantErr)

@@ -172,6 +172,14 @@ func (v recordView) child(i int, lo, hi []float64) (ref nodeRef, quad, count uin
 	return ref, quad, count
 }
 
+// block describes the record's entries to a Tree.Visit visitor.
+func (v recordView) block(dim int) index.Block {
+	if v.leaf {
+		return index.Block{Leaf: true, N: v.num, Dim: dim, Stride: leafEntrySize(dim), Data: v.body}
+	}
+	return index.Block{N: v.num, Dim: dim, Stride: internalEntrySize(dim), CountOff: 8, BoxOff: 12, Data: v.body}
+}
+
 // collect appends a parsed record's entries to n.
 func (n *node) collect(v recordView, dim int) {
 	n.leaf = v.leaf

@@ -282,31 +282,10 @@ func (t *Tree) decodeEntries(ref nodeRef) ([]index.Entry, error) {
 }
 
 // Visit implements index.Tree: the node's records are walked in their
-// pinned pages and each slot is decoded into one pooled scratch Entry.
-func (t *Tree) Visit(child storage.PageID, fn func(*index.Entry) error) error {
-	s := index.AcquireSlot(t.dim)
-	defer s.Release()
-	e := &s.Entry
+// pinned pages and each, once parsed, is handed over whole.
+func (t *Tree) Visit(child storage.PageID, fn func(index.Block) error) error {
 	return t.walkRecords(nodeRef(child), func(_ nodeRef, v recordView) error {
-		if v.leaf {
-			pt := s.Object()
-			for i := 0; i < v.num; i++ {
-				e.Object = v.object(i, pt)
-				if err := fn(e); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		lo, hi := s.Node()
-		for i := 0; i < v.num; i++ {
-			ref, _, count := v.child(i, lo, hi)
-			e.Child, e.Count = storage.PageID(ref), count
-			if err := fn(e); err != nil {
-				return err
-			}
-		}
-		return nil
+		return fn(v.block(t.dim))
 	})
 }
 

@@ -66,8 +66,8 @@ type MapFile struct {
 	// BoundsLo and BoundsHi are the curve encoder's bounds (the dataset
 	// bounding rect at partitioning time); query points map to curve
 	// keys against them.
-	BoundsLo []float64 `json:"bounds_lo"`
-	BoundsHi []float64 `json:"bounds_hi"`
+	BoundsLo []float64  `json:"bounds_lo"`
+	BoundsHi []float64  `json:"bounds_hi"`
 	Shards   []MapShard `json:"shards"`
 }
 
@@ -241,12 +241,12 @@ func newDataset(m *MapFile, cfg Config) (*dataset, error) {
 	}
 	for _, s := range m.Shards {
 		ds.shards = append(ds.shards, &shard{
-			name:   s.Name,
-			idBase: s.IDBase,
-			count:  s.Count,
-			loKey:  s.LoKey,
-			hiKey:  s.HiKey,
-			mbr:    geom.Rect{Lo: s.MBRLo, Hi: s.MBRHi},
+			name:    s.Name,
+			idBase:  s.IDBase,
+			count:   s.Count,
+			loKey:   s.LoKey,
+			hiKey:   s.HiKey,
+			mbr:     geom.Rect{Lo: s.MBRLo, Hi: s.MBRHi},
 			backend: newBackend(s.Name, s.Addr, cfg),
 		})
 	}

@@ -161,7 +161,7 @@ func (s *Snapshot) Root() (index.Entry, error) {
 func (s *Snapshot) Expand(e *index.Entry) ([]index.Entry, error) { return s.t.Expand(e) }
 
 // Visit implements index.Tree the same way.
-func (s *Snapshot) Visit(child storage.PageID, fn func(*index.Entry) error) error {
+func (s *Snapshot) Visit(child storage.PageID, fn func(index.Block) error) error {
 	return s.t.Visit(child, fn)
 }
 

@@ -7,15 +7,17 @@ import (
 	"testing"
 
 	"allnn/internal/index"
+	"allnn/internal/index/indextest"
 	"allnn/internal/storage"
 )
 
 // visitPage stores data as a node page of a fresh tree (cut or zero-padded
 // to the page size) and runs the in-place visitor on it beside decodeNode
-// on the same bytes. Whatever the bytes are, the visitor must not panic,
-// must fail exactly when decodeNode does, with ErrCorruptPage and before
-// handing out a single slot, must agree with it on the entries, and must
-// leave no frame pinned.
+// on the same bytes, and then the point-query scan kernels over the same
+// node. Whatever the bytes are, the visitor must not panic, must fail
+// exactly when decodeNode does, with ErrCorruptPage and before handing out
+// a single slot, must agree with it on the entries its Block decodes to,
+// and must leave no frame pinned; the kernels must stay inside the Block.
 func visitPage(t *testing.T, data []byte, dim int) {
 	t.Helper()
 	pool := storage.NewBufferPool(storage.NewMemStore(), 8)
@@ -39,19 +41,22 @@ func visitPage(t *testing.T, data []byte, dim int) {
 		return out
 	}
 	slots := 0
-	visitErr := tree.Visit(pid, func(e *index.Entry) error {
-		if wantErr != nil || slots >= len(want.entries) {
-			t.Fatalf("slot %d handed out; decodeNode: %v, %d entries", slots, wantErr, len(want.entries))
+	visitErr := tree.Visit(pid, func(b index.Block) error {
+		for _, e := range indextest.Entries(b) {
+			if wantErr != nil || slots >= len(want.entries) {
+				t.Fatalf("slot %d handed out; decodeNode: %v, %d entries", slots, wantErr, len(want.entries))
+			}
+			w := &want.entries[slots]
+			if e.IsObject() != want.leaf || e.Child != w.child || e.Count != w.count || e.Object != w.obj ||
+				!slices.Equal(bits(e.Point), bits(w.pt)) ||
+				!slices.Equal(bits(e.MBR.Lo), bits(w.mbr.Lo)) || !slices.Equal(bits(e.MBR.Hi), bits(w.mbr.Hi)) {
+				t.Fatalf("slot %d: visited %+v, decoded %+v", slots, e, *w)
+			}
+			slots++
 		}
-		w := &want.entries[slots]
-		if e.IsObject() != want.leaf || e.Child != w.child || e.Count != w.count || e.Object != w.obj ||
-			!slices.Equal(bits(e.Point), bits(w.pt)) ||
-			!slices.Equal(bits(e.MBR.Lo), bits(w.mbr.Lo)) || !slices.Equal(bits(e.MBR.Hi), bits(w.mbr.Hi)) {
-			t.Fatalf("slot %d: visited %+v, decoded %+v", slots, *e, *w)
-		}
-		slots++
 		return nil
 	})
+	indextest.ScanNode(t, tree, pid)
 	storage.RequireNoPinnedFrames(t, pool)
 	if (visitErr == nil) != (wantErr == nil) {
 		t.Fatalf("Visit returned %v, decodeNode %v", visitErr, wantErr)

@@ -293,31 +293,14 @@ func (t *Tree) decodeEntries(pid storage.PageID) ([]index.Entry, error) {
 	return out, nil
 }
 
-// Visit implements index.Tree: the node is walked in its pinned page and
-// each slot is decoded into one pooled scratch Entry.
-func (t *Tree) Visit(child storage.PageID, fn func(*index.Entry) error) error {
-	s := index.AcquireSlot(t.dim)
-	defer s.Release()
-	e := &s.Entry
+// Visit implements index.Tree: the node is parsed in its pinned page and
+// handed over whole.
+func (t *Tree) Visit(child storage.PageID, fn func(index.Block) error) error {
 	return t.viewNode(child, func(v nodeView) error {
 		if v.leaf {
-			pt := s.Object()
-			for i := 0; i < v.num; i++ {
-				e.Object = v.object(i, pt)
-				if err := fn(e); err != nil {
-					return err
-				}
-			}
-			return nil
+			return fn(index.Block{Leaf: true, N: v.num, Dim: t.dim, Stride: leafEntrySize(t.dim), Data: v.body})
 		}
-		lo, hi := s.Node()
-		for i := 0; i < v.num; i++ {
-			e.Child, e.Count = v.child(i, lo, hi)
-			if err := fn(e); err != nil {
-				return err
-			}
-		}
-		return nil
+		return fn(index.Block{N: v.num, Dim: t.dim, Stride: internalEntrySize(t.dim), CountOff: 4, BoxOff: 8, Data: v.body})
 	})
 }
 

@@ -252,17 +252,34 @@ func (s *Server) handleBatchKNN(ctx context.Context, hdr wire.RequestHeader, req
 			return badRequest("query point %d has %d dims, index %q has %d", i, len(p), req.Index, ix.Dim())
 		}
 	}
+	// Refuse a batch whose reply could not be framed before computing it,
+	// by the reply's worst case: the envelope and result count (under 64
+	// bytes), then per probe an id, the echoed point, a neighbor count (at
+	// most 5 bytes) and min(k, Len) neighbors of id + distance + point,
+	// where a point is its coordinates after a length of at most 2 bytes.
+	// The same bound caps the arrays the batch allocates up front.
+	point := int64(2 + 8*ix.Dim())
+	perProbe := 8 + point + 5 + min(int64(req.K), int64(ix.Len()))*(16+point)
+	if worst := 64 + int64(len(req.Points))*perProbe; worst > wire.MaxFrame {
+		return badRequest("a batch of %d probes with k=%d may need a %d-byte reply, over the %d-byte frame limit: send smaller batches",
+			len(req.Points), req.K, worst, wire.MaxFrame)
+	}
+	// The whole batch is one query on one snapshot; the deadline is
+	// checked between probes, so a huge batch cannot overstay.
+	nbs, err := ix.BatchNearestNeighbors(ctx, req.Points, int(req.K))
+	if err != nil {
+		return err
+	}
+	total := 0
+	for _, n := range nbs {
+		total += len(n)
+	}
+	flat := make([]wire.Neighbor, 0, total)
 	results := make([]wire.Result, len(req.Points))
 	for i, p := range req.Points {
-		// Deadlines hold between probes: a huge batch cannot overstay.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		nbs, err := ix.NearestNeighbors(ann.Point(p), int(req.K))
-		if err != nil {
-			return err
-		}
-		results[i] = wire.Result{ID: uint64(i), Point: p, Neighbors: toWireNeighbors(nbs)}
+		base := len(flat)
+		flat = appendWireNeighbors(flat, nbs[i])
+		results[i] = wire.Result{ID: uint64(i), Point: p, Neighbors: flat[base:len(flat):len(flat)]}
 	}
 	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.BatchKNNReply{Results: results})
 }
@@ -483,9 +500,12 @@ func (s *Server) handlePairs(ctx context.Context, hdr wire.RequestHeader, req *w
 
 // toWireNeighbors converts library neighbors to their wire form.
 func toWireNeighbors(nbs []ann.Neighbor) []wire.Neighbor {
-	out := make([]wire.Neighbor, len(nbs))
-	for i, n := range nbs {
-		out[i] = wire.Neighbor{ID: n.ID, Dist: n.Dist, Point: n.Point}
+	return appendWireNeighbors(make([]wire.Neighbor, 0, len(nbs)), nbs)
+}
+
+func appendWireNeighbors(dst []wire.Neighbor, nbs []ann.Neighbor) []wire.Neighbor {
+	for _, n := range nbs {
+		dst = append(dst, wire.Neighbor{ID: n.ID, Dist: n.Dist, Point: n.Point})
 	}
-	return out
+	return dst
 }

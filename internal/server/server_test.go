@@ -7,6 +7,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -446,6 +447,79 @@ func TestRequestDeadline(t *testing.T) {
 	}
 	if err := st.Err(); !client.IsDeadlineExceeded(err) {
 		t.Fatalf("expired join: got %v, want DEADLINE_EXCEEDED", err)
+	}
+	srv.Catalog().RequireNoPinnedFrames(t)
+}
+
+// TestBatchKNNLimits: a batch whose worst-case reply cannot fit one frame
+// is refused as BAD_REQUEST, naming the limit, before any probe runs; and
+// a batch's deadline is honored — one that has already passed when the
+// request arrives, and one that passes while the probes run.
+func TestBatchKNNLimits(t *testing.T) {
+	pts := randomPoints(106, 50_000, 2)
+	srv, cl, addr := startServer(t, Config{})
+	if err := srv.Catalog().Add("pts", buildIndex(t, pts, ann.MBRQT)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+
+	// 20 000 probes x k = 100 is a reply of about 68 MB.
+	start := time.Now()
+	_, err := cl.BatchKNN(ctx, "pts", pts[:20_000], 100)
+	if !client.IsBadRequest(err) || !strings.Contains(err.Error(), fmt.Sprint(wire.MaxFrame)) {
+		t.Fatalf("oversized batch: got %v, want BAD_REQUEST naming the %d-byte limit", err, wire.MaxFrame)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("the refusal took %v: the batch was computed first", took)
+	}
+	// With k above the cardinality the bound uses what a probe can return.
+	few := buildIndex(t, pts[:5], ann.MBRQT)
+	if err := srv.Catalog().Add("few", few); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := cl.BatchKNN(ctx, "few", pts[:20_000], 100); err != nil || len(res) != 20_000 || len(res[0].Neighbors) != 5 {
+		t.Fatalf("20 000 probes of a 5-point index: %d results, %v", len(res), err)
+	}
+
+	// A deadline that passes mid-batch, through the client.
+	dctx, cancel := context.WithTimeout(ctx, 2*time.Millisecond)
+	defer cancel()
+	if _, err := cl.BatchKNN(dctx, "pts", pts[:4096], 10); !client.IsDeadlineExceeded(err) {
+		t.Errorf("batch outliving a 2 ms deadline: got %v, want DEADLINE_EXCEEDED", err)
+	}
+	// A 1 ns deadline. The typed client refuses to send an expired
+	// request, so probe with a raw wire frame.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteHandshake(conn); err != nil {
+		t.Fatal(err)
+	}
+	probes := make([][]float64, 4096)
+	for i := range probes {
+		probes[i] = pts[i]
+	}
+	payload, err := wire.EncodeRequest(
+		wire.RequestHeader{ID: 1, Op: wire.OpBatchKNN, Timeout: time.Nanosecond},
+		&wire.BatchKNNReq{Index: "pts", K: 10, Points: probes}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(conn, payload); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, kind, _, body, err := wire.DecodeResponse(reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind != wire.KindError || body.(*wire.ErrorReply).Code != wire.CodeDeadlineExceeded {
+		t.Errorf("1 ns deadline: got kind %d body %+v, want DEADLINE_EXCEEDED", kind, body)
 	}
 	srv.Catalog().RequireNoPinnedFrames(t)
 }
