@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check check bench-smoke bench-spine-smoke trace-smoke fuzz-corpus bench-parallel bench-parallel-smoke bench-nodecache bench-approx bench-approx-smoke bench-shard chaos chaos-recover fuzz-smoke race-sched serve-smoke obs-serve-smoke router-smoke
+.PHONY: build test race vet fmt-check check bench-smoke bench-spine-smoke trace-smoke fuzz-corpus bench-approx bench-approx-smoke chaos chaos-recover fuzz-smoke race-sched serve-smoke obs-serve-smoke router-smoke
 
 build:
 	$(GO) build ./...
@@ -77,14 +77,6 @@ serve-smoke:
 router-smoke:
 	$(GO) test -run TestRouterSmoke -count=1 -v ./cmd/annrouter
 
-# bench-shard measures distributed routing: four Hilbert-sharded
-# in-process backends behind the scatter-gather router vs one node
-# serving the same (curve-ordered) dataset, with byte-parity checks and
-# shard-prune counters. Fails if parity breaks or the NXNDIST/MINDIST
-# bounds never prune a shard.
-bench-shard:
-	$(GO) run ./cmd/annbench -exp shard -scale 0.05 -json BENCH_shard.json
-
 # obs-serve-smoke boots the daemon with the full observability surface
 # (slow-query ring, access log, debug endpoints, Prometheus exposition)
 # and runs a traced WantReport join end to end, asserting the report,
@@ -112,27 +104,14 @@ bench-spine-smoke:
 trace-smoke:
 	$(GO) test -run TestTraceSmoke -v ./internal/bench
 
-bench-parallel:
-	$(GO) run ./cmd/annbench -exp parallel -scale 0.2 -json BENCH_parallel.json
-
-# bench-parallel-smoke is the CI scaling gate: a small run pinned to
-# GOMAXPROCS=4 that fails unless 4 workers beat serial by 1.5x. The gate
-# auto-skips (with a loud warning) when min(NumCPU, GOMAXPROCS) < 4, so it
-# is safe on starved runners while still catching scaling regressions on
-# real ones.
-bench-parallel-smoke:
-	GOMAXPROCS=4 $(GO) run ./cmd/annbench -exp parallel -scale 0.05 -parallelism 4 -min-speedup4 1.5
-
 # race-sched runs the scheduler, fused-leaf-join and batch-kernel suites
-# under the race detector, plus one iteration of the AkNN leaf-join
-# benchmark — the fast, targeted version of `make race` for iterating on
-# internal/core/parallel.go and mba.go.
+# and the engine-vs-reference differential (serial and ordered-parallel
+# against internal/paperref) under the race detector, plus one iteration
+# of the AkNN leaf-join benchmark — the fast, targeted version of `make
+# race` for iterating on internal/core/parallel.go and mba.go.
 race-sched:
-	$(GO) vet ./internal/core ./internal/geom
-	$(GO) test -race -run 'Scheduler|EmitTree|Parallel|BatchLeafJoin|FusedLeaf|DistSqBlock' -bench 'LeafJoinAkNN' -benchtime 1x -count=1 ./internal/core ./internal/geom
-
-bench-nodecache:
-	$(GO) run ./cmd/annbench -exp nodecache -json BENCH_nodecache.json
+	$(GO) vet ./internal/core ./internal/geom ./internal/paperref
+	$(GO) test -race -run 'Scheduler|EmitTree|Parallel|BatchLeafJoin|FusedLeaf|DistSqBlock|CoreMatchesPaperRef' -bench 'LeafJoinAkNN' -benchtime 1x -count=1 ./internal/core ./internal/geom ./internal/paperref
 
 # bench-approx collects the approximate-mode sweep (ε ladder, recall
 # targets, the oracle-seeded ceiling row) at the paper scale, scoring

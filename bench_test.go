@@ -18,6 +18,7 @@ import (
 	"allnn/internal/gorder"
 	"allnn/internal/index"
 	"allnn/internal/mbrqt"
+	"allnn/internal/paperref"
 	"allnn/internal/rstar"
 	"allnn/internal/storage"
 )
@@ -250,31 +251,18 @@ func BenchmarkFig6GORDER_FC_k10(b *testing.B) {
 
 // --- Ablations -----------------------------------------------------------------
 
-func BenchmarkAblateTraversalBreadthFirst(b *testing.B) {
+// BenchmarkAblatePaperLiteral runs the paper's algorithm as printed
+// (internal/paperref) on the Figure 3(a) workload, beside
+// BenchmarkFig3aMBA_NXNDist's default engine.
+func BenchmarkAblatePaperLiteral(b *testing.B) {
 	tree, _ := buildSelf(b, bench.KindMBRQT, fig3aPoints())
-	runEngine(b, tree, core.Options{Traversal: core.BreadthFirst, ExcludeSelf: true})
-}
-
-func BenchmarkAblateVolatileBounds(b *testing.B) {
-	tree, _ := buildSelf(b, bench.KindMBRQT, fig3aPoints())
-	runEngine(b, tree, core.Options{VolatileBounds: true, ExcludeSelf: true})
-}
-
-func BenchmarkAblatePerObjectGather(b *testing.B) {
-	tree, _ := buildSelf(b, bench.KindMBRQT, fig3aPoints())
-	runEngine(b, tree, core.Options{PerObjectGather: true, ExcludeSelf: true})
-}
-
-func BenchmarkAblateKBoundMaxAll_k10(b *testing.B) {
-	// The max-of-MAXD bound barely prunes, so this ablation runs on a
-	// quarter of the benchmark cardinality to stay tractable.
-	tree, _ := buildSelf(b, bench.KindMBRQT, fig3aPoints()[:benchN/4])
-	runEngine(b, tree, core.Options{K: 10, KBound: core.KBoundMaxAll, ExcludeSelf: true})
-}
-
-func BenchmarkAblateKBoundKth_k10(b *testing.B) {
-	tree, _ := buildSelf(b, bench.KindMBRQT, fig3aPoints()[:benchN/4])
-	runEngine(b, tree, core.Options{K: 10, KBound: core.KBoundKth, ExcludeSelf: true})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := paperref.Run(tree, tree, 1, true, core.NXNDist, func(core.Result) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkAblateMNNBaseline(b *testing.B) {

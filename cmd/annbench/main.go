@@ -39,11 +39,8 @@ func main() {
 		latency     = flag.Duration("latency", time.Millisecond, "modeled time per page transfer")
 		pool        = flag.Int("pool", 512*1024, "buffer pool size in bytes (experiments that vary it ignore this)")
 		seed        = flag.Int64("seed", 1, "dataset generator seed")
-		par         = flag.Int("parallelism", 0, "max workers for the parallel scaling experiment (0 = GOMAXPROCS)")
-		minSpeedup4 = flag.Float64("min-speedup4", 0, "fail the parallel experiment unless 4 workers reach this speedup over serial (0 = no gate; skipped when the host has fewer than 4 usable CPUs)")
 		minRecall   = flag.Float64("min-recall", 0, "fail the approx experiment unless some approximate run reaches this measured recall (0 = no gate)")
-		jsonOut     = flag.String("json", "", "write a machine-readable summary here (parallel, nodecache and mba experiments)")
-		ncBytes     = flag.Int64("nodecache-bytes", 0, "decoded-node cache budget for the nodecache experiment (0 = default, <0 = disabled)")
+		jsonOut     = flag.String("json", "", "write a machine-readable summary here (approx and mba experiments)")
 		quiet       = flag.Bool("quiet", false, "suppress the per-measurement progress heartbeat on stderr")
 		tracePath   = flag.String("trace", "", "write a Chrome trace-event JSON of the traced experiment here (mba experiment; open at ui.perfetto.dev)")
 		metricsAddr = flag.String("metrics-addr", "", "serve the metrics registry as JSON (and /debug/pprof/) on this address")
@@ -79,18 +76,15 @@ func main() {
 	}
 
 	cfg := bench.Config{
-		Scale:          *scale,
-		PageLatency:    *latency,
-		PoolBytes:      *pool,
-		Seed:           *seed,
-		Out:            os.Stdout,
-		Parallelism:    *par,
-		JSONPath:       *jsonOut,
-		NodeCacheBytes: *ncBytes,
-		TracePath:      *tracePath,
-		Metrics:        reg,
-		MinSpeedup4:    *minSpeedup4,
-		MinRecall:      *minRecall,
+		Scale:       *scale,
+		PageLatency: *latency,
+		PoolBytes:   *pool,
+		Seed:        *seed,
+		Out:         os.Stdout,
+		JSONPath:    *jsonOut,
+		TracePath:   *tracePath,
+		Metrics:     reg,
+		MinRecall:   *minRecall,
 	}
 	if !*quiet {
 		cfg.Progress = os.Stderr

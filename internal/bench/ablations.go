@@ -6,19 +6,21 @@ import (
 	"allnn/internal/core"
 	"allnn/internal/geom"
 	"allnn/internal/hnn"
+	"allnn/internal/paperref"
 	"allnn/internal/storage"
 )
 
-// RunAblations measures the design choices DESIGN.md calls out, all on
-// the TAC workload (self-join, 512 KB pool):
+// RunAblations measures what DESIGN.md §5 calls out, all on the TAC
+// workload (self-join, 512 KB pool):
 //
-//   - traversal order: depth-first (the paper's ANN-DFBI) vs breadth-first;
-//   - the default engine vs the paper-literal variants (volatile LPQ
-//     bounds, per-object gather);
-//   - AkNN bound strategy: the paper's max-of-members vs the tighter
-//     k-th-smallest (at k = 10);
+//   - the default engine against the paper's algorithm as printed
+//     (internal/paperref: an LPQ per query object with volatile bounds,
+//     a Gather Stage per object), at k = 1 and — on a quarter of the
+//     data, where the printed max-of-MAXD rule inside every object's LPQ
+//     makes the literal row take its time — at k = 10;
 //   - index structure under the identical engine: MBRQT (MBA) vs
-//     R*-tree (RBA), both with NXNDIST.
+//     R*-tree (RBA), both with NXNDIST;
+//   - the hash-based HNN baseline, which uses no index.
 func RunAblations(cfg Config) error {
 	cfg = cfg.withDefaults()
 	pts := tacData(cfg)
@@ -27,6 +29,10 @@ func RunAblations(cfg Config) error {
 		return err
 	}
 	rs, err := prepareSelf(KindRStar, pts)
+	if err != nil {
+		return err
+	}
+	qtQ, err := prepareSelf(KindMBRQT, pts[:len(pts)/4])
 	if err != nil {
 		return err
 	}
@@ -44,58 +50,44 @@ func RunAblations(cfg Config) error {
 	if err := add(runMBA("MBA (default engine)", cfg, qt, base)); err != nil {
 		return err
 	}
-	bfs := base
-	bfs.Traversal = core.BreadthFirst
-	if err := add(runMBA("MBA breadth-first", cfg, qt, bfs)); err != nil {
-		return err
-	}
-	vol := base
-	vol.VolatileBounds = true
-	if err := add(runMBA("MBA paper-literal bounds", cfg, qt, vol)); err != nil {
-		return err
-	}
-	pog := base
-	pog.PerObjectGather = true
-	if err := add(runMBA("MBA paper-literal gather", cfg, qt, pog)); err != nil {
-		return err
-	}
-	lit := base
-	lit.VolatileBounds = true
-	lit.PerObjectGather = true
-	if err := add(runMBA("MBA fully paper-literal", cfg, qt, lit)); err != nil {
+	if err := add(runPaperRef("MBA paper-literal (Algorithms 2–4 as printed)", cfg, qt, 1)); err != nil {
 		return err
 	}
 	if err := add(runMBA("RBA (R*-tree, same engine)", cfg, rs, base)); err != nil {
 		return err
 	}
-
-	hnnM, err := runHNNConfig("HNN (hash-based, no index)", cfg, pts)
-	if err != nil {
+	if err := add(runHNNConfig("HNN (hash-based, no index)", cfg, pts)); err != nil {
 		return err
 	}
-	ms = append(ms, hnnM)
-
-	// The max-of-MAXD AkNN bound against the k-th-smallest one, on a
-	// quarter of the dataset: while object LPQs applied it too it was
-	// >100x slower, and the rows stay comparable with those recordings.
-	// It now governs node-owner LPQs only and costs about 1.25x.
-	quarter := pts[:len(pts)/4]
-	qtQ, err := prepareSelf(KindMBRQT, quarter)
-	if err != nil {
+	k10 := core.Options{ExcludeSelf: true, K: 10}
+	if err := add(runMBA("AkNN k=10, default engine (1/4 data)", cfg, qtQ, k10)); err != nil {
 		return err
 	}
-	k10 := core.Options{ExcludeSelf: true, K: 10, KBound: core.KBoundMaxAll}
-	if err := add(runMBA("AkNN k=10, max-all bound (1/4 data)", cfg, qtQ, k10)); err != nil {
-		return err
-	}
-	k10.KBound = core.KBoundKth
-	if err := add(runMBA("AkNN k=10, kth bound (1/4 data)", cfg, qtQ, k10)); err != nil {
+	if err := add(runPaperRef("AkNN k=10, paper-literal (1/4 data)", cfg, qtQ, 10)); err != nil {
 		return err
 	}
 
 	printTable(cfg.Out, fmt.Sprintf(
 		"Ablations on TAC (%d points, self-join, 512KB pool)", len(pts)), ms)
 	return nil
+}
+
+// runPaperRef executes the paper-literal reference engine as a self-join
+// with NXNDIST against prepared indexes, the way runMBA executes the
+// default one.
+func runPaperRef(name string, cfg Config, p *prepared, k int) (Measurement, error) {
+	ir, is, pool, err := p.open(cfg.PoolBytes)
+	if err != nil {
+		return Measurement{}, err
+	}
+	return measure(name, cfg, pool, 0, func() (uint64, error) {
+		var results uint64
+		_, err := paperref.Run(ir, is, k, true, core.NXNDist, func(core.Result) error {
+			results++
+			return nil
+		})
+		return results, err
+	})
 }
 
 // runHNNConfig executes the hash-based baseline over a fresh store/pool

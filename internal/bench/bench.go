@@ -45,20 +45,10 @@ type Config struct {
 	Seed int64
 	// Out receives the report (default os.Stdout set by the caller).
 	Out io.Writer
-	// Parallelism caps the worker count explored by the parallel scaling
-	// experiment (0 = up to runtime.GOMAXPROCS(0)). Other experiments run
-	// the paper's single-threaded configurations and ignore it.
-	Parallelism int
 	// JSONPath, when non-empty, makes experiments that support it (the
-	// parallel scaling and nodecache runs) also write a machine-readable
+	// approx sweep and the mba report) also write a machine-readable
 	// summary there.
 	JSONPath string
-	// NodeCacheBytes is the decoded-node cache budget explored by the
-	// nodecache experiment (0 = the engine default, <0 = disabled). The
-	// paper-reproduction experiments always run cache-free regardless:
-	// cache hits bypass the buffer pool, so a cache would deflate the
-	// page-transfer counts the paper's figures are built on.
-	NodeCacheBytes int64
 	// Progress, when non-nil, receives one heartbeat line per completed
 	// measurement (elapsed time, result rows, rows/sec), so long runs
 	// show liveness without polluting the report on Out. annbench wires
@@ -72,13 +62,6 @@ type Config struct {
 	// publish them (currently "mba"); annbench serves it at
 	// -metrics-addr.
 	Metrics *obs.Registry
-	// MinSpeedup4, when positive, makes the parallel scaling experiment
-	// fail unless the run at parallelism 4 reaches this speedup over
-	// serial. CI smoke uses it as a scaling regression gate. The gate is
-	// skipped (with a loud warning) when min(NumCPU, GOMAXPROCS) < 4 — a
-	// machine that
-	// cannot run 4 workers cannot fail a 4-worker scaling bar.
-	MinSpeedup4 float64
 	// MinRecall, when positive, makes the approx experiment fail unless
 	// at least one ε > 0 (or recall-target) run reaches this measured
 	// recall against the brute-force oracle. CI smoke uses it as the
@@ -88,9 +71,7 @@ type Config struct {
 
 // Provenance records the runtime context a bench artifact was collected
 // under. Committed artifacts carry it so a single-core collection can
-// never be mistaken for a real scaling result (the repo once shipped a
-// BENCH_parallel.json collected at GOMAXPROCS=1 that made parallelism
-// look like a slowdown).
+// never be mistaken for a multi-core one.
 type Provenance struct {
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
@@ -159,12 +140,9 @@ func Experiments() []Experiment {
 		{"fig5", "Figure 5: AkNN on TAC, k = 10..50 — MBA vs GORDER", RunFig5},
 		{"fig6", "Figure 6: AkNN on FC, k = 10..50 — MBA vs GORDER", RunFig6},
 		{"prune", "Section 4.3 support: node-level pruning power, NXNDIST vs MAXMAXDIST on both indexes", RunPruning},
-		{"ablate", "Ablations: traversal order, k-bound strategy, engine enhancements, index choice", RunAblations},
-		{"parallel", "Multi-core scaling: concurrent DFBI subtree workers vs the serial engine", RunParallel},
+		{"ablate", "Ablations: the default engine vs the paper's algorithm as printed (k = 1, k = 10), index choice, HNN", RunAblations},
 		{"approx", "Approximate mode: ε / recall-target sweep vs exact and the brute-force oracle, with measured recall", RunApprox},
-		{"nodecache", "Decoded-node cache: cache-off vs cold vs warm, MBA and RBA", RunNodeCache},
 		{"mba", "Observability deep-dive: one traced MBA self-join with the unified QueryReport (counters, stage timings; -trace writes Perfetto JSON)", RunMBAReport},
-		{"shard", "Distributed routing: Hilbert-sharded backends behind the scatter-gather router vs a single node, with shard-prune counters and byte-parity checks", RunShard},
 	}
 }
 
@@ -243,15 +221,7 @@ func buildTree(kind IndexKind, pool *storage.BufferPool, pts []geom.Point) (stor
 
 // open re-opens the prepared indexes through a fresh pool of poolBytes.
 func (p *prepared) open(poolBytes int) (ir, is index.Tree, pool *storage.BufferPool, err error) {
-	return p.openHinted(poolBytes, 0)
-}
-
-// openHinted is open with an expected-concurrent-readers hint, so the
-// pool's shard count covers the parallel workers that will pin pages
-// through it (see storage.BufferPoolConfig.ShardHint).
-func (p *prepared) openHinted(poolBytes, readers int) (ir, is index.Tree, pool *storage.BufferPool, err error) {
-	pool = storage.NewBufferPoolWithConfig(p.store, storage.FramesForBytes(poolBytes),
-		storage.BufferPoolConfig{ShardHint: readers})
+	pool = storage.NewBufferPool(p.store, storage.FramesForBytes(poolBytes))
 	ir, err = p.openTree(pool, p.metaR)
 	if err != nil {
 		return nil, nil, nil, err
@@ -312,8 +282,7 @@ func heartbeat(cfg Config, name string, wall time.Duration, results uint64) {
 // runMBA executes the core engine (MBA over MBRQT, RBA over R*-tree)
 // against prepared indexes. The decoded-node cache is always disabled
 // here: its hits bypass the buffer pool, and the paper experiments
-// reproduce I/O counts that assume every expansion reads its page. The
-// dedicated nodecache experiment measures the cache on its own terms.
+// reproduce I/O counts that assume every expansion reads its page.
 func runMBA(name string, cfg Config, p *prepared, opts core.Options) (Measurement, error) {
 	opts.NodeCacheBytes = core.NodeCacheDisabled
 	ir, is, pool, err := p.open(cfg.PoolBytes)

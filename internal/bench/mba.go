@@ -23,22 +23,14 @@ import (
 // input to the EXPERIMENTS.md counter-reproduction workflow. With
 // Config.Metrics set, the counters are also published there (annbench
 // serves that registry at -metrics-addr).
-//
-// Config.Parallelism > 1 runs the parallel executor, which adds worker
-// and subtree lanes to the trace; the default is the paper's serial
-// engine.
 func RunMBAReport(cfg Config) error {
 	cfg = cfg.withDefaults()
 	w := cfg.Out
 	pts := tacData(cfg)
 	dim := len(pts[0])
 
-	workers := cfg.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	fmt.Fprintf(w, "\nObservability deep-dive: self-ANN on TAC surrogate (%d points, %d-D, MBRQT, k=1, parallelism=%d)\n",
-		len(pts), dim, workers)
+	fmt.Fprintf(w, "\nObservability deep-dive: self-ANN on TAC surrogate (%d points, %d-D, MBRQT, k=1, serial)\n",
+		len(pts), dim)
 
 	p, err := prepareSelf(KindMBRQT, pts)
 	if err != nil {
@@ -49,13 +41,7 @@ func RunMBAReport(cfg Config) error {
 		return err
 	}
 
-	opts := core.Options{
-		ExcludeSelf:    true,
-		Parallelism:    workers,
-		OrderedEmit:    workers > 1,
-		NodeCacheBytes: cfg.NodeCacheBytes,
-		Registry:       cfg.Metrics,
-	}
+	opts := core.Options{ExcludeSelf: true, Registry: cfg.Metrics}
 	var tracer *obs.Tracer
 	if cfg.TracePath != "" {
 		tracer = obs.NewTracer()

@@ -293,7 +293,6 @@ func TestApproxValidation(t *testing.T) {
 		{RecallTarget: -0.5},
 		{RecallTarget: 1.5},
 		{RecallTarget: math.NaN()},
-		{RecallTarget: 0.9, PerObjectGather: true},
 	}
 	for _, opts := range bad {
 		opts.K = 1
@@ -310,7 +309,7 @@ func TestApproxValidation(t *testing.T) {
 	// Valid edge values must be accepted.
 	for _, opts := range []Options{
 		{K: 1, ExcludeSelf: true, Epsilon: 0},
-		{K: 1, ExcludeSelf: true, RecallTarget: 1, PerObjectGather: true},
+		{K: 1, ExcludeSelf: true, RecallTarget: 1},
 		{K: 1, ExcludeSelf: true, RecallTarget: 0.5},
 	} {
 		if _, _, err := Collect(ix, ix, opts); err != nil {

@@ -74,7 +74,7 @@ func runLeafJoin(owners []index.Entry, leafOwner *index.Entry, seeds []float64, 
 
 	var stats Stats
 	e := &engine{opts: Options{BoundSeedSq: seeds}, stats: &stats, shrink: shrink}
-	q := newLPQ(leafOwner, math.Inf(1), k, KBoundKth, true, shrink, &stats)
+	q := newLPQ(leafOwner, math.Inf(1), k, shrink, &stats)
 	stats = Stats{} // the leaf owner's own LPQ is not part of the comparison
 
 	j := &e.join

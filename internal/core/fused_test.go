@@ -57,9 +57,12 @@ func duplicatePoints(rng *rand.Rand, n, dim, distinct int) []geom.Point {
 // TestFusedLeafTies covers the accumulators' tie handling: on lattice and
 // heavy-duplicate data, where many candidates sit exactly at the k-th
 // distance, the fused leaf join must return rank-identical distances to
-// brute force, and the ordered parallel engine must reproduce the serial
-// stream byte for byte (ids included) with identical Stats — for k below
-// and above the leaf population (16), with and without ExcludeSelf.
+// brute force, and a row lists equal-distance neighbors in arrival order —
+// a function of the traversal alone. So every way of running the query
+// (node cache on or off, serial or ordered-parallel at 2, 4 and 8 workers)
+// must emit one stream, byte for byte and ids included, with identical
+// Stats — for k below and above the leaf population (16), with and without
+// ExcludeSelf.
 func TestFusedLeafTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, dim := range []int{2, 3, 7, 10} {
@@ -75,15 +78,22 @@ func TestFusedLeafTies(t *testing.T) {
 					tag := fmt.Sprintf("%s/%dd/k=%d/excludeSelf=%v", name, dim, k, ex)
 					stats := checkAgainstBrute(t, tree, tree, pts, pts, opts)
 					want, _ := hashRun(t, tree, tree, opts)
-					for _, par := range []int{2, 4, 8} {
-						popts := opts
-						popts.Parallelism, popts.OrderedEmit = par, true
-						got, pstats := hashRun(t, tree, tree, popts)
-						if got != want {
-							t.Fatalf("%s: parallel=%d output differs from serial", tag, par)
-						}
-						if normCache(pstats) != normCache(stats) {
-							t.Fatalf("%s: parallel=%d stats differ:\nserial:   %+v\nparallel: %+v", tag, par, stats, pstats)
+					for _, cache := range []int64{0, NodeCacheDisabled} {
+						for _, par := range []int{1, 2, 4, 8} {
+							popts := opts
+							popts.NodeCacheBytes = cache
+							popts.Parallelism, popts.OrderedEmit = par, true
+							got, pstats := hashRun(t, tree, tree, popts)
+							if got != want {
+								t.Fatalf("%s: cache=%d parallel=%d output differs from the serial cached run", tag, cache, par)
+							}
+							ss, ps := normCache(stats), normCache(pstats)
+							if cache == NodeCacheDisabled {
+								ss.NodeCacheHits = 0 // no lookups to count, everything else equal
+							}
+							if ps != ss {
+								t.Fatalf("%s: cache=%d parallel=%d stats differ:\nserial:   %+v\nparallel: %+v", tag, cache, par, stats, pstats)
+							}
 						}
 					}
 				}

@@ -16,9 +16,10 @@ type lpqItem struct {
 	maxd float64
 }
 
-// lpq is the paper's Local Priority Queue: every unique entry of I_R owns
+// lpq is the paper's Local Priority Queue: every node of I_R reached owns
 // exactly one, holding the surviving candidate entries of I_S ordered by
-// MIND (ties broken by MAXD, as the Filter Stage prescribes).
+// MIND (ties broken by MAXD, as the Filter Stage prescribes). Query
+// objects own none: a leaf of I_R is answered by the fused leaf join.
 //
 // The queue is a sorted slice rather than a binary heap: LPQs stay small
 // (the bound keeps them to a handful of entries), insertion keeps them
@@ -26,32 +27,25 @@ type lpqItem struct {
 // entry past the first one with MIND > bound is discarded in O(1).
 //
 // The pruning bound (LPQ.MAXD of the paper) is min(inherited bound,
-// bound derived from the *current* members): every live member roots a
-// distinct subtree guaranteeing at least one point within its MAXD, and
-// the inherited bound stays valid for the child owner by Lemma 3.2. As
-// in the paper, the member-derived part loosens when entries are
-// dequeued — which is precisely where a loose metric (MAXMAXDIST) keeps
-// hurting while NXNDIST does not.
-//
-// By default the bound is additionally folded with min over time (sound
-// because the true k-NN distance is a data property, so any bound value
-// once valid stays valid); Options.VolatileBounds disables the fold to
-// reproduce the paper's literal behaviour.
+// bound derived from the members): every live member roots a distinct
+// subtree guaranteeing at least one point within its MAXD — so the k-th
+// smallest member MAXD bounds the k-th neighbor distance — and the
+// inherited bound stays valid for the child owner by Lemma 3.2. The
+// member-derived part would loosen when entries are dequeued; the bound is
+// instead folded with min over time and never loosens (sound because the
+// true k-NN distance is a data property, so any bound value once valid
+// stays valid). internal/paperref keeps the paper's volatile rule.
 type lpq struct {
 	owner *index.Entry
 	items []lpqItem
 	head  int // dequeue position within items
 
-	// inherited is the parent LPQ's bound at creation time; it remains a
-	// valid floor for the member-derived bound.
-	inherited float64
-	// cached is the current bound value; dirty marks it for lazy
-	// recomputation after a dequeue.
-	cached   float64
-	dirty    bool
-	monotone bool
-	k        int
-	kb       KBound
+	// cached is the current bound value — the parent LPQ's bound at
+	// creation time, tightened by the members since; dirty marks it for
+	// lazy recomputation after a dequeue.
+	cached float64
+	dirty  bool
+	k      int
 	// shrink is the approximate mode's per-layer bound multiplier
 	// (Options.approxShrink); exactly 1 for exact queries, where
 	// admitBound degenerates to slackBound with no extra float ops.
@@ -70,20 +64,17 @@ var lpqPool = sync.Pool{New: func() any { return new(lpq) }}
 
 // newLPQ creates an LPQ for owner with an inherited bound (Lemma 3.2
 // makes the parent's bound valid for the child owner).
-func newLPQ(owner *index.Entry, inherited float64, k int, kb KBound, monotone bool, shrink float64, stats *Stats) *lpq {
+func newLPQ(owner *index.Entry, inherited float64, k int, shrink float64, stats *Stats) *lpq {
 	stats.LPQsCreated++
 	q := lpqPool.Get().(*lpq)
 	*q = lpq{
-		owner:     owner,
-		items:     q.items[:0],
-		inherited: inherited,
-		cached:    inherited,
-		monotone:  monotone,
-		k:         k,
-		kb:        kb,
-		shrink:    shrink,
-		scratch:   q.scratch[:0],
-		stats:     stats,
+		owner:   owner,
+		items:   q.items[:0],
+		cached:  inherited,
+		k:       k,
+		shrink:  shrink,
+		scratch: q.scratch[:0],
+		stats:   stats,
 	}
 	return q
 }
@@ -107,34 +98,21 @@ func (q *lpq) bound() float64 {
 	return q.cached
 }
 
-// recomputeBound derives the bound from the live members and the
-// inherited floor.
+// recomputeBound folds the bound the live members derive into cached.
 func (q *lpq) recomputeBound() {
 	q.dirty = false
 	members := q.items[q.head:]
 	memberBound := infinity
-	switch {
-	case q.k == 1:
+	if q.k == 1 {
 		for i := range members {
 			if members[i].maxd < memberBound {
 				memberBound = members[i].maxd
 			}
 		}
-	case q.kb == KBoundMaxAll:
-		// Paper formulation: with >= k members, the largest MAXD bounds
-		// the k-th NN distance (each member guarantees one point).
-		if len(members) >= q.k {
-			memberBound = members[0].maxd
-			for i := 1; i < len(members); i++ {
-				if members[i].maxd > memberBound {
-					memberBound = members[i].maxd
-				}
-			}
-		}
-	default: // KBoundKth
-		// Tighter: the k-th smallest MAXD among the members, selected
-		// with a size-k max-heap. The rebuilt heap stays live so later
-		// enqueues (until the next dequeue) update it incrementally.
+	} else {
+		// The k-th smallest MAXD among the members, selected with a size-k
+		// max-heap. The rebuilt heap stays live so later enqueues (until
+		// the next dequeue) update it incrementally.
 		q.scratch = q.scratch[:0]
 		for i := range members {
 			v := members[i].maxd
@@ -148,15 +126,9 @@ func (q *lpq) recomputeBound() {
 			memberBound = q.scratch[0]
 		}
 	}
-	bound := q.inherited
-	if memberBound < bound {
-		bound = memberBound
+	if memberBound < q.cached {
+		q.cached = memberBound // otherwise the previous, tighter bound stands
 	}
-	if q.monotone && q.cached < bound {
-		// cached still holds the previous (tighter) bound; keep it.
-		return
-	}
-	q.cached = bound
 }
 
 // len returns the number of queued (not yet dequeued) entries.
@@ -196,14 +168,10 @@ func (q *lpq) enqueueChecked(it lpqItem) {
 		if it.maxd < q.cached {
 			q.cached = it.maxd
 		}
-	} else if q.kb == KBoundMaxAll {
-		if it.maxd < q.cached {
-			q.dirty = true
-		}
 	} else {
-		// KBoundKth: while no dequeue intervenes, the member set only
-		// grows, so the size-k max-heap over member MAXDs stays valid and
-		// absorbs the new value in O(log k) — no full rebuild.
+		// While no dequeue intervenes, the member set only grows, so the
+		// size-k max-heap over member MAXDs stays valid and absorbs the
+		// new value in O(log k) — no full rebuild.
 		if len(q.scratch) < q.k {
 			heapPushMax(&q.scratch, it.maxd)
 		} else if it.maxd < q.scratch[0] {

@@ -19,14 +19,14 @@ func nodeEntry(lo, hi geom.Point, count uint32) *index.Entry {
 	return &index.Entry{Kind: index.NodeEntry, MBR: geom.NewRect(lo, hi), Count: count}
 }
 
-func newTestLPQ(k int, kb KBound, monotone bool) (*lpq, *Stats) {
+func newTestLPQ(k int) (*lpq, *Stats) {
 	stats := &Stats{}
 	owner := nodeEntry(geom.Point{0, 0}, geom.Point{1, 1}, 10)
-	return newLPQ(owner, math.Inf(1), k, kb, monotone, 1, stats), stats
+	return newLPQ(owner, math.Inf(1), k, 1, stats), stats
 }
 
 func TestLPQOrdering(t *testing.T) {
-	q, _ := newTestLPQ(1, KBoundKth, false)
+	q, _ := newTestLPQ(1)
 	// maxd large enough not to prune anything.
 	for _, mind := range []float64{5, 1, 3, 2, 4} {
 		q.enqueue(lpqItem{e: objEntry(int(mind), 0, 0), mind: mind, maxd: 100})
@@ -48,7 +48,7 @@ func TestLPQOrdering(t *testing.T) {
 }
 
 func TestLPQTieBreakByMaxd(t *testing.T) {
-	q, _ := newTestLPQ(1, KBoundKth, false)
+	q, _ := newTestLPQ(1)
 	q.enqueue(lpqItem{e: objEntry(1, 0, 0), mind: 1, maxd: 50})
 	q.enqueue(lpqItem{e: objEntry(2, 0, 0), mind: 1, maxd: 10})
 	it, _ := q.dequeue()
@@ -58,7 +58,7 @@ func TestLPQTieBreakByMaxd(t *testing.T) {
 }
 
 func TestLPQBoundTightensOnEnqueue(t *testing.T) {
-	q, _ := newTestLPQ(1, KBoundKth, false)
+	q, _ := newTestLPQ(1)
 	if !math.IsInf(q.bound(), 1) {
 		t.Fatal("fresh LPQ bound should be the inherited +Inf")
 	}
@@ -73,7 +73,7 @@ func TestLPQBoundTightensOnEnqueue(t *testing.T) {
 }
 
 func TestLPQProbePruning(t *testing.T) {
-	q, stats := newTestLPQ(1, KBoundKth, false)
+	q, stats := newTestLPQ(1)
 	q.enqueue(lpqItem{e: objEntry(1, 0, 0), mind: 1, maxd: 2})
 	q.enqueue(lpqItem{e: objEntry(2, 0, 0), mind: 50, maxd: 60}) // mind > bound 2
 	if q.len() != 1 {
@@ -85,7 +85,7 @@ func TestLPQProbePruning(t *testing.T) {
 }
 
 func TestLPQFilterStageTruncates(t *testing.T) {
-	q, stats := newTestLPQ(1, KBoundKth, false)
+	q, stats := newTestLPQ(1)
 	// Fill with loose items first.
 	for i := 0; i < 5; i++ {
 		q.enqueue(lpqItem{e: objEntry(i, 0, 0), mind: float64(10 + i), maxd: 100})
@@ -103,33 +103,13 @@ func TestLPQFilterStageTruncates(t *testing.T) {
 	}
 }
 
-// TestLPQBoundLoosensOnDequeue verifies the paper-faithful current-member
-// semantics: removing the bound carrier loosens the bound back toward the
-// inherited value.
-func TestLPQBoundLoosensOnDequeue(t *testing.T) {
-	stats := &Stats{}
-	owner := nodeEntry(geom.Point{0, 0}, geom.Point{1, 1}, 10)
-	q := newLPQ(owner, 1000, 1, KBoundKth, false, 1, stats)
-	q.enqueue(lpqItem{e: objEntry(1, 0, 0), mind: 1, maxd: 5})
-	q.enqueue(lpqItem{e: objEntry(2, 0, 0), mind: 2, maxd: 80})
-	if q.bound() != 5 {
-		t.Fatalf("bound = %g, want 5", q.bound())
-	}
-	q.dequeue() // removes the carrier (mind 1, maxd 5)
-	if q.bound() != 80 {
-		t.Fatalf("bound after dequeue = %g, want 80 (loosened to remaining member)", q.bound())
-	}
-	q.dequeue()
-	if q.bound() != 1000 {
-		t.Fatalf("bound after draining = %g, want inherited 1000", q.bound())
-	}
-}
-
-// TestLPQMonotoneBoundNeverLoosens verifies the MonotoneBound enhancement.
+// TestLPQMonotoneBoundNeverLoosens: removing the bound carrier leaves the
+// bound where it was (internal/paperref keeps, and tests, the paper's
+// rule, under which it loosens to the remaining members).
 func TestLPQMonotoneBoundNeverLoosens(t *testing.T) {
 	stats := &Stats{}
 	owner := nodeEntry(geom.Point{0, 0}, geom.Point{1, 1}, 10)
-	q := newLPQ(owner, 1000, 1, KBoundKth, true, 1, stats)
+	q := newLPQ(owner, 1000, 1, 1, stats)
 	q.enqueue(lpqItem{e: objEntry(1, 0, 0), mind: 1, maxd: 5})
 	q.enqueue(lpqItem{e: objEntry(2, 0, 0), mind: 2, maxd: 80})
 	q.dequeue()
@@ -139,7 +119,7 @@ func TestLPQMonotoneBoundNeverLoosens(t *testing.T) {
 }
 
 func TestLPQKthBoundRequiresKMembers(t *testing.T) {
-	q, _ := newTestLPQ(3, KBoundKth, false)
+	q, _ := newTestLPQ(3)
 	q.enqueue(lpqItem{e: objEntry(1, 0, 0), mind: 1, maxd: 10})
 	q.enqueue(lpqItem{e: objEntry(2, 0, 0), mind: 1, maxd: 20})
 	if !math.IsInf(q.bound(), 1) {
@@ -151,25 +131,12 @@ func TestLPQKthBoundRequiresKMembers(t *testing.T) {
 	}
 }
 
-func TestLPQMaxAllBound(t *testing.T) {
-	q, _ := newTestLPQ(2, KBoundMaxAll, false)
-	q.enqueue(lpqItem{e: objEntry(1, 0, 0), mind: 1, maxd: 10})
-	if !math.IsInf(q.bound(), 1) {
-		t.Fatal("max-all bound needs k members")
-	}
-	q.enqueue(lpqItem{e: objEntry(2, 0, 0), mind: 1, maxd: 25})
-	if q.bound() != 25 {
-		t.Fatalf("max-all bound = %g, want 25", q.bound())
-	}
-}
-
 // TestLPQRandomizedInvariants drives an LPQ with random operations and
 // checks the structural invariants after each step.
 func TestLPQRandomizedInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 50; trial++ {
-		k := 1 + rng.Intn(3)
-		q, _ := newTestLPQ(k, KBound(rng.Intn(2)), rng.Intn(2) == 0)
+		q, _ := newTestLPQ(1 + rng.Intn(3))
 		for op := 0; op < 200; op++ {
 			if rng.Intn(3) > 0 {
 				mind := rng.Float64() * 100
@@ -202,9 +169,6 @@ func TestMetricStrings(t *testing.T) {
 	}
 	if Metric(9).String() != "UNKNOWN" {
 		t.Fatal("unknown metric should say so")
-	}
-	if DepthFirst.String() != "depth-first" || BreadthFirst.String() != "breadth-first" {
-		t.Fatal("traversal names changed")
 	}
 }
 

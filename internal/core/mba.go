@@ -12,7 +12,6 @@ import (
 	"allnn/internal/index"
 	"allnn/internal/obs"
 	"allnn/internal/pq"
-	"allnn/internal/storage"
 )
 
 // Run executes an ANN/AkNN query: for every point in the query index ir,
@@ -22,7 +21,8 @@ import (
 // Run is the paper's Algorithm 2 (MBA): it seeds the root LPQ, then
 // processes the LPQ queue depth-first (ANN-DFBI, Algorithm 3) with
 // bi-directional node expansion and the Three-Stage pruning of
-// Algorithm 4. Over MBRQT indexes this is MBA; over R*-trees, RBA.
+// Algorithm 4 down to the leaves of I_R, each of which is answered by one
+// fused leaf join. Over MBRQT indexes this is MBA; over R*-trees, RBA.
 func Run(ir, is index.Tree, opts Options, emit func(Result) error) (Stats, error) {
 	return RunContext(context.Background(), ir, is, opts, emit)
 }
@@ -76,9 +76,6 @@ func RunContext(ctx context.Context, ir, is index.Tree, opts Options, emit func(
 	defer disarm()
 	if ir.Dim() != is.Dim() {
 		return stats, fmt.Errorf("core: index dimensionality mismatch: %d vs %d", ir.Dim(), is.Dim())
-	}
-	if opts.Traversal == BreadthFirst && opts.Parallelism > 1 {
-		return stats, fmt.Errorf("core: BreadthFirst traversal does not support Parallelism > 1 (its single global queue has no independent subtrees); use DepthFirst")
 	}
 
 	// Observability. tMark advances across the setup/seed/traverse
@@ -137,12 +134,6 @@ func RunContext(ctx context.Context, ir, is index.Tree, opts Options, emit func(
 		shrink: opts.approxShrink(),
 		ctx:    ctx, cancelled: cancelled,
 		tr: tr, tid: obs.TidMain, tm: opts.timings}
-	if nc, ok := is.(index.NodeCacher); ok && nc.NodeCacheRef() != nil {
-		// The shared decoded-node cache is attached: front it with a
-		// small engine-local lookaside so the hottest I_S nodes skip the
-		// shard locks entirely (each parallel worker gets its own).
-		e.memoS = new(nodeMemo)
-	}
 	if opts.Sched != nil {
 		defer func() { opts.Sched.Add(e.sched) }()
 	}
@@ -151,7 +142,8 @@ func RunContext(ctx context.Context, ir, is index.Tree, opts Options, emit func(
 		return stats, e.emitEmpty(&rootR)
 	}
 
-	root := newLPQ(&rootR, infinity, opts.effectiveK(), opts.KBound, !opts.VolatileBounds, e.shrink, e.stats)
+	root := newLPQ(&rootR, infinity, opts.effectiveK(), e.shrink, e.stats)
+	stats.DistanceCalcs++
 	root.enqueue(lpqItem{e: &rootS, mind: e.minDist(&rootR, &rootS), maxd: e.maxDist(&rootR, &rootS)})
 	if obsOn {
 		now := time.Now()
@@ -162,28 +154,10 @@ func RunContext(ctx context.Context, ir, is index.Tree, opts Options, emit func(
 		tMark = now
 	}
 
-	switch opts.Traversal {
-	case BreadthFirst:
-		queue := []*lpq{root}
-		for head := 0; head < len(queue) && err == nil; head++ {
-			if err = e.checkCancel(); err != nil {
-				break
-			}
-			q := queue[head]
-			queue[head] = nil // release the popped LPQ for the GC
-			var children []*lpq
-			children, err = e.expandAndPrune(q)
-			if err == nil {
-				releaseLPQ(q)
-				queue = append(queue, children...)
-			}
-		}
-	default: // DepthFirst
-		if opts.Parallelism > 1 {
-			err = e.runParallel(root, opts.Parallelism)
-		} else {
-			err = e.dfbi(root)
-		}
+	if opts.Parallelism > 1 {
+		err = e.runParallel(root, opts.Parallelism)
+	} else {
+		err = e.dfbi(root)
 	}
 	if obsOn {
 		now := time.Now()
@@ -241,70 +215,12 @@ type engine struct {
 
 	// Per-engine scratch reused across expandAndPrune calls. The engine
 	// is single-threaded (each parallel worker builds its own) and leaf
-	// joins never nest, so one set suffices. gatherTop stages the row being
-	// emitted; gatherBest is the k-best heap of gather and heapOrderTop.
-	join       leafJoin
-	gatherBest *pq.KBest[*index.Entry]
-	gatherTop  []pq.Item[*index.Entry]
+	// joins never nest, so one suffices.
+	join leafJoin
 
-	// memoS is the engine-local decoded-node lookaside for I_S (nil
-	// unless the target index has a node cache attached); sched
-	// accumulates the scheduler and batch-kernel counters, merged into
-	// Options.Sched at the end of the run.
-	memoS *nodeMemo
+	// sched accumulates the scheduler and batch-kernel counters, merged
+	// into Options.Sched at the end of the run.
 	sched SchedStats
-}
-
-// memoSlots sizes the engine-local decoded-node lookaside: a
-// direct-mapped table of the last expansion per page-id slot. Power of
-// two; 128 slots cover the I_S working set of a leaf join (the same few
-// nodes are re-expanded once per owning LPQ) at ~4 KB per worker.
-const memoSlots = 128
-
-// nodeMemo is a direct-mapped lookaside over the shared decoded-node
-// cache. The shared cache is sharded and lock-guarded; during the leaf
-// join every worker hammers the same few hot pages, so a private table
-// turns those lookups into two loads with no coherence traffic. Entries
-// are immutable shared slices (the Tree.Expand contract), and a memo
-// lives only for one run, so staleness cannot arise (index mutation never
-// runs concurrently with queries).
-type nodeMemo struct {
-	ids  [memoSlots]storage.PageID
-	ok   [memoSlots]bool
-	vals [memoSlots][]index.Entry
-}
-
-func (m *nodeMemo) get(id storage.PageID) ([]index.Entry, bool) {
-	s := uint32(id) & (memoSlots - 1)
-	if m.ok[s] && m.ids[s] == id {
-		return m.vals[s], true
-	}
-	return nil, false
-}
-
-func (m *nodeMemo) put(id storage.PageID, v []index.Entry) {
-	s := uint32(id) & (memoSlots - 1)
-	m.ids[s], m.vals[s], m.ok[s] = id, v, true
-}
-
-// expandS expands a candidate entry of I_S through the engine-local
-// lookaside. A memo hit is counted as a node-cache hit so that the
-// hits+misses total stays a pure function of the traversal — the
-// invariant the serial/parallel parity tests rely on; the memo only
-// changes which tier serves the lookup. Callers count NodesExpandedS
-// themselves (the memo does not change expansion counts either).
-func (e *engine) expandS(ent *index.Entry) ([]index.Entry, error) {
-	if e.memoS != nil {
-		if v, ok := e.memoS.get(ent.Child); ok {
-			e.stats.NodeCacheHits++
-			return v, nil
-		}
-	}
-	v, err := e.is.Expand(ent)
-	if err == nil && e.memoS != nil {
-		e.memoS.put(ent.Child, v)
-	}
-	return v, err
 }
 
 // obsOn reports whether the engine records spans or stage timings.
@@ -342,32 +258,20 @@ func (e *engine) dfbi(q *lpq) error {
 	return nil
 }
 
-// minDist is the squared MINMINDIST between an owner and a candidate
+// minDist is the squared MINMINDIST between a node owner and a candidate
 // entry. It is the cheap half of Algorithm 4's Distances(); the engine
 // evaluates it first and computes the pruning metric only for survivors.
 func (e *engine) minDist(owner, cand *index.Entry) float64 {
-	e.stats.DistanceCalcs++
-	return e.minDistUncounted(owner, cand)
-}
-
-func (e *engine) minDistUncounted(owner, cand *index.Entry) float64 {
-	if owner.IsObject() {
-		if cand.IsObject() {
-			return geom.DistSq(owner.Point, cand.Point)
-		}
-		return geom.MinDistPointRectSq(owner.Point, cand.MBR)
-	}
 	if cand.IsObject() {
 		return geom.MinDistPointRectSq(cand.Point, owner.MBR)
 	}
 	return geom.MinDistSq(owner.MBR, cand.MBR)
 }
 
-// maxDist is the squared pruning upper bound (MAXD) between an owner and
-// a candidate entry. Not valid for object/object pairs (there the exact
-// distance serves as both bounds).
+// maxDist is the squared pruning upper bound (MAXD) between a node owner
+// and a candidate entry.
 func (e *engine) maxDist(owner, cand *index.Entry) float64 {
-	if !owner.IsObject() && cand.IsObject() {
+	if cand.IsObject() {
 		// For a candidate point, every owner point is guaranteed this
 		// neighbor within the maximum distance; both metrics coincide.
 		return geom.MaxDistPointRectSq(cand.Point, owner.MBR)
@@ -376,20 +280,15 @@ func (e *engine) maxDist(owner, cand *index.Entry) float64 {
 }
 
 // probe offers a candidate to an LPQ: the cheap MIND test runs first and
-// the metric is evaluated only if the candidate survives it (between two
-// objects — the PerObjectGather ablation — the exact distance is both).
+// the metric is evaluated only if the candidate survives it.
 func (e *engine) probe(c *lpq, cand *index.Entry) {
 	e.stats.DistanceCalcs++
-	mind := e.minDistUncounted(c.owner, cand)
+	mind := e.minDist(c.owner, cand)
 	if mind > c.admitBound() {
 		e.stats.PrunedOnProbe++
 		return
 	}
-	maxd := mind
-	if !c.owner.IsObject() || !cand.IsObject() {
-		maxd = e.maxDist(c.owner, cand)
-	}
-	c.enqueueChecked(lpqItem{e: cand, mind: mind, maxd: maxd})
+	c.enqueueChecked(lpqItem{e: cand, mind: mind, maxd: e.maxDist(c.owner, cand)})
 }
 
 // expandAndPrune is Algorithm 4 for a node owner: the Expand Stage
@@ -400,29 +299,14 @@ func (e *engine) probe(c *lpq, cand *index.Entry) {
 // drains the candidates to object level into one accumulator table (each
 // I_S node expanded once, shared by every object of the leaf), emitLeaf
 // — the Gather Stage — emits every object's row from it, and no children
-// are returned. Object owners only reach this function under the
-// PerObjectGather ablation, which runs the paper-literal Gather here.
+// are returned. Query objects never own an LPQ.
 //
 // With observability enabled (engine.obsOn) the call is an "expand" span
 // nesting a "filter" span over the drain and, for a leaf, a "gather" span
-// over the emit loop (an object owner is one "gather" span); Timings
-// attributes the drain to Filter, the emit loop to Gather and the
-// remainder to Expand, so the three stage totals are disjoint.
+// over the emit loop; Timings attributes the drain to Filter, the emit
+// loop to Gather and the remainder to Expand, so the three stage totals
+// are disjoint.
 func (e *engine) expandAndPrune(q *lpq) ([]*lpq, error) {
-	if q.owner.IsObject() {
-		if !e.obsOn() {
-			return nil, e.gather(q)
-		}
-		start := time.Now()
-		err := e.gather(q)
-		end := time.Now()
-		e.tr.Complete("gather", e.tid, start, end, "k", int64(q.k))
-		if e.tm != nil {
-			e.tm.Gather += end.Sub(start)
-		}
-		return nil, err
-	}
-
 	obsOn := e.obsOn()
 	var tExpand time.Time
 	if obsOn {
@@ -433,7 +317,7 @@ func (e *engine) expandAndPrune(q *lpq) ([]*lpq, error) {
 		return nil, err
 	}
 	e.stats.NodesExpandedR++
-	leaf := !e.opts.PerObjectGather && len(children) > 0 && children[0].Kind == index.ObjectEntry
+	leaf := len(children) > 0 && children[0].Kind == index.ObjectEntry
 	var lpqcs []*lpq
 	if leaf {
 		e.join.reset(e, q, children)
@@ -441,7 +325,7 @@ func (e *engine) expandAndPrune(q *lpq) ([]*lpq, error) {
 	} else {
 		lpqcs = make([]*lpq, len(children))
 		for i := range children {
-			lpqcs[i] = newLPQ(&children[i], e.seededBound(&children[i], q.bound()), q.k, q.kb, q.monotone, e.shrink, e.stats)
+			lpqcs[i] = newLPQ(&children[i], q.bound(), q.k, e.shrink, e.stats)
 		}
 	}
 
@@ -578,7 +462,7 @@ func (e *engine) drainToChildren(q *lpq, lpqcs []*lpq) error {
 			}
 			continue
 		}
-		cands, err := e.expandS(it.e)
+		cands, err := e.is.Expand(it.e)
 		if err != nil {
 			return err
 		}
@@ -604,8 +488,8 @@ func (e *engine) drainToChildren(q *lpq, lpqcs []*lpq) error {
 // leaf's append-only table of every candidate some owner retained — flat
 // and pointer-free, so an insertion meets no write barrier. Insertion is
 // stable (equal distances keep arrival order, slot k falls off): a row is
-// the first k of the stream in (distance, arrival) order, which is what a
-// MIND-ordered object LPQ drained by the Gather Stage selected.
+// the first k of the stream in (distance, arrival) order, and is emitted
+// in that order.
 //
 // bounds[i] is owner i's admission bound. Between objects MIND = MAXD =
 // the exact distance, so a row yields one bound, its k-th distance: once
@@ -982,7 +866,7 @@ func (e *engine) joinLeaf(q *lpq) error {
 			e.stats.PrunedSubtrees += 1 + uint64(j.work.Len())
 			break
 		}
-		cands, err := e.expandS(item.Value)
+		cands, err := e.is.Expand(item.Value)
 		if err != nil {
 			return err
 		}
@@ -994,7 +878,7 @@ func (e *engine) joinLeaf(q *lpq) error {
 				continue
 			}
 			e.stats.DistanceCalcs++
-			mind := e.minDistUncounted(q.owner, cand)
+			mind := e.minDist(q.owner, cand)
 			if mind <= maxBound {
 				j.work.Push(mind, cand)
 			} else {
@@ -1007,149 +891,38 @@ func (e *engine) joinLeaf(q *lpq) error {
 }
 
 // emitLeaf is the Gather Stage of the fused leaf join: every owner's row
-// is already its k nearest candidates in ascending order, so each result
-// is read straight off the accumulator table.
+// is already its k nearest candidates in (distance, arrival) order, so
+// each result is read straight off the accumulator table — the
+// ExcludeSelf skip, the cut to K and the square roots are paid here.
+// Arrival order is a function of the traversal alone, so equal-distance
+// neighbors come out in the same order serial or parallel, cached or not.
 func (e *engine) emitLeaf() error {
 	j := &e.join
 	for i, n := range j.fill {
+		r := &j.owners[i]
 		if n == 0 {
-			return errStarved(&j.owners[i])
+			return errStarved(r)
 		}
 		row, refs := j.dist[i*j.k:i*j.k+n], j.ref[i*j.k:i*j.k+n]
-		top := e.gatherTop[:0]
-		ties := false
+		neighbors := make([]Neighbor, 0, e.opts.K)
+		selfSeen := false
 		for x, d := range row {
-			top = append(top, pq.Item[*index.Entry]{Key: d, Value: j.cands[refs[x]]})
-			ties = ties || (x > 0 && d == row[x-1])
+			c := j.cands[refs[x]]
+			if e.opts.ExcludeSelf && !selfSeen && c.Object == r.Object {
+				selfSeen = true
+				continue
+			}
+			if len(neighbors) == e.opts.K {
+				break
+			}
+			neighbors = append(neighbors, Neighbor{Object: c.Object, Point: c.Point, Dist: math.Sqrt(d)})
 		}
-		e.gatherTop = top
-		if ties {
-			e.heapOrderTop(j.k)
-		}
-		if err := e.emitTop(&j.owners[i]); err != nil {
+		e.stats.Results++
+		if err := e.emit(Result{Object: r.Object, Point: r.Point, Neighbors: neighbors}); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// gather is the paper-literal Gather Stage, reached only under the
-// PerObjectGather ablation: the owner is a data object r, and its LPQ is
-// drained best-first until the k nearest objects are known.
-func (e *engine) gather(q *lpq) error {
-	r := q.owner
-	best := e.kBest(q.k)
-	for {
-		if err := e.checkCancel(); err != nil {
-			return err
-		}
-		it, ok := q.dequeue()
-		if !ok {
-			break
-		}
-		if best.Full() {
-			// MIND-ordered queue: nothing closer than it.mind remains. In
-			// approximate mode the cut-off is Worst x shrink — stopping once
-			// the best possible improvement is within (1+eps) of the current
-			// k-th best (the Arya et al. rule). Guarded on Full(), so the
-			// early stop can never leave fewer than k results.
-			w := best.Worst()
-			if q.shrink != 1 {
-				w *= q.shrink
-			}
-			if it.mind >= w {
-				if q.shrink != 1 && it.mind < best.Worst() {
-					e.stats.LPQEarlyTerms++
-				}
-				e.discardRest(q, it)
-				break
-			}
-		}
-		if it.e.IsObject() {
-			best.Add(it.mind, it.e) // mind == exact squared distance
-			continue
-		}
-		cands, err := e.expandS(it.e)
-		if err != nil {
-			return err
-		}
-		e.stats.NodesExpandedS++
-		for ci := range cands {
-			cand := &cands[ci]
-			mind := e.minDist(r, cand)
-			if best.Full() {
-				w := best.Worst()
-				if q.shrink != 1 {
-					w *= q.shrink
-				}
-				if mind >= w {
-					e.stats.PrunedOnProbe++
-					continue
-				}
-			}
-			if mind > q.admitBound() {
-				e.stats.PrunedOnProbe++
-				continue
-			}
-			var maxd float64
-			if cand.IsObject() {
-				maxd = mind
-			} else {
-				maxd = e.maxDist(r, cand)
-			}
-			q.enqueueChecked(lpqItem{e: cand, mind: mind, maxd: maxd})
-		}
-	}
-
-	e.gatherTop = best.AppendItems(e.gatherTop[:0])
-	return e.emitTop(r)
-}
-
-// kBest returns the engine's recycled k-best collector, emptied.
-func (e *engine) kBest(k int) *pq.KBest[*index.Entry] {
-	if e.gatherBest == nil || e.gatherBest.K() != k {
-		e.gatherBest = pq.NewKBest[*index.Entry](k)
-	}
-	e.gatherBest.Reset()
-	return e.gatherBest
-}
-
-// heapOrderTop re-orders gatherTop (ascending, equal distances in arrival
-// order) the way the Gather Stage has always reported it: pushed through
-// the k-best max-heap and popped back. Distinct distances come back
-// unchanged; a run of equal distances comes back in the heap's pop order,
-// which served and routed byte-parity is pinned to. Only rows with a tie
-// pay for it.
-func (e *engine) heapOrderTop(k int) {
-	best := e.kBest(k)
-	for _, it := range e.gatherTop {
-		best.Add(it.Key, it.Value)
-	}
-	e.gatherTop = best.AppendItems(e.gatherTop[:0])
-}
-
-// emitTop emits query object r's result from gatherTop, its candidates in
-// ascending distance order: the ExcludeSelf skip, the cut to K, and the
-// square roots are paid here.
-func (e *engine) emitTop(r *index.Entry) error {
-	neighbors := make([]Neighbor, 0, e.opts.K)
-	selfSeen := false
-	for _, it := range e.gatherTop {
-		if e.opts.ExcludeSelf && !selfSeen && it.Value.Object == r.Object {
-			selfSeen = true
-			continue
-		}
-		if len(neighbors) == e.opts.K {
-			break
-		}
-		neighbors = append(neighbors, Neighbor{
-			Object: it.Value.Object,
-			Point:  it.Value.Point,
-			Dist:   math.Sqrt(it.Key),
-		})
-	}
-	e.stats.Results++
-	return e.emit(Result{Object: r.Object, Point: r.Point, Neighbors: neighbors})
 }
 
 // emitEmpty walks the query index emitting empty results (used when the

@@ -3,6 +3,10 @@
 // All-k-Nearest-Neighbor queries over a pair of spatial indexes, with the
 // Local Priority Queue (LPQ) structure and the Three-Stage
 // (Expand/Filter/Gather) pruning strategy built on the NXNDIST metric.
+// This is the production engine: LPQs stop at the leaves of I_R, where a
+// fused leaf join answers all of a leaf's query objects at once, and LPQ
+// bounds never loosen. The algorithms as printed live in
+// internal/paperref, the reference this engine is tested against.
 //
 // The engine traverses any pair of indexes implementing index.Tree; run
 // over two MBRQTs it is the paper's MBA, over two R*-trees it is RBA.
@@ -56,87 +60,23 @@ func (m Metric) BoundSq(owner, candidate geom.Rect) float64 {
 	return geom.NXNDistSq(owner, candidate)
 }
 
-// Traversal selects how the FIFO queues of LPQs are processed.
-type Traversal uint8
-
-const (
-	// DepthFirst recursively descends into each child LPQ before its
-	// siblings' children (the paper's ANN-DFBI; minimal memory, best
-	// locality).
-	DepthFirst Traversal = iota
-	// BreadthFirst drains a single global queue level by level. Provided
-	// as an ablation of the paper's design choice.
-	BreadthFirst
-)
-
-// String implements fmt.Stringer.
-func (t Traversal) String() string {
-	if t == BreadthFirst {
-		return "breadth-first"
-	}
-	return "depth-first"
-}
-
-// KBound selects the AkNN pruning bound maintained by each LPQ.
-type KBound uint8
-
-const (
-	// KBoundKth bounds the k-th NN distance by the k-th smallest MAXD
-	// among entries ever enqueued — each entry roots a distinct subtree
-	// guaranteeing at least one point within its MAXD. Tighter; default.
-	KBoundKth KBound = iota
-	// KBoundMaxAll is the paper's formulation: once at least k entries
-	// have been seen, the maximum MAXD is an upper bound. Looser;
-	// provided for ablation. It governs node-owner LPQs only: between
-	// objects MAXD is the exact distance and the k-th is the one bound.
-	KBoundMaxAll
-)
-
 // Options configures an ANN/AkNN execution. The zero value runs ANN (k=1)
-// with NXNDIST pruning and depth-first traversal — the paper's MBA/RBA
-// configuration.
+// with NXNDIST pruning, serially.
 type Options struct {
 	// K is the number of neighbors per query object (0 means 1).
 	K int
 	// Metric is the pruning upper bound (default NXNDist).
 	Metric Metric
-	// Traversal orders the LPQ processing (default DepthFirst).
-	Traversal Traversal
-	// KBound selects the AkNN bound strategy (default KBoundKth).
-	KBound KBound
 	// ExcludeSelf skips the result pairing an object with itself (same
 	// ObjectID); use it when R and S are the same dataset. Internally the
 	// engine searches one extra neighbor so that pruning stays sound.
 	ExcludeSelf bool
-	// VolatileBounds selects the paper's literal LPQ bound maintenance:
-	// the bound derives from the *current* queue members only, so it
-	// loosens when members are dequeued. By default the engine instead
-	// folds the bound with min over time so that it never loosens —
-	// sound, because the true k-NN distance is a property of the data and
-	// any bound value once valid stays valid. The volatile variant is
-	// where a loose metric (MAXMAXDIST) keeps hurting after dequeues; it
-	// exists for ablation.
-	VolatileBounds bool
-	// PerObjectGather selects the paper's literal leaf handling: every
-	// query object owns an LPQ, and its Gather Stage individually
-	// re-expands whatever candidate nodes remain above object level. By
-	// default the engine instead drains candidates to object level once
-	// per I_R leaf into one k-best accumulator table shared by the leaf's
-	// objects (the fused leaf join), maximising the
-	// synchronized-traversal locality the paper argues for. The literal
-	// variant exists for ablation.
-	PerObjectGather bool
 	// Parallelism is the number of worker goroutines draining independent
 	// subtrees of the query index concurrently. 0 and 1 run the serial
-	// engine (the zero value stays the paper's configuration); higher
-	// values expand the first level(s) of I_R serially and hand each
-	// resulting LPQ subtree to a worker. Only the depth-first traversal
-	// parallelises; combining Parallelism > 1 with BreadthFirst is a
-	// configuration error and Run rejects it (a single global level queue
-	// has no independent subtrees to hand out, and silently running
-	// serially would misreport the requested concurrency). Workers read
-	// I_S through the shared storage.BufferPool, which is safe for
-	// concurrent readers.
+	// engine; higher values expand the first level(s) of I_R serially and
+	// hand each resulting LPQ subtree to a worker. Workers read I_S
+	// through the shared storage.BufferPool, which is safe for concurrent
+	// readers.
 	Parallelism int
 	// OrderedEmit buffers each parallel subtree's results and releases
 	// them in index traversal order, making parallel output identical to
@@ -179,10 +119,11 @@ type Options struct {
 	// every returned neighbor distance is guaranteed to be at most (1+ε)
 	// times the true k-th nearest-neighbor distance. The factor is split
 	// across the engine's two pruning layers (candidate admission against
-	// LPQ bounds and Gather-Stage termination against the best distance
-	// found), each inflated by sqrt(1+ε) in distance terms so the composed
-	// error stays within (1+ε) — see DESIGN.md §14. Zero (the default) is
-	// exact, byte-identical to a build without the knob: the approximate
+	// node LPQ bounds, and admission against a query object's k-th best
+	// distance in the leaf join), each inflated by sqrt(1+ε) in distance
+	// terms so the composed error stays within (1+ε) — see DESIGN.md §14.
+	// Zero (the default) is exact, byte-identical to a build without the
+	// knob: the approximate
 	// comparisons are gated behind a single equality check and introduce
 	// no floating-point operations on the exact path. Result cardinality
 	// never changes — only which neighbors are reported. Negative, NaN or
@@ -209,9 +150,7 @@ type Options struct {
 	// guarantee; the straggler floor plus the calibration keep measured
 	// recall at or above the target across the recall-harness property
 	// matrix. 0 (the default) and 1 disable the selector. Values outside
-	// (0,1] — and combining the selector with the PerObjectGather
-	// ablation, which has no shared leaf join to select within — are
-	// rejected with ErrInvalidOptions.
+	// (0,1] are rejected with ErrInvalidOptions.
 	RecallTarget float64
 
 	// BoundSeedSq, when non-nil, seeds each query object's admission
@@ -248,13 +187,8 @@ func (o Options) validate() error {
 	if math.IsNaN(o.Epsilon) || math.IsInf(o.Epsilon, 0) || o.Epsilon < 0 {
 		return fmt.Errorf("core: %w: Epsilon must be finite and >= 0, got %v", ErrInvalidOptions, o.Epsilon)
 	}
-	if o.RecallTarget != 0 {
-		if math.IsNaN(o.RecallTarget) || o.RecallTarget < 0 || o.RecallTarget > 1 {
-			return fmt.Errorf("core: %w: RecallTarget must be in (0,1] (0 means exact), got %v", ErrInvalidOptions, o.RecallTarget)
-		}
-		if o.RecallTarget < 1 && o.PerObjectGather {
-			return fmt.Errorf("core: %w: RecallTarget requires the shared leaf join (the PerObjectGather ablation has no leaf selector)", ErrInvalidOptions)
-		}
+	if math.IsNaN(o.RecallTarget) || o.RecallTarget < 0 || o.RecallTarget > 1 {
+		return fmt.Errorf("core: %w: RecallTarget must be in (0,1] (0 means exact), got %v", ErrInvalidOptions, o.RecallTarget)
 	}
 	return nil
 }
@@ -304,7 +238,7 @@ type Stats struct {
 	// a candidate entry — the Distances() calls of Algorithm 4.
 	DistanceCalcs uint64
 	// LPQsCreated counts LPQs created: one per I_R node reached (query
-	// objects own none, except under PerObjectGather).
+	// objects own none).
 	LPQsCreated uint64
 	// Enqueued counts entries accepted into some LPQ or, at object level,
 	// passing some query object's admission bound.
@@ -327,8 +261,8 @@ type Stats struct {
 	NodeCacheMisses uint64
 	// PrunedSubtrees / PrunedEntries count queued candidate subtrees
 	// (node entries) and candidate objects discarded wholesale by a
-	// terminal early-stop — a drain or Gather-Stage cut that throws away
-	// the rest of a MIND-ordered queue at once, as opposed to the
+	// terminal early-stop — a node-level drain or leaf-join cut that throws
+	// away the rest of a MIND-ordered queue at once, as opposed to the
 	// per-candidate rejections in PrunedOnProbe/PrunedByFilter. Non-zero
 	// for exact queries too (the exact cuts are counted the same way);
 	// the approximate mode's effect shows up as the delta against an
@@ -336,8 +270,8 @@ type Stats struct {
 	PrunedSubtrees uint64
 	PrunedEntries  uint64
 	// LPQEarlyTerms counts terminal cuts attributable to the approximate
-	// mode: Expand/Gather stops that fired strictly earlier than the
-	// exact comparison would have, plus recall-target leaf-selector
+	// mode: drain and leaf-join stops that fired strictly earlier than
+	// the exact comparison would have, plus recall-target leaf-selector
 	// stops. Always zero for an exact query.
 	LPQEarlyTerms uint64
 }

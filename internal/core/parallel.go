@@ -146,9 +146,6 @@ func (e *engine) runParallel(root *lpq, workers int) error {
 				shrink: e.shrink,
 				ctx:    e.ctx, cancelled: e.cancelled,
 				tr: e.tr, tid: wtid, tm: wtm}
-			if e.memoS != nil {
-				we.memoS = new(nodeMemo)
-			}
 			// buf collects the rows of the task in hand (ordered mode).
 			var buf []Result
 			we.emit = func(r Result) error {
@@ -207,7 +204,7 @@ func (e *engine) runParallel(root *lpq, workers int) error {
 				}
 				var children []*lpq
 				var err error
-				if !q.owner.IsObject() && uint64(q.owner.Count) > s.threshold {
+				if uint64(q.owner.Count) > s.threshold {
 					// Straggler: split instead of draining in place.
 					if children, err = we.expandAndPrune(q); err == nil {
 						releaseLPQ(q)
@@ -307,7 +304,7 @@ func (e *engine) buildFrontier(root *lpq, target int) ([]frontierItem, error) {
 		}
 		expandable := 0
 		for _, it := range frontier {
-			if it.q != nil && !it.q.owner.IsObject() {
+			if it.q != nil {
 				expandable++
 			}
 		}
@@ -316,7 +313,7 @@ func (e *engine) buildFrontier(root *lpq, target int) ([]frontierItem, error) {
 		}
 		next := make([]frontierItem, 0, len(frontier)*2)
 		for _, it := range frontier {
-			if it.q == nil || it.q.owner.IsObject() {
+			if it.q == nil {
 				next = append(next, it)
 				continue
 			}

@@ -169,20 +169,3 @@ func TestParallelTinyDataset(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelBreadthFirstRejected: the breadth-first traversal drains a
-// single global queue, so requesting Parallelism > 1 with it is a
-// configuration error rather than a silent serial run.
-func TestParallelBreadthFirstRejected(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	pts := uniformPoints(rng, 400, 2, 100)
-	tree := buildMBRQT(t, pts)
-	// Plain BreadthFirst (Parallelism <= 1) still works.
-	if _, _, err := Collect(tree, tree, Options{Traversal: BreadthFirst, ExcludeSelf: true}); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := Collect(tree, tree, Options{Traversal: BreadthFirst, ExcludeSelf: true, Parallelism: 8})
-	if err == nil {
-		t.Fatal("BreadthFirst with Parallelism > 1 must be rejected")
-	}
-}

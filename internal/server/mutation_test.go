@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"allnn/ann"
 	"allnn/ann/client"
@@ -112,9 +113,17 @@ func TestWriteLatencyHistograms(t *testing.T) {
 		}
 		return string(body)
 	}
+	// The server observes a request's latency after its reply is flushed,
+	// so the acknowledged delete may not be in the histogram yet.
 	var snap obs.Snapshot
-	if err := json.Unmarshal([]byte(get("/metrics")), &snap); err != nil {
-		t.Fatalf("/metrics is not a registry snapshot: %v", err)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if err := json.Unmarshal([]byte(get("/metrics")), &snap); err != nil {
+			t.Fatalf("/metrics is not a registry snapshot: %v", err)
+		}
+		observed := snap.Histograms["server.insert.latency_ns"].Count > 0 && snap.Histograms["server.delete.latency_ns"].Count > 0
+		if observed || time.Now().After(deadline) {
+			break
+		}
 	}
 	for _, op := range []string{"insert", "delete"} {
 		h, ok := snap.Histograms["server."+op+".latency_ns"]
