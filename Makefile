@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check check bench-smoke bench-spine-smoke trace-smoke fuzz-corpus bench-approx bench-approx-smoke chaos chaos-recover fuzz-smoke race-sched serve-smoke obs-serve-smoke router-smoke
+.PHONY: build test race vet fmt-check check bench-smoke bench-spine-smoke bench-ab trace-smoke fuzz-corpus bench-approx bench-approx-smoke chaos chaos-recover fuzz-smoke race-sched serve-smoke obs-serve-smoke router-smoke
 
 build:
 	$(GO) build ./...
@@ -86,8 +86,9 @@ obs-serve-smoke:
 
 # bench-smoke runs every benchmark of every package once — the root
 # suite's BenchmarkPointKNN (single probes, batches of 64, 10-D) and
-# BenchmarkRangeSearch (both trees, in memory and behind 64 frames)
-# included.
+# BenchmarkRangeSearch (both trees, in memory and behind 64 frames), and
+# internal/router's BenchmarkRoutedMix (the routed point mix: median
+# kNN and batch latency, goroutines spawned per request) included.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -97,6 +98,19 @@ bench-smoke:
 # after changing any package the benchmark imports.
 bench-spine-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# bench-ab is the paired runner a performance claim is shown with: it
+# unpacks refs A and B (`.` is the working tree) under .bench_build/ab,
+# alternates PAIRS runs of benchmark/run.sh from each, and prints per
+# end-to-end metric both medians, their ratio, A's quartile distance and
+# in how many pairs B read better.
+#   make bench-ab A=HEAD~1 B=HEAD WORKLOAD=route_read PAIRS=10
+A ?= HEAD
+B ?= .
+WORKLOAD ?= route_read
+PAIRS ?= 10
+bench-ab:
+	tools/bench-ab.sh $(A) $(B) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 # trace-smoke validates the observability artifacts end to end: it runs
 # the traced "mba" experiment and checks the emitted Chrome trace JSON

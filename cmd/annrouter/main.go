@@ -64,7 +64,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		addr         = fs.String("addr", ":4320", "TCP listen address")
 		maps         mapFlags
 		modeFlag     = fs.String("mode", "strict", "failure policy for dead shards: strict or degraded")
-		fanout       = fs.Int("fanout", 0, "max concurrently outstanding backend RPCs (0: 2x GOMAXPROCS; 1: serial scatter)")
+		fanout       = fs.Int("fanout", 0, "max concurrently outstanding backend RPCs, which also bounds the connections pooled per backend (0: 2x GOMAXPROCS; 1: serial scatter over one connection per backend)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long a drain waits for in-flight queries before cancelling them")
 		backoffBase  = fs.Duration("backoff-base", 100*time.Millisecond, "initial per-backend cool-off after a transport failure")
 		backoffMax   = fs.Duration("backoff-max", 5*time.Second, "cap on the per-backend cool-off")

@@ -11,23 +11,34 @@ import (
 	"allnn/internal/wire"
 )
 
-// backend is one shard's connection to its annserve node: a lazily
-// dialled wire client plus health state. A backend that fails a
-// transport-level operation is marked down for an exponentially growing
-// cool-off (capped), during which RPCs against it fail immediately —
-// one slow dead node must not add its full dial timeout to every
-// scatter. Protocol-level errors (BAD_REQUEST and friends) prove the
-// node alive and never trip the breaker.
+// backend is one shard's connections to its annserve node: a pool of
+// lazily dialled wire clients plus health state. A wire client carries
+// one request at a time and the node serves a connection's frames
+// strictly in order, so every RPC in flight checks out a connection of
+// its own — a kNN never queues behind another request's batch or join
+// stream. The pool has no size of its own: the router-wide MaxFanout
+// semaphore bounds how many RPCs, hence checked-out connections, exist
+// at once, and no more than that many are kept idle.
+//
+// A backend that fails a transport-level operation is marked down for
+// an exponentially growing cool-off (capped), during which RPCs that
+// would have to dial fail immediately — one slow dead node must not add
+// its full dial timeout to every scatter. Protocol-level errors
+// (BAD_REQUEST and friends) prove the node alive and never trip the
+// breaker.
 type backend struct {
 	shardName string
 	addr      string
 	dial      client.DialConfig
+	maxIdle   int
 
 	backoffBase time.Duration
 	backoffMax  time.Duration
 
 	mu        sync.Mutex
-	cli       *client.Client
+	idle      []*client.Client            // most recently used last
+	out       map[*client.Client]struct{} // checked out by an RPC in flight
+	closed    bool
 	fails     int
 	downUntil time.Time
 }
@@ -37,8 +48,10 @@ func newBackend(shardName, addr string, cfg Config) *backend {
 		shardName:   shardName,
 		addr:        addr,
 		dial:        cfg.Dial,
+		maxIdle:     cfg.MaxFanout,
 		backoffBase: cfg.BackoffBase,
 		backoffMax:  cfg.BackoffMax,
+		out:         make(map[*client.Client]struct{}),
 	}
 }
 
@@ -74,93 +87,140 @@ func transientRPC(err error) bool {
 	return true // transport-level failure
 }
 
-// acquire returns a connected client, dialling if needed. While the
-// breaker is open it fails immediately with a shardError.
-func (b *backend) acquire(ctx context.Context) (*client.Client, error) {
+// errPoolClosed refuses a checkout once the router has shut down.
+var errPoolClosed = errors.New("router is shutting down")
+
+// checkout hands the caller a connection of its own: the most recently
+// used idle one, or a fresh dial. While the breaker is open a dial is
+// not attempted and checkout fails immediately with a shardError.
+func (b *backend) checkout(ctx context.Context) (*client.Client, error) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.cli != nil {
-		return b.cli, nil
+	if n := len(b.idle); n > 0 {
+		cli := b.idle[n-1]
+		b.idle = b.idle[:n-1]
+		b.out[cli] = struct{}{}
+		b.mu.Unlock()
+		return cli, nil
 	}
-	if wait := time.Until(b.downUntil); wait > 0 {
-		return nil, &shardError{shard: b.shardName,
-			err: fmt.Errorf("backend %s cooling off for %v after %d failures", b.addr, wait.Round(time.Millisecond), b.fails)}
+	var refused error
+	if wait := time.Until(b.downUntil); b.closed {
+		refused = errPoolClosed
+	} else if wait > 0 {
+		refused = fmt.Errorf("backend %s cooling off for %v after %d failures", b.addr, wait.Round(time.Millisecond), b.fails)
 	}
+	b.mu.Unlock()
+	if refused != nil {
+		return nil, &shardError{shard: b.shardName, err: refused}
+	}
+
+	// Dial outside the lock: a slow dial must not hold up the RPCs that
+	// find an idle connection.
 	cli, err := client.DialRetry(ctx, b.addr, b.dial)
 	if err != nil {
-		b.tripLocked()
+		b.trip()
 		return nil, &shardError{shard: b.shardName, err: err}
 	}
-	b.cli = cli
+	b.mu.Lock()
+	closed := b.closed
+	if !closed {
+		b.out[cli] = struct{}{}
+	}
+	b.mu.Unlock()
+	if closed {
+		cli.Close()
+		return nil, &shardError{shard: b.shardName, err: errPoolClosed}
+	}
 	return cli, nil
 }
 
-// dropConn discards cli if it is still the backend's current
-// connection, and trips the breaker.
-func (b *backend) dropConn(cli *client.Client) {
+// checkin returns a connection whose RPC got an answer (a result or an
+// authoritative error — either proves the node alive) and resets the
+// breaker. A connection beyond the idle bound is closed instead.
+func (b *backend) checkin(cli *client.Client) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.cli == cli {
-		cli.Close()
-		b.cli = nil
+	delete(b.out, cli)
+	b.fails = 0
+	b.downUntil = time.Time{}
+	keep := !b.closed && len(b.idle) < b.maxIdle
+	if keep {
+		b.idle = append(b.idle, cli)
 	}
-	b.tripLocked()
+	b.mu.Unlock()
+	if !keep {
+		cli.Close()
+	}
 }
 
-// tripLocked opens the breaker: cool-off doubles per consecutive
-// failure, capped.
-func (b *backend) tripLocked() {
+// discard closes a connection whose RPC failed at the transport level,
+// and every idle sibling with it: they point at the same peer, and a
+// restarted node has forgotten them all. Connections checked out by
+// other RPCs find out for themselves.
+func (b *backend) discard(cli *client.Client) {
+	b.mu.Lock()
+	delete(b.out, cli)
+	stale := b.idle
+	b.idle = nil
+	b.mu.Unlock()
+	cli.Close()
+	for _, c := range stale {
+		c.Close()
+	}
+}
+
+// trip opens the breaker: cool-off doubles per consecutive failure,
+// capped.
+func (b *backend) trip() {
+	b.mu.Lock()
 	b.fails++
 	d := b.backoffBase << (b.fails - 1)
 	if d > b.backoffMax || d <= 0 {
 		d = b.backoffMax
 	}
 	b.downUntil = time.Now().Add(d)
-}
-
-// markUp resets the breaker after a successful RPC.
-func (b *backend) markUp() {
-	b.mu.Lock()
-	b.fails = 0
-	b.downUntil = time.Time{}
 	b.mu.Unlock()
 }
 
-// close tears the connection down (router shutdown).
+// close tears every connection down, idle and checked out alike, and
+// refuses further checkouts (router shutdown). An RPC still reading
+// from a checked-out connection fails with a transport error.
 func (b *backend) close() {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.cli != nil {
-		b.cli.Close()
-		b.cli = nil
+	b.closed = true
+	conns := b.idle
+	b.idle = nil
+	for cli := range b.out {
+		conns = append(conns, cli)
+	}
+	b.mu.Unlock()
+	for _, cli := range conns {
+		cli.Close()
 	}
 }
 
-// do runs one RPC against the backend, retrying a transient failure
-// once on a fresh connection (a stale pooled conn whose peer restarted
-// looks exactly like a dead node until redialled). A second transient
-// failure trips the breaker and surfaces as a shardError.
+// do runs one RPC against the backend on a connection of its own,
+// retrying a transient failure once on a fresh connection (a pooled
+// conn whose peer restarted looks exactly like a dead node until
+// redialled). A second transient failure trips the breaker and
+// surfaces as a shardError.
 func (b *backend) do(ctx context.Context, fn func(*client.Client) error) error {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
-		cli, err := b.acquire(ctx)
+		cli, err := b.checkout(ctx)
 		if err != nil {
 			return err
 		}
 		err = fn(cli)
-		if err == nil {
-			b.markUp()
-			return nil
-		}
-		if !transientRPC(err) {
-			b.markUp()
+		if err == nil || !transientRPC(err) {
+			b.checkin(cli)
 			return err
 		}
-		b.dropConn(cli)
+		b.discard(cli)
 		lastErr = err
 		if ctx.Err() != nil {
+			b.trip()
 			return ctx.Err()
 		}
 	}
+	b.trip()
 	return &shardError{shard: b.shardName, err: lastErr}
 }

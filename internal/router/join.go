@@ -78,7 +78,7 @@ func (r *Router) handleWithin(ctx context.Context, hdr wire.RequestHeader, req *
 		if err != nil {
 			return err
 		}
-		selfPairs[shardIndex(ds, s)] = pairs
+		selfPairs[s.index] = pairs
 		return nil
 	}); err != nil {
 		return err
@@ -89,9 +89,10 @@ func (r *Router) handleWithin(ctx context.Context, hdr wire.RequestHeader, req *
 	type task struct{ i, j int }
 	var tasks []task
 	prunedPairs := 0
+	missing := missingShards(g, ds)
 	for i := range ds.shards {
 		for j := i + 1; j < len(ds.shards); j++ {
-			if g.isMissing(ds.shards[i].name) || g.isMissing(ds.shards[j].name) {
+			if missing[i] || missing[j] {
 				continue
 			}
 			if geom.MinDist(ds.shards[i].mbr, ds.shards[j].mbr) > d {
@@ -279,8 +280,7 @@ func (r *Router) handleJoin(ctx context.Context, hdr wire.RequestHeader, req *wi
 		// local id here (global order then falls out of the contiguous
 		// idBase concatenation).
 		sort.Slice(results, func(a, b int) bool { return results[a].ID < results[b].ID })
-		si := shardIndex(ds, s)
-		perShard[si] = shardResults{results: results, extra: make([][]wire.Neighbor, len(results))}
+		perShard[s.index] = shardResults{results: results, extra: make([][]wire.Neighbor, len(results))}
 		return nil
 	}); err != nil {
 		return err
@@ -296,6 +296,7 @@ func (r *Router) handleJoin(ctx context.Context, hdr wire.RequestHeader, req *wi
 	}
 	probes := make([][]probeRef, len(ds.shards)) // target shard -> refs
 	prunedProbes := 0
+	missing := missingShards(g, ds)
 	for si := range ds.shards {
 		for pos, res := range perShard[si].results {
 			bound := math.Inf(1)
@@ -303,7 +304,7 @@ func (r *Router) handleJoin(ctx context.Context, hdr wire.RequestHeader, req *wi
 				bound = res.Neighbors[k-1].Dist
 			}
 			for sj, t := range ds.shards {
-				if sj == si || g.isMissing(t.name) {
+				if sj == si || missing[sj] {
 					continue
 				}
 				if geom.MinDistPointRect(res.Point, t.mbr) <= bound {
@@ -324,8 +325,7 @@ func (r *Router) handleJoin(ctx context.Context, hdr wire.RequestHeader, req *wi
 	}
 	var extraMu sync.Mutex
 	if err := r.scatter(ctx, g, probeShards, func(s *shard) error {
-		sj := shardIndex(ds, s)
-		refs := probes[sj]
+		refs := probes[s.index]
 		pts := make([]ann.Point, len(refs))
 		for i, ref := range refs {
 			pts[i] = perShard[ref.shard].results[ref.pos].Point

@@ -1,8 +1,10 @@
 package router
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -33,66 +35,58 @@ import (
 // shards' points, and a bound derived from a dead shard's MBR could
 // wrongly prune a live shard, so degraded gathers seed with +Inf.
 
-// knnAcc accumulates one query's candidates, kept sorted by
-// (distance, global id) so the k-th distance bound and the final top-k
-// fall out directly.
-type knnAcc struct {
-	mu    sync.Mutex
-	k     int
-	seed  float64
-	cands []wire.Neighbor
-}
-
-func newKNNAcc(k int, seed float64) *knnAcc { return &knnAcc{k: k, seed: seed} }
-
-// add merges translated neighbors from one shard.
-func (a *knnAcc) add(nbs []wire.Neighbor) {
-	a.mu.Lock()
-	a.cands = append(a.cands, nbs...)
-	sortNeighbors(a.cands)
-	if len(a.cands) > a.k {
-		a.cands = a.cands[:a.k]
+// mergeTopK merges one shard's answer into a query's candidates, kept
+// in canonical order and cut to k so the k-th distance bound and the
+// final top-k fall out directly.
+func mergeTopK(cands []wire.Neighbor, s *shard, nbs []ann.Neighbor, k int) []wire.Neighbor {
+	cands = appendTranslated(slices.Grow(cands, len(nbs)), s, nbs)
+	sortNeighbors(cands)
+	if len(cands) > k {
+		cands = cands[:k]
 	}
-	a.mu.Unlock()
+	return cands
 }
 
-// bound returns the current pruning radius: the k-th candidate
+// kthBound returns a query's pruning radius: the k-th candidate
 // distance once k candidates are gathered, never above the seed.
-func (a *knnAcc) bound() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	b := a.seed
-	if len(a.cands) >= a.k && a.cands[a.k-1].Dist < b {
-		b = a.cands[a.k-1].Dist
+func kthBound(cands []wire.Neighbor, k int, seed float64) float64 {
+	if len(cands) >= k && cands[k-1].Dist < seed {
+		return cands[k-1].Dist
 	}
-	return b
-}
-
-// top returns the final top-k (already sorted and trimmed).
-func (a *knnAcc) top() []wire.Neighbor {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.cands
+	return seed
 }
 
 // sortNeighbors orders by ascending distance, ties by ascending global
 // id — the canonical merged order.
 func sortNeighbors(nbs []wire.Neighbor) {
-	sort.SliceStable(nbs, func(i, j int) bool {
-		if nbs[i].Dist != nbs[j].Dist {
-			return nbs[i].Dist < nbs[j].Dist
+	slices.SortStableFunc(nbs, func(a, b wire.Neighbor) int {
+		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+			return c
 		}
-		return nbs[i].ID < nbs[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 
 // translate converts one shard's local-id neighbors to global ids.
 func translate(s *shard, nbs []ann.Neighbor) []wire.Neighbor {
-	out := make([]wire.Neighbor, len(nbs))
-	for i, n := range nbs {
-		out[i] = wire.Neighbor{ID: n.ID + s.idBase, Dist: n.Dist, Point: n.Point}
+	return appendTranslated(make([]wire.Neighbor, 0, len(nbs)), s, nbs)
+}
+
+// appendTranslated appends one shard's neighbors, in global ids.
+func appendTranslated(dst []wire.Neighbor, s *shard, nbs []ann.Neighbor) []wire.Neighbor {
+	for _, n := range nbs {
+		dst = append(dst, wire.Neighbor{ID: n.ID + s.idBase, Dist: n.Dist, Point: n.Point})
 	}
-	return out
+	return dst
+}
+
+// knnSeed returns the radius a query starts from, before any shard has
+// answered.
+func (r *Router) knnSeed(ds *dataset, q geom.Point, k int) float64 {
+	if r.cfg.Mode == Degraded {
+		return math.Inf(1)
+	}
+	return nxnSeed(ds, q, k)
 }
 
 // nxnSeed returns the k-th smallest NXNDIST(q, shard MBR) across
@@ -113,98 +107,96 @@ func nxnSeed(ds *dataset, q geom.Point, k int) float64 {
 	return dists[k-1]
 }
 
+// missingShards snapshots which shards already failed this gather, by
+// shard index (all false under a strict router, which aborts instead).
+func missingShards(g *gather, ds *dataset) []bool {
+	missing := make([]bool, len(ds.shards))
+	if g.mode == Degraded {
+		for si, s := range ds.shards {
+			missing[si] = g.isMissing(s.name)
+		}
+	}
+	return missing
+}
+
 // routedBatch answers a batch of kNN probes with grouped two-phase
 // scatter: one BatchKNN per owner shard, then one BatchKNN per
 // fan-out shard carrying every query that could not prune it. Returns
 // per-query neighbor lists (request order) and the pruned-shard count.
 func (r *Router) routedBatch(ctx context.Context, g *gather, ds *dataset, queries [][]float64, k int) ([][]wire.Neighbor, int, error) {
-	seedInf := r.cfg.Mode == Degraded
-	accs := make([]*knnAcc, len(queries))
+	cands := make([][]wire.Neighbor, len(queries))
+	seeds := make([]float64, len(queries))
 	owners := make([]int, len(queries))
-	for qi, q := range queries {
-		seed := math.Inf(1)
-		if !seedInf {
-			seed = nxnSeed(ds, q, k)
-		}
-		accs[qi] = newKNNAcc(k, seed)
-		owners[qi] = ds.locate(q)
-	}
+	// Per shard: the query indices of the running phase, and its reply.
+	groups := make([][]int, len(ds.shards))
+	replies := make([][]ann.Result, len(ds.shards))
 
-	// Phase 1: group queries by owner shard, in shard order.
-	phase1 := make(map[int][]int) // shard index -> query indices
-	for qi := range queries {
-		phase1[owners[qi]] = append(phase1[owners[qi]], qi)
-	}
-	runPhase := func(groups map[int][]int) error {
-		shards := make([]*shard, 0, len(groups))
-		for si := range ds.shards {
-			if _, ok := groups[si]; ok {
-				shards = append(shards, ds.shards[si])
+	// runPhase sends every shard with a group its probes as one BatchKNN
+	// and, once the legs are in, merges the replies in shard order (a
+	// shard lost to a degraded gather left none).
+	runPhase := func() error {
+		var shards []*shard
+		for si, s := range ds.shards {
+			if len(groups[si]) > 0 {
+				shards = append(shards, s)
 			}
 		}
-		return r.scatter(ctx, g, shards, func(s *shard) error {
-			si := shardIndex(ds, s)
-			qidx := groups[si]
+		if err := r.scatter(ctx, g, shards, func(s *shard) error {
+			qidx := groups[s.index]
 			pts := make([]ann.Point, len(qidx))
 			for i, qi := range qidx {
 				pts[i] = queries[qi]
 			}
-			var res []ann.Result
-			err := s.backend.do(ctx, func(cli *client.Client) error {
+			return s.backend.do(ctx, func(cli *client.Client) error {
 				var err error
-				res, err = cli.BatchKNN(ctx, s.name, pts, k)
+				replies[s.index], err = cli.BatchKNN(ctx, s.name, pts, k)
 				return err
 			})
-			if err != nil {
-				return err
+		}); err != nil {
+			return err
+		}
+		for _, s := range shards {
+			for i, res := range replies[s.index] {
+				qi := groups[s.index][i]
+				cands[qi] = mergeTopK(cands[qi], s, res.Neighbors, k)
 			}
-			for i, rr := range res {
-				accs[qidx[i]].add(translate(s, rr.Neighbors))
-			}
-			return nil
-		})
+			groups[s.index], replies[s.index] = groups[s.index][:0], nil
+		}
+		return nil
 	}
-	if err := runPhase(phase1); err != nil {
+
+	// Phase 1: every query to its owner shard.
+	for qi, q := range queries {
+		seeds[qi] = r.knnSeed(ds, q, k)
+		owners[qi] = ds.locate(q)
+		groups[owners[qi]] = append(groups[owners[qi]], qi)
+	}
+	if err := runPhase(); err != nil {
 		return nil, 0, err
 	}
 
 	// Phase 2: per query, fan out only to the shards whose MINDIST beats
-	// the bound gathered so far.
+	// the bound gathered so far. A shard phase 1 found dead is not asked
+	// again: it would fail the same way, after another dial.
 	pruned := 0
-	phase2 := make(map[int][]int)
+	missing := missingShards(g, ds)
 	for qi, q := range queries {
-		b := accs[qi].bound()
+		b := kthBound(cands[qi], k, seeds[qi])
 		for si, s := range ds.shards {
-			if si == owners[qi] {
+			if si == owners[qi] || missing[si] {
 				continue
 			}
 			if geom.MinDistPointRect(q, s.mbr) <= b {
-				phase2[si] = append(phase2[si], qi)
+				groups[si] = append(groups[si], qi)
 			} else {
 				pruned++
 			}
 		}
 	}
-	if err := runPhase(phase2); err != nil {
+	if err := runPhase(); err != nil {
 		return nil, 0, err
 	}
-
-	out := make([][]wire.Neighbor, len(queries))
-	for qi := range out {
-		out[qi] = accs[qi].top()
-	}
-	return out, pruned, nil
-}
-
-// shardIndex finds s's position in the dataset (shard counts are small;
-// linear scan beats carrying the index through the scatter plumbing).
-func shardIndex(ds *dataset, s *shard) int {
-	for i, t := range ds.shards {
-		if t == s {
-			return i
-		}
-	}
-	return -1
+	return cands, pruned, nil
 }
 
 func (r *Router) handleKNN(ctx context.Context, hdr wire.RequestHeader, req *wire.KNNReq, w *frameWriter) error {
@@ -218,14 +210,50 @@ func (r *Router) handleKNN(ctx context.Context, hdr wire.RequestHeader, req *wir
 	if len(req.Point) != ds.dim {
 		return badRequest("query point has %d dims, dataset %q has %d", len(req.Point), req.Index, ds.dim)
 	}
+	k := int(req.K)
 	g := r.newGather()
-	res, pruned, err := r.routedBatch(ctx, g, ds, [][]float64{req.Point}, int(req.K))
-	if err != nil {
+	// probe asks the given shards for their k nearest and merges the
+	// answers in shard order.
+	replies := make([][]ann.Neighbor, len(ds.shards))
+	var cands []wire.Neighbor
+	probe := func(shards []*shard) error {
+		if err := r.scatter(ctx, g, shards, func(s *shard) error {
+			return s.backend.do(ctx, func(cli *client.Client) error {
+				var err error
+				replies[s.index], err = cli.KNN(ctx, s.name, req.Point, k)
+				return err
+			})
+		}); err != nil {
+			return err
+		}
+		for _, s := range shards {
+			cands = mergeTopK(cands, s, replies[s.index], k)
+		}
+		return nil
+	}
+
+	// Phase 1: the owner alone. Phase 2: the shards its bound cannot
+	// prune — on clustered data, usually none.
+	owner := ds.locate(req.Point)
+	if err := probe(ds.shards[owner : owner+1]); err != nil {
 		return err
 	}
-	r.prune(pruned)
+	b := kthBound(cands, k, r.knnSeed(ds, req.Point, k))
+	var fan []*shard
+	for si, s := range ds.shards {
+		if si == owner {
+			continue
+		}
+		if geom.MinDistPointRect(req.Point, s.mbr) <= b {
+			fan = append(fan, s)
+		}
+	}
+	if err := probe(fan); err != nil {
+		return err
+	}
+	r.prune(len(ds.shards) - 1 - len(fan))
 	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.KNNReply{
-		Neighbors: res[0],
+		Neighbors: cands,
 		Partial:   r.finishPartial(g.partial()),
 	})
 }

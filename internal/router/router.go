@@ -60,8 +60,10 @@ type Config struct {
 	// Mode is the failure policy for dead shards.
 	Mode Mode
 	// MaxFanout bounds concurrently outstanding backend RPCs across the
-	// whole router (scatter admission). 1 degenerates to serial scatter
-	// — useful for debugging and as the parity baseline. Zero selects
+	// whole router (scatter admission) — and with them the connections
+	// checked out of, and kept idle in, each backend's pool. 1
+	// degenerates to serial scatter over one connection per backend —
+	// useful for debugging and as the parity baseline. Zero selects
 	// 2×GOMAXPROCS (minimum 4).
 	MaxFanout int
 	// Dial tunes backend dialling; the zero value selects
@@ -104,6 +106,7 @@ type Router struct {
 	errors          *obs.Counter
 	shardsContacted *obs.Counter
 	shardsPruned    *obs.Counter
+	legGoroutines   *obs.Counter
 	unavailable     *obs.Counter
 	partials        *obs.Counter
 	mergeStreams    *obs.Histogram
@@ -153,6 +156,7 @@ func New(cfg Config, maps ...*MapFile) (*Router, error) {
 	r.errors = reg.Counter("router.errors")
 	r.shardsContacted = reg.Counter("router.shards_contacted")
 	r.shardsPruned = reg.Counter("router.shards_pruned")
+	r.legGoroutines = reg.Counter("router.scatter_goroutines")
 	r.unavailable = reg.Counter("router.shard_unavailable")
 	r.partials = reg.Counter("router.partial_results")
 	r.mergeStreams = reg.Histogram("router.merge.streams", obs.ExpBuckets(1, 2, 8))
@@ -239,8 +243,12 @@ func (r *Router) Shutdown(ctx context.Context) error {
 	select {
 	case <-r.drained:
 	case <-ctx.Done():
+		// Out of patience: cancel the requests and close the backend
+		// connections under them, so a leg blocked reading from a hung
+		// backend fails now instead of holding the drain.
 		err = ctx.Err()
 		r.cancelBase()
+		r.closeBackends()
 		<-r.drained
 	}
 
@@ -251,12 +259,18 @@ func (r *Router) Shutdown(ctx context.Context) error {
 	r.mu.Unlock()
 	r.connWG.Wait()
 	r.cancelBase()
+	r.closeBackends()
+	return err
+}
+
+// closeBackends closes every backend's pooled connections, idle and
+// checked out.
+func (r *Router) closeBackends() {
 	for _, ds := range r.datasets {
 		for _, s := range ds.shards {
 			s.backend.close()
 		}
 	}
-	return err
 }
 
 func (r *Router) handleConn(conn net.Conn) {
@@ -431,15 +445,30 @@ func (r *Router) dataset(name string) (*dataset, error) {
 // --- scatter-gather plumbing ------------------------------------------------
 
 // gather tracks one request's scatter across shards: which shards
-// failed (for degraded replies), plus the strict-mode abort.
+// failed (for degraded replies), plus the strict-mode abort. A request
+// runs its scatters one after another, so one gather serves them all.
 type gather struct {
 	mode Mode
-	mu   sync.Mutex
+	// legs counts the scatter legs running on goroutines of their own.
+	legs sync.WaitGroup
+
+	mu sync.Mutex
 	// missing names the shards that were unavailable (degraded mode).
 	missing []string
 	// failed is the first hard failure (strict-mode shardError, or any
 	// non-shard error in either mode).
 	failed error
+	// abort is closed when failed is set: scatter legs still waiting for
+	// admission are skipped.
+	abort chan struct{}
+}
+
+// failLocked records the failure that decides the request.
+func (g *gather) failLocked(err error) {
+	if g.failed == nil {
+		g.failed = err
+		close(g.abort)
+	}
 }
 
 // shardDown records one unavailable shard, returning false when the
@@ -451,18 +480,14 @@ func (g *gather) shardDown(name string, err error) bool {
 		g.missing = append(g.missing, name)
 		return true
 	}
-	if g.failed == nil {
-		g.failed = &wire.Error{Code: wire.CodeShardUnavailable, Msg: err.Error()}
-	}
+	g.failLocked(&wire.Error{Code: wire.CodeShardUnavailable, Msg: err.Error()})
 	return false
 }
 
 // hardFail records a non-shard failure (always aborts).
 func (g *gather) hardFail(err error) {
 	g.mu.Lock()
-	if g.failed == nil {
-		g.failed = err
-	}
+	g.failLocked(err)
 	g.mu.Unlock()
 }
 
@@ -509,55 +534,65 @@ func (g *gather) partial() *wire.PartialInfo {
 }
 
 // newGather starts a gather under the router's failure mode.
-func (r *Router) newGather() *gather { return &gather{mode: r.cfg.Mode} }
+func (r *Router) newGather() *gather {
+	return &gather{mode: r.cfg.Mode, abort: make(chan struct{})}
+}
 
-// scatterN runs fn once per task index, bounded by the router-wide
-// fan-out semaphore (MaxFanout=1 degenerates to serial execution in
-// index order). A shardError from fn (which names its shard) is routed
-// through the gather's failure policy; any other error aborts.
-// scatterN returns the gather's abort error, if any. fn runs
-// concurrently — it must synchronise its own result writes.
+// scatterN runs fn once per task index, each leg admitted by the
+// router-wide fan-out semaphore (MaxFanout=1 degenerates to serial
+// execution in index order). The last leg runs on the caller's
+// goroutine — the request has nothing else to do until its legs are in
+// — so n legs cost n−1 goroutines and a scatter of one costs none. A
+// shardError from fn (which names its shard) is routed through the
+// gather's failure policy; any other error aborts. scatterN returns
+// the gather's abort error, if any. Legs run concurrently — fn must
+// synchronise its own result writes.
 func (r *Router) scatterN(ctx context.Context, g *gather, n int, fn func(int) error) error {
-	var wg sync.WaitGroup
-	abort := make(chan struct{})
-	var abortOnce sync.Once
-	doAbort := func() { abortOnce.Do(func() { close(abort) }) }
-	for i := 0; i < n; i++ {
-		stop := false
-		select {
-		case r.fanout <- struct{}{}:
-		case <-abort:
-			// A strict-mode failure already decided the request; skip the
-			// remaining legs.
-			stop = true
-		case <-ctx.Done():
-			g.hardFail(ctx.Err())
-			stop = true
-		}
-		if stop {
+	for i := 0; i < n && r.admit(ctx, g); i++ {
+		if i == n-1 {
+			r.runLeg(g, i, fn)
 			break
 		}
-		wg.Add(1)
+		g.legs.Add(1)
+		r.legGoroutines.Inc()
 		go func(i int) {
-			defer wg.Done()
-			defer func() { <-r.fanout }()
-			err := fn(i)
-			if err == nil {
-				return
-			}
-			var se *shardError
-			if errors.As(err, &se) {
-				if !g.shardDown(se.shard, err) {
-					doAbort()
-				}
-				return
-			}
-			g.hardFail(err)
-			doAbort()
+			defer g.legs.Done()
+			r.runLeg(g, i, fn)
 		}(i)
 	}
-	wg.Wait()
+	g.legs.Wait()
 	return g.err()
+}
+
+// admit takes a fan-out slot for a scatter's next leg. It reports false
+// when the remaining legs are to be skipped: a strict-mode failure
+// already decided the request, or its context is done.
+func (r *Router) admit(ctx context.Context, g *gather) bool {
+	select {
+	case r.fanout <- struct{}{}:
+		return true
+	case <-g.abort:
+		return false
+	case <-ctx.Done():
+		g.hardFail(ctx.Err())
+		return false
+	}
+}
+
+// runLeg runs one admitted leg, gives its fan-out slot back and routes
+// its failure through the gather.
+func (r *Router) runLeg(g *gather, i int, fn func(int) error) {
+	defer func() { <-r.fanout }()
+	err := fn(i)
+	if err == nil {
+		return
+	}
+	var se *shardError
+	if errors.As(err, &se) {
+		g.shardDown(se.shard, err)
+		return
+	}
+	g.hardFail(err)
 }
 
 // scatter runs fn once per selected shard via scatterN, recording the
@@ -566,12 +601,12 @@ func (r *Router) scatter(ctx context.Context, g *gather, shards []*shard, fn fun
 	return r.scatterN(ctx, g, len(shards), func(i int) error {
 		s := shards[i]
 		r.shardsContacted.Inc()
+		if s.latency == nil {
+			return fn(s)
+		}
 		start := time.Now()
 		err := fn(s)
-		if r.cfg.Metrics != nil {
-			r.cfg.Metrics.Histogram("router.shard."+s.name+".latency_ns", obs.LatencyBuckets()).
-				Observe(float64(time.Since(start).Nanoseconds()))
-		}
+		s.latency.Observe(float64(time.Since(start).Nanoseconds()))
 		return err
 	})
 }

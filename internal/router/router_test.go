@@ -46,18 +46,27 @@ func (b *testBackend) kill(t *testing.T) {
 // single-node baseline over the identical points, and a router in the
 // requested mode.
 type fixture struct {
-	name     string
-	pts      []ann.Point // curve order == global id order
-	perShard [][2]uint64 // [idBase, count] per shard
-	backends []*testBackend
-	reg      *obs.Registry
-	routed   *client.Client
-	single   *client.Client
+	name       string
+	pts        []ann.Point // curve order == global id order
+	perShard   [][2]uint64 // [idBase, count] per shard
+	backends   []*testBackend
+	reg        *obs.Registry
+	routerAddr string
+	singleAddr string
+	routed     *client.Client
+	single     *client.Client
 }
 
 // startBackend serves the given points as index name on a loopback
 // listener and registers cleanup.
-func startBackend(t *testing.T, name string, pts []ann.Point) *testBackend {
+func startBackend(t testing.TB, name string, pts []ann.Point) *testBackend {
+	t.Helper()
+	return startBackendAt(t, "127.0.0.1:0", name, pts)
+}
+
+// startBackendAt is startBackend on a given address (a killed
+// backend's, to play its restart).
+func startBackendAt(t testing.TB, addr, name string, pts []ann.Point) *testBackend {
 	t.Helper()
 	ix, err := ann.BuildIndex(pts, ann.IndexConfig{})
 	if err != nil {
@@ -67,7 +76,7 @@ func startBackend(t *testing.T, name string, pts []ann.Point) *testBackend {
 	if err := srv.Catalog().Add(name, ix); err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,13 +92,24 @@ func startBackend(t *testing.T, name string, pts []ann.Point) *testBackend {
 		<-b.done
 		srv.Catalog().CloseAll()
 	})
+	// One round trip proves Serve is accepting: a test that kills the
+	// backend straight away must not overtake the goroutine above, or
+	// Serve finds the server drained and returns an error.
+	cl, err := client.Dial(b.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.List(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	return b
 }
 
 // startFixture partitions pts into shards Hilbert shards and stands up
 // the whole deployment. Backoff is kept short so failure tests don't
 // stall on the circuit breaker.
-func startFixture(t *testing.T, pts []geom.Point, shards int, mode Mode, fanout int) *fixture {
+func startFixture(t testing.TB, pts []geom.Point, shards int, mode Mode, fanout int) *fixture {
 	t.Helper()
 	part, err := curve.Partition(pts, shards, curve.Hilbert)
 	if err != nil {
@@ -110,7 +130,7 @@ func startFixture(t *testing.T, pts []geom.Point, shards int, mode Mode, fanout 
 	}
 	sb := startBackend(t, "pts", f.pts)
 
-	rt, err := New(Config{
+	_, f.routerAddr = serveRouter(t, Config{
 		Mode:        mode,
 		MaxFanout:   fanout,
 		Metrics:     f.reg,
@@ -118,6 +138,18 @@ func startFixture(t *testing.T, pts []geom.Point, shards int, mode Mode, fanout 
 		BackoffBase: 5 * time.Millisecond,
 		BackoffMax:  20 * time.Millisecond,
 	}, MapFromPartitioning("pts", part, addrs))
+
+	f.singleAddr = sb.addr
+	f.routed = dial(t, f.routerAddr)
+	f.single = dial(t, f.singleAddr)
+	return f
+}
+
+// serveRouter starts a router over the given shard map on a loopback
+// listener; cleanup drains it.
+func serveRouter(t testing.TB, cfg Config, m *MapFile) (*Router, string) {
+	t.Helper()
+	rt, err := New(cfg, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,13 +167,10 @@ func startFixture(t *testing.T, pts []geom.Point, shards int, mode Mode, fanout 
 			t.Errorf("router serve: %v", err)
 		}
 	})
-
-	f.routed = dial(t, rln.Addr().String())
-	f.single = dial(t, sb.addr)
-	return f
+	return rt, rln.Addr().String()
 }
 
-func dial(t *testing.T, addr string) *client.Client {
+func dial(t testing.TB, addr string) *client.Client {
 	t.Helper()
 	cl, err := client.Dial(addr)
 	if err != nil {

@@ -32,6 +32,7 @@ import (
 
 	"allnn/internal/curve"
 	"allnn/internal/geom"
+	"allnn/internal/obs"
 	"allnn/internal/wire"
 )
 
@@ -208,6 +209,7 @@ type dataset struct {
 
 // shard pairs one map entry with its backend connection state.
 type shard struct {
+	index   int    // position in dataset.shards
 	name    string // index name on the backend (also the PartialInfo label)
 	idBase  uint64
 	count   uint64
@@ -215,12 +217,14 @@ type shard struct {
 	hiKey   uint64
 	mbr     geom.Rect
 	backend *backend
+	// latency is the shard's router.shard.<name>.latency_ns histogram,
+	// nil without a metrics registry.
+	latency *obs.Histogram
 }
 
 // newDataset parses a validated map into its runtime form, one backend
-// per shard (two shards on the same address get independent
-// connections — a wire client serialises requests per connection, and
-// scatter legs must not serialise behind each other).
+// (connection pool and breaker) per shard, two shards on the same
+// address included.
 func newDataset(m *MapFile, cfg Config) (*dataset, error) {
 	kind, err := curve.ParseKind(m.Curve)
 	if err != nil {
@@ -239,8 +243,9 @@ func newDataset(m *MapFile, cfg Config) (*dataset, error) {
 		enc:     enc,
 		wireMap: m.ToWire(),
 	}
-	for _, s := range m.Shards {
+	for i, s := range m.Shards {
 		ds.shards = append(ds.shards, &shard{
+			index:   i,
 			name:    s.Name,
 			idBase:  s.IDBase,
 			count:   s.Count,
@@ -248,6 +253,7 @@ func newDataset(m *MapFile, cfg Config) (*dataset, error) {
 			hiKey:   s.HiKey,
 			mbr:     geom.Rect{Lo: s.MBRLo, Hi: s.MBRHi},
 			backend: newBackend(s.Name, s.Addr, cfg),
+			latency: cfg.Metrics.Histogram("router.shard."+s.Name+".latency_ns", obs.LatencyBuckets()),
 		})
 	}
 	return ds, nil
