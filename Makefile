@@ -118,14 +118,16 @@ bench-ab:
 trace-smoke:
 	$(GO) test -run TestTraceSmoke -v ./internal/bench
 
-# race-sched runs the scheduler, fused-leaf-join and batch-kernel suites
-# and the engine-vs-reference differential (serial and ordered-parallel
-# against internal/paperref) under the race detector, plus one iteration
-# of the AkNN leaf-join benchmark — the fast, targeted version of `make
-# race` for iterating on internal/core/parallel.go and mba.go.
+# race-sched runs the scheduler (claim order, interleaved splits, the
+# parked-rows window, the emit-error and parked-cancel stops),
+# fused-leaf-join and batch-kernel suites and the engine-vs-reference
+# differential (serial and ordered-parallel against internal/paperref)
+# under the race detector, plus one iteration of the AkNN leaf-join and
+# peak-heap benchmarks — the fast, targeted version of `make race` for
+# iterating on internal/core/parallel.go and mba.go.
 race-sched:
 	$(GO) vet ./internal/core ./internal/geom ./internal/paperref
-	$(GO) test -race -run 'Scheduler|EmitTree|Parallel|BatchLeafJoin|FusedLeaf|DistSqBlock|CoreMatchesPaperRef' -bench 'LeafJoinAkNN' -benchtime 1x -count=1 ./internal/core ./internal/geom ./internal/paperref
+	$(GO) test -race -run 'Scheduler|EmitTree|Parallel|CancelParked|BatchLeafJoin|FusedLeaf|DistSqBlock|CoreMatchesPaperRef' -bench 'LeafJoinAkNN|JoinPeakHeap' -benchtime 1x -count=1 ./internal/core ./internal/geom ./internal/paperref
 
 # bench-approx collects the approximate-mode sweep (ε ladder, recall
 # targets, the oracle-seeded ceiling row) at the paper scale, scoring

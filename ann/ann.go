@@ -200,26 +200,17 @@ func (cfg QueryConfig) observed() bool {
 	return cfg.TraceOut != nil || cfg.Metrics != nil || cfg.OnReport != nil
 }
 
-// Neighbor is one neighbor in a query result.
-type Neighbor struct {
-	// ID is the neighbor's position in the target dataset.
-	ID ObjectID
-	// Point is the neighbor's coordinates.
-	Point Point
-	// Dist is the Euclidean distance from the query point.
-	Dist float64
-}
+// Neighbor is one neighbor in a query result: ID is the neighbor's
+// position in the target dataset, Point its coordinates and Dist the
+// Euclidean distance from the query point. It is the engine's own row
+// type, so a streamed join hands the caller the rows the leaf join built.
+type Neighbor = core.Neighbor
 
-// Result lists the neighbors of one query point, ascending by distance.
-type Result struct {
-	// ID is the query point's position in the query dataset.
-	ID ObjectID
-	// Point is the query point's coordinates.
-	Point Point
-	// Neighbors holds the k nearest target points (fewer if the target
-	// dataset is smaller).
-	Neighbors []Neighbor
-}
+// Result lists the neighbors of one query point, ascending by distance:
+// ID is the query point's position in the query dataset, Point its
+// coordinates, and Neighbors holds the k nearest target points (fewer if
+// the target dataset is smaller).
+type Result = core.Result
 
 // Index is a dataset indexed for ANN processing. The query methods and
 // the package-level query functions are safe for concurrent use on a
@@ -562,19 +553,8 @@ func run(ctx context.Context, r, s *Index, k int, cfg QueryConfig, excludeSelf b
 		sv, sTree = s.acquire()
 		defer s.release(sv)
 	}
-	coreEmit := func(res core.Result) error {
-		out := Result{
-			ID:        uint64(res.Object),
-			Point:     Point(res.Point),
-			Neighbors: make([]Neighbor, len(res.Neighbors)),
-		}
-		for i, n := range res.Neighbors {
-			out.Neighbors[i] = Neighbor{ID: uint64(n.Object), Point: Point(n.Point), Dist: n.Dist}
-		}
-		return emit(out)
-	}
 	if !cfg.observed() {
-		_, err := core.RunContext(ctx, rTree, sTree, opts, coreEmit)
+		_, err := core.RunContext(ctx, rTree, sTree, opts, emit)
 		return err
 	}
 	var tracer *obs.Tracer
@@ -583,7 +563,7 @@ func run(ctx context.Context, r, s *Index, k int, cfg QueryConfig, excludeSelf b
 	}
 	opts.Tracer = tracer
 	opts.Registry = cfg.Metrics.registry()
-	rep, err := core.RunReportContext(ctx, rTree, sTree, opts, coreEmit)
+	rep, err := core.RunReportContext(ctx, rTree, sTree, opts, emit)
 	if cfg.TraceOut != nil {
 		if werr := tracer.WriteJSON(cfg.TraceOut); werr != nil && err == nil {
 			err = werr

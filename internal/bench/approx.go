@@ -356,9 +356,9 @@ func timedCollect(ir, is index.Tree, pool *storage.BufferPool, opts core.Options
 	pool.ResetStats()
 	start := time.Now()
 	stats, err := core.Run(ir, is, opts, func(r core.Result) error {
-		write(uint64(r.Object))
+		write(r.ID)
 		for _, n := range r.Neighbors {
-			write(uint64(n.Object))
+			write(n.ID)
 			write(math.Float64bits(n.Dist))
 		}
 		run.results = append(run.results, r)
@@ -407,7 +407,7 @@ func parallelOracle(pts []geom.Point, k int) []bruteforce.Result {
 func scoreAgainstOracle(results []core.Result, oracle []bruteforce.Result) (recall, maxRatio float64) {
 	byObject := make([]*core.Result, len(oracle))
 	for i := range results {
-		byObject[results[i].Object] = &results[i]
+		byObject[results[i].ID] = &results[i]
 	}
 	hits, total := 0, 0
 	maxRatio = 1

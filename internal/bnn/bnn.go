@@ -139,12 +139,12 @@ func assembleResult(id index.ObjectID, pt geom.Point, res []index.QueryResult, o
 			break
 		}
 		neighbors = append(neighbors, core.Neighbor{
-			Object: n.Object,
-			Point:  n.Point,
-			Dist:   math.Sqrt(n.DistSq),
+			ID:    uint64(n.Object),
+			Point: n.Point,
+			Dist:  math.Sqrt(n.DistSq),
 		})
 	}
-	return core.Result{Object: id, Point: pt, Neighbors: neighbors}
+	return core.Result{ID: uint64(id), Point: pt, Neighbors: neighbors}
 }
 
 // BNN runs the batched baseline: query points are grouped in curve order

@@ -69,19 +69,19 @@ func checkAgainstBrute(t *testing.T, run runner, rPts, sPts []geom.Point, opts O
 	if len(got) != len(want) {
 		t.Fatalf("got %d results, want %d", len(got), len(want))
 	}
-	sort.Slice(got, func(a, b int) bool { return got[a].Object < got[b].Object })
+	sort.Slice(got, func(a, b int) bool { return got[a].ID < got[b].ID })
 	for i := range want {
 		g, w := got[i], want[i]
-		if g.Object != w.Object {
-			t.Fatalf("result %d for object %d, want %d", i, g.Object, w.Object)
+		if g.ID != uint64(w.Object) {
+			t.Fatalf("result %d for object %d, want %d", i, g.ID, w.Object)
 		}
 		if len(g.Neighbors) != len(w.Neighbors) {
-			t.Fatalf("object %d: %d neighbors, want %d", g.Object, len(g.Neighbors), len(w.Neighbors))
+			t.Fatalf("object %d: %d neighbors, want %d", g.ID, len(g.Neighbors), len(w.Neighbors))
 		}
 		for n := range w.Neighbors {
 			if math.Abs(g.Neighbors[n].Dist-w.Neighbors[n].Dist) > tol {
 				t.Fatalf("object %d neighbor %d: dist %g, want %g",
-					g.Object, n, g.Neighbors[n].Dist, w.Neighbors[n].Dist)
+					g.ID, n, g.Neighbors[n].Dist, w.Neighbors[n].Dist)
 			}
 		}
 	}

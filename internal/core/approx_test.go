@@ -26,9 +26,9 @@ func hashRun(t *testing.T, ir, is index.Tree, opts Options) (uint64, Stats) {
 		h.Write(word[:])
 	}
 	stats, err := Run(ir, is, opts, func(r Result) error {
-		write(uint64(r.Object))
+		write(r.ID)
 		for _, n := range r.Neighbors {
-			write(uint64(n.Object))
+			write(n.ID)
 			write(math.Float64bits(n.Dist))
 		}
 		return nil
@@ -113,21 +113,21 @@ func TestApproxContract(t *testing.T) {
 				if len(got) != len(want) {
 					t.Fatalf("eps=%g: %d results, want %d", eps, len(got), len(want))
 				}
-				sort.Slice(got, func(a, b int) bool { return got[a].Object < got[b].Object })
+				sort.Slice(got, func(a, b int) bool { return got[a].ID < got[b].ID })
 				limit := (1 + eps) * (1 + 1e-9)
 				for i := range want {
 					g, w := got[i], want[i]
-					if g.Object != w.Object {
-						t.Fatalf("eps=%g: result %d is for object %d, want %d", eps, i, g.Object, w.Object)
+					if g.ID != uint64(w.Object) {
+						t.Fatalf("eps=%g: result %d is for object %d, want %d", eps, i, g.ID, w.Object)
 					}
 					if len(g.Neighbors) != len(w.Neighbors) {
 						t.Fatalf("eps=%g: object %d got %d neighbors, want %d (starved)",
-							eps, g.Object, len(g.Neighbors), len(w.Neighbors))
+							eps, g.ID, len(g.Neighbors), len(w.Neighbors))
 					}
 					for n := range w.Neighbors {
 						if g.Neighbors[n].Dist > w.Neighbors[n].Dist*limit {
 							t.Fatalf("eps=%g: object %d rank %d dist %g breaks the contract vs true %g",
-								eps, g.Object, n, g.Neighbors[n].Dist, w.Neighbors[n].Dist)
+								eps, g.ID, n, g.Neighbors[n].Dist, w.Neighbors[n].Dist)
 						}
 					}
 				}
@@ -140,7 +140,7 @@ func TestApproxContract(t *testing.T) {
 // rank n counts as correct when its distance is no farther than the true
 // rank-n distance (up to float tolerance), which is tie-insensitive.
 func measuredRecall(got []Result, want []bruteforce.Result) float64 {
-	sort.Slice(got, func(a, b int) bool { return got[a].Object < got[b].Object })
+	sort.Slice(got, func(a, b int) bool { return got[a].ID < got[b].ID })
 	hits, total := 0, 0
 	for i := range want {
 		for n := range want[i].Neighbors {
@@ -173,7 +173,7 @@ func TestApproxRecallTarget(t *testing.T) {
 				}
 				for _, g := range got {
 					if len(g.Neighbors) != 2 {
-						t.Fatalf("rt=%g: object %d got %d neighbors, want 2", rt, g.Object, len(g.Neighbors))
+						t.Fatalf("rt=%g: object %d got %d neighbors, want 2", rt, g.ID, len(g.Neighbors))
 					}
 				}
 				if rec := measuredRecall(got, want); rec < rt {

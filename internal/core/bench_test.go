@@ -3,7 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/metrics"
 	"testing"
+	"time"
 
 	"allnn/internal/datagen"
 	"allnn/internal/geom"
@@ -126,5 +129,63 @@ func BenchmarkLeafJoinAkNN(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkJoinPeakHeap is the memory row of the parallel join: the
+// benchmark spine's aknn_fc_mem shape (FC-like 40 K x 10-D self-join, two
+// workers) with the rows thrown away, so what it holds is the engine's
+// own. peak-heap-MB is the largest heap (live objects plus garbage not
+// yet swept) seen by a 1 ms sampler during the timed joins; B/row is bytes
+// allocated per emitted row. Ordered emit should sit a parked window above
+// unordered, not a share of the answer.
+func BenchmarkJoinPeakHeap(b *testing.B) {
+	tree := fcTree(b, 40000)
+	const heapBytes, allocBytes = "/memory/classes/heap/objects:bytes", "/gc/heap/allocs:bytes"
+	read := func(name string) uint64 {
+		s := []metrics.Sample{{Name: name}}
+		metrics.Read(s)
+		return s[0].Value.Uint64()
+	}
+	for _, k := range []int{10, 50} {
+		for _, mode := range []string{"ordered", "unordered"} {
+			b.Run(fmt.Sprintf("k=%d/%s", k, mode), func(b *testing.B) {
+				opts := Options{K: k, ExcludeSelf: true, Parallelism: 2, OrderedEmit: mode == "ordered"}
+				rows := 0
+				emit := func(Result) error { rows++; return nil }
+				if _, err := Run(tree, tree, opts, emit); err != nil {
+					b.Fatal(err)
+				}
+				runtime.GC()
+				rows = 0
+				stop, sampled := make(chan struct{}), make(chan uint64)
+				go func() {
+					tick := time.NewTicker(time.Millisecond)
+					defer tick.Stop()
+					peak := read(heapBytes)
+					for {
+						select {
+						case <-tick.C:
+							peak = max(peak, read(heapBytes))
+						case <-stop:
+							sampled <- peak
+							return
+						}
+					}
+				}()
+				allocated := read(allocBytes)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := Run(tree, tree, opts, emit); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				allocated = read(allocBytes) - allocated
+				close(stop)
+				b.ReportMetric(float64(<-sampled)/1e6, "peak-heap-MB")
+				b.ReportMetric(float64(allocated)/float64(rows), "B/row")
+			})
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -204,6 +206,59 @@ func TestCancelReportCoversPartialWork(t *testing.T) {
 	}
 	if rep.Timings.Wall <= 0 {
 		t.Fatalf("report wall time %v, want > 0", rep.Timings.Wall)
+	}
+	storage.RequireNoPinnedFrames(t, pool)
+}
+
+// TestCancelParkedWorker cancels an ordered parallel join whose consumer
+// is stuck in its first callback, so that the other workers have run into
+// the parked-rows window and wait there: the join must return the
+// context's error with no goroutine left behind and no frame pinned.
+func TestCancelParkedWorker(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	pts := uniformPoints(rng, 20000, 2, 1000)
+	tree, pool := buildSlowTree(t, pts, 0)
+	ir := &leafRows{Tree: tree}
+	goroutines := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var emitted atomic.Int64
+	first := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunContext(ctx, ir, tree, Options{
+			ExcludeSelf:    true,
+			Parallelism:    4,
+			OrderedEmit:    true,
+			NodeCacheBytes: NodeCacheDisabled,
+		}, func(Result) error {
+			if emitted.Add(1) == 1 {
+				close(first)
+				<-ctx.Done()
+			}
+			return nil
+		})
+		done <- err
+	}()
+	<-first
+	ahead := settle(t, func() int64 { return ir.rows.Load() - emitted.Load() }, func(int64) {})
+	if produced := ir.rows.Load(); ahead <= 0 || produced >= int64(len(pts)) {
+		t.Fatalf("%d of %d rows produced, %d ahead of the consumer: no worker is waiting on the window", produced, len(pts), ahead)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("join did not return after the cancellation")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left, %d before the join", runtime.NumGoroutine(), goroutines)
+		}
 	}
 	storage.RequireNoPinnedFrames(t, pool)
 }

@@ -155,7 +155,7 @@ func TestFusedLeafAtomicTask(t *testing.T) {
 				t.Fatalf("%s: unordered parallel=%d emitted %d rows, want %d", c.name, par, len(unordered), len(sorted))
 			}
 			for i := range sorted {
-				if unordered[i].Object != sorted[i].Object || len(unordered[i].Neighbors) != len(sorted[i].Neighbors) {
+				if unordered[i].ID != sorted[i].ID || len(unordered[i].Neighbors) != len(sorted[i].Neighbors) {
 					t.Fatalf("%s: unordered parallel=%d row %d differs", c.name, par, i)
 				}
 			}

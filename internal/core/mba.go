@@ -142,9 +142,7 @@ func RunContext(ctx context.Context, ir, is index.Tree, opts Options, emit func(
 		return stats, e.emitEmpty(&rootR)
 	}
 
-	root := newLPQ(&rootR, infinity, opts.effectiveK(), e.shrink, e.stats)
-	stats.DistanceCalcs++
-	root.enqueue(lpqItem{e: &rootS, mind: e.minDist(&rootR, &rootS), maxd: e.maxDist(&rootR, &rootS)})
+	root := e.seedRoot(&rootR, &rootS)
 	if obsOn {
 		now := time.Now()
 		tr.Complete("seed", obs.TidMain, tMark, now, "", 0)
@@ -190,7 +188,10 @@ type engine struct {
 	ir, is index.Tree
 	opts   Options
 	emit   func(Result) error
-	stats  *Stats
+	// leafDone, when set, runs after each I_R leaf's rows went to emit: the
+	// ordered parallel executor hands them on here.
+	leafDone func() error
+	stats    *Stats
 
 	// shrink is Options.approxShrink() — the squared-space multiplier
 	// applied to admission-side pruning bounds in approximate mode.
@@ -198,10 +199,11 @@ type engine struct {
 	// is gated behind a `shrink != 1` test and the hot path is unchanged.
 	shrink float64
 
-	// Cancellation: cancelled is the shared flag the RunContext watcher
-	// goroutine flips (nil when the context can never be cancelled, so the
+	// Cancellation: cancelled is the flag the RunContext watcher goroutine
+	// flips (nil when the context can never be cancelled, so the
 	// paper-configuration hot path stays free of it); ctx supplies the
-	// error to surface. Parallel workers share both.
+	// error to surface. A parallel worker polls its scheduler's stop flag
+	// here instead, which cancellation and any worker's failure both set.
 	ctx       context.Context
 	cancelled *atomic.Bool
 
@@ -223,16 +225,28 @@ type engine struct {
 	sched SchedStats
 }
 
+// seedRoot is Algorithm 2's first step: the root of I_R owns an LPQ
+// holding the root of I_S.
+func (e *engine) seedRoot(rootR, rootS *index.Entry) *lpq {
+	root := newLPQ(rootR, infinity, e.opts.effectiveK(), e.shrink, e.stats)
+	e.stats.DistanceCalcs++
+	root.enqueue(lpqItem{e: rootS, mind: e.minDist(rootR, rootS), maxd: e.maxDist(rootR, rootS)})
+	return root
+}
+
 // obsOn reports whether the engine records spans or stage timings.
 func (e *engine) obsOn() bool { return e.tr != nil || e.tm != nil }
 
-// checkCancel returns the context's error once the watcher has flipped
-// the shared flag, nil otherwise. One atomic load when a cancellable
-// context is attached, one nil check when not — cheap enough for every
-// traversal loop to poll.
+// checkCancel returns the context's error once the cancelled flag is up
+// (errStopped when a parallel run stopped for another reason), nil
+// otherwise. One atomic load when a flag is attached, one nil check when
+// not — cheap enough for every traversal loop to poll.
 func (e *engine) checkCancel() error {
 	if e.cancelled != nil && e.cancelled.Load() {
-		return e.ctx.Err()
+		if err := e.ctx.Err(); err != nil {
+			return err
+		}
+		return errStopped
 	}
 	return nil
 }
@@ -915,12 +929,15 @@ func (e *engine) emitLeaf() error {
 			if len(neighbors) == e.opts.K {
 				break
 			}
-			neighbors = append(neighbors, Neighbor{Object: c.Object, Point: c.Point, Dist: math.Sqrt(d)})
+			neighbors = append(neighbors, Neighbor{ID: uint64(c.Object), Point: c.Point, Dist: math.Sqrt(d)})
 		}
 		e.stats.Results++
-		if err := e.emit(Result{Object: r.Object, Point: r.Point, Neighbors: neighbors}); err != nil {
+		if err := e.emit(Result{ID: uint64(r.Object), Point: r.Point, Neighbors: neighbors}); err != nil {
 			return err
 		}
+	}
+	if e.leafDone != nil {
+		return e.leafDone()
 	}
 	return nil
 }
@@ -933,7 +950,7 @@ func (e *engine) emitEmpty(entry *index.Entry) error {
 	}
 	if entry.IsObject() {
 		e.stats.Results++
-		return e.emit(Result{Object: entry.Object, Point: entry.Point})
+		return e.emit(Result{ID: uint64(entry.Object), Point: entry.Point})
 	}
 	if entry.Count == 0 {
 		return nil

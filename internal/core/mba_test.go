@@ -82,21 +82,21 @@ func checkAgainstBrute(t *testing.T, ir, is index.Tree, rPts, sPts []geom.Point,
 	if len(got) != len(want) {
 		t.Fatalf("engine returned %d results, want %d", len(got), len(want))
 	}
-	sort.Slice(got, func(a, b int) bool { return got[a].Object < got[b].Object })
+	sort.Slice(got, func(a, b int) bool { return got[a].ID < got[b].ID })
 	for i := range want {
 		g, w := got[i], want[i]
-		if g.Object != w.Object {
-			t.Fatalf("result %d is for object %d, want %d", i, g.Object, w.Object)
+		if g.ID != uint64(w.Object) {
+			t.Fatalf("result %d is for object %d, want %d", i, g.ID, w.Object)
 		}
 		if len(g.Neighbors) != len(w.Neighbors) {
-			t.Fatalf("object %d has %d neighbors, want %d", g.Object, len(g.Neighbors), len(w.Neighbors))
+			t.Fatalf("object %d has %d neighbors, want %d", g.ID, len(g.Neighbors), len(w.Neighbors))
 		}
 		for n := range w.Neighbors {
 			// Distances must match exactly up to float tolerance (the ids
 			// may differ under ties).
 			if math.Abs(g.Neighbors[n].Dist-w.Neighbors[n].Dist) > tol {
 				t.Fatalf("object %d neighbor %d dist %g, want %g",
-					g.Object, n, g.Neighbors[n].Dist, w.Neighbors[n].Dist)
+					g.ID, n, g.Neighbors[n].Dist, w.Neighbors[n].Dist)
 			}
 		}
 	}
@@ -175,11 +175,11 @@ func TestSelfJoinWithDuplicatePoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Slice(got, func(a, b int) bool { return got[a].Object < got[b].Object })
+	sort.Slice(got, func(a, b int) bool { return got[a].ID < got[b].ID })
 	if got[0].Neighbors[0].Dist != 0 || got[1].Neighbors[0].Dist != 0 {
 		t.Fatalf("coincident twins should be distance 0: %+v %+v", got[0], got[1])
 	}
-	if got[0].Neighbors[0].Object == 0 {
+	if got[0].Neighbors[0].ID == 0 {
 		t.Fatal("object 0 returned itself as neighbor")
 	}
 }
@@ -289,7 +289,7 @@ func TestEmptyTargetIndex(t *testing.T) {
 	}
 	for _, r := range got {
 		if len(r.Neighbors) != 0 {
-			t.Fatalf("object %d has neighbors from an empty index", r.Object)
+			t.Fatalf("object %d has neighbors from an empty index", r.ID)
 		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"math"
 
 	"allnn/internal/geom"
-	"allnn/internal/index"
 	"allnn/internal/obs"
 )
 
@@ -78,12 +77,13 @@ type Options struct {
 	// through the shared storage.BufferPool, which is safe for concurrent
 	// readers.
 	Parallelism int
-	// OrderedEmit buffers each parallel subtree's results and releases
-	// them in index traversal order, making parallel output identical to
-	// the serial engine's, at the cost of buffering subtrees that finish
-	// out of turn. Without it results are emitted (mutex-serialised) as
-	// soon as workers produce them, in scheduling-dependent order — the
-	// fastest mode. No effect when Parallelism <= 1.
+	// OrderedEmit releases parallel results in index traversal order,
+	// making parallel output identical to the serial engine's: the worker
+	// on the earliest unfinished subtree streams its rows as it joins them,
+	// and the others park theirs, up to a bounded window, until the stream
+	// reaches them. Without it results are emitted (mutex-serialised) as
+	// soon as workers produce them, in scheduling-dependent order. No
+	// effect when Parallelism <= 1.
 	OrderedEmit bool
 	// NodeCacheBytes bounds the decoded-node cache Run attaches to each
 	// index that supports one (see index.NodeCacher): 0 selects
@@ -109,7 +109,7 @@ type Options struct {
 	Registry *obs.Registry
 	// Sched, when non-nil, accumulates the execution's scheduling and
 	// batch-kernel activity (see SchedStats). Unlike Stats these numbers
-	// are not invariant across serial and parallel execution — steal and
+	// are not invariant across serial and parallel execution — task and
 	// split counts depend on timing — which is why they live outside
 	// Stats and its parity guarantees. RunReport sets this to collect
 	// QueryReport.Sched.
@@ -215,18 +215,27 @@ func (o Options) effectiveK() int {
 	return k
 }
 
-// Neighbor is one neighbor of a query object.
+// Neighbor is one neighbor in a query result. It is the row type all the
+// way out: ann.Neighbor is an alias of it, so a row is built once, by the
+// leaf join, in the form the caller reads.
 type Neighbor struct {
-	Object index.ObjectID
-	Point  geom.Point
-	Dist   float64
+	// ID is the neighbor's position in the target dataset.
+	ID uint64
+	// Point is the neighbor's coordinates.
+	Point []float64
+	// Dist is the Euclidean distance from the query point.
+	Dist float64
 }
 
-// Result groups the neighbors found for one query object. For ANN (k=1)
-// Neighbors has exactly one element (unless the target set is smaller).
+// Result lists the neighbors of one query point, ascending by distance
+// (ann.Result is an alias of it).
 type Result struct {
-	Object    index.ObjectID
-	Point     geom.Point
+	// ID is the query point's position in the query dataset.
+	ID uint64
+	// Point is the query point's coordinates.
+	Point []float64
+	// Neighbors holds the k nearest target points (fewer if the target
+	// dataset is smaller).
 	Neighbors []Neighbor
 }
 
@@ -297,17 +306,19 @@ func (s *Stats) Add(other Stats) {
 
 // SchedStats counts the parallel executor's scheduling decisions and the
 // leaf join's batch-kernel throughput. It is diagnostic, not semantic:
-// Tasks/Steals/Splits vary run to run with goroutine timing, and the
-// kernel counters depend on batching boundaries — so none of this
-// belongs in Stats, whose serial/parallel parity is tested. A serial run
-// reports zero Tasks/Steals/Splits and whatever kernel batching the leaf
-// join performed.
+// Tasks/Splits vary run to run with goroutine timing, and the kernel
+// counters depend on batching boundaries — so none of this belongs in
+// Stats, whose serial/parallel parity is tested. A serial run reports
+// zero Tasks/Splits and whatever kernel batching the leaf join performed.
 type SchedStats struct {
 	// Tasks counts subtree tasks drained to completion by workers
 	// (frontier subtrees plus split-produced children; splits themselves
 	// are counted separately).
 	Tasks uint64 `json:"tasks"`
-	// Steals counts tasks a worker took from another worker's deque.
+	// Steals is always 0: the workers share one task stack, so there is
+	// nothing to steal. The field stays because the wire report
+	// (wire.Report.SchedSteals), the "engine.sched_steals" counter and the
+	// benchmark's core.sched_steals name it.
 	Steals uint64 `json:"steals"`
 	// Splits counts oversized subtree tasks re-expanded into child tasks
 	// instead of being drained in place.

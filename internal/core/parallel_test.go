@@ -23,7 +23,7 @@ func collectWith(t *testing.T, ir, is index.Tree, opts Options) ([]Result, Stats
 }
 
 func sortByObject(rs []Result) {
-	sort.Slice(rs, func(a, b int) bool { return rs[a].Object < rs[b].Object })
+	sort.Slice(rs, func(a, b int) bool { return rs[a].ID < rs[b].ID })
 }
 
 // normalizeCacheCounters folds the node-cache hit/miss split into a single
@@ -133,24 +133,37 @@ func TestParallelHigherDim(t *testing.T) {
 }
 
 // TestParallelEmitError verifies that an error returned by the emit
-// callback aborts a parallel run and propagates to the caller.
+// callback aborts a parallel run and propagates to the caller, that the
+// callback is not invoked again, and that the producers stop at their
+// next leaf, not their next task: after the failing row each worker joins
+// at most the one leaf it had already passed the stop check for.
 func TestParallelEmitError(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	pts := uniformPoints(rng, 600, 2, 100)
+	pts := uniformPoints(rng, 20000, 2, 100)
 	tree := buildMBRQT(t, pts)
 	sentinel := errors.New("stop here")
+	const workers, leafRowsMax = 4, 16 // buildMBRQT's bucket capacity
 	for _, ordered := range []bool{true, false} {
-		seen := 0
-		_, err := Run(tree, tree, Options{Parallelism: 4, OrderedEmit: ordered, ExcludeSelf: true},
+		ir := &leafRows{Tree: tree}
+		seen, failedAt := 0, int64(-1)
+		_, err := Run(ir, tree, Options{Parallelism: workers, OrderedEmit: ordered, ExcludeSelf: true},
 			func(Result) error {
+				if failedAt >= 0 {
+					t.Errorf("ordered=%v: emit called again after it failed", ordered)
+				}
 				seen++
 				if seen > 10 {
+					failedAt = ir.rows.Load()
 					return sentinel
 				}
 				return nil
 			})
 		if !errors.Is(err, sentinel) {
 			t.Fatalf("ordered=%v: err = %v, want sentinel", ordered, err)
+		}
+		if after := ir.rows.Load() - failedAt; after > workers*leafRowsMax {
+			t.Fatalf("ordered=%v: %d rows produced after the failing one, want at most %d (one leaf per worker)",
+				ordered, after, workers*leafRowsMax)
 		}
 	}
 }

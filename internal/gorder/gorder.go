@@ -89,7 +89,7 @@ func Join(r, s Dataset, pool *storage.BufferPool, opts Options, emit func(core.R
 	}
 	if len(s.Points) == 0 {
 		for i := range r.Points {
-			if err := emit(core.Result{Object: r.IDs[i], Point: r.Points[i]}); err != nil {
+			if err := emit(core.Result{ID: uint64(r.IDs[i]), Point: r.Points[i]}); err != nil {
 				return stats, err
 			}
 		}
@@ -259,12 +259,12 @@ func joinChunk(pool *storage.BufferPool, fileR, fileS *pagedFile, chunkStart, ch
 			neighbors := make([]core.Neighbor, 0, len(items))
 			for _, it := range items {
 				neighbors = append(neighbors, core.Neighbor{
-					Object: it.Value,
-					Point:  sLookup[it.Value],
-					Dist:   math.Sqrt(it.Key),
+					ID:    uint64(it.Value),
+					Point: sLookup[it.Value],
+					Dist:  math.Sqrt(it.Key),
 				})
 			}
-			if err := emit(core.Result{Object: q.id, Point: rLookup[q.id], Neighbors: neighbors}); err != nil {
+			if err := emit(core.Result{ID: uint64(q.id), Point: rLookup[q.id], Neighbors: neighbors}); err != nil {
 				return err
 			}
 		}

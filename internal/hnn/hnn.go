@@ -93,7 +93,7 @@ func Join(r, s Dataset, pool *storage.BufferPool, opts Options, emit func(core.R
 	}
 	if len(s.Points) == 0 {
 		for i := range r.Points {
-			if err := emit(core.Result{Object: r.IDs[i], Point: r.Points[i]}); err != nil {
+			if err := emit(core.Result{ID: uint64(r.IDs[i]), Point: r.Points[i]}); err != nil {
 				return stats, err
 			}
 		}
@@ -275,12 +275,12 @@ func (g *grid) search(pool *storage.BufferPool, buckets map[uint64]*bucket,
 			break
 		}
 		neighbors = append(neighbors, core.Neighbor{
-			Object: it.Value.Object,
-			Point:  it.Value.Point,
-			Dist:   math.Sqrt(it.Key),
+			ID:    uint64(it.Value.Object),
+			Point: it.Value.Point,
+			Dist:  math.Sqrt(it.Key),
 		})
 	}
-	return core.Result{Object: id, Point: pt, Neighbors: neighbors}, nil
+	return core.Result{ID: uint64(id), Point: pt, Neighbors: neighbors}, nil
 }
 
 // forEachRingCell visits every in-bounds cell at Chebyshev distance ring

@@ -206,9 +206,9 @@ func (r *run) gather(q *lpq) error {
 		if len(neighbors) == r.k {
 			break
 		}
-		neighbors = append(neighbors, core.Neighbor{Object: it.Value.Object, Point: it.Value.Point, Dist: math.Sqrt(it.Key)})
+		neighbors = append(neighbors, core.Neighbor{ID: uint64(it.Value.Object), Point: it.Value.Point, Dist: math.Sqrt(it.Key)})
 	}
-	return r.emit(core.Result{Object: me.Object, Point: me.Point, Neighbors: neighbors})
+	return r.emit(core.Result{ID: uint64(me.Object), Point: me.Point, Neighbors: neighbors})
 }
 
 // item is one candidate entry of I_S queued in an LPQ with its squared

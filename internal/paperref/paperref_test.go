@@ -89,9 +89,9 @@ func (rh *rowHasher) write(v uint64) {
 }
 
 func (rh *rowHasher) emit(r core.Result) error {
-	rh.write(uint64(r.Object))
+	rh.write(r.ID)
 	for _, n := range r.Neighbors {
-		rh.write(uint64(n.Object))
+		rh.write(n.ID)
 		rh.write(math.Float64bits(n.Dist))
 	}
 	return nil
@@ -207,16 +207,16 @@ func TestAgreesWithBruteForce(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("%d rows, want %d", len(got), len(want))
 		}
-		sort.Slice(got, func(a, b int) bool { return got[a].Object < got[b].Object })
+		sort.Slice(got, func(a, b int) bool { return got[a].ID < got[b].ID })
 		for i, w := range want {
 			g := got[i]
-			if g.Object != w.Object || len(g.Neighbors) != len(w.Neighbors) {
+			if g.ID != uint64(w.Object) || len(g.Neighbors) != len(w.Neighbors) {
 				t.Fatalf("row %d: object %d with %d neighbors, want object %d with %d",
-					i, g.Object, len(g.Neighbors), w.Object, len(w.Neighbors))
+					i, g.ID, len(g.Neighbors), w.Object, len(w.Neighbors))
 			}
 			for n := range w.Neighbors {
 				if math.Abs(g.Neighbors[n].Dist-w.Neighbors[n].Dist) > 1e-9 {
-					t.Fatalf("object %d neighbor %d at %g, want %g", g.Object, n, g.Neighbors[n].Dist, w.Neighbors[n].Dist)
+					t.Fatalf("object %d neighbor %d at %g, want %g", g.ID, n, g.Neighbors[n].Dist, w.Neighbors[n].Dist)
 				}
 			}
 		}

@@ -342,7 +342,7 @@ func (r *Router) handleJoin(ctx context.Context, hdr wire.RequestHeader, req *wi
 		extraMu.Lock()
 		for i, ref := range refs {
 			home := &perShard[ref.shard]
-			home.extra[ref.pos] = append(home.extra[ref.pos], translate(s, res[i].Neighbors)...)
+			home.extra[ref.pos] = appendTranslated(home.extra[ref.pos], s, res[i].Neighbors)
 		}
 		extraMu.Unlock()
 		return nil
@@ -353,7 +353,9 @@ func (r *Router) handleJoin(ctx context.Context, hdr wire.RequestHeader, req *wi
 	// Merge and emit in ascending global id order: shards in shard
 	// order, points in local order.
 	r.mergeStreams.Observe(float64(len(ds.shards)))
+	// One neighbor slab per frame, reset once w.send has encoded it.
 	frame := wire.JoinFrame{Results: make([]wire.Result, 0, joinFrameResults)}
+	var slab []wire.Neighbor
 	var total uint64
 	flush := func() error {
 		if len(frame.Results) == 0 {
@@ -361,16 +363,17 @@ func (r *Router) handleJoin(ctx context.Context, hdr wire.RequestHeader, req *wi
 		}
 		err := w.send(hdr.ID, wire.KindStream, hdr.Op, &frame)
 		frame.Results = frame.Results[:0]
+		slab = slab[:0]
 		return err
 	}
 	for si, s := range ds.shards {
 		for pos, res := range perShard[si].results {
-			cands := translate(s, res.Neighbors)
-			cands = append(cands, perShard[si].extra[pos]...)
-			sortNeighbors(cands)
-			if len(cands) > k {
-				cands = cands[:k]
-			}
+			base := len(slab)
+			slab = appendTranslated(slab, s, res.Neighbors)
+			slab = append(slab, perShard[si].extra[pos]...)
+			sortNeighbors(slab[base:])
+			slab = slab[:min(len(slab), base+k)]
+			cands := slab[base:len(slab):len(slab)]
 			total++
 			frame.Results = append(frame.Results, wire.Result{
 				ID:        res.ID + s.idBase,

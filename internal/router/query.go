@@ -67,11 +67,6 @@ func sortNeighbors(nbs []wire.Neighbor) {
 	})
 }
 
-// translate converts one shard's local-id neighbors to global ids.
-func translate(s *shard, nbs []ann.Neighbor) []wire.Neighbor {
-	return appendTranslated(make([]wire.Neighbor, 0, len(nbs)), s, nbs)
-}
-
 // appendTranslated appends one shard's neighbors, in global ids.
 func appendTranslated(dst []wire.Neighbor, s *shard, nbs []ann.Neighbor) []wire.Neighbor {
 	for _, n := range nbs {

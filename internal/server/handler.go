@@ -386,7 +386,10 @@ func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHea
 		return badRequest("indexes %q (dim %d) and %q (dim %d) do not join", req.R, rix.Dim(), req.S, six.Dim())
 	}
 
+	// One neighbor slab per frame: w.send encodes the frame before it
+	// returns, so flush hands the slab to the next frame's rows.
 	frame := wire.JoinFrame{Results: make([]wire.Result, 0, joinFrameResults)}
+	var slab []wire.Neighbor
 	var total uint64
 	flush := func() error {
 		if len(frame.Results) == 0 {
@@ -394,14 +397,17 @@ func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHea
 		}
 		err := w.send(hdr.ID, wire.KindStream, hdr.Op, &frame)
 		frame.Results = frame.Results[:0]
+		slab = slab[:0]
 		return err
 	}
 	emit := func(res ann.Result) error {
 		total++
+		base := len(slab)
+		slab = appendWireNeighbors(slab, res.Neighbors)
 		frame.Results = append(frame.Results, wire.Result{
 			ID:        res.ID,
 			Point:     res.Point,
-			Neighbors: toWireNeighbors(res.Neighbors),
+			Neighbors: slab[base:len(slab):len(slab)],
 		})
 		if len(frame.Results) >= joinFrameResults {
 			return flush()
@@ -498,7 +504,8 @@ func (s *Server) handlePairs(ctx context.Context, hdr wire.RequestHeader, req *w
 	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.PairsReply{Pairs: out})
 }
 
-// toWireNeighbors converts library neighbors to their wire form.
+// toWireNeighbors converts library neighbors to a wire-form slice of
+// their own.
 func toWireNeighbors(nbs []ann.Neighbor) []wire.Neighbor {
 	return appendWireNeighbors(make([]wire.Neighbor, 0, len(nbs)), nbs)
 }
