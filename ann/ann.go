@@ -128,9 +128,8 @@ var (
 )
 
 // ErrInvalidConfig is wrapped by every query-configuration validation
-// failure (negative Epsilon, RecallTarget outside (0,1], approximation
-// knobs passed to exact-only operations), so callers — and the serving
-// layer — can classify bad requests with errors.Is.
+// failure (a negative or non-finite Epsilon), so callers — and the
+// serving layer — can classify bad requests with errors.Is.
 var ErrInvalidConfig = core.ErrInvalidOptions
 
 // QueryConfig configures the ANN/AkNN execution.
@@ -176,23 +175,15 @@ type QueryConfig struct {
 	// OnReport, when non-nil, is called once after the query with the
 	// unified QueryReport (counters + timings) for this run.
 	OnReport func(QueryReport)
-	// Epsilon enables (1+ε)-approximate queries: every returned neighbor
-	// distance is guaranteed within (1+Epsilon) of the true k-th nearest
-	// distance, in exchange for fewer node expansions and distance
-	// computations. 0 (the default) is exact — and byte-identical to an
-	// exact run, not merely equal. Negative or non-finite values are
-	// rejected with ErrInvalidConfig. See DESIGN.md §14 for where the
-	// factor enters the pruning bounds.
+	// Epsilon enables (1+ε)-approximate joins: every returned neighbor
+	// distance is within (1+Epsilon) of the true distance at its rank,
+	// and every query point still gets its full k neighbors. It saves
+	// distance computations in the leaf join, not page reads — measured
+	// 1.0–1.03× (EXPERIMENTS.md "Approximate mode"). 0 (the default) is
+	// exact, byte-identical to a run without the field. Negative or
+	// non-finite values are rejected with ErrInvalidConfig. DESIGN.md §14
+	// has the one place the factor enters and the proof.
 	Epsilon float64
-	// RecallTarget, in (0,1), makes each leaf-level join serve the
-	// RecallTarget fraction of its query points with the tightest bounds
-	// exactly and let the rest ride along approximately (still receiving
-	// full k results), trading the widest points' tail work for bounded
-	// recall: measured recall ≥ RecallTarget per leaf when Epsilon is 0.
-	// 0 (the default) and 1 disable the selector. Values outside (0,1]
-	// are rejected with ErrInvalidConfig. Composes with Epsilon; the
-	// bench's approx experiment measures the combinations.
-	RecallTarget float64
 }
 
 // observed reports whether any observability output is requested.
@@ -536,7 +527,6 @@ func run(ctx context.Context, r, s *Index, k int, cfg QueryConfig, excludeSelf b
 		OrderedEmit:    !cfg.UnorderedEmit,
 		NodeCacheBytes: cfg.NodeCacheBytes,
 		Epsilon:        cfg.Epsilon,
-		RecallTarget:   cfg.RecallTarget,
 	}
 	if cfg.Metric == MaxMaxDist {
 		opts.Metric = core.MaxMaxDist

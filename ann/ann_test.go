@@ -223,7 +223,7 @@ func TestApproxConfig(t *testing.T) {
 	for _, cfg := range []QueryConfig{
 		{Epsilon: -0.1},
 		{Epsilon: math.NaN()},
-		{RecallTarget: 2},
+		{Epsilon: math.Inf(1)},
 	} {
 		if _, err := SelfAllKNearestNeighbors(ix, 1, cfg); !errors.Is(err, ErrInvalidConfig) {
 			t.Errorf("config %+v: got %v, want ErrInvalidConfig", cfg, err)

@@ -132,7 +132,7 @@ func (c *Client) begin(ctx context.Context, op wire.Op, body wire.Message, opts 
 	}
 	c.nextID++
 	hdr := wire.RequestHeader{ID: c.nextID, Op: op,
-		Epsilon: opts.Epsilon, RecallTarget: opts.RecallTarget,
+		Epsilon: opts.Epsilon,
 		TraceID: opts.TraceID, WantReport: opts.WantReport}
 	if dl, ok := ctx.Deadline(); ok {
 		hdr.Timeout = time.Until(dl)
@@ -456,19 +456,14 @@ type JoinStream struct {
 	closed bool
 }
 
-// JoinOptions carries the approximate-query knobs of a served join; see
-// ann.QueryConfig.Epsilon and ann.QueryConfig.RecallTarget. The zero
-// value requests the exact join every pre-extension client gets, and
-// encodes to the identical wire frame.
+// JoinOptions carries the per-request header fields of a served join:
+// the approximate-query knob (see ann.QueryConfig.Epsilon) and the trace
+// fields. The zero value requests the exact join and encodes to the
+// unextended wire frame.
 type JoinOptions struct {
 	// Epsilon requests a (1+ε)-approximate join: every returned distance
-	// is within (1+Epsilon) of the true k-th nearest distance. 0 is
-	// exact.
+	// is within (1+Epsilon) of the true distance at its rank. 0 is exact.
 	Epsilon float64
-	// RecallTarget, in (0,1), makes the server's leaf joins serve that
-	// fraction of each leaf's query points exactly and the rest
-	// approximately. 0 (and 1) is exact.
-	RecallTarget float64
 	// TraceID labels the request end to end: it appears in the server's
 	// structured logs, slow-query entries, /debug/requests rows and the
 	// returned report. Up to 128 printable non-space ASCII characters

@@ -39,7 +39,6 @@ func main() {
 		latency     = flag.Duration("latency", time.Millisecond, "modeled time per page transfer")
 		pool        = flag.Int("pool", 512*1024, "buffer pool size in bytes (experiments that vary it ignore this)")
 		seed        = flag.Int64("seed", 1, "dataset generator seed")
-		minRecall   = flag.Float64("min-recall", 0, "fail the approx experiment unless some approximate run reaches this measured recall (0 = no gate)")
 		jsonOut     = flag.String("json", "", "write a machine-readable summary here (approx and mba experiments)")
 		quiet       = flag.Bool("quiet", false, "suppress the per-measurement progress heartbeat on stderr")
 		tracePath   = flag.String("trace", "", "write a Chrome trace-event JSON of the traced experiment here (mba experiment; open at ui.perfetto.dev)")
@@ -84,7 +83,6 @@ func main() {
 		JSONPath:    *jsonOut,
 		TracePath:   *tracePath,
 		Metrics:     reg,
-		MinRecall:   *minRecall,
 	}
 	if !*quiet {
 		cfg.Progress = os.Stderr

@@ -20,53 +20,29 @@ import (
 )
 
 // approxK is the neighbor count of the approximate-mode sweep. k = 10 is
-// the low end of the paper's AkNN range (Figures 5-6): enough gather
-// work per LPQ that ε-inflated pruning has something to cut, while the
-// brute-force oracle stays affordable.
+// the low end of the paper's AkNN range (Figures 5-6): enough leaf-join
+// work per object that a shrunk k-th bound has something to cut, while
+// the brute-force oracle stays affordable.
 const approxK = 10
 
-// approxSweep is the ε / recall-target grid the experiment measures.
-// ε = 0 is the exactness control (hash-checked against the baseline);
-// the ε ladder spans "indistinguishable" to "paper-figure coarse", and
-// the recall-target rows exercise the leaf selector alone and combined.
-var approxSweep = []struct {
-	label string
-	eps   float64
-	rt    float64
-}{
-	{"exact (eps=0)", 0, 0},
-	{"eps=0.02", 0.02, 0},
-	{"eps=0.05", 0.05, 0},
-	{"eps=0.1", 0.1, 0},
-	{"eps=0.2", 0.2, 0},
-	{"eps=0.5", 0.5, 0},
-	{"eps=1.0", 1.0, 0},
-	// Recall-target rows: note the per-leaf granularity — with 16-object
-	// leaf buckets, ceil(rt x owners) only drops below the owner count at
-	// rt <= 15/16, so targets above ~0.94 behave exactly.
-	{"rt=0.9", 0, 0.9},
-	{"rt=0.75", 0, 0.75},
-	{"rt=0.5", 0, 0.5},
-	{"eps=0.02 rt=0.9", 0.02, 0.9},
-	{"eps=0.1 rt=0.75", 0.1, 0.75},
-}
+// approxSweep is the ε ladder the experiment measures, from
+// "indistinguishable" to "paper-figure coarse". ε = 0 is the exact
+// baseline itself.
+var approxSweep = []float64{0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0}
 
 // RunApprox measures the approximate query mode: a self-AkNN join over
-// the TAC surrogate, exact first, then across the ε / recall-target
-// sweep, all serial (Parallelism 1) so speedups are per-core algorithmic
-// savings rather than scheduling artifacts. The runs execute in the
-// paper's cost model — the standard small buffer pool with the decoded-
-// node cache disabled (as in the figure experiments), total time derived
-// as CPU + pageTransfers x PageLatency — so the subtree descents that
-// ε-inflated pruning avoids are charged at their modeled I/O cost, not
-// just their in-memory CPU cost. Every run's result stream is scored
-// against the brute-force oracle for measured recall and for the worst
-// distance ratio (the observed ε), and the ε = 0 run must hash
-// byte-identical to the exact baseline. With Config.JSONPath set, the
-// table is also written as machine-readable JSON suitable for committing
-// as BENCH_approx.json. With Config.MinRecall set, the run fails unless
-// at least one ε > 0 configuration reaches that recall — the regression
-// gate CI smoke uses to keep the approximation honest.
+// the FC surrogate, exact first, then up the ε ladder, all serial
+// (Parallelism 1) so speedups are per-core algorithmic savings rather
+// than scheduling artifacts. The runs execute in the paper's cost model —
+// the standard small buffer pool with the decoded-node cache disabled (as
+// in the figure experiments), total time derived as CPU + pageTransfers x
+// PageLatency. Every run's result stream is scored against the
+// brute-force oracle for measured recall and for the worst distance ratio
+// (the observed 1+ε), and the run fails — this is all `make
+// bench-approx-smoke` gates — unless the ε = 0 row is the exact answer
+// with no approximate cut counted and every row keeps its (1+ε) distance
+// contract. With Config.JSONPath set, the table is also written as
+// machine-readable JSON suitable for committing as BENCH_approx.json.
 func RunApprox(cfg Config) error {
 	cfg = cfg.withDefaults()
 	w := cfg.Out
@@ -107,7 +83,7 @@ func RunApprox(cfg Config) error {
 
 	type row struct {
 		label     string
-		eps, rt   float64
+		eps       float64
 		wall      time.Duration
 		io        uint64
 		total     time.Duration
@@ -118,51 +94,25 @@ func RunApprox(cfg Config) error {
 		identical bool
 	}
 	var rows []row
-	// Ceiling measurement: seed every object's bound with its true k-th
-	// neighbor distance from the oracle (via Options.BoundSeedSq). This
-	// run upper-bounds every bound-based approximation — it is what a
-	// two-pass pilot/verify scheme would cost with a perfect, free pilot —
-	// so the gap between it and the exact row is the total speedup
-	// headroom that ε-inflation or any recall-target selector can ever
-	// reach at recall 1. On this engine the gap is small (~1.1-1.2x): the
-	// shared leaf prefilter admits candidates by leaf-MBR mindist, which
-	// tighter per-owner bounds barely affect, so the distance-calc count
-	// is fixed by leaf-stream geometry rather than by bound quality.
-	seed := make([]float64, len(pts))
-	for i := range oracle {
-		d := oracle[i].Neighbors[len(oracle[i].Neighbors)-1].Dist
-		seed[oracle[i].Object] = d * d * (1 + 1e-9)
-	}
-	seedOpts := base
-	seedOpts.BoundSeedSq = seed
-	seedRes, err := bestOfCollect(ir, is, pool, seedOpts)
-	if err != nil {
-		return err
-	}
-	{
-		recall, maxRatio := scoreAgainstOracle(seedRes.results, oracle)
-		total := seedRes.wall + time.Duration(seedRes.io)*cfg.PageLatency
-		rows = append(rows, row{"oracle-seeded", 0, 0, seedRes.wall, seedRes.io, total,
-			seedRes.stats, seedRes.sched, recall, maxRatio, seedRes.hash == exactRes.hash})
-	}
-	for _, sw := range approxSweep {
-		// The exact control row is the baseline measurement itself, so its
-		// reported speedup is exactly 1 rather than timing noise.
-		res := exactRes
-		if sw.eps != 0 || sw.rt != 0 {
+	for _, eps := range approxSweep {
+		// The ε = 0 row is the baseline measurement itself (Epsilon's zero
+		// value is the exact query), so its reported speedup is exactly 1
+		// rather than timing noise.
+		label, res := "exact (eps=0)", exactRes
+		if eps != 0 {
+			label = fmt.Sprintf("eps=%g", eps)
 			opts := base
-			opts.Epsilon = sw.eps
-			opts.RecallTarget = sw.rt
+			opts.Epsilon = eps
 			var err error
 			res, err = bestOfCollect(ir, is, pool, opts)
 			if err != nil {
-				return fmt.Errorf("%s: %w", sw.label, err)
+				return fmt.Errorf("%s: %w", label, err)
 			}
 		}
 		recall, maxRatio := scoreAgainstOracle(res.results, oracle)
 		total := res.wall + time.Duration(res.io)*cfg.PageLatency
-		heartbeat(cfg, "approx: "+sw.label, total, res.stats.Results)
-		rows = append(rows, row{sw.label, sw.eps, sw.rt, res.wall, res.io, total,
+		heartbeat(cfg, "approx: "+label, total, res.stats.Results)
+		rows = append(rows, row{label, eps, res.wall, res.io, total,
 			res.stats, res.sched, recall, maxRatio, res.hash == exactRes.hash})
 	}
 
@@ -174,11 +124,10 @@ func RunApprox(cfg Config) error {
 			r.recall, r.maxRatio, r.stats.DistanceCalcs, r.stats.NodesExpandedS, r.identical)
 	}
 
-	// Invariants every collection must satisfy, regardless of gates: the
-	// ε = 0 control is byte-identical to the baseline with perfect recall,
-	// and no run breaks its own (1+ε) distance contract.
+	// The gate: the ε = 0 row is the exact answer with no approximate cut
+	// counted, and no row breaks its (1+ε) distance contract.
 	for _, r := range rows {
-		if r.eps == 0 && r.rt == 0 {
+		if r.eps == 0 {
 			if !r.identical {
 				return fmt.Errorf("approx: eps=0 run is not byte-identical to the exact baseline")
 			}
@@ -189,14 +138,9 @@ func RunApprox(cfg Config) error {
 				return fmt.Errorf("approx: eps=0 run recorded %d approx early terminations", r.stats.LPQEarlyTerms)
 			}
 		}
-		// The (1+ε) distance contract only binds pure-ε runs: the
-		// recall-target selector trades unbounded distance error on its
-		// straggler fraction for the recall floor instead.
-		if r.rt == 0 {
-			if limit := (1 + r.eps) * (1 + 1e-9); r.maxRatio > limit {
-				return fmt.Errorf("approx: %s returned a distance %.6fx the true one, breaking the (1+ε) contract",
-					r.label, r.maxRatio)
-			}
+		if limit := (1 + r.eps) * (1 + 1e-9); r.maxRatio > limit {
+			return fmt.Errorf("approx: %s returned a distance %.6fx the true one, breaking the (1+ε) contract",
+				r.label, r.maxRatio)
 		}
 	}
 
@@ -204,7 +148,6 @@ func RunApprox(cfg Config) error {
 		type runJSON struct {
 			Label           string          `json:"label"`
 			Epsilon         float64         `json:"epsilon"`
-			RecallTarget    float64         `json:"recall_target"`
 			CPUNS           int64           `json:"cpu_ns"`
 			IOPages         uint64          `json:"io_pages"`
 			TotalNS         int64           `json:"total_ns"`
@@ -242,7 +185,6 @@ func RunApprox(cfg Config) error {
 			doc.Runs = append(doc.Runs, runJSON{
 				Label:           r.label,
 				Epsilon:         r.eps,
-				RecallTarget:    r.rt,
 				CPUNS:           r.wall.Nanoseconds(),
 				IOPages:         r.io,
 				TotalNS:         r.total.Nanoseconds(),
@@ -266,32 +208,14 @@ func RunApprox(cfg Config) error {
 		fmt.Fprintf(w, "\nJSON summary written to %s\n", cfg.JSONPath)
 	}
 
-	if cfg.MinRecall > 0 {
-		bestSpeedup, bestLabel := 0.0, ""
-		for _, r := range rows {
-			if r.eps == 0 && r.rt == 0 {
-				continue
-			}
-			if sp := float64(exactTotal) / float64(r.total); r.recall >= cfg.MinRecall && sp > bestSpeedup {
-				bestSpeedup, bestLabel = sp, r.label
-			}
-		}
-		if bestLabel == "" {
-			return fmt.Errorf("min-recall gate: no approximate run reached recall %.4f", cfg.MinRecall)
-		}
-		fmt.Fprintf(w, "\nmin-recall gate passed: %s at %.2fx speedup with recall >= %.4f\n",
-			bestLabel, bestSpeedup, cfg.MinRecall)
-	}
 	return nil
 }
 
 // approxData is the sweep's dataset: the FC surrogate (10-D, correlated)
-// at the TAC cardinality (35K points at the default scale). Approximation
-// is a high-dimensional lever — in 2-D the exact bounds are already tight
-// and the blocked kernel has no per-dimension early-out to feed, so an ε
-// that visibly saves work there costs recall; in 10-D the ε-shrunk bounds
-// cut boundary-region descents and kernel columns that exact bounds
-// cannot, at negligible recall cost.
+// at the TAC cardinality (35K points at the default scale). 10-D is where
+// a shrunk k-th bound has the most to cut: the blocked kernel abandons a
+// pair as soon as its partial sum crosses the bound, and in 2-D there is
+// no partial sum to speak of.
 func approxData(cfg Config) []geom.Point {
 	return datagen.FCSurrogate(cfg.Seed, cfg.scaled(700_000))
 }

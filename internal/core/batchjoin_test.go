@@ -19,11 +19,10 @@ func probeOne(j *leafJoin, cand *index.Entry) {
 	j.e.stats.DistanceCalcs++
 	if geom.MinDistPointRectSq(cp, j.leafMBR) > j.maxOwnerBound {
 		j.e.stats.PrunedOnProbe += uint64(j.m)
-		j.sinceAdmit++
 		return
 	}
 	j.e.stats.DistanceCalcs += uint64(j.m)
-	ref, admitted := -1, false
+	ref := -1
 	for i := 0; i < j.m; i++ {
 		base := j.flat[i*j.dim : (i+1)*j.dim]
 		limit := j.bounds[i]
@@ -42,21 +41,12 @@ func probeOne(j *leafJoin, cand *index.Entry) {
 			continue
 		}
 		ref = j.admit(i, s, cand, ref)
-		admitted = true
-	}
-	if admitted {
-		j.sinceAdmit = 0
-	} else {
-		j.sinceAdmit++
 	}
 }
 
 // joinOutcome captures everything observable about a leaf join run: the
 // work counters, every owner's accumulator row (candidate ids and exact
-// distance bits, in slot order) and the final per-owner bounds. (The
-// stopping rule's drought counter is not compared: the batch path counts
-// a prefilter reject when the candidate is offered and an admission when
-// its tile commits, so the two interleave differently by design.)
+// distance bits, in slot order) and the final per-owner bounds.
 type joinOutcome struct {
 	stats   Stats
 	rowDist [][]float64
@@ -69,12 +59,12 @@ type joinOutcome struct {
 // path or the scalar oracle. The batch path flushes only where flushAfter
 // says so (and once at the end), maximising prefilter staleness; the
 // commit pass must still reproduce the scalar decisions exactly.
-func runLeafJoin(owners []index.Entry, leafOwner *index.Entry, seeds []float64, shrink float64,
+func runLeafJoin(owners []index.Entry, leafOwner *index.Entry, inherited, shrink float64,
 	k int, batches [][]index.Entry, flushAfter []bool, batch bool) joinOutcome {
 
 	var stats Stats
-	e := &engine{opts: Options{BoundSeedSq: seeds}, stats: &stats, shrink: shrink}
-	q := newLPQ(leafOwner, math.Inf(1), k, shrink, &stats)
+	e := &engine{stats: &stats, shrink: shrink}
+	q := newLPQ(leafOwner, inherited, k, &stats)
 	stats = Stats{} // the leaf owner's own LPQ is not part of the comparison
 
 	j := &e.join
@@ -108,7 +98,7 @@ func runLeafJoin(owners []index.Entry, leafOwner *index.Entry, seeds []float64, 
 }
 
 // TestBatchLeafJoinMatchesScalar is the property test for the batch
-// kernel path: on random leaves (random owner counts, inherited bounds,
+// kernel path: on random leaves (random owner counts, inherited bound,
 // dimensions, k, exact and approximate shrink, and candidate streams —
 // including exact duplicates that tie at the k-th distance and streams
 // long enough to force mid-batch tile flushes) the batch path must leave
@@ -142,18 +132,16 @@ func TestBatchLeafJoinMatchesScalar(t *testing.T) {
 				}
 				leafOwner := &index.Entry{Kind: index.NodeEntry, MBR: geom.Rect{Lo: lo, Hi: hi},
 					Count: uint32(m)}
-				// Per-owner inherited bounds arrive as BoundSeedSq entries
-				// (the leaf owner's own bound is +Inf).
-				seeds := make([]float64, m)
-				for i := range seeds {
-					switch rng.Intn(3) {
-					case 0:
-						seeds[i] = math.Inf(1)
-					case 1:
-						seeds[i] = 0.05 + 0.1*rng.Float64()
-					default:
-						seeds[i] = 0.5 + rng.Float64()
-					}
+				// The leaf owner's LPQ bound every owner inherits: none,
+				// tight or loose.
+				var inherited float64
+				switch rng.Intn(3) {
+				case 0:
+					inherited = math.Inf(1)
+				case 1:
+					inherited = 0.05 + 0.1*rng.Float64()
+				default:
+					inherited = 0.5 + rng.Float64()
 				}
 				shrink := 1.0
 				if trial%3 == 2 {
@@ -190,8 +178,8 @@ func TestBatchLeafJoinMatchesScalar(t *testing.T) {
 					flushAfter[bi] = rng.Intn(2) == 0
 				}
 
-				scalar := runLeafJoin(owners, leafOwner, seeds, shrink, k, batches, flushAfter, false)
-				batched := runLeafJoin(owners, leafOwner, seeds, shrink, k, batches, flushAfter, true)
+				scalar := runLeafJoin(owners, leafOwner, inherited, shrink, k, batches, flushAfter, false)
+				batched := runLeafJoin(owners, leafOwner, inherited, shrink, k, batches, flushAfter, true)
 				if !reflect.DeepEqual(scalar, batched) {
 					t.Fatalf("dim=%d k=%d trial=%d shrink=%v: batch path diverges from the scalar oracle:\nscalar: %+v\nbatch:  %+v",
 						dim, k, trial, shrink, scalar, batched)

@@ -46,10 +46,6 @@ type lpq struct {
 	cached float64
 	dirty  bool
 	k      int
-	// shrink is the approximate mode's per-layer bound multiplier
-	// (Options.approxShrink); exactly 1 for exact queries, where
-	// admitBound degenerates to slackBound with no extra float ops.
-	shrink float64
 	// scratch is reused by the k-th smallest MAXD selection (k > 1).
 	scratch []float64
 	stats   *Stats
@@ -64,7 +60,7 @@ var lpqPool = sync.Pool{New: func() any { return new(lpq) }}
 
 // newLPQ creates an LPQ for owner with an inherited bound (Lemma 3.2
 // makes the parent's bound valid for the child owner).
-func newLPQ(owner *index.Entry, inherited float64, k int, shrink float64, stats *Stats) *lpq {
+func newLPQ(owner *index.Entry, inherited float64, k int, stats *Stats) *lpq {
 	stats.LPQsCreated++
 	q := lpqPool.Get().(*lpq)
 	*q = lpq{
@@ -72,7 +68,6 @@ func newLPQ(owner *index.Entry, inherited float64, k int, shrink float64, stats 
 		items:   q.items[:0],
 		cached:  inherited,
 		k:       k,
-		shrink:  shrink,
 		scratch: q.scratch[:0],
 		stats:   stats,
 	}
@@ -137,7 +132,7 @@ func (q *lpq) len() int { return len(q.items) - q.head }
 // enqueue inserts a candidate unless the bound prunes it, updates the
 // bound, and applies the Filter Stage truncation.
 func (q *lpq) enqueue(it lpqItem) {
-	if it.mind > q.admitBound() {
+	if it.mind > q.slackBound() {
 		q.stats.PrunedOnProbe++
 		return
 	}
@@ -197,22 +192,6 @@ const boundSlack = 1e-12
 func (q *lpq) slackBound() float64 {
 	b := q.bound()
 	return b + b*boundSlack
-}
-
-// admitBound is the admission-side pruning bound: slackBound shrunk by
-// the approximate mode's factor. Shrinking is applied only when the
-// queue already holds at least k members, so an LPQ can always admit
-// enough candidates to produce k results (the non-starvation guard: an
-// approximate rejection never removes queued members, and while fewer
-// than k are queued admission stays exact). filter() deliberately keeps
-// the exact slackBound — truncating queued members with a shrunk bound
-// could evict the very members the bound derives from.
-func (q *lpq) admitBound() float64 {
-	b := q.slackBound()
-	if q.shrink != 1 && q.len() >= q.k {
-		b *= q.shrink
-	}
-	return b
 }
 
 // filter is the Filter Stage: the live items are sorted by MIND, so all

@@ -22,7 +22,7 @@ func nodeEntry(lo, hi geom.Point, count uint32) *index.Entry {
 func newTestLPQ(k int) (*lpq, *Stats) {
 	stats := &Stats{}
 	owner := nodeEntry(geom.Point{0, 0}, geom.Point{1, 1}, 10)
-	return newLPQ(owner, math.Inf(1), k, 1, stats), stats
+	return newLPQ(owner, math.Inf(1), k, stats), stats
 }
 
 func TestLPQOrdering(t *testing.T) {
@@ -109,7 +109,7 @@ func TestLPQFilterStageTruncates(t *testing.T) {
 func TestLPQMonotoneBoundNeverLoosens(t *testing.T) {
 	stats := &Stats{}
 	owner := nodeEntry(geom.Point{0, 0}, geom.Point{1, 1}, 10)
-	q := newLPQ(owner, 1000, 1, 1, stats)
+	q := newLPQ(owner, 1000, 1, stats)
 	q.enqueue(lpqItem{e: objEntry(1, 0, 0), mind: 1, maxd: 5})
 	q.enqueue(lpqItem{e: objEntry(2, 0, 0), mind: 2, maxd: 80})
 	q.dequeue()

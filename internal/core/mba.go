@@ -193,10 +193,9 @@ type engine struct {
 	leafDone func() error
 	stats    *Stats
 
-	// shrink is Options.approxShrink() — the squared-space multiplier
-	// applied to admission-side pruning bounds in approximate mode.
-	// Exactly 1 for exact queries, where every approximate branch below
-	// is gated behind a `shrink != 1` test and the hot path is unchanged.
+	// shrink is Options.approxShrink(): the factor a full accumulator row's
+	// bound is multiplied by in the leaf join, the one place Epsilon acts.
+	// Exactly 1 for exact queries.
 	shrink float64
 
 	// Cancellation: cancelled is the flag the RunContext watcher goroutine
@@ -228,7 +227,7 @@ type engine struct {
 // seedRoot is Algorithm 2's first step: the root of I_R owns an LPQ
 // holding the root of I_S.
 func (e *engine) seedRoot(rootR, rootS *index.Entry) *lpq {
-	root := newLPQ(rootR, infinity, e.opts.effectiveK(), e.shrink, e.stats)
+	root := newLPQ(rootR, infinity, e.opts.effectiveK(), e.stats)
 	e.stats.DistanceCalcs++
 	root.enqueue(lpqItem{e: rootS, mind: e.minDist(rootR, rootS), maxd: e.maxDist(rootR, rootS)})
 	return root
@@ -298,7 +297,7 @@ func (e *engine) maxDist(owner, cand *index.Entry) float64 {
 func (e *engine) probe(c *lpq, cand *index.Entry) {
 	e.stats.DistanceCalcs++
 	mind := e.minDist(c.owner, cand)
-	if mind > c.admitBound() {
+	if mind > c.slackBound() {
 		e.stats.PrunedOnProbe++
 		return
 	}
@@ -339,7 +338,7 @@ func (e *engine) expandAndPrune(q *lpq) ([]*lpq, error) {
 	} else {
 		lpqcs = make([]*lpq, len(children))
 		for i := range children {
-			lpqcs[i] = newLPQ(&children[i], q.bound(), q.k, e.shrink, e.stats)
+			lpqcs[i] = newLPQ(&children[i], q.bound(), q.k, e.stats)
 		}
 	}
 
@@ -392,21 +391,12 @@ func (e *engine) expandAndPrune(q *lpq) ([]*lpq, error) {
 	return out, err
 }
 
-// errStarved reports an owner with data but no candidates: the target
-// index was empty below every probed entry, impossible while S is not.
+// errStarved reports an owner with data but no candidates. It is an
+// internal invariant, not a state a query can reach: node-level bounds are
+// exact upper bounds on the owner's k-th neighbor distance whatever
+// Epsilon is, so while S is not empty some candidate always passes them.
 func errStarved(owner *index.Entry) error {
 	return fmt.Errorf("core: child LPQ starved for owner %v", owner.MBR)
-}
-
-// seededBound is the bound a child owner inherits: the parent's, or the
-// caller's BoundSeedSq entry for a query object when that is tighter.
-func (e *engine) seededBound(child *index.Entry, inherited float64) float64 {
-	if s := e.opts.BoundSeedSq; s != nil && child.Kind == index.ObjectEntry {
-		if id := int(child.Object); id >= 0 && id < len(s) && s[id] < inherited {
-			return s[id]
-		}
-	}
-	return inherited
 }
 
 // discardRest accounts a terminal cut: the already-dequeued item it plus
@@ -443,7 +433,7 @@ func (e *engine) drainToChildren(q *lpq, lpqcs []*lpq) error {
 		// queue is MIND-ordered, so the first such entry ends the loop.
 		maxBound := math.Inf(-1)
 		for _, c := range lpqcs {
-			if b := c.admitBound(); b > maxBound {
+			if b := c.slackBound(); b > maxBound {
 				maxBound = b
 			}
 		}
@@ -452,20 +442,6 @@ func (e *engine) drainToChildren(q *lpq, lpqcs []*lpq) error {
 			return nil
 		}
 		if it.mind > maxBound {
-			if e.shrink != 1 {
-				// Attribute the cut to approximation only when the exact
-				// bounds would have kept going (computed on this cold path
-				// only, never on the exact configuration).
-				exact := math.Inf(-1)
-				for _, c := range lpqcs {
-					if b := c.slackBound(); b > exact {
-						exact = b
-					}
-				}
-				if it.mind <= exact {
-					e.stats.LPQEarlyTerms++
-				}
-			}
 			e.discardRest(q, it)
 			return nil
 		}
@@ -507,9 +483,14 @@ func (e *engine) drainToChildren(q *lpq, lpqcs []*lpq) error {
 //
 // bounds[i] is owner i's admission bound. Between objects MIND = MAXD =
 // the exact distance, so a row yields one bound, its k-th distance: once
-// full, bounds[i] = min(inherited[i], k-th) x (1+boundSlack) x shrink;
-// until then only the inherited bound applies (also the approximate
-// mode's non-starvation guard). Bounds only tighten, so a snapshot taken
+// full, bounds[i] = min(inherited, k-th) x (1+boundSlack) x shrink; until
+// then only the inherited bound applies. This is all of the approximate
+// mode: shrink = 1/(1+ε)² (1 when exact) touches nothing else, and the
+// prefilter, the kernel's early-out and the work-heap cut read bounds[i].
+// Whatever owner i loses to it lies beyond its then-current k-th distance
+// / (1+ε), and the k-th only falls — so every reported distance is within
+// (1+ε) of the true one at its rank, and a row, shrunk only once full,
+// still ends with k members. Bounds only tighten, so a snapshot taken
 // when a tile is gathered or run through the kernel is never tighter than
 // the live bound its commit re-checks: the batch path decides every pair
 // as the one-at-a-time oracle in batchjoin_test.go does.
@@ -523,7 +504,7 @@ type leafJoin struct {
 	// row-major matrix and their bounds cached in a parallel slice, so the
 	// kernel runs over contiguous memory with an early-out distance.
 	flat      []float64
-	inherited []float64
+	inherited float64 // the leaf owner's LPQ bound, valid for every owner (Lemma 3.2)
 	bounds    []float64
 
 	dist  []float64
@@ -531,25 +512,8 @@ type leafJoin struct {
 	fill  []int
 	cands []*index.Entry
 
-	// dirty marks the stragglers of the recall-targeted selection: owners
-	// excluded from the shared prefilter/cut-off bound (see
-	// markStragglers). Always all-false in exact mode.
-	dirty    []bool
-	hasDirty bool
-	// patience is the recall-targeted stopping rule of the candidate
-	// drain: with patience > 0, the work-heap loop terminates once
-	// sinceAdmit consecutive committed candidates failed every owner's
-	// admission test (and every owner holds its full k). The candidate
-	// stream arrives best-first by MIND to the leaf, so admissions are
-	// front-loaded and a long admission drought means the expected
-	// marginal recall of the remaining stream has fallen below target.
-	// 0 disables the rule (exact mode).
-	patience   int
-	sinceAdmit int
-	// maxOwnerBound caches max(bounds) over the non-straggler owners;
-	// maxOwnerIdx is its argmax, so a tightening of any other owner skips
-	// the O(owners) rescan. In exact mode no owner is a straggler, so this
-	// is simply max(bounds).
+	// maxOwnerBound caches max(bounds); maxOwnerIdx is its argmax, so a
+	// tightening of any other owner skips the O(owners) rescan.
 	maxOwnerBound float64
 	maxOwnerIdx   int
 	work          pq.Heap[*index.Entry]
@@ -571,97 +535,18 @@ func (j *leafJoin) reset(e *engine, q *lpq, owners []index.Entry) {
 	j.owners = owners
 	j.leafMBR = q.owner.MBR
 	j.flat = j.flat[:0]
-	j.inherited = slices.Grow(j.inherited[:0], m)[:m]
 	j.bounds = slices.Grow(j.bounds[:0], m)[:m]
 	j.fill = slices.Grow(j.fill[:0], m)[:m]
-	j.dirty = slices.Grow(j.dirty[:0], m)[:m]
 	j.dist = slices.Grow(j.dist[:0], m*j.k)[:m*j.k]
 	j.ref = slices.Grow(j.ref[:0], m*j.k)[:m*j.k]
-	inherited := q.bound()
+	j.inherited = q.bound()
+	start := j.inherited + j.inherited*boundSlack
 	for i := range owners {
 		j.flat = append(j.flat, owners[i].Point...)
-		b := e.seededBound(&owners[i], inherited)
-		j.inherited[i] = b
-		j.bounds[i] = b + b*boundSlack
+		j.bounds[i] = start
 		j.fill[i] = 0
-		j.dirty[i] = false
 	}
-	j.hasDirty = false
-	j.patience = 0
-	j.sinceAdmit = 0
 	j.refreshMaxOwnerBound()
-}
-
-// markStragglers is the recall-targeted leaf selection: with
-// 0 < rt < 1, the ceil(rt x m) owners with the tightest admission bounds
-// are served exactly, and the remaining owners — the stragglers, whose
-// wide bounds would otherwise force every far candidate through the
-// kernel for the whole leaf — are excluded from the shared prefilter and
-// cut-off bound. A straggler still admits every candidate that survives
-// the clean owners' prefilter (its per-owner bound in the kernel is
-// untouched), so it degrades gracefully instead of starving; and only
-// owners already holding their full k candidates are eligible, so every
-// owner still emits k results. Per leaf, at least ceil(rt x m) owners
-// receive results identical to the exact drain, which is the per-leaf
-// recall floor rt.
-//
-// Called at the start of the heap-drain phase, not at reset: the
-// selection needs live bounds, and most owners only reach k admitted
-// candidates once the leaf's inherited candidate list has been
-// distributed.
-func (j *leafJoin) markStragglers(rt float64) {
-	if rt <= 0 || rt >= 1 {
-		return
-	}
-	want := j.m - int(math.Ceil(rt*float64(j.m)))
-	for ; want > 0; want-- {
-		worst := -1
-		for i := 0; i < j.m; i++ {
-			if j.dirty[i] || j.fill[i] < j.k {
-				continue
-			}
-			if worst < 0 || j.bounds[i] > j.bounds[worst] {
-				worst = i
-			}
-		}
-		if worst < 0 {
-			break
-		}
-		j.dirty[worst] = true
-		j.hasDirty = true
-	}
-	if j.hasDirty {
-		j.refreshMaxOwnerBound()
-	}
-}
-
-// patienceFor converts the recall target into the stopping rule's
-// patience: the number of consecutive admission-free candidates after
-// which the drain gives up on the remaining stream. slots is the leaf's
-// total result capacity (owners x k): the shared stream serves every
-// owner at once, so the admission drought that licenses stopping must be
-// measured against all slots the stream could still improve, not one
-// owner's k. Stopping after slots/(1-rt) dry candidates means the
-// observed marginal admission rate has dropped below (1-rt)/slots per
-// candidate — at that rate, the remaining stream's expected contribution
-// to the leaf's results is below the tolerated 1-rt fraction. rt -> 1
-// makes the patience unbounded (exact); rt <= 0 disables the rule.
-func patienceFor(rt float64, slots int) int {
-	if rt <= 0 || rt >= 1 {
-		return 0
-	}
-	return int(math.Ceil(float64(slots) / (1 - rt)))
-}
-
-// allFull reports whether every owner already holds its full k
-// candidates — the stopping rule's non-starvation guard.
-func (j *leafJoin) allFull() bool {
-	for _, n := range j.fill {
-		if n < j.k {
-			return false
-		}
-	}
-	return true
 }
 
 // finish drops the references held by the scratch so evicted cache
@@ -687,9 +572,6 @@ func (j *leafJoin) refreshMaxOwnerBound() {
 	j.maxOwnerBound = math.Inf(-1)
 	j.maxOwnerIdx = -1
 	for i, b := range j.bounds {
-		if j.dirty[i] {
-			continue
-		}
 		if b > j.maxOwnerBound {
 			j.maxOwnerBound = b
 			j.maxOwnerIdx = i
@@ -701,7 +583,7 @@ func (j *leafJoin) refreshMaxOwnerBound() {
 // shrinking: the inherited bound, or the k-th distance of a full row when
 // that is tighter, inflated by the relative slack.
 func (j *leafJoin) exactBound(i int) float64 {
-	b := j.inherited[i]
+	b := j.inherited
 	if j.fill[i] == j.k {
 		if kth := j.dist[i*j.k+j.k-1]; kth < b {
 			b = kth
@@ -742,11 +624,7 @@ func (j *leafJoin) admit(i int, d float64, cand *index.Entry, ref int) int {
 	}
 	row[n], refs[n] = d, uint32(ref)
 	if j.fill[i] == k {
-		b := j.exactBound(i)
-		if j.e.shrink != 1 {
-			b *= j.e.shrink
-		}
-		j.bounds[i] = b
+		j.bounds[i] = j.exactBound(i) * j.e.shrink
 		if i == j.maxOwnerIdx {
 			j.refreshMaxOwnerBound()
 		}
@@ -767,7 +645,6 @@ func (j *leafJoin) add(cand *index.Entry) {
 	pre := geom.MinDistPointRectSq(cp, j.leafMBR)
 	if pre > j.maxOwnerBound {
 		j.e.stats.PrunedOnProbe += uint64(j.m)
-		j.sinceAdmit++
 		return
 	}
 	j.candEnts = append(j.candEnts, cand)
@@ -800,7 +677,6 @@ func (j *leafJoin) flush() {
 		// a one-at-a-time join would make for this candidate.
 		if j.candPre[c] > j.maxOwnerBound {
 			j.e.stats.PrunedOnProbe += uint64(m)
-			j.sinceAdmit++
 			continue
 		}
 		j.e.stats.DistanceCalcs += uint64(m)
@@ -812,11 +688,6 @@ func (j *leafJoin) flush() {
 			}
 		}
 		j.e.stats.PrunedOnProbe += uint64(m - admitted)
-		if admitted > 0 {
-			j.sinceAdmit = 0
-		} else {
-			j.sinceAdmit++
-		}
 	}
 	j.clearBatch()
 }
@@ -845,28 +716,16 @@ func (e *engine) joinLeaf(q *lpq) error {
 	// exactly as a one-at-a-time join would — so the gathered tile is
 	// flushed before each work-heap pop.
 	j.flush()
-	j.markStragglers(e.opts.RecallTarget)
-	j.patience = patienceFor(e.opts.RecallTarget, j.k*j.m)
-	j.sinceAdmit = 0
 	for j.work.Len() > 0 {
 		if err := e.checkCancel(); err != nil {
 			return err
 		}
-		if j.patience > 0 && j.sinceAdmit >= j.patience && j.allFull() {
-			// Recall-targeted stop: the drain has committed patience
-			// candidates in a row without a single admission anywhere in
-			// the leaf. The remaining (farther) subtrees are abandoned.
-			e.stats.LPQEarlyTerms++
-			e.stats.PrunedSubtrees += uint64(j.work.Len())
-			break
-		}
 		item, _ := j.work.Pop()
 		maxBound := j.maxOwnerBound
 		if item.Key > maxBound {
-			if e.shrink != 1 || j.hasDirty {
-				// bounds[] hold shrunk admission bounds over the clean
-				// owners only; the cut is approx-attributable when the
-				// exact all-owner bounds disagree.
+			if e.shrink != 1 {
+				// bounds[] hold shrunk admission bounds; the cut is
+				// approx-attributable when the exact bounds disagree.
 				exact := math.Inf(-1)
 				for i := 0; i < j.m; i++ {
 					if b := j.exactBound(i); b > exact {

@@ -116,53 +116,15 @@ type Options struct {
 	Sched *SchedStats
 
 	// Epsilon, when positive, runs the query in (1+ε)-approximate mode:
-	// every returned neighbor distance is guaranteed to be at most (1+ε)
-	// times the true k-th nearest-neighbor distance. The factor is split
-	// across the engine's two pruning layers (candidate admission against
-	// node LPQ bounds, and admission against a query object's k-th best
-	// distance in the leaf join), each inflated by sqrt(1+ε) in distance
-	// terms so the composed error stays within (1+ε) — see DESIGN.md §14.
-	// Zero (the default) is exact, byte-identical to a build without the
-	// knob: the approximate
-	// comparisons are gated behind a single equality check and introduce
-	// no floating-point operations on the exact path. Result cardinality
-	// never changes — only which neighbors are reported. Negative, NaN or
-	// infinite values are rejected with ErrInvalidOptions.
+	// every returned neighbor distance is at most (1+ε) times the true
+	// distance at its rank. It acts in one place, the fused leaf join: a
+	// query object whose row already holds k candidates admits a further
+	// one only within its k-th distance / (1+ε) (leafJoin has the proof);
+	// node-level LPQ bounds stay exact. Zero (the default) is exact — the
+	// factor is then exactly 1. Result cardinality never changes, only
+	// which neighbors are reported. Negative, NaN or infinite values are
+	// rejected with ErrInvalidOptions.
 	Epsilon float64
-	// RecallTarget, when in (0,1), enables the recall-targeted leaf
-	// selector: in each shared leaf join, the ceil(RecallTarget x owners)
-	// query objects with the tightest admission bounds are served exactly,
-	// and the remaining stragglers — whose wide bounds would otherwise
-	// force every far candidate through the distance kernel for the whole
-	// leaf — are excluded from the leaf's shared prefilter and subtree
-	// cut-off bound. Stragglers still admit every candidate surviving the
-	// tighter prefilter (and still return their full k results; owners not
-	// yet holding k candidates are never selected), so per leaf at least a
-	// RecallTarget fraction of objects get results identical to the exact
-	// drain — the recall floor, by construction, when Epsilon == 0; with
-	// Epsilon > 0 the floor applies to the (1+ε)-approximate results
-	// instead. The target also arms the leaf drain's stopping rule: once
-	// every owner holds k candidates and (owners x k)/(1-RecallTarget)
-	// consecutive committed candidates produce no admission anywhere, the
-	// rest of the leaf's candidate stream is abandoned — the observed
-	// marginal admission rate has fallen below the tolerated 1-rt per
-	// result slot. The stop is a calibrated heuristic, not a per-leaf
-	// guarantee; the straggler floor plus the calibration keep measured
-	// recall at or above the target across the recall-harness property
-	// matrix. 0 (the default) and 1 disable the selector. Values outside
-	// (0,1] are rejected with ErrInvalidOptions.
-	RecallTarget float64
-
-	// BoundSeedSq, when non-nil, seeds each query object's admission
-	// bound with the given squared distance, indexed by ObjectID. A seed
-	// must be an upper bound on the object's true k-th neighbor distance
-	// (squared) or neighbors beyond the seed are silently lost — the
-	// engine takes the min of the seed and the inherited traversal bound.
-	// This is the verification-pass hook of the two-pass approximate
-	// pipeline (a pilot pass estimates per-object bounds, the seeded pass
-	// re-runs with them); it is also usable directly by callers that know
-	// domain bounds. Nil (the default) changes nothing.
-	BoundSeedSq []float64
 
 	// timings, when non-nil, receives the per-stage wall-time breakdown.
 	// Set by RunReport; stage clocks cost two time.Now() calls per LPQ
@@ -187,23 +149,15 @@ func (o Options) validate() error {
 	if math.IsNaN(o.Epsilon) || math.IsInf(o.Epsilon, 0) || o.Epsilon < 0 {
 		return fmt.Errorf("core: %w: Epsilon must be finite and >= 0, got %v", ErrInvalidOptions, o.Epsilon)
 	}
-	if math.IsNaN(o.RecallTarget) || o.RecallTarget < 0 || o.RecallTarget > 1 {
-		return fmt.Errorf("core: %w: RecallTarget must be in (0,1] (0 means exact), got %v", ErrInvalidOptions, o.RecallTarget)
-	}
 	return nil
 }
 
-// approxShrink is the multiplier applied to squared pruning bounds at
-// each of the two approximate pruning layers. Squared distances compare
-// like distances, so shrinking a squared bound by 1/(1+ε) inflates the
-// effective prune test by sqrt(1+ε) in distance terms; the two layers
-// compose to at most (1+ε). Exactly 1 when the query is exact — the
-// engine gates every approximate comparison behind shrink != 1.
+// approxShrink is the factor the leaf join multiplies a full row's
+// squared bound by: 1/(1+ε)², the squared-space form of dividing the k-th
+// distance by (1+ε). Exactly 1 when the query is exact.
 func (o Options) approxShrink() float64 {
-	if o.Epsilon <= 0 {
-		return 1
-	}
-	return 1 / (1 + o.Epsilon)
+	f := 1 + o.Epsilon
+	return 1 / (f * f)
 }
 
 // effectiveK is the number of neighbors actually gathered per object.
@@ -279,9 +233,8 @@ type Stats struct {
 	PrunedSubtrees uint64
 	PrunedEntries  uint64
 	// LPQEarlyTerms counts terminal cuts attributable to the approximate
-	// mode: drain and leaf-join stops that fired strictly earlier than
-	// the exact comparison would have, plus recall-target leaf-selector
-	// stops. Always zero for an exact query.
+	// mode: leaf-join work-heap cuts that fired strictly earlier than the
+	// exact comparison would have. Always zero for an exact query.
 	LPQEarlyTerms uint64
 }
 

@@ -112,7 +112,7 @@ type recordView struct {
 
 // parseRecord validates one record structurally before touching a byte
 // past the header: rec may be arbitrary bytes (logically damaged but
-// checksum-valid pages, legacy files without checksums, fuzzer input).
+// checksum-valid pages, fuzzer input).
 // first selects whether the record establishes the node type or must
 // continue a chain of the given type. Violations wrap
 // storage.ErrCorruptPage.

@@ -380,8 +380,8 @@ func (rs *recordStore) tryAllocIn(pid storage.PageID, rec []byte) (nodeRef, bool
 
 // recordFromPage locates slot's record inside a slotted page, validating
 // every offset against the page bounds first: data may be arbitrary bytes
-// (a page that passed its checksum can still be logically damaged, legacy
-// files carry no checksum at all, and the fuzzer feeds garbage directly).
+// (a page that passed its checksum can still be logically damaged, and
+// the fuzzer feeds garbage directly).
 // The returned slice aliases data. Structural violations wrap
 // storage.ErrCorruptPage.
 func recordFromPage(data []byte, slot int) ([]byte, error) {

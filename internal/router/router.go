@@ -378,8 +378,8 @@ func (r *Router) dispatch(ctx context.Context, hdr wire.RequestHeader, body wire
 			err = &wire.Error{Code: wire.CodeInternal, Msg: "internal error (recovered panic)"}
 		}
 	}()
-	if hdr.Epsilon != 0 || hdr.RecallTarget != 0 {
-		return badRequest("the router serves exact queries only (epsilon=%v, recall_target=%v rejected): shard-local approximation bounds do not compose across a merge", hdr.Epsilon, hdr.RecallTarget)
+	if hdr.Epsilon != 0 {
+		return badRequest("the router serves exact queries only (epsilon=%v rejected)", hdr.Epsilon)
 	}
 	if hdr.WantReport {
 		return badRequest("WantReport is not supported on routed requests")

@@ -82,8 +82,8 @@ type nodeView struct {
 
 // parseNode validates a node page's header before trusting any count in
 // it: data may be arbitrary bytes (a logically damaged page that still
-// checksums, a legacy file without checksums, fuzzer input). Structural
-// violations wrap storage.ErrCorruptPage.
+// checksums, fuzzer input). Structural violations wrap
+// storage.ErrCorruptPage.
 func parseNode(data []byte, dim int) (nodeView, error) {
 	if len(data) < pageHeaderSize {
 		return nodeView{}, fmt.Errorf("rstar: node page truncated to %d bytes: %w", len(data), storage.ErrCorruptPage)

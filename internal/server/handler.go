@@ -38,15 +38,14 @@ func (s *Server) dispatch(ctx context.Context, rc *reqCtx, hdr wire.RequestHeade
 		s.testHook(hdr)
 	}
 
-	// The approximate-query knobs ride the request header, but only the
-	// ANN join honors them; every other operation is exact by contract
-	// (kNN, range and closest-pairs results have no recall story), so a
-	// request that sets them anywhere else is malformed — reject it here
-	// rather than silently running an exact query the client believes is
-	// approximate.
-	if (hdr.Epsilon != 0 || hdr.RecallTarget != 0) && hdr.Op != wire.OpJoin {
-		return badRequest("approximate-query knobs (epsilon=%v, recall_target=%v) are only valid for %s, not %s",
-			hdr.Epsilon, hdr.RecallTarget, wire.OpJoin, hdr.Op)
+	// Epsilon rides the request header, but only the ANN join honors it;
+	// every other operation is exact by contract, so a request that sets
+	// it anywhere else is malformed — reject it here rather than silently
+	// running an exact query the client believes is approximate. (A value
+	// in the removed recall-target slot never gets here: the codec refuses
+	// the frame and serveRequest answers BAD_REQUEST with its message.)
+	if hdr.Epsilon != 0 && hdr.Op != wire.OpJoin {
+		return badRequest("epsilon=%v is only valid for %s, not %s", hdr.Epsilon, wire.OpJoin, hdr.Op)
 	}
 	// Reports ride a stream's terminating StreamEnd, which only joins
 	// produce; asking for one anywhere else is equally malformed.
@@ -417,7 +416,6 @@ func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHea
 
 	cfg := s.queryConfig(rc)
 	cfg.Epsilon = hdr.Epsilon
-	cfg.RecallTarget = hdr.RecallTarget
 	// Engine time excludes the frame flushes the emit callback triggers
 	// mid-run, keeping the report's engine/flush split disjoint.
 	flushBefore := rc.flushNs

@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"path/filepath"
@@ -280,13 +282,8 @@ func TestServedApprox(t *testing.T) {
 
 	// Nonzero knobs: served results match the direct library call with
 	// the identical QueryConfig.
-	for _, opts := range []client.JoinOptions{
-		{Epsilon: 0.2},
-		{Epsilon: 0.1, RecallTarget: 0.9},
-	} {
-		want, err := ann.SelfAllKNearestNeighbors(ix, 3, ann.QueryConfig{
-			Epsilon: opts.Epsilon, RecallTarget: opts.RecallTarget,
-		})
+	for _, opts := range []client.JoinOptions{{Epsilon: 0.2}, {Epsilon: 1}} {
+		want, err := ann.SelfAllKNearestNeighbors(ix, 3, ann.QueryConfig{Epsilon: opts.Epsilon})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,35 +296,52 @@ func TestServedApprox(t *testing.T) {
 		}
 	}
 
-	// Invalid knob values are rejected at frame decode as BAD_REQUEST.
-	// A frame that fails to decode is fatal to its connection, so each
-	// probe uses a throwaway client.
-	for _, opts := range []client.JoinOptions{{Epsilon: -1}, {RecallTarget: 1.5}} {
-		bad, err := client.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := bad.SelfJoinApprox(ctx, "pts", 1, opts)
-		if err == nil {
-			for st.Next() {
-			}
-			err = st.Err()
-		}
-		if !client.IsBadRequest(err) {
-			t.Errorf("knobs %+v: got %v, want BAD_REQUEST", opts, err)
-		}
-		bad.Close()
-	}
-
-	// Approx knobs on a non-join op are malformed. The typed client
-	// cannot express this, so probe with a raw wire frame.
-	conn, err := net.Dial("tcp", addr)
+	// An invalid Epsilon is rejected at frame decode as BAD_REQUEST. A
+	// frame that fails to decode is fatal to its connection, so the probe
+	// uses a throwaway client.
+	bad, err := client.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := wire.WriteHandshake(conn); err != nil {
-		t.Fatal(err)
+	st, err = bad.SelfJoinApprox(ctx, "pts", 1, client.JoinOptions{Epsilon: -1})
+	if err == nil {
+		for st.Next() {
+		}
+		err = st.Err()
+	}
+	if !client.IsBadRequest(err) {
+		t.Errorf("epsilon -1: got %v, want BAD_REQUEST", err)
+	}
+	bad.Close()
+
+	// What the typed client cannot express is probed with raw wire
+	// frames, each on a connection of its own: Epsilon on a non-join op,
+	// and a value in the header slot of the removed recall target.
+	rawProbe := func(payload []byte) *wire.ErrorReply {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := wire.WriteHandshake(conn); err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteFrame(conn, payload); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, kind, _, body, err := wire.DecodeResponse(reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind != wire.KindError {
+			t.Fatalf("got kind %d body %+v, want an error frame", kind, body)
+		}
+		return body.(*wire.ErrorReply)
 	}
 	payload, err := wire.EncodeRequest(
 		wire.RequestHeader{ID: 1, Op: wire.OpKNN, Epsilon: 0.1},
@@ -335,19 +349,20 @@ func TestServedApprox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(conn, payload); err != nil {
-		t.Fatal(err)
+	if reply := rawProbe(payload); reply.Code != wire.CodeBadRequest {
+		t.Errorf("epsilon on %s: got %+v, want BAD_REQUEST", wire.OpKNN, reply)
 	}
-	reply, err := wire.ReadFrame(conn)
+	payload, err = wire.EncodeRequest(
+		wire.RequestHeader{ID: 2, Op: wire.OpJoin, Epsilon: 0.1},
+		&wire.JoinReq{R: "pts", K: 1, Self: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, kind, _, body, err := wire.DecodeResponse(reply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != wire.KindError || body.(*wire.ErrorReply).Code != wire.CodeBadRequest {
-		t.Errorf("approx knobs on %s: got kind %d body %+v, want BAD_REQUEST", wire.OpKNN, kind, body)
+	// The extension is the payload's last 16 bytes; the second F64 is the
+	// reserved slot.
+	binary.BigEndian.PutUint64(payload[len(payload)-8:], math.Float64bits(0.9))
+	if reply := rawProbe(payload); reply.Code != wire.CodeBadRequest || !strings.Contains(reply.Msg, "recall target") {
+		t.Errorf("recall-target slot set: got %+v, want BAD_REQUEST naming the removed knob", reply)
 	}
 
 	srv.Catalog().RequireNoPinnedFrames(t)

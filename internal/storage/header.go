@@ -24,8 +24,8 @@ import (
 // The header is sealed by every WritePage (and Allocate) and verified by
 // every ReadPage; any mismatch surfaces as a wrapped ErrCorruptPage. The
 // callers of Store only ever see the PageSize payload — framing is
-// invisible above the store. Files written before this header existed are
-// detected by OpenFileStore and served in legacy mode (see FileStore).
+// invisible above the store. OpenFileStore refuses a file that does not
+// start with this header.
 const (
 	// PageHeaderSize is the per-page on-disk overhead in bytes.
 	PageHeaderSize = 16

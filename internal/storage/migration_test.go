@@ -8,93 +8,6 @@ import (
 	"testing"
 )
 
-// legacyPageByte reproduces the generator of testdata/legacy_pages.db:
-// three raw PageSize pages, no header, written by pre-header builds.
-func legacyPageByte(page, off int) byte { return byte(page*131 + off*7) }
-
-// TestOpenLegacyFixture is the migration regression test: a page file
-// written before the checksummed header existed must open in legacy mode
-// and serve its raw pages byte-for-byte.
-func TestOpenLegacyFixture(t *testing.T) {
-	// Work on a copy; the test also writes.
-	raw, err := os.ReadFile(filepath.Join("testdata", "legacy_pages.db"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) != 3*PageSize {
-		t.Fatalf("fixture is %d bytes, want %d", len(raw), 3*PageSize)
-	}
-	path := filepath.Join(t.TempDir(), "legacy.db")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("OpenFileStore(legacy fixture): %v", err)
-	}
-	defer s.Close()
-	if !s.Legacy() {
-		t.Fatal("pre-header file not detected as legacy")
-	}
-	if got := s.NumPages(); got != 3 {
-		t.Fatalf("NumPages = %d, want 3", got)
-	}
-	buf := make([]byte, PageSize)
-	for p := 0; p < 3; p++ {
-		if err := s.ReadPage(PageID(p), buf); err != nil {
-			t.Fatalf("ReadPage(%d): %v", p, err)
-		}
-		for j, b := range buf {
-			if b != legacyPageByte(p, j) {
-				t.Fatalf("page %d byte %d = %#x, want %#x", p, j, b, legacyPageByte(p, j))
-			}
-		}
-	}
-
-	// Legacy files stay writable and growable in the legacy layout, and a
-	// reopen still detects them as legacy.
-	for i := range buf {
-		buf[i] = 0x5A
-	}
-	if err := s.WritePage(1, buf); err != nil {
-		t.Fatalf("legacy WritePage: %v", err)
-	}
-	if id, err := s.Allocate(); err != nil || id != 3 {
-		t.Fatalf("legacy Allocate = (%d, %v), want (3, nil)", id, err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("reopen legacy file: %v", err)
-	}
-	defer s2.Close()
-	if !s2.Legacy() || s2.NumPages() != 4 {
-		t.Fatalf("reopen: legacy=%v pages=%d, want legacy 4 pages", s2.Legacy(), s2.NumPages())
-	}
-	got := make([]byte, PageSize)
-	if err := s2.ReadPage(1, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, buf) {
-		t.Fatal("legacy write did not round-trip")
-	}
-
-	// The buffer pool works over a legacy store unchanged.
-	pool := NewBufferPool(s2, 2)
-	f, err := pool.Get(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Data()[10] != legacyPageByte(0, 10) {
-		t.Fatal("pool read over legacy store returned wrong bytes")
-	}
-	f.Release()
-	RequireNoPinnedFrames(t, pool)
-}
-
 // TestCurrentFormatRoundTrip makes sure the reopen path detects the
 // checksummed layout and keeps verifying it.
 func TestCurrentFormatRoundTrip(t *testing.T) {
@@ -123,9 +36,6 @@ func TestCurrentFormatRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Legacy() {
-		t.Fatal("checksummed file misdetected as legacy")
-	}
 	buf := make([]byte, PageSize)
 	if err := s2.ReadPage(id, buf); err != nil {
 		t.Fatal(err)
@@ -148,15 +58,55 @@ func TestCurrentFormatRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOpenFileStoreRejectsUnrecognized covers the "matches neither
-// layout" rejection.
+// TestOpenFileStoreRejectsUnrecognized covers what OpenFileStore must
+// refuse, each with an error wrapping ErrCorruptPage: a length that is no
+// whole number of pages, a raw pre-header file, and a checksummed file
+// whose first header lost its magic. The last is 512 pages long because
+// 512 physical pages are also a whole number of PageSize pages — the file
+// the old format sniffing opened as "legacy" and served unverified.
 func TestOpenFileStoreRejectsUnrecognized(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "garbage.db")
-	if err := os.WriteFile(path, make([]byte, PageSize+17), 0o644); err != nil {
+	dir := t.TempDir()
+	damaged := filepath.Join(dir, "damaged.db")
+	s, err := NewFileStore(damaged)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFileStore(path); err == nil {
-		t.Fatal("OpenFileStore accepted a file matching neither layout")
+	for i := 0; i < 512; i++ {
+		if _, err := s.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if (512*physPageSize)%PageSize != 0 {
+		t.Fatalf("%d physical pages are not a whole number of %d-byte pages", 512, PageSize)
+	}
+	fh, err := os.OpenFile(damaged, os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fh.WriteAt([]byte{0xDE, 0xAD, 0xBE, 0xEF}, 0); err != nil {
+		t.Fatal(err)
+	}
+	fh.Close()
+
+	garbage := filepath.Join(dir, "garbage.db")
+	if err := os.WriteFile(garbage, make([]byte, PageSize+17), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	raw := filepath.Join(dir, "raw.db")
+	if err := os.WriteFile(raw, make([]byte, 3*PageSize), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{damaged, garbage, raw} {
+		s, err := OpenFileStore(path)
+		if err == nil {
+			s.Close()
+			t.Errorf("OpenFileStore(%s) accepted the file", filepath.Base(path))
+		} else if !errors.Is(err, ErrCorruptPage) {
+			t.Errorf("OpenFileStore(%s) = %v, want an error wrapping ErrCorruptPage", filepath.Base(path), err)
+		}
 	}
 }
 

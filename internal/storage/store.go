@@ -164,20 +164,17 @@ var physBufPool = sync.Pool{New: func() any {
 // FileStore is a Store backed by a single flat file of pages, the
 // disk-resident variant used when experiments should touch a real
 // filesystem. Each stored page is a PageHeaderSize header followed by the
-// PageSize payload; files written before the header existed (detected by
-// OpenFileStore via the magic) are served in legacy mode: raw PageSize
-// pages with no verification, so pre-header data stays readable.
+// PageSize payload; there is no other on-disk format.
 //
 // Page reads and writes go through ReadAt/WriteAt, which the OS
 // serialises per offset; the page count is guarded by a mutex, so all
 // methods are safe for concurrent use.
 type FileStore struct {
-	f      *os.File
-	mu     sync.RWMutex
-	pages  int
-	path   string
-	temp   bool
-	legacy bool // pre-header file: raw pages, no checksums
+	f     *os.File
+	mu    sync.RWMutex
+	pages int
+	path  string
+	temp  bool
 }
 
 // NewFileStore creates (truncating) a page file at path.
@@ -190,17 +187,10 @@ func NewFileStore(path string) (*FileStore, error) {
 }
 
 // OpenFileStore opens an existing page file at path for reading and
-// writing, detecting its on-disk format:
-//
-//   - current format: pages carry the checksummed header; the file length
-//     is a multiple of PageHeaderSize+PageSize and the first page starts
-//     with the magic. Reads are verified.
-//   - legacy format (pre-header): the file length is a multiple of
-//     PageSize and the first bytes are not the magic. The store serves it
-//     in legacy mode — raw pages, no verification — so data written by
-//     older builds keeps working. Use Legacy to detect and re-write.
-//
-// A file matching neither layout is rejected with a clear error.
+// writing. A non-empty file must be a whole number of checksummed pages
+// (PageHeaderSize+PageSize bytes each) and start with the page magic;
+// anything else — a damaged first header included — is refused with an
+// error wrapping ErrCorruptPage rather than served unverified.
 func OpenFileStore(path string) (*FileStore, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -220,18 +210,12 @@ func OpenFileStore(path string) (*FileStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("storage: read page file header: %w", err)
 	}
-	hasMagic := binary.LittleEndian.Uint32(head[:]) == pageMagic
-	switch {
-	case hasMagic && size%physPageSize == 0:
-		return &FileStore{f: f, path: path, pages: int(size / physPageSize)}, nil
-	case !hasMagic && size%PageSize == 0:
-		return &FileStore{f: f, path: path, pages: int(size / PageSize), legacy: true}, nil
-	default:
+	if magic := binary.LittleEndian.Uint32(head[:]); magic != pageMagic || size%physPageSize != 0 {
 		f.Close()
-		return nil, fmt.Errorf("storage: page file %s (size %d, magic %v) matches neither the "+
-			"checksummed layout (%d-byte pages) nor the legacy layout (%d-byte pages)",
-			path, size, hasMagic, physPageSize, PageSize)
+		return nil, fmt.Errorf("storage: page file %s (size %d, magic %#08x) is not a whole number of "+
+			"%d-byte checksummed pages: %w", path, size, magic, physPageSize, ErrCorruptPage)
 	}
+	return &FileStore{f: f, path: path, pages: int(size / physPageSize)}, nil
 }
 
 // NewTempFileStore creates a page file in the default temp directory that
@@ -244,10 +228,6 @@ func NewTempFileStore() (*FileStore, error) {
 	return &FileStore{f: f, path: f.Name(), temp: true}, nil
 }
 
-// Legacy reports whether the file predates the page header and is served
-// without checksums.
-func (s *FileStore) Legacy() bool { return s.legacy }
-
 // ReadPage implements Store.
 func (s *FileStore) ReadPage(id PageID, buf []byte) error {
 	s.mu.RLock()
@@ -255,10 +235,6 @@ func (s *FileStore) ReadPage(id PageID, buf []byte) error {
 	s.mu.RUnlock()
 	if int(id) >= n {
 		return fmt.Errorf("storage: read of unallocated page %d (have %d)", id, n)
-	}
-	if s.legacy {
-		_, err := s.f.ReadAt(buf[:PageSize], int64(id)*PageSize)
-		return err
 	}
 	physPtr := physBufPool.Get().(*[]byte)
 	phys := *physPtr
@@ -281,12 +257,6 @@ func (s *FileStore) WritePage(id PageID, buf []byte) error {
 	if int(id) >= n {
 		return fmt.Errorf("storage: write of unallocated page %d (have %d)", id, n)
 	}
-	if s.legacy {
-		if _, err := s.f.WriteAt(buf[:PageSize], int64(id)*PageSize); err != nil {
-			return fmt.Errorf("storage: page %d: %v: %w", id, err, ErrWriteFailed)
-		}
-		return nil
-	}
 	physPtr := physBufPool.Get().(*[]byte)
 	phys := *physPtr
 	defer physBufPool.Put(physPtr)
@@ -298,31 +268,23 @@ func (s *FileStore) WritePage(id PageID, buf []byte) error {
 	return nil
 }
 
-// Allocate implements Store. In the current format the fresh page is
-// sealed around a zero payload so that a read before any write verifies.
+// Allocate implements Store. The fresh page is sealed around a zero
+// payload so that a read before any write verifies.
 func (s *FileStore) Allocate() (PageID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	id := PageID(s.pages)
-	stride := int64(physPageSize)
-	if s.legacy {
-		stride = PageSize
-	}
-	if err := s.f.Truncate(int64(s.pages+1) * stride); err != nil {
+	if err := s.f.Truncate(int64(s.pages+1) * physPageSize); err != nil {
 		return InvalidPage, fmt.Errorf("storage: grow page file: %w", err)
 	}
-	if !s.legacy {
-		physPtr := physBufPool.Get().(*[]byte)
-		phys := *physPtr
-		for i := range phys {
-			phys[i] = 0
-		}
-		sealPage(phys, id)
-		_, err := s.f.WriteAt(phys, int64(id)*stride)
-		physBufPool.Put(physPtr)
-		if err != nil {
-			return InvalidPage, fmt.Errorf("storage: seal fresh page: %w", err)
-		}
+	physPtr := physBufPool.Get().(*[]byte)
+	phys := *physPtr
+	clear(phys)
+	sealPage(phys, id)
+	_, err := s.f.WriteAt(phys, int64(id)*physPageSize)
+	physBufPool.Put(physPtr)
+	if err != nil {
+		return InvalidPage, fmt.Errorf("storage: seal fresh page: %w", err)
 	}
 	s.pages++
 	return id, nil
@@ -359,8 +321,7 @@ func (s *FileStore) Close() error {
 	return err
 }
 
-// mutatePhysical implements physicalMutator for fault injection. In
-// legacy mode the raw page doubles as the physical page.
+// mutatePhysical implements physicalMutator for fault injection.
 func (s *FileStore) mutatePhysical(id PageID, mutate func(phys []byte)) error {
 	s.mu.RLock()
 	n := s.pages
@@ -368,15 +329,11 @@ func (s *FileStore) mutatePhysical(id PageID, mutate func(phys []byte)) error {
 	if int(id) >= n {
 		return fmt.Errorf("storage: mutate of unallocated page %d (have %d)", id, n)
 	}
-	stride := int64(physPageSize)
-	if s.legacy {
-		stride = PageSize
-	}
-	phys := make([]byte, stride)
-	if _, err := s.f.ReadAt(phys, int64(id)*stride); err != nil {
+	phys := make([]byte, physPageSize)
+	if _, err := s.f.ReadAt(phys, int64(id)*physPageSize); err != nil {
 		return err
 	}
 	mutate(phys)
-	_, err := s.f.WriteAt(phys, int64(id)*stride)
+	_, err := s.f.WriteAt(phys, int64(id)*physPageSize)
 	return err
 }

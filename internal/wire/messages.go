@@ -930,11 +930,12 @@ func responseBody(kind ResponseKind, op Op) (Message, error) {
 }
 
 // approxExtBytes is the size of the approximate-query header extension
-// trailing the request body: Epsilon and RecallTarget as two F64s.
-// Appended only when at least one knob is non-zero or a trace extension
-// follows (the trace block sits after the knobs, so its presence forces
-// them onto the wire even at zero), keeping every pre-extension frame
-// valid and byte-identical.
+// trailing the request body: Epsilon as an F64, then a reserved F64 slot
+// that must be zero (it carried the recall target until that knob was
+// removed; the trace extension follows it, so the layout stays). Appended
+// only when Epsilon is non-zero or a trace extension follows (its presence
+// forces the 16 bytes onto the wire even at zero), keeping every
+// pre-extension frame valid and byte-identical.
 const approxExtBytes = 16
 
 // EncodeRequest encodes a request payload (header + body) into buf's
@@ -953,9 +954,9 @@ func EncodeRequest(hdr RequestHeader, body Message, buf []byte) ([]byte, error) 
 	e.I64(int64(hdr.Timeout))
 	body.encode(e)
 	traceExt := hdr.TraceID != "" || hdr.WantReport
-	if hdr.Epsilon != 0 || hdr.RecallTarget != 0 || traceExt {
+	if hdr.Epsilon != 0 || traceExt {
 		e.F64(hdr.Epsilon)
-		e.F64(hdr.RecallTarget)
+		e.F64(0) // reserved
 	}
 	if traceExt {
 		var flags uint8
@@ -970,12 +971,12 @@ func EncodeRequest(hdr RequestHeader, body Message, buf []byte) ([]byte, error) 
 
 // DecodeRequest decodes a request payload into its header and body.
 // Bytes left over after the body are the header extensions: exactly
-// approxExtBytes is the approximate-query extension alone (the PR-8
-// format), more is the knobs followed by the trace extension (flags
-// byte + trace-id string); older frames simply end at the body. All
-// extension values are range-checked here so a hostile frame cannot
-// smuggle NaN factors, unknown flag bits or an unloggable trace ID past
-// the typed validation downstream.
+// approxExtBytes is the approximate-query extension alone, more is that
+// extension followed by the trace extension (flags byte + trace-id
+// string); older frames simply end at the body. All extension values are
+// range-checked here so a hostile frame cannot smuggle a NaN factor, a
+// value for the removed recall-target knob, unknown flag bits or an
+// unloggable trace ID past the typed validation downstream.
 func DecodeRequest(payload []byte) (RequestHeader, Message, error) {
 	d := NewDecoder(payload)
 	var hdr RequestHeader
@@ -995,12 +996,12 @@ func DecodeRequest(payload []byte) (RequestHeader, Message, error) {
 	body.decode(d)
 	if d.Err() == nil && d.Remaining() >= approxExtBytes {
 		hdr.Epsilon = d.F64("epsilon")
-		hdr.RecallTarget = d.F64("recall target")
+		reserved := d.F64("reserved slot")
 		if math.IsNaN(hdr.Epsilon) || math.IsInf(hdr.Epsilon, 0) || hdr.Epsilon < 0 {
 			return hdr, nil, fmt.Errorf("wire: invalid epsilon %v", hdr.Epsilon)
 		}
-		if math.IsNaN(hdr.RecallTarget) || hdr.RecallTarget < 0 || hdr.RecallTarget > 1 {
-			return hdr, nil, fmt.Errorf("wire: invalid recall target %v", hdr.RecallTarget)
+		if math.Float64bits(reserved) != 0 {
+			return hdr, nil, fmt.Errorf("wire: recall target %v: the knob was removed, its header slot must be zero", reserved)
 		}
 		if d.Remaining() > 0 {
 			flags := d.U8("request flags")

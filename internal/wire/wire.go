@@ -29,15 +29,14 @@ const Magic = "ANNS"
 // Version is the protocol version this build speaks. Version 2 added
 // the shard-routing frames (OpShardMap, OpRangePoints, the partial-
 // result reply block and the SHARD_UNAVAILABLE/PARTIAL_RESULT error
-// codes). A server accepts any version in [MinVersion, Version] — the
-// version-1 frame set is unchanged, so old clients keep working — but
-// there are no negotiated downgrades: a version-2 client talking to a
-// version-1 server is rejected at the handshake rather than failing
-// mid-stream on a frame the server cannot parse.
+// codes). There is one version and no negotiated downgrade: a peer
+// announcing any other is rejected at the handshake rather than failing
+// mid-stream on a frame it cannot parse.
 const Version = 2
 
-// MinVersion is the oldest protocol version a server still accepts.
-const MinVersion = 1
+// MinVersion is the oldest protocol version a server still accepts: the
+// current one.
+const MinVersion = Version
 
 // MaxFrame bounds a single frame's payload. Requests are small; join
 // result streams chunk themselves well below this. A peer announcing a
@@ -224,25 +223,21 @@ type RequestHeader struct {
 	// Timeout, when positive, is the client's remaining deadline budget
 	// at send time; the server enforces it from arrival.
 	Timeout time.Duration
-	// Epsilon and RecallTarget carry the approximate-query knobs (see
-	// ann.QueryConfig). Both zero — the exact query every pre-extension
-	// client sends — encodes to the original fixed header with no
-	// trailing extension, so old and new peers interoperate: an old
-	// decoder never sees the extension bytes, and a new decoder treats
-	// their absence as exact. When either is non-zero the encoder appends
-	// both after the body as two F64s; only OpJoin honors them (the
-	// server rejects them on any other op).
-	Epsilon      float64
-	RecallTarget float64
+	// Epsilon carries the approximate-query knob (see ann.QueryConfig).
+	// Zero — the exact query — encodes to the fixed header with no
+	// trailing extension; a decoder treats the extension's absence as
+	// exact. When non-zero the encoder appends it after the body as an
+	// F64 followed by a reserved zero F64; only OpJoin honors it (the
+	// server rejects it on any other op).
+	Epsilon float64
 	// TraceID is an optional client-chosen identifier echoed through the
 	// server's logs, slow-query ring and in-flight table, tying a wire
 	// request to client-side context. WantReport asks the server to
 	// attach a Report to the terminating StreamEnd of a join (rejected
-	// on non-streaming ops, like the approximate knobs). Both zero-valued
-	// — the only thing a pre-extension client can send — encode to a
-	// frame byte-identical to the older format: the trace extension
-	// (flags byte + trace-id string, preceded by the two approx F64s) is
-	// appended only when at least one of them is set.
+	// on non-streaming ops, like Epsilon). Both zero-valued encode to the
+	// unextended frame: the trace extension (flags byte + trace-id
+	// string, preceded by the 16-byte approx extension) is appended only
+	// when at least one of them is set.
 	TraceID    string
 	WantReport bool
 }
@@ -295,7 +290,7 @@ func ReadHandshake(r io.Reader) error {
 		return fmt.Errorf("wire: bad handshake magic %q", b[:4])
 	}
 	if b[4] < MinVersion || b[4] > Version {
-		return fmt.Errorf("wire: protocol version %d, want %d..%d", b[4], MinVersion, Version)
+		return fmt.Errorf("wire: protocol version %d, want %d", b[4], Version)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -31,14 +32,14 @@ func requestSamples() []struct {
 		{RequestHeader{ID: 10, Op: OpWithinDistance}, &WithinReq{R: "r", S: "r", Dist: 3.5, ExcludeSelf: true}},
 		{RequestHeader{ID: 11, Op: OpClosestPairs}, &PairsReq{R: "r", S: "s", K: 8}},
 		{RequestHeader{ID: 12, Op: OpKNN}, &KNNReq{Index: "", K: 0, Point: nil}},
-		// Approximate-query header extension (trailing Epsilon/RecallTarget).
-		{RequestHeader{ID: 13, Op: OpJoin, Epsilon: 0.1, RecallTarget: 0.95}, &JoinReq{R: "r", S: "s", K: 2}},
+		// Approximate-query header extension (trailing Epsilon + reserved slot).
+		{RequestHeader{ID: 13, Op: OpJoin, Epsilon: 0.1}, &JoinReq{R: "r", S: "s", K: 2}},
 		{RequestHeader{ID: 14, Op: OpJoin, Timeout: time.Second, Epsilon: 0.5}, &JoinReq{R: "r", K: 1, Self: true}},
-		{RequestHeader{ID: 15, Op: OpJoin, RecallTarget: 1}, &JoinReq{R: "r", K: 1, Self: true}},
+		{RequestHeader{ID: 15, Op: OpJoin, Epsilon: 3}, &JoinReq{R: "r", K: 1, Self: true}},
 		// Trace header extension (flags + trace ID after the knobs).
 		{RequestHeader{ID: 16, Op: OpJoin, TraceID: "req-0042", WantReport: true}, &JoinReq{R: "r", K: 1, Self: true}},
 		{RequestHeader{ID: 17, Op: OpKNN, TraceID: "probe/7"}, &KNNReq{Index: "pts", K: 2, Point: []float64{1, 2}}},
-		{RequestHeader{ID: 18, Op: OpJoin, Epsilon: 0.1, RecallTarget: 0.95, WantReport: true}, &JoinReq{R: "r", S: "s", K: 2}},
+		{RequestHeader{ID: 18, Op: OpJoin, Epsilon: 0.1, WantReport: true}, &JoinReq{R: "r", S: "s", K: 2}},
 		// Mutations.
 		{RequestHeader{ID: 19, Op: OpInsert}, &InsertReq{Index: "pts", IDs: []uint64{10, 11}, Points: [][]float64{{1, 2}, {3, 4}}}},
 		{RequestHeader{ID: 20, Op: OpDelete}, &DeleteReq{Index: "pts", IDs: []uint64{10}, Points: [][]float64{{1, 2}}}},
@@ -198,11 +199,12 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestApproxExtension pins the compatibility contract of the trailing
-// Epsilon/RecallTarget extension: zero knobs encode to the pre-extension
-// frame byte-for-byte, pre-extension frames decode with zero knobs, and
-// hostile extension values (NaN, negatives, out-of-range targets) are
-// rejected at decode rather than reaching query validation.
+// TestApproxExtension pins the contract of the trailing 16-byte approx
+// extension: a zero Epsilon encodes to the unextended frame byte-for-byte,
+// an unextended frame decodes with a zero Epsilon, hostile Epsilon values
+// (NaN, Inf, negatives) are rejected at decode rather than reaching query
+// validation, and the second slot — the removed recall target — is
+// refused by name unless it is all zero bits.
 func TestApproxExtension(t *testing.T) {
 	exact, err := EncodeRequest(RequestHeader{ID: 1, Op: OpJoin}, &JoinReq{R: "r", K: 1, Self: true}, nil)
 	if err != nil {
@@ -223,8 +225,8 @@ func TestApproxExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Epsilon != 0 || hdr.RecallTarget != 0 {
-		t.Errorf("old frame decoded with knobs %v/%v", hdr.Epsilon, hdr.RecallTarget)
+	if hdr.Epsilon != 0 {
+		t.Errorf("unextended frame decoded with epsilon %v", hdr.Epsilon)
 	}
 	// Hostile extension values must be rejected at decode.
 	bad := [][2]float64{
@@ -232,8 +234,9 @@ func TestApproxExtension(t *testing.T) {
 		{0, math.NaN()},
 		{math.Inf(1), 0},
 		{-0.5, 0},
-		{0.1, -0.1},
-		{0.1, 1.5},
+		{0.1, 0.95},
+		{0, 1},
+		{0.1, math.Copysign(0, -1)},
 	}
 	for _, kv := range bad {
 		e := NewEncoder(nil)
@@ -243,8 +246,11 @@ func TestApproxExtension(t *testing.T) {
 		(&JoinReq{R: "r", K: 1, Self: true}).encode(e)
 		e.F64(kv[0])
 		e.F64(kv[1])
-		if _, _, err := DecodeRequest(e.Bytes()); err == nil {
+		_, _, err := DecodeRequest(e.Bytes())
+		if err == nil {
 			t.Errorf("extension (%v, %v) accepted", kv[0], kv[1])
+		} else if kv[1] != 0 && !strings.Contains(err.Error(), "recall target") {
+			t.Errorf("extension (%v, %v) refused without naming the removed knob: %v", kv[0], kv[1], err)
 		}
 	}
 }
@@ -292,7 +298,7 @@ func TestTraceExtension(t *testing.T) {
 		t.Errorf("approx-only frame decoded as %+v", hdr)
 	}
 	// The full round trip preserves every header field.
-	full := RequestHeader{ID: 9, Op: OpJoin, Epsilon: 0.1, RecallTarget: 0.9, TraceID: "abc-123", WantReport: true}
+	full := RequestHeader{ID: 9, Op: OpJoin, Epsilon: 0.1, TraceID: "abc-123", WantReport: true}
 	payload, err := EncodeRequest(full, &JoinReq{R: "r", K: 1, Self: true}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -520,16 +526,14 @@ func TestHandshake(t *testing.T) {
 	if err := ReadHandshake(bytes.NewReader([]byte{'A', 'N', 'N', 'S', 99})); err == nil {
 		t.Error("future version accepted")
 	}
-	// The version gate: every version in [MinVersion, Version] is
-	// accepted (version-1 clients predate the shard-routing frames but
-	// speak a compatible frame set), anything outside is rejected.
-	for v := MinVersion; v <= Version; v++ {
-		if err := ReadHandshake(bytes.NewReader([]byte{'A', 'N', 'N', 'S', byte(v)})); err != nil {
-			t.Errorf("version %d rejected: %v", v, err)
-		}
+	// The version gate: there is one version.
+	if MinVersion != Version {
+		t.Errorf("MinVersion = %d, want Version (%d)", MinVersion, Version)
 	}
-	if err := ReadHandshake(bytes.NewReader([]byte{'A', 'N', 'N', 'S', 0})); err == nil {
-		t.Error("version 0 accepted")
+	for _, v := range []byte{0, Version - 1} {
+		if err := ReadHandshake(bytes.NewReader([]byte{'A', 'N', 'N', 'S', v})); err == nil {
+			t.Errorf("version %d accepted", v)
+		}
 	}
 }
 
