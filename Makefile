@@ -44,13 +44,15 @@ chaos:
 # chaos-recover runs the durability suite under the race detector:
 # kill-9-style crash loops sweeping the failure point across every WAL
 # write, fsync, and checkpoint page write (recovered state must be
-# byte-identical to a never-crashed reference), plus concurrent insert
+# byte-identical to a never-crashed reference), concurrent insert
 # batches against parallel snapshot-isolated queries — joins, and kNN
-# probes reading pages in place under a 64-frame pool — on GOMAXPROCS=4.
+# probes reading pages in place under a 64-frame pool — on GOMAXPROCS=4,
+# the shared copy-on-write conformance of internal/index/indextest run
+# by both tree packages, and the constant-cardinality churn plateau.
 chaos-recover:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'ChaosCrashRecovery|RecoveryAfterCrash|WriteFailedClassification|ConcurrentWritesAndQueries|KNNReadersBesideWriter|SnapshotIsolation' \
-		./ann/ ./internal/mbrqt ./internal/rstar
+		-run 'ChaosCrashRecovery|RecoveryAfterCrash|WriteFailedClassification|ConcurrentWritesAndQueries|KNNReadersBesideWriter|SnapshotIsolation|ChurnPlateau' \
+		./ann/ ./internal/index/... ./internal/mbrqt ./internal/rstar
 
 # fuzz-corpus regenerates the wire seed corpora from the sample frame
 # lists (corpus_test.go) after a protocol change; curated legacy-*

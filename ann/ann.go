@@ -108,9 +108,11 @@ type IndexConfig struct {
 	// live index once the write-ahead log exceeds this many bytes: the
 	// mutation batch that pushes the log past the budget triggers the
 	// same checkpoint Flush runs (pages synced, log truncated) before
-	// returning. This bounds both the log's disk footprint and the replay
-	// work a crash incurs. 0 (the default) keeps checkpoint cadence
-	// manual — Flush, Close, and recovery still checkpoint as before.
+	// returning. This bounds the log's disk footprint, the replay work a
+	// crash incurs and the page file's growth under churn (superseded
+	// pages are reused only after a checkpoint). 0 (the default) keeps
+	// checkpoint cadence manual — Flush, Close, and recovery still
+	// checkpoint as before.
 	CheckpointEveryBytes int64
 }
 
@@ -211,17 +213,16 @@ type Result = core.Result
 // not run concurrently with queries — see internal/server's catalog for
 // the lock pattern.
 type Index struct {
-	tree  index.Tree
+	tree  index.Mutable
 	pool  *storage.BufferPool
 	store storage.Store
 	size  int
 	kind  IndexKind
 
-	// Live-update state (write.go). mut is set once enableLiveUpdates
-	// arms the mutation path; wal is additionally set for file-backed
-	// indexes. writeMu serialises the single-writer mutation path and
-	// guards size/writeErr; verMu guards the snapshot version chain.
-	mut      mutableTree
+	// Live-update state (write.go), armed by enableLiveUpdates; wal is
+	// set for file-backed indexes only. writeMu serialises the
+	// single-writer mutation path and guards size/writeErr; verMu guards
+	// the snapshot version chain.
 	wal      *storage.WAL
 	writeMu  sync.Mutex
 	writeErr error
@@ -267,7 +268,7 @@ func BuildIndex(points []Point, cfg IndexConfig) (*Index, error) {
 		RetryBackoffMax: cfg.RetryBackoffMax,
 	})
 
-	var tree index.Tree
+	var tree index.Mutable
 	var err error
 	switch cfg.Kind {
 	case RStar:
@@ -311,7 +312,7 @@ func (ix *Index) Close() error {
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
 	var firstErr error
-	if ix.mut != nil && ix.wal != nil && ix.writeErr == nil && !ix.wal.Empty() {
+	if ix.wal != nil && ix.writeErr == nil && !ix.wal.Empty() {
 		if err := ix.checkpointLocked(); err != nil {
 			firstErr = err
 		}

@@ -96,15 +96,15 @@ func OpenIndex(path string, cfg IndexConfig) (*Index, error) {
 		for _, op := range ops {
 			switch {
 			case op.IsWALInsert():
-				err = ix.mut.Insert(index.ObjectID(op.ID), geom.Point(op.Point))
+				err = ix.tree.Insert(index.ObjectID(op.ID), geom.Point(op.Point))
 			case op.IsWALDelete():
-				_, err = ix.mut.Delete(index.ObjectID(op.ID), geom.Point(op.Point))
+				_, err = ix.tree.Delete(index.ObjectID(op.ID), geom.Point(op.Point))
 			}
 			if err != nil {
 				return fail(fmt.Errorf("ann: WAL replay: %w", err))
 			}
 		}
-		ix.size = ix.mut.Len()
+		ix.size = ix.tree.Len()
 		ix.publishLocked()
 		// Fold the replayed state into a fresh checkpoint so the next open
 		// starts clean; this also truncates the log.
@@ -117,23 +117,18 @@ func OpenIndex(path string, cfg IndexConfig) (*Index, error) {
 
 // Flush checkpoints the index: all updates since the previous checkpoint
 // become part of the durable base state in the page file and the
-// write-ahead log is truncated. Only meaningful for an index built with
-// IndexConfig.PageFile (or opened with OpenIndex); for an in-memory
-// index it is a harmless no-op. After a Flush the page file can be
+// write-ahead log is truncated. After a Flush the page file can be
 // reopened with OpenIndex — though that is equally true at any instant,
-// via WAL replay; Flush just bounds the replay work.
+// via WAL replay; Flush just bounds the replay work, and lets the pages
+// the folded-in batches superseded be reused (they wait for a
+// checkpoint's fence). An in-memory index has nothing to make durable
+// and reuses superseded pages at every batch; Flush on it only runs the
+// same fence.
 func (ix *Index) Flush() error {
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
-	if ix.mut != nil {
-		if ix.writeErr != nil {
-			return ix.writeErr
-		}
-		return ix.checkpointLocked()
+	if ix.writeErr != nil {
+		return ix.writeErr
 	}
-	type flusher interface{ Flush() error }
-	if f, ok := ix.tree.(flusher); ok {
-		return f.Flush()
-	}
-	return ix.pool.FlushAll()
+	return ix.checkpointLocked()
 }

@@ -1,7 +1,6 @@
 package ann
 
 import (
-	"allnn/internal/index"
 	"allnn/internal/storage"
 )
 
@@ -67,33 +66,36 @@ func (ix *Index) Stats() IndexStats {
 		st.WALReplayed = ws.Replayed
 		st.WALReplayNs = ws.ReplayNs
 	}
-	if ix.mut != nil {
-		st.SnapshotPins = ix.totalPins()
-	}
-	if nc, ok := ix.tree.(index.NodeCacher); ok {
-		if c := nc.NodeCacheRef(); c != nil {
-			ct := c.Counters()
-			st.CacheHits = ct.Hits
-			st.CacheMisses = ct.Misses
-			st.CacheEvictions = ct.Evictions
-			st.CacheInvalidations = ct.Invalidations
-			r := c.Residency()
-			st.CacheEntries = r.Entries
-			st.CacheBytes = r.Bytes
-		}
+	st.SnapshotPins = ix.totalPins()
+	if c := ix.tree.NodeCacheRef(); c != nil {
+		ct := c.Counters()
+		st.CacheHits = ct.Hits
+		st.CacheMisses = ct.Misses
+		st.CacheEvictions = ct.Evictions
+		st.CacheInvalidations = ct.Invalidations
+		r := c.Residency()
+		st.CacheEntries = r.Entries
+		st.CacheBytes = r.Bytes
 	}
 	return st
 }
 
-// RegisterWALMetrics exposes the index's write-ahead-log gauges and
-// counters in m under the "wal." prefix: wal.records, wal.fsyncs,
+// RegisterWALMetrics exposes the live index's write-path gauges and
+// counters in m. Every index has the page-lifecycle gauges
+// storage.free_pages (fenced, reusable), storage.drained_pages (dead,
+// awaiting a checkpoint's fence) and storage.deferred_refs (unlinked
+// node refs a snapshot may still read, or not yet drained); a
+// file-backed one adds its log's wal.records, wal.fsyncs,
 // wal.checkpoints, wal.replayed_records, wal.replay_ns and
-// wal.snapshot_pins. No-op for an in-memory index, which has no log.
+// wal.snapshot_pins.
 func (ix *Index) RegisterWALMetrics(m *MetricsRegistry) {
-	if ix.wal == nil || m == nil {
-		return
+	r := m.registry()
+	r.GaugeFunc("storage.free_pages", func() int64 { free, _, _ := ix.tree.PageGauges(); return free })
+	r.GaugeFunc("storage.drained_pages", func() int64 { _, drained, _ := ix.tree.PageGauges(); return drained })
+	r.GaugeFunc("storage.deferred_refs", func() int64 { _, _, deferred := ix.tree.PageGauges(); return deferred })
+	if ix.wal != nil {
+		ix.wal.Register(r, "wal")
 	}
-	ix.wal.Register(m.registry(), "wal")
 }
 
 // RequireNoPinnedFrames forwards to storage.RequireNoPinnedFrames for

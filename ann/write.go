@@ -6,8 +6,6 @@ import (
 
 	"allnn/internal/geom"
 	"allnn/internal/index"
-	"allnn/internal/mbrqt"
-	"allnn/internal/rstar"
 	"allnn/internal/storage"
 )
 
@@ -48,30 +46,6 @@ import (
 // published snapshot.
 var ErrWriteFailed = storage.ErrWriteFailed
 
-// mutableTree is the shape both tree backends expose for live updates.
-type mutableTree interface {
-	index.Tree
-	Insert(id index.ObjectID, pt geom.Point) error
-	Delete(id index.ObjectID, pt geom.Point) (bool, error)
-	EnableCoW()
-	DrainReclaim() error
-	CheckpointWith(hook func(metaPage []byte) error) error
-	MetaPage() storage.PageID
-}
-
-// treePublish publishes a snapshot of the concrete tree. The returned
-// release function retires the records unlinked by the just-published
-// batch and must run once the previous snapshot has fully drained.
-func treePublish(t index.Tree) (index.Tree, func()) {
-	switch tt := t.(type) {
-	case *mbrqt.Tree:
-		return tt.Publish()
-	case *rstar.Tree:
-		return tt.Publish()
-	}
-	return t, func() {}
-}
-
 // version is one published snapshot in the index's version chain,
 // oldest first. pins counts in-flight queries reading it; release (set
 // when the NEXT version is published) retires what that next batch
@@ -84,15 +58,10 @@ type version struct {
 	next    *version
 }
 
-// acquire pins the newest published snapshot for a query. Returns a nil
-// version (and the raw tree) for an index without live-update support.
+// acquire pins the newest published snapshot for a query.
 func (ix *Index) acquire() (*version, index.Tree) {
 	ix.verMu.Lock()
 	v := ix.tail
-	if v == nil {
-		ix.verMu.Unlock()
-		return nil, ix.tree
-	}
 	v.pins++
 	ix.verMu.Unlock()
 	return v, v.tree
@@ -100,9 +69,6 @@ func (ix *Index) acquire() (*version, index.Tree) {
 
 // release unpins a snapshot and drains any fully-released versions.
 func (ix *Index) release(v *version) {
-	if v == nil {
-		return
-	}
 	ix.verMu.Lock()
 	v.pins--
 	ix.drainLocked()
@@ -126,7 +92,7 @@ func (ix *Index) drainLocked() {
 // publishLocked publishes the current tree state as the newest version.
 // Caller holds writeMu.
 func (ix *Index) publishLocked() {
-	snap, release := treePublish(ix.tree)
+	snap, release := ix.tree.Publish()
 	newv := &version{tree: snap}
 	ix.verMu.Lock()
 	if ix.tail == nil {
@@ -161,13 +127,8 @@ func (ix *Index) totalPins() int64 {
 // initial published version, and (when wal is non-nil) the durability
 // protocol. Called once, before the index is shared.
 func (ix *Index) enableLiveUpdates(wal *storage.WAL) {
-	mt, ok := ix.tree.(mutableTree)
-	if !ok {
-		return
-	}
-	ix.mut = mt
 	ix.wal = wal
-	mt.EnableCoW()
+	ix.tree.EnableCoW()
 	ix.publishLocked()
 	if wal != nil {
 		wal.SetPinsFunc(ix.totalPins)
@@ -182,13 +143,13 @@ func (ix *Index) checkpointLocked() error {
 	var hook func([]byte) error
 	if ix.wal != nil {
 		hook = func(metaPage []byte) error {
-			if err := ix.wal.AppendMeta(ix.mut.MetaPage(), metaPage); err != nil {
+			if err := ix.wal.AppendMeta(ix.tree.MetaPage(), metaPage); err != nil {
 				return err
 			}
 			return ix.wal.Sync()
 		}
 	}
-	if err := ix.mut.CheckpointWith(hook); err != nil {
+	if err := ix.tree.CheckpointWith(hook); err != nil {
 		return err
 	}
 	if ix.wal != nil {
@@ -210,8 +171,8 @@ func (ix *Index) validateMutation(ids []ObjectID, pts []Point) error {
 	}
 	dim := ix.tree.Dim()
 	var space geom.Rect
-	if qt, ok := ix.tree.(*mbrqt.Tree); ok {
-		space = qt.Space()
+	if bounded, ok := ix.tree.(interface{ Space() geom.Rect }); ok {
+		space = bounded.Space()
 	}
 	for i, pt := range pts {
 		if len(pt) != dim {
@@ -240,38 +201,10 @@ func (ix *Index) Insert(id ObjectID, pt Point) error {
 // at build time (the PR decomposition's root cell); the R*-tree backend
 // has no such constraint.
 func (ix *Index) InsertBatch(ids []ObjectID, pts []Point) error {
-	if err := ix.validateMutation(ids, pts); err != nil {
-		return err
-	}
-	ix.writeMu.Lock()
-	defer ix.writeMu.Unlock()
-	if err := ix.writableLocked(); err != nil {
-		return err
-	}
-	if err := ix.mut.DrainReclaim(); err != nil {
-		return err
-	}
-	if ix.wal != nil {
-		for i := range ids {
-			if err := ix.wal.AppendInsert(ids[i], pts[i]); err != nil {
-				return err
-			}
-		}
-		if err := ix.wal.Sync(); err != nil {
-			return err
-		}
-	}
-	for i := range ids {
-		if err := ix.mut.Insert(index.ObjectID(ids[i]), geom.Point(pts[i])); err != nil {
-			// The log and the tree have diverged; refuse further writes
-			// (recovery on reopen reconciles from the log).
-			ix.writeErr = fmt.Errorf("ann: apply failed mid-batch (%v), index needs reopen: %w", err, ErrWriteFailed)
-			return ix.writeErr
-		}
-	}
-	ix.size = ix.mut.Len()
-	ix.publishLocked()
-	return ix.maybeCheckpointLocked()
+	_, err := ix.commit(ids, pts, (*storage.WAL).AppendInsert, func(t index.Mutable, id index.ObjectID, pt geom.Point) (bool, error) {
+		return true, t.Insert(id, pt)
+	})
+	return err
 }
 
 // Delete removes one point from a live index, reporting whether it was
@@ -287,20 +220,34 @@ func (ix *Index) Delete(id ObjectID, pt Point) (bool, error) {
 // deleting an absent point is a durable no-op, which keeps replay
 // idempotent.
 func (ix *Index) DeleteBatch(ids []ObjectID, pts []Point) (int, error) {
+	return ix.commit(ids, pts, (*storage.WAL).AppendDelete, index.Mutable.Delete)
+}
+
+// commit is the one write path: validate → log → fsync → apply →
+// publish → maybe checkpoint. logOp appends one op to the WAL and apply
+// performs it on the tree, reporting whether it took effect; commit
+// returns how many did.
+func (ix *Index) commit(ids []ObjectID, pts []Point,
+	logOp func(*storage.WAL, uint64, []float64) error,
+	apply func(index.Mutable, index.ObjectID, geom.Point) (bool, error)) (int, error) {
 	if err := ix.validateMutation(ids, pts); err != nil {
 		return 0, err
 	}
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
-	if err := ix.writableLocked(); err != nil {
+	if ix.writeErr != nil {
+		return 0, ix.writeErr
+	}
+	if err := ix.tree.DrainReclaim(); err != nil {
 		return 0, err
 	}
-	if err := ix.mut.DrainReclaim(); err != nil {
-		return 0, err
-	}
-	if ix.wal != nil {
+	if ix.wal == nil {
+		// No durable root for the fence to protect, and no checkpoint
+		// will ever come: drained pages are reusable at once.
+		ix.tree.Fence()
+	} else {
 		for i := range ids {
-			if err := ix.wal.AppendDelete(ids[i], pts[i]); err != nil {
+			if err := logOp(ix.wal, ids[i], pts[i]); err != nil {
 				return 0, err
 			}
 		}
@@ -308,20 +255,22 @@ func (ix *Index) DeleteBatch(ids []ObjectID, pts []Point) (int, error) {
 			return 0, err
 		}
 	}
-	found := 0
+	applied := 0
 	for i := range ids {
-		ok, err := ix.mut.Delete(index.ObjectID(ids[i]), geom.Point(pts[i]))
+		ok, err := apply(ix.tree, index.ObjectID(ids[i]), geom.Point(pts[i]))
 		if err != nil {
+			// The log and the tree have diverged; refuse further writes
+			// (recovery on reopen reconciles from the log).
 			ix.writeErr = fmt.Errorf("ann: apply failed mid-batch (%v), index needs reopen: %w", err, ErrWriteFailed)
-			return found, ix.writeErr
+			return applied, ix.writeErr
 		}
 		if ok {
-			found++
+			applied++
 		}
 	}
-	ix.size = ix.mut.Len()
+	ix.size = ix.tree.Len()
 	ix.publishLocked()
-	return found, ix.maybeCheckpointLocked()
+	return applied, ix.maybeCheckpointLocked()
 }
 
 // maybeCheckpointLocked enforces IndexConfig.CheckpointEveryBytes: when
@@ -337,17 +286,6 @@ func (ix *Index) maybeCheckpointLocked() error {
 	}
 	if err := ix.checkpointLocked(); err != nil {
 		return fmt.Errorf("ann: auto-checkpoint after committed batch: %w", err)
-	}
-	return nil
-}
-
-// writableLocked reports whether the index accepts mutations.
-func (ix *Index) writableLocked() error {
-	if ix.mut == nil {
-		return fmt.Errorf("ann: index does not support live updates: %w", ErrInvalidConfig)
-	}
-	if ix.writeErr != nil {
-		return ix.writeErr
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"allnn/internal/geom"
+	"allnn/internal/index"
 	"allnn/internal/mbrqt"
 	"allnn/internal/storage"
 )
@@ -64,7 +65,7 @@ func TestChaosPointQueriesUnderFaults(t *testing.T) {
 	failed := 0
 	for i := 0; i < queries; i++ {
 		q := geom.Point{rng.Float64() * 100, rng.Float64() * 100}
-		_, err := tree.NearestNeighbors(q, 3)
+		_, err := index.NearestNeighbors(tree, q, 3)
 		requireChaosErr(t, err)
 		if err != nil {
 			failed++
@@ -146,7 +147,7 @@ func TestChaosCorruptPageSurfaces(t *testing.T) {
 	pool2 := storage.NewBufferPoolWithConfig(fs, 64, chaosPoolConfig)
 	tree2, err := mbrqt.Open(pool2, tree.MetaPage())
 	if err == nil {
-		_, err = tree2.NearestNeighbors(geom.Point{50, 50}, 1)
+		_, err = index.NearestNeighbors(tree2, geom.Point{50, 50}, 1)
 	}
 	if !storage.IsCorrupt(err) {
 		t.Fatalf("corrupted store: err = %v, want ErrCorruptPage", err)
@@ -165,7 +166,7 @@ func TestChaosCorruptPageSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restored store failed to open: %v", err)
 	}
-	res, err := tree3.NearestNeighbors(pts[0], 1)
+	res, err := index.NearestNeighbors(tree3, pts[0], 1)
 	if err != nil {
 		t.Fatalf("restored store failed to query: %v", err)
 	}

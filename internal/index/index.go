@@ -5,6 +5,8 @@
 package index
 
 import (
+	"encoding/binary"
+
 	"allnn/internal/geom"
 	"allnn/internal/storage"
 )
@@ -62,6 +64,27 @@ type Block struct {
 	CountOff, BoxOff int
 	// Data holds exactly N·Stride bytes and aliases the pinned page.
 	Data []byte
+}
+
+// Object decodes leaf slot i: its point into pt (len Dim), returning the
+// object id.
+func (b Block) Object(i int, pt []float64) ObjectID {
+	slot := b.Data[i*b.Stride:]
+	for d := range pt {
+		pt[d] = f64at(slot[8+8*d:])
+	}
+	return ObjectID(binary.LittleEndian.Uint64(slot))
+}
+
+// Child decodes internal slot i: its MBR into lo and hi (len Dim each),
+// returning the child reference and the subtree point count.
+func (b Block) Child(i int, lo, hi []float64) (storage.PageID, uint32) {
+	slot := b.Data[i*b.Stride:]
+	for d := range lo {
+		lo[d] = f64at(slot[b.BoxOff+8*d:])
+		hi[d] = f64at(slot[b.BoxOff+8*(b.Dim+d):])
+	}
+	return childAt(slot), binary.LittleEndian.Uint32(slot[b.CountOff:])
 }
 
 // Tree is the traversal interface shared by MBRQT and the R*-tree.

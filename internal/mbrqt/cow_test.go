@@ -4,135 +4,17 @@ import (
 	"math/rand"
 	"testing"
 
-	"allnn/internal/geom"
-	"allnn/internal/index"
+	"allnn/internal/index/indextest"
 )
 
-// snapshotObjects walks a published snapshot and returns every object it
-// holds, keyed by ID.
-func snapshotObjects(t *testing.T, s *Snapshot) map[index.ObjectID]geom.Point {
-	t.Helper()
-	out := make(map[index.ObjectID]geom.Point, s.Len())
-	if s.Len() == 0 {
-		return out
-	}
-	root, err := s.Root()
-	if err != nil {
-		t.Fatalf("snapshot root: %v", err)
-	}
-	stack := []index.Entry{root}
-	for len(stack) > 0 {
-		e := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if e.IsObject() {
-			if _, dup := out[e.Object]; dup {
-				t.Fatalf("snapshot holds object %d twice", e.Object)
-			}
-			out[e.Object] = append(geom.Point{}, e.Point...)
-			continue
-		}
-		kids, err := s.Expand(&e)
-		if err != nil {
-			t.Fatalf("snapshot expand: %v", err)
-		}
-		stack = append(stack, kids...)
-	}
-	if len(out) != s.Len() {
-		t.Fatalf("snapshot enumerated %d objects, Len says %d", len(out), s.Len())
-	}
-	return out
-}
-
-func requireObjects(t *testing.T, label string, got map[index.ObjectID]geom.Point, ids []index.ObjectID, pts []geom.Point) {
-	t.Helper()
-	if len(got) != len(ids) {
-		t.Fatalf("%s: %d objects, want %d", label, len(got), len(ids))
-	}
-	for i, id := range ids {
-		p, ok := got[id]
-		if !ok {
-			t.Fatalf("%s: object %d missing", label, id)
-		}
-		for d := range p {
-			if p[d] != pts[i][d] {
-				t.Fatalf("%s: object %d at %v, want %v", label, id, p, pts[i])
-			}
-		}
-	}
-}
-
-// TestSnapshotIsolationUnderWrites publishes a snapshot, mutates the
-// tree through several insert/delete batches, and checks the snapshot
-// still reads exactly the state it froze — the core CoW guarantee the
-// ann layer's snapshot-isolated queries are built on.
+// TestSnapshotIsolationUnderWrites runs the shared copy-on-write
+// conformance over small buckets, so every batch splits and empties
+// leaves.
 func TestSnapshotIsolationUnderWrites(t *testing.T) {
-	pool := newPool(256)
-	tree, err := New(pool, unitSpace(2), Config{BucketCapacity: 4})
+	tree, err := New(newPool(256), unitSpace(2), Config{BucketCapacity: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(9))
-	pts := uniformPoints(rng, 120, 2, 1)
-	ids := make([]index.ObjectID, len(pts))
-	for i := range pts {
-		ids[i] = index.ObjectID(i)
-		if err := tree.Insert(ids[i], pts[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tree.EnableCoW()
-	s1, rel1 := tree.Publish()
-	rel1() // first publish: nothing precedes it, release immediately
-
-	// Batch 1: remove a block, add new points.
-	for i := 0; i < 20; i++ {
-		if ok, err := tree.Delete(ids[i], pts[i]); err != nil || !ok {
-			t.Fatalf("delete %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-	add := uniformPoints(rng, 30, 2, 1)
-	addIDs := make([]index.ObjectID, len(add))
-	for i := range add {
-		addIDs[i] = index.ObjectID(500 + i)
-		if err := tree.Insert(addIDs[i], add[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s2, rel2 := tree.Publish()
-
-	// s1 must be frozen at the pre-batch state even though the writer has
-	// unlinked records it references (rel2 has not fired).
-	requireObjects(t, "s1 after batch", snapshotObjects(t, s1), ids, pts)
-	wantIDs := append(append([]index.ObjectID{}, ids[20:]...), addIDs...)
-	wantPts := append(append([]geom.Point{}, pts[20:]...), add...)
-	requireObjects(t, "s2", snapshotObjects(t, s2), wantIDs, wantPts)
-
-	// s1 readers are done: retire batch 1's unlinked records and reclaim.
-	rel2()
-	if err := tree.DrainReclaim(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Batch 2 after reclaim: the tree still behaves, and s2 stays frozen.
-	for i := 0; i < 10; i++ {
-		if ok, err := tree.Delete(addIDs[i], add[i]); err != nil || !ok {
-			t.Fatalf("delete new %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-	_, rel3 := tree.Publish()
-	requireObjects(t, "s2 after batch 2", snapshotObjects(t, s2), wantIDs, wantPts)
-	rel3()
-
-	if err := tree.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.CheckpointWith(nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := pool.PinnedFrames(); got != 0 {
-		t.Fatalf("%d pinned frames after checkpoint", got)
-	}
-	if tree.Len() != 120-20+30-10 {
-		t.Fatalf("final Len %d", tree.Len())
-	}
+	pts := uniformPoints(rand.New(rand.NewSource(9)), 120+24*16, 2, 1)
+	indextest.SnapshotIsolation(t, tree, pts, 120, 16, 24)
 }

@@ -29,7 +29,7 @@ func TestDeleteBasic(t *testing.T) {
 	if err := tree.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := tree.RangeSearch(geom.PointRect(pts[42]))
+	res, err := index.RangeSearch(tree, geom.PointRect(pts[42]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +92,8 @@ func TestDeleteEverything(t *testing.T) {
 	if err := tree.Insert(7, geom.Point{0.25, 0.75}); err != nil {
 		t.Fatal(err)
 	}
-	if found, err := tree.Contains(geom.Point{0.25, 0.75}); err != nil || !found {
-		t.Fatalf("tree unusable after emptying: %v %v", found, err)
+	if res, err := index.RangeSearch(tree, geom.PointRect(geom.Point{0.25, 0.75})); err != nil || len(res) != 1 {
+		t.Fatalf("tree unusable after emptying: %v %v", res, err)
 	}
 }
 
@@ -114,7 +114,7 @@ func TestDeleteWithDuplicates(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("delete duplicate: %v %v", ok, err)
 	}
-	res, err := tree.RangeSearch(geom.PointRect(p))
+	res, err := index.RangeSearch(tree, geom.PointRect(p))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,8 +101,8 @@ func entriesPerRecord(entrySize int) int {
 
 // recordView is one node record parsed in place: parseRecord has done
 // every structural check, so the entries decode straight from body (which
-// aliases the page) with no further validation. readNode, Expand's miss
-// path and Visit are all collectors over it.
+// aliases the page) with no further validation. readNode and Visit are
+// collectors over it.
 type recordView struct {
 	leaf bool
 	num  int
@@ -144,35 +144,8 @@ func parseRecord(rec []byte, dim int, first, leaf bool) (recordView, error) {
 	return v, nil
 }
 
-// object decodes leaf slot i: its point into pt (len dim), returning the
-// object id.
-func (v recordView) object(i int, pt []float64) index.ObjectID {
-	b := v.body[i*leafEntrySize(len(pt)):]
-	for d := range pt {
-		pt[d] = math.Float64frombits(binary.LittleEndian.Uint64(b[8+8*d:]))
-	}
-	return index.ObjectID(binary.LittleEndian.Uint64(b))
-}
-
-// child decodes internal slot i: its MBR into lo and hi (len dim each),
-// returning the rest of the slot.
-func (v recordView) child(i int, lo, hi []float64) (ref nodeRef, quad, count uint32) {
-	b := v.body[i*internalEntrySize(len(lo)):]
-	ref = nodeRef(binary.LittleEndian.Uint32(b))
-	quad = binary.LittleEndian.Uint32(b[4:])
-	count = binary.LittleEndian.Uint32(b[8:])
-	b = b[12:]
-	for d := range lo {
-		lo[d] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*d:]))
-	}
-	b = b[8*len(lo):]
-	for d := range hi {
-		hi[d] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*d:]))
-	}
-	return ref, quad, count
-}
-
-// block describes the record's entries to a Tree.Visit visitor.
+// block describes the record's entries, to a Tree.Visit visitor and to
+// collect. An internal slot is child ref, quadrant code, count, MBR.
 func (v recordView) block(dim int) index.Block {
 	if v.leaf {
 		return index.Block{Leaf: true, N: v.num, Dim: dim, Stride: leafEntrySize(dim), Data: v.body}
@@ -183,6 +156,7 @@ func (v recordView) block(dim int) index.Block {
 // collect appends a parsed record's entries to n.
 func (n *node) collect(v recordView, dim int) {
 	n.leaf = v.leaf
+	b := v.block(dim)
 	if v.leaf {
 		// One flat coordinate array per record keeps deserialisation at
 		// two allocations instead of one per point.
@@ -192,7 +166,7 @@ func (n *node) collect(v recordView, dim int) {
 		for i := 0; i < v.num; i++ {
 			o := &n.objects[base+i]
 			o.pt = coords[i*dim : (i+1)*dim]
-			o.id = v.object(i, o.pt)
+			o.id = b.Object(i, o.pt)
 		}
 		return
 	}
@@ -202,7 +176,9 @@ func (n *node) collect(v recordView, dim int) {
 	for i := 0; i < v.num; i++ {
 		c := &n.children[base+i]
 		c.mbr = geom.Rect{Lo: coords[i*2*dim : i*2*dim+dim], Hi: coords[i*2*dim+dim : (i+1)*2*dim]}
-		c.ref, c.quad, c.count = v.child(i, c.mbr.Lo, c.mbr.Hi)
+		ref, count := b.Child(i, c.mbr.Lo, c.mbr.Hi)
+		c.ref, c.count = nodeRef(ref), count
+		c.quad = binary.LittleEndian.Uint32(b.Data[i*b.Stride+4:])
 	}
 }
 
@@ -371,7 +347,7 @@ func (t *Tree) updateNode(ref nodeRef, n *node) (nodeRef, error) {
 	}
 	// The decoded form of this node is stale whether or not the head ref
 	// survives the rewrite.
-	t.cache.Load().Invalidate(storage.PageID(ref))
+	t.Invalidate(storage.PageID(ref))
 	if len(segments) == 1 && len(oldChain) == 1 {
 		return t.rs.update(ref, segments[0])
 	}
@@ -409,7 +385,7 @@ func (t *Tree) freeNode(ref nodeRef) error {
 		return err
 	}
 	for _, r := range refs {
-		t.cache.Load().Invalidate(storage.PageID(r))
+		t.Invalidate(storage.PageID(r))
 		if err := t.rs.free(r); err != nil {
 			return err
 		}

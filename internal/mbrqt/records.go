@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"allnn/internal/index"
 	"allnn/internal/storage"
 )
 
@@ -52,38 +53,25 @@ func (r nodeRef) slot() int            { return int(uint32(r) & slotMask) }
 // recordStore manages slotted pages inside a shared buffer pool. It is
 // owned by a single tree and is not safe for concurrent use.
 //
-// In copy-on-write mode (enableCoW) the store adds the page discipline
-// behind snapshot-isolated queries and crash recovery: a mutation batch
-// may only write pages in its writable set — pages claimed fresh from
-// the pool or recycled from the fenced free list during that batch.
-// Records on published pages are never overwritten in place: freeing one
-// merely records the ref in the deferred list, and updating one defers
-// the old copy and allocates a new record on a writable page. Published
-// pages therefore stay byte-stable until every record on them is dead
-// AND a checkpoint has fenced them, at which point the page re-enters
-// circulation whole. Readers of older snapshots only ever touch
-// published pages, so they race with the writer on no byte; and no page
-// referenced by the last durable checkpoint is rewritten before the next
-// checkpoint, so a crash always finds the checkpointed tree intact.
-// Space on published pages is reclaimed at whole-page granularity: a
-// page with a long-lived survivor record keeps its dead space until the
-// survivor itself is rewritten (the usual cost of no-overwrite storage).
+// The copy-on-write page discipline is the shell's (index.Shell); what
+// the slotted layout adds is its granularity. A record on a published
+// page is never overwritten in place: freeing one merely defers its ref,
+// and updating one defers the old copy and allocates a new record on a
+// writable page. A published page re-enters circulation whole, once
+// every record on it is dead (pageDead) and a checkpoint has fenced it:
+// a page with a long-lived survivor record keeps its dead space until
+// the survivor itself is rewritten (the usual cost of no-overwrite
+// storage).
 type recordStore struct {
 	pool *storage.BufferPool
+	life *index.Shell
 	// fillPages caches pages that recently had free space, newest last;
-	// allocation tries them before claiming a new page. In CoW mode it
-	// holds only writable pages (publish clears it).
+	// allocation tries them before claiming a new page. Pages published
+	// since they were cached are dropped by the next alloc: a batch
+	// starts with no writable page, so its first allocation sweeps them
+	// all before it can use any.
 	fillPages []storage.PageID
 
-	// Copy-on-write state; inert until enableCoW.
-	cow      bool
-	writable map[storage.PageID]bool // pages the current batch may write
-	deferred []nodeRef               // refs freed on published pages this batch
-	// freeList holds wholly-dead pages that a checkpoint has fenced:
-	// reusable because no snapshot and no durable root references them.
-	freeList []storage.PageID
-	// drained holds wholly-dead pages still awaiting the checkpoint fence.
-	drained []storage.PageID
 	// deadSlots / liveInit track per published page how many of its
 	// records have been reclaimed vs how many were live when its first
 	// record died (published pages are frozen, so that count is stable).
@@ -92,61 +80,28 @@ type recordStore struct {
 }
 
 func newRecordStore(pool *storage.BufferPool) *recordStore {
-	return &recordStore{pool: pool}
+	return &recordStore{pool: pool, deadSlots: make(map[storage.PageID]int), liveInit: make(map[storage.PageID]int)}
 }
 
-// enableCoW switches the store to copy-on-write mode. Every page already
-// on disk counts as published; the current (empty) batch starts with no
-// writable pages.
-func (rs *recordStore) enableCoW() {
-	rs.cow = true
-	rs.writable = make(map[storage.PageID]bool)
-	rs.deadSlots = make(map[storage.PageID]int)
-	rs.liveInit = make(map[storage.PageID]int)
-	rs.fillPages = nil
-}
-
-// publish freezes the current batch: its writable pages become published
-// (immutable until recycled) and the batch's deferred frees are handed to
-// the caller, who may release them for reclaim only once every snapshot
-// that could still read them has been dropped.
-func (rs *recordStore) publish() []nodeRef {
-	d := rs.deferred
-	rs.deferred = nil
-	rs.writable = make(map[storage.PageID]bool)
-	rs.fillPages = nil
-	return d
-}
-
-// reclaim marks deferred-freed refs as dead now that no snapshot can read
-// them. A published page whose every live record has died moves to the
-// drained list, where it waits for a checkpoint fence before reuse.
-func (rs *recordStore) reclaim(refs []nodeRef) error {
-	for _, ref := range refs {
-		pid := ref.page()
-		if _, ok := rs.liveInit[pid]; !ok {
-			live, err := rs.liveSlotCount(pid)
-			if err != nil {
-				return err
-			}
-			rs.liveInit[pid] = live
+// pageDead is the shell's dead hook: it marks a deferred-freed ref as
+// dead now that no snapshot can read it, and reports whether that was
+// the last live record of its (published) page.
+func (rs *recordStore) pageDead(ref storage.PageID) (storage.PageID, bool, error) {
+	pid := nodeRef(ref).page()
+	if _, ok := rs.liveInit[pid]; !ok {
+		live, err := rs.liveSlotCount(pid)
+		if err != nil {
+			return pid, false, err
 		}
-		rs.deadSlots[pid]++
-		if rs.deadSlots[pid] >= rs.liveInit[pid] {
-			rs.drained = append(rs.drained, pid)
-			delete(rs.deadSlots, pid)
-			delete(rs.liveInit, pid)
-		}
+		rs.liveInit[pid] = live
 	}
-	return nil
-}
-
-// fence moves drained pages to the free list. Must be called only at the
-// end of a checkpoint: the new durable root no longer references these
-// pages, so rewriting them can no longer damage crash recovery.
-func (rs *recordStore) fence() {
-	rs.freeList = append(rs.freeList, rs.drained...)
-	rs.drained = nil
+	rs.deadSlots[pid]++
+	if rs.deadSlots[pid] < rs.liveInit[pid] {
+		return pid, false, nil
+	}
+	delete(rs.deadSlots, pid)
+	delete(rs.liveInit, pid)
+	return pid, true, nil
 }
 
 // liveSlotCount counts the records physically present on a page. For a
@@ -266,7 +221,7 @@ func (rs *recordStore) alloc(rec []byte) (nodeRef, error) {
 	// Try the cached fill pages, newest first.
 	for i := len(rs.fillPages) - 1; i >= 0; i-- {
 		pid := rs.fillPages[i]
-		if rs.cow && !rs.writable[pid] {
+		if !rs.life.Writable(pid) {
 			// Published since it was cached: never write it.
 			rs.fillPages = append(rs.fillPages[:i], rs.fillPages[i+1:]...)
 			continue
@@ -281,31 +236,15 @@ func (rs *recordStore) alloc(rec []byte) (nodeRef, error) {
 		// Page full: drop it from the cache.
 		rs.fillPages = append(rs.fillPages[:i], rs.fillPages[i+1:]...)
 	}
-	// In CoW mode, recycle a fenced page before claiming a new one. The
-	// record always fits a fresh page (checked above), and the page is
-	// unreachable from every snapshot and from the durable root.
-	if rs.cow && len(rs.freeList) > 0 {
-		pid := rs.freeList[len(rs.freeList)-1]
-		rs.freeList = rs.freeList[:len(rs.freeList)-1]
-		f, err := rs.pool.Get(pid)
-		if err != nil {
-			return invalidRef, err
-		}
-		initPage(f.Data())
-		f.MarkDirty()
-		f.Release()
-		rs.writable[pid] = true
-		rs.noteFillPage(pid)
-		ref, ok, err := rs.tryAllocIn(pid, rec)
-		if err != nil {
-			return invalidRef, err
-		}
-		if !ok {
-			return invalidRef, fmt.Errorf("mbrqt: recycled page cannot hold %d-byte record", len(rec))
-		}
-		return ref, nil
+	// Recycle a fenced page before claiming a new one; the record always
+	// fits an empty page (checked above).
+	var f *storage.Frame
+	var err error
+	if pid, ok := rs.life.Recycled(); ok {
+		f, err = rs.pool.Get(pid)
+	} else {
+		f, err = rs.life.Fresh()
 	}
-	f, err := rs.pool.NewPage()
 	if err != nil {
 		return invalidRef, err
 	}
@@ -317,19 +256,13 @@ func (rs *recordStore) alloc(rec []byte) (nodeRef, error) {
 	initPage(f.Data())
 	f.MarkDirty()
 	f.Release()
-	if rs.cow {
-		rs.writable[pid] = true
-	}
-	rs.fillPages = append(rs.fillPages, pid)
-	if len(rs.fillPages) > 8 {
-		rs.fillPages = rs.fillPages[len(rs.fillPages)-8:]
-	}
+	rs.noteFillPage(pid)
 	ref, ok, err := rs.tryAllocIn(pid, rec)
 	if err != nil {
 		return invalidRef, err
 	}
 	if !ok {
-		return invalidRef, fmt.Errorf("mbrqt: fresh page cannot hold %d-byte record", len(rec))
+		return invalidRef, fmt.Errorf("mbrqt: empty page cannot hold %d-byte record", len(rec))
 	}
 	return ref, nil
 }
@@ -409,12 +342,11 @@ func recordFromPage(data []byte, slot int) ([]byte, error) {
 }
 
 // free releases the record's slot. The page is re-registered as a fill
-// candidate. In CoW mode a record on a published page is not touched:
-// snapshots may still read it, so the free is deferred until publish
-// hands it over for reclaim.
+// candidate. A record on a published page is not touched: snapshots may
+// still read it, so the free is deferred until Publish hands it over
+// for reclaim.
 func (rs *recordStore) free(ref nodeRef) error {
-	if rs.cow && !rs.writable[ref.page()] {
-		rs.deferred = append(rs.deferred, ref)
+	if rs.life.Defer(storage.PageID(ref), ref.page()) {
 		return nil
 	}
 	f, err := rs.pool.Get(ref.page())
@@ -430,15 +362,14 @@ func (rs *recordStore) free(ref nodeRef) error {
 
 // update rewrites the record, in place when it fits its page (compacting
 // if needed), otherwise relocating it; the returned ref is where the
-// record now lives. In CoW mode a record on a published page is never
-// rewritten in place: the old copy is deferred for the snapshots still
-// reading it and the new version lands on a writable page.
+// record now lives. A record on a published page is never rewritten in
+// place: the old copy is deferred for the snapshots still reading it and
+// the new version lands on a writable page.
 func (rs *recordStore) update(ref nodeRef, rec []byte) (nodeRef, error) {
 	if len(rec) > maxRecordSize {
 		return invalidRef, fmt.Errorf("mbrqt: record of %d bytes exceeds page capacity %d", len(rec), maxRecordSize)
 	}
-	if rs.cow && !rs.writable[ref.page()] {
-		rs.deferred = append(rs.deferred, ref)
+	if rs.life.Defer(storage.PageID(ref), ref.page()) {
 		return rs.alloc(rec)
 	}
 	f, err := rs.pool.Get(ref.page())

@@ -5,11 +5,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"allnn/internal/index"
 	"allnn/internal/storage"
 )
 
 func newRS() *recordStore {
-	return newRecordStore(storage.NewBufferPool(storage.NewMemStore(), 256))
+	rs := newRecordStore(storage.NewBufferPool(storage.NewMemStore(), 256))
+	rs.life = index.NewShell(rs.pool, storage.InvalidPage, nil, nil, rs.pageDead)
+	return rs
 }
 
 // read returns a copy of the record bytes. Production code reads records

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"allnn/internal/geom"
 	"allnn/internal/index"
@@ -38,11 +36,13 @@ func (c Config) withDefaults(dim int) Config {
 	return c
 }
 
-// Tree is a disk-resident MBR-enhanced bucket PR quadtree.
+// Tree is a disk-resident MBR-enhanced bucket PR quadtree. What it
+// shares with the R*-tree — Expand over the node cache, snapshots, page
+// reclaim and the ordered checkpoint — is the embedded index.Shell.
 type Tree struct {
+	*index.Shell
 	pool *storage.BufferPool
 	rs   *recordStore
-	meta storage.PageID // page holding the tree header
 	dim  int
 	cfg  Config
 
@@ -51,21 +51,6 @@ type Tree struct {
 	bounds geom.Rect // exact MBR of the data
 	size   int
 	height int
-
-	// cache, when attached, serves Expand from decoded entry slices keyed
-	// by node ref. Mutation paths invalidate through it (see freeNode and
-	// updateNode). The pointer is atomic so concurrent readers (parallel
-	// workers, or independent queries multiplexed over one shared tree by
-	// the serving layer) can race with an idempotent re-attach without a
-	// data race; the cache itself is concurrency-safe.
-	cache atomic.Pointer[index.NodeCache]
-
-	// reclaimQ collects deferred-freed refs whose snapshots have all been
-	// released (see Publish); the writer drains it via DrainReclaim. The
-	// mutex is needed because release functions run from reader
-	// goroutines.
-	reclaimMu sync.Mutex
-	reclaimQ  []nodeRef
 }
 
 const metaMagic = 0x4D515432 // "MQT2"
@@ -83,7 +68,6 @@ func New(pool *storage.BufferPool, space geom.Rect, cfg Config) (*Tree, error) {
 	}
 	t := &Tree{
 		pool:   pool,
-		rs:     newRecordStore(pool),
 		dim:    dim,
 		cfg:    cfg.withDefaults(dim),
 		root:   invalidRef,
@@ -94,14 +78,23 @@ func New(pool *storage.BufferPool, space geom.Rect, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.meta = f.ID()
+	t.attach(f.ID())
 	f.Release()
 	return t, t.writeMeta()
 }
 
+// attach wraps the tree, anchored at its meta page, in its shell and
+// hands the shell's page lifecycle to the record store.
+func (t *Tree) attach(meta storage.PageID) {
+	t.rs = newRecordStore(t.pool)
+	t.Shell = index.NewShell(t.pool, meta, t, t.writeMeta, t.rs.pageDead)
+	t.rs.life = t.Shell
+}
+
 // Open loads a previously persisted tree anchored at the given meta page.
 func Open(pool *storage.BufferPool, meta storage.PageID) (*Tree, error) {
-	t := &Tree{pool: pool, rs: newRecordStore(pool), meta: meta}
+	t := &Tree{pool: pool}
+	t.attach(meta)
 	f, err := pool.Get(meta)
 	if err != nil {
 		return nil, err
@@ -140,7 +133,7 @@ func Open(pool *storage.BufferPool, meta storage.PageID) (*Tree, error) {
 
 // writeMeta persists the tree header to its meta page.
 func (t *Tree) writeMeta() error {
-	f, err := t.pool.Get(t.meta)
+	f, err := t.pool.Get(t.MetaPage())
 	if err != nil {
 		return err
 	}
@@ -175,20 +168,6 @@ func (t *Tree) writeMeta() error {
 	return nil
 }
 
-// Flush persists the tree durably: all dirty data pages are written and
-// synced before the header page is, so a crash mid-flush can never leave
-// a durable header pointing at unwritten pages. (CheckpointWith is the
-// same protocol with a WAL hook between the two syncs.)
-func (t *Tree) Flush() error {
-	return t.CheckpointWith(nil)
-}
-
-// MetaPage returns the page anchoring this tree inside its store.
-func (t *Tree) MetaPage() storage.PageID { return t.meta }
-
-// Pool returns the buffer pool the tree performs its I/O through.
-func (t *Tree) Pool() *storage.BufferPool { return t.pool }
-
 // Dim implements index.Tree.
 func (t *Tree) Dim() int { return t.dim }
 
@@ -204,81 +183,10 @@ func (t *Tree) Bounds() geom.Rect { return t.bounds.Clone() }
 // Space returns the fixed root cell of the decomposition.
 func (t *Tree) Space() geom.Rect { return t.space.Clone() }
 
-// Root implements index.Tree.
+// Root implements index.Tree. Entry.Child carries the node's record ref
+// (an opaque handle from the engine's point of view).
 func (t *Tree) Root() (index.Entry, error) {
-	if t.root == invalidRef {
-		return index.Entry{Kind: index.NodeEntry, MBR: geom.EmptyRect(t.dim), Child: storage.PageID(invalidRef)}, nil
-	}
-	return index.Entry{
-		Kind:  index.NodeEntry,
-		MBR:   t.bounds.Clone(),
-		Child: storage.PageID(t.root),
-		Count: uint32(t.size),
-	}, nil
-}
-
-// SetNodeCache implements index.NodeCacher. The attached cache keys
-// decoded entry slices by node ref (the value Expand receives in
-// Entry.Child), so it must not be shared with another tree whose refs
-// could collide; the engine attaches one cache per tree (or one shared
-// cache for a self-join over the same tree).
-func (t *Tree) SetNodeCache(c *index.NodeCache) { t.cache.Store(c) }
-
-// NodeCacheRef implements index.NodeCacher.
-func (t *Tree) NodeCacheRef() *index.NodeCache { return t.cache.Load() }
-
-// Expand implements index.Tree. Entry.Child carries the node's record
-// ref (an opaque handle from the engine's point of view). With a node
-// cache attached, a warm expansion is a single lookup returning the
-// shared immutable slice; a miss decodes the node and populates the
-// cache.
-func (t *Tree) Expand(e *index.Entry) ([]index.Entry, error) {
-	if e.IsObject() {
-		return nil, fmt.Errorf("mbrqt: Expand called on an object entry")
-	}
-	cache := t.cache.Load()
-	if out, ok := cache.Get(e.Child); ok {
-		return out, nil
-	}
-	out, err := t.decodeEntries(nodeRef(e.Child))
-	if err != nil {
-		return nil, err
-	}
-	index.CachePut(cache, e.Child, out)
-	return out, nil
-}
-
-// decodeEntries reads the node at ref and materialises its entry slice
-// straight from the page bytes: one entry array and one coordinate slab
-// per record.
-func (t *Tree) decodeEntries(ref nodeRef) ([]index.Entry, error) {
-	var out []index.Entry
-	dim := t.dim
-	err := t.walkRecords(ref, func(_ nodeRef, v recordView) error {
-		if out == nil {
-			out = make([]index.Entry, 0, v.num) // exact unless the node chains
-		}
-		if v.leaf {
-			coords := make([]float64, v.num*dim)
-			for i := 0; i < v.num; i++ {
-				pt := geom.Point(coords[i*dim : (i+1)*dim])
-				id := v.object(i, pt)
-				out = append(out, index.Entry{Kind: index.ObjectEntry, MBR: geom.PointRect(pt), Count: 1, Object: id, Point: pt})
-			}
-			return nil
-		}
-		coords := make([]float64, v.num*2*dim)
-		for i := 0; i < v.num; i++ {
-			mbr := geom.Rect{Lo: coords[i*2*dim : i*2*dim+dim], Hi: coords[i*2*dim+dim : (i+1)*2*dim]}
-			child, _, count := v.child(i, mbr.Lo, mbr.Hi)
-			out = append(out, index.Entry{Kind: index.NodeEntry, MBR: mbr, Child: storage.PageID(child), Count: count})
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return index.RootEntry(t.dim, storage.PageID(t.root), t.size, t.bounds), nil
 }
 
 // Visit implements index.Tree: the node's records are walked in their

@@ -102,7 +102,7 @@ func TestRangeSearchMatchesLinearScan(t *testing.T) {
 		}
 		for iter := 0; iter < 20; iter++ {
 			q := randQueryRect(rng, dim, 100)
-			got, err := tree.RangeSearch(q)
+			got, err := index.RangeSearch(tree, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +158,7 @@ func TestNearestNeighborsMatchesLinearScan(t *testing.T) {
 				q[d] = rng.Float64() * 10
 			}
 			for _, k := range []int{1, 3, 10} {
-				got, err := tree.NearestNeighbors(q, k)
+				got, err := index.NearestNeighbors(tree, q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -216,11 +216,11 @@ func TestBulkLoadMatchesInsert(t *testing.T) {
 	// Both trees must answer queries identically.
 	for iter := 0; iter < 10; iter++ {
 		q := randQueryRect(rng, 2, 50)
-		a, err := bulk.RangeSearch(q)
+		a, err := index.RangeSearch(bulk, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := incr.RangeSearch(q)
+		b, err := index.RangeSearch(incr, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestDuplicatePointsOverflowChain(t *testing.T) {
 	if err := tree.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := tree.RangeSearch(geom.PointRect(p))
+	res, err := index.RangeSearch(tree, geom.PointRect(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +306,10 @@ func TestEmptyTreeQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := tree.RangeSearch(unitSpace(2)); err != nil || len(res) != 0 {
+	if res, err := index.RangeSearch(tree, unitSpace(2)); err != nil || len(res) != 0 {
 		t.Fatalf("range on empty tree: %v, %v", res, err)
 	}
-	if res, err := tree.NearestNeighbors(geom.Point{0.5, 0.5}, 3); err != nil || len(res) != 0 {
+	if res, err := index.NearestNeighbors(tree, geom.Point{0.5, 0.5}, 3); err != nil || len(res) != 0 {
 		t.Fatalf("kNN on empty tree: %v, %v", res, err)
 	}
 	if err := tree.CheckIntegrity(); err != nil {
@@ -343,7 +343,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err := reopened.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := reopened.NearestNeighbors(pts[0], 1)
+	res, err := index.NearestNeighbors(reopened, pts[0], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestHighDimensionalTree(t *testing.T) {
 	if len(entries) <= 1 {
 		t.Fatalf("10-D root has %d children", len(entries))
 	}
-	got, err := tree.NearestNeighbors(pts[42], 5)
+	got, err := index.NearestNeighbors(tree, pts[42], 5)
 	if err != nil {
 		t.Fatal(err)
 	}

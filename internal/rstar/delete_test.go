@@ -34,7 +34,7 @@ func TestDeleteBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The deleted point must be gone; others must remain findable.
-	res, err := tree.RangeSearch(geom.PointRect(pts[5]))
+	res, err := index.RangeSearch(tree, geom.PointRect(pts[5]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestDeleteAllPoints(t *testing.T) {
 	if err := tree.Insert(999, geom.Point{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := tree.NearestNeighbors(geom.Point{1, 2}, 1)
+	res, err := index.NearestNeighbors(tree, geom.Point{1, 2}, 1)
 	if err != nil || len(res) != 1 || res[0].Object != 999 {
 		t.Fatalf("tree unusable after emptying: %v %v", res, err)
 	}
@@ -158,7 +158,7 @@ func TestDeleteInterleavedWithQueries(t *testing.T) {
 	liveCount := 0
 	for i := range recs {
 		found := false
-		res, err := tree.RangeSearch(geom.PointRect(recs[i].pt))
+		res, err := index.RangeSearch(tree, geom.PointRect(recs[i].pt))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -72,8 +72,8 @@ func (n *node) countPoints() uint32 {
 
 // nodeView is one node page parsed in place: parseNode has done every
 // structural check, so the entries decode straight from body (which
-// aliases the page) with no further validation. readNode, Expand's miss
-// path and Visit are all collectors over it.
+// aliases the page) with no further validation. readNode and Visit are
+// collectors over it.
 type nodeView struct {
 	leaf bool
 	num  int
@@ -110,31 +110,13 @@ func parseNode(data []byte, dim int) (nodeView, error) {
 	return v, nil
 }
 
-// object decodes leaf slot i: its point into pt (len dim), returning the
-// object id.
-func (v nodeView) object(i int, pt []float64) index.ObjectID {
-	b := v.body[i*leafEntrySize(len(pt)):]
-	for d := range pt {
-		pt[d] = math.Float64frombits(binary.LittleEndian.Uint64(b[8+8*d:]))
+// block describes the node's entries, to a Tree.Visit visitor and to
+// collectNode. An internal slot is child page, count, MBR.
+func (v nodeView) block(dim int) index.Block {
+	if v.leaf {
+		return index.Block{Leaf: true, N: v.num, Dim: dim, Stride: leafEntrySize(dim), Data: v.body}
 	}
-	return index.ObjectID(binary.LittleEndian.Uint64(b))
-}
-
-// child decodes internal slot i: its MBR into lo and hi (len dim each),
-// returning the child page and subtree count.
-func (v nodeView) child(i int, lo, hi []float64) (child storage.PageID, count uint32) {
-	b := v.body[i*internalEntrySize(len(lo)):]
-	child = storage.PageID(binary.LittleEndian.Uint32(b))
-	count = binary.LittleEndian.Uint32(b[4:])
-	b = b[8:]
-	for d := range lo {
-		lo[d] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*d:]))
-	}
-	b = b[8*len(lo):]
-	for d := range hi {
-		hi[d] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*d:]))
-	}
-	return child, count
+	return index.Block{N: v.num, Dim: dim, Stride: internalEntrySize(dim), CountOff: 4, BoxOff: 8, Data: v.body}
 }
 
 // collectNode materialises a parsed node. Every entry owns its
@@ -142,16 +124,17 @@ func (v nodeView) child(i int, lo, hi []float64) (child storage.PageID, count ui
 // grow MBRs in place.
 func collectNode(v nodeView, dim int) *node {
 	n := &node{leaf: v.leaf, entries: make([]entry, v.num)}
+	b := v.block(dim)
 	for i := range n.entries {
 		e := &n.entries[i]
 		if v.leaf {
 			e.pt = make(geom.Point, dim)
-			e.obj = v.object(i, e.pt)
+			e.obj = b.Object(i, e.pt)
 			e.count = 1
 			e.mbr = geom.NewRect(e.pt, e.pt)
 		} else {
 			e.mbr = geom.Rect{Lo: make(geom.Point, dim), Hi: make(geom.Point, dim)}
-			e.child, e.count = v.child(i, e.mbr.Lo, e.mbr.Hi)
+			e.child, e.count = b.Child(i, e.mbr.Lo, e.mbr.Hi)
 		}
 	}
 	return n
@@ -194,22 +177,21 @@ func (t *Tree) readNode(pid storage.PageID) (*node, error) {
 }
 
 // writeNode stores n, normally at pid, and returns the page the node now
-// occupies. In copy-on-write mode a node on a published page is never
-// overwritten: the new version lands on a freshly allocated (writable)
-// page, the old page is deferred for the snapshots still reading it, and
-// the caller must record the returned page in the parent. Every
-// structural mutation funnels through here, so it also drops the page's
-// stale decoded form from the node cache.
+// occupies. A node on a published page is never overwritten: the new
+// version lands on a freshly allocated (writable) page, the old page is
+// deferred for the snapshots still reading it, and the caller must
+// record the returned page in the parent. Every structural mutation
+// funnels through here, so it also drops the page's stale decoded form
+// from the node cache.
 func (t *Tree) writeNode(pid storage.PageID, n *node) (storage.PageID, error) {
-	if t.cow && !t.writable[pid] {
-		t.deferred = append(t.deferred, pid)
+	if t.Defer(pid, pid) {
 		newPid, err := t.allocPage()
 		if err != nil {
 			return storage.InvalidPage, err
 		}
 		pid = newPid
 	}
-	t.cache.Load().Invalidate(pid)
+	t.Invalidate(pid)
 	var max int
 	if n.leaf {
 		max = maxEntriesFor(leafEntrySize(t.dim))
@@ -262,40 +244,28 @@ func (t *Tree) writeNode(pid storage.PageID, n *node) (storage.PageID, error) {
 	return pid, nil
 }
 
-// freePage returns a node page to the tree's free list, dropping any
-// cached decode so a recycled page can never serve stale entries. In CoW
-// mode a published page is only deferred: snapshots may still traverse
-// it, and the durable root may still reference it, so it re-enters the
-// free list via reclaim and the checkpoint fence.
+// freePage returns a node page to the free list, dropping any cached
+// decode so a recycled page can never serve stale entries. A published
+// page is only deferred: snapshots may still traverse it, and the durable
+// root may still reference it, so it re-enters the free list via reclaim
+// and the checkpoint fence.
 func (t *Tree) freePage(pid storage.PageID) {
-	if t.cow && !t.writable[pid] {
-		t.deferred = append(t.deferred, pid)
+	if t.Defer(pid, pid) {
 		return
 	}
-	t.cache.Load().Invalidate(pid)
-	t.freePages = append(t.freePages, pid)
+	t.Invalidate(pid)
+	t.FreePage(pid)
 }
 
-// allocPage takes a page from the free list or the shared store. In CoW
-// mode the returned page joins the current batch's writable set (free
-// pages are checkpoint-fenced, so rewriting them is safe).
+// allocPage takes a page from the free list or the shared store.
 func (t *Tree) allocPage() (storage.PageID, error) {
-	if n := len(t.freePages); n > 0 {
-		pid := t.freePages[n-1]
-		t.freePages = t.freePages[:n-1]
-		if t.cow {
-			t.writable[pid] = true
-		}
+	if pid, ok := t.Recycled(); ok {
 		return pid, nil
 	}
-	f, err := t.pool.NewPage()
+	f, err := t.Fresh()
 	if err != nil {
 		return storage.InvalidPage, err
 	}
-	pid := f.ID()
-	f.Release()
-	if t.cow {
-		t.writable[pid] = true
-	}
-	return pid, nil
+	defer f.Release()
+	return f.ID(), nil
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"allnn/internal/geom"
 	"allnn/internal/index"
@@ -64,10 +62,13 @@ func (c Config) reinsertCount() int {
 	return p
 }
 
-// Tree is a disk-resident R*-tree over points.
+// Tree is a disk-resident R*-tree over points. What it shares with MBRQT
+// — Expand over the node cache, snapshots, page reclaim and the ordered
+// checkpoint — is the embedded index.Shell; R* nodes occupy whole pages,
+// so a ref is a page id and a page is dead the moment its node is.
 type Tree struct {
+	*index.Shell
 	pool *storage.BufferPool
-	meta storage.PageID
 	dim  int
 	cfg  Config
 
@@ -75,30 +76,6 @@ type Tree struct {
 	height int // number of levels; 1 = root is a leaf; 0 = empty
 	size   int
 	bounds geom.Rect
-
-	// freePages holds reusable node pages. In CoW mode only
-	// checkpoint-fenced pages land here (see freePage / fence).
-	freePages []storage.PageID
-
-	// Copy-on-write state; inert until EnableCoW. R* nodes occupy whole
-	// pages, so the CoW unit is the page itself: a batch writes only
-	// pages in its writable set, published pages are deferred on free and
-	// relocated on update (see writeNode).
-	cow      bool
-	writable map[storage.PageID]bool
-	deferred []storage.PageID // pages unlinked this batch, pending release
-	drained  []storage.PageID // released pages awaiting the checkpoint fence
-
-	// reclaimQ collects deferred pages whose snapshots have all been
-	// dropped; release functions append from reader goroutines.
-	reclaimMu sync.Mutex
-	reclaimQ  []storage.PageID
-
-	// cache, when attached, serves Expand from decoded entry slices keyed
-	// by page id. writeNode and the delete paths invalidate through it.
-	// The pointer is atomic so concurrent readers can race with an
-	// idempotent re-attach without a data race (see mbrqt.Tree).
-	cache atomic.Pointer[index.NodeCache]
 
 	// reinserting tracks the levels where forced reinsertion already ran
 	// during the current top-level Insert (R* applies it once per level).
@@ -130,14 +107,21 @@ func New(pool *storage.BufferPool, dim int, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.meta = f.ID()
+	t.attach(f.ID())
 	f.Release()
 	return t, t.writeMeta()
 }
 
+// attach wraps the tree, anchored at its meta page, in its shell.
+func (t *Tree) attach(meta storage.PageID) {
+	t.Shell = index.NewShell(t.pool, meta, t, t.writeMeta,
+		func(page storage.PageID) (storage.PageID, bool, error) { return page, true, nil })
+}
+
 // Open loads a persisted tree anchored at the given meta page.
 func Open(pool *storage.BufferPool, meta storage.PageID) (*Tree, error) {
-	t := &Tree{pool: pool, meta: meta}
+	t := &Tree{pool: pool}
+	t.attach(meta)
 	f, err := pool.Get(meta)
 	if err != nil {
 		return nil, err
@@ -171,7 +155,7 @@ func Open(pool *storage.BufferPool, meta storage.PageID) (*Tree, error) {
 }
 
 func (t *Tree) writeMeta() error {
-	f, err := t.pool.Get(t.meta)
+	f, err := t.pool.Get(t.MetaPage())
 	if err != nil {
 		return err
 	}
@@ -198,20 +182,6 @@ func (t *Tree) writeMeta() error {
 	return nil
 }
 
-// Flush persists the tree durably: all dirty data pages are written and
-// synced before the header page is, so a crash mid-flush can never leave
-// a durable header pointing at unwritten pages. (CheckpointWith is the
-// same protocol with a WAL hook between the two syncs.)
-func (t *Tree) Flush() error {
-	return t.CheckpointWith(nil)
-}
-
-// MetaPage returns the page anchoring this tree inside its store.
-func (t *Tree) MetaPage() storage.PageID { return t.meta }
-
-// Pool returns the buffer pool the tree performs its I/O through.
-func (t *Tree) Pool() *storage.BufferPool { return t.pool }
-
 // Dim implements index.Tree.
 func (t *Tree) Dim() int { return t.dim }
 
@@ -226,82 +196,13 @@ func (t *Tree) Bounds() geom.Rect { return t.bounds.Clone() }
 
 // Root implements index.Tree.
 func (t *Tree) Root() (index.Entry, error) {
-	if t.root == storage.InvalidPage {
-		return index.Entry{Kind: index.NodeEntry, MBR: geom.EmptyRect(t.dim), Child: storage.InvalidPage}, nil
-	}
-	return index.Entry{
-		Kind:  index.NodeEntry,
-		MBR:   t.bounds.Clone(),
-		Child: t.root,
-		Count: uint32(t.size),
-	}, nil
-}
-
-// SetNodeCache implements index.NodeCacher. The cache is keyed by node
-// page id, so it must not be shared with a tree in a different store
-// (the engine attaches one cache per tree, shared only for self-joins).
-func (t *Tree) SetNodeCache(c *index.NodeCache) { t.cache.Store(c) }
-
-// NodeCacheRef implements index.NodeCacher.
-func (t *Tree) NodeCacheRef() *index.NodeCache { return t.cache.Load() }
-
-// Expand implements index.Tree. With a node cache attached, a warm
-// expansion is a single lookup returning the shared immutable slice.
-func (t *Tree) Expand(e *index.Entry) ([]index.Entry, error) {
-	if e.IsObject() {
-		return nil, fmt.Errorf("rstar: Expand called on an object entry")
-	}
-	cache := t.cache.Load()
-	if out, ok := cache.Get(e.Child); ok {
-		return out, nil
-	}
-	out, err := t.decodeEntries(e.Child)
-	if err != nil {
-		return nil, err
-	}
-	index.CachePut(cache, e.Child, out)
-	return out, nil
-}
-
-// decodeEntries reads the node at pid and materialises its entry slice
-// straight from the page bytes: one entry array and one coordinate slab.
-func (t *Tree) decodeEntries(pid storage.PageID) ([]index.Entry, error) {
-	var out []index.Entry
-	dim := t.dim
-	err := t.viewNode(pid, func(v nodeView) error {
-		out = make([]index.Entry, v.num)
-		if v.leaf {
-			coords := make([]float64, v.num*dim)
-			for i := range out {
-				pt := geom.Point(coords[i*dim : (i+1)*dim])
-				id := v.object(i, pt)
-				out[i] = index.Entry{Kind: index.ObjectEntry, MBR: geom.PointRect(pt), Count: 1, Object: id, Point: pt}
-			}
-			return nil
-		}
-		coords := make([]float64, v.num*2*dim)
-		for i := range out {
-			mbr := geom.Rect{Lo: coords[i*2*dim : i*2*dim+dim], Hi: coords[i*2*dim+dim : (i+1)*2*dim]}
-			child, count := v.child(i, mbr.Lo, mbr.Hi)
-			out[i] = index.Entry{Kind: index.NodeEntry, MBR: mbr, Child: child, Count: count}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return index.RootEntry(t.dim, t.root, t.size, t.bounds), nil
 }
 
 // Visit implements index.Tree: the node is parsed in its pinned page and
 // handed over whole.
 func (t *Tree) Visit(child storage.PageID, fn func(index.Block) error) error {
-	return t.viewNode(child, func(v nodeView) error {
-		if v.leaf {
-			return fn(index.Block{Leaf: true, N: v.num, Dim: t.dim, Stride: leafEntrySize(t.dim), Data: v.body})
-		}
-		return fn(index.Block{N: v.num, Dim: t.dim, Stride: internalEntrySize(t.dim), CountOff: 4, BoxOff: 8, Data: v.body})
-	})
+	return t.viewNode(child, func(v nodeView) error { return fn(v.block(t.dim)) })
 }
 
 // Insert adds one point to the tree.

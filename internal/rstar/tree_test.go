@@ -141,7 +141,7 @@ func TestRangeSearchMatchesLinearScan(t *testing.T) {
 		}
 		for iter := 0; iter < 20; iter++ {
 			q := randQueryRect(rng, dim, 100)
-			got, err := tree.RangeSearch(q)
+			got, err := index.RangeSearch(tree, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,7 +193,7 @@ func TestNearestNeighborsMatchesLinearScan(t *testing.T) {
 	for iter := 0; iter < 25; iter++ {
 		q := geom.Point{rng.Float64() * 50, rng.Float64() * 50, rng.Float64() * 50}
 		for _, k := range []int{1, 5, 20} {
-			got, err := tree.NearestNeighbors(q, k)
+			got, err := index.NearestNeighbors(tree, q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -285,7 +285,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err := reopened.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := reopened.NearestNeighbors(pts[7], 1)
+	res, err := index.NearestNeighbors(reopened, pts[7], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestDuplicatePoints(t *testing.T) {
 	if err := tree.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := tree.RangeSearch(geom.PointRect(p))
+	res, err := index.RangeSearch(tree, geom.PointRect(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestHighDimensional(t *testing.T) {
 	if err := tree.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tree.NearestNeighbors(pts[3], 4)
+	got, err := index.NearestNeighbors(tree, pts[3], 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,10 +360,10 @@ func TestEmptyTreeQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := tree.RangeSearch(geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1})); err != nil || len(res) != 0 {
+	if res, err := index.RangeSearch(tree, geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1})); err != nil || len(res) != 0 {
 		t.Fatalf("range on empty tree: %v %v", res, err)
 	}
-	if res, err := tree.NearestNeighbors(geom.Point{0, 0}, 3); err != nil || len(res) != 0 {
+	if res, err := index.NearestNeighbors(tree, geom.Point{0, 0}, 3); err != nil || len(res) != 0 {
 		t.Fatalf("kNN on empty tree: %v %v", res, err)
 	}
 	if err := tree.CheckIntegrity(); err != nil {
@@ -383,7 +383,7 @@ func TestNoPinLeaks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tree.NearestNeighbors(geom.Point{50, 50}, 10); err != nil {
+	if _, err := index.NearestNeighbors(tree, geom.Point{50, 50}, 10); err != nil {
 		t.Fatal(err)
 	}
 	if pool.PinnedFrames() != 0 {

@@ -551,7 +551,12 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	want, err := ann.SelfAllKNearestNeighbors(ix, 1, ann.QueryConfig{})
+	// k is large enough that the reply (≈ 10 MB) cannot hide in the
+	// loopback socket buffers: the server blocks on its stream until this
+	// test reads it, so the join is still in flight when the probe below
+	// arrives however the goroutines are scheduled.
+	const k = 16
+	want, err := ann.SelfAllKNearestNeighbors(ix, k, ann.QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +568,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	defer cl2.Close()
 
-	st, err := cl.SelfJoin(ctx, "pts", 1)
+	st, err := cl.SelfJoin(ctx, "pts", k)
 	if err != nil {
 		t.Fatal(err)
 	}
