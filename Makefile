@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check check loc bench-smoke bench-spine-smoke bench-ab trace-smoke fuzz-corpus bench-approx bench-approx-smoke chaos chaos-recover fuzz-smoke race-sched serve-smoke obs-serve-smoke router-smoke
+.PHONY: build test race vet fmt-check check loc bench-smoke bench-spine-smoke bench-ab trace-smoke fuzz-corpus bench-approx bench-approx-smoke chaos chaos-recover churn-table fuzz-smoke race-sched serve-smoke obs-serve-smoke router-smoke
 
 build:
 	$(GO) build ./...
@@ -43,16 +43,29 @@ chaos:
 
 # chaos-recover runs the durability suite under the race detector:
 # kill-9-style crash loops sweeping the failure point across every WAL
-# write, fsync, and checkpoint page write (recovered state must be
-# byte-identical to a never-crashed reference), concurrent insert
-# batches against parallel snapshot-isolated queries — joins, and kNN
-# probes reading pages in place under a 64-frame pool — on GOMAXPROCS=4,
-# the shared copy-on-write conformance of internal/index/indextest run
-# by both tree packages, and the constant-cardinality churn plateau.
+# write, fsync, and checkpoint page write — over a scenario of a few
+# batches and over one of two 22-batch stretches between checkpoints, in
+# which pages are freed and claimed again with no fence — (recovered
+# state must be byte-identical to a never-crashed reference), a writer
+# going on after a checkpoint that failed at its last sync, concurrent
+# insert batches against parallel snapshot-isolated queries — joins, and
+# kNN probes reading pages in place under a 64-frame pool — on
+# GOMAXPROCS=4, the shared copy-on-write conformance of
+# internal/index/indextest run by both tree packages, and the
+# constant-cardinality churn plateau, within one process and across
+# close/open rounds.
 chaos-recover:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'ChaosCrashRecovery|RecoveryAfterCrash|WriteFailedClassification|ConcurrentWritesAndQueries|KNNReadersBesideWriter|SnapshotIsolation|ChurnPlateau' \
+		-run 'ChaosCrashRecovery|RecoveryAfterCrash|FailedCheckpoint|WriteFailedClassification|ConcurrentWritesAndQueries|KNNReadersBesideWriter|SnapshotIsolation|RebuildFree|ChurnPlateau|ChurnAcrossReopen' \
 		./ann/ ./internal/index/... ./internal/mbrqt ./internal/rstar
+
+# churn-table logs EXPERIMENTS.md's "Churn and the fence cadence" table:
+# 2 000 constant-cardinality batches, store pages fresh → final, both
+# tree kinds, in memory and file-backed with a checkpoint every 1, 10 and
+# 400 batches (≈ 2 min; it asserts nothing — TestChurnPlateau bounds the
+# same rows over 300 batches — and skips itself unless -run names it).
+churn-table:
+	$(GO) test -count=1 -run TestChurnTable -v ./ann/
 
 # fuzz-corpus regenerates the wire seed corpora from the sample frame
 # lists (corpus_test.go) after a protocol change; curated legacy-*

@@ -109,8 +109,9 @@ type IndexConfig struct {
 	// mutation batch that pushes the log past the budget triggers the
 	// same checkpoint Flush runs (pages synced, log truncated) before
 	// returning. This bounds the log's disk footprint, the replay work a
-	// crash incurs and the page file's growth under churn (superseded
-	// pages are reused only after a checkpoint). 0 (the default) keeps
+	// crash incurs and the page file's growth under churn (a superseded
+	// page the last checkpoint references is reused only after the next
+	// one; a younger page as soon as no query reads it). 0 (the default) keeps
 	// checkpoint cadence manual — Flush, Close, and recovery still
 	// checkpoint as before.
 	CheckpointEveryBytes int64

@@ -66,6 +66,34 @@ func scenario(base []Point) []mutation {
 	}
 }
 
+// churnScenario is the second crash scenario: two stretches of 22
+// batches — delete the 8 oldest points, insert 8 new ones, in turn —
+// with a checkpoint before, between and none after. Inside a stretch a
+// page is claimed, superseded, freed with no fence and claimed again
+// (its dirty frame discarded, never written); across the checkpoint the
+// same pages are old and wait for its fence.
+func churnScenario(base []Point) []mutation {
+	const size, stretch = 8, 22
+	steps := []mutation{{}}
+	for b := 0; b < 2*stretch; b++ {
+		m := mutation{insert: b%2 == 1}
+		for i := 0; i < size; i++ {
+			// Batch b deletes what is oldest: the base, ids 2 up (0 and 1
+			// pin the MBRQT's root cell).
+			id, pt := uint64(2+b/2*size+i), base[2+b/2*size+i]
+			if m.insert {
+				id, pt = uint64(5000+b*size+i), randomPoints(int64(200+b), size, len(base[0]))[i]
+			}
+			m.ids, m.pts = append(m.ids, id), append(m.pts, pt)
+		}
+		steps = append(steps, m)
+		if b == stretch-1 {
+			steps = append(steps, mutation{})
+		}
+	}
+	return steps
+}
+
 // applyStep runs one scenario step against a live index.
 func applyStep(ix *Index, m mutation) error {
 	switch {
@@ -345,20 +373,30 @@ func TestRecoveryAfterCrash(t *testing.T) {
 	}
 }
 
-// chaosRun executes the scenario against a fault-injected file index,
-// crashes at the first failure, recovers with injection disabled, and
-// verifies the recovered index is byte-identical to a never-crashed
-// reference holding the acknowledged ops (plus any committed prefix of
-// the failed batch). Returns false when the build itself failed (the
-// fault fired before there was anything to recover).
+// chaosRun is chaosRunSteps over the first scenario. It returns false
+// when the build itself failed (the fault fired before there was
+// anything to recover).
 func chaosRun(t *testing.T, kind IndexKind, label string, wrapStoreF func(storage.Store) storage.Store, wrapWALF func(storage.WALBackend) storage.WALBackend) bool {
 	t.Helper()
 	base := basePoints(75, 250, 2)
-	steps := scenario(base)
-	path := filepath.Join(t.TempDir(), "chaos.pages")
+	return chaosRunSteps(t, IndexConfig{Kind: kind}, label, base, scenario(base), wrapStoreF, wrapWALF) >= 0
+}
+
+// chaosRunSteps executes steps against a fault-injected file index of
+// cfg's kind and pool over base, crashes at the first failure, recovers with injection disabled,
+// and verifies the recovered index is byte-identical to a never-crashed
+// reference holding the acknowledged ops (plus any committed prefix of
+// the failed batch). It returns the step that failed: len(steps) when
+// none did (the crash then comes after the last one), -1 when the build
+// already failed.
+func chaosRunSteps(t *testing.T, cfg IndexConfig, label string, base []Point, steps []mutation,
+	wrapStoreF func(storage.Store) storage.Store, wrapWALF func(storage.WALBackend) storage.WALBackend) int {
+	t.Helper()
+	kind := cfg.Kind
+	cfg.PageFile = filepath.Join(t.TempDir(), "chaos.pages")
 
 	testWrapStore, testWrapWAL = wrapStoreF, wrapWALF
-	ix, buildErr := BuildIndex(base, IndexConfig{Kind: kind, PageFile: path})
+	ix, buildErr := BuildIndex(base, cfg)
 	failedStep := -1
 	if buildErr == nil {
 		for i, m := range steps {
@@ -378,7 +416,7 @@ func chaosRun(t *testing.T, kind IndexKind, label string, wrapStoreF func(storag
 	}
 	testWrapStore, testWrapWAL = nil, nil
 	if buildErr != nil {
-		return false
+		return -1
 	}
 	// Crash: abandon ix without Close.
 	ix = nil
@@ -386,7 +424,7 @@ func chaosRun(t *testing.T, kind IndexKind, label string, wrapStoreF func(storag
 		failedStep = len(steps)
 	}
 
-	rec, err := OpenIndex(path, IndexConfig{})
+	rec, err := OpenIndex(cfg.PageFile, IndexConfig{BufferPoolBytes: cfg.BufferPoolBytes})
 	if err != nil {
 		t.Fatalf("%s: recover: %v", label, err)
 	}
@@ -420,7 +458,31 @@ func chaosRun(t *testing.T, kind IndexKind, label string, wrapStoreF func(storag
 	if err := ref.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return true
+	return failedStep
+}
+
+// chaosChurnSweep runs the churn scenario with the n-th operation of one
+// kind failing, for n = 1, 2, … until a run gets through every step
+// unharmed: the sweep has then passed the scenario's last such operation.
+func chaosChurnSweep(t *testing.T, cfg IndexConfig, fault string, wrapStoreF func(n int) func(storage.Store) storage.Store, wrapWALF func(n int) func(storage.WALBackend) storage.WALBackend) {
+	t.Helper()
+	base := basePoints(77, 1000, 2)
+	steps := churnScenario(base)
+	kind := cfg.Kind
+	for n := 1; ; n++ {
+		var ws func(storage.Store) storage.Store
+		var ww func(storage.WALBackend) storage.WALBackend
+		if wrapStoreF != nil {
+			ws = wrapStoreF(n)
+		} else {
+			ww = wrapWALF(n)
+		}
+		failed := chaosRunSteps(t, cfg, fmt.Sprintf("%v/churn/%s-%d", kind, fault, n), base, steps, ws, ww)
+		if failed == len(steps) {
+			t.Logf("%v/churn/%s: %d kill points", kind, fault, n-1)
+			return
+		}
+	}
 }
 
 // TestChaosCrashRecoveryWALFaults sweeps the crash point across every
@@ -442,6 +504,20 @@ func TestChaosCrashRecoveryWALFaults(t *testing.T) {
 				return storage.NewFaultWALFile(b, storage.WALFaultConfig{FailSyncsAfter: n})
 			})
 		}
+		// Behind 6 frames dirty pages — young ones that live long enough
+		// among them — are written by eviction in the middle of a batch
+		// and read back, and the query after the failure evicts too.
+		small := IndexConfig{Kind: kind, BufferPoolBytes: 6 * storage.PageSize}
+		chaosChurnSweep(t, small, "torn-write", nil, func(n int) func(storage.WALBackend) storage.WALBackend {
+			return func(b storage.WALBackend) storage.WALBackend {
+				return storage.NewFaultWALFile(b, storage.WALFaultConfig{TornWriteAfter: n, TornKeepBytes: (n * 37) % 90})
+			}
+		})
+		chaosChurnSweep(t, small, "fail-sync", nil, func(n int) func(storage.WALBackend) storage.WALBackend {
+			return func(b storage.WALBackend) storage.WALBackend {
+				return storage.NewFaultWALFile(b, storage.WALFaultConfig{FailSyncsAfter: n})
+			}
+		})
 	}
 }
 
@@ -470,6 +546,78 @@ func TestChaosCrashRecoveryStoreFaults(t *testing.T) {
 		}
 		if ran == 0 {
 			t.Fatalf("%v: every store-fault run died during build; no recovery exercised", kind)
+		}
+		chaosChurnSweep(t, IndexConfig{Kind: kind}, "fail-page-write", func(n int) func(storage.Store) storage.Store {
+			return func(s storage.Store) storage.Store {
+				return storage.NewFaultStore(s, storage.FaultConfig{FailWritesAfter: n})
+			}
+		}, nil)
+		chaosChurnSweep(t, IndexConfig{Kind: kind}, "fail-store-sync", func(n int) func(storage.Store) storage.Store {
+			return func(s storage.Store) storage.Store {
+				return storage.NewFaultStore(s, storage.FaultConfig{FailSyncsAfter: n})
+			}
+		}, nil)
+	}
+}
+
+// TestFailedCheckpointEndsYouth fails a checkpoint at its very last
+// step — the sync after the header page write — and lets the writer go
+// on: the image that checkpoint staged is recoverable (its header is in
+// the log), so the pages it reaches must have stopped being young, or
+// the batches that follow free and overwrite them with no fence and the
+// crash after them recovers onto garbage.
+func TestFailedCheckpointEndsYouth(t *testing.T) {
+	base := basePoints(78, 2000, 2)
+	steps := churnScenario(base)
+	for _, kind := range []IndexKind{MBRQT, RStar} {
+		var faulty *storage.FaultStore
+		testWrapStore = func(s storage.Store) storage.Store {
+			faulty = storage.NewFaultStore(s, storage.FaultConfig{})
+			return faulty
+		}
+		// Behind 12 frames a reclaimed page's new bytes reach the disk by
+		// eviction, long before any checkpoint.
+		cfg := IndexConfig{Kind: kind, BufferPoolBytes: 12 * storage.PageSize, PageFile: filepath.Join(t.TempDir(), "youth.pages")}
+		ix, err := BuildIndex(base, cfg)
+		testWrapStore = nil
+		if err != nil {
+			t.Fatal(err)
+		}
+		applied := 0
+		for ; applied < 12; applied++ {
+			if err := applyStep(ix, steps[applied]); err != nil {
+				t.Fatalf("%v: step %d: %v", kind, applied, err)
+			}
+		}
+		// A checkpoint syncs the store twice; commits never do.
+		faulty.SetConfig(storage.FaultConfig{FailSyncsAfter: 2})
+		if err := ix.Flush(); !errors.Is(err, ErrWriteFailed) {
+			t.Fatalf("%v: Flush with a failing last sync: %v, want ErrWriteFailed", kind, err)
+		}
+		faulty.SetConfig(storage.FaultConfig{})
+		for ; applied < len(steps); applied++ {
+			if steps[applied].isFlush() {
+				continue
+			}
+			if err := applyStep(ix, steps[applied]); err != nil {
+				t.Fatalf("%v: step %d after the failed checkpoint: %v", kind, applied, err)
+			}
+		}
+		ix = nil // crash
+
+		rec, err := OpenIndex(cfg.PageFile, IndexConfig{})
+		if err != nil {
+			t.Fatalf("%v: recover: %v", kind, err)
+		}
+		ref := buildReference(t, kind, base, steps, len(steps), 0)
+		requireSameJoin(t, fmt.Sprintf("%v recovered", kind), rec, ref)
+		checkIntegrity(t, fmt.Sprintf("%v recovered", kind), rec)
+		rec.RequireNoPinnedFrames(t)
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

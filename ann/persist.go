@@ -112,6 +112,12 @@ func OpenIndex(path string, cfg IndexConfig) (*Index, error) {
 			return fail(fmt.Errorf("ann: post-recovery checkpoint: %w", err))
 		}
 	}
+	// The tree now equals its durable image; the free list is not part of
+	// the image, so every page it does not reach — dead when the previous
+	// process stopped, or claimed and never checkpointed — is found again.
+	if err := ix.tree.RebuildFree(); err != nil {
+		return fail(fmt.Errorf("ann: rebuild free list: %w", err))
+	}
 	return ix, nil
 }
 
@@ -120,10 +126,11 @@ func OpenIndex(path string, cfg IndexConfig) (*Index, error) {
 // write-ahead log is truncated. After a Flush the page file can be
 // reopened with OpenIndex — though that is equally true at any instant,
 // via WAL replay; Flush just bounds the replay work, and lets the pages
-// the folded-in batches superseded be reused (they wait for a
-// checkpoint's fence). An in-memory index has nothing to make durable
-// and reuses superseded pages at every batch; Flush on it only runs the
-// same fence.
+// of the previous checkpoint that the folded-in batches superseded be
+// reused (they wait for a checkpoint's fence; pages claimed and
+// superseded in between do not). An in-memory index has nothing to make
+// durable and reuses superseded pages at every batch; Flush on it only
+// runs the same fence.
 func (ix *Index) Flush() error {
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()

@@ -82,17 +82,19 @@ func (ix *Index) Stats() IndexStats {
 
 // RegisterWALMetrics exposes the live index's write-path gauges and
 // counters in m. Every index has the page-lifecycle gauges
-// storage.free_pages (fenced, reusable), storage.drained_pages (dead,
-// awaiting a checkpoint's fence) and storage.deferred_refs (unlinked
-// node refs a snapshot may still read, or not yet drained); a
-// file-backed one adds its log's wal.records, wal.fsyncs,
+// storage.free_pages (reusable), storage.drained_pages (dead, awaiting a
+// checkpoint's fence), storage.deferred_refs (unlinked node refs a
+// snapshot may still read, or not yet drained) and storage.young_pages
+// (live pages claimed since the last checkpoint, free at once when they
+// die); a file-backed one adds its log's wal.records, wal.fsyncs,
 // wal.checkpoints, wal.replayed_records, wal.replay_ns and
 // wal.snapshot_pins.
 func (ix *Index) RegisterWALMetrics(m *MetricsRegistry) {
 	r := m.registry()
-	r.GaugeFunc("storage.free_pages", func() int64 { free, _, _ := ix.tree.PageGauges(); return free })
-	r.GaugeFunc("storage.drained_pages", func() int64 { _, drained, _ := ix.tree.PageGauges(); return drained })
-	r.GaugeFunc("storage.deferred_refs", func() int64 { _, _, deferred := ix.tree.PageGauges(); return deferred })
+	r.GaugeFunc("storage.free_pages", func() int64 { free, _, _, _ := ix.tree.PageGauges(); return free })
+	r.GaugeFunc("storage.drained_pages", func() int64 { _, drained, _, _ := ix.tree.PageGauges(); return drained })
+	r.GaugeFunc("storage.deferred_refs", func() int64 { _, _, deferred, _ := ix.tree.PageGauges(); return deferred })
+	r.GaugeFunc("storage.young_pages", func() int64 { _, _, _, young := ix.tree.PageGauges(); return young })
 	if ix.wal != nil {
 		ix.wal.Register(r, "wal")
 	}

@@ -45,13 +45,22 @@ func walk(t *testing.T, s index.Tree) (map[index.ObjectID]geom.Point, map[storag
 // It loads pts[:n] into the empty tree, then commits rounds batches that
 // each delete the churn oldest points and insert the next churn of pts,
 // releasing every batch one round late (as if a reader held the previous
-// snapshot) and checkpointing every third round. It asserts that
+// snapshot) and checkpointing every third round of the first and of the
+// last quarter — in between, pages live and die young. It asserts that
 //
 //   - a snapshot reads exactly the state it froze while the writer moves
 //     on, and the newest one reads the writer's;
-//   - a ref is never handed out again before it was released and drained
-//     and fenced, and an insert grows the store only once the free list
-//     is empty (and pages do come back: the free list is used);
+//   - a ref the last checkpoint's image can reach — born before it, on a
+//     page that was claimed before it — is never handed out again before
+//     it was released, drained and fenced, also when the checkpoint that
+//     made it old came while its release was still pending; a ref born
+//     since the last checkpoint needs release and drain only, and such
+//     refs do come back with no fence in between;
+//   - an insert grows the store only once the free list is empty (and
+//     pages do come back: the free list is used), and a claimed page is
+//     never read from the store: the pool holds the whole tree here, so
+//     Pool.Reads stays where it was (Discard panics on a pinned frame, so
+//     every page that died was unpinned when it left the pool);
 //   - a freed ref's node-cache entry survives until its release — old
 //     readers re-populate it — and dies there.
 func SnapshotIsolation(t *testing.T, tree index.Mutable, pts []geom.Point, n, churn, rounds int) {
@@ -71,21 +80,34 @@ func SnapshotIsolation(t *testing.T, tree index.Mutable, pts []geom.Point, n, ch
 	prev, release := tree.Publish()
 	prevWant := maps.Clone(want)
 	_, prevRefs := walk(t, prev)
-	// unreleased: refs the last batch freed; limbo: released, not fenced.
-	unreleased, limbo := map[storage.PageID]bool{}, map[storage.PageID]bool{}
-	recycled := false
+	// born: the round a live ref first showed up in (a record lands on a
+	// page its own batch claimed, so the ref is as young as its page);
+	// lastCkpt: the round of the last checkpoint. EnableCoW counts what
+	// is in the store as the image's: absent from born, round -1.
+	born, lastCkpt := map[storage.PageID]int{}, -1
+	bornAt := func(ref storage.PageID) int {
+		if r, ok := born[ref]; ok {
+			return r
+		}
+		return -1
+	}
+	// unreleased: refs the last batch freed; limbo: old, released, not
+	// fenced; loose: young when released and drained, reusable since.
+	unreleased, limbo, loose := map[storage.PageID]bool{}, map[storage.PageID]bool{}, map[storage.PageID]bool{}
+	recycled, youngReused, freedUnfenced := false, false, false
 	store := tree.Pool().Store()
+	reads := tree.Pool().Stats().Reads
 	for r := 0; r < rounds; r++ {
 		for i := r * churn; i < (r+1)*churn; i++ {
-			f0, _, _ := tree.PageGauges()
+			f0, _, _, _ := tree.PageGauges()
 			if ok, err := tree.Delete(index.ObjectID(i), pts[i]); err != nil || !ok {
 				t.Fatalf("round %d: delete %d: ok=%v err=%v", r, i, ok, err)
 			}
 			delete(want, index.ObjectID(i))
-			f1, _, _ := tree.PageGauges()
+			f1, _, _, _ := tree.PageGauges()
 			pages := store.NumPages()
 			insert(n + i)
-			f2, _, _ := tree.PageGauges()
+			f2, _, _, _ := tree.PageGauges()
 			if store.NumPages() > pages && f2 > 0 {
 				t.Fatalf("round %d: insert grew the store with %d free pages", r, f2)
 			}
@@ -110,30 +132,53 @@ func SnapshotIsolation(t *testing.T, tree index.Mutable, pts []geom.Point, n, ch
 			freed[ref] = true
 		}
 		for ref := range curRefs {
-			if !prevRefs[ref] && (unreleased[ref] || limbo[ref]) {
-				t.Fatalf("round %d: ref %d handed out again before its fence", r, ref)
+			if prevRefs[ref] {
+				continue
 			}
+			if unreleased[ref] || limbo[ref] {
+				t.Fatalf("round %d: ref %d (born in round %d, last checkpoint in %d) handed out again before its fence",
+					r, ref, bornAt(ref), lastCkpt)
+			}
+			youngReused = youngReused || loose[ref]
+			delete(loose, ref)
+			born[ref] = r
 		}
 		release() // the reader of the snapshot before prev is done
 		for ref := range unreleased {
 			if _, ok := cache.Get(ref); ok {
 				t.Fatalf("round %d: ref %d still cached after its release", r, ref)
 			}
-			limbo[ref] = true
+			if bornAt(ref) > lastCkpt {
+				loose[ref] = true
+			} else {
+				limbo[ref] = true
+			}
 		}
+		f0, _, _, _ := tree.PageGauges()
 		if err := tree.DrainReclaim(); err != nil {
 			t.Fatal(err)
 		}
-		if r%3 == 2 {
+		f1, _, _, _ := tree.PageGauges()
+		freedUnfenced = freedUnfenced || f1 > f0
+		if r%3 == 2 && (r < rounds/4 || r >= rounds-rounds/4) {
 			if err := tree.Flush(); err != nil {
 				t.Fatal(err)
 			}
 			clear(limbo)
+			clear(loose)
+			lastCkpt = r
 		}
 		prev, release, prevWant, prevRefs, unreleased = cur, rel, maps.Clone(want), curRefs, freed
 	}
 	if !recycled {
 		t.Error("no operation ever took a page from the free list")
+	}
+	if !freedUnfenced || !youngReused {
+		t.Errorf("a page claimed since the last checkpoint must come back without a fence: "+
+			"DrainReclaim freed one: %v; a young ref was handed out again: %v", freedUnfenced, youngReused)
+	}
+	if got := tree.Pool().Stats().Reads; got != reads {
+		t.Errorf("%d pages read from the store; claiming a free page must read none", got-reads)
 	}
 	if err := tree.CheckIntegrity(); err != nil {
 		t.Fatal(err)

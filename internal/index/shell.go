@@ -37,7 +37,8 @@ type Mutable interface {
 	Flush() error
 	MetaPage() storage.PageID
 	Pool() *storage.BufferPool
-	PageGauges() (free, drained, deferred int64)
+	PageGauges() (free, drained, deferred, young int64)
+	RebuildFree() error
 }
 
 // Shell is everything around a space decomposition that is the same for
@@ -49,13 +50,31 @@ type Mutable interface {
 //
 // A ref is the value a tree stores in Entry.Child: a page id for the
 // R*-tree, page and slot for MBRQT. A batch writes only pages of its
-// writable set (Fresh or Recycled during that batch), so published pages
-// stay byte-stable — readers of older snapshots race with the writer on
-// no byte, and no page the last durable checkpoint references is
-// rewritten before the next one — and a published ref comes back by
+// writable set (claimed during that batch), so published pages stay
+// byte-stable — readers of older snapshots race with the writer on no
+// byte, and no page the last durable checkpoint references is rewritten
+// before the next one — and a published ref comes back by
 //
 //	Defer → release (no snapshot reads it) → DrainReclaim (its page
-//	drained once wholly dead) → Fence (checkpoint) → free → Recycled
+//	wholly dead) → (young: free | old: Fence (checkpoint) → free) → Claim
+//
+// A page is young when it was claimed after the last checkpoint, and
+// turns old at the next. The fence protects what the last durable image
+// can reach, and that image was taken before a young page was claimed
+// (the page lay beyond the end of the file, or on the free list, which
+// holds only pages the tree at that checkpoint did not reference): no
+// durable image reaches a young page, so once no snapshot does either
+// (release) it is free at once. Recovery is unchanged by this, by
+// construction: it restores the image and replays the log's logical
+// operations onto it, claiming whatever pages it needs, and never
+// dereferences a page the image does not reach — whatever a crash left
+// under a young page's id, torn or never written, is not read (Claim
+// does not read). A tree without a log fences at every commit, where
+// young and old come to the same thing.
+//
+// A wholly dead page also leaves the buffer pool (Discard): its frame
+// serves the next claim instead of ageing through the LRU list, and a
+// young one's dirty bytes never cost a write.
 //
 // The two points where the trees differ are injected: writeMeta renders
 // the tree header into the meta page, and dead says when a released ref
@@ -76,18 +95,20 @@ type Shell struct {
 	// Writer-owned copy-on-write state; inert until EnableCoW.
 	cow      bool
 	writable map[storage.PageID]bool // pages the current batch may write
+	young    map[storage.PageID]bool // live pages claimed since the last checkpoint
 	deferred []storage.PageID        // refs unlinked on published pages this batch
-	drained  []storage.PageID        // wholly dead pages awaiting the fence
-	free     []storage.PageID        // fenced pages, reused newest first
+	drained  []storage.PageID        // wholly dead old pages awaiting the fence
+	free     []storage.PageID        // reusable pages, claimed newest first
 
 	// reclaimQ collects deferred refs whose snapshots have all been
 	// released; release functions append from reader goroutines.
 	reclaimMu sync.Mutex
 	reclaimQ  []storage.PageID
 
-	// The gauges mirror len(free), len(drained) and the refs between
-	// Defer and DrainReclaim, for scrapers outside the writer lock.
-	nFree, nDrained, nDeferred atomic.Int64
+	// The gauges mirror len(free), len(drained), the refs between Defer
+	// and DrainReclaim, and len(young), for scrapers outside the writer
+	// lock.
+	nFree, nDrained, nDeferred, nYoung atomic.Int64
 }
 
 // NewShell wraps the decomposition src, whose header lives in page meta
@@ -181,6 +202,7 @@ func appendEntries(out []Entry, b Block) []Entry {
 func (s *Shell) EnableCoW() {
 	s.cow = true
 	s.writable = make(map[storage.PageID]bool)
+	s.young = make(map[storage.PageID]bool)
 }
 
 // Writable reports whether the current batch may write page in place.
@@ -200,34 +222,38 @@ func (s *Shell) Defer(ref, page storage.PageID) bool {
 	return true
 }
 
-// FreePage puts a page the batch owns straight on the free list.
+// FreePage makes a wholly dead page claimable at once and drops its
+// frame: a page the batch owns, freed by the tree, or a young one that
+// DrainReclaim found dead.
 func (s *Shell) FreePage(page storage.PageID) {
+	s.pool.Discard(page)
+	if s.young[page] {
+		delete(s.young, page)
+		s.nYoung.Add(-1)
+	}
 	s.free = append(s.free, page)
 	s.nFree.Add(1)
 }
 
-// Recycled hands the batch the most recently freed page, if any. Its
-// old bytes are unreachable from every snapshot and the durable root.
-func (s *Shell) Recycled() (storage.PageID, bool) {
-	n := len(s.free)
-	if n == 0 {
-		return storage.InvalidPage, false
+// Claim hands the batch a page to write, pinned, zeroed and dirty: the
+// most recently freed one, if any — its old bytes are unreachable from
+// every snapshot and the durable root, and are not read — or else a new
+// page from the store.
+func (s *Shell) Claim() (*storage.Frame, error) {
+	var f *storage.Frame
+	var err error
+	if n := len(s.free); n > 0 {
+		if f, err = s.pool.ClaimPage(s.free[n-1]); err == nil {
+			s.free = s.free[:n-1]
+			s.nFree.Add(-1)
+		}
+	} else {
+		f, err = s.pool.NewPage()
 	}
-	page := s.free[n-1]
-	s.free = s.free[:n-1]
-	s.nFree.Add(-1)
-	if s.cow {
-		s.writable[page] = true
-	}
-	return page, true
-}
-
-// Fresh claims a new page from the store for the batch, returned pinned
-// and zeroed.
-func (s *Shell) Fresh() (*storage.Frame, error) {
-	f, err := s.pool.NewPage()
 	if err == nil && s.cow {
 		s.writable[f.ID()] = true
+		s.young[f.ID()] = true
+		s.nYoung.Add(1)
 	}
 	return f, err
 }
@@ -244,7 +270,7 @@ func (s *Shell) Publish() (*Snapshot, func()) {
 	snap.root, snap.rootErr = s.src.Root()
 	freed := s.deferred
 	s.deferred = nil
-	s.writable = make(map[storage.PageID]bool)
+	clear(s.writable)
 	release := func() {
 		if len(freed) == 0 {
 			return
@@ -266,9 +292,10 @@ func (s *Shell) Publish() (*Snapshot, func()) {
 }
 
 // DrainReclaim processes refs whose release functions have fired: a
-// page they leave wholly dead moves to the drained list, where it waits
-// for the fence. Called by the writer, typically at batch start and
-// inside CheckpointWith.
+// page they leave wholly dead is free at once when it is young, and
+// otherwise moves to the drained list, where it waits for the fence.
+// Called by the writer, typically at batch start and inside
+// CheckpointWith.
 func (s *Shell) DrainReclaim() error {
 	s.reclaimMu.Lock()
 	q := s.reclaimQ
@@ -280,10 +307,16 @@ func (s *Shell) DrainReclaim() error {
 		if err != nil {
 			return err
 		}
-		if whole {
-			s.drained = append(s.drained, page)
-			s.nDrained.Add(1)
+		if !whole {
+			continue
 		}
+		if s.young[page] {
+			s.FreePage(page)
+			continue
+		}
+		s.pool.Discard(page)
+		s.drained = append(s.drained, page)
+		s.nDrained.Add(1)
 	}
 	return nil
 }
@@ -298,11 +331,26 @@ func (s *Shell) Fence() {
 	s.nDrained.Store(0)
 }
 
-// PageGauges reports the fenced free pages, the drained pages awaiting
-// a fence, and the deferred refs not yet drained. Safe from any
-// goroutine.
-func (s *Shell) PageGauges() (free, drained, deferred int64) {
-	return s.nFree.Load(), s.nDrained.Load(), s.nDeferred.Load()
+// PageGauges reports the free pages, the drained pages awaiting a
+// fence, the deferred refs not yet drained, and the live young pages.
+// Safe from any goroutine.
+func (s *Shell) PageGauges() (free, drained, deferred, young int64) {
+	return s.nFree.Load(), s.nDrained.Load(), s.nDeferred.Load(), s.nYoung.Load()
+}
+
+// AdoptFree resets the free list to every page of the store that
+// reachable does not name, the meta page apart: what a previous process
+// left dead, or claimed and never checkpointed. The tree must equal its
+// durable image, with nothing deferred or drained — right after Open or
+// a checkpoint, before the first batch. Low page ids are claimed first.
+func (s *Shell) AdoptFree(reachable func(storage.PageID) bool) {
+	s.free = s.free[:0]
+	for id := storage.PageID(s.pool.Store().NumPages()); id > 0; id-- {
+		if page := id - 1; page != s.meta && !reachable(page) {
+			s.free = append(s.free, page)
+		}
+	}
+	s.nFree.Store(int64(len(s.free)))
 }
 
 // Flush is CheckpointWith without a hook.
@@ -315,36 +363,29 @@ func (s *Shell) Flush() error { return s.CheckpointWith(nil) }
 // unwritten pages. The ann layer's hook appends the header image to the
 // WAL and syncs it, so a crash at any point leaves either the old
 // checkpoint (data pages untouched by CoW) or a WAL-recorded new one.
-// After the header sync the drained pages are fenced for reuse. Must not
-// run concurrently with mutation, and only between batches (no
+// Every live young page turns old at the start — the new image reaches
+// it — and after the header sync the drained pages are fenced for reuse.
+// Must not run concurrently with mutation, and only between batches (no
 // unpublished writes).
 func (s *Shell) CheckpointWith(hook func(metaPage []byte) error) error {
 	if err := s.DrainReclaim(); err != nil {
 		return err
 	}
+	// Youth ends before the first byte of the new image can reach the
+	// disk, not after the last: a checkpoint that fails once its hook has
+	// run leaves a recoverable image that reaches these pages, and the
+	// writer may go on. (Failing earlier, they only wait a fence longer.)
+	clear(s.young)
+	s.nYoung.Store(0)
 	if err := s.writeMeta(); err != nil {
 		return err
 	}
-	// No page faults happen between writeMeta and FlushPage below, so the
-	// dirty header cannot be evicted — and hit the disk — before the hook
-	// has made the new state recoverable.
-	if err := s.pool.FlushAllExcept(s.meta); err != nil {
+	if err := s.stageImage(hook); err != nil {
+		// The new header stays off the disk for good, not only until the
+		// next page fault evicts it: the log still describes the old one,
+		// and would be replayed onto this one.
+		s.pool.Discard(s.meta)
 		return err
-	}
-	if err := s.pool.Store().Sync(); err != nil {
-		return err
-	}
-	if hook != nil {
-		f, err := s.pool.Get(s.meta)
-		if err != nil {
-			return err
-		}
-		page := make([]byte, storage.PageSize)
-		copy(page, f.Data())
-		f.Release()
-		if err := hook(page); err != nil {
-			return err
-		}
 	}
 	if err := s.pool.FlushPage(s.meta); err != nil {
 		return err
@@ -354,6 +395,31 @@ func (s *Shell) CheckpointWith(hook func(metaPage []byte) error) error {
 	}
 	s.Fence()
 	return nil
+}
+
+// stageImage is the part of a checkpoint the header page must wait for:
+// the data pages flushed and synced, then the hook. No page faults
+// happen between writeMeta and here, so the dirty header cannot be
+// evicted — and hit the disk — before the hook has made the new state
+// recoverable.
+func (s *Shell) stageImage(hook func(metaPage []byte) error) error {
+	if err := s.pool.FlushAllExcept(s.meta); err != nil {
+		return err
+	}
+	if err := s.pool.Store().Sync(); err != nil {
+		return err
+	}
+	if hook == nil {
+		return nil
+	}
+	f, err := s.pool.Get(s.meta)
+	if err != nil {
+		return err
+	}
+	page := make([]byte, storage.PageSize)
+	copy(page, f.Data())
+	f.Release()
+	return hook(page)
 }
 
 // Snapshot is a frozen, traversal-only view of a tree as of one Publish.

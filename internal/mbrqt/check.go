@@ -1,9 +1,11 @@
 package mbrqt
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"allnn/internal/geom"
+	"allnn/internal/storage"
 )
 
 // CheckIntegrity validates the structural invariants of the tree and
@@ -87,6 +89,33 @@ func (t *Tree) checkNode(ref nodeRef, cell geom.Rect, depth int) (uint32, geom.R
 		mbr.ExpandRect(childMBR)
 	}
 	return total, mbr, nil
+}
+
+// RebuildFree implements index.Mutable: one walk from the root counts
+// the records the tree holds on each page, and the record store takes
+// every other page for its free list (see recordStore.adopt).
+func (t *Tree) RebuildFree() error {
+	live := make(map[storage.PageID]int)
+	var stack []nodeRef
+	if t.root != invalidRef {
+		stack = append(stack, t.root)
+	}
+	stride := internalEntrySize(t.dim)
+	for len(stack) > 0 {
+		ref := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		err := t.walkRecords(ref, func(rec nodeRef, v recordView) error {
+			live[rec.page()]++
+			for i := 0; !v.leaf && i < v.num; i++ {
+				stack = append(stack, nodeRef(binary.LittleEndian.Uint32(v.body[i*stride:])))
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return t.rs.adopt(live)
 }
 
 // StatsReport summarises the physical shape of the tree (for debugging

@@ -58,7 +58,8 @@ func (r nodeRef) slot() int            { return int(uint32(r) & slotMask) }
 // page is never overwritten in place: freeing one merely defers its ref,
 // and updating one defers the old copy and allocates a new record on a
 // writable page. A published page re-enters circulation whole, once
-// every record on it is dead (pageDead) and a checkpoint has fenced it:
+// every record on it is dead (pageDead) — and, unless it is young, a
+// checkpoint has fenced it:
 // a page with a long-lived survivor record keeps its dead space until
 // the survivor itself is rewritten (the usual cost of no-overwrite
 // storage).
@@ -102,6 +103,24 @@ func (rs *recordStore) pageDead(ref storage.PageID) (storage.PageID, bool, error
 	delete(rs.deadSlots, pid)
 	delete(rs.liveInit, pid)
 	return pid, true, nil
+}
+
+// adopt is RebuildFree's second half: live counts, per page, the records
+// the tree just opened reaches. A page it reaches none on is free. One
+// that also holds records an earlier process had drained gets that count
+// back, so that it still comes back whole when the survivors die.
+func (rs *recordStore) adopt(live map[storage.PageID]int) error {
+	for pid, n := range live {
+		held, err := rs.liveSlotCount(pid)
+		if err != nil {
+			return err
+		}
+		if held > n {
+			rs.liveInit[pid], rs.deadSlots[pid] = held, held-n
+		}
+	}
+	rs.life.AdoptFree(func(pid storage.PageID) bool { return live[pid] > 0 })
+	return nil
 }
 
 // liveSlotCount counts the records physically present on a page. For a
@@ -236,15 +255,9 @@ func (rs *recordStore) alloc(rec []byte) (nodeRef, error) {
 		// Page full: drop it from the cache.
 		rs.fillPages = append(rs.fillPages[:i], rs.fillPages[i+1:]...)
 	}
-	// Recycle a fenced page before claiming a new one; the record always
-	// fits an empty page (checked above).
-	var f *storage.Frame
-	var err error
-	if pid, ok := rs.life.Recycled(); ok {
-		f, err = rs.pool.Get(pid)
-	} else {
-		f, err = rs.life.Fresh()
-	}
+	// A free page before a new one; the record always fits an empty page
+	// (checked above).
+	f, err := rs.life.Claim()
 	if err != nil {
 		return invalidRef, err
 	}

@@ -257,12 +257,10 @@ func (t *Tree) freePage(pid storage.PageID) {
 	t.FreePage(pid)
 }
 
-// allocPage takes a page from the free list or the shared store.
+// allocPage claims a page from the free list or the shared store. It
+// comes zeroed and stays resident for the writeNode that follows.
 func (t *Tree) allocPage() (storage.PageID, error) {
-	if pid, ok := t.Recycled(); ok {
-		return pid, nil
-	}
-	f, err := t.Fresh()
+	f, err := t.Claim()
 	if err != nil {
 		return storage.InvalidPage, err
 	}

@@ -432,22 +432,58 @@ func (p *BufferPool) NewPage() (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.ClaimPage(id)
+}
+
+// ClaimPage pins the allocated page id for a caller about to overwrite
+// it whole: zeroed and dirty like a NewPage, and without the store read
+// of a Get — what the store holds under id (a dead page's bytes, or
+// nothing that was ever written) is never looked at.
+func (p *BufferPool) ClaimPage(id PageID) (*Frame, error) {
 	sh := p.shardOf(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	sh.discard(id)
 	idx, err := sh.grabFrame()
 	if err != nil {
 		return nil, err
 	}
 	f := &sh.frames[idx]
-	for i := range f.data {
-		f.data[i] = 0
-	}
+	clear(f.data)
 	f.id = id
 	f.pins = 1
 	f.dirty = true
 	sh.table[id] = idx
 	return &Frame{shard: sh, idx: idx, id: id}, nil
+}
+
+// Discard drops page id's frame, if it is resident, WITHOUT writing it
+// back: the frame serves the next miss or claim as it is. For a page
+// nothing can reach any more — a dirty one's bytes are garbage, a clean
+// one's are on disk. Discarding a pinned page panics: somebody still
+// reads what the caller declared dead.
+func (p *BufferPool) Discard(id PageID) {
+	sh := p.shardOf(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.discard(id)
+}
+
+// discard implements Discard. Called with the shard lock held.
+func (sh *poolShard) discard(id PageID) {
+	idx, ok := sh.table[id]
+	if !ok {
+		return
+	}
+	f := &sh.frames[idx]
+	if f.pins > 0 {
+		panic(fmt.Sprintf("storage: discard of pinned page %d", id))
+	}
+	sh.lruRemove(idx)
+	delete(sh.table, id)
+	f.id = InvalidPage
+	f.dirty = false
+	sh.free = append(sh.free, idx)
 }
 
 // FlushAll writes every dirty resident page back to the store. Pinned
@@ -459,7 +495,10 @@ func (p *BufferPool) FlushAll() error {
 // FlushAllExcept is FlushAll with one page held back. Checkpoints use it
 // to write every page but the tree's meta page, sync, and only then
 // write the meta page — making the meta write the atomic commit point of
-// the checkpoint.
+// the checkpoint. Like eviction it writes resident frames only, so a
+// page that was Discarded while dirty is never written: a checkpoint
+// pays for the pages its image can reach, not for the ones that died
+// before it.
 func (p *BufferPool) FlushAllExcept(except PageID) error {
 	return p.flushExcept(except)
 }

@@ -230,6 +230,93 @@ func TestNewPageReusedFrameIsZeroed(t *testing.T) {
 	}
 }
 
+// A discarded page costs nothing further: its dirty bytes never reach
+// the store, at FlushAll or by eviction, and its frame — buffer and all —
+// is the next one handed out.
+func TestDiscardDropsFrameWithoutWriteBack(t *testing.T) {
+	p := newPoolWithPages(t, 2, 2)
+	f, err := p.Get(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Data()[0] = 0xEE
+	f.MarkDirty()
+	buf := &f.Data()[0]
+	f.Release()
+	p.Discard(0)
+	p.Discard(0) // not resident any more: nothing to do
+	g, err := p.Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &g.Data()[0] != buf {
+		t.Error("the discarded frame's buffer was not the next one used")
+	}
+	g.Release()
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Writes != 0 || st.Evictions != 0 {
+		t.Errorf("stats after discard + flush: %+v, want no write and no eviction", st)
+	}
+	back := make([]byte, PageSize)
+	if err := p.Store().ReadPage(0, back); err != nil || back[0] != 0 {
+		t.Errorf("store page 0 starts with %#x (err %v), want the byte written before the discard, 0", back[0], err)
+	}
+}
+
+func TestDiscardOfPinnedPagePanics(t *testing.T) {
+	p := newPoolWithPages(t, 2, 1)
+	f, err := p.Get(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("Discard of a pinned page did not panic")
+		}
+	}()
+	p.Discard(0)
+}
+
+// ClaimPage is NewPage for a page that exists: zeroed and dirty, and the
+// store is not read — resident or not, whatever the page held is gone.
+func TestClaimPageReadsNothing(t *testing.T) {
+	p := newPoolWithPages(t, 2, 3)
+	if f, err := p.Get(2); err != nil {
+		t.Fatal(err)
+	} else {
+		f.Release()
+	}
+	reads := p.Stats().Reads
+	for _, id := range []PageID{1, 2} { // not resident, resident
+		f, err := p.ClaimPage(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range f.Data() {
+			if b != 0 {
+				t.Fatalf("claimed page %d: byte %d is %#x, want 0", id, i, b)
+			}
+		}
+		f.Data()[7] = 0x77
+		f.Release()
+	}
+	if got := p.Stats().Reads; got != reads {
+		t.Errorf("ClaimPage read %d pages from the store", got-reads)
+	}
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	back := make([]byte, PageSize)
+	for _, id := range []PageID{1, 2} {
+		if err := p.Store().ReadPage(id, back); err != nil || back[0] != 0 || back[7] != 0x77 {
+			t.Errorf("store page %d after flush: bytes %#x %#x (err %v), want 0 0x77", id, back[0], back[7], err)
+		}
+	}
+}
+
 func TestReleaseTwicePanics(t *testing.T) {
 	p := newPoolWithPages(t, 2, 2)
 	f, err := p.Get(0)
