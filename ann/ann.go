@@ -33,7 +33,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"time"
 
 	"allnn/internal/core"
 	"allnn/internal/geom"
@@ -93,17 +92,6 @@ type IndexConfig struct {
 	// PageFile, when non-empty, stores the index pages in a file at this
 	// path instead of in memory.
 	PageFile string
-	// ReadRetries is the number of times a transient page-read failure is
-	// retried (with jittered exponential backoff) before it surfaces from
-	// a query. 0 selects the default (3); negative disables retries.
-	// Corrupt pages — checksum or structural verification failures,
-	// ErrCorruptPage — are never retried.
-	ReadRetries int
-	// RetryBackoff is the base delay before the first read retry; each
-	// further retry doubles it up to RetryBackoffMax. Zero values select
-	// the defaults (200µs base, 5ms cap).
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
 	// CheckpointEveryBytes, when positive, auto-checkpoints a file-backed
 	// live index once the write-ahead log exceeds this many bytes: the
 	// mutation batch that pushes the log past the budget triggers the
@@ -124,7 +112,8 @@ type IndexConfig struct {
 //   - ErrCorruptPage: a page failed its checksum, header or structural
 //     verification. Retrying cannot help; the index needs a rebuild.
 //   - ErrTransientIO: an I/O operation failed in a retryable way and the
-//     configured retries (IndexConfig.ReadRetries) were exhausted.
+//     buffer pool's retries (three, with jittered exponential backoff
+//     from 200µs, capped at 5ms) were exhausted.
 var (
 	ErrCorruptPage = storage.ErrCorruptPage
 	ErrTransientIO = storage.ErrTransientIO
@@ -263,11 +252,7 @@ func BuildIndex(points []Point, cfg IndexConfig) (*Index, error) {
 	} else {
 		store = wrapStore(storage.NewMemStore())
 	}
-	pool := storage.NewBufferPoolWithConfig(store, storage.FramesForBytes(poolBytes), storage.BufferPoolConfig{
-		ReadRetries:     cfg.ReadRetries,
-		RetryBackoff:    cfg.RetryBackoff,
-		RetryBackoffMax: cfg.RetryBackoffMax,
-	})
+	pool := storage.NewBufferPool(store, storage.FramesForBytes(poolBytes))
 
 	var tree index.Mutable
 	var err error

@@ -66,11 +66,7 @@ func OpenIndex(path string, cfg IndexConfig) (*Index, error) {
 	if poolBytes <= 0 {
 		poolBytes = 64 << 20
 	}
-	pool := storage.NewBufferPoolWithConfig(store, storage.FramesForBytes(poolBytes), storage.BufferPoolConfig{
-		ReadRetries:     cfg.ReadRetries,
-		RetryBackoff:    cfg.RetryBackoff,
-		RetryBackoffMax: cfg.RetryBackoffMax,
-	})
+	pool := storage.NewBufferPool(store, storage.FramesForBytes(poolBytes))
 
 	// The meta page of a bulk-loaded tree is the first page of its store;
 	// the tree kind is detected by which header magic it carries.

@@ -18,15 +18,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"allnn/internal/obs"
@@ -124,34 +120,5 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		fmt.Fprintf(stderr, "annrouter: obs endpoints on http://%s/ (metrics, metrics/prom, debug/pprof)\n", prof.BoundAddr)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "annrouter: listening on %s\n", ln.Addr())
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-	defer signal.Stop(sigc)
-
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- rt.Serve(ln) }()
-
-	select {
-	case sig := <-sigc:
-		fmt.Fprintf(stderr, "annrouter: %v: draining (timeout %v)\n", sig, *drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := rt.Shutdown(ctx); err != nil {
-			fmt.Fprintf(stderr, "annrouter: drain: %v (in-flight queries were cancelled)\n", err)
-		} else {
-			fmt.Fprintf(stderr, "annrouter: drained cleanly\n")
-		}
-		return <-serveDone
-	case err := <-serveDone:
-		return err
-	}
+	return rt.ListenAndServe(*addr, *drainTimeout, ready)
 }

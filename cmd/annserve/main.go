@@ -18,16 +18,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"allnn/ann"
@@ -152,39 +148,8 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 			m.name, ix.Kind(), ix.Len(), ix.Dim())
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
+	if err := srv.ListenAndServe(*addr, *drainTimeout, ready); err != nil {
 		return err
-	}
-	fmt.Fprintf(stderr, "annserve: listening on %s\n", ln.Addr())
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-	defer signal.Stop(sigc)
-
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ln) }()
-
-	select {
-	case sig := <-sigc:
-		fmt.Fprintf(stderr, "annserve: %v: draining (timeout %v)\n", sig, *drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			fmt.Fprintf(stderr, "annserve: drain: %v (in-flight queries were cancelled)\n", err)
-		} else {
-			fmt.Fprintf(stderr, "annserve: drained cleanly\n")
-		}
-		if err := <-serveDone; err != nil {
-			return err
-		}
-	case err := <-serveDone:
-		if err != nil {
-			return err
-		}
 	}
 
 	if tracer != nil {

@@ -4,19 +4,13 @@ import (
 	"context"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"allnn/ann"
 	"allnn/ann/client"
 	"allnn/internal/geom"
 	"allnn/internal/wire"
-)
-
-// Frame sizing, matching internal/server so routed streams frame like
-// single-node streams.
-const (
-	joinFrameResults = 512
-	pairFrameCount   = 4096
 )
 
 // --- distributed within-distance --------------------------------------------
@@ -48,16 +42,16 @@ type strip struct {
 	pts []ann.Point
 }
 
-func (r *Router) handleWithin(ctx context.Context, hdr wire.RequestHeader, req *wire.WithinReq, w *frameWriter) error {
+func (r *Router) handleWithin(ctx context.Context, req *wire.WithinReq, w *wire.ResponseWriter) error {
 	if req.R != req.S {
-		return badRequest("the router distributes self-joins of one routed dataset; got R=%q, S=%q (join a routed dataset against itself, or run cross-dataset joins on a single backend)", req.R, req.S)
+		return wire.BadRequest("the router distributes self-joins of one routed dataset; got R=%q, S=%q (join a routed dataset against itself, or run cross-dataset joins on a single backend)", req.R, req.S)
 	}
 	ds, err := r.dataset(req.R)
 	if err != nil {
 		return err
 	}
 	if !(req.Dist >= 0) {
-		return badRequest("distance must be non-negative, got %v", req.Dist)
+		return wire.BadRequest("distance must be non-negative, got %v", req.Dist)
 	}
 	d := req.Dist
 	g := r.newGather()
@@ -163,20 +157,20 @@ func (r *Router) handleWithin(ctx context.Context, hdr wire.RequestHeader, req *
 	})
 	r.mergeStreams.Observe(float64(len(ds.shards) + len(tasks)))
 
-	frame := wire.PairFrame{Pairs: make([]wire.Pair, 0, pairFrameCount)}
+	frame := wire.PairFrame{Pairs: make([]wire.Pair, 0, wire.PairFrameCount)}
 	var total uint64
 	flush := func() error {
 		if len(frame.Pairs) == 0 {
 			return nil
 		}
-		err := w.send(hdr.ID, wire.KindStream, hdr.Op, &frame)
+		err := w.Send(wire.KindStream, &frame)
 		frame.Pairs = frame.Pairs[:0]
 		return err
 	}
 	emit := func(p wire.Pair) error {
 		total++
 		frame.Pairs = append(frame.Pairs, p)
-		if len(frame.Pairs) >= pairFrameCount {
+		if len(frame.Pairs) >= wire.PairFrameCount {
 			return flush()
 		}
 		return nil
@@ -196,33 +190,22 @@ func (r *Router) handleWithin(ctx context.Context, hdr wire.RequestHeader, req *
 	if err := flush(); err != nil {
 		return err
 	}
-	return r.endStream(hdr, g, total, w)
+	return r.endStream(g, total, w)
 }
 
 // endStream terminates a routed stream: KindEnd on a complete gather,
 // or — per the protocol's degraded-stream convention — a KindError
 // frame with PARTIAL_RESULT in place of KindEnd when shards were lost
 // (everything streamed before it remains valid).
-func (r *Router) endStream(hdr wire.RequestHeader, g *gather, total uint64, w *frameWriter) error {
+func (r *Router) endStream(g *gather, total uint64, w *wire.ResponseWriter) error {
 	if p := r.finishPartial(g.partial()); p != nil {
-		w.sendError(hdr.ID, hdr.Op, &wire.Error{
+		w.SendError(&wire.Error{
 			Code: wire.CodePartialResult,
-			Msg:  "shards unavailable: " + joinNames(p.Missing),
+			Msg:  "shards unavailable: " + strings.Join(p.Missing, ", "),
 		})
 		return nil
 	}
-	return w.send(hdr.ID, wire.KindEnd, hdr.Op, &wire.StreamEnd{Count: total})
-}
-
-func joinNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
+	return w.Send(wire.KindEnd, &wire.StreamEnd{Count: total})
 }
 
 // --- distributed ANN self-join ----------------------------------------------
@@ -238,16 +221,16 @@ func joinNames(names []string) string {
 // so emitting shard streams in shard order yields the same ascending-id
 // result stream a single node produces over the curve-ordered dataset.
 
-func (r *Router) handleJoin(ctx context.Context, hdr wire.RequestHeader, req *wire.JoinReq, w *frameWriter) error {
+func (r *Router) handleJoin(ctx context.Context, req *wire.JoinReq, w *wire.ResponseWriter) error {
 	if !req.Self {
-		return badRequest("the router distributes self-joins of one routed dataset; got R=%q, S=%q (run cross-dataset joins on a single backend)", req.R, req.S)
+		return wire.BadRequest("the router distributes self-joins of one routed dataset; got R=%q, S=%q (run cross-dataset joins on a single backend)", req.R, req.S)
 	}
 	ds, err := r.dataset(req.R)
 	if err != nil {
 		return err
 	}
 	if req.K < 1 {
-		return badRequest("k must be at least 1, got %d", req.K)
+		return wire.BadRequest("k must be at least 1, got %d", req.K)
 	}
 	k := int(req.K)
 	g := r.newGather()
@@ -354,14 +337,14 @@ func (r *Router) handleJoin(ctx context.Context, hdr wire.RequestHeader, req *wi
 	// order, points in local order.
 	r.mergeStreams.Observe(float64(len(ds.shards)))
 	// One neighbor slab per frame, reset once w.send has encoded it.
-	frame := wire.JoinFrame{Results: make([]wire.Result, 0, joinFrameResults)}
+	frame := wire.JoinFrame{Results: make([]wire.Result, 0, wire.JoinFrameResults)}
 	var slab []wire.Neighbor
 	var total uint64
 	flush := func() error {
 		if len(frame.Results) == 0 {
 			return nil
 		}
-		err := w.send(hdr.ID, wire.KindStream, hdr.Op, &frame)
+		err := w.Send(wire.KindStream, &frame)
 		frame.Results = frame.Results[:0]
 		slab = slab[:0]
 		return err
@@ -380,7 +363,7 @@ func (r *Router) handleJoin(ctx context.Context, hdr wire.RequestHeader, req *wi
 				Point:     res.Point,
 				Neighbors: cands,
 			})
-			if len(frame.Results) >= joinFrameResults {
+			if len(frame.Results) >= wire.JoinFrameResults {
 				if err := flush(); err != nil {
 					return err
 				}
@@ -390,5 +373,5 @@ func (r *Router) handleJoin(ctx context.Context, hdr wire.RequestHeader, req *wi
 	if err := flush(); err != nil {
 		return err
 	}
-	return r.endStream(hdr, g, total, w)
+	return r.endStream(g, total, w)
 }

@@ -194,16 +194,16 @@ func (r *Router) routedBatch(ctx context.Context, g *gather, ds *dataset, querie
 	return cands, pruned, nil
 }
 
-func (r *Router) handleKNN(ctx context.Context, hdr wire.RequestHeader, req *wire.KNNReq, w *frameWriter) error {
+func (r *Router) handleKNN(ctx context.Context, req *wire.KNNReq, w *wire.ResponseWriter) error {
 	ds, err := r.dataset(req.Index)
 	if err != nil {
 		return err
 	}
 	if req.K < 1 {
-		return badRequest("k must be at least 1, got %d", req.K)
+		return wire.BadRequest("k must be at least 1, got %d", req.K)
 	}
 	if len(req.Point) != ds.dim {
-		return badRequest("query point has %d dims, dataset %q has %d", len(req.Point), req.Index, ds.dim)
+		return wire.BadRequest("query point has %d dims, dataset %q has %d", len(req.Point), req.Index, ds.dim)
 	}
 	k := int(req.K)
 	g := r.newGather()
@@ -247,23 +247,23 @@ func (r *Router) handleKNN(ctx context.Context, hdr wire.RequestHeader, req *wir
 		return err
 	}
 	r.prune(len(ds.shards) - 1 - len(fan))
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.KNNReply{
+	return w.Send(wire.KindResult, &wire.KNNReply{
 		Neighbors: cands,
 		Partial:   r.finishPartial(g.partial()),
 	})
 }
 
-func (r *Router) handleBatchKNN(ctx context.Context, hdr wire.RequestHeader, req *wire.BatchKNNReq, w *frameWriter) error {
+func (r *Router) handleBatchKNN(ctx context.Context, req *wire.BatchKNNReq, w *wire.ResponseWriter) error {
 	ds, err := r.dataset(req.Index)
 	if err != nil {
 		return err
 	}
 	if req.K < 1 {
-		return badRequest("k must be at least 1, got %d", req.K)
+		return wire.BadRequest("k must be at least 1, got %d", req.K)
 	}
 	for i, p := range req.Points {
 		if len(p) != ds.dim {
-			return badRequest("query point %d has %d dims, dataset %q has %d", i, len(p), req.Index, ds.dim)
+			return wire.BadRequest("query point %d has %d dims, dataset %q has %d", i, len(p), req.Index, ds.dim)
 		}
 	}
 	g := r.newGather()
@@ -276,7 +276,7 @@ func (r *Router) handleBatchKNN(ctx context.Context, hdr wire.RequestHeader, req
 	for i, p := range req.Points {
 		results[i] = wire.Result{ID: uint64(i), Point: p, Neighbors: res[i]}
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.BatchKNNReply{
+	return w.Send(wire.KindResult, &wire.BatchKNNReply{
 		Results: results,
 		Partial: r.finishPartial(g.partial()),
 	})
@@ -288,11 +288,11 @@ func (r *Router) handleBatchKNN(ctx context.Context, hdr wire.RequestHeader, req
 // MBR intersects it, counting the rest as pruned.
 func (r *Router) boxShards(ds *dataset, name string, lo, hi []float64) ([]*shard, *wire.Error) {
 	if len(lo) != ds.dim || len(hi) != ds.dim {
-		return nil, badRequest("box dims (%d, %d) do not match dataset %q dim %d", len(lo), len(hi), name, ds.dim)
+		return nil, wire.BadRequest("box dims (%d, %d) do not match dataset %q dim %d", len(lo), len(hi), name, ds.dim)
 	}
 	for d := range lo {
 		if lo[d] > hi[d] {
-			return nil, badRequest("inverted box bounds in dimension %d: [%g, %g]", d, lo[d], hi[d])
+			return nil, wire.BadRequest("inverted box bounds in dimension %d: [%g, %g]", d, lo[d], hi[d])
 		}
 	}
 	box := geom.Rect{Lo: lo, Hi: hi}
@@ -309,7 +309,7 @@ func (r *Router) boxShards(ds *dataset, name string, lo, hi []float64) ([]*shard
 	return hit, nil
 }
 
-func (r *Router) handleRange(ctx context.Context, hdr wire.RequestHeader, req *wire.RangeReq, w *frameWriter) error {
+func (r *Router) handleRange(ctx context.Context, req *wire.RangeReq, w *wire.ResponseWriter) error {
 	ds, err := r.dataset(req.Index)
 	if err != nil {
 		return err
@@ -343,13 +343,13 @@ func (r *Router) handleRange(ctx context.Context, hdr wire.RequestHeader, req *w
 	// Canonical routed order: ascending global id (a single node's
 	// traversal order does not survive a merge).
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.RangeReply{
+	return w.Send(wire.KindResult, &wire.RangeReply{
 		IDs:     ids,
 		Partial: r.finishPartial(g.partial()),
 	})
 }
 
-func (r *Router) handleRangePoints(ctx context.Context, hdr wire.RequestHeader, req *wire.RangePointsReq, w *frameWriter) error {
+func (r *Router) handleRangePoints(ctx context.Context, req *wire.RangePointsReq, w *wire.ResponseWriter) error {
 	ds, err := r.dataset(req.Index)
 	if err != nil {
 		return err
@@ -395,5 +395,5 @@ func (r *Router) handleRangePoints(ctx context.Context, hdr wire.RequestHeader, 
 		reply.IDs[i] = e.id
 		reply.Points[i] = e.pt
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, reply)
+	return w.Send(wire.KindResult, reply)
 }

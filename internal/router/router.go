@@ -1,12 +1,9 @@
 package router
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"runtime"
 	"sort"
 	"sync"
@@ -16,10 +13,6 @@ import (
 	"allnn/internal/obs"
 	"allnn/internal/wire"
 )
-
-// handshakeTimeout bounds a fresh connection's preamble, as in
-// internal/server.
-const handshakeTimeout = 10 * time.Second
 
 // Mode selects the router's failure policy when a shard's backend is
 // unreachable after retries.
@@ -81,25 +74,17 @@ type Config struct {
 
 // Router serves the wire protocol over one or more shard-mapped
 // datasets, scatter-gathering each request across the owning backends.
+// Serve, Shutdown and ListenAndServe are the embedded wire.Service's;
+// a drain that runs out of time closes the backend connections too.
 type Router struct {
+	wire.Service
+
 	cfg      Config
 	datasets map[string]*dataset
 
 	// fanout is the scatter admission semaphore: one slot per
 	// outstanding backend RPC, router-wide.
 	fanout chan struct{}
-
-	baseCtx    context.Context
-	cancelBase context.CancelFunc
-
-	mu            sync.Mutex
-	listeners     map[net.Listener]struct{}
-	conns         map[net.Conn]struct{}
-	activeReqs    int
-	draining      bool
-	drained       chan struct{}
-	drainedClosed bool
-	connWG        sync.WaitGroup
 
 	// router.* metrics (nil-safe through the registry).
 	requests        *obs.Counter
@@ -129,12 +114,16 @@ func New(cfg Config, maps ...*MapFile) (*Router, error) {
 		cfg.BackoffMax = 5 * time.Second
 	}
 	r := &Router{
-		cfg:       cfg,
-		datasets:  make(map[string]*dataset),
-		fanout:    make(chan struct{}, cfg.MaxFanout),
-		listeners: make(map[net.Listener]struct{}),
-		conns:     make(map[net.Conn]struct{}),
-		drained:   make(chan struct{}),
+		cfg:      cfg,
+		datasets: make(map[string]*dataset),
+		fanout:   make(chan struct{}, cfg.MaxFanout),
+	}
+	r.Service = wire.Service{
+		Name:    "router",
+		Handler: r.dispatch,
+		Done:    r.finishRequest,
+		Abort:   r.closeBackends,
+		Logger:  wire.Logger{Logf: cfg.Logf},
 	}
 	for _, m := range maps {
 		if err := m.Validate(); err != nil {
@@ -149,7 +138,6 @@ func New(cfg Config, maps ...*MapFile) (*Router, error) {
 		}
 		r.datasets[m.Name] = ds
 	}
-	r.baseCtx, r.cancelBase = context.WithCancel(context.Background())
 
 	reg := cfg.Metrics
 	r.requests = reg.Counter("router.requests")
@@ -171,98 +159,6 @@ func New(cfg Config, maps ...*MapFile) (*Router, error) {
 	return r, nil
 }
 
-func (r *Router) log(format string, args ...any) {
-	if r.cfg.Logf != nil {
-		r.cfg.Logf(format, args...)
-	}
-}
-
-// Serve accepts connections on ln until the listener fails or the
-// router drains. It returns nil on a drain-initiated stop.
-func (r *Router) Serve(ln net.Listener) error {
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		ln.Close()
-		return errors.New("router: already shut down")
-	}
-	r.listeners[ln] = struct{}{}
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		delete(r.listeners, ln)
-		r.mu.Unlock()
-		ln.Close()
-	}()
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			r.mu.Lock()
-			draining := r.draining
-			r.mu.Unlock()
-			if draining || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		r.mu.Lock()
-		if r.draining {
-			r.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		r.conns[conn] = struct{}{}
-		r.mu.Unlock()
-		r.connWG.Add(1)
-		go r.handleConn(conn)
-	}
-}
-
-// Shutdown drains the router: listeners close, new requests are
-// refused with SHUTTING_DOWN, in-flight requests finish (or are
-// cancelled when ctx expires), then connections — including backend
-// connections — are torn down.
-func (r *Router) Shutdown(ctx context.Context) error {
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		return errors.New("router: shutdown already in progress")
-	}
-	r.draining = true
-	if r.activeReqs == 0 && !r.drainedClosed {
-		r.drainedClosed = true
-		close(r.drained)
-	}
-	for ln := range r.listeners {
-		ln.Close()
-	}
-	r.mu.Unlock()
-
-	var err error
-	select {
-	case <-r.drained:
-	case <-ctx.Done():
-		// Out of patience: cancel the requests and close the backend
-		// connections under them, so a leg blocked reading from a hung
-		// backend fails now instead of holding the drain.
-		err = ctx.Err()
-		r.cancelBase()
-		r.closeBackends()
-		<-r.drained
-	}
-
-	r.mu.Lock()
-	for conn := range r.conns {
-		conn.Close()
-	}
-	r.mu.Unlock()
-	r.connWG.Wait()
-	r.cancelBase()
-	r.closeBackends()
-	return err
-}
-
 // closeBackends closes every backend's pooled connections, idle and
 // checked out.
 func (r *Router) closeBackends() {
@@ -273,153 +169,69 @@ func (r *Router) closeBackends() {
 	}
 }
 
-func (r *Router) handleConn(conn net.Conn) {
-	remote := conn.RemoteAddr().String()
-	defer r.connWG.Done()
-	defer func() {
-		if rec := recover(); rec != nil {
-			buf := make([]byte, 4096)
-			buf = buf[:runtime.Stack(buf, false)]
-			r.log("level=error msg=%q conn=%s panic=%v stack=%q", "connection panic", remote, rec, string(buf))
-		}
-		conn.Close()
-		r.mu.Lock()
-		delete(r.conns, conn)
-		r.mu.Unlock()
-	}()
-
-	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	if err := wire.ReadHandshake(conn); err != nil {
-		r.log("level=warn msg=%q conn=%s err=%v", "handshake failed", remote, err)
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
-
-	br := bufio.NewReader(conn)
-	w := &frameWriter{bw: bufio.NewWriter(conn)}
-	for {
-		payload, err := wire.ReadFrame(br)
-		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				r.log("level=warn msg=%q conn=%s err=%v", "read failed", remote, err)
-			}
-			return
-		}
-		if !r.serveRequest(w, remote, payload) {
-			return
-		}
-	}
-}
-
-func (r *Router) serveRequest(w *frameWriter, remote string, payload []byte) bool {
-	hdr, body, err := wire.DecodeRequest(payload)
-	if err != nil {
-		r.log("level=warn msg=%q conn=%s req=%d err=%v", "bad request frame", remote, hdr.ID, err)
-		w.sendError(hdr.ID, hdr.Op, &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()})
-		return false
-	}
-	if !r.beginRequest() {
-		w.sendError(hdr.ID, hdr.Op, &wire.Error{Code: wire.CodeShuttingDown, Msg: "router is draining"})
-		return true
-	}
-	defer r.endRequest()
-
+// dispatch is the router's wire.Handler: it executes one decoded
+// request. A returned error means no terminal frame was written yet.
+func (r *Router) dispatch(ctx context.Context, hdr wire.RequestHeader, body wire.Message, _ string, w *wire.ResponseWriter) error {
 	r.requests.Inc()
-	start := time.Now()
-	ctx := r.baseCtx
-	if hdr.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, hdr.Timeout)
-		defer cancel()
-	}
-	err = r.dispatch(ctx, hdr, body, w)
-	if h := r.latencies[hdr.Op]; h != nil {
-		h.Observe(float64(time.Since(start).Nanoseconds()))
-	}
-	if err != nil {
-		r.errors.Inc()
-		we := toWireError(err)
-		if we.Code == wire.CodeShardUnavailable {
-			r.unavailable.Inc()
-		}
-		r.log("level=info msg=%q conn=%s req=%d op=%s code=%s err=%q",
-			"request failed", remote, hdr.ID, hdr.Op, we.Code, we.Msg)
-		w.sendError(hdr.ID, hdr.Op, we)
-	}
-	return true
-}
-
-func (r *Router) beginRequest() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.draining {
-		return false
-	}
-	r.activeReqs++
-	return true
-}
-
-func (r *Router) endRequest() {
-	r.mu.Lock()
-	r.activeReqs--
-	if r.draining && r.activeReqs == 0 && !r.drainedClosed {
-		r.drainedClosed = true
-		close(r.drained)
-	}
-	r.mu.Unlock()
-}
-
-// dispatch executes one decoded request. A returned error means no
-// terminal frame was written yet.
-func (r *Router) dispatch(ctx context.Context, hdr wire.RequestHeader, body wire.Message, w *frameWriter) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			r.log("level=error msg=%q req=%d op=%s panic=%v", "request panic", hdr.ID, hdr.Op, rec)
-			err = &wire.Error{Code: wire.CodeInternal, Msg: "internal error (recovered panic)"}
-		}
-	}()
 	if hdr.Epsilon != 0 {
-		return badRequest("the router serves exact queries only (epsilon=%v rejected)", hdr.Epsilon)
+		return wire.BadRequest("the router serves exact queries only (epsilon=%v rejected)", hdr.Epsilon)
 	}
 	if hdr.WantReport {
-		return badRequest("WantReport is not supported on routed requests")
+		return wire.BadRequest("WantReport is not supported on routed requests")
 	}
 
 	switch req := body.(type) {
 	case *wire.ListReq:
-		return r.handleList(hdr, w)
+		return r.handleList(w)
 	case *wire.ShardMapReq:
 		ds, err := r.dataset(req.Name)
 		if err != nil {
 			return err
 		}
-		return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.ShardMapReply{Map: ds.wireMap})
+		return w.Send(wire.KindResult, &wire.ShardMapReply{Map: ds.wireMap})
 	case *wire.KNNReq:
-		return r.handleKNN(ctx, hdr, req, w)
+		return r.handleKNN(ctx, req, w)
 	case *wire.BatchKNNReq:
-		return r.handleBatchKNN(ctx, hdr, req, w)
+		return r.handleBatchKNN(ctx, req, w)
 	case *wire.RangeReq:
-		return r.handleRange(ctx, hdr, req, w)
+		return r.handleRange(ctx, req, w)
 	case *wire.RangePointsReq:
-		return r.handleRangePoints(ctx, hdr, req, w)
+		return r.handleRangePoints(ctx, req, w)
 	case *wire.WithinReq:
-		return r.handleWithin(ctx, hdr, req, w)
+		return r.handleWithin(ctx, req, w)
 	case *wire.JoinReq:
-		return r.handleJoin(ctx, hdr, req, w)
+		return r.handleJoin(ctx, req, w)
 	case *wire.OpenReq, *wire.CloseReq:
-		return badRequest("the router's datasets are fixed by its shard map; open and close indexes on the shard backends")
+		return wire.BadRequest("the router's datasets are fixed by its shard map; open and close indexes on the shard backends")
 	case *wire.InsertReq, *wire.DeleteReq:
-		return badRequest("mutations are not routed; write to the owning shard backend directly (the shard map's key ranges determine ownership)")
+		return wire.BadRequest("mutations are not routed; write to the owning shard backend directly (the shard map's key ranges determine ownership)")
 	case *wire.StatsReq:
-		return badRequest("stats are per-backend; query the shard servers directly")
+		return wire.BadRequest("stats are per-backend; query the shard servers directly")
 	case *wire.PairsReq:
-		return badRequest("closest-pairs is not distributed; run it against a single backend")
+		return wire.BadRequest("closest-pairs is not distributed; run it against a single backend")
 	default:
-		return badRequest("unhandled request type %T", body)
+		return wire.BadRequest("unhandled request type %T", body)
 	}
 }
 
-func (r *Router) handleList(hdr wire.RequestHeader, w *frameWriter) error {
+// finishRequest is the router's Done hook: the per-op latency and the
+// error counters.
+func (r *Router) finishRequest(w *wire.ResponseWriter, we *wire.Error) {
+	if h := r.latencies[w.Req.Op]; h != nil {
+		h.Observe(float64(time.Since(w.Start).Nanoseconds()))
+	}
+	if we == nil {
+		return
+	}
+	r.errors.Inc()
+	if we.Code == wire.CodeShardUnavailable {
+		r.unavailable.Inc()
+	}
+	r.Log(wire.LevelInfo, "request failed",
+		"conn", w.Remote, "req", w.Req.ID, "op", w.Req.Op, "code", we.Code, "err", we.Msg)
+}
+
+func (r *Router) handleList(w *wire.ResponseWriter) error {
 	names := make([]string, 0, len(r.datasets))
 	for name := range r.datasets {
 		names = append(names, name)
@@ -430,7 +242,7 @@ func (r *Router) handleList(hdr wire.RequestHeader, w *frameWriter) error {
 		ds := r.datasets[name]
 		infos[i] = wire.IndexInfo{Name: name, Points: ds.points(), Dim: uint32(ds.dim)}
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.ListReply{Indexes: infos})
+	return w.Send(wire.KindResult, &wire.ListReply{Indexes: infos})
 }
 
 // dataset resolves a logical dataset name.
@@ -625,60 +437,4 @@ func (r *Router) finishPartial(p *wire.PartialInfo) *wire.PartialInfo {
 		r.partials.Inc()
 	}
 	return p
-}
-
-// --- response writing -------------------------------------------------------
-
-// frameWriter serialises response frames for one connection, reusing
-// one encode buffer (internal/server's connWriter, minus the
-// per-request accounting).
-type frameWriter struct {
-	bw  *bufio.Writer
-	buf []byte
-}
-
-func (w *frameWriter) send(id uint64, kind wire.ResponseKind, op wire.Op, body wire.Message) error {
-	payload, err := wire.EncodeResponse(id, kind, op, body, w.buf)
-	if err != nil {
-		return err
-	}
-	w.buf = payload
-	if err := wire.WriteFrame(w.bw, payload); err != nil {
-		return err
-	}
-	return w.bw.Flush()
-}
-
-func (w *frameWriter) sendError(id uint64, op wire.Op, we *wire.Error) {
-	body := &wire.ErrorReply{Code: we.Code, Msg: we.Msg}
-	payload, err := wire.EncodeResponse(id, wire.KindError, op, body, w.buf)
-	if err != nil {
-		payload, err = wire.EncodeResponse(id, wire.KindError, wire.OpList, body, w.buf)
-		if err != nil {
-			return
-		}
-	}
-	w.buf = payload
-	if wire.WriteFrame(w.bw, payload) == nil {
-		w.bw.Flush()
-	}
-}
-
-// toWireError maps an internal failure to its protocol error class.
-func toWireError(err error) *wire.Error {
-	var we *wire.Error
-	switch {
-	case errors.As(err, &we):
-		return we
-	case errors.Is(err, context.DeadlineExceeded):
-		return &wire.Error{Code: wire.CodeDeadlineExceeded, Msg: "request deadline exceeded"}
-	case errors.Is(err, context.Canceled):
-		return &wire.Error{Code: wire.CodeShuttingDown, Msg: "request cancelled by router shutdown"}
-	default:
-		return &wire.Error{Code: wire.CodeInternal, Msg: err.Error()}
-	}
-}
-
-func badRequest(format string, args ...any) *wire.Error {
-	return &wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf(format, args...)}
 }

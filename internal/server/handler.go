@@ -11,29 +11,10 @@ import (
 	"allnn/internal/wire"
 )
 
-// joinFrameResults bounds how many join results one KindStream frame
-// carries: large enough to amortise framing, small enough that the
-// client sees results flowing while a million-row join runs.
-const joinFrameResults = 512
-
-// pairFrameCount is the same bound for within-distance pair streams
-// (pairs are much smaller than results).
-const pairFrameCount = 4096
-
 // dispatch executes one decoded request and writes its response
 // frame(s). A returned error means no terminal frame was written yet;
-// the caller turns it into KindError.
-func (s *Server) dispatch(ctx context.Context, rc *reqCtx, hdr wire.RequestHeader, body wire.Message, w *connWriter) (err error) {
-	// A panicking handler must not take the whole connection down:
-	// report INTERNAL and keep serving.
-	defer func() {
-		if r := recover(); r != nil {
-			s.log(LevelError, "request panic",
-				"req", hdr.ID, "trace", rc.traceID, "op", hdr.Op, "index", rc.index,
-				"panic", r)
-			err = &wire.Error{Code: wire.CodeInternal, Msg: "internal error (recovered panic)"}
-		}
-	}()
+// the service turns it into KindError.
+func (s *Server) dispatch(ctx context.Context, rc *reqCtx, hdr wire.RequestHeader, body wire.Message, w *wire.ResponseWriter) error {
 	if s.testHook != nil {
 		s.testHook(hdr)
 	}
@@ -43,45 +24,45 @@ func (s *Server) dispatch(ctx context.Context, rc *reqCtx, hdr wire.RequestHeade
 	// it anywhere else is malformed — reject it here rather than silently
 	// running an exact query the client believes is approximate. (A value
 	// in the removed recall-target slot never gets here: the codec refuses
-	// the frame and serveRequest answers BAD_REQUEST with its message.)
+	// the frame and the service answers BAD_REQUEST with its message.)
 	if hdr.Epsilon != 0 && hdr.Op != wire.OpJoin {
-		return badRequest("epsilon=%v is only valid for %s, not %s", hdr.Epsilon, wire.OpJoin, hdr.Op)
+		return wire.BadRequest("epsilon=%v is only valid for %s, not %s", hdr.Epsilon, wire.OpJoin, hdr.Op)
 	}
 	// Reports ride a stream's terminating StreamEnd, which only joins
 	// produce; asking for one anywhere else is equally malformed.
 	if hdr.WantReport && hdr.Op != wire.OpJoin {
-		return badRequest("WantReport is only valid for %s, not %s", wire.OpJoin, hdr.Op)
+		return wire.BadRequest("WantReport is only valid for %s, not %s", wire.OpJoin, hdr.Op)
 	}
 
 	switch req := body.(type) {
 	case *wire.OpenReq:
-		return s.handleOpen(hdr, req, w)
+		return s.handleOpen(req, w)
 	case *wire.CloseReq:
-		return s.handleClose(hdr, req, w)
+		return s.handleClose(req, w)
 	case *wire.ListReq:
-		return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.ListReply{Indexes: s.catalog.List()})
+		return w.Send(wire.KindResult, &wire.ListReply{Indexes: s.catalog.List()})
 	case *wire.StatsReq:
-		return s.handleStats(hdr, req, w)
+		return s.handleStats(req, w)
 	case *wire.KNNReq:
-		return s.withSlot(ctx, rc, func() error { return s.handleKNN(ctx, hdr, req, w) })
+		return s.withSlot(ctx, rc, func() error { return s.handleKNN(ctx, req, w) })
 	case *wire.BatchKNNReq:
-		return s.withSlot(ctx, rc, func() error { return s.handleBatchKNN(ctx, hdr, req, w) })
+		return s.withSlot(ctx, rc, func() error { return s.handleBatchKNN(ctx, req, w) })
 	case *wire.RangeReq:
-		return s.withSlot(ctx, rc, func() error { return s.handleRange(ctx, hdr, req, w) })
+		return s.withSlot(ctx, rc, func() error { return s.handleRange(ctx, req, w) })
 	case *wire.RangePointsReq:
-		return s.withSlot(ctx, rc, func() error { return s.handleRangePoints(ctx, hdr, req, w) })
+		return s.withSlot(ctx, rc, func() error { return s.handleRangePoints(ctx, req, w) })
 	case *wire.JoinReq:
 		return s.withSlot(ctx, rc, func() error { return s.handleJoin(ctx, rc, hdr, req, w) })
 	case *wire.WithinReq:
-		return s.withSlot(ctx, rc, func() error { return s.handleWithin(ctx, hdr, req, w) })
+		return s.withSlot(ctx, rc, func() error { return s.handleWithin(ctx, req, w) })
 	case *wire.PairsReq:
-		return s.withSlot(ctx, rc, func() error { return s.handlePairs(ctx, hdr, req, w) })
+		return s.withSlot(ctx, rc, func() error { return s.handlePairs(ctx, req, w) })
 	case *wire.InsertReq:
-		return s.withSlot(ctx, rc, func() error { return s.handleInsert(hdr, req, w) })
+		return s.withSlot(ctx, rc, func() error { return s.handleInsert(req, w) })
 	case *wire.DeleteReq:
-		return s.withSlot(ctx, rc, func() error { return s.handleDelete(hdr, req, w) })
+		return s.withSlot(ctx, rc, func() error { return s.handleDelete(req, w) })
 	default:
-		return badRequest("unhandled request type %T", body)
+		return wire.BadRequest("unhandled request type %T", body)
 	}
 }
 
@@ -107,7 +88,7 @@ func (s *Server) withSlot(ctx context.Context, rc *reqCtx, fn func() error) erro
 
 // --- catalog ops ------------------------------------------------------------
 
-func (s *Server) handleOpen(hdr wire.RequestHeader, req *wire.OpenReq, w *connWriter) error {
+func (s *Server) handleOpen(req *wire.OpenReq, w *wire.ResponseWriter) error {
 	ix, err := s.catalog.Open(req.Name, req.Path, ann.IndexConfig{
 		BufferPoolBytes: s.cfg.IndexBufferBytes,
 	})
@@ -118,10 +99,10 @@ func (s *Server) handleOpen(hdr wire.RequestHeader, req *wire.OpenReq, w *connWr
 		case errors.Is(err, fs.ErrNotExist):
 			return &wire.Error{Code: wire.CodeNotFound, Msg: err.Error()}
 		default:
-			return badRequest("%v", err)
+			return wire.BadRequest("%v", err)
 		}
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.OpenReply{Info: wire.IndexInfo{
+	return w.Send(wire.KindResult, &wire.OpenReply{Info: wire.IndexInfo{
 		Name:   req.Name,
 		Kind:   uint8(ix.Kind()),
 		Points: uint64(ix.Len()),
@@ -129,21 +110,21 @@ func (s *Server) handleOpen(hdr wire.RequestHeader, req *wire.OpenReq, w *connWr
 	}})
 }
 
-func (s *Server) handleClose(hdr wire.RequestHeader, req *wire.CloseReq, w *connWriter) error {
+func (s *Server) handleClose(req *wire.CloseReq, w *wire.ResponseWriter) error {
 	if err := s.catalog.Close(req.Name); err != nil {
 		return err
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.CloseReply{})
+	return w.Send(wire.KindResult, &wire.CloseReply{})
 }
 
-func (s *Server) handleStats(hdr wire.RequestHeader, req *wire.StatsReq, w *connWriter) error {
+func (s *Server) handleStats(req *wire.StatsReq, w *wire.ResponseWriter) error {
 	e, ix, err := s.catalog.acquire(req.Name)
 	if err != nil {
 		return err
 	}
 	defer e.release()
 	st := ix.Stats()
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.StatsReply{
+	return w.Send(wire.KindResult, &wire.StatsReply{
 		Info: wire.IndexInfo{
 			Name:   req.Name,
 			Kind:   uint8(st.Kind),
@@ -182,7 +163,7 @@ func (s *Server) handleStats(hdr wire.RequestHeader, req *wire.StatsReq, w *conn
 // against each other (queries need no exclusion at all — they run on
 // the snapshot published by the last completed batch).
 
-func (s *Server) handleInsert(hdr wire.RequestHeader, req *wire.InsertReq, w *connWriter) error {
+func (s *Server) handleInsert(req *wire.InsertReq, w *wire.ResponseWriter) error {
 	e, ix, err := s.catalog.acquire(req.Index)
 	if err != nil {
 		return err
@@ -191,13 +172,13 @@ func (s *Server) handleInsert(hdr wire.RequestHeader, req *wire.InsertReq, w *co
 	if err := ix.InsertBatch(req.IDs, req.Points); err != nil {
 		return err
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.InsertReply{
+	return w.Send(wire.KindResult, &wire.InsertReply{
 		Inserted: uint64(len(req.IDs)),
 		Size:     uint64(ix.Len()),
 	})
 }
 
-func (s *Server) handleDelete(hdr wire.RequestHeader, req *wire.DeleteReq, w *connWriter) error {
+func (s *Server) handleDelete(req *wire.DeleteReq, w *wire.ResponseWriter) error {
 	e, ix, err := s.catalog.acquire(req.Index)
 	if err != nil {
 		return err
@@ -207,7 +188,7 @@ func (s *Server) handleDelete(hdr wire.RequestHeader, req *wire.DeleteReq, w *co
 	if err != nil {
 		return err
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.DeleteReply{
+	return w.Send(wire.KindResult, &wire.DeleteReply{
 		Found: uint64(found),
 		Size:  uint64(ix.Len()),
 	})
@@ -215,17 +196,17 @@ func (s *Server) handleDelete(hdr wire.RequestHeader, req *wire.DeleteReq, w *co
 
 // --- point and box queries --------------------------------------------------
 
-func (s *Server) handleKNN(ctx context.Context, hdr wire.RequestHeader, req *wire.KNNReq, w *connWriter) error {
+func (s *Server) handleKNN(ctx context.Context, req *wire.KNNReq, w *wire.ResponseWriter) error {
 	e, ix, err := s.catalog.acquire(req.Index)
 	if err != nil {
 		return err
 	}
 	defer e.release()
 	if req.K < 1 {
-		return badRequest("k must be at least 1, got %d", req.K)
+		return wire.BadRequest("k must be at least 1, got %d", req.K)
 	}
 	if len(req.Point) != ix.Dim() {
-		return badRequest("query point has %d dims, index %q has %d", len(req.Point), req.Index, ix.Dim())
+		return wire.BadRequest("query point has %d dims, index %q has %d", len(req.Point), req.Index, ix.Dim())
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -234,21 +215,21 @@ func (s *Server) handleKNN(ctx context.Context, hdr wire.RequestHeader, req *wir
 	if err != nil {
 		return err
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.KNNReply{Neighbors: toWireNeighbors(nbs)})
+	return w.Send(wire.KindResult, &wire.KNNReply{Neighbors: toWireNeighbors(nbs)})
 }
 
-func (s *Server) handleBatchKNN(ctx context.Context, hdr wire.RequestHeader, req *wire.BatchKNNReq, w *connWriter) error {
+func (s *Server) handleBatchKNN(ctx context.Context, req *wire.BatchKNNReq, w *wire.ResponseWriter) error {
 	e, ix, err := s.catalog.acquire(req.Index)
 	if err != nil {
 		return err
 	}
 	defer e.release()
 	if req.K < 1 {
-		return badRequest("k must be at least 1, got %d", req.K)
+		return wire.BadRequest("k must be at least 1, got %d", req.K)
 	}
 	for i, p := range req.Points {
 		if len(p) != ix.Dim() {
-			return badRequest("query point %d has %d dims, index %q has %d", i, len(p), req.Index, ix.Dim())
+			return wire.BadRequest("query point %d has %d dims, index %q has %d", i, len(p), req.Index, ix.Dim())
 		}
 	}
 	// Refuse a batch whose reply could not be framed before computing it,
@@ -260,7 +241,7 @@ func (s *Server) handleBatchKNN(ctx context.Context, hdr wire.RequestHeader, req
 	point := int64(2 + 8*ix.Dim())
 	perProbe := 8 + point + 5 + min(int64(req.K), int64(ix.Len()))*(16+point)
 	if worst := 64 + int64(len(req.Points))*perProbe; worst > wire.MaxFrame {
-		return badRequest("a batch of %d probes with k=%d may need a %d-byte reply, over the %d-byte frame limit: send smaller batches",
+		return wire.BadRequest("a batch of %d probes with k=%d may need a %d-byte reply, over the %d-byte frame limit: send smaller batches",
 			len(req.Points), req.K, worst, wire.MaxFrame)
 	}
 	// The whole batch is one query on one snapshot; the deadline is
@@ -280,17 +261,17 @@ func (s *Server) handleBatchKNN(ctx context.Context, hdr wire.RequestHeader, req
 		flat = appendWireNeighbors(flat, nbs[i])
 		results[i] = wire.Result{ID: uint64(i), Point: p, Neighbors: flat[base:len(flat):len(flat)]}
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.BatchKNNReply{Results: results})
+	return w.Send(wire.KindResult, &wire.BatchKNNReply{Results: results})
 }
 
-func (s *Server) handleRange(ctx context.Context, hdr wire.RequestHeader, req *wire.RangeReq, w *connWriter) error {
+func (s *Server) handleRange(ctx context.Context, req *wire.RangeReq, w *wire.ResponseWriter) error {
 	e, ix, err := s.catalog.acquire(req.Index)
 	if err != nil {
 		return err
 	}
 	defer e.release()
 	if len(req.Lo) != ix.Dim() || len(req.Hi) != ix.Dim() {
-		return badRequest("box dims (%d, %d) do not match index %q dim %d", len(req.Lo), len(req.Hi), req.Index, ix.Dim())
+		return wire.BadRequest("box dims (%d, %d) do not match index %q dim %d", len(req.Lo), len(req.Hi), req.Index, ix.Dim())
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -299,21 +280,21 @@ func (s *Server) handleRange(ctx context.Context, hdr wire.RequestHeader, req *w
 	if err != nil {
 		return err
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.RangeReply{IDs: ids})
+	return w.Send(wire.KindResult, &wire.RangeReply{IDs: ids})
 }
 
 // handleRangePoints is the coordinate-bearing variant of handleRange,
 // serving the boundary-strip fetches a router's distributed
 // within-distance evaluation issues: the router needs the points
 // themselves to compute exact cross-shard distances.
-func (s *Server) handleRangePoints(ctx context.Context, hdr wire.RequestHeader, req *wire.RangePointsReq, w *connWriter) error {
+func (s *Server) handleRangePoints(ctx context.Context, req *wire.RangePointsReq, w *wire.ResponseWriter) error {
 	e, ix, err := s.catalog.acquire(req.Index)
 	if err != nil {
 		return err
 	}
 	defer e.release()
 	if len(req.Lo) != ix.Dim() || len(req.Hi) != ix.Dim() {
-		return badRequest("box dims (%d, %d) do not match index %q dim %d", len(req.Lo), len(req.Hi), req.Index, ix.Dim())
+		return wire.BadRequest("box dims (%d, %d) do not match index %q dim %d", len(req.Lo), len(req.Hi), req.Index, ix.Dim())
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -326,7 +307,7 @@ func (s *Server) handleRangePoints(ctx context.Context, hdr wire.RequestHeader, 
 	for i, p := range pts {
 		out[i] = p
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.RangePointsReply{IDs: ids, Points: out})
+	return w.Send(wire.KindResult, &wire.RangePointsReply{IDs: ids, Points: out})
 }
 
 // --- join ops ---------------------------------------------------------------
@@ -368,9 +349,9 @@ func (s *Server) queryConfig(rc *reqCtx) ann.QueryConfig {
 	return cfg
 }
 
-func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHeader, req *wire.JoinReq, w *connWriter) error {
+func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHeader, req *wire.JoinReq, w *wire.ResponseWriter) error {
 	if req.K < 1 {
-		return badRequest("k must be at least 1, got %d", req.K)
+		return wire.BadRequest("k must be at least 1, got %d", req.K)
 	}
 	sName := req.S
 	if req.Self {
@@ -382,19 +363,19 @@ func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHea
 	}
 	defer release()
 	if rix.Dim() != six.Dim() {
-		return badRequest("indexes %q (dim %d) and %q (dim %d) do not join", req.R, rix.Dim(), req.S, six.Dim())
+		return wire.BadRequest("indexes %q (dim %d) and %q (dim %d) do not join", req.R, rix.Dim(), req.S, six.Dim())
 	}
 
 	// One neighbor slab per frame: w.send encodes the frame before it
 	// returns, so flush hands the slab to the next frame's rows.
-	frame := wire.JoinFrame{Results: make([]wire.Result, 0, joinFrameResults)}
+	frame := wire.JoinFrame{Results: make([]wire.Result, 0, wire.JoinFrameResults)}
 	var slab []wire.Neighbor
 	var total uint64
 	flush := func() error {
 		if len(frame.Results) == 0 {
 			return nil
 		}
-		err := w.send(hdr.ID, wire.KindStream, hdr.Op, &frame)
+		err := w.Send(wire.KindStream, &frame)
 		frame.Results = frame.Results[:0]
 		slab = slab[:0]
 		return err
@@ -408,7 +389,7 @@ func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHea
 			Point:     res.Point,
 			Neighbors: slab[base:len(slab):len(slab)],
 		})
-		if len(frame.Results) >= joinFrameResults {
+		if len(frame.Results) >= wire.JoinFrameResults {
 			return flush()
 		}
 		return nil
@@ -418,14 +399,14 @@ func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHea
 	cfg.Epsilon = hdr.Epsilon
 	// Engine time excludes the frame flushes the emit callback triggers
 	// mid-run, keeping the report's engine/flush split disjoint.
-	flushBefore := rc.flushNs
+	flushBefore := w.FlushNs
 	engineStart := time.Now()
 	if req.Self {
 		err = ann.StreamSelfAllKNearestNeighborsContext(ctx, rix, int(req.K), cfg, emit)
 	} else {
 		err = ann.StreamAllKNearestNeighborsContext(ctx, rix, six, int(req.K), cfg, emit)
 	}
-	rc.engineNs = time.Since(engineStart).Nanoseconds() - (rc.flushNs - flushBefore)
+	rc.engineNs = time.Since(engineStart).Nanoseconds() - (w.FlushNs - flushBefore)
 	if err != nil {
 		return err
 	}
@@ -434,14 +415,14 @@ func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHea
 	}
 	end := &wire.StreamEnd{Count: total}
 	if hdr.WantReport {
-		end.Report = rc.wireReport()
+		end.Report = rc.wireReport(w)
 	}
-	return w.send(hdr.ID, wire.KindEnd, hdr.Op, end)
+	return w.Send(wire.KindEnd, end)
 }
 
-func (s *Server) handleWithin(ctx context.Context, hdr wire.RequestHeader, req *wire.WithinReq, w *connWriter) error {
+func (s *Server) handleWithin(ctx context.Context, req *wire.WithinReq, w *wire.ResponseWriter) error {
 	if !(req.Dist >= 0) {
-		return badRequest("distance must be non-negative, got %v", req.Dist)
+		return wire.BadRequest("distance must be non-negative, got %v", req.Dist)
 	}
 	rix, six, release, err := s.acquirePair(req.R, req.S)
 	if err != nil {
@@ -449,23 +430,23 @@ func (s *Server) handleWithin(ctx context.Context, hdr wire.RequestHeader, req *
 	}
 	defer release()
 	if rix.Dim() != six.Dim() {
-		return badRequest("indexes %q (dim %d) and %q (dim %d) do not join", req.R, rix.Dim(), req.S, six.Dim())
+		return wire.BadRequest("indexes %q (dim %d) and %q (dim %d) do not join", req.R, rix.Dim(), req.S, six.Dim())
 	}
 
-	frame := wire.PairFrame{Pairs: make([]wire.Pair, 0, pairFrameCount)}
+	frame := wire.PairFrame{Pairs: make([]wire.Pair, 0, wire.PairFrameCount)}
 	var total uint64
 	flush := func() error {
 		if len(frame.Pairs) == 0 {
 			return nil
 		}
-		err := w.send(hdr.ID, wire.KindStream, hdr.Op, &frame)
+		err := w.Send(wire.KindStream, &frame)
 		frame.Pairs = frame.Pairs[:0]
 		return err
 	}
 	err = ann.WithinDistanceContext(ctx, rix, six, req.Dist, req.ExcludeSelf, func(rID, sID uint64, dist float64) error {
 		total++
 		frame.Pairs = append(frame.Pairs, wire.Pair{R: rID, S: sID, Dist: dist})
-		if len(frame.Pairs) >= pairFrameCount {
+		if len(frame.Pairs) >= wire.PairFrameCount {
 			return flush()
 		}
 		return nil
@@ -476,12 +457,12 @@ func (s *Server) handleWithin(ctx context.Context, hdr wire.RequestHeader, req *
 	if err := flush(); err != nil {
 		return err
 	}
-	return w.send(hdr.ID, wire.KindEnd, hdr.Op, &wire.StreamEnd{Count: total})
+	return w.Send(wire.KindEnd, &wire.StreamEnd{Count: total})
 }
 
-func (s *Server) handlePairs(ctx context.Context, hdr wire.RequestHeader, req *wire.PairsReq, w *connWriter) error {
+func (s *Server) handlePairs(ctx context.Context, req *wire.PairsReq, w *wire.ResponseWriter) error {
 	if req.K < 1 {
-		return badRequest("k must be at least 1, got %d", req.K)
+		return wire.BadRequest("k must be at least 1, got %d", req.K)
 	}
 	rix, six, release, err := s.acquirePair(req.R, req.S)
 	if err != nil {
@@ -489,7 +470,7 @@ func (s *Server) handlePairs(ctx context.Context, hdr wire.RequestHeader, req *w
 	}
 	defer release()
 	if rix.Dim() != six.Dim() {
-		return badRequest("indexes %q (dim %d) and %q (dim %d) do not join", req.R, rix.Dim(), req.S, six.Dim())
+		return wire.BadRequest("indexes %q (dim %d) and %q (dim %d) do not join", req.R, rix.Dim(), req.S, six.Dim())
 	}
 	pairs, err := ann.ClosestPairsContext(ctx, rix, six, int(req.K), req.ExcludeSelf)
 	if err != nil {
@@ -499,7 +480,7 @@ func (s *Server) handlePairs(ctx context.Context, hdr wire.RequestHeader, req *w
 	for i, p := range pairs {
 		out[i] = wire.Pair{R: p.R, S: p.S, Dist: p.Dist}
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.PairsReply{Pairs: out})
+	return w.Send(wire.KindResult, &wire.PairsReply{Pairs: out})
 }
 
 // toWireNeighbors converts library neighbors to a wire-form slice of

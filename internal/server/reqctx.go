@@ -39,7 +39,7 @@ func stageName(st int32) string {
 // in-flight table; stage and admissionWaitNs are atomics because the
 // debug handlers read them cross-goroutine; everything else is owned by
 // the connection goroutine and only read after the request leaves the
-// table (finish).
+// table (finish). Its bytes and flush time are the response writer's.
 type reqCtx struct {
 	seq     uint64 // server-wide sequence, the in-flight table key
 	id      uint64 // wire request id (client-chosen, per connection)
@@ -49,15 +49,10 @@ type reqCtx struct {
 	remote  string
 	start   time.Time
 
-	wantReport bool
-
 	stage           atomic.Int32
 	admissionWaitNs atomic.Int64
 
 	// Owned by the connection goroutine.
-	bytesIn  uint64
-	bytesOut uint64
-	flushNs  int64
 	engineNs int64
 	report   *ann.QueryReport // captured by OnReport when the op ran the engine
 }
@@ -101,14 +96,14 @@ func requestIndexLabel(body wire.Message) string {
 
 // wireReport flattens the captured engine report plus the service-side
 // costs into the wire form attached to a StreamEnd.
-func (rc *reqCtx) wireReport() *wire.Report {
+func (rc *reqCtx) wireReport(w *wire.ResponseWriter) *wire.Report {
 	out := &wire.Report{
 		TraceID:         rc.traceID,
 		AdmissionWaitNs: rc.admissionWaitNs.Load(),
 		EngineNs:        rc.engineNs,
-		FlushNs:         rc.flushNs,
-		BytesIn:         rc.bytesIn,
-		BytesOut:        rc.bytesOut,
+		FlushNs:         w.FlushNs,
+		BytesIn:         w.BytesIn,
+		BytesOut:        w.BytesOut,
 	}
 	if rep := rc.report; rep != nil {
 		out.EngineDistanceCalcs = rep.Engine.DistanceCalcs
@@ -183,7 +178,7 @@ type SlowQuery struct {
 }
 
 // record builds the log entry for a finished request.
-func (rc *reqCtx) record(now time.Time, code string) SlowQuery {
+func (rc *reqCtx) record(now time.Time, code string, w *wire.ResponseWriter) SlowQuery {
 	e := SlowQuery{
 		Time:            now,
 		Seq:             rc.seq,
@@ -196,9 +191,9 @@ func (rc *reqCtx) record(now time.Time, code string) SlowQuery {
 		LatencyNs:       now.Sub(rc.start).Nanoseconds(),
 		AdmissionWaitNs: rc.admissionWaitNs.Load(),
 		EngineNs:        rc.engineNs,
-		FlushNs:         rc.flushNs,
-		BytesIn:         rc.bytesIn,
-		BytesOut:        rc.bytesOut,
+		FlushNs:         w.FlushNs,
+		BytesIn:         w.BytesIn,
+		BytesOut:        w.BytesOut,
 	}
 	if rep := rc.report; rep != nil {
 		e.DistanceCalcs = rep.Engine.DistanceCalcs
@@ -260,19 +255,23 @@ type InFlightRequest struct {
 	AdmissionWaitNs int64  `json:"admission_wait_ns,omitempty"`
 }
 
-// trackRequest inserts rc into the in-flight table under a fresh
-// sequence number.
-func (s *Server) trackRequest(rc *reqCtx) {
+// trackRequest inserts rc, under a fresh sequence number, into the
+// in-flight table as the request w answers.
+func (s *Server) trackRequest(w *wire.ResponseWriter, rc *reqCtx) {
 	rc.seq = s.reqSeq.Add(1)
 	s.inflightMu.Lock()
-	s.inflight[rc.seq] = rc
+	s.inflight[w] = rc
 	s.inflightMu.Unlock()
 }
 
-func (s *Server) untrackRequest(rc *reqCtx) {
+// untrackRequest removes and returns the request w answers, nil if none
+// was tracked.
+func (s *Server) untrackRequest(w *wire.ResponseWriter) *reqCtx {
 	s.inflightMu.Lock()
-	delete(s.inflight, rc.seq)
-	s.inflightMu.Unlock()
+	defer s.inflightMu.Unlock()
+	rc := s.inflight[w]
+	delete(s.inflight, w)
+	return rc
 }
 
 // inFlightSnapshot lists the live requests, oldest first.

@@ -587,13 +587,7 @@ func TestGracefulDrain(t *testing.T) {
 
 	// Wait until the drain flag is visible, then probe with a fresh
 	// request on the second connection.
-	for {
-		srv.mu.Lock()
-		draining := srv.draining
-		srv.mu.Unlock()
-		if draining {
-			break
-		}
+	for !srv.Draining() {
 		time.Sleep(time.Millisecond)
 	}
 	if _, err := cl2.KNN(ctx, "pts", ann.Point{1, 2}, 1); !client.IsShuttingDown(err) {

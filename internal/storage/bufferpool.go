@@ -171,16 +171,6 @@ type BufferPoolConfig struct {
 	// shards; 0 picks automatically (single shard below shardThreshold
 	// frames, preserving exact global LRU).
 	Shards int
-	// ShardHint is the number of concurrent readers the pool should
-	// expect (e.g. the engine's parallel workers). When Shards is 0 and
-	// the pool is large enough to shard at all, the automatic count is
-	// raised to the next power of two covering ShardHint*2, within the
-	// minFramesPerShard floor — so worker goroutines pinning hot pages do
-	// not serialise on a machine-sized handful of shard locks. It never
-	// shards a pool below shardThreshold frames (the exact-LRU rule the
-	// paper experiments depend on) and is ignored when Shards is set
-	// explicitly.
-	ShardHint int
 	// ReadRetries is the maximum number of times a transient read failure
 	// (an error wrapping ErrTransientIO) is retried before the error
 	// surfaces. 0 selects DefaultReadRetries; negative disables retries.
@@ -248,26 +238,6 @@ func defaultShardCount(numFrames int) int {
 	return s
 }
 
-// hintedShardCount is defaultShardCount raised to cover an expected
-// reader count (see BufferPoolConfig.ShardHint).
-func hintedShardCount(numFrames, readers int) int {
-	s := defaultShardCount(numFrames)
-	if readers <= 1 || numFrames < shardThreshold {
-		return s
-	}
-	want := 1
-	for want < readers*2 && want < 64 {
-		want *= 2
-	}
-	if want > s {
-		s = want
-	}
-	for s > 1 && numFrames/s < minFramesPerShard {
-		s /= 2
-	}
-	return s
-}
-
 // NewBufferPool creates a pool of numFrames frames over store, choosing a
 // shard count automatically (single shard below shardThreshold frames)
 // and the default retry policy.
@@ -291,7 +261,7 @@ func NewBufferPoolWithConfig(store Store, numFrames int, cfg BufferPoolConfig) *
 	cfg = cfg.withDefaults()
 	numShards := cfg.Shards
 	if numShards == 0 {
-		numShards = hintedShardCount(numFrames, cfg.ShardHint)
+		numShards = defaultShardCount(numFrames)
 	}
 	if numShards < 1 {
 		numShards = 1

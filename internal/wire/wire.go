@@ -1,7 +1,11 @@
 // Package wire defines the annserve binary protocol: a version-checked
 // handshake followed by length-prefixed frames carrying one encoded
-// message each. Both internal/server and ann/client speak through this
-// package, so the encoding of every message has exactly one definition.
+// message each. Its speakers — internal/server (annserve),
+// internal/router (annrouter, which is also a client of its shards) and
+// ann/client — all go through this package, so the encoding of every
+// message has exactly one definition. The server half of the protocol,
+// Service, is here too: the one connection loop both daemons accept,
+// frame, drain and shut down through.
 //
 // Stream layout (all integers big-endian):
 //
@@ -34,14 +38,21 @@ const Magic = "ANNS"
 // mid-stream on a frame it cannot parse.
 const Version = 2
 
-// MinVersion is the oldest protocol version a server still accepts: the
-// current one.
-const MinVersion = Version
-
 // MaxFrame bounds a single frame's payload. Requests are small; join
 // result streams chunk themselves well below this. A peer announcing a
 // larger frame is malformed and the connection is dropped.
 const MaxFrame = 16 << 20
+
+// Stream frame sizes, shared by every speaker so a routed stream frames
+// like a single node's: JoinFrameResults bounds the join results one
+// KindStream frame carries — large enough to amortise framing, small
+// enough that the client sees results flowing while a million-row join
+// runs — and PairFrameCount is the same bound for within-distance pair
+// streams (pairs are much smaller than results).
+const (
+	JoinFrameResults = 512
+	PairFrameCount   = 4096
+)
 
 // Op identifies a request type.
 type Op uint8
@@ -206,6 +217,11 @@ type Error struct {
 // Error implements the error interface.
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Code, e.Msg) }
 
+// BadRequest builds a BAD_REQUEST error.
+func BadRequest(format string, args ...any) *Error {
+	return &Error{Code: CodeBadRequest, Msg: fmt.Sprintf(format, args...)}
+}
+
 // IsCode reports whether err is (or wraps) a protocol error with the
 // given code.
 func IsCode(err error, code ErrorCode) bool {
@@ -289,7 +305,7 @@ func ReadHandshake(r io.Reader) error {
 	if string(b[:4]) != Magic {
 		return fmt.Errorf("wire: bad handshake magic %q", b[:4])
 	}
-	if b[4] < MinVersion || b[4] > Version {
+	if b[4] != Version {
 		return fmt.Errorf("wire: protocol version %d, want %d", b[4], Version)
 	}
 	return nil

@@ -527,9 +527,6 @@ func TestHandshake(t *testing.T) {
 		t.Error("future version accepted")
 	}
 	// The version gate: there is one version.
-	if MinVersion != Version {
-		t.Errorf("MinVersion = %d, want Version (%d)", MinVersion, Version)
-	}
 	for _, v := range []byte{0, Version - 1} {
 		if err := ReadHandshake(bytes.NewReader([]byte{'A', 'N', 'N', 'S', v})); err == nil {
 			t.Errorf("version %d accepted", v)
