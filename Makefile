@@ -110,7 +110,9 @@ obs-serve-smoke:
 
 # bench-smoke runs every benchmark of every package once — the root
 # suite's BenchmarkPointKNN (single probes, batches of 64, 10-D) and
-# BenchmarkRangeSearch (both trees, in memory and behind 64 frames), and
+# BenchmarkRangeSearch (both trees, in memory and behind 64 frames),
+# ann/client's BenchmarkClientRoundTrip (one served KNN k=10 and one
+# BatchKNN of 64 over loopback: µs and allocs per op) and
 # internal/router's BenchmarkRoutedMix (the routed point mix: median
 # kNN and batch latency, goroutines spawned per request) included.
 bench-smoke:

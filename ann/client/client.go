@@ -5,9 +5,19 @@
 // propagate to the server in the request header, so the server aborts
 // the query engine-side when the budget runs out — the client does not
 // just stop listening.
+//
+// A request leaves in one write and replies are read through a buffer.
+// The first transport or framing error — a failed write, a reply cut
+// off by the socket deadline or a reset, a frame that does not decode
+// or answers another request — ends the connection: the Client returns
+// that error from every later request without touching the socket, since
+// the stream may still hold the rest of the failed reply. A typed server
+// error (*wire.Error) is an answer, not a transport error, and leaves
+// the connection usable.
 package client
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -15,7 +25,14 @@ import (
 
 	"allnn/ann"
 	"allnn/internal/wire"
+	"allnn/internal/wirecall"
 )
+
+func init() {
+	wirecall.RoundTrip = func(c any, ctx context.Context, op wire.Op, body wire.Message) (wire.Message, error) {
+		return c.(*Client).roundTrip(ctx, op, body)
+	}
+}
 
 // ioGrace is added to socket deadlines beyond the request deadline, so
 // the server's own DEADLINE_EXCEEDED reply (the authoritative one) wins
@@ -34,10 +51,15 @@ type IndexInfo struct {
 type Client struct {
 	conn net.Conn
 	// reqMu serialises whole requests (including streamed responses)
-	// over the connection.
+	// over the connection, and guards everything below it.
 	reqMu  chanMutex
+	br     *bufio.Reader
+	bw     *bufio.Writer
 	nextID uint64
 	encBuf []byte
+	// err is the first transport or framing error; once set, every
+	// request fails with it.
+	err error
 }
 
 // chanMutex is a mutex that can also be acquired with a context.
@@ -74,7 +96,12 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 		return nil, err
 	}
 	conn.SetWriteDeadline(time.Time{})
-	return &Client{conn: conn, reqMu: make(chanMutex, 1)}, nil
+	return newClient(conn), nil
+}
+
+func newClient(conn net.Conn) *Client {
+	return &Client{conn: conn, reqMu: make(chanMutex, 1),
+		br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
 }
 
 // Close closes the connection. In-flight requests fail.
@@ -122,13 +149,18 @@ func IsWriteFailed(err error) bool { return wire.IsCode(err, wire.CodeWriteFaile
 
 // --- request plumbing -------------------------------------------------------
 
-// begin acquires the connection and writes the request, returning its
-// id. The caller must call c.reqMu.unlock() once done reading frames.
-// opts carries the approximate-query header knobs; the zero value (the
-// only value non-join ops may pass) encodes the unextended header.
+// begin acquires the connection and writes the request in one write,
+// returning its id. The caller must call c.reqMu.unlock() once done
+// reading frames. opts carries the approximate-query header knobs; the
+// zero value (the only value non-join ops may pass) encodes the
+// unextended header.
 func (c *Client) begin(ctx context.Context, op wire.Op, body wire.Message, opts JoinOptions) (uint64, error) {
 	if err := c.reqMu.lock(ctx); err != nil {
 		return 0, err
+	}
+	if c.err != nil {
+		c.reqMu.unlock()
+		return 0, c.err
 	}
 	c.nextID++
 	hdr := wire.RequestHeader{ID: c.nextID, Op: op,
@@ -150,26 +182,39 @@ func (c *Client) begin(ctx context.Context, op wire.Op, body wire.Message, opts 
 		return 0, err
 	}
 	c.encBuf = payload
-	if err := wire.WriteFrame(c.conn, payload); err != nil {
+	err = wire.WriteFrame(c.bw, payload)
+	if err == nil {
+		err = c.bw.Flush()
+	}
+	if err != nil {
 		c.reqMu.unlock()
-		return 0, fmt.Errorf("client: sending %s request: %w", op, err)
+		return 0, c.fail(fmt.Errorf("client: sending %s request: %w", op, err))
 	}
 	return hdr.ID, nil
 }
 
+// fail latches err as the connection's terminal error and returns it.
+// The caller holds reqMu.
+func (c *Client) fail(err error) error {
+	if c.err == nil {
+		c.err = err
+	}
+	return c.err
+}
+
 // readReply reads one response frame for request id, mapping KindError
-// frames to *wire.Error.
+// frames to *wire.Error. Any other failure ends the connection.
 func (c *Client) readReply(id uint64) (wire.ResponseKind, wire.Message, error) {
-	payload, err := wire.ReadFrame(c.conn)
+	payload, err := wire.ReadFrame(c.br)
 	if err != nil {
-		return 0, nil, fmt.Errorf("client: reading response: %w", err)
+		return 0, nil, c.fail(fmt.Errorf("client: reading response: %w", err))
 	}
 	gotID, kind, _, body, err := wire.DecodeResponse(payload)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, c.fail(err)
 	}
 	if gotID != id {
-		return 0, nil, fmt.Errorf("client: response for request %d while awaiting %d", gotID, id)
+		return 0, nil, c.fail(fmt.Errorf("client: response for request %d while awaiting %d", gotID, id))
 	}
 	if kind == wire.KindError {
 		er := body.(*wire.ErrorReply)
@@ -191,7 +236,7 @@ func (c *Client) roundTrip(ctx context.Context, op wire.Op, body wire.Message) (
 		return nil, err
 	}
 	if kind != wire.KindResult {
-		return nil, fmt.Errorf("client: unexpected frame kind %d for %s", kind, op)
+		return nil, c.fail(fmt.Errorf("client: unexpected frame kind %d for %s", kind, op))
 	}
 	return reply, nil
 }
@@ -422,7 +467,7 @@ func (c *Client) WithinDistance(ctx context.Context, r, s string, dist float64, 
 		case wire.KindEnd:
 			return total, nil
 		default:
-			return total, fmt.Errorf("client: unexpected frame kind %d in pair stream", kind)
+			return total, c.fail(fmt.Errorf("client: unexpected frame kind %d in pair stream", kind))
 		}
 	}
 }
@@ -531,7 +576,7 @@ func (st *JoinStream) Next() bool {
 			st.finish(nil)
 			return false
 		default:
-			st.finish(fmt.Errorf("client: unexpected frame kind %d in join stream", kind))
+			st.finish(st.c.fail(fmt.Errorf("client: unexpected frame kind %d in join stream", kind)))
 			return false
 		}
 	}

@@ -309,14 +309,14 @@ func (r *Router) handleJoin(ctx context.Context, req *wire.JoinReq, w *wire.Resp
 	var extraMu sync.Mutex
 	if err := r.scatter(ctx, g, probeShards, func(s *shard) error {
 		refs := probes[s.index]
-		pts := make([]ann.Point, len(refs))
+		pts := make([][]float64, len(refs))
 		for i, ref := range refs {
 			pts[i] = perShard[ref.shard].results[ref.pos].Point
 		}
-		var res []ann.Result
+		var res []wire.Result
 		err := s.backend.do(ctx, func(cli *client.Client) error {
 			var err error
-			res, err = cli.BatchKNN(ctx, s.name, pts, k)
+			res, err = shardBatchKNN(ctx, cli, s, pts, k)
 			return err
 		})
 		if err != nil {
@@ -325,7 +325,7 @@ func (r *Router) handleJoin(ctx context.Context, req *wire.JoinReq, w *wire.Resp
 		extraMu.Lock()
 		for i, ref := range refs {
 			home := &perShard[ref.shard]
-			home.extra[ref.pos] = appendTranslated(home.extra[ref.pos], s, res[i].Neighbors)
+			home.extra[ref.pos] = append(home.extra[ref.pos], res[i].Neighbors...)
 		}
 		extraMu.Unlock()
 		return nil

@@ -12,6 +12,7 @@ import (
 	"allnn/ann/client"
 	"allnn/internal/geom"
 	"allnn/internal/wire"
+	"allnn/internal/wirecall"
 )
 
 // --- kNN (point and batch) --------------------------------------------------
@@ -35,11 +36,50 @@ import (
 // shards' points, and a bound derived from a dead shard's MBR could
 // wrongly prune a live shard, so degraded gathers seed with +Inf.
 
-// mergeTopK merges one shard's answer into a query's candidates, kept
-// in canonical order and cut to k so the k-th distance bound and the
-// final top-k fall out directly.
-func mergeTopK(cands []wire.Neighbor, s *shard, nbs []ann.Neighbor, k int) []wire.Neighbor {
-	cands = appendTranslated(slices.Grow(cands, len(nbs)), s, nbs)
+// shardKNN asks shard s, over cli, for the k nearest neighbors of q.
+// The reply stays in wire form: its neighbors get the shard's id base in
+// place and merge as they were decoded.
+func shardKNN(ctx context.Context, cli *client.Client, s *shard, q []float64, k int) ([]wire.Neighbor, error) {
+	reply, err := wirecall.RoundTrip(cli, ctx, wire.OpKNN, &wire.KNNReq{Index: s.name, K: uint32(k), Point: q})
+	if err != nil {
+		return nil, err
+	}
+	nbs := reply.(*wire.KNNReply).Neighbors
+	s.globalize(nbs)
+	return nbs, nil
+}
+
+// shardBatchKNN is shardKNN for a batch of probes, one BatchKNN request.
+func shardBatchKNN(ctx context.Context, cli *client.Client, s *shard, qs [][]float64, k int) ([]wire.Result, error) {
+	reply, err := wirecall.RoundTrip(cli, ctx, wire.OpBatchKNN, &wire.BatchKNNReq{Index: s.name, K: uint32(k), Points: qs})
+	if err != nil {
+		return nil, err
+	}
+	res := reply.(*wire.BatchKNNReply).Results
+	for i := range res {
+		s.globalize(res[i].Neighbors)
+	}
+	return res, nil
+}
+
+// globalize turns a shard's local neighbor ids into global ones, in
+// place.
+func (s *shard) globalize(nbs []wire.Neighbor) {
+	for i := range nbs {
+		nbs[i].ID += s.idBase
+	}
+}
+
+// mergeTopK merges one shard's answer, in global ids, into a query's
+// candidates, kept in canonical order and cut to k so the k-th distance
+// bound and the final top-k fall out directly. The first answer becomes
+// the candidate list itself.
+func mergeTopK(cands, nbs []wire.Neighbor, k int) []wire.Neighbor {
+	if len(cands) == 0 {
+		cands = nbs
+	} else {
+		cands = append(cands, nbs...)
+	}
 	sortNeighbors(cands)
 	if len(cands) > k {
 		cands = cands[:k]
@@ -47,13 +87,16 @@ func mergeTopK(cands []wire.Neighbor, s *shard, nbs []ann.Neighbor, k int) []wir
 	return cands
 }
 
-// kthBound returns a query's pruning radius: the k-th candidate
-// distance once k candidates are gathered, never above the seed.
-func kthBound(cands []wire.Neighbor, k int, seed float64) float64 {
-	if len(cands) >= k && cands[k-1].Dist < seed {
+// knnBound returns a query's pruning radius: the k-th candidate distance
+// once k candidates are gathered, else the seed. Either bounds the true
+// k-th distance, so neither prunes a shard that could contribute; the
+// seed costs an NXNDIST per shard and a sort, so it is computed only
+// for a query still short of k.
+func (r *Router) knnBound(ds *dataset, q geom.Point, cands []wire.Neighbor, k int) float64 {
+	if len(cands) >= k {
 		return cands[k-1].Dist
 	}
-	return seed
+	return r.knnSeed(ds, q, k)
 }
 
 // sortNeighbors orders by ascending distance, ties by ascending global
@@ -67,7 +110,8 @@ func sortNeighbors(nbs []wire.Neighbor) {
 	})
 }
 
-// appendTranslated appends one shard's neighbors, in global ids.
+// appendTranslated appends one shard's streamed join neighbors, in
+// global ids.
 func appendTranslated(dst []wire.Neighbor, s *shard, nbs []ann.Neighbor) []wire.Neighbor {
 	for _, n := range nbs {
 		dst = append(dst, wire.Neighbor{ID: n.ID + s.idBase, Dist: n.Dist, Point: n.Point})
@@ -120,11 +164,10 @@ func missingShards(g *gather, ds *dataset) []bool {
 // per-query neighbor lists (request order) and the pruned-shard count.
 func (r *Router) routedBatch(ctx context.Context, g *gather, ds *dataset, queries [][]float64, k int) ([][]wire.Neighbor, int, error) {
 	cands := make([][]wire.Neighbor, len(queries))
-	seeds := make([]float64, len(queries))
 	owners := make([]int, len(queries))
 	// Per shard: the query indices of the running phase, and its reply.
 	groups := make([][]int, len(ds.shards))
-	replies := make([][]ann.Result, len(ds.shards))
+	replies := make([][]wire.Result, len(ds.shards))
 
 	// runPhase sends every shard with a group its probes as one BatchKNN
 	// and, once the legs are in, merges the replies in shard order (a
@@ -138,13 +181,13 @@ func (r *Router) routedBatch(ctx context.Context, g *gather, ds *dataset, querie
 		}
 		if err := r.scatter(ctx, g, shards, func(s *shard) error {
 			qidx := groups[s.index]
-			pts := make([]ann.Point, len(qidx))
+			pts := make([][]float64, len(qidx))
 			for i, qi := range qidx {
 				pts[i] = queries[qi]
 			}
 			return s.backend.do(ctx, func(cli *client.Client) error {
 				var err error
-				replies[s.index], err = cli.BatchKNN(ctx, s.name, pts, k)
+				replies[s.index], err = shardBatchKNN(ctx, cli, s, pts, k)
 				return err
 			})
 		}); err != nil {
@@ -153,7 +196,7 @@ func (r *Router) routedBatch(ctx context.Context, g *gather, ds *dataset, querie
 		for _, s := range shards {
 			for i, res := range replies[s.index] {
 				qi := groups[s.index][i]
-				cands[qi] = mergeTopK(cands[qi], s, res.Neighbors, k)
+				cands[qi] = mergeTopK(cands[qi], res.Neighbors, k)
 			}
 			groups[s.index], replies[s.index] = groups[s.index][:0], nil
 		}
@@ -162,7 +205,6 @@ func (r *Router) routedBatch(ctx context.Context, g *gather, ds *dataset, querie
 
 	// Phase 1: every query to its owner shard.
 	for qi, q := range queries {
-		seeds[qi] = r.knnSeed(ds, q, k)
 		owners[qi] = ds.locate(q)
 		groups[owners[qi]] = append(groups[owners[qi]], qi)
 	}
@@ -176,7 +218,7 @@ func (r *Router) routedBatch(ctx context.Context, g *gather, ds *dataset, querie
 	pruned := 0
 	missing := missingShards(g, ds)
 	for qi, q := range queries {
-		b := kthBound(cands[qi], k, seeds[qi])
+		b := r.knnBound(ds, q, cands[qi], k)
 		for si, s := range ds.shards {
 			if si == owners[qi] || missing[si] {
 				continue
@@ -209,20 +251,20 @@ func (r *Router) handleKNN(ctx context.Context, req *wire.KNNReq, w *wire.Respon
 	g := r.newGather()
 	// probe asks the given shards for their k nearest and merges the
 	// answers in shard order.
-	replies := make([][]ann.Neighbor, len(ds.shards))
+	replies := make([][]wire.Neighbor, len(ds.shards))
 	var cands []wire.Neighbor
 	probe := func(shards []*shard) error {
 		if err := r.scatter(ctx, g, shards, func(s *shard) error {
 			return s.backend.do(ctx, func(cli *client.Client) error {
 				var err error
-				replies[s.index], err = cli.KNN(ctx, s.name, req.Point, k)
+				replies[s.index], err = shardKNN(ctx, cli, s, req.Point, k)
 				return err
 			})
 		}); err != nil {
 			return err
 		}
 		for _, s := range shards {
-			cands = mergeTopK(cands, s, replies[s.index], k)
+			cands = mergeTopK(cands, replies[s.index], k)
 		}
 		return nil
 	}
@@ -233,7 +275,7 @@ func (r *Router) handleKNN(ctx context.Context, req *wire.KNNReq, w *wire.Respon
 	if err := probe(ds.shards[owner : owner+1]); err != nil {
 		return err
 	}
-	b := kthBound(cands, k, r.knnSeed(ds, req.Point, k))
+	b := r.knnBound(ds, req.Point, cands, k)
 	var fan []*shard
 	for si, s := range ds.shards {
 		if si == owner {

@@ -17,6 +17,16 @@
 // Responses to one request are either a single KindResult frame, or a
 // sequence of KindStream frames closed by KindEnd (streaming joins), or
 // a single KindError frame carrying a typed error code.
+//
+// Framing contract: every frame goes through WriteFrame and ReadFrame,
+// and every speaker hands them a per-connection buffer — a bufio.Writer
+// flushed once per frame, a bufio.Reader. WriteFrame passes the length
+// prefix and the payload to its writer separately and ReadFrame reads
+// them separately, so the buffer is what makes a frame of up to its size
+// one write on the socket (one segment under TCP_NODELAY, one wake-up
+// for the peer) and a small reply one read. A speaker whose write fails
+// or whose read ends mid-frame cannot tell where the next frame starts:
+// it ends the connection rather than reading on.
 package wire
 
 import (
@@ -313,7 +323,9 @@ func ReadHandshake(r io.Reader) error {
 
 // --- frames -----------------------------------------------------------------
 
-// WriteFrame writes one length-prefixed frame.
+// WriteFrame writes one length-prefixed frame as two writes to w, the
+// prefix and the payload: w is a buffer the caller flushes (see the
+// package doc).
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", len(payload), MaxFrame)
@@ -330,8 +342,9 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame, rejecting frames beyond
-// MaxFrame before allocating.
+// ReadFrame reads one length-prefixed frame from r, a buffered reader
+// (see the package doc), rejecting frames beyond MaxFrame before
+// allocating.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
