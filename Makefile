@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check check loc bench-smoke bench-spine-smoke bench-ab trace-smoke fuzz-corpus bench-approx bench-approx-smoke chaos chaos-recover churn-table fuzz-smoke race-sched serve-smoke obs-serve-smoke router-smoke
+.PHONY: build test race vet fmt-check check loc bench-smoke bench-spine-smoke bench-ab trace-smoke fuzz-corpus chaos chaos-recover churn-table fuzz-smoke race-sched serve-smoke obs-serve-smoke router-smoke
 
 build:
 	$(GO) build ./...
@@ -154,15 +154,3 @@ trace-smoke:
 race-sched:
 	$(GO) vet ./internal/core ./internal/geom ./internal/paperref
 	$(GO) test -race -run 'Scheduler|EmitTree|Parallel|CancelParked|BatchLeafJoin|FusedLeaf|DistSqBlock|CoreMatchesPaperRef' -bench 'LeafJoinAkNN|JoinPeakHeap' -benchtime 1x -count=1 ./internal/core ./internal/geom ./internal/paperref
-
-# bench-approx collects the approximate-mode sweep (exact plus the ε
-# ladder) at the paper scale, scoring every run against the brute-force
-# oracle.
-bench-approx:
-	$(GO) run ./cmd/annbench -exp approx -scale 0.05 -json BENCH_approx.json
-
-# bench-approx-smoke is the CI contract gate: a small approximate sweep
-# that fails unless the ε=0 row is byte-identical to exact and every ε
-# row's worst distance ratio is within its (1+ε).
-bench-approx-smoke:
-	$(GO) run ./cmd/annbench -exp approx -scale 0.01 -quiet

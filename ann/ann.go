@@ -28,6 +28,7 @@ package ann
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -119,10 +120,11 @@ var (
 	ErrTransientIO = storage.ErrTransientIO
 )
 
-// ErrInvalidConfig is wrapped by every query-configuration validation
-// failure (a negative or non-finite Epsilon), so callers — and the
+// ErrInvalidConfig is wrapped by every rejected mutation batch (ids and
+// points of unequal count, an empty batch, a point of the wrong
+// dimensionality or outside the index space), so callers — and the
 // serving layer — can classify bad requests with errors.Is.
-var ErrInvalidConfig = core.ErrInvalidOptions
+var ErrInvalidConfig = errors.New("invalid options")
 
 // QueryConfig configures the ANN/AkNN execution.
 type QueryConfig struct {
@@ -167,15 +169,6 @@ type QueryConfig struct {
 	// OnReport, when non-nil, is called once after the query with the
 	// unified QueryReport (counters + timings) for this run.
 	OnReport func(QueryReport)
-	// Epsilon enables (1+ε)-approximate joins: every returned neighbor
-	// distance is within (1+Epsilon) of the true distance at its rank,
-	// and every query point still gets its full k neighbors. It saves
-	// distance computations in the leaf join, not page reads — measured
-	// 1.0–1.03× (EXPERIMENTS.md "Approximate mode"). 0 (the default) is
-	// exact, byte-identical to a run without the field. Negative or
-	// non-finite values are rejected with ErrInvalidConfig. DESIGN.md §14
-	// has the one place the factor enters and the proof.
-	Epsilon float64
 }
 
 // observed reports whether any observability output is requested.
@@ -513,7 +506,6 @@ func run(ctx context.Context, r, s *Index, k int, cfg QueryConfig, excludeSelf b
 		Parallelism:    par,
 		OrderedEmit:    !cfg.UnorderedEmit,
 		NodeCacheBytes: cfg.NodeCacheBytes,
-		Epsilon:        cfg.Epsilon,
 	}
 	if cfg.Metric == MaxMaxDist {
 		opts.Metric = core.MaxMaxDist

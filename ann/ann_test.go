@@ -1,11 +1,9 @@
 package ann
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"testing"
 )
@@ -207,59 +205,6 @@ func TestInvalidK(t *testing.T) {
 	ix, _ := BuildIndex(pts, IndexConfig{})
 	if _, err := AllKNearestNeighbors(ix, ix, 0, QueryConfig{}); err == nil {
 		t.Error("expected error for k = 0")
-	}
-}
-
-// TestApproxConfig pins the public approximate-query surface: invalid
-// knobs are rejected with the typed ErrInvalidConfig, Epsilon=0 matches
-// the exact run exactly, and an ε>0 run keeps every distance within the
-// (1+ε) contract of the exact answer at the same rank.
-func TestApproxConfig(t *testing.T) {
-	pts := randomPoints(21, 600, 3)
-	ix, err := BuildIndex(pts, IndexConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range []QueryConfig{
-		{Epsilon: -0.1},
-		{Epsilon: math.NaN()},
-		{Epsilon: math.Inf(1)},
-	} {
-		if _, err := SelfAllKNearestNeighbors(ix, 1, cfg); !errors.Is(err, ErrInvalidConfig) {
-			t.Errorf("config %+v: got %v, want ErrInvalidConfig", cfg, err)
-		}
-	}
-
-	exact, err := SelfAllKNearestNeighbors(ix, 2, QueryConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	zero, err := SelfAllKNearestNeighbors(ix, 2, QueryConfig{Epsilon: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(zero, exact) {
-		t.Error("Epsilon=0 run diverges from exact run")
-	}
-
-	const eps = 0.25
-	approx, err := SelfAllKNearestNeighbors(ix, 2, QueryConfig{Epsilon: eps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(approx, func(a, b int) bool { return approx[a].ID < approx[b].ID })
-	sort.Slice(exact, func(a, b int) bool { return exact[a].ID < exact[b].ID })
-	for i := range exact {
-		if len(approx[i].Neighbors) != len(exact[i].Neighbors) {
-			t.Fatalf("object %d: approx returned %d neighbors, exact %d",
-				exact[i].ID, len(approx[i].Neighbors), len(exact[i].Neighbors))
-		}
-		for n := range exact[i].Neighbors {
-			if approx[i].Neighbors[n].Dist > exact[i].Neighbors[n].Dist*(1+eps)*(1+1e-9) {
-				t.Fatalf("object %d rank %d: approx dist %g breaks (1+ε) vs exact %g",
-					exact[i].ID, n, approx[i].Neighbors[n].Dist, exact[i].Neighbors[n].Dist)
-			}
-		}
 	}
 }
 

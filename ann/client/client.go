@@ -151,9 +151,8 @@ func IsWriteFailed(err error) bool { return wire.IsCode(err, wire.CodeWriteFaile
 
 // begin acquires the connection and writes the request in one write,
 // returning its id. The caller must call c.reqMu.unlock() once done
-// reading frames. opts carries the approximate-query header knobs; the
-// zero value (the only value non-join ops may pass) encodes the
-// unextended header.
+// reading frames. opts carries the trace header fields; the zero value
+// (the only value non-join ops may pass) encodes the unextended header.
 func (c *Client) begin(ctx context.Context, op wire.Op, body wire.Message, opts JoinOptions) (uint64, error) {
 	if err := c.reqMu.lock(ctx); err != nil {
 		return 0, err
@@ -164,7 +163,6 @@ func (c *Client) begin(ctx context.Context, op wire.Op, body wire.Message, opts 
 	}
 	c.nextID++
 	hdr := wire.RequestHeader{ID: c.nextID, Op: op,
-		Epsilon: opts.Epsilon,
 		TraceID: opts.TraceID, WantReport: opts.WantReport}
 	if dl, ok := ctx.Deadline(); ok {
 		hdr.Timeout = time.Until(dl)
@@ -501,14 +499,10 @@ type JoinStream struct {
 	closed bool
 }
 
-// JoinOptions carries the per-request header fields of a served join:
-// the approximate-query knob (see ann.QueryConfig.Epsilon) and the trace
-// fields. The zero value requests the exact join and encodes to the
-// unextended wire frame.
+// JoinOptions carries the per-request trace fields of a served join. The
+// zero value encodes to the unextended wire frame, the one Join and
+// SelfJoin send.
 type JoinOptions struct {
-	// Epsilon requests a (1+ε)-approximate join: every returned distance
-	// is within (1+Epsilon) of the true distance at its rank. 0 is exact.
-	Epsilon float64
 	// TraceID labels the request end to end: it appears in the server's
 	// structured logs, slow-query entries, /debug/requests rows and the
 	// returned report. Up to 128 printable non-space ASCII characters
@@ -526,9 +520,8 @@ func (c *Client) Join(ctx context.Context, r, s string, k int) (*JoinStream, err
 	return c.startJoin(ctx, &wire.JoinReq{R: r, S: s, K: uint32(k)}, JoinOptions{})
 }
 
-// JoinApprox is Join with approximate-query knobs. The server rejects
-// invalid knob values as BAD_REQUEST (IsBadRequest).
-func (c *Client) JoinApprox(ctx context.Context, r, s string, k int, opts JoinOptions) (*JoinStream, error) {
+// JoinWith is Join with per-request trace fields.
+func (c *Client) JoinWith(ctx context.Context, r, s string, k int, opts JoinOptions) (*JoinStream, error) {
 	return c.startJoin(ctx, &wire.JoinReq{R: r, S: s, K: uint32(k)}, opts)
 }
 
@@ -538,8 +531,8 @@ func (c *Client) SelfJoin(ctx context.Context, index string, k int) (*JoinStream
 	return c.startJoin(ctx, &wire.JoinReq{R: index, K: uint32(k), Self: true}, JoinOptions{})
 }
 
-// SelfJoinApprox is SelfJoin with approximate-query knobs.
-func (c *Client) SelfJoinApprox(ctx context.Context, index string, k int, opts JoinOptions) (*JoinStream, error) {
+// SelfJoinWith is SelfJoin with per-request trace fields.
+func (c *Client) SelfJoinWith(ctx context.Context, index string, k int, opts JoinOptions) (*JoinStream, error) {
 	return c.startJoin(ctx, &wire.JoinReq{R: index, K: uint32(k), Self: true}, opts)
 }
 

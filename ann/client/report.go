@@ -59,7 +59,6 @@ func reportFromWire(w *wire.Report) *QueryReport {
 		NodeCacheMisses: w.EngineNodeCacheMisses,
 		PrunedSubtrees:  w.EnginePrunedSubtrees,
 		PrunedEntries:   w.EnginePrunedEntries,
-		LPQEarlyTerms:   w.EngineLPQEarlyTerms,
 	}
 	r.Pool = storage.Stats{
 		Hits:         w.PoolHits,

@@ -39,7 +39,7 @@ func main() {
 		latency     = flag.Duration("latency", time.Millisecond, "modeled time per page transfer")
 		pool        = flag.Int("pool", 512*1024, "buffer pool size in bytes (experiments that vary it ignore this)")
 		seed        = flag.Int64("seed", 1, "dataset generator seed")
-		jsonOut     = flag.String("json", "", "write a machine-readable summary here (approx and mba experiments)")
+		jsonOut     = flag.String("json", "", "write a machine-readable summary here (mba experiment)")
 		quiet       = flag.Bool("quiet", false, "suppress the per-measurement progress heartbeat on stderr")
 		tracePath   = flag.String("trace", "", "write a Chrome trace-event JSON of the traced experiment here (mba experiment; open at ui.perfetto.dev)")
 		metricsAddr = flag.String("metrics-addr", "", "serve the metrics registry as JSON (and /debug/pprof/) on this address")

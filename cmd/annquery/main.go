@@ -255,9 +255,9 @@ func runRemote(ctx context.Context, addr, rName, sName string, selfQ bool, k int
 	var st *client.JoinStream
 	queryStart := time.Now()
 	if selfQ {
-		st, err = cl.SelfJoinApprox(ctx, rName, k, opts)
+		st, err = cl.SelfJoinWith(ctx, rName, k, opts)
 	} else {
-		st, err = cl.JoinApprox(ctx, rName, sName, k, opts)
+		st, err = cl.JoinWith(ctx, rName, sName, k, opts)
 	}
 	if err != nil {
 		return err

@@ -211,7 +211,7 @@ func TestObsServeSmoke(t *testing.T) {
 	ctx := context.Background()
 
 	// A traced, report-carrying join end to end.
-	st, err := cl.SelfJoinApprox(ctx, "pts", 3,
+	st, err := cl.SelfJoinWith(ctx, "pts", 3,
 		client.JoinOptions{TraceID: "smoke-join-1", WantReport: true})
 	if err != nil {
 		t.Fatal(err)

@@ -45,9 +45,8 @@ type Config struct {
 	Seed int64
 	// Out receives the report (default os.Stdout set by the caller).
 	Out io.Writer
-	// JSONPath, when non-empty, makes experiments that support it (the
-	// approx sweep and the mba report) also write a machine-readable
-	// summary there.
+	// JSONPath, when non-empty, makes experiments that support it
+	// (currently "mba") also write a machine-readable summary there.
 	JSONPath string
 	// Progress, when non-nil, receives one heartbeat line per completed
 	// measurement (elapsed time, result rows, rows/sec), so long runs
@@ -136,7 +135,6 @@ func Experiments() []Experiment {
 		{"fig6", "Figure 6: AkNN on FC, k = 10..50 — MBA vs GORDER", RunFig6},
 		{"prune", "Section 4.3 support: node-level pruning power, NXNDIST vs MAXMAXDIST on both indexes", RunPruning},
 		{"ablate", "Ablations: the default engine vs the paper's algorithm as printed (k = 1, k = 10), index choice, HNN", RunAblations},
-		{"approx", "Approximate mode: ε ladder vs exact and the brute-force oracle, with measured recall and worst distance ratio", RunApprox},
 		{"mba", "Observability deep-dive: one traced MBA self-join with the unified QueryReport (counters, stage timings; -trace writes Perfetto JSON)", RunMBAReport},
 	}
 }

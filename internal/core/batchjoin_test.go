@@ -59,11 +59,11 @@ type joinOutcome struct {
 // path or the scalar oracle. The batch path flushes only where flushAfter
 // says so (and once at the end), maximising prefilter staleness; the
 // commit pass must still reproduce the scalar decisions exactly.
-func runLeafJoin(owners []index.Entry, leafOwner *index.Entry, inherited, shrink float64,
+func runLeafJoin(owners []index.Entry, leafOwner *index.Entry, inherited float64,
 	k int, batches [][]index.Entry, flushAfter []bool, batch bool) joinOutcome {
 
 	var stats Stats
-	e := &engine{stats: &stats, shrink: shrink}
+	e := &engine{stats: &stats}
 	q := newLPQ(leafOwner, inherited, k, &stats)
 	stats = Stats{} // the leaf owner's own LPQ is not part of the comparison
 
@@ -99,7 +99,7 @@ func runLeafJoin(owners []index.Entry, leafOwner *index.Entry, inherited, shrink
 
 // TestBatchLeafJoinMatchesScalar is the property test for the batch
 // kernel path: on random leaves (random owner counts, inherited bound,
-// dimensions, k, exact and approximate shrink, and candidate streams —
+// dimensions, k and candidate streams —
 // including exact duplicates that tie at the k-th distance and streams
 // long enough to force mid-batch tile flushes) the batch path must leave
 // bit-identical accumulator rows, identical bounds and identical Stats to
@@ -143,10 +143,6 @@ func TestBatchLeafJoinMatchesScalar(t *testing.T) {
 				default:
 					inherited = 0.5 + rng.Float64()
 				}
-				shrink := 1.0
-				if trial%3 == 2 {
-					shrink = 1 / (1 + rng.Float64())
-				}
 
 				nBatches := 1 + rng.Intn(4)
 				batches := make([][]index.Entry, nBatches)
@@ -178,11 +174,11 @@ func TestBatchLeafJoinMatchesScalar(t *testing.T) {
 					flushAfter[bi] = rng.Intn(2) == 0
 				}
 
-				scalar := runLeafJoin(owners, leafOwner, inherited, shrink, k, batches, flushAfter, false)
-				batched := runLeafJoin(owners, leafOwner, inherited, shrink, k, batches, flushAfter, true)
+				scalar := runLeafJoin(owners, leafOwner, inherited, k, batches, flushAfter, false)
+				batched := runLeafJoin(owners, leafOwner, inherited, k, batches, flushAfter, true)
 				if !reflect.DeepEqual(scalar, batched) {
-					t.Fatalf("dim=%d k=%d trial=%d shrink=%v: batch path diverges from the scalar oracle:\nscalar: %+v\nbatch:  %+v",
-						dim, k, trial, shrink, scalar, batched)
+					t.Fatalf("dim=%d k=%d trial=%d: batch path diverges from the scalar oracle:\nscalar: %+v\nbatch:  %+v",
+						dim, k, trial, scalar, batched)
 				}
 			}
 		}

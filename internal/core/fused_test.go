@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
@@ -14,6 +16,41 @@ import (
 	"allnn/internal/mbrqt"
 	"allnn/internal/storage"
 )
+
+// hashRun executes the engine and hashes the emitted stream (object ids,
+// neighbor ids, distance bits, in emission order), so two runs can be
+// compared for byte-identical output.
+func hashRun(t *testing.T, ir, is index.Tree, opts Options) (uint64, Stats) {
+	t.Helper()
+	h := fnv.New64a()
+	var word [8]byte
+	write := func(v uint64) {
+		binary.LittleEndian.PutUint64(word[:], v)
+		h.Write(word[:])
+	}
+	stats, err := Run(ir, is, opts, func(r Result) error {
+		write(r.ID)
+		for _, n := range r.Neighbors {
+			write(n.ID)
+			write(math.Float64bits(n.Dist))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.Sum64(), stats
+}
+
+// normCache folds the node-cache hit/miss split into its total: which
+// tier serves a fetch depends on cache residency and sharding (runs on a
+// shared index warm it, parallel runs re-shard it), while the total is a
+// pure function of the traversal — the invariant these tests compare.
+func normCache(s Stats) Stats {
+	s.NodeCacheHits += s.NodeCacheMisses
+	s.NodeCacheMisses = 0
+	return s
+}
 
 // latticePoints returns the first n points of the integer lattice in dim
 // dimensions: every point has many neighbors at exactly equal distances.

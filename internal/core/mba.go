@@ -66,9 +66,6 @@ func armCancel(ctx context.Context) (cancelled *atomic.Bool, disarm func(), err 
 // only armed when ctx.Done() is non-nil.
 func RunContext(ctx context.Context, ir, is index.Tree, opts Options, emit func(Result) error) (stats Stats, err error) {
 	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return stats, err
-	}
 	cancelled, disarm, err := armCancel(ctx)
 	if err != nil {
 		return stats, err
@@ -131,8 +128,7 @@ func RunContext(ctx context.Context, ir, is index.Tree, opts Options, emit func(
 		return stats, nil // nothing to query
 	}
 	e := &engine{ir: ir, is: is, opts: opts, emit: emit, stats: &stats,
-		shrink: opts.approxShrink(),
-		ctx:    ctx, cancelled: cancelled,
+		ctx: ctx, cancelled: cancelled,
 		tr: tr, tid: obs.TidMain, tm: opts.timings}
 	if opts.Sched != nil {
 		defer func() { opts.Sched.Add(e.sched) }()
@@ -192,11 +188,6 @@ type engine struct {
 	// ordered parallel executor hands them on here.
 	leafDone func() error
 	stats    *Stats
-
-	// shrink is Options.approxShrink(): the factor a full accumulator row's
-	// bound is multiplied by in the leaf join, the one place Epsilon acts.
-	// Exactly 1 for exact queries.
-	shrink float64
 
 	// Cancellation: cancelled is the flag the RunContext watcher goroutine
 	// flips (nil when the context can never be cancelled, so the
@@ -393,8 +384,8 @@ func (e *engine) expandAndPrune(q *lpq) ([]*lpq, error) {
 
 // errStarved reports an owner with data but no candidates. It is an
 // internal invariant, not a state a query can reach: node-level bounds are
-// exact upper bounds on the owner's k-th neighbor distance whatever
-// Epsilon is, so while S is not empty some candidate always passes them.
+// exact upper bounds on the owner's k-th neighbor distance, so while S is
+// not empty some candidate always passes them.
 func errStarved(owner *index.Entry) error {
 	return fmt.Errorf("core: child LPQ starved for owner %v", owner.MBR)
 }
@@ -483,19 +474,14 @@ func (e *engine) drainToChildren(q *lpq, lpqcs []*lpq) error {
 //
 // bounds[i] is owner i's admission bound. Between objects MIND = MAXD =
 // the exact distance, so a row yields one bound, its k-th distance: once
-// full, bounds[i] = min(inherited, k-th) x (1+boundSlack) x shrink; until
-// then only the inherited bound applies. This is all of the approximate
-// mode: shrink = 1/(1+ε)² (1 when exact) touches nothing else, and the
-// prefilter, the kernel's early-out and the work-heap cut read bounds[i].
-// Whatever owner i loses to it lies beyond its then-current k-th distance
-// / (1+ε), and the k-th only falls — so every reported distance is within
-// (1+ε) of the true one at its rank, and a row, shrunk only once full,
-// still ends with k members. Bounds only tighten, so a snapshot taken
-// when a tile is gathered or run through the kernel is never tighter than
-// the live bound its commit re-checks: the batch path decides every pair
-// as the one-at-a-time oracle in batchjoin_test.go does.
+// full, bounds[i] = min(inherited, k-th) x (1+boundSlack); until then only
+// the inherited bound applies. The prefilter, the kernel's early-out and
+// the work-heap cut all read bounds[i]. Bounds only tighten, so a snapshot
+// taken when a tile is gathered or run through the kernel is never
+// tighter than the live bound its commit re-checks: the batch path decides
+// every pair as the one-at-a-time oracle in batchjoin_test.go does.
 type leafJoin struct {
-	e         *engine // stats, sched and shrink of the engine running the join
+	e         *engine // stats and sched of the engine running the join
 	dim, m, k int
 	owners    []index.Entry
 	leafMBR   geom.Rect
@@ -579,23 +565,11 @@ func (j *leafJoin) refreshMaxOwnerBound() {
 	}
 }
 
-// exactBound is owner i's admission bound before any approximate
-// shrinking: the inherited bound, or the k-th distance of a full row when
-// that is tighter, inflated by the relative slack.
-func (j *leafJoin) exactBound(i int) float64 {
-	b := j.inherited
-	if j.fill[i] == j.k {
-		if kth := j.dist[i*j.k+j.k-1]; kth < b {
-			b = kth
-		}
-	}
-	return b + b*boundSlack
-}
-
 // admit commits one (owner, candidate) pair whose squared distance d
 // passed the owner's admission bound: a stable bounded insertion into the
-// owner's row, after which a full row's k-th distance tightens the bound
-// (the cached max needs a rescan only when the argmax owner tightened).
+// owner's row, after which a full row's k-th distance, when tighter than
+// the inherited bound, tightens the admission bound (the cached max needs
+// a rescan only when the argmax owner tightened).
 // ref is the candidate's index in cands, or -1 while no owner has retained
 // it yet; the (possibly assigned) index is returned.
 func (j *leafJoin) admit(i int, d float64, cand *index.Entry, ref int) int {
@@ -624,7 +598,11 @@ func (j *leafJoin) admit(i int, d float64, cand *index.Entry, ref int) int {
 	}
 	row[n], refs[n] = d, uint32(ref)
 	if j.fill[i] == k {
-		j.bounds[i] = j.exactBound(i) * j.e.shrink
+		b := j.inherited
+		if row[k-1] < b {
+			b = row[k-1]
+		}
+		j.bounds[i] = b + b*boundSlack
 		if i == j.maxOwnerIdx {
 			j.refreshMaxOwnerBound()
 		}
@@ -723,19 +701,6 @@ func (e *engine) joinLeaf(q *lpq) error {
 		item, _ := j.work.Pop()
 		maxBound := j.maxOwnerBound
 		if item.Key > maxBound {
-			if e.shrink != 1 {
-				// bounds[] hold shrunk admission bounds; the cut is
-				// approx-attributable when the exact bounds disagree.
-				exact := math.Inf(-1)
-				for i := 0; i < j.m; i++ {
-					if b := j.exactBound(i); b > exact {
-						exact = b
-					}
-				}
-				if item.Key <= exact {
-					e.stats.LPQEarlyTerms++
-				}
-			}
 			e.stats.PrunedSubtrees += 1 + uint64(j.work.Len())
 			break
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -309,6 +310,39 @@ func TestEmptyQueryIndex(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Fatalf("expected no results, got %d", len(got))
+	}
+}
+
+// TestShiftedExtents joins R ≠ S with S moved 90–300 along one axis of a
+// 100-wide extent, so the two barely overlap or not at all and every query
+// object's neighbors sit behind one face of S. A bound tightened at node
+// level beyond the owner's true k-th distance starves the far owners there
+// ("child LPQ starved"), which no self-join shows.
+func TestShiftedExtents(t *testing.T) {
+	builders := map[string]func(testing.TB, []geom.Point) index.Tree{"mbrqt": buildMBRQT, "rstar": buildRStar}
+	for kind, build := range builders {
+		for _, dim := range []int{2, 3} {
+			t.Run(fmt.Sprintf("%s/%dd", kind, dim), func(t *testing.T) {
+				for seed := int64(1); seed <= 3; seed++ {
+					rng := rand.New(rand.NewSource(seed))
+					rPts := uniformPoints(rng, 400, dim, 100)
+					ir := build(t, rPts)
+					for _, shift := range []float64{90, 110, 150, 200, 300} {
+						sPts := uniformPoints(rng, 400, dim, 100)
+						for _, p := range sPts {
+							p[0] += shift
+						}
+						is := build(t, sPts)
+						t.Run(fmt.Sprintf("seed=%d/shift=%g", seed, shift), func(t *testing.T) {
+							for _, k := range []int{1, 4, 10} {
+								checkAgainstBrute(t, ir, is, rPts, sPts, Options{K: k})
+								checkAgainstBrute(t, ir, is, rPts, sPts, Options{K: k, Parallelism: 4, OrderedEmit: true})
+							}
+						})
+					}
+				}
+			})
+		}
 	}
 }
 

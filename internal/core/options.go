@@ -15,17 +15,11 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
 	"allnn/internal/geom"
 	"allnn/internal/obs"
 )
-
-// ErrInvalidOptions is wrapped by every Options validation failure, so
-// callers can classify configuration errors with errors.Is.
-var ErrInvalidOptions = errors.New("invalid options")
 
 // Metric selects the pruning upper bound used between an owner MBR M (from
 // the query index) and a candidate MBR N (from the target index).
@@ -115,17 +109,6 @@ type Options struct {
 	// QueryReport.Sched.
 	Sched *SchedStats
 
-	// Epsilon, when positive, runs the query in (1+ε)-approximate mode:
-	// every returned neighbor distance is at most (1+ε) times the true
-	// distance at its rank. It acts in one place, the fused leaf join: a
-	// query object whose row already holds k candidates admits a further
-	// one only within its k-th distance / (1+ε) (leafJoin has the proof);
-	// node-level LPQ bounds stay exact. Zero (the default) is exact — the
-	// factor is then exactly 1. Result cardinality never changes, only
-	// which neighbors are reported. Negative, NaN or infinite values are
-	// rejected with ErrInvalidOptions.
-	Epsilon float64
-
 	// timings, when non-nil, receives the per-stage wall-time breakdown.
 	// Set by RunReport; stage clocks cost two time.Now() calls per LPQ
 	// when enabled and nothing when nil.
@@ -141,23 +124,6 @@ func (o Options) withDefaults() Options {
 		o.K = 1
 	}
 	return o
-}
-
-// validate rejects semantically invalid knob combinations. Every failure
-// wraps ErrInvalidOptions.
-func (o Options) validate() error {
-	if math.IsNaN(o.Epsilon) || math.IsInf(o.Epsilon, 0) || o.Epsilon < 0 {
-		return fmt.Errorf("core: %w: Epsilon must be finite and >= 0, got %v", ErrInvalidOptions, o.Epsilon)
-	}
-	return nil
-}
-
-// approxShrink is the factor the leaf join multiplies a full row's
-// squared bound by: 1/(1+ε)², the squared-space form of dividing the k-th
-// distance by (1+ε). Exactly 1 when the query is exact.
-func (o Options) approxShrink() float64 {
-	f := 1 + o.Epsilon
-	return 1 / (f * f)
 }
 
 // effectiveK is the number of neighbors actually gathered per object.
@@ -226,16 +192,9 @@ type Stats struct {
 	// (node entries) and candidate objects discarded wholesale by a
 	// terminal early-stop — a node-level drain or leaf-join cut that throws
 	// away the rest of a MIND-ordered queue at once, as opposed to the
-	// per-candidate rejections in PrunedOnProbe/PrunedByFilter. Non-zero
-	// for exact queries too (the exact cuts are counted the same way);
-	// the approximate mode's effect shows up as the delta against an
-	// exact run of the same query.
+	// per-candidate rejections in PrunedOnProbe/PrunedByFilter.
 	PrunedSubtrees uint64
 	PrunedEntries  uint64
-	// LPQEarlyTerms counts terminal cuts attributable to the approximate
-	// mode: leaf-join work-heap cuts that fired strictly earlier than the
-	// exact comparison would have. Always zero for an exact query.
-	LPQEarlyTerms uint64
 }
 
 // Add accumulates other into s. The parallel executor gives each worker a
@@ -254,7 +213,6 @@ func (s *Stats) Add(other Stats) {
 	s.NodeCacheMisses += other.NodeCacheMisses
 	s.PrunedSubtrees += other.PrunedSubtrees
 	s.PrunedEntries += other.PrunedEntries
-	s.LPQEarlyTerms += other.LPQEarlyTerms
 }
 
 // SchedStats counts the parallel executor's scheduling decisions and the
@@ -327,7 +285,6 @@ func (s Stats) AddTo(r *obs.Registry) {
 	r.Counter("engine.node_cache_misses").Add(s.NodeCacheMisses)
 	r.Counter("engine.prune_subtrees").Add(s.PrunedSubtrees)
 	r.Counter("engine.prune_entries").Add(s.PrunedEntries)
-	r.Counter("engine.prune_lpq_early_terms").Add(s.LPQEarlyTerms)
 }
 
 var infinity = math.Inf(1)

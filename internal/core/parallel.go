@@ -264,8 +264,7 @@ func (s *scheduler) work(w int) {
 		wtm = &Timings{}
 	}
 	we := &engine{ir: e.ir, is: e.is, opts: e.opts, stats: &wstats,
-		shrink: e.shrink,
-		ctx:    e.ctx, cancelled: &s.stop,
+		ctx: e.ctx, cancelled: &s.stop,
 		tr: e.tr, tid: wtid, tm: wtm}
 	var (
 		t   *emitSlot // the task in hand

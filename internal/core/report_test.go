@@ -14,7 +14,9 @@ import (
 // Stats counters are a pure function of the query, not of its schedule:
 // a Parallelism=4 run must report the exact same Stats struct as the
 // serial engine. The node cache is disabled because its hit/miss split
-// (though not the sum) depends on which worker decodes a node first.
+// (though not the sum) depends on which worker decodes a node first. The
+// terminal cuts of an exact query are counted too: PrunedSubtrees is not
+// a dead counter.
 func TestStatsParitySerialVsParallel4(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pts := clusteredPoints(rng, 1200, 2, 100)
@@ -22,6 +24,9 @@ func TestStatsParitySerialVsParallel4(t *testing.T) {
 	for _, k := range []int{1, 5} {
 		serial := Options{K: k, ExcludeSelf: true, NodeCacheBytes: NodeCacheDisabled}
 		_, wantStats := collectWith(t, tree, tree, serial)
+		if wantStats.PrunedSubtrees == 0 {
+			t.Errorf("k=%d: exact run recorded no terminal-cut subtree discards", k)
+		}
 		par := serial
 		par.Parallelism = 4
 		_, gotStats := collectWith(t, tree, tree, par)

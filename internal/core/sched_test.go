@@ -210,7 +210,7 @@ func seedEngine(t *testing.T, ir, is index.Tree, opts Options, stats *Stats, emi
 		t.Fatal(err)
 	}
 	e := &engine{ir: ir, is: is, opts: opts, emit: emit, stats: stats,
-		shrink: opts.approxShrink(), ctx: context.Background(), tid: obs.TidMain}
+		ctx: context.Background(), tid: obs.TidMain}
 	return e, e.seedRoot(&rootR, &rootS)
 }
 

@@ -173,9 +173,6 @@ func (r *Router) closeBackends() {
 // request. A returned error means no terminal frame was written yet.
 func (r *Router) dispatch(ctx context.Context, hdr wire.RequestHeader, body wire.Message, _ string, w *wire.ResponseWriter) error {
 	r.requests.Inc()
-	if hdr.Epsilon != 0 {
-		return wire.BadRequest("the router serves exact queries only (epsilon=%v rejected)", hdr.Epsilon)
-	}
 	if hdr.WantReport {
 		return wire.BadRequest("WantReport is not supported on routed requests")
 	}

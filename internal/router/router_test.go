@@ -554,14 +554,14 @@ func TestRouterRejects(t *testing.T) {
 	if _, err := f.routed.KNN(ctx, "pts", ann.Point{1, 2}, 0); !client.IsBadRequest(err) {
 		t.Errorf("k=0: got %v, want BAD_REQUEST", err)
 	}
-	st, err := f.routed.SelfJoinApprox(ctx, "pts", 2, client.JoinOptions{Epsilon: 0.1})
+	st, err := f.routed.SelfJoinWith(ctx, "pts", 2, client.JoinOptions{WantReport: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for st.Next() {
 	}
 	if err := st.Close(); !client.IsBadRequest(err) {
-		t.Errorf("approximate routed join: got %v, want BAD_REQUEST", err)
+		t.Errorf("routed join asking for a report: got %v, want BAD_REQUEST", err)
 	}
 	if _, err := f.routed.WithinDistance(ctx, "pts", "other", 5, true, func(uint64, uint64, float64) error { return nil }); !client.IsBadRequest(err) {
 		t.Errorf("cross-dataset within: got %v, want BAD_REQUEST", err)

@@ -19,17 +19,8 @@ func (s *Server) dispatch(ctx context.Context, rc *reqCtx, hdr wire.RequestHeade
 		s.testHook(hdr)
 	}
 
-	// Epsilon rides the request header, but only the ANN join honors it;
-	// every other operation is exact by contract, so a request that sets
-	// it anywhere else is malformed — reject it here rather than silently
-	// running an exact query the client believes is approximate. (A value
-	// in the removed recall-target slot never gets here: the codec refuses
-	// the frame and the service answers BAD_REQUEST with its message.)
-	if hdr.Epsilon != 0 && hdr.Op != wire.OpJoin {
-		return wire.BadRequest("epsilon=%v is only valid for %s, not %s", hdr.Epsilon, wire.OpJoin, hdr.Op)
-	}
 	// Reports ride a stream's terminating StreamEnd, which only joins
-	// produce; asking for one anywhere else is equally malformed.
+	// produce; asking for one anywhere else is malformed.
 	if hdr.WantReport && hdr.Op != wire.OpJoin {
 		return wire.BadRequest("WantReport is only valid for %s, not %s", wire.OpJoin, hdr.Op)
 	}
@@ -396,7 +387,6 @@ func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHea
 	}
 
 	cfg := s.queryConfig(rc)
-	cfg.Epsilon = hdr.Epsilon
 	// Engine time excludes the frame flushes the emit callback triggers
 	// mid-run, keeping the report's engine/flush split disjoint.
 	flushBefore := w.FlushNs

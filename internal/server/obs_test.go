@@ -24,7 +24,9 @@ import (
 // engine Stats inside a remote WantReport join are byte-identical to a
 // direct ann library call with the same parameters — and, because
 // engine counters carry a serial/parallel parity guarantee, identical
-// to both a serial and a parallel direct run.
+// to both a serial and a parallel direct run. The rows of a join sent
+// through the options entry point, with zero options or with the trace
+// fields set, are the direct call's rows byte for byte.
 func TestServedReportParity(t *testing.T) {
 	rPts := randomPoints(201, 600, 2)
 	sPts := randomPoints(202, 700, 2)
@@ -48,46 +50,59 @@ func TestServedReportParity(t *testing.T) {
 		s.NodeCacheMisses = 0
 		return s
 	}
-	directStats := func(par int, self bool) ann.Stats {
+	direct := func(par int, self bool) ([]ann.Result, ann.Stats) {
 		t.Helper()
 		var rep ann.QueryReport
 		cfg := ann.QueryConfig{Parallelism: par,
 			OnReport: func(r ann.QueryReport) { rep = r }}
+		var rows []ann.Result
 		var err error
 		if self {
-			_, err = ann.SelfAllKNearestNeighbors(rix, 3, cfg)
+			rows, err = ann.SelfAllKNearestNeighbors(rix, 3, cfg)
 		} else {
-			_, err = ann.AllKNearestNeighbors(rix, six, 3, cfg)
+			rows, err = ann.AllKNearestNeighbors(rix, six, 3, cfg)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		return normalize(rep.Engine)
+		return rows, normalize(rep.Engine)
 	}
 
 	for _, tc := range []struct {
 		name string
 		self bool
 	}{{"join", false}, {"self-join", true}} {
-		wantSerial := directStats(1, tc.self)
-		wantParallel := directStats(4, tc.self)
+		wantRows, wantSerial := direct(1, tc.self)
+		_, wantParallel := direct(4, tc.self)
 		if wantSerial != wantParallel {
 			t.Fatalf("%s: engine stats lost serial/parallel parity:\nserial   %+v\nparallel %+v",
 				tc.name, wantSerial, wantParallel)
 		}
+		join := func(opts client.JoinOptions) *client.JoinStream {
+			t.Helper()
+			var st *client.JoinStream
+			var err error
+			if tc.self {
+				st, err = cl.SelfJoinWith(ctx, "r", 3, opts)
+			} else {
+				st, err = cl.JoinWith(ctx, "r", "s", 3, opts)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+
+		if got := collectJoin(t, join(client.JoinOptions{})); !reflect.DeepEqual(got, wantRows) {
+			t.Errorf("%s: served join with zero options diverges from the direct call", tc.name)
+		}
 
 		opts := client.JoinOptions{WantReport: true, TraceID: "parity-" + tc.name}
-		var st *client.JoinStream
-		var err error
-		if tc.self {
-			st, err = cl.SelfJoinApprox(ctx, "r", 3, opts)
-		} else {
-			st, err = cl.JoinApprox(ctx, "r", "s", 3, opts)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := join(opts)
 		results := collectJoin(t, st)
+		if !reflect.DeepEqual(results, wantRows) {
+			t.Errorf("%s: served WantReport join rows diverge from the direct call", tc.name)
+		}
 		rep := st.Report()
 		if rep == nil {
 			t.Fatalf("%s: WantReport join returned no report", tc.name)
@@ -145,21 +160,6 @@ func TestReportVersionGate(t *testing.T) {
 	}
 	if st.Report() != nil {
 		t.Error("plain join came back with an unsolicited report")
-	}
-
-	// Approx knobs without trace fields (the PR-8 frame layout) still
-	// pass the extension gate.
-	st, err = cl.SelfJoinApprox(ctx, "pts", 2, client.JoinOptions{Epsilon: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for st.Next() {
-	}
-	if err := st.Err(); err != nil {
-		t.Fatalf("approx-only join with trace extension deployed: %v", err)
-	}
-	if st.Report() != nil {
-		t.Error("approx-only join came back with an unsolicited report")
 	}
 
 	// WantReport on a non-join op is malformed. The typed client cannot
@@ -364,7 +364,7 @@ func TestPanicRecoveryLogsRequestIdentity(t *testing.T) {
 	t.Cleanup(func() { cl.Close() })
 	ctx := context.Background()
 
-	st, err := cl.SelfJoinApprox(ctx, "pts", 1, client.JoinOptions{TraceID: "panic-trace-7"})
+	st, err := cl.SelfJoinWith(ctx, "pts", 1, client.JoinOptions{TraceID: "panic-trace-7"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestDebugEndpointsUnderLoad(t *testing.T) {
 			return
 		}
 		defer cl2.Close()
-		st, err := cl2.SelfJoinApprox(ctx, "pts", 1, client.JoinOptions{TraceID: "live-join"})
+		st, err := cl2.SelfJoinWith(ctx, "pts", 1, client.JoinOptions{TraceID: "live-join"})
 		if err != nil {
 			liveDone <- err
 			return
@@ -501,7 +501,7 @@ func TestDebugEndpointsUnderLoad(t *testing.T) {
 			defer wcl.Close()
 			for it := 0; it < itersPer; it++ {
 				tid := fmt.Sprintf("load-%d-%d", g, it)
-				st, err := wcl.SelfJoinApprox(ctx, "pts", 1,
+				st, err := wcl.SelfJoinWith(ctx, "pts", 1,
 					client.JoinOptions{TraceID: tid, WantReport: true})
 				if err != nil {
 					errc <- fmt.Errorf("g%d: %w", g, err)

@@ -118,7 +118,6 @@ func (rc *reqCtx) wireReport(w *wire.ResponseWriter) *wire.Report {
 		out.EngineNodeCacheMisses = rep.Engine.NodeCacheMisses
 		out.EnginePrunedSubtrees = rep.Engine.PrunedSubtrees
 		out.EnginePrunedEntries = rep.Engine.PrunedEntries
-		out.EngineLPQEarlyTerms = rep.Engine.LPQEarlyTerms
 
 		out.PoolHits = rep.Pool.Hits
 		out.PoolMisses = rep.Pool.Misses

@@ -2,9 +2,7 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 	"net"
 	"path/filepath"
@@ -248,121 +246,6 @@ func TestServedParity(t *testing.T) {
 	}
 	if snap.Counters["engine.results"] == 0 {
 		t.Errorf("join engine counters not folded into registry")
-	}
-
-	srv.Catalog().RequireNoPinnedFrames(t)
-}
-
-// TestServedApprox pins the approximate-join wire path: a served approx
-// join is byte-identical to the direct library call with the same knobs,
-// zero knobs through the approx entry point stay byte-identical to the
-// exact served join, invalid knob values surface as BAD_REQUEST, and the
-// knobs are rejected on every non-join operation.
-func TestServedApprox(t *testing.T) {
-	pts := randomPoints(110, 2000, 2)
-	ix := buildIndex(t, pts, ann.MBRQT)
-	srv, cl, addr := startServer(t, Config{})
-	if err := srv.Catalog().Add("pts", ix); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	// Zero knobs over the approx entry point: byte-identical to exact.
-	wantExact, err := ann.SelfAllKNearestNeighbors(ix, 3, ann.QueryConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := cl.SelfJoinApprox(ctx, "pts", 3, client.JoinOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := collectJoin(t, st); !reflect.DeepEqual(got, wantExact) {
-		t.Fatal("served eps=0 approx join diverges from exact")
-	}
-
-	// Nonzero knobs: served results match the direct library call with
-	// the identical QueryConfig.
-	for _, opts := range []client.JoinOptions{{Epsilon: 0.2}, {Epsilon: 1}} {
-		want, err := ann.SelfAllKNearestNeighbors(ix, 3, ann.QueryConfig{Epsilon: opts.Epsilon})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := cl.SelfJoinApprox(ctx, "pts", 3, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := collectJoin(t, st); !reflect.DeepEqual(got, want) {
-			t.Fatalf("served approx join %+v diverges from direct call", opts)
-		}
-	}
-
-	// An invalid Epsilon is rejected at frame decode as BAD_REQUEST. A
-	// frame that fails to decode is fatal to its connection, so the probe
-	// uses a throwaway client.
-	bad, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err = bad.SelfJoinApprox(ctx, "pts", 1, client.JoinOptions{Epsilon: -1})
-	if err == nil {
-		for st.Next() {
-		}
-		err = st.Err()
-	}
-	if !client.IsBadRequest(err) {
-		t.Errorf("epsilon -1: got %v, want BAD_REQUEST", err)
-	}
-	bad.Close()
-
-	// What the typed client cannot express is probed with raw wire
-	// frames, each on a connection of its own: Epsilon on a non-join op,
-	// and a value in the header slot of the removed recall target.
-	rawProbe := func(payload []byte) *wire.ErrorReply {
-		t.Helper()
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if err := wire.WriteHandshake(conn); err != nil {
-			t.Fatal(err)
-		}
-		if err := wire.WriteFrame(conn, payload); err != nil {
-			t.Fatal(err)
-		}
-		reply, err := wire.ReadFrame(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, kind, _, body, err := wire.DecodeResponse(reply)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kind != wire.KindError {
-			t.Fatalf("got kind %d body %+v, want an error frame", kind, body)
-		}
-		return body.(*wire.ErrorReply)
-	}
-	payload, err := wire.EncodeRequest(
-		wire.RequestHeader{ID: 1, Op: wire.OpKNN, Epsilon: 0.1},
-		&wire.KNNReq{Index: "pts", K: 1, Point: []float64{1, 2}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply := rawProbe(payload); reply.Code != wire.CodeBadRequest {
-		t.Errorf("epsilon on %s: got %+v, want BAD_REQUEST", wire.OpKNN, reply)
-	}
-	payload, err = wire.EncodeRequest(
-		wire.RequestHeader{ID: 2, Op: wire.OpJoin, Epsilon: 0.1},
-		&wire.JoinReq{R: "pts", K: 1, Self: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The extension is the payload's last 16 bytes; the second F64 is the
-	// reserved slot.
-	binary.BigEndian.PutUint64(payload[len(payload)-8:], math.Float64bits(0.9))
-	if reply := rawProbe(payload); reply.Code != wire.CodeBadRequest || !strings.Contains(reply.Msg, "recall target") {
-		t.Errorf("recall-target slot set: got %+v, want BAD_REQUEST naming the removed knob", reply)
 	}
 
 	srv.Catalog().RequireNoPinnedFrames(t)

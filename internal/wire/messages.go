@@ -710,7 +710,6 @@ type Report struct {
 	EngineNodeCacheMisses uint64
 	EnginePrunedSubtrees  uint64
 	EnginePrunedEntries   uint64
-	EngineLPQEarlyTerms   uint64
 
 	// Buffer-pool activity during the run, mirroring storage.Stats.
 	PoolHits         uint64
@@ -767,7 +766,7 @@ func (r *Report) reportU64s() []*uint64 {
 		&r.EnginePrunedOnProbe, &r.EnginePrunedByFilter,
 		&r.EngineNodesExpandedR, &r.EngineNodesExpandedS, &r.EngineResults,
 		&r.EngineNodeCacheHits, &r.EngineNodeCacheMisses,
-		&r.EnginePrunedSubtrees, &r.EnginePrunedEntries, &r.EngineLPQEarlyTerms,
+		&r.EnginePrunedSubtrees, &r.EnginePrunedEntries,
 		&r.PoolHits, &r.PoolMisses, &r.PoolReads, &r.PoolWrites,
 		&r.PoolEvictions, &r.PoolRetries, &r.PoolCorruptPages,
 		&r.CacheHits, &r.CacheMisses, &r.CacheEvictions, &r.CacheInvalidations,
@@ -929,15 +928,6 @@ func responseBody(kind ResponseKind, op Op) (Message, error) {
 	}
 }
 
-// approxExtBytes is the size of the approximate-query header extension
-// trailing the request body: Epsilon as an F64, then a reserved F64 slot
-// that must be zero (it carried the recall target until that knob was
-// removed; the trace extension follows it, so the layout stays). Appended
-// only when Epsilon is non-zero or a trace extension follows (its presence
-// forces the 16 bytes onto the wire even at zero), keeping every
-// pre-extension frame valid and byte-identical.
-const approxExtBytes = 16
-
 // EncodeRequest encodes a request payload (header + body) into buf's
 // storage, returning the payload. The body type must match hdr.Op —
 // the peer's decoder holds callers to it.
@@ -953,12 +943,7 @@ func EncodeRequest(hdr RequestHeader, body Message, buf []byte) ([]byte, error) 
 	e.U8(uint8(hdr.Op))
 	e.I64(int64(hdr.Timeout))
 	body.encode(e)
-	traceExt := hdr.TraceID != "" || hdr.WantReport
-	if hdr.Epsilon != 0 || traceExt {
-		e.F64(hdr.Epsilon)
-		e.F64(0) // reserved
-	}
-	if traceExt {
+	if hdr.TraceID != "" || hdr.WantReport {
 		var flags uint8
 		if hdr.WantReport {
 			flags |= flagWantReport
@@ -970,13 +955,10 @@ func EncodeRequest(hdr RequestHeader, body Message, buf []byte) ([]byte, error) 
 }
 
 // DecodeRequest decodes a request payload into its header and body.
-// Bytes left over after the body are the header extensions: exactly
-// approxExtBytes is the approximate-query extension alone, more is that
-// extension followed by the trace extension (flags byte + trace-id
-// string); older frames simply end at the body. All extension values are
-// range-checked here so a hostile frame cannot smuggle a NaN factor, a
-// value for the removed recall-target knob, unknown flag bits or an
-// unloggable trace ID past the typed validation downstream.
+// Bytes left over after the body are the trace extension (flags byte +
+// trace-id string); a frame without one ends at the body. The extension
+// is checked here so a hostile frame cannot smuggle unknown flag bits or
+// an unloggable trace ID past the typed validation downstream.
 func DecodeRequest(payload []byte) (RequestHeader, Message, error) {
 	d := NewDecoder(payload)
 	var hdr RequestHeader
@@ -994,26 +976,16 @@ func DecodeRequest(payload []byte) (RequestHeader, Message, error) {
 		return hdr, nil, err
 	}
 	body.decode(d)
-	if d.Err() == nil && d.Remaining() >= approxExtBytes {
-		hdr.Epsilon = d.F64("epsilon")
-		reserved := d.F64("reserved slot")
-		if math.IsNaN(hdr.Epsilon) || math.IsInf(hdr.Epsilon, 0) || hdr.Epsilon < 0 {
-			return hdr, nil, fmt.Errorf("wire: invalid epsilon %v", hdr.Epsilon)
+	if d.Err() == nil && d.Remaining() > 0 {
+		flags := d.U8("request flags")
+		if flags&^uint8(flagWantReport) != 0 {
+			return hdr, nil, fmt.Errorf("wire: unknown request flag bits 0x%02x", flags&^uint8(flagWantReport))
 		}
-		if math.Float64bits(reserved) != 0 {
-			return hdr, nil, fmt.Errorf("wire: recall target %v: the knob was removed, its header slot must be zero", reserved)
-		}
-		if d.Remaining() > 0 {
-			flags := d.U8("request flags")
-			if d.Err() == nil && flags&^uint8(flagWantReport) != 0 {
-				return hdr, nil, fmt.Errorf("wire: unknown request flag bits 0x%02x", flags&^uint8(flagWantReport))
-			}
-			hdr.WantReport = flags&flagWantReport != 0
-			hdr.TraceID = d.String("trace id")
-			if d.Err() == nil {
-				if err := CheckTraceID(hdr.TraceID); err != nil {
-					return hdr, nil, err
-				}
+		hdr.WantReport = flags&flagWantReport != 0
+		hdr.TraceID = d.String("trace id")
+		if d.Err() == nil {
+			if err := CheckTraceID(hdr.TraceID); err != nil {
+				return hdr, nil, err
 			}
 		}
 	}

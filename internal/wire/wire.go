@@ -43,10 +43,12 @@ const Magic = "ANNS"
 // Version is the protocol version this build speaks. Version 2 added
 // the shard-routing frames (OpShardMap, OpRangePoints, the partial-
 // result reply block and the SHARD_UNAVAILABLE/PARTIAL_RESULT error
-// codes). There is one version and no negotiated downgrade: a peer
-// announcing any other is rejected at the handshake rather than failing
-// mid-stream on a frame it cannot parse.
-const Version = 2
+// codes); version 3 dropped the approximate-query request extension, so
+// the trace extension follows the body directly, and the report's
+// approximate-cut counter. There is one version and no negotiated
+// downgrade: a peer announcing any other is rejected at the handshake
+// rather than failing mid-stream on a frame it cannot parse.
+const Version = 3
 
 // MaxFrame bounds a single frame's payload. Requests are small; join
 // result streams chunk themselves well below this. A peer announcing a
@@ -249,21 +251,13 @@ type RequestHeader struct {
 	// Timeout, when positive, is the client's remaining deadline budget
 	// at send time; the server enforces it from arrival.
 	Timeout time.Duration
-	// Epsilon carries the approximate-query knob (see ann.QueryConfig).
-	// Zero — the exact query — encodes to the fixed header with no
-	// trailing extension; a decoder treats the extension's absence as
-	// exact. When non-zero the encoder appends it after the body as an
-	// F64 followed by a reserved zero F64; only OpJoin honors it (the
-	// server rejects it on any other op).
-	Epsilon float64
 	// TraceID is an optional client-chosen identifier echoed through the
 	// server's logs, slow-query ring and in-flight table, tying a wire
 	// request to client-side context. WantReport asks the server to
 	// attach a Report to the terminating StreamEnd of a join (rejected
-	// on non-streaming ops, like Epsilon). Both zero-valued encode to the
-	// unextended frame: the trace extension (flags byte + trace-id
-	// string, preceded by the 16-byte approx extension) is appended only
-	// when at least one of them is set.
+	// on non-streaming ops). Both zero-valued encode to the unextended
+	// frame: the trace extension (flags byte + trace-id string, directly
+	// after the body) is appended only when at least one of them is set.
 	TraceID    string
 	WantReport bool
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -32,14 +33,13 @@ func requestSamples() []struct {
 		{RequestHeader{ID: 10, Op: OpWithinDistance}, &WithinReq{R: "r", S: "r", Dist: 3.5, ExcludeSelf: true}},
 		{RequestHeader{ID: 11, Op: OpClosestPairs}, &PairsReq{R: "r", S: "s", K: 8}},
 		{RequestHeader{ID: 12, Op: OpKNN}, &KNNReq{Index: "", K: 0, Point: nil}},
-		// Approximate-query header extension (trailing Epsilon + reserved slot).
-		{RequestHeader{ID: 13, Op: OpJoin, Epsilon: 0.1}, &JoinReq{R: "r", S: "s", K: 2}},
-		{RequestHeader{ID: 14, Op: OpJoin, Timeout: time.Second, Epsilon: 0.5}, &JoinReq{R: "r", K: 1, Self: true}},
-		{RequestHeader{ID: 15, Op: OpJoin, Epsilon: 3}, &JoinReq{R: "r", K: 1, Self: true}},
-		// Trace header extension (flags + trace ID after the knobs).
-		{RequestHeader{ID: 16, Op: OpJoin, TraceID: "req-0042", WantReport: true}, &JoinReq{R: "r", K: 1, Self: true}},
-		{RequestHeader{ID: 17, Op: OpKNN, TraceID: "probe/7"}, &KNNReq{Index: "pts", K: 2, Point: []float64{1, 2}}},
-		{RequestHeader{ID: 18, Op: OpJoin, Epsilon: 0.1, WantReport: true}, &JoinReq{R: "r", S: "s", K: 2}},
+		// Trace header extension (flags + trace ID directly after the body).
+		{RequestHeader{ID: 13, Op: OpJoin, Timeout: time.Second, TraceID: "req-0042", WantReport: true}, &JoinReq{R: "r", K: 1, Self: true}},
+		{RequestHeader{ID: 14, Op: OpKNN, TraceID: "probe/7"}, &KNNReq{Index: "pts", K: 2, Point: []float64{1, 2}}},
+		{RequestHeader{ID: 15, Op: OpJoin, WantReport: true}, &JoinReq{R: "r", S: "s", K: 2}},
+		{RequestHeader{ID: 16, Op: OpJoin, TraceID: "join-rs"}, &JoinReq{R: "r", S: "s", K: 10}},
+		{RequestHeader{ID: 17, Op: OpBatchKNN, TraceID: "batch-1"}, &BatchKNNReq{Index: "pts", K: 3, Points: [][]float64{{1, 1}}}},
+		{RequestHeader{ID: 18, Op: OpWithinDistance, Timeout: time.Millisecond, TraceID: "w"}, &WithinReq{R: "r", S: "s", Dist: 0.5}},
 		// Mutations.
 		{RequestHeader{ID: 19, Op: OpInsert}, &InsertReq{Index: "pts", IDs: []uint64{10, 11}, Points: [][]float64{{1, 2}, {3, 4}}}},
 		{RequestHeader{ID: 20, Op: OpDelete}, &DeleteReq{Index: "pts", IDs: []uint64{10}, Points: [][]float64{{1, 2}}}},
@@ -199,106 +199,42 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestApproxExtension pins the contract of the trailing 16-byte approx
-// extension: a zero Epsilon encodes to the unextended frame byte-for-byte,
-// an unextended frame decodes with a zero Epsilon, hostile Epsilon values
-// (NaN, Inf, negatives) are rejected at decode rather than reaching query
-// validation, and the second slot — the removed recall target — is
-// refused by name unless it is all zero bits.
-func TestApproxExtension(t *testing.T) {
-	exact, err := EncodeRequest(RequestHeader{ID: 1, Op: OpJoin}, &JoinReq{R: "r", K: 1, Self: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx, err := EncodeRequest(RequestHeader{ID: 1, Op: OpJoin, Epsilon: 0.25}, &JoinReq{R: "r", K: 1, Self: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(approx) != len(exact)+16 {
-		t.Fatalf("extension adds %d bytes, want 16", len(approx)-len(exact))
-	}
-	if !bytes.Equal(approx[:len(exact)], exact) {
-		t.Error("approx frame is not the exact frame plus a trailing extension")
-	}
-	// A pre-extension frame (no trailing bytes) decodes to zero knobs.
-	hdr, _, err := DecodeRequest(exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Epsilon != 0 {
-		t.Errorf("unextended frame decoded with epsilon %v", hdr.Epsilon)
-	}
-	// Hostile extension values must be rejected at decode.
-	bad := [][2]float64{
-		{math.NaN(), 0},
-		{0, math.NaN()},
-		{math.Inf(1), 0},
-		{-0.5, 0},
-		{0.1, 0.95},
-		{0, 1},
-		{0.1, math.Copysign(0, -1)},
-	}
-	for _, kv := range bad {
-		e := NewEncoder(nil)
-		e.U64(1)
-		e.U8(uint8(OpJoin))
-		e.I64(0)
-		(&JoinReq{R: "r", K: 1, Self: true}).encode(e)
-		e.F64(kv[0])
-		e.F64(kv[1])
-		_, _, err := DecodeRequest(e.Bytes())
-		if err == nil {
-			t.Errorf("extension (%v, %v) accepted", kv[0], kv[1])
-		} else if kv[1] != 0 && !strings.Contains(err.Error(), "recall target") {
-			t.Errorf("extension (%v, %v) refused without naming the removed knob: %v", kv[0], kv[1], err)
-		}
-	}
-}
-
-// TestTraceExtension pins the compatibility contract of the trace
-// header extension, mirroring TestApproxExtension: zero-valued trace
-// fields encode to the pre-extension frame byte-for-byte, the trace
-// block appends after the approx knobs (forcing them onto the wire even
-// at zero), and hostile flags or trace IDs are rejected at decode.
+// TestTraceExtension pins the layout of the trace header extension:
+// zero-valued trace fields encode to the unextended frame, which ends at
+// the body; set ones append the flags byte and the trace-id string
+// directly after the body; and hostile flags or trace IDs are rejected
+// at decode.
 func TestTraceExtension(t *testing.T) {
 	plain, err := EncodeRequest(RequestHeader{ID: 1, Op: OpJoin}, &JoinReq{R: "r", K: 1, Self: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := NewEncoder(nil)
+	e.U64(1)
+	e.U8(uint8(OpJoin))
+	e.I64(0)
+	(&JoinReq{R: "r", K: 1, Self: true}).encode(e)
+	if !bytes.Equal(plain, e.Bytes()) {
+		t.Error("zero trace fields do not encode to header + body alone")
+	}
 	traced, err := EncodeRequest(RequestHeader{ID: 1, Op: OpJoin, TraceID: "t-1", WantReport: true}, &JoinReq{R: "r", K: 1, Self: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// knobs (16) + flags (1) + string len uvarint (1) + "t-1" (3).
-	if len(traced) != len(plain)+16+1+1+3 {
-		t.Fatalf("trace extension adds %d bytes, want 21", len(traced)-len(plain))
+	// flags (1) + string len uvarint (1) + "t-1" (3), right after the body.
+	if want := append(append([]byte(nil), plain...), flagWantReport, 3, 't', '-', '1'); !bytes.Equal(traced, want) {
+		t.Fatalf("traced frame\n%x\nwant\n%x", traced, want)
 	}
-	if !bytes.Equal(traced[:len(plain)], plain) {
-		t.Error("traced frame is not the plain frame plus a trailing extension")
-	}
-	// A pre-extension frame decodes with zero trace fields.
+	// A frame without the extension decodes with zero trace fields.
 	hdr, _, err := DecodeRequest(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hdr.TraceID != "" || hdr.WantReport {
-		t.Errorf("old frame decoded with trace fields %q/%v", hdr.TraceID, hdr.WantReport)
-	}
-	// An approx-only frame (exactly 16 trailing bytes, the PR-8 format)
-	// still decodes as knobs-only.
-	approx, err := EncodeRequest(RequestHeader{ID: 1, Op: OpJoin, Epsilon: 0.25}, &JoinReq{R: "r", K: 1, Self: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr, _, err = DecodeRequest(approx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Epsilon != 0.25 || hdr.TraceID != "" || hdr.WantReport {
-		t.Errorf("approx-only frame decoded as %+v", hdr)
+		t.Errorf("unextended frame decoded with trace fields %q/%v", hdr.TraceID, hdr.WantReport)
 	}
 	// The full round trip preserves every header field.
-	full := RequestHeader{ID: 9, Op: OpJoin, Epsilon: 0.1, TraceID: "abc-123", WantReport: true}
+	full := RequestHeader{ID: 9, Op: OpJoin, Timeout: time.Second, TraceID: "abc-123", WantReport: true}
 	payload, err := EncodeRequest(full, &JoinReq{R: "r", K: 1, Self: true}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -319,8 +255,6 @@ func TestTraceExtension(t *testing.T) {
 		e.U8(uint8(OpJoin))
 		e.I64(0)
 		(&JoinReq{R: "r", K: 1, Self: true}).encode(e)
-		e.F64(0)
-		e.F64(0)
 		e.U8(flags)
 		e.String(trace)
 		return e.Bytes()
@@ -526,11 +460,17 @@ func TestHandshake(t *testing.T) {
 	if err := ReadHandshake(bytes.NewReader([]byte{'A', 'N', 'N', 'S', 99})); err == nil {
 		t.Error("future version accepted")
 	}
-	// The version gate: there is one version.
-	for _, v := range []byte{0, Version - 1} {
-		if err := ReadHandshake(bytes.NewReader([]byte{'A', 'N', 'N', 'S', v})); err == nil {
-			t.Errorf("version %d accepted", v)
-		}
+	// The version gate: there is one version, and a peer one version
+	// behind is told both.
+	if err := ReadHandshake(bytes.NewReader([]byte{'A', 'N', 'N', 'S', 0})); err == nil {
+		t.Error("version 0 accepted")
+	}
+	err := ReadHandshake(bytes.NewReader([]byte{'A', 'N', 'N', 'S', Version - 1}))
+	if err == nil {
+		t.Fatalf("version %d accepted", Version-1)
+	}
+	if want := fmt.Sprintf("protocol version %d, want %d", Version-1, Version); !strings.Contains(err.Error(), want) {
+		t.Errorf("version %d refused as %q, want it to name both versions (%q)", Version-1, err, want)
 	}
 }
 
