@@ -78,7 +78,8 @@ fuzz-corpus:
 # `go test -fuzz` accepts one matching target per invocation, hence one
 # line each. The mbrqt and rstar decoder targets also run every input
 # through the in-place node visitor and the point-query scan kernels;
-# FuzzVisit feeds them whole pages.
+# FuzzVisit feeds them whole pages. FuzzDecodeReport is the client's
+# JSON decode of a join report and a stats reply.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/mbrqt
 	$(GO) test -run=NONE -fuzz=FuzzRecordFromPage -fuzztime=5s ./internal/mbrqt
@@ -86,6 +87,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeNode -fuzztime=5s ./internal/rstar
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRequest -fuzztime=5s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzDecodeResponse -fuzztime=5s ./internal/wire
+	$(GO) test -run=NONE -fuzz=FuzzDecodeReport -fuzztime=5s ./ann/client
 	$(GO) test -run=NONE -fuzz=FuzzDecodeWALRecord -fuzztime=5s ./internal/storage
 
 # serve-smoke boots the real annserve daemon on a temp index, drives a

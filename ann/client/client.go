@@ -229,6 +229,12 @@ func (c *Client) roundTrip(ctx context.Context, op wire.Op, body wire.Message) (
 		return nil, err
 	}
 	defer c.reqMu.unlock()
+	return c.result(id, op)
+}
+
+// result reads the single KindResult reply to request id. The caller
+// holds reqMu.
+func (c *Client) result(id uint64, op wire.Op) (wire.Message, error) {
 	kind, reply, err := c.readReply(id)
 	if err != nil {
 		return nil, err
@@ -270,41 +276,23 @@ func (c *Client) List(ctx context.Context) ([]IndexInfo, error) {
 	return out, nil
 }
 
-// Stats snapshots one catalog index's storage counters.
+// Stats snapshots one catalog index's storage counters. A reply that
+// does not decode to a valid ann.IndexStats ends the connection.
 func (c *Client) Stats(ctx context.Context, name string) (ann.IndexStats, error) {
-	reply, err := c.roundTrip(ctx, wire.OpStats, &wire.StatsReq{Name: name})
+	var st ann.IndexStats
+	id, err := c.begin(ctx, wire.OpStats, &wire.StatsReq{Name: name}, JoinOptions{})
 	if err != nil {
-		return ann.IndexStats{}, err
+		return st, err
 	}
-	st := reply.(*wire.StatsReply)
-	return ann.IndexStats{
-		Points: int(st.Info.Points),
-		Dim:    int(st.Info.Dim),
-		Kind:   ann.IndexKind(st.Info.Kind),
-
-		PoolHits:         st.PoolHits,
-		PoolMisses:       st.PoolMisses,
-		PoolReads:        st.PoolReads,
-		PoolWrites:       st.PoolWrites,
-		PoolEvictions:    st.PoolEvictions,
-		PoolRetries:      st.PoolRetries,
-		PoolCorruptPages: st.PoolCorruptPages,
-		PinnedFrames:     int(st.PinnedFrames),
-
-		CacheHits:          st.CacheHits,
-		CacheMisses:        st.CacheMisses,
-		CacheEvictions:     st.CacheEvictions,
-		CacheInvalidations: st.CacheInvalidations,
-		CacheEntries:       int(st.CacheEntries),
-		CacheBytes:         int64(st.CacheBytes),
-
-		WALRecords:     st.WALRecords,
-		WALFsyncs:      st.WALFsyncs,
-		WALCheckpoints: st.WALCheckpoints,
-		WALReplayed:    st.WALReplayed,
-		WALReplayNs:    int64(st.WALReplayNs),
-		SnapshotPins:   int64(st.SnapshotPins),
-	}, nil
+	defer c.reqMu.unlock()
+	reply, err := c.result(id, wire.OpStats)
+	if err != nil {
+		return st, err
+	}
+	if err := decodeRecord("stats", reply.(*wire.StatsReply).Stats, &st); err != nil {
+		return ann.IndexStats{}, c.fail(err)
+	}
+	return st, nil
 }
 
 // --- mutations --------------------------------------------------------------
@@ -564,9 +552,13 @@ func (st *JoinStream) Next() bool {
 			end := body.(*wire.StreamEnd)
 			st.count = end.Count
 			if end.Report != nil {
-				st.report = reportFromWire(end.Report)
+				// A report that does not decode is a frame that does not
+				// decode: it ends the connection.
+				if st.report, err = decodeReport(end.Report); err != nil {
+					err = st.c.fail(err)
+				}
 			}
-			st.finish(nil)
+			st.finish(err)
 			return false
 		default:
 			st.finish(st.c.fail(fmt.Errorf("client: unexpected frame kind %d in join stream", kind)))

@@ -277,47 +277,13 @@ func runRemote(ctx context.Context, addr, rName, sName string, selfQ bool, k int
 	if rep := st.Report(); rep != nil {
 		enc := json.NewEncoder(stderr)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(remoteReportJSON(rep)); err != nil {
+		if err := enc.Encode(rep); err != nil {
 			return err
 		}
 	}
 	fmt.Fprintf(stderr, "annquery: %d results, query %v (remote %s, k=%d)\n",
 		count, time.Since(queryStart).Round(time.Millisecond), addr, k)
 	return nil
-}
-
-// remoteReportJSON shapes a remote report for printing: the engine
-// report in its stable local JSON layout plus a "service" section for
-// the server-side costs.
-func remoteReportJSON(rep *client.QueryReport) any {
-	return struct {
-		ann.QueryReport
-		Service struct {
-			TraceID         string `json:"trace_id,omitempty"`
-			AdmissionWaitNs int64  `json:"admission_wait_ns"`
-			EngineNs        int64  `json:"engine_ns"`
-			FlushNs         int64  `json:"flush_ns"`
-			BytesIn         uint64 `json:"bytes_in"`
-			BytesOut        uint64 `json:"bytes_out"`
-		} `json:"service"`
-	}{
-		QueryReport: rep.QueryReport,
-		Service: struct {
-			TraceID         string `json:"trace_id,omitempty"`
-			AdmissionWaitNs int64  `json:"admission_wait_ns"`
-			EngineNs        int64  `json:"engine_ns"`
-			FlushNs         int64  `json:"flush_ns"`
-			BytesIn         uint64 `json:"bytes_in"`
-			BytesOut        uint64 `json:"bytes_out"`
-		}{
-			TraceID:         rep.TraceID,
-			AdmissionWaitNs: rep.AdmissionWait.Nanoseconds(),
-			EngineNs:        rep.EngineTime.Nanoseconds(),
-			FlushNs:         rep.FlushTime.Nanoseconds(),
-			BytesIn:         rep.BytesIn,
-			BytesOut:        rep.BytesOut,
-		},
-	}
 }
 
 // printResult writes one per-point output line: the query id, then one

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -163,19 +166,10 @@ func assertCleanError(t *testing.T, err error) {
 	}
 }
 
-// TestRunRemote starts an in-process annserve and checks that
-// -remote produces byte-identical output to the local path.
-func TestRunRemote(t *testing.T) {
-	pts := []geom.Point{{0, 0}, {1, 1}, {5, 5}, {6, 6}, {2, 3}, {7, 2}}
-	r := writeDataset(t, "r.pts", pts)
-
-	// Local baseline.
-	var localOut, errBuf bytes.Buffer
-	if err := run([]string{"-r", r, "-self", "-k", "2"}, &localOut, &errBuf); err != nil {
-		t.Fatal(err)
-	}
-
-	// Served copy of the same points.
+// serve starts an in-process annserve whose catalog holds pts, in
+// memory, as "pts", and returns its address.
+func serve(t *testing.T, pts []geom.Point) string {
+	t.Helper()
 	annPts := make([]ann.Point, len(pts))
 	for i, p := range pts {
 		annPts[i] = ann.Point(p)
@@ -205,9 +199,23 @@ func TestRunRemote(t *testing.T) {
 		}
 		srv.Catalog().CloseAll()
 	})
+	return ln.Addr().String()
+}
+
+// TestRunRemote starts an in-process annserve and checks that
+// -remote produces byte-identical output to the local path.
+func TestRunRemote(t *testing.T) {
+	pts := []geom.Point{{0, 0}, {1, 1}, {5, 5}, {6, 6}, {2, 3}, {7, 2}}
+	r := writeDataset(t, "r.pts", pts)
+
+	// Local baseline.
+	var localOut, errBuf bytes.Buffer
+	if err := run([]string{"-r", r, "-self", "-k", "2"}, &localOut, &errBuf); err != nil {
+		t.Fatal(err)
+	}
 
 	var remoteOut bytes.Buffer
-	addr := ln.Addr().String()
+	addr := serve(t, pts)
 	if err := run([]string{"-remote", addr, "-r", "pts", "-self", "-k", "2"}, &remoteOut, &errBuf); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +225,7 @@ func TestRunRemote(t *testing.T) {
 	}
 
 	// Unknown catalog name: clean one-line error.
-	err = run([]string{"-remote", addr, "-r", "nope", "-self"}, &remoteOut, &errBuf)
+	err := run([]string{"-remote", addr, "-r", "nope", "-self"}, &remoteOut, &errBuf)
 	if err == nil {
 		t.Fatal("unknown catalog index accepted")
 	}
@@ -229,6 +237,58 @@ func TestRunRemote(t *testing.T) {
 	}
 	if err := run([]string{"-remote", addr, "-r", "pts"}, &remoteOut, &errBuf); err == nil {
 		t.Error("expected error without -s or -self in remote mode")
+	}
+}
+
+// TestRunRemoteReport pins what `-remote -report` prints to stderr: the
+// local -report JSON, key for key down to each section's fields, plus a
+// "service" object holding the server-side costs.
+func TestRunRemoteReport(t *testing.T) {
+	pts := []geom.Point{{0, 0}, {1, 1}, {5, 5}, {6, 6}, {2, 3}, {7, 2}}
+	r := writeDataset(t, "r.pts", pts)
+	addr := serve(t, pts)
+
+	report := func(args ...string) map[string]map[string]json.RawMessage {
+		t.Helper()
+		var out, errBuf bytes.Buffer
+		if err := run(append(args, "-self", "-k", "2", "-quiet", "-report"), &out, &errBuf); err != nil {
+			t.Fatal(err)
+		}
+		// The report is the first JSON value on stderr; the summary line
+		// follows it.
+		var rep map[string]map[string]json.RawMessage
+		if err := json.NewDecoder(&errBuf).Decode(&rep); err != nil {
+			t.Fatalf("%v: stderr does not open with a JSON report: %v", args, err)
+		}
+		return rep
+	}
+	keys := func(m map[string]json.RawMessage) []string {
+		out := make([]string, 0, len(m))
+		for k := range m {
+			out = append(out, k)
+		}
+		sort.Strings(out)
+		return out
+	}
+	local := report("-r", r)
+	remote := report("-remote", addr, "-r", "pts", "-trace-id", "q-7")
+	if len(remote) != len(local)+1 {
+		t.Errorf("remote report has %d sections, want the local %d plus service", len(remote), len(local))
+	}
+	for section, fields := range local {
+		if got, want := keys(remote[section]), keys(fields); !reflect.DeepEqual(got, want) {
+			t.Errorf("remote %q keys %v, want the local %v", section, got, want)
+		}
+	}
+	service := remote["service"]
+	if got, want := keys(service), []string{"admission_wait_ns", "bytes_in", "bytes_out", "engine_ns", "flush_ns", "trace_id"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("service keys %v, want %v", got, want)
+	}
+	if got := string(service["trace_id"]); got != `"q-7"` {
+		t.Errorf("service trace_id %s, want \"q-7\"", got)
+	}
+	if string(local["engine"]["Results"]) != "6" || string(remote["engine"]["Results"]) != "6" {
+		t.Errorf("engine Results local %s, remote %s, want 6", local["engine"]["Results"], remote["engine"]["Results"])
 	}
 }
 

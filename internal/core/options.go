@@ -227,9 +227,8 @@ type SchedStats struct {
 	// are counted separately).
 	Tasks uint64 `json:"tasks"`
 	// Steals is always 0: the workers share one task stack, so there is
-	// nothing to steal. The field stays because the wire report
-	// (wire.Report.SchedSteals), the "engine.sched_steals" counter and the
-	// benchmark's core.sched_steals name it.
+	// nothing to steal. The field stays because the "engine.sched_steals"
+	// counter and the benchmark's core.sched_steals name it.
 	Steals uint64 `json:"steals"`
 	// Splits counts oversized subtree tasks re-expanded into child tasks
 	// instead of being drained in place.

@@ -53,8 +53,7 @@ func (c *Counters) Add(other Counters) {
 
 // AddTo accumulates the counters into a metrics registry under the given
 // family prefix ("<prefix>.hits", ".misses", ".evictions",
-// ".invalidations"). Used for publishing per-run deltas; for live wiring
-// of a long-lived cache prefer Cache.Register.
+// ".invalidations"). Used for publishing per-run deltas.
 func (c Counters) AddTo(r *obs.Registry, prefix string) {
 	r.Counter(prefix + ".hits").Add(c.Hits)
 	r.Counter(prefix + ".misses").Add(c.Misses)
@@ -375,23 +374,6 @@ func (c *Cache[V]) SetTracer(t *obs.Tracer) {
 		return
 	}
 	c.trace.Store(t)
-}
-
-// Register wires the cache into a metrics registry under the given
-// family prefix: monotonic counters "<prefix>.hits" / ".misses" /
-// ".evictions" / ".invalidations" and residency gauges "<prefix>.entries"
-// / ".bytes". Callback-backed, so snapshots always reflect the live
-// cache; re-registering (e.g. once per run) is idempotent.
-func (c *Cache[V]) Register(r *obs.Registry, prefix string) {
-	if r == nil {
-		return
-	}
-	r.CounterFunc(prefix+".hits", func() uint64 { return c.Counters().Hits })
-	r.CounterFunc(prefix+".misses", func() uint64 { return c.Counters().Misses })
-	r.CounterFunc(prefix+".evictions", func() uint64 { return c.Counters().Evictions })
-	r.CounterFunc(prefix+".invalidations", func() uint64 { return c.Counters().Invalidations })
-	r.GaugeFunc(prefix+".entries", func() int64 { return int64(c.Residency().Entries) })
-	r.GaugeFunc(prefix+".bytes", func() int64 { return c.Residency().Bytes })
 }
 
 // --- intrusive LRU list (all called with the shard lock held) ---------------

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"time"
@@ -114,37 +115,11 @@ func (s *Server) handleStats(req *wire.StatsReq, w *wire.ResponseWriter) error {
 		return err
 	}
 	defer e.release()
-	st := ix.Stats()
-	return w.Send(wire.KindResult, &wire.StatsReply{
-		Info: wire.IndexInfo{
-			Name:   req.Name,
-			Kind:   uint8(st.Kind),
-			Points: uint64(st.Points),
-			Dim:    uint32(st.Dim),
-		},
-		PoolHits:         st.PoolHits,
-		PoolMisses:       st.PoolMisses,
-		PoolReads:        st.PoolReads,
-		PoolWrites:       st.PoolWrites,
-		PoolEvictions:    st.PoolEvictions,
-		PoolRetries:      st.PoolRetries,
-		PoolCorruptPages: st.PoolCorruptPages,
-		PinnedFrames:     uint64(st.PinnedFrames),
-
-		CacheHits:          st.CacheHits,
-		CacheMisses:        st.CacheMisses,
-		CacheEvictions:     st.CacheEvictions,
-		CacheInvalidations: st.CacheInvalidations,
-		CacheEntries:       uint64(st.CacheEntries),
-		CacheBytes:         uint64(st.CacheBytes),
-
-		WALRecords:     st.WALRecords,
-		WALFsyncs:      st.WALFsyncs,
-		WALCheckpoints: st.WALCheckpoints,
-		WALReplayed:    st.WALReplayed,
-		WALReplayNs:    uint64(st.WALReplayNs),
-		SnapshotPins:   uint64(st.SnapshotPins),
-	})
+	st, err := json.Marshal(ix.Stats())
+	if err != nil {
+		return err
+	}
+	return w.Send(wire.KindResult, &wire.StatsReply{Stats: st})
 }
 
 // --- mutations --------------------------------------------------------------
@@ -405,7 +380,9 @@ func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHea
 	}
 	end := &wire.StreamEnd{Count: total}
 	if hdr.WantReport {
-		end.Report = rc.wireReport(w)
+		if end.Report, err = rc.reportJSON(w); err != nil {
+			return err
+		}
 	}
 	return w.Send(wire.KindEnd, end)
 }

@@ -94,82 +94,47 @@ func requestIndexLabel(body wire.Message) string {
 	}
 }
 
-// wireReport flattens the captured engine report plus the service-side
-// costs into the wire form attached to a StreamEnd.
-func (rc *reqCtx) wireReport(w *wire.ResponseWriter) *wire.Report {
-	out := &wire.Report{
-		TraceID:         rc.traceID,
-		AdmissionWaitNs: rc.admissionWaitNs.Load(),
-		EngineNs:        rc.engineNs,
-		FlushNs:         w.FlushNs,
-		BytesIn:         w.BytesIn,
-		BytesOut:        w.BytesOut,
+// service is the request's service section so far: what it cost the
+// server beyond the engine's own report.
+func (rc *reqCtx) service(w *wire.ResponseWriter) wire.ServiceReport {
+	return wire.ServiceReport{
+		TraceID:       rc.traceID,
+		AdmissionWait: time.Duration(rc.admissionWaitNs.Load()),
+		EngineTime:    time.Duration(rc.engineNs),
+		FlushTime:     time.Duration(w.FlushNs),
+		BytesIn:       w.BytesIn,
+		BytesOut:      w.BytesOut,
 	}
-	if rep := rc.report; rep != nil {
-		out.EngineDistanceCalcs = rep.Engine.DistanceCalcs
-		out.EngineLPQsCreated = rep.Engine.LPQsCreated
-		out.EngineEnqueued = rep.Engine.Enqueued
-		out.EnginePrunedOnProbe = rep.Engine.PrunedOnProbe
-		out.EnginePrunedByFilter = rep.Engine.PrunedByFilter
-		out.EngineNodesExpandedR = rep.Engine.NodesExpandedR
-		out.EngineNodesExpandedS = rep.Engine.NodesExpandedS
-		out.EngineResults = rep.Engine.Results
-		out.EngineNodeCacheHits = rep.Engine.NodeCacheHits
-		out.EngineNodeCacheMisses = rep.Engine.NodeCacheMisses
-		out.EnginePrunedSubtrees = rep.Engine.PrunedSubtrees
-		out.EnginePrunedEntries = rep.Engine.PrunedEntries
+}
 
-		out.PoolHits = rep.Pool.Hits
-		out.PoolMisses = rep.Pool.Misses
-		out.PoolReads = rep.Pool.Reads
-		out.PoolWrites = rep.Pool.Writes
-		out.PoolEvictions = rep.Pool.Evictions
-		out.PoolRetries = rep.Pool.Retries
-		out.PoolCorruptPages = rep.Pool.CorruptPages
-
-		out.CacheHits = rep.Cache.Hits
-		out.CacheMisses = rep.Cache.Misses
-		out.CacheEvictions = rep.Cache.Evictions
-		out.CacheInvalidations = rep.Cache.Invalidations
-		out.CacheEntries = int64(rep.CacheResidency.Entries)
-		out.CacheBytes = rep.CacheResidency.Bytes
-
-		out.WallNs = rep.Timings.Wall.Nanoseconds()
-		out.SetupNs = rep.Timings.Setup.Nanoseconds()
-		out.SeedNs = rep.Timings.Seed.Nanoseconds()
-		out.FrontierNs = rep.Timings.Frontier.Nanoseconds()
-		out.TraverseNs = rep.Timings.Traverse.Nanoseconds()
-		out.ExpandNs = rep.Timings.Expand.Nanoseconds()
-		out.FilterNs = rep.Timings.Filter.Nanoseconds()
-		out.GatherNs = rep.Timings.Gather.Nanoseconds()
-
-		out.SchedTasks = rep.Sched.Tasks
-		out.SchedSteals = rep.Sched.Steals
-		out.SchedSplits = rep.Sched.Splits
-		out.SchedKernelBlocks = rep.Sched.KernelBlocks
-		out.SchedKernelPairs = rep.Sched.KernelPairs
-		out.SchedKernelEarlyOuts = rep.Sched.KernelEarlyOuts
+// reportJSON encodes the captured engine report plus the service
+// section as the JSON a StreamEnd carries, the shape ann/client decodes
+// into its QueryReport.
+func (rc *reqCtx) reportJSON(w *wire.ResponseWriter) ([]byte, error) {
+	var rep struct {
+		ann.QueryReport
+		wire.ServiceReport `json:"service"`
 	}
-	return out
+	if rc.report != nil {
+		rep.QueryReport = *rc.report
+	}
+	rep.ServiceReport = rc.service(w)
+	return json.Marshal(rep)
 }
 
 // SlowQuery is one slow-query log entry, JSON-shaped for /debug/slow
 // and the access log.
 type SlowQuery struct {
-	Time            time.Time `json:"time"`
-	Seq             uint64    `json:"seq"`
-	ReqID           uint64    `json:"req_id"`
-	TraceID         string    `json:"trace_id,omitempty"`
-	Op              string    `json:"op"`
-	Index           string    `json:"index,omitempty"`
-	Remote          string    `json:"remote,omitempty"`
-	Code            string    `json:"code,omitempty"` // error code, absent on success
-	LatencyNs       int64     `json:"latency_ns"`
-	AdmissionWaitNs int64     `json:"admission_wait_ns"`
-	EngineNs        int64     `json:"engine_ns"`
-	FlushNs         int64     `json:"flush_ns"`
-	BytesIn         uint64    `json:"bytes_in"`
-	BytesOut        uint64    `json:"bytes_out"`
+	Time      time.Time `json:"time"`
+	Seq       uint64    `json:"seq"`
+	ReqID     uint64    `json:"req_id"`
+	Op        string    `json:"op"`
+	Index     string    `json:"index,omitempty"`
+	Remote    string    `json:"remote,omitempty"`
+	Code      string    `json:"code,omitempty"` // error code, absent on success
+	LatencyNs int64     `json:"latency_ns"`
+	// The service section's keys sit at the top level of an entry.
+	wire.ServiceReport
 	// Engine report summary (zero when the op never ran the engine).
 	DistanceCalcs uint64 `json:"distance_calcs,omitempty"`
 	PoolMisses    uint64 `json:"pool_misses,omitempty"`
@@ -179,20 +144,15 @@ type SlowQuery struct {
 // record builds the log entry for a finished request.
 func (rc *reqCtx) record(now time.Time, code string, w *wire.ResponseWriter) SlowQuery {
 	e := SlowQuery{
-		Time:            now,
-		Seq:             rc.seq,
-		ReqID:           rc.id,
-		TraceID:         rc.traceID,
-		Op:              rc.op.String(),
-		Index:           rc.index,
-		Remote:          rc.remote,
-		Code:            code,
-		LatencyNs:       now.Sub(rc.start).Nanoseconds(),
-		AdmissionWaitNs: rc.admissionWaitNs.Load(),
-		EngineNs:        rc.engineNs,
-		FlushNs:         w.FlushNs,
-		BytesIn:         w.BytesIn,
-		BytesOut:        w.BytesOut,
+		Time:          now,
+		Seq:           rc.seq,
+		ReqID:         rc.id,
+		Op:            rc.op.String(),
+		Index:         rc.index,
+		Remote:        rc.remote,
+		Code:          code,
+		LatencyNs:     now.Sub(rc.start).Nanoseconds(),
+		ServiceReport: rc.service(w),
 	}
 	if rep := rc.report; rep != nil {
 		e.DistanceCalcs = rep.Engine.DistanceCalcs

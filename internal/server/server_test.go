@@ -251,6 +251,75 @@ func TestServedParity(t *testing.T) {
 	srv.Catalog().RequireNoPinnedFrames(t)
 }
 
+// TestServedStatsParity: a served OpStats is the direct ix.Stats() field
+// for field. The index is file-backed and recovered from its log, has
+// taken writes and a checkpoint since, and has a node cache warmed by a
+// join, so every WAL and cache counter is non-zero and a field the wire
+// dropped would show.
+func TestServedStatsParity(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.pages")
+	pts := randomPoints(112, 400, 2)
+	ix, err := ann.BuildIndex(pts, ann.IndexConfig{Kind: ann.RStar, PageFile: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := func(ix *ann.Index, id uint64) {
+		t.Helper()
+		if err := ix.InsertBatch([]uint64{id, id + 1}, []ann.Point{{float64(id % 100), 1}, {2, float64(id % 100)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch(ix, 1000)
+	batch(ix, 1002)
+	// Abandon it without Flush or Close: reopening replays the log.
+	ix, err = ann.OpenIndex(path, ann.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch(ix, 1004)
+	if err := ix.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	batch(ix, 1006)
+
+	srv, cl, _ := startServer(t, Config{})
+	if err := srv.Catalog().Add("s", ix); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	st, err := cl.SelfJoin(ctx, "s", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collectJoin(t, st)
+	// A join under a cache too small for the tree evicts, and the pages
+	// writes after it copy and reclaim take their cached nodes along.
+	if _, err := ann.SelfAllKNearestNeighbors(ix, 2, ann.QueryConfig{NodeCacheBytes: 32 << 10}); err != nil {
+		t.Fatal(err)
+	}
+	batch(ix, 1008)
+	if err := ix.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	batch(ix, 1010)
+
+	served, err := cl.Stats(ctx, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := ix.Stats()
+	if !reflect.DeepEqual(served, direct) {
+		t.Fatalf("served stats diverge from the direct call:\nserved %+v\ndirect %+v", served, direct)
+	}
+	v := reflect.ValueOf(direct)
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		if (strings.HasPrefix(name, "WAL") || strings.HasPrefix(name, "Cache")) && v.Field(i).IsZero() {
+			t.Errorf("%s is zero, so the parity above does not cover it", name)
+		}
+	}
+}
+
 // TestErrorTaxonomy checks the typed error surface: NOT_FOUND for
 // unknown names, BAD_REQUEST for invalid parameters.
 func TestErrorTaxonomy(t *testing.T) {

@@ -56,8 +56,7 @@ func (s Stats) Delta(prev Stats) Stats {
 // AddTo accumulates the snapshot into a metrics registry under the given
 // family prefix ("<prefix>.hits", ".misses", ".reads", ".writes",
 // ".evictions", ".retries", ".corrupt_pages"). Used for publishing
-// per-run deltas; for live wiring of a long-lived pool prefer
-// BufferPool.Register.
+// per-run deltas.
 func (s Stats) AddTo(r *obs.Registry, prefix string) {
 	r.Counter(prefix + ".hits").Add(s.Hits)
 	r.Counter(prefix + ".misses").Add(s.Misses)
@@ -522,25 +521,6 @@ func (p *BufferPool) FlushPage(id PageID) error {
 // concurrent workers' reads may overlap there — use them for when/what,
 // not for nesting.
 func (p *BufferPool) SetTracer(t *obs.Tracer) { p.trace.Store(t) }
-
-// Register wires the pool into a metrics registry under the given family
-// prefix ("<prefix>.hits", ".misses", ".reads", ".writes", ".evictions",
-// ".retries", ".corrupt_pages", plus gauge "<prefix>.pinned_frames").
-// Callback-backed, so snapshots
-// always reflect the live pool; re-registering is idempotent.
-func (p *BufferPool) Register(r *obs.Registry, prefix string) {
-	if r == nil {
-		return
-	}
-	r.CounterFunc(prefix+".hits", func() uint64 { return p.Stats().Hits })
-	r.CounterFunc(prefix+".misses", func() uint64 { return p.Stats().Misses })
-	r.CounterFunc(prefix+".reads", func() uint64 { return p.Stats().Reads })
-	r.CounterFunc(prefix+".writes", func() uint64 { return p.Stats().Writes })
-	r.CounterFunc(prefix+".evictions", func() uint64 { return p.Stats().Evictions })
-	r.CounterFunc(prefix+".retries", func() uint64 { return p.Stats().Retries })
-	r.CounterFunc(prefix+".corrupt_pages", func() uint64 { return p.Stats().CorruptPages })
-	r.GaugeFunc(prefix+".pinned_frames", func() int64 { return int64(p.PinnedFrames()) })
-}
 
 // PinnedFrames returns the number of currently pinned frames; useful for
 // leak checking in tests.

@@ -104,14 +104,6 @@ func (d *Decoder) fail(what string) {
 	}
 }
 
-// failWith records a semantic validation failure (the bytes decoded but
-// the value is out of range), keeping the sticky-error contract.
-func (d *Decoder) failWith(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
 func (d *Decoder) take(n int, what string) []byte {
 	if d.err != nil {
 		return nil

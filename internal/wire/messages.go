@@ -454,61 +454,16 @@ func (m *ListReply) decode(d *Decoder) {
 	}
 }
 
-// StatsReply answers OpStats; the counter fields mirror ann.IndexStats.
+// StatsReply answers OpStats with the JSON encoding of the index's
+// ann.IndexStats. The wire carries the record's bytes and nothing else:
+// its fields are declared once, on the record, and the client decodes
+// and validates them.
 type StatsReply struct {
-	Info IndexInfo
-
-	PoolHits         uint64
-	PoolMisses       uint64
-	PoolReads        uint64
-	PoolWrites       uint64
-	PoolEvictions    uint64
-	PoolRetries      uint64
-	PoolCorruptPages uint64
-	PinnedFrames     uint64
-
-	CacheHits          uint64
-	CacheMisses        uint64
-	CacheEvictions     uint64
-	CacheInvalidations uint64
-	CacheEntries       uint64
-	CacheBytes         uint64
-
-	WALRecords     uint64
-	WALFsyncs      uint64
-	WALCheckpoints uint64
-	WALReplayed    uint64
-	WALReplayNs    uint64
-	SnapshotPins   uint64
+	Stats []byte
 }
 
-func (m *StatsReply) encode(e *Encoder) {
-	m.Info.encode(e)
-	for _, v := range []uint64{
-		m.PoolHits, m.PoolMisses, m.PoolReads, m.PoolWrites,
-		m.PoolEvictions, m.PoolRetries, m.PoolCorruptPages, m.PinnedFrames,
-		m.CacheHits, m.CacheMisses, m.CacheEvictions, m.CacheInvalidations,
-		m.CacheEntries, m.CacheBytes,
-		m.WALRecords, m.WALFsyncs, m.WALCheckpoints, m.WALReplayed,
-		m.WALReplayNs, m.SnapshotPins,
-	} {
-		e.U64(v)
-	}
-}
-
-func (m *StatsReply) decode(d *Decoder) {
-	m.Info.decode(d)
-	for _, p := range []*uint64{
-		&m.PoolHits, &m.PoolMisses, &m.PoolReads, &m.PoolWrites,
-		&m.PoolEvictions, &m.PoolRetries, &m.PoolCorruptPages, &m.PinnedFrames,
-		&m.CacheHits, &m.CacheMisses, &m.CacheEvictions, &m.CacheInvalidations,
-		&m.CacheEntries, &m.CacheBytes,
-		&m.WALRecords, &m.WALFsyncs, &m.WALCheckpoints, &m.WALReplayed,
-		&m.WALReplayNs, &m.SnapshotPins,
-	} {
-		*p = d.U64("stats counter")
-	}
-}
+func (m *StatsReply) encode(e *Encoder) { e.String(string(m.Stats)) }
+func (m *StatsReply) decode(d *Decoder) { m.Stats = []byte(d.String("stats")) }
 
 // KNNReply answers OpKNN. Partial is set only by a degraded-mode
 // router when a shard was unavailable (see PartialInfo).
@@ -684,161 +639,50 @@ func (m *DeleteReply) decode(d *Decoder) {
 	m.Size = d.U64("delete size")
 }
 
-// Report is the per-request observability record carried back to the
-// client when the request header set WantReport: the engine's
-// core.Stats counters (serial/parallel parity-invariant, so a remote
-// report is byte-comparable to a direct library run), pool and cache
-// activity deltas, the stage timing breakdown, scheduler counters, and
-// the service-side costs only the server can see (admission wait,
-// engine vs flush time, bytes moved). The wire package mirrors the
-// internal types field for field rather than importing them, keeping
-// the protocol definition dependency-free.
-type Report struct {
+// ServiceReport is the service section of a served join's report: the
+// costs only the server can see. BytesIn is the request frame; BytesOut
+// the result frames, excluding the StreamEnd that carries the report,
+// whose size is unknowable before it is encoded. It is declared here,
+// once, because both speakers and the server's slow-query log need it.
+type ServiceReport struct {
 	// TraceID echoes the request's trace ID.
-	TraceID string
-
-	// Engine counters, mirroring core.Stats.
-	EngineDistanceCalcs   uint64
-	EngineLPQsCreated     uint64
-	EngineEnqueued        uint64
-	EnginePrunedOnProbe   uint64
-	EnginePrunedByFilter  uint64
-	EngineNodesExpandedR  uint64
-	EngineNodesExpandedS  uint64
-	EngineResults         uint64
-	EngineNodeCacheHits   uint64
-	EngineNodeCacheMisses uint64
-	EnginePrunedSubtrees  uint64
-	EnginePrunedEntries   uint64
-
-	// Buffer-pool activity during the run, mirroring storage.Stats.
-	PoolHits         uint64
-	PoolMisses       uint64
-	PoolReads        uint64
-	PoolWrites       uint64
-	PoolEvictions    uint64
-	PoolRetries      uint64
-	PoolCorruptPages uint64
-
-	// Decoded-node cache activity (nodecache.Counters) and post-run
-	// residency (nodecache.Residency).
-	CacheHits          uint64
-	CacheMisses        uint64
-	CacheEvictions     uint64
-	CacheInvalidations uint64
-	CacheEntries       int64
-	CacheBytes         int64
-
-	// Stage timings in nanoseconds, mirroring core.Timings.
-	WallNs     int64
-	SetupNs    int64
-	SeedNs     int64
-	FrontierNs int64
-	TraverseNs int64
-	ExpandNs   int64
-	FilterNs   int64
-	GatherNs   int64
-
-	// Scheduler counters, mirroring core.SchedStats.
-	SchedTasks           uint64
-	SchedSteals          uint64
-	SchedSplits          uint64
-	SchedKernelBlocks    uint64
-	SchedKernelPairs     uint64
-	SchedKernelEarlyOuts uint64
-
-	// Service-side breakdown: time spent queued in admission, running
-	// the engine, and flushing result frames; bytes read from and
-	// written to this request's connection (request frame in, result
-	// frames out including the StreamEnd that carries this report —
-	// whose own size is excluded, being unknowable before encoding).
-	AdmissionWaitNs int64
-	EngineNs        int64
-	FlushNs         int64
-	BytesIn         uint64
-	BytesOut        uint64
-}
-
-// reportU64s returns pointers to every uint64 field in wire order.
-func (r *Report) reportU64s() []*uint64 {
-	return []*uint64{
-		&r.EngineDistanceCalcs, &r.EngineLPQsCreated, &r.EngineEnqueued,
-		&r.EnginePrunedOnProbe, &r.EnginePrunedByFilter,
-		&r.EngineNodesExpandedR, &r.EngineNodesExpandedS, &r.EngineResults,
-		&r.EngineNodeCacheHits, &r.EngineNodeCacheMisses,
-		&r.EnginePrunedSubtrees, &r.EnginePrunedEntries,
-		&r.PoolHits, &r.PoolMisses, &r.PoolReads, &r.PoolWrites,
-		&r.PoolEvictions, &r.PoolRetries, &r.PoolCorruptPages,
-		&r.CacheHits, &r.CacheMisses, &r.CacheEvictions, &r.CacheInvalidations,
-		&r.SchedTasks, &r.SchedSteals, &r.SchedSplits,
-		&r.SchedKernelBlocks, &r.SchedKernelPairs, &r.SchedKernelEarlyOuts,
-		&r.BytesIn, &r.BytesOut,
-	}
-}
-
-// reportI64s returns pointers to every int64 field in wire order. All
-// are sizes or nanosecond durations, so decode rejects negatives.
-func (r *Report) reportI64s() []*int64 {
-	return []*int64{
-		&r.CacheEntries, &r.CacheBytes,
-		&r.WallNs, &r.SetupNs, &r.SeedNs, &r.FrontierNs, &r.TraverseNs,
-		&r.ExpandNs, &r.FilterNs, &r.GatherNs,
-		&r.AdmissionWaitNs, &r.EngineNs, &r.FlushNs,
-	}
-}
-
-func (r *Report) encode(e *Encoder) {
-	e.String(r.TraceID)
-	for _, p := range r.reportU64s() {
-		e.U64(*p)
-	}
-	for _, p := range r.reportI64s() {
-		e.I64(*p)
-	}
-}
-
-func (r *Report) decode(d *Decoder) {
-	r.TraceID = d.String("report trace id")
-	if d.Err() == nil {
-		if err := CheckTraceID(r.TraceID); err != nil {
-			d.failWith(err)
-			return
-		}
-	}
-	for _, p := range r.reportU64s() {
-		*p = d.U64("report counter")
-	}
-	for _, p := range r.reportI64s() {
-		*p = d.I64("report value")
-		if d.Err() == nil && *p < 0 {
-			d.failWith(fmt.Errorf("wire: negative report value %d", *p))
-			return
-		}
-	}
+	TraceID string `json:"trace_id,omitempty"`
+	// AdmissionWait is the time the request spent queued for an
+	// execution slot before the engine started.
+	AdmissionWait time.Duration `json:"admission_wait_ns"`
+	// EngineTime is the server-side wall time of the engine run,
+	// excluding flushes of result frames that happened mid-run.
+	EngineTime time.Duration `json:"engine_ns"`
+	// FlushTime is the total time spent encoding and writing the
+	// request's response frames.
+	FlushTime time.Duration `json:"flush_ns"`
+	BytesIn   uint64        `json:"bytes_in"`
+	BytesOut  uint64        `json:"bytes_out"`
 }
 
 // StreamEnd (KindEnd) closes a result stream with the total count the
 // client should have accumulated — a cheap end-to-end integrity check.
-// Report is attached only when the request asked for one (WantReport):
-// a bare StreamEnd is byte-identical to the pre-report format, and a
-// client that did not ask never has to decode one.
+// Report, the JSON encoding of the served report (the engine's
+// QueryReport plus a "service" ServiceReport), is attached only when
+// the request asked for one (WantReport): a bare StreamEnd is
+// byte-identical to the pre-report format, and a client that did not
+// ask never has to decode one.
 type StreamEnd struct {
 	Count  uint64
-	Report *Report
+	Report []byte
 }
 
 func (m *StreamEnd) encode(e *Encoder) {
 	e.U64(m.Count)
 	if m.Report != nil {
-		m.Report.encode(e)
+		e.String(string(m.Report))
 	}
 }
 
 func (m *StreamEnd) decode(d *Decoder) {
 	m.Count = d.U64("stream end count")
 	if d.Err() == nil && d.Remaining() > 0 {
-		m.Report = &Report{}
-		m.Report.decode(d)
+		m.Report = []byte(d.String("stream end report"))
 	}
 }
 

@@ -45,10 +45,12 @@ const Magic = "ANNS"
 // result reply block and the SHARD_UNAVAILABLE/PARTIAL_RESULT error
 // codes); version 3 dropped the approximate-query request extension, so
 // the trace extension follows the body directly, and the report's
-// approximate-cut counter. There is one version and no negotiated
-// downgrade: a peer announcing any other is rejected at the handshake
-// rather than failing mid-stream on a frame it cannot parse.
-const Version = 3
+// approximate-cut counter; version 4 carries the stats reply and the
+// join report as one length-prefixed field holding each record's own
+// JSON. There is one version and no negotiated downgrade: a peer
+// announcing any other is rejected at the handshake rather than failing
+// mid-stream on a frame it cannot parse.
+const Version = 4
 
 // MaxFrame bounds a single frame's payload. Requests are small; join
 // result streams chunk themselves well below this. A peer announcing a
@@ -254,7 +256,7 @@ type RequestHeader struct {
 	// TraceID is an optional client-chosen identifier echoed through the
 	// server's logs, slow-query ring and in-flight table, tying a wire
 	// request to client-side context. WantReport asks the server to
-	// attach a Report to the terminating StreamEnd of a join (rejected
+	// attach its report to the terminating StreamEnd of a join (rejected
 	// on non-streaming ops). Both zero-valued encode to the unextended
 	// frame: the trace extension (flags byte + trace-id string, directly
 	// after the body) is appended only when at least one of them is set.

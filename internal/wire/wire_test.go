@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -67,17 +68,10 @@ func sampleShardMap() ShardMap {
 	}
 }
 
-// sampleReport fills every Report field with a distinct value so a
-// round trip that drops or reorders one cannot pass.
-func sampleReport() *Report {
-	r := &Report{TraceID: "req-0042"}
-	for i, p := range r.reportU64s() {
-		*p = uint64(1000 + i)
-	}
-	for i, p := range r.reportI64s() {
-		*p = int64(2000 + i)
-	}
-	return r
+// sampleReport is a report block as the server encodes one; the wire
+// carries its bytes without reading them.
+func sampleReport() []byte {
+	return []byte(`{"engine":{"DistanceCalcs":1000,"Results":7},"timings":{"wall_ns":2000},"service":{"trace_id":"req-0042","bytes_out":3000}}`)
 }
 
 // responseSamples covers every (kind, op) response shape.
@@ -99,7 +93,7 @@ func responseSamples() []struct {
 		{1, KindResult, OpOpen, &OpenReply{Info: IndexInfo{Name: "pts", Kind: 1, Points: 100, Dim: 2}}},
 		{2, KindResult, OpClose, &CloseReply{}},
 		{3, KindResult, OpList, &ListReply{Indexes: []IndexInfo{{Name: "a", Points: 1, Dim: 3}, {Name: "b"}}}},
-		{4, KindResult, OpStats, &StatsReply{Info: IndexInfo{Name: "pts"}, PoolHits: 10, CacheBytes: 1 << 20, WALRecords: 42, WALFsyncs: 7, SnapshotPins: 3}},
+		{4, KindResult, OpStats, &StatsReply{Stats: []byte(`{"points":100,"dim":2,"pool_hits":10,"cache_bytes":1048576,"wal_records":42}`)}},
 		{5, KindResult, OpKNN, &KNNReply{Neighbors: nb}},
 		{6, KindResult, OpBatchKNN, &BatchKNNReply{Results: res}},
 		{7, KindResult, OpRange, &RangeReply{IDs: []uint64{3, 1, 4}}},
@@ -110,7 +104,7 @@ func responseSamples() []struct {
 		{12, KindError, OpKNN, &ErrorReply{Code: CodeServerBusy, Msg: "queue full"}},
 		{13, KindResult, OpKNN, &KNNReply{}},
 		{14, KindEnd, OpJoin, &StreamEnd{Count: 7, Report: sampleReport()}},
-		{15, KindEnd, OpJoin, &StreamEnd{Count: 0, Report: &Report{}}},
+		{15, KindEnd, OpJoin, &StreamEnd{Count: 0, Report: []byte("{}")}},
 		{16, KindResult, OpInsert, &InsertReply{Inserted: 2, Size: 102}},
 		{17, KindResult, OpDelete, &DeleteReply{Found: 1, Size: 101}},
 		{18, KindError, OpInsert, &ErrorReply{Code: CodeWriteFailed, Msg: "fsync failed"}},
@@ -284,9 +278,10 @@ func TestTraceExtension(t *testing.T) {
 }
 
 // TestStreamEndReport pins the report block's compatibility contract: a
-// report-free StreamEnd is byte-identical to the pre-report format, a
-// report-bearing one decodes losslessly, and negative durations are
-// rejected.
+// report-free StreamEnd is byte-identical to the pre-report format, and a
+// report-bearing one is that frame plus one length-prefixed field that
+// decodes losslessly. The report's contents are the client's to validate
+// (ann/client TestReportDecodeRejectsHostile).
 func TestStreamEndReport(t *testing.T) {
 	bare, err := EncodeResponse(3, KindEnd, OpJoin, &StreamEnd{Count: 5}, nil)
 	if err != nil {
@@ -312,23 +307,20 @@ func TestStreamEndReport(t *testing.T) {
 	if !bytes.Equal(withRep[:len(bare)], bare) {
 		t.Error("report-bearing StreamEnd is not the bare frame plus a trailing block")
 	}
+	// A uvarint length, then the JSON itself.
+	if got, want := len(withRep)-len(bare), len(binary.AppendUvarint(nil, uint64(len(rep))))+len(rep); got != want {
+		t.Errorf("report block is %d bytes, want %d", got, want)
+	}
 	_, _, _, body, err = DecodeResponse(withRep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := body.(*StreamEnd).Report; !reflect.DeepEqual(got, rep) {
-		t.Errorf("report round trip = %+v, want %+v", got, rep)
+	if got := body.(*StreamEnd).Report; !bytes.Equal(got, rep) {
+		t.Errorf("report round trip = %q, want %q", got, rep)
 	}
-
-	// A negative duration in the report is hostile and rejected.
-	neg := sampleReport()
-	neg.WallNs = -1
-	hostile, err := EncodeResponse(3, KindEnd, OpJoin, &StreamEnd{Count: 5, Report: neg}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, _, err := DecodeResponse(hostile); err == nil {
-		t.Error("negative report duration accepted")
+	// A block whose length overruns the frame is malformed.
+	if _, _, _, _, err := DecodeResponse(withRep[:len(withRep)-1]); err == nil {
+		t.Error("truncated report block accepted")
 	}
 }
 
@@ -461,16 +453,17 @@ func TestHandshake(t *testing.T) {
 		t.Error("future version accepted")
 	}
 	// The version gate: there is one version, and a peer one version
-	// behind is told both.
+	// behind — version 3, whose stats reply and join report were
+	// field-by-field binary — is told both.
 	if err := ReadHandshake(bytes.NewReader([]byte{'A', 'N', 'N', 'S', 0})); err == nil {
 		t.Error("version 0 accepted")
 	}
-	err := ReadHandshake(bytes.NewReader([]byte{'A', 'N', 'N', 'S', Version - 1}))
+	err := ReadHandshake(bytes.NewReader([]byte{'A', 'N', 'N', 'S', 3}))
 	if err == nil {
-		t.Fatalf("version %d accepted", Version-1)
+		t.Fatal("version 3 accepted")
 	}
-	if want := fmt.Sprintf("protocol version %d, want %d", Version-1, Version); !strings.Contains(err.Error(), want) {
-		t.Errorf("version %d refused as %q, want it to name both versions (%q)", Version-1, err, want)
+	if want := fmt.Sprintf("protocol version 3, want %d", Version); !strings.Contains(err.Error(), want) {
+		t.Errorf("version 3 refused as %q, want it to name both versions (%q)", err, want)
 	}
 }
 
