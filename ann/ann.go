@@ -4,13 +4,14 @@
 // "Efficient Evaluation of All-Nearest-Neighbor Queries" (ICDE 2007).
 //
 // The typical flow is: build an Index over each dataset, then run
-// AllNearestNeighbors (or AllKNearestNeighbors) across the two indexes.
-// For self-joins ("for every point, its nearest other point"), build one
-// index and use the Self variants.
+// AllNearestNeighborsContext (or AllKNearestNeighborsContext) across the
+// two indexes. For self-joins ("for every point, its nearest other
+// point"), build one index and use the Self variants. Every join takes a
+// context first; context.Background() runs it to completion.
 //
 //	r, _ := ann.BuildIndex(queryPoints, ann.IndexConfig{})
 //	s, _ := ann.BuildIndex(targetPoints, ann.IndexConfig{})
-//	results, _ := ann.AllNearestNeighbors(r, s, ann.QueryConfig{})
+//	results, _ := ann.AllNearestNeighborsContext(ctx, r, s, ann.QueryConfig{})
 //
 // Indexes default to the paper's MBRQT (an MBR-enhanced bucket PR
 // quadtree); an R*-tree backend is available through IndexConfig.Kind.
@@ -374,9 +375,13 @@ func (ix *Index) BatchNearestNeighbors(ctx context.Context, qs []Point, k int) (
 // RangeSearch returns the ids of all indexed points inside the box
 // [lo, hi] (boundaries inclusive).
 func (ix *Index) RangeSearch(lo, hi Point) ([]ObjectID, error) {
+	box, err := ix.box(lo, hi)
+	if err != nil {
+		return nil, err
+	}
 	v, t := ix.acquire()
 	defer ix.release(v)
-	res, err := index.RangeSearch(t, geom.NewRect(geom.Point(lo), geom.Point(hi)))
+	res, err := index.RangeSearch(t, box)
 	if err != nil {
 		return nil, err
 	}
@@ -394,9 +399,13 @@ func (ix *Index) RangeSearch(lo, hi Point) ([]ObjectID, error) {
 // on, where the caller needs the coordinates to compute exact
 // cross-shard distances locally.
 func (ix *Index) RangeSearchWithPoints(lo, hi Point) ([]ObjectID, []Point, error) {
+	box, err := ix.box(lo, hi)
+	if err != nil {
+		return nil, nil, err
+	}
 	v, t := ix.acquire()
 	defer ix.release(v)
-	res, err := index.RangeSearch(t, geom.NewRect(geom.Point(lo), geom.Point(hi)))
+	res, err := index.RangeSearch(t, box)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -409,84 +418,71 @@ func (ix *Index) RangeSearchWithPoints(lo, hi Point) ([]ObjectID, []Point, error
 	return ids, pts, nil
 }
 
-// AllNearestNeighbors computes, for every point of r, its nearest
-// neighbor in s.
-func AllNearestNeighbors(r, s *Index, cfg QueryConfig) ([]Result, error) {
-	return AllKNearestNeighbors(r, s, 1, cfg)
+// box validates the corners of a range query: a box of the wrong
+// dimensionality or with a lower bound above its upper bound is an
+// invalid request, not a panic in geom.
+func (ix *Index) box(lo, hi Point) (geom.Rect, error) {
+	if len(lo) != ix.Dim() || len(hi) != ix.Dim() {
+		return geom.Rect{}, fmt.Errorf("ann: box corners of %d and %d dims for an index of %d: %w", len(lo), len(hi), ix.Dim(), ErrInvalidConfig)
+	}
+	for d := range lo {
+		if lo[d] > hi[d] {
+			return geom.Rect{}, fmt.Errorf("ann: inverted box bounds in dimension %d: [%g, %g]: %w", d, lo[d], hi[d], ErrInvalidConfig)
+		}
+	}
+	return geom.Rect{Lo: lo, Hi: hi}, nil
 }
 
-// AllNearestNeighborsContext is AllNearestNeighbors with cancellation:
-// when ctx is cancelled or its deadline passes, the query — serial or
-// parallel — stops promptly, releases its storage resources, and returns
-// ctx.Err() alongside the results produced so far.
+// AllNearestNeighborsContext computes, for every point of r, its nearest
+// neighbor in s. When ctx is cancelled or its deadline passes, the query
+// — serial or parallel — stops promptly, releases its storage resources,
+// and returns ctx.Err() alongside the results produced so far; pass
+// context.Background() for a query that runs to completion.
 func AllNearestNeighborsContext(ctx context.Context, r, s *Index, cfg QueryConfig) ([]Result, error) {
 	return AllKNearestNeighborsContext(ctx, r, s, 1, cfg)
 }
 
-// AllKNearestNeighbors computes, for every point of r, its k nearest
-// neighbors in s.
-func AllKNearestNeighbors(r, s *Index, k int, cfg QueryConfig) ([]Result, error) {
-	return AllKNearestNeighborsContext(context.Background(), r, s, k, cfg)
-}
-
-// AllKNearestNeighborsContext is AllKNearestNeighbors with cancellation
-// (see AllNearestNeighborsContext).
+// AllKNearestNeighborsContext computes, for every point of r, its k
+// nearest neighbors in s (cancellation as AllNearestNeighborsContext).
 func AllKNearestNeighborsContext(ctx context.Context, r, s *Index, k int, cfg QueryConfig) ([]Result, error) {
-	var out []Result
-	err := StreamAllKNearestNeighborsContext(ctx, r, s, k, cfg, func(res Result) error {
-		out = append(out, res)
-		return nil
-	})
-	return out, err
+	return collect(ctx, r, s, k, cfg, false)
 }
 
-// SelfAllNearestNeighbors computes, for every point of ix, its nearest
-// *other* point in the same dataset (the self pairing is excluded) — the
-// form used by single-linkage clustering and most scientific workloads.
-func SelfAllNearestNeighbors(ix *Index, cfg QueryConfig) ([]Result, error) {
-	return SelfAllKNearestNeighbors(ix, 1, cfg)
-}
-
-// SelfAllNearestNeighborsContext is SelfAllNearestNeighbors with
-// cancellation (see AllNearestNeighborsContext).
+// SelfAllNearestNeighborsContext computes, for every point of ix, its
+// nearest *other* point in the same dataset (the self pairing is
+// excluded) — the form used by single-linkage clustering and most
+// scientific workloads (cancellation as AllNearestNeighborsContext).
 func SelfAllNearestNeighborsContext(ctx context.Context, ix *Index, cfg QueryConfig) ([]Result, error) {
 	return SelfAllKNearestNeighborsContext(ctx, ix, 1, cfg)
 }
 
-// SelfAllKNearestNeighbors computes, for every point of ix, its k nearest
-// other points in the same dataset.
-func SelfAllKNearestNeighbors(ix *Index, k int, cfg QueryConfig) ([]Result, error) {
-	return SelfAllKNearestNeighborsContext(context.Background(), ix, k, cfg)
+// SelfAllKNearestNeighborsContext computes, for every point of ix, its k
+// nearest other points in the same dataset (cancellation as
+// AllNearestNeighborsContext).
+func SelfAllKNearestNeighborsContext(ctx context.Context, ix *Index, k int, cfg QueryConfig) ([]Result, error) {
+	return collect(ctx, ix, ix, k, cfg, true)
 }
 
-// SelfAllKNearestNeighborsContext is SelfAllKNearestNeighbors with
-// cancellation (see AllNearestNeighborsContext).
-func SelfAllKNearestNeighborsContext(ctx context.Context, ix *Index, k int, cfg QueryConfig) ([]Result, error) {
+func collect(ctx context.Context, r, s *Index, k int, cfg QueryConfig, excludeSelf bool) ([]Result, error) {
 	var out []Result
-	err := run(ctx, ix, ix, k, cfg, true, func(res Result) error {
+	err := run(ctx, r, s, k, cfg, excludeSelf, func(res Result) error {
 		out = append(out, res)
 		return nil
 	})
 	return out, err
 }
 
-// StreamAllKNearestNeighbors is AllKNearestNeighbors with a streaming
-// callback instead of a materialised slice; emit is called once per query
-// point, in index traversal order.
-func StreamAllKNearestNeighbors(r, s *Index, k int, cfg QueryConfig, emit func(Result) error) error {
-	return run(context.Background(), r, s, k, cfg, false, emit)
-}
-
-// StreamAllKNearestNeighborsContext is StreamAllKNearestNeighbors with
-// cancellation (see AllNearestNeighborsContext); emit is not called again
-// after the cancellation is observed.
+// StreamAllKNearestNeighborsContext is AllKNearestNeighborsContext with a
+// streaming callback instead of a materialised slice: emit is called
+// once per query point, in index traversal order, and not again after
+// the cancellation is observed.
 func StreamAllKNearestNeighborsContext(ctx context.Context, r, s *Index, k int, cfg QueryConfig, emit func(Result) error) error {
 	return run(ctx, r, s, k, cfg, false, emit)
 }
 
-// StreamSelfAllKNearestNeighborsContext is SelfAllKNearestNeighbors with
-// a streaming callback and cancellation — the form the serving layer
-// uses so self-join results flow to the client without materialising
+// StreamSelfAllKNearestNeighborsContext is SelfAllKNearestNeighborsContext
+// with a streaming callback — the form the serving layer uses so
+// self-join results flow to the client without materialising
 // server-side.
 func StreamSelfAllKNearestNeighborsContext(ctx context.Context, ix *Index, k int, cfg QueryConfig, emit func(Result) error) error {
 	return run(ctx, ix, ix, k, cfg, true, emit)
@@ -544,17 +540,12 @@ func run(ctx context.Context, r, s *Index, k int, cfg QueryConfig, excludeSelf b
 	return err
 }
 
-// WithinDistance reports every pair of points (one from r, one from s)
-// whose Euclidean distance is at most d — the distance join operation.
-// For self-joins pass the same index twice and set excludeSelf.
-func WithinDistance(r, s *Index, d float64, excludeSelf bool, emit func(rID, sID ObjectID, dist float64) error) error {
-	return WithinDistanceContext(context.Background(), r, s, d, excludeSelf, emit)
-}
-
-// WithinDistanceContext is WithinDistance with cancellation: when ctx is
-// cancelled or its deadline passes the join stops promptly and returns
-// ctx.Err(); emit is not called again after the cancellation is
-// observed.
+// WithinDistanceContext reports every pair of points (one from r, one
+// from s) whose Euclidean distance is at most d — the distance join
+// operation. For self-joins pass the same index twice and set
+// excludeSelf. When ctx is cancelled or its deadline passes the join
+// stops promptly and returns ctx.Err(); emit is not called again after
+// the cancellation is observed.
 func WithinDistanceContext(ctx context.Context, r, s *Index, d float64, excludeSelf bool, emit func(rID, sID ObjectID, dist float64) error) error {
 	rv, rTree := r.acquire()
 	defer r.release(rv)
@@ -564,29 +555,23 @@ func WithinDistanceContext(ctx context.Context, r, s *Index, d float64, excludeS
 		sv, sTree = s.acquire()
 		defer s.release(sv)
 	}
-	_, err := core.DistanceJoinContext(ctx, rTree, sTree, d, excludeSelf, func(p core.Pair) error {
-		return emit(uint64(p.R), uint64(p.S), p.Dist)
+	_, err := core.DistanceJoinContext(ctx, rTree, sTree, d, excludeSelf, func(p Pair) error {
+		return emit(p.R, p.S, p.Dist)
 	})
 	return err
 }
 
-// Pair is one result of ClosestPairs.
-type Pair struct {
-	R, S ObjectID
-	Dist float64
-}
+// Pair is one result of ClosestPairsContext: the ids of an r point and
+// an s point, and their distance. Like Neighbor it is the engine's own
+// row type.
+type Pair = core.Pair
 
-// ClosestPairs returns the k closest (r, s) pairs across the two indexes,
-// ascending by distance. For self-joins pass the same index twice and set
-// excludeSelf (each unordered pair then appears in both directions).
-func ClosestPairs(r, s *Index, k int, excludeSelf bool) ([]Pair, error) {
-	return ClosestPairsContext(context.Background(), r, s, k, excludeSelf)
-}
-
-// ClosestPairsContext is ClosestPairs with cancellation: when ctx is
-// cancelled or its deadline passes the traversal stops promptly and
-// returns ctx.Err() with no pairs (a partial top-k would be
-// misleading).
+// ClosestPairsContext returns the k closest (r, s) pairs across the two
+// indexes, ascending by distance. For self-joins pass the same index
+// twice and set excludeSelf (each unordered pair then appears in both
+// directions). When ctx is cancelled or its deadline passes the
+// traversal stops promptly and returns ctx.Err() with no pairs (a
+// partial top-k would be misleading).
 func ClosestPairsContext(ctx context.Context, r, s *Index, k int, excludeSelf bool) ([]Pair, error) {
 	rv, rTree := r.acquire()
 	defer r.release(rv)
@@ -597,12 +582,5 @@ func ClosestPairsContext(ctx context.Context, r, s *Index, k int, excludeSelf bo
 		defer s.release(sv)
 	}
 	pairs, _, err := core.KClosestPairsContext(ctx, rTree, sTree, k, excludeSelf)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Pair, len(pairs))
-	for i, p := range pairs {
-		out[i] = Pair{R: uint64(p.R), S: uint64(p.S), Dist: p.Dist}
-	}
-	return out, nil
+	return pairs, err
 }

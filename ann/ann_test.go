@@ -1,6 +1,7 @@
 package ann
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -67,7 +68,7 @@ func TestAllNearestNeighborsBothKinds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := AllNearestNeighbors(ir, is, QueryConfig{})
+		results, err := AllNearestNeighborsContext(context.Background(), ir, is, QueryConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func TestAllKNearestNeighborsBothMetrics(t *testing.T) {
 	for _, metric := range []Metric{NXNDist, MaxMaxDist} {
 		ir, _ := BuildIndex(r, IndexConfig{})
 		is, _ := BuildIndex(s, IndexConfig{})
-		results, err := AllKNearestNeighbors(ir, is, k, QueryConfig{Metric: metric})
+		results, err := AllKNearestNeighborsContext(context.Background(), ir, is, k, QueryConfig{Metric: metric})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +117,7 @@ func TestSelfJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := SelfAllNearestNeighbors(ix, QueryConfig{})
+	results, err := SelfAllNearestNeighborsContext(context.Background(), ix, QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestStreamDeliversAll(t *testing.T) {
 	ir, _ := BuildIndex(r, IndexConfig{})
 	is, _ := BuildIndex(s, IndexConfig{})
 	seen := map[uint64]bool{}
-	err := StreamAllKNearestNeighbors(ir, is, 2, QueryConfig{}, func(res Result) error {
+	err := StreamAllKNearestNeighborsContext(context.Background(), ir, is, 2, QueryConfig{}, func(res Result) error {
 		seen[res.ID] = true
 		return nil
 	})
@@ -162,11 +163,11 @@ func TestParallelismConfig(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ix.Close()
-		serial, err := SelfAllKNearestNeighbors(ix, 2, QueryConfig{Parallelism: 1})
+		serial, err := SelfAllKNearestNeighborsContext(context.Background(), ix, 2, QueryConfig{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		deflt, err := SelfAllKNearestNeighbors(ix, 2, QueryConfig{})
+		deflt, err := SelfAllKNearestNeighborsContext(context.Background(), ix, 2, QueryConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +185,7 @@ func TestParallelismConfig(t *testing.T) {
 				}
 			}
 		}
-		unordered, err := SelfAllKNearestNeighbors(ix, 2, QueryConfig{Parallelism: 4, UnorderedEmit: true})
+		unordered, err := SelfAllKNearestNeighborsContext(context.Background(), ix, 2, QueryConfig{Parallelism: 4, UnorderedEmit: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +204,7 @@ func TestParallelismConfig(t *testing.T) {
 func TestInvalidK(t *testing.T) {
 	pts := randomPoints(8, 10, 2)
 	ix, _ := BuildIndex(pts, IndexConfig{})
-	if _, err := AllKNearestNeighbors(ix, ix, 0, QueryConfig{}); err == nil {
+	if _, err := AllKNearestNeighborsContext(context.Background(), ix, ix, 0, QueryConfig{}); err == nil {
 		t.Error("expected error for k = 0")
 	}
 }
@@ -241,7 +242,7 @@ func TestFileBackedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	res, err := SelfAllNearestNeighbors(ix, QueryConfig{})
+	res, err := SelfAllNearestNeighborsContext(context.Background(), ix, QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestWithinDistance(t *testing.T) {
 	}
 	const d = 8.0
 	got := map[[2]uint64]bool{}
-	err = WithinDistance(ix, ix, d, true, func(r, s uint64, dist float64) error {
+	err = WithinDistanceContext(context.Background(), ix, ix, d, true, func(r, s uint64, dist float64) error {
 		if dist > d {
 			t.Fatalf("pair (%d,%d) at dist %g beyond %g", r, s, dist, d)
 		}
@@ -298,7 +299,7 @@ func TestClosestPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := ClosestPairs(ix, ix, 5, true)
+	pairs, err := ClosestPairsContext(context.Background(), ix, ix, 5, true)
 	if err != nil {
 		t.Fatal(err)
 	}

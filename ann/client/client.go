@@ -20,19 +20,13 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"time"
 
 	"allnn/ann"
 	"allnn/internal/wire"
-	"allnn/internal/wirecall"
 )
-
-func init() {
-	wirecall.RoundTrip = func(c any, ctx context.Context, op wire.Op, body wire.Message) (wire.Message, error) {
-		return c.(*Client).roundTrip(ctx, op, body)
-	}
-}
 
 // ioGrace is added to socket deadlines beyond the request deadline, so
 // the server's own DEADLINE_EXCEEDED reply (the authoritative one) wins
@@ -303,11 +297,7 @@ func (c *Client) Stats(ctx context.Context, name string) (ann.IndexStats, error)
 // visible atomically: queries never observe a partial batch. Returns the
 // index's point count after the batch.
 func (c *Client) Insert(ctx context.Context, index string, ids []uint64, points []ann.Point) (size uint64, err error) {
-	pts := make([][]float64, len(points))
-	for i, p := range points {
-		pts[i] = p
-	}
-	reply, err := c.roundTrip(ctx, wire.OpInsert, &wire.InsertReq{Index: index, IDs: ids, Points: pts})
+	reply, err := c.roundTrip(ctx, wire.OpInsert, &wire.InsertReq{Index: index, IDs: ids, Points: points})
 	if err != nil {
 		return 0, err
 	}
@@ -320,11 +310,7 @@ func (c *Client) Insert(ctx context.Context, index string, ids []uint64, points 
 // indexed point and the index's point count after the batch; absent
 // points are durable no-ops.
 func (c *Client) Delete(ctx context.Context, index string, ids []uint64, points []ann.Point) (found, size uint64, err error) {
-	pts := make([][]float64, len(points))
-	for i, p := range points {
-		pts[i] = p
-	}
-	reply, err := c.roundTrip(ctx, wire.OpDelete, &wire.DeleteReq{Index: index, IDs: ids, Points: pts})
+	reply, err := c.roundTrip(ctx, wire.OpDelete, &wire.DeleteReq{Index: index, IDs: ids, Points: points})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -333,32 +319,49 @@ func (c *Client) Delete(ctx context.Context, index string, ids []uint64, points 
 }
 
 // --- queries ----------------------------------------------------------------
+//
+// Rows come back as the decoder built them, in the engine's own row
+// types: every reply frame decodes into fresh arrays, so a returned row
+// stays valid, and the caller's to keep, after the next request.
+
+// wireK narrows a k to the wire's uint32, refusing one outside
+// [1, MaxUint32] before anything is sent.
+func wireK(k int) (uint32, error) {
+	if k < 1 || uint64(k) > math.MaxUint32 {
+		return 0, wire.BadRequest("k must be in [1, %d], got %d", uint32(math.MaxUint32), k)
+	}
+	return uint32(k), nil
+}
 
 // KNN returns the k nearest indexed points to q in the named index.
 // Against a degraded-mode router with a dead shard, the neighbors are
 // returned alongside a non-nil error satisfying IsPartialResult.
 func (c *Client) KNN(ctx context.Context, index string, q ann.Point, k int) ([]ann.Neighbor, error) {
-	reply, err := c.roundTrip(ctx, wire.OpKNN, &wire.KNNReq{Index: index, K: uint32(k), Point: q})
+	k32, err := wireK(k)
+	if err != nil {
+		return nil, err
+	}
+	reply, err := c.roundTrip(ctx, wire.OpKNN, &wire.KNNReq{Index: index, K: k32, Point: q})
 	if err != nil {
 		return nil, err
 	}
 	rep := reply.(*wire.KNNReply)
-	return toNeighbors(rep.Neighbors), partialErr(rep.Partial)
+	return rep.Neighbors, partialErr(rep.Partial)
 }
 
 // BatchKNN answers one kNN probe per query point in a single request;
 // results come back in request order with IDs 0..len(qs)-1.
 func (c *Client) BatchKNN(ctx context.Context, index string, qs []ann.Point, k int) ([]ann.Result, error) {
-	pts := make([][]float64, len(qs))
-	for i, q := range qs {
-		pts[i] = q
+	k32, err := wireK(k)
+	if err != nil {
+		return nil, err
 	}
-	reply, err := c.roundTrip(ctx, wire.OpBatchKNN, &wire.BatchKNNReq{Index: index, K: uint32(k), Points: pts})
+	reply, err := c.roundTrip(ctx, wire.OpBatchKNN, &wire.BatchKNNReq{Index: index, K: k32, Points: qs})
 	if err != nil {
 		return nil, err
 	}
 	rep := reply.(*wire.BatchKNNReply)
-	return toResults(rep.Results), partialErr(rep.Partial)
+	return rep.Results, partialErr(rep.Partial)
 }
 
 // Range returns the ids of the indexed points inside the box [lo, hi].
@@ -372,20 +375,15 @@ func (c *Client) Range(ctx context.Context, index string, lo, hi ann.Point) ([]u
 }
 
 // RangePoints returns the ids AND coordinates of the indexed points
-// inside the box [lo, hi] — the boundary-strip fetch routed
-// within-distance queries are built on. Requires a protocol version 2
-// server.
+// inside the box [lo, hi], as parallel slices — the boundary-strip fetch
+// routed within-distance queries are built on.
 func (c *Client) RangePoints(ctx context.Context, index string, lo, hi ann.Point) ([]uint64, []ann.Point, error) {
 	reply, err := c.roundTrip(ctx, wire.OpRangePoints, &wire.RangePointsReq{Index: index, Lo: lo, Hi: hi})
 	if err != nil {
 		return nil, nil, err
 	}
 	rep := reply.(*wire.RangePointsReply)
-	pts := make([]ann.Point, len(rep.Points))
-	for i, p := range rep.Points {
-		pts[i] = p
-	}
-	return rep.IDs, pts, partialErr(rep.Partial)
+	return rep.IDs, rep.Points, partialErr(rep.Partial)
 }
 
 // ShardMap fetches the shard topology of a routed dataset from an
@@ -411,16 +409,15 @@ func partialErr(p *wire.PartialInfo) error {
 // ClosestPairs returns the k closest (r, s) pairs across two catalog
 // indexes (pass the same name twice with excludeSelf for a self-join).
 func (c *Client) ClosestPairs(ctx context.Context, r, s string, k int, excludeSelf bool) ([]ann.Pair, error) {
-	reply, err := c.roundTrip(ctx, wire.OpClosestPairs, &wire.PairsReq{R: r, S: s, K: uint32(k), ExcludeSelf: excludeSelf})
+	k32, err := wireK(k)
 	if err != nil {
 		return nil, err
 	}
-	pairs := reply.(*wire.PairsReply).Pairs
-	out := make([]ann.Pair, len(pairs))
-	for i, p := range pairs {
-		out[i] = ann.Pair{R: p.R, S: p.S, Dist: p.Dist}
+	reply, err := c.roundTrip(ctx, wire.OpClosestPairs, &wire.PairsReq{R: r, S: s, K: k32, ExcludeSelf: excludeSelf})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return reply.(*wire.PairsReply).Pairs, nil
 }
 
 // WithinDistance streams every (r, s) pair within dist to emit,
@@ -477,7 +474,7 @@ func (c *Client) drain(id uint64) {
 type JoinStream struct {
 	c      *Client
 	id     uint64
-	buf    []wire.Result
+	buf    []ann.Result
 	pos    int
 	cur    ann.Result
 	count  uint64
@@ -497,34 +494,39 @@ type JoinOptions struct {
 	// (no quotes or backslashes); the empty string sends no ID.
 	TraceID string
 	// WantReport asks the server to attach its QueryReport to the end
-	// of the stream, retrievable via JoinStream.Report. Servers predating
-	// the extension reject the request as BAD_REQUEST.
+	// of the stream, retrievable via JoinStream.Report. A router rejects
+	// it as BAD_REQUEST: routed joins carry no report.
 	WantReport bool
 }
 
-// Join starts AllKNearestNeighbors(r, s, k) server-side and returns the
-// result stream.
+// Join starts the AkNN join of r against s server-side (as
+// ann.StreamAllKNearestNeighborsContext) and returns the result stream.
 func (c *Client) Join(ctx context.Context, r, s string, k int) (*JoinStream, error) {
-	return c.startJoin(ctx, &wire.JoinReq{R: r, S: s, K: uint32(k)}, JoinOptions{})
+	return c.startJoin(ctx, &wire.JoinReq{R: r, S: s}, k, JoinOptions{})
 }
 
 // JoinWith is Join with per-request trace fields.
 func (c *Client) JoinWith(ctx context.Context, r, s string, k int, opts JoinOptions) (*JoinStream, error) {
-	return c.startJoin(ctx, &wire.JoinReq{R: r, S: s, K: uint32(k)}, opts)
+	return c.startJoin(ctx, &wire.JoinReq{R: r, S: s}, k, opts)
 }
 
-// SelfJoin starts SelfAllKNearestNeighbors(index, k) server-side and
-// returns the result stream.
+// SelfJoin starts the AkNN self-join of index server-side (as
+// ann.StreamSelfAllKNearestNeighborsContext) and returns the result
+// stream.
 func (c *Client) SelfJoin(ctx context.Context, index string, k int) (*JoinStream, error) {
-	return c.startJoin(ctx, &wire.JoinReq{R: index, K: uint32(k), Self: true}, JoinOptions{})
+	return c.startJoin(ctx, &wire.JoinReq{R: index, Self: true}, k, JoinOptions{})
 }
 
 // SelfJoinWith is SelfJoin with per-request trace fields.
 func (c *Client) SelfJoinWith(ctx context.Context, index string, k int, opts JoinOptions) (*JoinStream, error) {
-	return c.startJoin(ctx, &wire.JoinReq{R: index, K: uint32(k), Self: true}, opts)
+	return c.startJoin(ctx, &wire.JoinReq{R: index, Self: true}, k, opts)
 }
 
-func (c *Client) startJoin(ctx context.Context, req *wire.JoinReq, opts JoinOptions) (*JoinStream, error) {
+func (c *Client) startJoin(ctx context.Context, req *wire.JoinReq, k int, opts JoinOptions) (*JoinStream, error) {
+	var err error
+	if req.K, err = wireK(k); err != nil {
+		return nil, err
+	}
 	id, err := c.begin(ctx, wire.OpJoin, req, opts)
 	if err != nil {
 		return nil, err
@@ -565,9 +567,8 @@ func (st *JoinStream) Next() bool {
 			return false
 		}
 	}
-	r := st.buf[st.pos]
+	st.cur = st.buf[st.pos]
 	st.pos++
-	st.cur = ann.Result{ID: r.ID, Point: r.Point, Neighbors: toNeighbors(r.Neighbors)}
 	return true
 }
 
@@ -619,38 +620,4 @@ func toIndexInfo(info wire.IndexInfo) IndexInfo {
 		Points: int(info.Points),
 		Dim:    int(info.Dim),
 	}
-}
-
-func toNeighbors(nbs []wire.Neighbor) []ann.Neighbor {
-	if nbs == nil {
-		return nil
-	}
-	return appendNeighbors(make([]ann.Neighbor, 0, len(nbs)), nbs)
-}
-
-func appendNeighbors(dst []ann.Neighbor, nbs []wire.Neighbor) []ann.Neighbor {
-	for _, n := range nbs {
-		dst = append(dst, ann.Neighbor{ID: n.ID, Point: n.Point, Dist: n.Dist})
-	}
-	return dst
-}
-
-// toResults converts a reply's results; their neighbor lists are carved
-// from one array, as the decoder carved the wire lists.
-func toResults(rs []wire.Result) []ann.Result {
-	total := 0
-	for i := range rs {
-		total += len(rs[i].Neighbors)
-	}
-	nbs := make([]ann.Neighbor, 0, total)
-	out := make([]ann.Result, len(rs))
-	for i, r := range rs {
-		out[i] = ann.Result{ID: r.ID, Point: r.Point}
-		if r.Neighbors != nil {
-			at := len(nbs)
-			nbs = appendNeighbors(nbs, r.Neighbors)
-			out[i].Neighbors = nbs[at:len(nbs):len(nbs)]
-		}
-	}
-	return out
 }

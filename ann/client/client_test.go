@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -224,7 +225,8 @@ func TestTransportErrorEndsConnection(t *testing.T) {
 
 // BenchmarkClientRoundTrip measures the client hop alone: a served KNN
 // (k = 10) and a BatchKNN of 64 over loopback against an in-memory 2-D
-// index of 20 000 points, one request at a time.
+// index of 20 000 points, one request at a time, and a streamed self-join
+// of it.
 func BenchmarkClientRoundTrip(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	pts := make([]ann.Point, 20000)
@@ -280,4 +282,28 @@ func BenchmarkClientRoundTrip(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/op")
 		})
 	}
+
+	// A streamed self-join (k = 4) of the whole index. allocs/row counts
+	// the process's allocations — engine, server and client together —
+	// per streamed row, so a per-row copy anywhere on the path shows.
+	b.Run("selfjoin", func(b *testing.B) {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		mallocs, rows := ms.Mallocs, 0
+		for i := 0; i < b.N; i++ {
+			st, err := cl.SelfJoin(ctx, "pts", 4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for st.Next() {
+				rows++
+			}
+			if err := st.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&ms)
+		b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(rows), "allocs/row")
+		b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
+	})
 }

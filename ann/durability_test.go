@@ -1,6 +1,7 @@
 package ann
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -151,7 +152,7 @@ func buildReference(t *testing.T, kind IndexKind, base []Point, steps []mutation
 func requireSameJoin(t *testing.T, label string, got, want *Index) {
 	t.Helper()
 	join := func(ix *Index) []Result {
-		res, err := SelfAllKNearestNeighbors(ix, 2, QueryConfig{Parallelism: 1})
+		res, err := SelfAllKNearestNeighborsContext(context.Background(), ix, 2, QueryConfig{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("%s: self-join: %v", label, err)
 		}
@@ -408,7 +409,7 @@ func chaosRunSteps(t *testing.T, cfg IndexConfig, label string, base []Point, st
 		if failedStep >= 0 {
 			// The writer is broken but queries must still serve the last
 			// published snapshot, and release it cleanly.
-			if _, err := SelfAllNearestNeighbors(ix, QueryConfig{}); err != nil {
+			if _, err := SelfAllNearestNeighborsContext(context.Background(), ix, QueryConfig{}); err != nil {
 				t.Fatalf("%s: query after write failure: %v", label, err)
 			}
 			ix.RequireNoPinnedFrames(t)
@@ -649,7 +650,7 @@ func TestWriteFailedClassification(t *testing.T) {
 	if ix.Len() != len(base) {
 		t.Fatalf("failed batch changed Len to %d", ix.Len())
 	}
-	if _, err := SelfAllNearestNeighbors(ix, QueryConfig{}); err != nil {
+	if _, err := SelfAllNearestNeighborsContext(context.Background(), ix, QueryConfig{}); err != nil {
 		t.Fatalf("query after write failure: %v", err)
 	}
 	ix.RequireNoPinnedFrames(t)
@@ -730,7 +731,7 @@ func TestConcurrentWritesAndQueries(t *testing.T) {
 					}
 					switch r {
 					case 0:
-						res, err := SelfAllNearestNeighbors(ix, QueryConfig{Parallelism: 2})
+						res, err := SelfAllNearestNeighborsContext(context.Background(), ix, QueryConfig{Parallelism: 2})
 						if err != nil {
 							report(fmt.Errorf("reader join: %w", err))
 							return

@@ -2,6 +2,7 @@ package ann
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -29,7 +30,7 @@ func TestQueryObservability(t *testing.T) {
 		OnReport: func(rep QueryReport) { reports = append(reports, rep) },
 	}
 
-	results, err := SelfAllKNearestNeighbors(ix, 1, cfg)
+	results, err := SelfAllKNearestNeighborsContext(context.Background(), ix, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestQueryObservability(t *testing.T) {
 
 	// A second run accumulates into the same registry.
 	cfg2 := QueryConfig{Metrics: metrics}
-	if _, err := SelfAllKNearestNeighbors(ix, 1, cfg2); err != nil {
+	if _, err := SelfAllKNearestNeighborsContext(context.Background(), ix, 1, cfg2); err != nil {
 		t.Fatal(err)
 	}
 	var snap bytes.Buffer
@@ -143,7 +144,7 @@ func TestQueryReportPoolFileBacked(t *testing.T) {
 			OnReport:       func(r QueryReport) { rep = r },
 		}
 		before := ix.Stats()
-		if _, err := SelfAllKNearestNeighbors(ix, 1, cfg); err != nil {
+		if _, err := SelfAllKNearestNeighborsContext(context.Background(), ix, 1, cfg); err != nil {
 			t.Fatal(err)
 		}
 		after := ix.Stats()

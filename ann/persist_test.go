@@ -1,6 +1,7 @@
 package ann
 
 import (
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -21,7 +22,7 @@ func TestOpenIndexRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := SelfAllKNearestNeighbors(built, 2, QueryConfig{})
+		want, err := SelfAllKNearestNeighborsContext(context.Background(), built, 2, QueryConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +43,7 @@ func TestOpenIndexRoundTrip(t *testing.T) {
 		if ix.Len() != len(pts) || ix.Dim() != 2 {
 			t.Fatalf("%v: reopened Len=%d Dim=%d", kind, ix.Len(), ix.Dim())
 		}
-		got, err := SelfAllKNearestNeighbors(ix, 2, QueryConfig{})
+		got, err := SelfAllKNearestNeighborsContext(context.Background(), ix, 2, QueryConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func TestIndexStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	if _, err := SelfAllNearestNeighbors(ix, QueryConfig{}); err != nil {
+	if _, err := SelfAllNearestNeighborsContext(context.Background(), ix, QueryConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	st := ix.Stats()

@@ -82,7 +82,7 @@ func TestRouterSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSelf, err := ann.SelfAllKNearestNeighbors(full, 4, ann.QueryConfig{})
+	wantSelf, err := ann.SelfAllKNearestNeighborsContext(context.Background(), full, 4, ann.QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestServeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSelf, err := ann.SelfAllKNearestNeighbors(ix, 4, ann.QueryConfig{})
+	wantSelf, err := ann.SelfAllKNearestNeighborsContext(context.Background(), ix, 4, ann.QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

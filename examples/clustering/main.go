@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -49,7 +50,7 @@ func main() {
 
 	// One AkNN self-join provides each point's nearest neighbors; edges
 	// shorter than the linking length connect components.
-	results, err := ann.SelfAllKNearestNeighbors(ix, neighborsPerPoint, ann.QueryConfig{})
+	results, err := ann.SelfAllKNearestNeighborsContext(context.Background(), ix, neighborsPerPoint, ann.QueryConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

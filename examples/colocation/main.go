@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -54,7 +55,7 @@ func main() {
 	}
 
 	participation := func(from, to *ann.Index) (float64, error) {
-		results, err := ann.AllNearestNeighbors(from, to, ann.QueryConfig{})
+		results, err := ann.AllNearestNeighborsContext(context.Background(), from, to, ann.QueryConfig{})
 		if err != nil {
 			return 0, err
 		}

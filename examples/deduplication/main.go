@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -23,6 +24,7 @@ const (
 )
 
 func main() {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(23))
 
 	// True object positions in a 10 km x 10 km area, plus duplicated
@@ -47,7 +49,7 @@ func main() {
 	// All pairs within the tolerance radius: each duplicate pair appears
 	// twice (once per direction), so deduplicate on r < s.
 	pairs := map[[2]uint64]float64{}
-	err = ann.WithinDistance(ix, ix, tolerance, true, func(r, s uint64, dist float64) error {
+	err = ann.WithinDistanceContext(ctx, ix, ix, tolerance, true, func(r, s uint64, dist float64) error {
 		if r < s {
 			pairs[[2]uint64{r, s}] = dist
 		}
@@ -70,7 +72,7 @@ func main() {
 		correct, 100*float64(correct)/float64(len(pairs)))
 
 	// The closest pairs are the highest-confidence duplicates.
-	top, err := ann.ClosestPairs(ix, ix, 10, true)
+	top, err := ann.ClosestPairsContext(ctx, ix, ix, 10, true)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
 
 	// Two datasets in the unit square: 12 "query" points and 40 "target"
@@ -38,7 +40,7 @@ func main() {
 	}
 
 	// All-Nearest-Neighbors: one result per query point.
-	results, err := ann.AllNearestNeighbors(r, s, ann.QueryConfig{})
+	results, err := ann.AllNearestNeighborsContext(ctx, r, s, ann.QueryConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func main() {
 
 	// AkNN self-join: for every target point, its 3 nearest other targets.
 	fmt.Println("\n3 nearest neighbors of the first few target points (self-join):")
-	selfResults, err := ann.SelfAllKNearestNeighbors(s, 3, ann.QueryConfig{})
+	selfResults, err := ann.SelfAllKNearestNeighborsContext(ctx, s, 3, ann.QueryConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

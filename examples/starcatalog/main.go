@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -72,7 +73,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	matches, err := ann.AllNearestNeighbors(ixA, ixB, ann.QueryConfig{})
+	matches, err := ann.AllNearestNeighborsContext(context.Background(), ixA, ixB, ann.QueryConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func runLeafJoin(owners []index.Entry, leafOwner *index.Entry, inherited float64
 	stats = Stats{} // the leaf owner's own LPQ is not part of the comparison
 
 	j := &e.join
-	j.reset(e, q, owners)
+	j.reset(e, q, owners, k)
 	for bi, cands := range batches {
 		for ci := range cands {
 			if batch {

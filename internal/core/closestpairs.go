@@ -92,11 +92,7 @@ func KClosestPairsContext(ctx context.Context, ir, is index.Tree, k int, exclude
 			e.stats.DistanceCalcs++
 			d := geom.DistSq(p.r.Point, p.s.Point)
 			if d < best.Worst() {
-				best.Add(d, Pair{
-					R: p.r.Object, S: p.s.Object,
-					RPoint: p.r.Point, SPoint: p.s.Point,
-					Dist: math.Sqrt(d),
-				})
+				best.Add(d, Pair{R: uint64(p.r.Object), S: uint64(p.s.Object), Dist: math.Sqrt(d)})
 			}
 			continue
 		}

@@ -45,7 +45,7 @@ func TestKClosestPairsMatchesBrute(t *testing.T) {
 			if math.Abs(got[i].Dist-want[i]) > 1e-9 {
 				t.Fatalf("k=%d pair %d: dist %g, want %g", k, i, got[i].Dist, want[i])
 			}
-			if math.Abs(geom.Dist(got[i].RPoint, got[i].SPoint)-got[i].Dist) > 1e-9 {
+			if math.Abs(geom.Dist(rPts[got[i].R], sPts[got[i].S])-got[i].Dist) > 1e-9 {
 				t.Fatalf("pair %d: inconsistent reported distance", i)
 			}
 		}

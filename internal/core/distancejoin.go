@@ -9,13 +9,13 @@ import (
 	"allnn/internal/index"
 )
 
-// Pair is one result of a distance join: two objects within the query
-// distance of each other.
+// Pair is one result of a distance join or of KClosestPairs: the ids of
+// two objects, one from each index, and their Euclidean distance. Like
+// Neighbor it is the row type all the way out (ann.Pair and wire.Pair
+// are aliases of it).
 type Pair struct {
-	R, S   index.ObjectID
-	RPoint geom.Point
-	SPoint geom.Point
-	Dist   float64
+	R, S uint64
+	Dist float64
 }
 
 // DistanceJoin reports every pair (r, s), r from ir and s from is, with
@@ -81,11 +81,7 @@ func (e *engine) joinPair(r, s *index.Entry, distSq float64, excludeSelf bool, e
 			return nil
 		}
 		e.stats.Results++
-		return emit(Pair{
-			R: r.Object, S: s.Object,
-			RPoint: r.Point, SPoint: s.Point,
-			Dist: math.Sqrt(d),
-		})
+		return emit(Pair{R: uint64(r.Object), S: uint64(s.Object), Dist: math.Sqrt(d)})
 	}
 	// Expand the non-object side with the larger MBR margin. Each
 	// expansion polls the cancellation flag, so an abort surfaces within

@@ -32,8 +32,8 @@ func checkJoin(t *testing.T, rPts, sPts []geom.Point, d float64, excludeSelf boo
 	var got [][2]int
 	_, err := DistanceJoin(ir, is, d, excludeSelf, func(p Pair) error {
 		got = append(got, [2]int{int(p.R), int(p.S)})
-		if math.Abs(geom.Dist(p.RPoint, p.SPoint)-p.Dist) > 1e-9 {
-			t.Fatalf("pair (%d,%d): reported dist %g, actual %g", p.R, p.S, p.Dist, geom.Dist(p.RPoint, p.SPoint))
+		if actual := geom.Dist(rPts[p.R], sPts[p.S]); math.Abs(actual-p.Dist) > 1e-9 {
+			t.Fatalf("pair (%d,%d): reported dist %g, actual %g", p.R, p.S, p.Dist, actual)
 		}
 		if p.Dist > d+1e-9 {
 			t.Fatalf("pair (%d,%d) at dist %g exceeds join distance %g", p.R, p.S, p.Dist, d)

@@ -324,7 +324,10 @@ func (e *engine) expandAndPrune(q *lpq) ([]*lpq, error) {
 	leaf := len(children) > 0 && children[0].Kind == index.ObjectEntry
 	var lpqcs []*lpq
 	if leaf {
-		e.join.reset(e, q, children)
+		// A row never holds more than |S| candidates, so a k beyond it
+		// sizes the table by |S|: the rows, and every decision made on
+		// them, are those of k = |S|.
+		e.join.reset(e, q, children, min(q.k, e.is.Len()))
 		defer e.join.finish()
 	} else {
 		lpqcs = make([]*lpq, len(children))
@@ -513,11 +516,12 @@ type leafJoin struct {
 	block    []float64
 }
 
-// reset points the scratch at a new leaf owner q and its query objects.
-func (j *leafJoin) reset(e *engine, q *lpq, owners []index.Entry) {
+// reset points the scratch at a new leaf owner q and its query objects,
+// with rows of k candidates.
+func (j *leafJoin) reset(e *engine, q *lpq, owners []index.Entry, k int) {
 	m := len(owners)
 	j.e = e
-	j.dim, j.m, j.k = len(owners[0].Point), m, q.k
+	j.dim, j.m, j.k = len(owners[0].Point), m, k
 	j.owners = owners
 	j.leafMBR = q.owner.MBR
 	j.flat = j.flat[:0]
@@ -742,7 +746,7 @@ func (e *engine) emitLeaf() error {
 			return errStarved(r)
 		}
 		row, refs := j.dist[i*j.k:i*j.k+n], j.ref[i*j.k:i*j.k+n]
-		neighbors := make([]Neighbor, 0, e.opts.K)
+		neighbors := make([]Neighbor, 0, min(n, e.opts.K))
 		selfSeen := false
 		for x, d := range row {
 			c := j.cands[refs[x]]

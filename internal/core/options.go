@@ -136,8 +136,9 @@ func (o Options) effectiveK() int {
 }
 
 // Neighbor is one neighbor in a query result. It is the row type all the
-// way out: ann.Neighbor is an alias of it, so a row is built once, by the
-// leaf join, in the form the caller reads.
+// way out: ann.Neighbor and wire.Neighbor are aliases of it, so a row is
+// built once, by the leaf join, in the form every hop and the caller
+// read.
 type Neighbor struct {
 	// ID is the neighbor's position in the target dataset.
 	ID uint64
@@ -148,7 +149,7 @@ type Neighbor struct {
 }
 
 // Result lists the neighbors of one query point, ascending by distance
-// (ann.Result is an alias of it).
+// (ann.Result and wire.Result are aliases of it).
 type Result struct {
 	// ID is the query point's position in the query dataset.
 	ID uint64

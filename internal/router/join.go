@@ -157,40 +157,18 @@ func (r *Router) handleWithin(ctx context.Context, req *wire.WithinReq, w *wire.
 	})
 	r.mergeStreams.Observe(float64(len(ds.shards) + len(tasks)))
 
-	frame := wire.PairFrame{Pairs: make([]wire.Pair, 0, wire.PairFrameCount)}
-	var total uint64
-	flush := func() error {
-		if len(frame.Pairs) == 0 {
-			return nil
-		}
-		err := w.Send(wire.KindStream, &frame)
-		frame.Pairs = frame.Pairs[:0]
-		return err
-	}
-	emit := func(p wire.Pair) error {
-		total++
-		frame.Pairs = append(frame.Pairs, p)
-		if len(frame.Pairs) >= wire.PairFrameCount {
-			return flush()
-		}
-		return nil
-	}
-	for _, pairs := range selfPairs {
+	frames := wire.NewBatcher[wire.Pair](w)
+	for _, pairs := range append(selfPairs, cross) {
 		for _, p := range pairs {
-			if err := emit(p); err != nil {
+			if err := frames.Add(p); err != nil {
 				return err
 			}
 		}
 	}
-	for _, p := range cross {
-		if err := emit(p); err != nil {
-			return err
-		}
-	}
-	if err := flush(); err != nil {
+	if err := frames.Flush(); err != nil {
 		return err
 	}
-	return r.endStream(g, total, w)
+	return r.endStream(g, frames.Count, w)
 }
 
 // endStream terminates a routed stream: KindEnd on a complete gather,
@@ -232,18 +210,21 @@ func (r *Router) handleJoin(ctx context.Context, req *wire.JoinReq, w *wire.Resp
 	if req.K < 1 {
 		return wire.BadRequest("k must be at least 1, got %d", req.K)
 	}
+	if row := 64 + wire.RowBytes(ds.dim, min(int64(req.K), int64(ds.points()))); row > wire.MaxFrame {
+		return wire.BadRequest("a join row with k=%d may need %d bytes, over the %d-byte frame limit", req.K, row, wire.MaxFrame)
+	}
 	k := int(req.K)
 	g := r.newGather()
 
 	// Phase A: per-shard self-joins, buffered per shard in stream
 	// (ascending local id) order.
 	type shardResults struct {
-		results []ann.Result // local ids, within-shard neighbors
+		results []wire.Result // local ids, within-shard neighbors
 		extra   [][]wire.Neighbor
 	}
 	perShard := make([]shardResults, len(ds.shards))
 	if err := r.scatter(ctx, g, ds.shards, func(s *shard) error {
-		var results []ann.Result
+		var results []wire.Result
 		err := s.backend.do(ctx, func(cli *client.Client) error {
 			results = results[:0]
 			st, err := cli.SelfJoin(ctx, s.name, k)
@@ -334,44 +315,24 @@ func (r *Router) handleJoin(ctx context.Context, req *wire.JoinReq, w *wire.Resp
 	}
 
 	// Merge and emit in ascending global id order: shards in shard
-	// order, points in local order.
+	// order, points in local order. Each row is the shard's own, turned
+	// global in place; only a row with foreign candidates grows.
 	r.mergeStreams.Observe(float64(len(ds.shards)))
-	// One neighbor slab per frame, reset once w.send has encoded it.
-	frame := wire.JoinFrame{Results: make([]wire.Result, 0, wire.JoinFrameResults)}
-	var slab []wire.Neighbor
-	var total uint64
-	flush := func() error {
-		if len(frame.Results) == 0 {
-			return nil
-		}
-		err := w.Send(wire.KindStream, &frame)
-		frame.Results = frame.Results[:0]
-		slab = slab[:0]
-		return err
-	}
+	frames := wire.NewBatcher[wire.Result](w)
 	for si, s := range ds.shards {
 		for pos, res := range perShard[si].results {
-			base := len(slab)
-			slab = appendTranslated(slab, s, res.Neighbors)
-			slab = append(slab, perShard[si].extra[pos]...)
-			sortNeighbors(slab[base:])
-			slab = slab[:min(len(slab), base+k)]
-			cands := slab[base:len(slab):len(slab)]
-			total++
-			frame.Results = append(frame.Results, wire.Result{
-				ID:        res.ID + s.idBase,
-				Point:     res.Point,
-				Neighbors: cands,
-			})
-			if len(frame.Results) >= wire.JoinFrameResults {
-				if err := flush(); err != nil {
-					return err
-				}
+			s.globalize(res.Neighbors)
+			nbs := append(res.Neighbors, perShard[si].extra[pos]...)
+			sortNeighbors(nbs)
+			res.ID += s.idBase
+			res.Neighbors = nbs[:min(len(nbs), k)]
+			if err := frames.Add(res); err != nil {
+				return err
 			}
 		}
 	}
-	if err := flush(); err != nil {
+	if err := frames.Flush(); err != nil {
 		return err
 	}
-	return r.endStream(g, total, w)
+	return r.endStream(g, frames.Count, w)
 }

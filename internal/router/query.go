@@ -12,7 +12,6 @@ import (
 	"allnn/ann/client"
 	"allnn/internal/geom"
 	"allnn/internal/wire"
-	"allnn/internal/wirecall"
 )
 
 // --- kNN (point and batch) --------------------------------------------------
@@ -36,34 +35,19 @@ import (
 // shards' points, and a bound derived from a dead shard's MBR could
 // wrongly prune a live shard, so degraded gathers seed with +Inf.
 
-// shardKNN asks shard s, over cli, for the k nearest neighbors of q.
-// The reply stays in wire form: its neighbors get the shard's id base in
-// place and merge as they were decoded.
-func shardKNN(ctx context.Context, cli *client.Client, s *shard, q []float64, k int) ([]wire.Neighbor, error) {
-	reply, err := wirecall.RoundTrip(cli, ctx, wire.OpKNN, &wire.KNNReq{Index: s.name, K: uint32(k), Point: q})
-	if err != nil {
-		return nil, err
-	}
-	nbs := reply.(*wire.KNNReply).Neighbors
-	s.globalize(nbs)
-	return nbs, nil
-}
-
-// shardBatchKNN is shardKNN for a batch of probes, one BatchKNN request.
+// shardBatchKNN asks shard s, over cli, for the k nearest neighbors of
+// each of qs in one BatchKNN request, in global ids.
 func shardBatchKNN(ctx context.Context, cli *client.Client, s *shard, qs [][]float64, k int) ([]wire.Result, error) {
-	reply, err := wirecall.RoundTrip(cli, ctx, wire.OpBatchKNN, &wire.BatchKNNReq{Index: s.name, K: uint32(k), Points: qs})
-	if err != nil {
-		return nil, err
-	}
-	res := reply.(*wire.BatchKNNReply).Results
+	res, err := cli.BatchKNN(ctx, s.name, qs, k)
 	for i := range res {
 		s.globalize(res[i].Neighbors)
 	}
-	return res, nil
+	return res, err
 }
 
 // globalize turns a shard's local neighbor ids into global ones, in
-// place.
+// place: the client hands back the rows it decoded, the router's to
+// keep.
 func (s *shard) globalize(nbs []wire.Neighbor) {
 	for i := range nbs {
 		nbs[i].ID += s.idBase
@@ -108,15 +92,6 @@ func sortNeighbors(nbs []wire.Neighbor) {
 		}
 		return cmp.Compare(a.ID, b.ID)
 	})
-}
-
-// appendTranslated appends one shard's streamed join neighbors, in
-// global ids.
-func appendTranslated(dst []wire.Neighbor, s *shard, nbs []ann.Neighbor) []wire.Neighbor {
-	for _, n := range nbs {
-		dst = append(dst, wire.Neighbor{ID: n.ID + s.idBase, Dist: n.Dist, Point: n.Point})
-	}
-	return dst
 }
 
 // knnSeed returns the radius a query starts from, before any shard has
@@ -256,8 +231,9 @@ func (r *Router) handleKNN(ctx context.Context, req *wire.KNNReq, w *wire.Respon
 	probe := func(shards []*shard) error {
 		if err := r.scatter(ctx, g, shards, func(s *shard) error {
 			return s.backend.do(ctx, func(cli *client.Client) error {
-				var err error
-				replies[s.index], err = shardKNN(ctx, cli, s, req.Point, k)
+				nbs, err := cli.KNN(ctx, s.name, req.Point, k)
+				s.globalize(nbs)
+				replies[s.index] = nbs
 				return err
 			})
 		}); err != nil {

@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -536,6 +537,135 @@ func TestDegradedPartialResult(t *testing.T) {
 	}
 	if f.reg.Counter("router.partial_results").Value() == 0 {
 		t.Fatal("router.partial_results counter did not advance")
+	}
+}
+
+// directSelfJoin is the library's self-join over the fixture's
+// curve-ordered points, in ascending id order.
+func (f *fixture) directSelfJoin(t *testing.T, k int) []ann.Result {
+	t.Helper()
+	ix, err := ann.BuildIndex(f.pts, ann.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	rows, err := ann.SelfAllKNearestNeighborsContext(context.Background(), ix, k, ann.QueryConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortResults(rows)
+	return rows
+}
+
+// sameRows fails unless the served and routed self-joins at k both
+// answer want, row for row.
+func (f *fixture) sameRows(t *testing.T, k int, want []ann.Result) {
+	t.Helper()
+	for _, path := range []struct {
+		name string
+		cl   *client.Client
+	}{{"served", f.single}, {"routed", f.routed}} {
+		got, err := collectJoin(t, path.cl, "pts", k)
+		if err != nil {
+			t.Fatalf("%s k=%d: %v", path.name, k, err)
+		}
+		sortResults(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s k=%d: %d rows differ from the direct join's %d", path.name, k, len(got), len(want))
+		}
+	}
+}
+
+// TestJoinRowsWiderThanAFrame joins at a k whose 512-row frame would
+// exceed wire.MaxFrame (2-D, k = 1000: ≈ 33 KB a row): the stream is cut
+// by bytes too, so the served and routed joins answer row for row as the
+// direct one. A k whose single row could not be framed is refused before
+// the join runs.
+func TestJoinRowsWiderThanAFrame(t *testing.T) {
+	f := startFixture(t, uniformPoints(17, 1001), 2, Strict, 0)
+	f.sameRows(t, 1000, f.directSelfJoin(t, 1000))
+
+	// 30-D rows of 66 000 neighbors need ≈ 17 MB each. The router refuses
+	// from its shard map alone, before contacting the (absent) backend.
+	const dim, n = 30, 66_000
+	pts := datagen.Uniform(29, n, datagen.ScaledBounds(dim, 1))
+	served := make([]ann.Point, n)
+	for i, p := range pts {
+		served[i] = ann.Point(p)
+	}
+	wide := startBackend(t, "pts", served)
+	lo, hi := make([]float64, dim), make([]float64, dim)
+	for i := range hi {
+		hi[i] = 1
+	}
+	_, routerAddr := serveRouter(t, Config{}, &MapFile{Name: "pts", Curve: "zorder", BoundsLo: lo, BoundsHi: hi,
+		Shards: []MapShard{{Name: "pts-0", Addr: "127.0.0.1:1", HiKey: math.MaxUint64, Count: n, MBRLo: lo, MBRHi: hi}}})
+	for name, addr := range map[string]string{"served": wide.addr, "routed": routerAddr} {
+		if _, err := collectJoin(t, dial(t, addr), "pts", n); !client.IsBadRequest(err) {
+			t.Errorf("%s join with a row wider than a frame: %v, want BAD_REQUEST", name, err)
+		}
+	}
+}
+
+// TestKBeyondDataset asks for far more neighbors than there are points:
+// every path answers as k = |S| without sizing anything by k, the server
+// serves the next request, and the client refuses a k the wire cannot
+// carry before sending it.
+func TestKBeyondDataset(t *testing.T) {
+	f := startFixture(t, uniformPoints(19, 300), 2, Strict, 0)
+	want := f.directSelfJoin(t, len(f.pts))
+	if got := f.directSelfJoin(t, 100_000_000); !reflect.DeepEqual(got, want) {
+		t.Fatal("direct k=1e8 differs from k=|S|")
+	}
+	f.sameRows(t, 100_000_000, want)
+
+	ctx := context.Background()
+	for _, cl := range []*client.Client{f.single, f.routed} {
+		nbs, err := cl.KNN(ctx, "pts", f.pts[0], 100_000_000)
+		if err != nil || len(nbs) != len(f.pts) {
+			t.Fatalf("KNN k=1e8 after the join: %d neighbors, %v; want %d", len(nbs), err, len(f.pts))
+		}
+		for _, k := range []int{0, -1, math.MaxUint32 + 1} {
+			if _, err := cl.KNN(ctx, "pts", f.pts[0], k); !client.IsBadRequest(err) {
+				t.Errorf("KNN k=%d: %v, want BAD_REQUEST", k, err)
+			}
+			if _, err := cl.SelfJoin(ctx, "pts", k); !client.IsBadRequest(err) {
+				t.Errorf("SelfJoin k=%d: %v, want BAD_REQUEST", k, err)
+			}
+		}
+	}
+}
+
+// TestInvalidBox sends an inverted and a mismatched box down every path:
+// the library returns ErrInvalidConfig, and the server and the router
+// both answer BAD_REQUEST.
+func TestInvalidBox(t *testing.T) {
+	f := startFixture(t, uniformPoints(23, 200), 2, Strict, 0)
+	ix, err := ann.BuildIndex(f.pts, ann.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	ctx := context.Background()
+	for _, box := range [][2]ann.Point{
+		{{300, 100}, {200, 400}}, // inverted in x
+		{{100, 100}, {200}},      // mismatched corners
+		{{1, 2, 3}, {4, 5, 6}},   // wrong dimensionality
+	} {
+		if _, err := ix.RangeSearch(box[0], box[1]); !errors.Is(err, ann.ErrInvalidConfig) {
+			t.Errorf("direct Range %v: %v, want ErrInvalidConfig", box, err)
+		}
+		if _, _, err := ix.RangeSearchWithPoints(box[0], box[1]); !errors.Is(err, ann.ErrInvalidConfig) {
+			t.Errorf("direct RangePoints %v: %v, want ErrInvalidConfig", box, err)
+		}
+		for name, cl := range map[string]*client.Client{"served": f.single, "routed": f.routed} {
+			if _, err := cl.Range(ctx, "pts", box[0], box[1]); !client.IsBadRequest(err) {
+				t.Errorf("%s Range %v: %v, want BAD_REQUEST", name, box, err)
+			}
+			if _, _, err := cl.RangePoints(ctx, "pts", box[0], box[1]); !client.IsBadRequest(err) {
+				t.Errorf("%s RangePoints %v: %v, want BAD_REQUEST", name, box, err)
+			}
+		}
 	}
 }
 

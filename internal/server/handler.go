@@ -177,11 +177,11 @@ func (s *Server) handleKNN(ctx context.Context, req *wire.KNNReq, w *wire.Respon
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	nbs, err := ix.NearestNeighbors(ann.Point(req.Point), int(req.K))
+	nbs, err := ix.NearestNeighbors(req.Point, int(req.K))
 	if err != nil {
 		return err
 	}
-	return w.Send(wire.KindResult, &wire.KNNReply{Neighbors: toWireNeighbors(nbs)})
+	return w.Send(wire.KindResult, &wire.KNNReply{Neighbors: nbs})
 }
 
 func (s *Server) handleBatchKNN(ctx context.Context, req *wire.BatchKNNReq, w *wire.ResponseWriter) error {
@@ -199,13 +199,9 @@ func (s *Server) handleBatchKNN(ctx context.Context, req *wire.BatchKNNReq, w *w
 		}
 	}
 	// Refuse a batch whose reply could not be framed before computing it,
-	// by the reply's worst case: the envelope and result count (under 64
-	// bytes), then per probe an id, the echoed point, a neighbor count (at
-	// most 5 bytes) and min(k, Len) neighbors of id + distance + point,
-	// where a point is its coordinates after a length of at most 2 bytes.
-	// The same bound caps the arrays the batch allocates up front.
-	point := int64(2 + 8*ix.Dim())
-	perProbe := 8 + point + 5 + min(int64(req.K), int64(ix.Len()))*(16+point)
+	// by the reply's worst case: one row of min(k, Len) neighbors per
+	// probe. The same bound caps the arrays the batch allocates up front.
+	perProbe := wire.RowBytes(ix.Dim(), min(int64(req.K), int64(ix.Len())))
 	if worst := 64 + int64(len(req.Points))*perProbe; worst > wire.MaxFrame {
 		return wire.BadRequest("a batch of %d probes with k=%d may need a %d-byte reply, over the %d-byte frame limit: send smaller batches",
 			len(req.Points), req.K, worst, wire.MaxFrame)
@@ -216,16 +212,9 @@ func (s *Server) handleBatchKNN(ctx context.Context, req *wire.BatchKNNReq, w *w
 	if err != nil {
 		return err
 	}
-	total := 0
-	for _, n := range nbs {
-		total += len(n)
-	}
-	flat := make([]wire.Neighbor, 0, total)
 	results := make([]wire.Result, len(req.Points))
 	for i, p := range req.Points {
-		base := len(flat)
-		flat = appendWireNeighbors(flat, nbs[i])
-		results[i] = wire.Result{ID: uint64(i), Point: p, Neighbors: flat[base:len(flat):len(flat)]}
+		results[i] = wire.Result{ID: uint64(i), Point: p, Neighbors: nbs[i]}
 	}
 	return w.Send(wire.KindResult, &wire.BatchKNNReply{Results: results})
 }
@@ -236,13 +225,10 @@ func (s *Server) handleRange(ctx context.Context, req *wire.RangeReq, w *wire.Re
 		return err
 	}
 	defer e.release()
-	if len(req.Lo) != ix.Dim() || len(req.Hi) != ix.Dim() {
-		return wire.BadRequest("box dims (%d, %d) do not match index %q dim %d", len(req.Lo), len(req.Hi), req.Index, ix.Dim())
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	ids, err := ix.RangeSearch(ann.Point(req.Lo), ann.Point(req.Hi))
+	ids, err := ix.RangeSearch(req.Lo, req.Hi)
 	if err != nil {
 		return err
 	}
@@ -259,21 +245,14 @@ func (s *Server) handleRangePoints(ctx context.Context, req *wire.RangePointsReq
 		return err
 	}
 	defer e.release()
-	if len(req.Lo) != ix.Dim() || len(req.Hi) != ix.Dim() {
-		return wire.BadRequest("box dims (%d, %d) do not match index %q dim %d", len(req.Lo), len(req.Hi), req.Index, ix.Dim())
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	ids, pts, err := ix.RangeSearchWithPoints(ann.Point(req.Lo), ann.Point(req.Hi))
+	ids, pts, err := ix.RangeSearchWithPoints(req.Lo, req.Hi)
 	if err != nil {
 		return err
 	}
-	out := make([][]float64, len(pts))
-	for i, p := range pts {
-		out[i] = p
-	}
-	return w.Send(wire.KindResult, &wire.RangePointsReply{IDs: ids, Points: out})
+	return w.Send(wire.KindResult, &wire.RangePointsReply{IDs: ids, Points: pts})
 }
 
 // --- join ops ---------------------------------------------------------------
@@ -331,54 +310,29 @@ func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHea
 	if rix.Dim() != six.Dim() {
 		return wire.BadRequest("indexes %q (dim %d) and %q (dim %d) do not join", req.R, rix.Dim(), req.S, six.Dim())
 	}
-
-	// One neighbor slab per frame: w.send encodes the frame before it
-	// returns, so flush hands the slab to the next frame's rows.
-	frame := wire.JoinFrame{Results: make([]wire.Result, 0, wire.JoinFrameResults)}
-	var slab []wire.Neighbor
-	var total uint64
-	flush := func() error {
-		if len(frame.Results) == 0 {
-			return nil
-		}
-		err := w.Send(wire.KindStream, &frame)
-		frame.Results = frame.Results[:0]
-		slab = slab[:0]
-		return err
-	}
-	emit := func(res ann.Result) error {
-		total++
-		base := len(slab)
-		slab = appendWireNeighbors(slab, res.Neighbors)
-		frame.Results = append(frame.Results, wire.Result{
-			ID:        res.ID,
-			Point:     res.Point,
-			Neighbors: slab[base:len(slab):len(slab)],
-		})
-		if len(frame.Results) >= wire.JoinFrameResults {
-			return flush()
-		}
-		return nil
+	if row := 64 + wire.RowBytes(six.Dim(), min(int64(req.K), int64(six.Len()))); row > wire.MaxFrame {
+		return wire.BadRequest("a join row with k=%d may need %d bytes, over the %d-byte frame limit", req.K, row, wire.MaxFrame)
 	}
 
+	frames := wire.NewBatcher[wire.Result](w)
 	cfg := s.queryConfig(rc)
 	// Engine time excludes the frame flushes the emit callback triggers
 	// mid-run, keeping the report's engine/flush split disjoint.
 	flushBefore := w.FlushNs
 	engineStart := time.Now()
 	if req.Self {
-		err = ann.StreamSelfAllKNearestNeighborsContext(ctx, rix, int(req.K), cfg, emit)
+		err = ann.StreamSelfAllKNearestNeighborsContext(ctx, rix, int(req.K), cfg, frames.Add)
 	} else {
-		err = ann.StreamAllKNearestNeighborsContext(ctx, rix, six, int(req.K), cfg, emit)
+		err = ann.StreamAllKNearestNeighborsContext(ctx, rix, six, int(req.K), cfg, frames.Add)
 	}
 	rc.engineNs = time.Since(engineStart).Nanoseconds() - (w.FlushNs - flushBefore)
 	if err != nil {
 		return err
 	}
-	if err := flush(); err != nil {
+	if err := frames.Flush(); err != nil {
 		return err
 	}
-	end := &wire.StreamEnd{Count: total}
+	end := &wire.StreamEnd{Count: frames.Count}
 	if hdr.WantReport {
 		if end.Report, err = rc.reportJSON(w); err != nil {
 			return err
@@ -400,31 +354,17 @@ func (s *Server) handleWithin(ctx context.Context, req *wire.WithinReq, w *wire.
 		return wire.BadRequest("indexes %q (dim %d) and %q (dim %d) do not join", req.R, rix.Dim(), req.S, six.Dim())
 	}
 
-	frame := wire.PairFrame{Pairs: make([]wire.Pair, 0, wire.PairFrameCount)}
-	var total uint64
-	flush := func() error {
-		if len(frame.Pairs) == 0 {
-			return nil
-		}
-		err := w.Send(wire.KindStream, &frame)
-		frame.Pairs = frame.Pairs[:0]
-		return err
-	}
+	frames := wire.NewBatcher[wire.Pair](w)
 	err = ann.WithinDistanceContext(ctx, rix, six, req.Dist, req.ExcludeSelf, func(rID, sID uint64, dist float64) error {
-		total++
-		frame.Pairs = append(frame.Pairs, wire.Pair{R: rID, S: sID, Dist: dist})
-		if len(frame.Pairs) >= wire.PairFrameCount {
-			return flush()
-		}
-		return nil
+		return frames.Add(wire.Pair{R: rID, S: sID, Dist: dist})
 	})
 	if err != nil {
 		return err
 	}
-	if err := flush(); err != nil {
+	if err := frames.Flush(); err != nil {
 		return err
 	}
-	return w.Send(wire.KindEnd, &wire.StreamEnd{Count: total})
+	return w.Send(wire.KindEnd, &wire.StreamEnd{Count: frames.Count})
 }
 
 func (s *Server) handlePairs(ctx context.Context, req *wire.PairsReq, w *wire.ResponseWriter) error {
@@ -443,22 +383,5 @@ func (s *Server) handlePairs(ctx context.Context, req *wire.PairsReq, w *wire.Re
 	if err != nil {
 		return err
 	}
-	out := make([]wire.Pair, len(pairs))
-	for i, p := range pairs {
-		out[i] = wire.Pair{R: p.R, S: p.S, Dist: p.Dist}
-	}
-	return w.Send(wire.KindResult, &wire.PairsReply{Pairs: out})
-}
-
-// toWireNeighbors converts library neighbors to a wire-form slice of
-// their own.
-func toWireNeighbors(nbs []ann.Neighbor) []wire.Neighbor {
-	return appendWireNeighbors(make([]wire.Neighbor, 0, len(nbs)), nbs)
-}
-
-func appendWireNeighbors(dst []wire.Neighbor, nbs []ann.Neighbor) []wire.Neighbor {
-	for _, n := range nbs {
-		dst = append(dst, wire.Neighbor{ID: n.ID, Dist: n.Dist, Point: n.Point})
-	}
-	return dst
+	return w.Send(wire.KindResult, &wire.PairsReply{Pairs: pairs})
 }

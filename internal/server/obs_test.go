@@ -58,9 +58,9 @@ func TestServedReportParity(t *testing.T) {
 		var rows []ann.Result
 		var err error
 		if self {
-			rows, err = ann.SelfAllKNearestNeighbors(rix, 3, cfg)
+			rows, err = ann.SelfAllKNearestNeighborsContext(context.Background(), rix, 3, cfg)
 		} else {
-			rows, err = ann.AllKNearestNeighbors(rix, six, 3, cfg)
+			rows, err = ann.AllKNearestNeighborsContext(context.Background(), rix, six, 3, cfg)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -144,7 +144,7 @@ func TestReportVersionGate(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	want, err := ann.SelfAllKNearestNeighbors(ix, 2, ann.QueryConfig{})
+	want, err := ann.SelfAllKNearestNeighborsContext(context.Background(), ix, 2, ann.QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,7 +140,7 @@ func TestServedParity(t *testing.T) {
 		}
 
 		// ANN / AkNN join.
-		want, err := ann.AllKNearestNeighbors(rix, six, k, ann.QueryConfig{})
+		want, err := ann.AllKNearestNeighborsContext(context.Background(), rix, six, k, ann.QueryConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestServedParity(t *testing.T) {
 		}
 
 		// Self-join variant.
-		wantSelf, err := ann.SelfAllKNearestNeighbors(rix, k, ann.QueryConfig{})
+		wantSelf, err := ann.SelfAllKNearestNeighborsContext(context.Background(), rix, k, ann.QueryConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestServedParity(t *testing.T) {
 		d    float64
 	}
 	var wantPairs []pairKey
-	err = ann.WithinDistance(rix, six, 3.0, false, func(r, s uint64, d float64) error {
+	err = ann.WithinDistanceContext(context.Background(), rix, six, 3.0, false, func(r, s uint64, d float64) error {
 		wantPairs = append(wantPairs, pairKey{r, s, d})
 		return nil
 	})
@@ -208,7 +208,7 @@ func TestServedParity(t *testing.T) {
 	}
 
 	// Closest pairs.
-	wantCP, err := ann.ClosestPairs(rix, six, 7, false)
+	wantCP, err := ann.ClosestPairsContext(context.Background(), rix, six, 7, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestServedStatsParity(t *testing.T) {
 	collectJoin(t, st)
 	// A join under a cache too small for the tree evicts, and the pages
 	// writes after it copy and reclaim take their cached nodes along.
-	if _, err := ann.SelfAllKNearestNeighbors(ix, 2, ann.QueryConfig{NodeCacheBytes: 32 << 10}); err != nil {
+	if _, err := ann.SelfAllKNearestNeighborsContext(context.Background(), ix, 2, ann.QueryConfig{NodeCacheBytes: 32 << 10}); err != nil {
 		t.Fatal(err)
 	}
 	batch(ix, 1008)
@@ -508,7 +508,7 @@ func TestGracefulDrain(t *testing.T) {
 	// test reads it, so the join is still in flight when the probe below
 	// arrives however the goroutines are scheduled.
 	const k = 16
-	want, err := ann.SelfAllKNearestNeighbors(ix, k, ann.QueryConfig{})
+	want, err := ann.SelfAllKNearestNeighborsContext(context.Background(), ix, k, ann.QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,15 +599,15 @@ func TestMixedWorkloadRace(t *testing.T) {
 	ctx := context.Background()
 
 	// Direct-call baselines, computed once.
-	wantJoin, err := ann.AllKNearestNeighbors(rix, six, 2, ann.QueryConfig{})
+	wantJoin, err := ann.AllKNearestNeighborsContext(context.Background(), rix, six, 2, ann.QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSelf, err := ann.SelfAllKNearestNeighbors(rix, 1, ann.QueryConfig{})
+	wantSelf, err := ann.SelfAllKNearestNeighborsContext(context.Background(), rix, 1, ann.QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCP, err := ann.ClosestPairs(rix, six, 5, false)
+	wantCP, err := ann.ClosestPairsContext(context.Background(), rix, six, 5, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"allnn/internal/core"
 )
 
 // Message is one encodable protocol body (request or response). The
@@ -15,27 +17,25 @@ type Message interface {
 	decode(*Decoder)
 }
 
-// --- shared value types -----------------------------------------------------
+// --- rows -------------------------------------------------------------------
 
-// Neighbor mirrors ann.Neighbor on the wire.
-type Neighbor struct {
-	ID    uint64
-	Dist  float64
-	Point []float64
-}
+// Neighbor, Result and Pair are the engine's own rows, which ann aliases
+// too: a row is declared once, in internal/core, and crosses every hop —
+// engine, server, router, client — as it is. The field order on the wire
+// is the codec's below, not the struct's.
+type (
+	Neighbor = core.Neighbor
+	Result   = core.Result
+	Pair     = core.Pair
+)
 
-func (n *Neighbor) encode(e *Encoder) {
-	e.U64(n.ID)
-	e.F64(n.Dist)
-	e.F64s(n.Point)
-}
-
-func (n *Neighbor) decode(d *Decoder) {
-	if b := d.take(16, "neighbor id and dist"); b != nil {
-		n.ID = binary.BigEndian.Uint64(b)
-		n.Dist = math.Float64frombits(binary.BigEndian.Uint64(b[8:]))
+func encodeNeighbors(e *Encoder, nbs []Neighbor) {
+	e.Uvarint(uint64(len(nbs)))
+	for i := range nbs {
+		e.U64(nbs[i].ID)
+		e.F64(nbs[i].Dist)
+		e.F64s(nbs[i].Point)
 	}
-	n.Point = d.F64s("neighbor point")
 }
 
 // minNeighborBytes is the smallest encoding of a Neighbor (empty point),
@@ -57,7 +57,11 @@ func (d *Decoder) neighbors(what string) []Neighbor {
 		nbs = make([]Neighbor, n)
 	}
 	for i := range nbs {
-		nbs[i].decode(d)
+		if b := d.take(16, "neighbor id and dist"); b != nil {
+			nbs[i].ID = binary.BigEndian.Uint64(b)
+			nbs[i].Dist = math.Float64frombits(binary.BigEndian.Uint64(b[8:]))
+		}
+		nbs[i].Point = d.F64s("neighbor point")
 	}
 	return nbs
 }
@@ -109,48 +113,60 @@ func (d *Decoder) reserve(results int) {
 	d.f64s, d.nbs = make([]float64, 0, floats), make([]Neighbor, 0, nbs)
 }
 
-// Result mirrors ann.Result on the wire.
-type Result struct {
-	ID        uint64
-	Point     []float64
-	Neighbors []Neighbor
-}
-
 // minResultBytes is the smallest encoding of a Result (empty point and
 // neighbor list), used to validate counts before allocating.
 const minResultBytes = 8 + 1 + 1
 
-func (r *Result) encode(e *Encoder) {
-	e.U64(r.ID)
-	e.F64s(r.Point)
-	e.Uvarint(uint64(len(r.Neighbors)))
-	for i := range r.Neighbors {
-		r.Neighbors[i].encode(e)
+func encodeResults(e *Encoder, rs []Result) {
+	e.Uvarint(uint64(len(rs)))
+	for i := range rs {
+		e.U64(rs[i].ID)
+		e.F64s(rs[i].Point)
+		encodeNeighbors(e, rs[i].Neighbors)
 	}
 }
 
-func (r *Result) decode(d *Decoder) {
-	r.ID = d.U64("result id")
-	r.Point = d.F64s("result point")
-	r.Neighbors = d.neighbors("result neighbors")
+// results reads a counted result list into fresh arrays (reserve sizes
+// the coordinate and neighbor arrays they are carved from).
+func (d *Decoder) results(what string) []Result {
+	n := d.Count(minResultBytes, what)
+	if d.Err() != nil || n == 0 {
+		return nil
+	}
+	d.reserve(n)
+	rs := make([]Result, n)
+	for i := range rs {
+		rs[i].ID = d.U64("result id")
+		rs[i].Point = d.F64s("result point")
+		rs[i].Neighbors = d.neighbors("result neighbors")
+	}
+	return rs
 }
 
-// Pair mirrors ann.Pair on the wire.
-type Pair struct {
-	R, S uint64
-	Dist float64
+// pairBytes is the fixed encoding of a Pair: two ids and a distance.
+const pairBytes = 8 + 8 + 8
+
+func encodePairs(e *Encoder, ps []Pair) {
+	e.Uvarint(uint64(len(ps)))
+	for i := range ps {
+		e.U64(ps[i].R)
+		e.U64(ps[i].S)
+		e.F64(ps[i].Dist)
+	}
 }
 
-func (p *Pair) encode(e *Encoder) {
-	e.U64(p.R)
-	e.U64(p.S)
-	e.F64(p.Dist)
-}
-
-func (p *Pair) decode(d *Decoder) {
-	p.R = d.U64("pair r")
-	p.S = d.U64("pair s")
-	p.Dist = d.F64("pair dist")
+func (d *Decoder) pairs(what string) []Pair {
+	n := d.Count(pairBytes, what)
+	if d.Err() != nil || n == 0 {
+		return nil
+	}
+	ps := make([]Pair, n)
+	for i := range ps {
+		ps[i].R = d.U64("pair r")
+		ps[i].S = d.U64("pair s")
+		ps[i].Dist = d.F64("pair dist")
+	}
+	return ps
 }
 
 // IndexInfo is one catalog entry as reported by list/open/stats.
@@ -274,9 +290,9 @@ func (m *RangeReq) decode(d *Decoder) {
 	m.Hi = d.F64s("range hi")
 }
 
-// JoinReq (OpJoin) runs AllKNearestNeighbors(R, S, K) — or, with Self
-// set, SelfAllKNearestNeighbors(R, K) — streaming results back in
-// KindStream frames closed by KindEnd.
+// JoinReq (OpJoin) runs the AkNN join of R against S — or, with Self
+// set, the self-join of R — streaming results back in KindStream frames
+// (see Batcher) closed by KindEnd.
 type JoinReq struct {
 	R, S string
 	K    uint32
@@ -473,10 +489,7 @@ type KNNReply struct {
 }
 
 func (m *KNNReply) encode(e *Encoder) {
-	e.Uvarint(uint64(len(m.Neighbors)))
-	for i := range m.Neighbors {
-		m.Neighbors[i].encode(e)
-	}
+	encodeNeighbors(e, m.Neighbors)
 	if m.Partial != nil {
 		m.Partial.encode(e)
 	}
@@ -499,27 +512,14 @@ type BatchKNNReply struct {
 }
 
 func (m *BatchKNNReply) encode(e *Encoder) {
-	e.Uvarint(uint64(len(m.Results)))
-	for i := range m.Results {
-		m.Results[i].encode(e)
-	}
+	encodeResults(e, m.Results)
 	if m.Partial != nil {
 		m.Partial.encode(e)
 	}
 }
 
 func (m *BatchKNNReply) decode(d *Decoder) {
-	n := d.Count(minResultBytes, "batch results")
-	if d.Err() != nil {
-		return
-	}
-	if n > 0 {
-		d.reserve(n)
-		m.Results = make([]Result, n)
-		for i := range m.Results {
-			m.Results[i].decode(d)
-		}
-	}
+	m.Results = d.results("batch results")
 	m.Partial = decodeTrailingPartial(d)
 }
 
@@ -547,70 +547,24 @@ type JoinFrame struct {
 	Results []Result
 }
 
-func (m *JoinFrame) encode(e *Encoder) {
-	e.Uvarint(uint64(len(m.Results)))
-	for i := range m.Results {
-		m.Results[i].encode(e)
-	}
-}
-
-func (m *JoinFrame) decode(d *Decoder) {
-	n := d.Count(minResultBytes, "join results")
-	if d.Err() != nil || n == 0 {
-		return
-	}
-	d.reserve(n)
-	m.Results = make([]Result, n)
-	for i := range m.Results {
-		m.Results[i].decode(d)
-	}
-}
+func (m *JoinFrame) encode(e *Encoder) { encodeResults(e, m.Results) }
+func (m *JoinFrame) decode(d *Decoder) { m.Results = d.results("join results") }
 
 // PairFrame is one KindStream chunk of an OpWithinDistance pair stream.
 type PairFrame struct {
 	Pairs []Pair
 }
 
-func (m *PairFrame) encode(e *Encoder) {
-	e.Uvarint(uint64(len(m.Pairs)))
-	for i := range m.Pairs {
-		m.Pairs[i].encode(e)
-	}
-}
-
-func (m *PairFrame) decode(d *Decoder) {
-	n := d.Count(8+8+8, "pair frame")
-	if d.Err() != nil || n == 0 {
-		return
-	}
-	m.Pairs = make([]Pair, n)
-	for i := range m.Pairs {
-		m.Pairs[i].decode(d)
-	}
-}
+func (m *PairFrame) encode(e *Encoder) { encodePairs(e, m.Pairs) }
+func (m *PairFrame) decode(d *Decoder) { m.Pairs = d.pairs("pair frame") }
 
 // PairsReply answers OpClosestPairs.
 type PairsReply struct {
 	Pairs []Pair
 }
 
-func (m *PairsReply) encode(e *Encoder) {
-	e.Uvarint(uint64(len(m.Pairs)))
-	for i := range m.Pairs {
-		m.Pairs[i].encode(e)
-	}
-}
-
-func (m *PairsReply) decode(d *Decoder) {
-	n := d.Count(8+8+8, "pairs reply")
-	if d.Err() != nil || n == 0 {
-		return
-	}
-	m.Pairs = make([]Pair, n)
-	for i := range m.Pairs {
-		m.Pairs[i].decode(d)
-	}
-}
+func (m *PairsReply) encode(e *Encoder) { encodePairs(e, m.Pairs) }
+func (m *PairsReply) decode(d *Decoder) { m.Pairs = d.pairs("pairs reply") }
 
 // InsertReply answers OpInsert. Size is the index's point count after
 // the batch.

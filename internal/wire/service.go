@@ -3,9 +3,11 @@ package wire
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"os"
 	"os/signal"
@@ -410,3 +412,98 @@ func (w *ResponseWriter) send(kind ResponseKind, op Op, body Message) error {
 	w.FlushNs += time.Since(start).Nanoseconds()
 	return err
 }
+
+// Stream frame sizes, shared by every speaker so a routed stream frames
+// like a single node's: JoinFrameResults bounds the join results one
+// KindStream frame carries — large enough to amortise framing, small
+// enough that the client sees results flowing while a million-row join
+// runs — and PairFrameCount is the same bound for within-distance pair
+// streams (pairs are much smaller than results).
+const (
+	JoinFrameResults = 512
+	PairFrameCount   = 4096
+)
+
+// frameOverhead bounds a stream frame's payload beyond its rows: the
+// request id, kind, op and the row count.
+const frameOverhead = 8 + 1 + 1 + binary.MaxVarintLen64
+
+// Batcher cuts one result stream into KindStream frames: Add collects
+// rows and sends the frame once it holds JoinFrameResults results (or
+// PairFrameCount pairs), or before a row that would carry its payload
+// past MaxFrame; Flush sends the rest. The rows are encoded when their
+// frame is sent, so they must stay unchanged until then. A row too large
+// for any frame fails at WriteFrame: a handler refuses such a request
+// before running it (see RowBytes).
+type Batcher[T Result | Pair] struct {
+	w     *ResponseWriter
+	rows  []T
+	max   int
+	bytes int
+	// Count is the number of rows added, the total StreamEnd carries.
+	Count uint64
+}
+
+// NewBatcher returns a Batcher writing through w.
+func NewBatcher[T Result | Pair](w *ResponseWriter) *Batcher[T] {
+	max := JoinFrameResults
+	if _, ok := any((*T)(nil)).(*Pair); ok {
+		max = PairFrameCount
+	}
+	return &Batcher[T]{w: w, max: max, rows: make([]T, 0, max)}
+}
+
+// Add appends one row to the stream.
+func (b *Batcher[T]) Add(row T) error {
+	size := pairBytes
+	if r, ok := any(&row).(*Result); ok {
+		size = 8 + f64sBytes(r.Point) + uvarintBytes(len(r.Neighbors))
+		for i := range r.Neighbors {
+			size += 16 + f64sBytes(r.Neighbors[i].Point)
+		}
+	}
+	if len(b.rows) > 0 && frameOverhead+b.bytes+size > MaxFrame {
+		if err := b.Flush(); err != nil {
+			return err
+		}
+	}
+	b.rows = append(b.rows, row)
+	b.bytes += size
+	b.Count++
+	if len(b.rows) >= b.max {
+		return b.Flush()
+	}
+	return nil
+}
+
+// Flush sends the rows collected so far, if any, as one frame.
+func (b *Batcher[T]) Flush() error {
+	if len(b.rows) == 0 {
+		return nil
+	}
+	var frame Message
+	switch rows := any(b.rows).(type) {
+	case []Result:
+		frame = &JoinFrame{Results: rows}
+	case []Pair:
+		frame = &PairFrame{Pairs: rows}
+	}
+	err := b.w.Send(KindStream, frame)
+	clear(b.rows)
+	b.rows, b.bytes = b.rows[:0], 0
+	return err
+}
+
+// RowBytes bounds the encoding of one Result of dim-dimensional points
+// carrying nbs neighbors: an id, the point after a length of at most 2
+// bytes, a neighbor count of at most 5 bytes, and per neighbor an id, a
+// distance and a point. A handler holds a reply, or a stream's largest
+// row, plus 64 bytes of envelope to MaxFrame before it runs the query.
+func RowBytes(dim int, nbs int64) int64 {
+	point := int64(2 + 8*dim)
+	return 8 + point + 5 + nbs*(16+point)
+}
+
+func uvarintBytes(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
+
+func f64sBytes(vs []float64) int { return uvarintBytes(len(vs)) + 8*len(vs) }

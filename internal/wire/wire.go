@@ -52,21 +52,10 @@ const Magic = "ANNS"
 // mid-stream on a frame it cannot parse.
 const Version = 4
 
-// MaxFrame bounds a single frame's payload. Requests are small; join
-// result streams chunk themselves well below this. A peer announcing a
-// larger frame is malformed and the connection is dropped.
+// MaxFrame bounds a single frame's payload. Requests are small; result
+// streams are cut into frames below it (see Batcher). A peer announcing
+// a larger frame is malformed and the connection is dropped.
 const MaxFrame = 16 << 20
-
-// Stream frame sizes, shared by every speaker so a routed stream frames
-// like a single node's: JoinFrameResults bounds the join results one
-// KindStream frame carries — large enough to amortise framing, small
-// enough that the client sees results flowing while a million-row join
-// runs — and PairFrameCount is the same bound for within-distance pair
-// streams (pairs are much smaller than results).
-const (
-	JoinFrameResults = 512
-	PairFrameCount   = 4096
-)
 
 // Op identifies a request type.
 type Op uint8
