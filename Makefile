@@ -51,19 +51,19 @@ chaos:
 # insert batches against parallel snapshot-isolated queries — joins, and
 # kNN probes reading pages in place under a 64-frame pool — on
 # GOMAXPROCS=4, the shared copy-on-write conformance of
-# internal/index/indextest run by both tree packages, and the
-# constant-cardinality churn plateau, within one process and across
-# close/open rounds.
+# internal/index/indextest run by MBRQT, the tree kind written after
+# build, and the constant-cardinality churn plateau, within one process
+# and across close/open rounds.
 chaos-recover:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
 		-run 'ChaosCrashRecovery|RecoveryAfterCrash|FailedCheckpoint|WriteFailedClassification|ConcurrentWritesAndQueries|KNNReadersBesideWriter|SnapshotIsolation|RebuildFree|ChurnPlateau|ChurnAcrossReopen' \
-		./ann/ ./internal/index/... ./internal/mbrqt ./internal/rstar
+		./ann/ ./internal/index/... ./internal/mbrqt
 
 # churn-table logs EXPERIMENTS.md's "Churn and the fence cadence" table:
-# 2 000 constant-cardinality batches, store pages fresh → final, both
-# tree kinds, in memory and file-backed with a checkpoint every 1, 10 and
-# 400 batches (≈ 2 min; it asserts nothing — TestChurnPlateau bounds the
-# same rows over 300 batches — and skips itself unless -run names it).
+# 2 000 constant-cardinality batches, store pages fresh → final, in
+# memory and file-backed with a checkpoint every 1, 10 and 400 batches
+# (≈ 10 s; it asserts nothing — TestChurnPlateau bounds the same rows
+# over 300 batches — and skips itself unless -run names it).
 churn-table:
 	$(GO) test -count=1 -run TestChurnTable -v ./ann/
 

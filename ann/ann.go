@@ -14,7 +14,8 @@
 //	results, _ := ann.AllNearestNeighborsContext(ctx, r, s, ann.QueryConfig{})
 //
 // Indexes default to the paper's MBRQT (an MBR-enhanced bucket PR
-// quadtree); an R*-tree backend is available through IndexConfig.Kind.
+// quadtree); the paper's R*-tree baseline is available, read-only,
+// through IndexConfig.Kind.
 // Queries default to the paper's NXNDIST pruning metric; the traditional
 // MAXMAXDIST is available through QueryConfig for comparison.
 //
@@ -60,8 +61,9 @@ const (
 	// MBRQT is the paper's MBR-enhanced bucket PR quadtree (default;
 	// fastest for ANN workloads).
 	MBRQT IndexKind = iota
-	// RStar is a classic R*-tree. ANN over R*-trees is the paper's RBA
-	// configuration, provided mainly for comparison.
+	// RStar is a classic R*-tree, the index of the paper's RBA
+	// configuration, provided for comparison. It is read-only: built once,
+	// then queried; every write fails with ErrInvalidConfig.
 	RStar
 )
 
@@ -121,10 +123,13 @@ var (
 	ErrTransientIO = storage.ErrTransientIO
 )
 
-// ErrInvalidConfig is wrapped by every rejected mutation batch (ids and
-// points of unequal count, an empty batch, a point of the wrong
-// dimensionality or outside the index space), so callers — and the
-// serving layer — can classify bad requests with errors.Is.
+// ErrInvalidConfig is wrapped by every request rejected for its
+// arguments, so callers — and the serving layer, which answers
+// BAD_REQUEST — can classify bad requests with errors.Is: a query with k
+// below 1 or a probe or box of the wrong dimensionality, an inverted box,
+// a write to a read-only R*-tree index, and a rejected mutation batch (ids
+// and points of unequal count, an empty batch, a point of the wrong
+// dimensionality or outside the index space).
 var ErrInvalidConfig = errors.New("invalid options")
 
 // QueryConfig configures the ANN/AkNN execution.
@@ -197,7 +202,7 @@ type Result = core.Result
 // not run concurrently with queries — see internal/server's catalog for
 // the lock pattern.
 type Index struct {
-	tree  index.Mutable
+	tree  index.Shelled
 	pool  *storage.BufferPool
 	store storage.Store
 	size  int
@@ -248,7 +253,7 @@ func BuildIndex(points []Point, cfg IndexConfig) (*Index, error) {
 	}
 	pool := storage.NewBufferPool(store, storage.FramesForBytes(poolBytes))
 
-	var tree index.Mutable
+	var tree index.Shelled
 	var err error
 	switch cfg.Kind {
 	case RStar:
@@ -325,6 +330,9 @@ func (ix *Index) Dim() int { return ix.tree.Dim() }
 // NearestNeighbors returns the k nearest indexed points to q, ascending
 // by distance.
 func (ix *Index) NearestNeighbors(q Point, k int) ([]Neighbor, error) {
+	if err := ix.checkQuery(k, q); err != nil {
+		return nil, err
+	}
 	v, t := ix.acquire()
 	defer ix.release(v)
 	res, err := index.NearestNeighbors(t, geom.Point(q), k)
@@ -332,6 +340,21 @@ func (ix *Index) NearestNeighbors(q Point, k int) ([]Neighbor, error) {
 		return nil, err
 	}
 	return appendNeighbors(make([]Neighbor, 0, len(res)), res), nil
+}
+
+// checkQuery rejects what the engine cannot answer, as the served paths
+// do: k below 1, and a probe whose dimensionality is not the index's.
+func (ix *Index) checkQuery(k int, probes ...Point) error {
+	if k < 1 {
+		return fmt.Errorf("ann: k must be at least 1, got %d: %w", k, ErrInvalidConfig)
+	}
+	dim := ix.Dim()
+	for i, q := range probes {
+		if len(q) != dim {
+			return fmt.Errorf("ann: query point %d has %d dims, the index %d: %w", i, len(q), dim, ErrInvalidConfig)
+		}
+	}
+	return nil
 }
 
 // appendNeighbors appends the index layer's results to dst in this
@@ -349,6 +372,9 @@ func appendNeighbors(dst []Neighbor, res []index.QueryResult) []Neighbor {
 // state and one result array. ctx is checked between probes; once it is
 // done the batch ends with ctx's error and no partial result.
 func (ix *Index) BatchNearestNeighbors(ctx context.Context, qs []Point, k int) ([][]Neighbor, error) {
+	if err := ix.checkQuery(k, qs...); err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -489,8 +515,8 @@ func StreamSelfAllKNearestNeighborsContext(ctx context.Context, ix *Index, k int
 }
 
 func run(ctx context.Context, r, s *Index, k int, cfg QueryConfig, excludeSelf bool, emit func(Result) error) error {
-	if k < 1 {
-		return fmt.Errorf("ann: k must be at least 1, got %d", k)
+	if err := r.checkQuery(k); err != nil {
+		return err
 	}
 	par := cfg.Parallelism
 	if par <= 0 {
@@ -573,6 +599,9 @@ type Pair = core.Pair
 // traversal stops promptly and returns ctx.Err() with no pairs (a
 // partial top-k would be misleading).
 func ClosestPairsContext(ctx context.Context, r, s *Index, k int, excludeSelf bool) ([]Pair, error) {
+	if err := r.checkQuery(k); err != nil {
+		return nil, err
+	}
 	rv, rTree := r.acquire()
 	defer r.release(rv)
 	sTree := rTree

@@ -2,6 +2,7 @@ package ann
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -201,11 +202,35 @@ func TestParallelismConfig(t *testing.T) {
 	}
 }
 
+// TestInvalidK: a k below 1 and a probe of the wrong dimensionality are
+// rejected on the direct path with ErrInvalidConfig, the type the served
+// paths answer BAD_REQUEST for.
 func TestInvalidK(t *testing.T) {
-	pts := randomPoints(8, 10, 2)
-	ix, _ := BuildIndex(pts, IndexConfig{})
-	if _, err := AllKNearestNeighborsContext(context.Background(), ix, ix, 0, QueryConfig{}); err == nil {
-		t.Error("expected error for k = 0")
+	ctx := context.Background()
+	ix, err := BuildIndex(randomPoints(8, 10, 2), IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, call := range map[string]func() error{
+		"join k=0": func() error {
+			_, err := AllKNearestNeighborsContext(ctx, ix, ix, 0, QueryConfig{})
+			return err
+		},
+		"self-join k=0": func() error {
+			return StreamSelfAllKNearestNeighborsContext(ctx, ix, 0, QueryConfig{}, func(Result) error { return nil })
+		},
+		"closest pairs k=0": func() error { _, err := ClosestPairsContext(ctx, ix, ix, 0, true); return err },
+		"kNN k=0":           func() error { _, err := ix.NearestNeighbors(Point{1, 2}, 0); return err },
+		"batch k=-1":        func() error { _, err := ix.BatchNearestNeighbors(ctx, []Point{{1, 2}}, -1); return err },
+		"kNN 3-D probe":     func() error { _, err := ix.NearestNeighbors(Point{1, 2, 3}, 1); return err },
+		"batch 3-D probe": func() error {
+			_, err := ix.BatchNearestNeighbors(ctx, []Point{{1, 2}, {1, 2, 3}}, 1)
+			return err
+		},
+	} {
+		if err := call(); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s: %v, want ErrInvalidConfig", name, err)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package ann
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,69 +19,67 @@ func TestAutoCheckpointBoundsWAL(t *testing.T) {
 		batches   = 40
 		batchSize = 8
 	)
-	for _, kind := range []IndexKind{MBRQT, RStar} {
-		t.Run(fmt.Sprint(kind), func(t *testing.T) {
-			base := basePoints(81, 64, 2)
-			path := filepath.Join(t.TempDir(), "auto.pages")
-			ix, err := BuildIndex(base, IndexConfig{Kind: kind, PageFile: path, CheckpointEveryBytes: budget})
-			if err != nil {
-				t.Fatal(err)
-			}
-			startCkpts := ix.Stats().WALCheckpoints
+	t.Run(MBRQT.String(), func(t *testing.T) {
+		base := basePoints(81, 64, 2)
+		path := filepath.Join(t.TempDir(), "auto.pages")
+		ix, err := BuildIndex(base, IndexConfig{PageFile: path, CheckpointEveryBytes: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		startCkpts := ix.Stats().WALCheckpoints
 
-			shrank := false
-			prev := ix.wal.Size()
-			nextID := uint64(5000)
-			for batch := 0; batch < batches; batch++ {
-				pts := randomPoints(int64(300+batch), batchSize, 2)
-				ids := make([]uint64, batchSize)
-				for i := range ids {
-					ids[i] = nextID
-					nextID++
-				}
-				if err := ix.InsertBatch(ids, pts); err != nil {
-					t.Fatalf("batch %d: %v", batch, err)
-				}
-				sz := ix.wal.Size()
-				if sz < prev {
-					shrank = true
-				}
-				// The triggering batch checkpoints before returning, so a
-				// caller can never observe the log above its budget.
-				if sz > budget {
-					t.Fatalf("batch %d: WAL at %d bytes exceeds the %d-byte budget", batch, sz, budget)
-				}
-				prev = sz
+		shrank := false
+		prev := ix.wal.Size()
+		nextID := uint64(5000)
+		for batch := 0; batch < batches; batch++ {
+			pts := randomPoints(int64(300+batch), batchSize, 2)
+			ids := make([]uint64, batchSize)
+			for i := range ids {
+				ids[i] = nextID
+				nextID++
 			}
-			if !shrank {
-				t.Fatalf("WAL never shrank across %d batches (final size %d)", batches, prev)
+			if err := ix.InsertBatch(ids, pts); err != nil {
+				t.Fatalf("batch %d: %v", batch, err)
 			}
-			if got := ix.Stats().WALCheckpoints; got <= startCkpts {
-				t.Fatalf("checkpoint counter stuck at %d despite sustained load", got)
+			sz := ix.wal.Size()
+			if sz < prev {
+				shrank = true
 			}
-			if fi, err := os.Stat(path + ".wal"); err != nil {
-				t.Fatal(err)
-			} else if fi.Size() > budget+4096 {
-				t.Fatalf("WAL file is %d bytes on disk, budget is %d", fi.Size(), budget)
+			// The triggering batch checkpoints before returning, so a
+			// caller can never observe the log above its budget.
+			if sz > budget {
+				t.Fatalf("batch %d: WAL at %d bytes exceeds the %d-byte budget", batch, sz, budget)
 			}
-			wantLen := ix.Len()
-			if err := ix.Close(); err != nil {
-				t.Fatal(err)
-			}
+			prev = sz
+		}
+		if !shrank {
+			t.Fatalf("WAL never shrank across %d batches (final size %d)", batches, prev)
+		}
+		if got := ix.Stats().WALCheckpoints; got <= startCkpts {
+			t.Fatalf("checkpoint counter stuck at %d despite sustained load", got)
+		}
+		if fi, err := os.Stat(path + ".wal"); err != nil {
+			t.Fatal(err)
+		} else if fi.Size() > budget+4096 {
+			t.Fatalf("WAL file is %d bytes on disk, budget is %d", fi.Size(), budget)
+		}
+		wantLen := ix.Len()
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			re, err := OpenIndex(path, IndexConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer re.Close()
-			if got := re.Len(); got != wantLen {
-				t.Fatalf("reopened index holds %d points, want %d", got, wantLen)
-			}
-			if got := int64(64 + batches*batchSize); int64(wantLen) != got {
-				t.Fatalf("index holds %d points before close, want %d", wantLen, got)
-			}
-		})
-	}
+		re, err := OpenIndex(path, IndexConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		if got := re.Len(); got != wantLen {
+			t.Fatalf("reopened index holds %d points, want %d", got, wantLen)
+		}
+		if got := int64(64 + batches*batchSize); int64(wantLen) != got {
+			t.Fatalf("index holds %d points before close, want %d", wantLen, got)
+		}
+	})
 }
 
 // TestAutoCheckpointDisabledByDefault verifies the zero-value config

@@ -11,9 +11,9 @@ import (
 // churn builds an index over pts (file-backed under t.TempDir when file
 // is set), runs churnOn from batch 0, and returns the index and its fresh
 // page count.
-func churn(t *testing.T, pts []Point, kind IndexKind, file bool, flushEvery, batches int) (*Index, int) {
+func churn(t *testing.T, pts []Point, file bool, flushEvery, batches int) (*Index, int) {
 	t.Helper()
-	cfg := IndexConfig{Kind: kind}
+	cfg := IndexConfig{}
 	if file {
 		cfg.PageFile = filepath.Join(t.TempDir(), "churn.pages")
 	}
@@ -88,27 +88,25 @@ var churnRows = []struct {
 func TestChurnPlateau(t *testing.T) {
 	const n, batches = 20000, 300
 	pts := randomPoints(7, n, 2)
-	for _, kind := range []IndexKind{MBRQT, RStar} {
-		for _, row := range churnRows {
-			t.Run(fmt.Sprintf("%v/%s", kind, row.name), func(t *testing.T) {
-				ix, fresh := churn(t, pts, kind, row.file, row.flushEvery, batches)
-				reg := NewMetricsRegistry()
-				ix.RegisterWALMetrics(reg)
-				got := ix.store.NumPages()
-				g := reg.registry().Snapshot().Gauges
-				t.Logf("%d → %d pages after %d batches; free %d, drained %d, deferred refs %d, young %d", fresh, got, batches,
-					g["storage.free_pages"], g["storage.drained_pages"], g["storage.deferred_refs"], g["storage.young_pages"])
-				if got > 4*fresh {
-					t.Fatalf("store grew from %d to %d pages (> 4×) under constant-cardinality churn", fresh, got)
-				}
-				if g["storage.free_pages"]+g["storage.drained_pages"] == 0 {
-					t.Fatal("the lifecycle gauges report no page on its way back")
-				}
-				if reads := ix.Stats().PoolReads; reads != 0 {
-					t.Fatalf("the writer read %d pages from the store; a claimed page must cost none", reads)
-				}
-			})
-		}
+	for _, row := range churnRows {
+		t.Run(fmt.Sprintf("%v/%s", MBRQT, row.name), func(t *testing.T) {
+			ix, fresh := churn(t, pts, row.file, row.flushEvery, batches)
+			reg := NewMetricsRegistry()
+			ix.RegisterWALMetrics(reg)
+			got := ix.store.NumPages()
+			g := reg.registry().Snapshot().Gauges
+			t.Logf("%d → %d pages after %d batches; free %d, drained %d, deferred refs %d, young %d", fresh, got, batches,
+				g["storage.free_pages"], g["storage.drained_pages"], g["storage.deferred_refs"], g["storage.young_pages"])
+			if got > 4*fresh {
+				t.Fatalf("store grew from %d to %d pages (> 4×) under constant-cardinality churn", fresh, got)
+			}
+			if g["storage.free_pages"]+g["storage.drained_pages"] == 0 {
+				t.Fatal("the lifecycle gauges report no page on its way back")
+			}
+			if reads := ix.Stats().PoolReads; reads != 0 {
+				t.Fatalf("the writer read %d pages from the store; a claimed page must cost none", reads)
+			}
+		})
 	}
 }
 
@@ -121,38 +119,36 @@ func TestChurnPlateau(t *testing.T) {
 func TestChurnAcrossReopen(t *testing.T) {
 	const n, rounds, batches = 20000, 5, 60
 	pts := randomPoints(7, n, 2)
-	for _, kind := range []IndexKind{MBRQT, RStar} {
-		t.Run(kind.String(), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "reopen.pages")
-			ix, err := BuildIndex(pts, IndexConfig{Kind: kind, PageFile: path})
-			if err != nil {
+	t.Run(MBRQT.String(), func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "reopen.pages")
+		ix, err := BuildIndex(pts, IndexConfig{PageFile: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := ix.store.NumPages()
+		sizes := []int{fresh}
+		for r := 0; r < rounds; r++ {
+			churnOn(t, ix, pts, 0, r*batches, batches)
+			sizes = append(sizes, ix.store.NumPages())
+			if err := ix.Close(); err != nil {
 				t.Fatal(err)
 			}
-			fresh := ix.store.NumPages()
-			sizes := []int{fresh}
-			for r := 0; r < rounds; r++ {
-				churnOn(t, ix, pts, 0, r*batches, batches)
-				sizes = append(sizes, ix.store.NumPages())
-				if err := ix.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if ix, err = OpenIndex(path, IndexConfig{}); err != nil {
-					t.Fatal(err)
-				}
-				checkIntegrity(t, fmt.Sprintf("round %d", r), ix)
+			if ix, err = OpenIndex(path, IndexConfig{}); err != nil {
+				t.Fatal(err)
 			}
-			defer ix.Close()
-			t.Logf("store pages, fresh and after each round: %v", sizes)
-			if got := ix.store.NumPages(); got > 4*fresh {
-				t.Fatalf("store grew from %d to %d pages (> 4×) over %d close/open rounds: %v", fresh, got, rounds, sizes)
-			}
-		})
-	}
+			checkIntegrity(t, fmt.Sprintf("round %d", r), ix)
+		}
+		defer ix.Close()
+		t.Logf("store pages, fresh and after each round: %v", sizes)
+		if got := ix.store.NumPages(); got > 4*fresh {
+			t.Fatalf("store grew from %d to %d pages (> 4×) over %d close/open rounds: %v", fresh, got, rounds, sizes)
+		}
+	})
 }
 
 // TestChurnTable logs EXPERIMENTS.md's "Churn and the fence cadence"
-// table — 2 000 batches, store pages fresh → final for both kinds at
-// every cadence — and bounds nothing (TestChurnPlateau does, on 300
+// table — 2 000 batches, store pages fresh → final at every cadence — and
+// bounds nothing (TestChurnPlateau does, on 300
 // batches). It runs only when -run names it, as `make churn-table` does.
 func TestChurnTable(t *testing.T) {
 	if !strings.Contains(flag.Lookup("test.run").Value.String(), "ChurnTable") {
@@ -161,9 +157,7 @@ func TestChurnTable(t *testing.T) {
 	const n, batches = 20000, 2000
 	pts := randomPoints(7, n, 2)
 	for _, row := range churnRows {
-		for _, kind := range []IndexKind{MBRQT, RStar} {
-			ix, fresh := churn(t, pts, kind, row.file, row.flushEvery, batches)
-			t.Logf("%-14s %-8v %4d → %5d pages", row.name, kind, fresh, ix.store.NumPages())
-		}
+		ix, fresh := churn(t, pts, row.file, row.flushEvery, batches)
+		t.Logf("%-14s %4d → %5d pages", row.name, fresh, ix.store.NumPages())
 	}
 }

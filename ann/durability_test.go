@@ -123,9 +123,9 @@ func stepLen(m mutation) int {
 // interrupted a batch, its first `prefix` committed ops) onto a fresh
 // in-memory index. Tree shape is a deterministic function of the op
 // sequence, so the reference is byte-identical to a recovered index.
-func buildReference(t *testing.T, kind IndexKind, base []Point, steps []mutation, failed, prefix int) *Index {
+func buildReference(t *testing.T, base []Point, steps []mutation, failed, prefix int) *Index {
 	t.Helper()
-	ref, err := BuildIndex(base, IndexConfig{Kind: kind})
+	ref, err := BuildIndex(base, IndexConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,95 +193,121 @@ func checkIntegrity(t *testing.T, label string, ix *Index) {
 }
 
 // TestLiveInsertDelete exercises the mutation API end to end on both
-// tree kinds and both stores, verifying results against brute force.
+// stores, verifying results against brute force.
 func TestLiveInsertDelete(t *testing.T) {
 	base := basePoints(71, 120, 2)
-	for _, kind := range []IndexKind{MBRQT, RStar} {
-		for _, file := range []bool{false, true} {
-			label := fmt.Sprintf("%v/file=%v", kind, file)
-			cfg := IndexConfig{Kind: kind}
-			if file {
-				cfg.PageFile = filepath.Join(t.TempDir(), "live.pages")
-			}
-			ix, err := BuildIndex(base, cfg)
+	for _, file := range []bool{false, true} {
+		label := fmt.Sprintf("file=%v", file)
+		cfg := IndexConfig{}
+		if file {
+			cfg.PageFile = filepath.Join(t.TempDir(), "live.pages")
+		}
+		ix, err := BuildIndex(base, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := append([]Point{}, base...)
+		liveIDs := make([]uint64, len(base))
+		for i := range liveIDs {
+			liveIDs[i] = uint64(i)
+		}
+
+		add := randomPoints(72, 30, 2)
+		addIDs := make([]uint64, len(add))
+		for i := range addIDs {
+			addIDs[i] = 500 + uint64(i)
+		}
+		if err := ix.InsertBatch(addIDs, add); err != nil {
+			t.Fatalf("%s: insert: %v", label, err)
+		}
+		live = append(live, add...)
+		liveIDs = append(liveIDs, addIDs...)
+
+		found, err := ix.DeleteBatch(liveIDs[10:30], live[10:30])
+		if err != nil {
+			t.Fatalf("%s: delete: %v", label, err)
+		}
+		if found != 20 {
+			t.Fatalf("%s: delete found %d, want 20", label, found)
+		}
+		// Deleting the same points again is a durable no-op.
+		if found, err = ix.DeleteBatch(liveIDs[10:30], live[10:30]); err != nil || found != 0 {
+			t.Fatalf("%s: re-delete found %d, err %v", label, found, err)
+		}
+		live = append(live[:10:10], live[30:]...)
+		liveIDs = append(liveIDs[:10:10], liveIDs[30:]...)
+
+		if ix.Len() != len(live) {
+			t.Fatalf("%s: Len %d, want %d", label, ix.Len(), len(live))
+		}
+		checkIntegrity(t, label, ix)
+
+		// Every live point's nearest neighbor matches brute force.
+		for probe := 0; probe < len(live); probe += 13 {
+			nb, err := ix.NearestNeighbors(live[probe], 1)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: NN: %v", label, err)
 			}
-			live := append([]Point{}, base...)
-			liveIDs := make([]uint64, len(base))
-			for i := range liveIDs {
-				liveIDs[i] = uint64(i)
-			}
-
-			add := randomPoints(72, 30, 2)
-			addIDs := make([]uint64, len(add))
-			for i := range addIDs {
-				addIDs[i] = 500 + uint64(i)
-			}
-			if err := ix.InsertBatch(addIDs, add); err != nil {
-				t.Fatalf("%s: insert: %v", label, err)
-			}
-			live = append(live, add...)
-			liveIDs = append(liveIDs, addIDs...)
-
-			found, err := ix.DeleteBatch(liveIDs[10:30], live[10:30])
-			if err != nil {
-				t.Fatalf("%s: delete: %v", label, err)
-			}
-			if found != 20 {
-				t.Fatalf("%s: delete found %d, want 20", label, found)
-			}
-			// Deleting the same points again is a durable no-op.
-			if found, err = ix.DeleteBatch(liveIDs[10:30], live[10:30]); err != nil || found != 0 {
-				t.Fatalf("%s: re-delete found %d, err %v", label, found, err)
-			}
-			live = append(live[:10:10], live[30:]...)
-			liveIDs = append(liveIDs[:10:10], liveIDs[30:]...)
-
-			if ix.Len() != len(live) {
-				t.Fatalf("%s: Len %d, want %d", label, ix.Len(), len(live))
-			}
-			checkIntegrity(t, label, ix)
-
-			// Every live point's nearest neighbor matches brute force.
-			for probe := 0; probe < len(live); probe += 13 {
-				nb, err := ix.NearestNeighbors(live[probe], 1)
-				if err != nil {
-					t.Fatalf("%s: NN: %v", label, err)
+			bestID, bestD := uint64(0), -1.0
+			for j, q := range live {
+				d := 0.0
+				for dd := range q {
+					d += (q[dd] - live[probe][dd]) * (q[dd] - live[probe][dd])
 				}
-				bestID, bestD := uint64(0), -1.0
-				for j, q := range live {
-					d := 0.0
-					for dd := range q {
-						d += (q[dd] - live[probe][dd]) * (q[dd] - live[probe][dd])
-					}
-					if bestD < 0 || d < bestD {
-						bestD, bestID = d, liveIDs[j]
-					}
-				}
-				if len(nb) != 1 || nb[0].ID != bestID {
-					t.Fatalf("%s: NN(%d) = %v, want id %d", label, probe, nb, bestID)
+				if bestD < 0 || d < bestD {
+					bestD, bestID = d, liveIDs[j]
 				}
 			}
-
-			// Inserting outside the MBRQT's fixed root cell is rejected
-			// before anything is logged.
-			if kind == MBRQT {
-				err := ix.Insert(9999, Point{500, 500})
-				if !errors.Is(err, ErrInvalidConfig) {
-					t.Fatalf("%s: out-of-space insert: %v", label, err)
-				}
-			}
-			if err := ix.Insert(9998, Point{1, 2, 3}); !errors.Is(err, ErrInvalidConfig) {
-				t.Fatalf("%s: wrong-dim insert: %v", label, err)
-			}
-
-			ix.RequireNoPinnedFrames(t)
-			if err := ix.Close(); err != nil {
-				t.Fatalf("%s: close: %v", label, err)
+			if len(nb) != 1 || nb[0].ID != bestID {
+				t.Fatalf("%s: NN(%d) = %v, want id %d", label, probe, nb, bestID)
 			}
 		}
+
+		// Inserting outside the MBRQT's fixed root cell is rejected
+		// before anything is logged.
+		if err := ix.Insert(9999, Point{500, 500}); !errors.Is(err, ErrInvalidConfig) {
+			t.Fatalf("%s: out-of-space insert: %v", label, err)
+		}
+		if err := ix.Insert(9998, Point{1, 2, 3}); !errors.Is(err, ErrInvalidConfig) {
+			t.Fatalf("%s: wrong-dim insert: %v", label, err)
+		}
+
+		ix.RequireNoPinnedFrames(t)
+		if err := ix.Close(); err != nil {
+			t.Fatalf("%s: close: %v", label, err)
+		}
 	}
+}
+
+// TestRStarIsReadOnly: an R*-tree index is built and then only read.
+// Every write verb fails with ErrInvalidConfig before anything is logged,
+// and the index answers as before.
+func TestRStarIsReadOnly(t *testing.T) {
+	base := basePoints(79, 200, 2)
+	ix, err := BuildIndex(base, IndexConfig{Kind: RStar, PageFile: filepath.Join(t.TempDir(), "rstar.pages")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	ref, err := BuildIndex(base, IndexConfig{Kind: RStar})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Point{50, 50}
+	for name, write := range map[string]func() error{
+		"Insert":      func() error { return ix.Insert(9000, p) },
+		"InsertBatch": func() error { return ix.InsertBatch([]uint64{9000}, []Point{p}) },
+		"Delete":      func() error { _, err := ix.Delete(0, base[0]); return err },
+		"DeleteBatch": func() error { _, err := ix.DeleteBatch([]uint64{0}, base[:1]); return err },
+	} {
+		if err := write(); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s: %v, want ErrInvalidConfig", name, err)
+		}
+	}
+	if ix.Len() != len(base) || !ix.wal.Empty() {
+		t.Fatalf("refused writes left Len %d and a log of %d bytes", ix.Len(), ix.wal.Size())
+	}
+	requireSameJoin(t, "after refused writes", ix, ref)
 }
 
 // TestSnapshotIsolation pins a pre-write snapshot mid-query and checks
@@ -289,35 +315,33 @@ func TestLiveInsertDelete(t *testing.T) {
 // result stream is paused.
 func TestSnapshotIsolation(t *testing.T) {
 	base := basePoints(73, 200, 2)
-	for _, kind := range []IndexKind{MBRQT, RStar} {
-		ix, err := BuildIndex(base, IndexConfig{Kind: kind})
-		if err != nil {
-			t.Fatal(err)
+	ix, err := BuildIndex(base, IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inserted := false
+	count := 0
+	err = StreamSelfAllKNearestNeighborsContext(t.Context(), ix, 1, QueryConfig{Parallelism: 1}, func(Result) error {
+		count++
+		if !inserted {
+			// The query has pinned its snapshot; commit a batch now.
+			inserted = true
+			return ix.InsertBatch([]uint64{5000}, []Point{{50, 50}})
 		}
-		inserted := false
-		count := 0
-		err = StreamSelfAllKNearestNeighborsContext(t.Context(), ix, 1, QueryConfig{Parallelism: 1}, func(Result) error {
-			count++
-			if !inserted {
-				// The query has pinned its snapshot; commit a batch now.
-				inserted = true
-				return ix.InsertBatch([]uint64{5000}, []Point{{50, 50}})
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%v: stream: %v", kind, err)
-		}
-		if count != len(base) {
-			t.Fatalf("%v: snapshot query saw %d results, want %d", kind, count, len(base))
-		}
-		if ix.Len() != len(base)+1 {
-			t.Fatalf("%v: post-write Len %d", kind, ix.Len())
-		}
-		ix.RequireNoPinnedFrames(t)
-		if err := ix.Close(); err != nil {
-			t.Fatal(err)
-		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	if count != len(base) {
+		t.Fatalf("snapshot query saw %d results, want %d", count, len(base))
+	}
+	if ix.Len() != len(base)+1 {
+		t.Fatalf("post-write Len %d", ix.Len())
+	}
+	ix.RequireNoPinnedFrames(t)
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -325,75 +349,72 @@ func TestSnapshotIsolation(t *testing.T) {
 // sequence of committed batches and checks that OpenIndex rebuilds the
 // exact acknowledged state from the WAL.
 func TestRecoveryAfterCrash(t *testing.T) {
-	for _, kind := range []IndexKind{MBRQT, RStar} {
-		base := basePoints(74, 250, 2)
-		steps := scenario(base)
-		path := filepath.Join(t.TempDir(), "crash.pages")
-		ix, err := BuildIndex(base, IndexConfig{Kind: kind, PageFile: path})
-		if err != nil {
-			t.Fatal(err)
+	base := basePoints(74, 250, 2)
+	steps := scenario(base)
+	path := filepath.Join(t.TempDir(), "crash.pages")
+	ix, err := BuildIndex(base, IndexConfig{PageFile: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range steps {
+		if err := applyStep(ix, m); err != nil {
+			t.Fatalf("step %d: %v", i, err)
 		}
-		for i, m := range steps {
-			if err := applyStep(ix, m); err != nil {
-				t.Fatalf("%v: step %d: %v", kind, i, err)
-			}
-		}
-		// Crash: abandon without Flush or Close.
-		ix = nil
+	}
+	// Crash: abandon without Flush or Close.
+	ix = nil
 
-		rec, err := OpenIndex(path, IndexConfig{})
-		if err != nil {
-			t.Fatalf("%v: recover: %v", kind, err)
-		}
-		if got := rec.Stats(); got.WALReplayed == 0 {
-			t.Fatalf("%v: recovery replayed no records", kind)
-		}
-		ref := buildReference(t, kind, base, steps, len(steps), 0)
-		requireSameJoin(t, fmt.Sprintf("%v recovered", kind), rec, ref)
-		checkIntegrity(t, fmt.Sprintf("%v recovered", kind), rec)
-		rec.RequireNoPinnedFrames(t)
+	rec, err := OpenIndex(path, IndexConfig{})
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if got := rec.Stats(); got.WALReplayed == 0 {
+		t.Fatal("recovery replayed no records")
+	}
+	ref := buildReference(t, base, steps, len(steps), 0)
+	requireSameJoin(t, "recovered", rec, ref)
+	checkIntegrity(t, "recovered", rec)
+	rec.RequireNoPinnedFrames(t)
 
-		// Clean close checkpoints; the next open has nothing to replay.
-		if err := rec.Close(); err != nil {
-			t.Fatalf("%v: close: %v", kind, err)
-		}
-		again, err := OpenIndex(path, IndexConfig{})
-		if err != nil {
-			t.Fatalf("%v: reopen: %v", kind, err)
-		}
-		if got := again.Stats(); got.WALReplayed != 0 {
-			t.Fatalf("%v: clean reopen replayed %d records", kind, got.WALReplayed)
-		}
-		requireSameJoin(t, fmt.Sprintf("%v clean reopen", kind), again, ref)
-		if err := again.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Close(); err != nil {
-			t.Fatal(err)
-		}
+	// Clean close checkpoints; the next open has nothing to replay.
+	if err := rec.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	again, err := OpenIndex(path, IndexConfig{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if got := again.Stats(); got.WALReplayed != 0 {
+		t.Fatalf("clean reopen replayed %d records", got.WALReplayed)
+	}
+	requireSameJoin(t, "clean reopen", again, ref)
+	if err := again.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // chaosRun is chaosRunSteps over the first scenario. It returns false
 // when the build itself failed (the fault fired before there was
 // anything to recover).
-func chaosRun(t *testing.T, kind IndexKind, label string, wrapStoreF func(storage.Store) storage.Store, wrapWALF func(storage.WALBackend) storage.WALBackend) bool {
+func chaosRun(t *testing.T, label string, wrapStoreF func(storage.Store) storage.Store, wrapWALF func(storage.WALBackend) storage.WALBackend) bool {
 	t.Helper()
 	base := basePoints(75, 250, 2)
-	return chaosRunSteps(t, IndexConfig{Kind: kind}, label, base, scenario(base), wrapStoreF, wrapWALF) >= 0
+	return chaosRunSteps(t, IndexConfig{}, label, base, scenario(base), wrapStoreF, wrapWALF) >= 0
 }
 
-// chaosRunSteps executes steps against a fault-injected file index of
-// cfg's kind and pool over base, crashes at the first failure, recovers with injection disabled,
-// and verifies the recovered index is byte-identical to a never-crashed
-// reference holding the acknowledged ops (plus any committed prefix of
-// the failed batch). It returns the step that failed: len(steps) when
+// chaosRunSteps executes steps against a fault-injected file index with
+// cfg's pool over base, crashes at the first failure, recovers with
+// injection disabled, and verifies the recovered index is byte-identical
+// to a never-crashed reference holding the acknowledged ops (plus any
+// committed prefix of the failed batch). It returns the step that failed: len(steps) when
 // none did (the crash then comes after the last one), -1 when the build
 // already failed.
 func chaosRunSteps(t *testing.T, cfg IndexConfig, label string, base []Point, steps []mutation,
 	wrapStoreF func(storage.Store) storage.Store, wrapWALF func(storage.WALBackend) storage.WALBackend) int {
 	t.Helper()
-	kind := cfg.Kind
 	cfg.PageFile = filepath.Join(t.TempDir(), "chaos.pages")
 
 	testWrapStore, testWrapWAL = wrapStoreF, wrapWALF
@@ -449,7 +470,7 @@ func chaosRunSteps(t *testing.T, cfg IndexConfig, label string, base []Point, st
 		t.Fatalf("%s: recovered Len %d, want %d", label, rec.Len(), ackedLen)
 	}
 
-	ref := buildReference(t, kind, base, steps, failedStep, prefix)
+	ref := buildReference(t, base, steps, failedStep, prefix)
 	requireSameJoin(t, label, rec, ref)
 	checkIntegrity(t, label, rec)
 	rec.RequireNoPinnedFrames(t)
@@ -469,7 +490,6 @@ func chaosChurnSweep(t *testing.T, cfg IndexConfig, fault string, wrapStoreF fun
 	t.Helper()
 	base := basePoints(77, 1000, 2)
 	steps := churnScenario(base)
-	kind := cfg.Kind
 	for n := 1; ; n++ {
 		var ws func(storage.Store) storage.Store
 		var ww func(storage.WALBackend) storage.WALBackend
@@ -478,9 +498,9 @@ func chaosChurnSweep(t *testing.T, cfg IndexConfig, fault string, wrapStoreF fun
 		} else {
 			ww = wrapWALF(n)
 		}
-		failed := chaosRunSteps(t, cfg, fmt.Sprintf("%v/churn/%s-%d", kind, fault, n), base, steps, ws, ww)
+		failed := chaosRunSteps(t, cfg, fmt.Sprintf("churn/%s-%d", fault, n), base, steps, ws, ww)
 		if failed == len(steps) {
-			t.Logf("%v/churn/%s: %d kill points", kind, fault, n-1)
+			t.Logf("churn/%s: %d kill points", fault, n-1)
 			return
 		}
 	}
@@ -490,36 +510,34 @@ func chaosChurnSweep(t *testing.T, cfg IndexConfig, fault string, wrapStoreF fun
 // WAL write of the scenario, covering torn group commits (partial batch
 // on disk), clean write failures, and failed fsyncs.
 func TestChaosCrashRecoveryWALFaults(t *testing.T) {
-	for _, kind := range []IndexKind{MBRQT, RStar} {
-		for n := 1; n <= 14; n++ {
-			// Torn write: the n-th WAL write persists only a prefix.
-			keep := (n * 37) % 90
-			label := fmt.Sprintf("%v/torn-write-%d/keep-%d", kind, n, keep)
-			chaosRun(t, kind, label, nil, func(b storage.WALBackend) storage.WALBackend {
-				return storage.NewFaultWALFile(b, storage.WALFaultConfig{TornWriteAfter: n, TornKeepBytes: keep})
-			})
-			// Failed fsync: the write may be fully on disk, but the batch
-			// was never acknowledged.
-			label = fmt.Sprintf("%v/fail-sync-%d", kind, n)
-			chaosRun(t, kind, label, nil, func(b storage.WALBackend) storage.WALBackend {
-				return storage.NewFaultWALFile(b, storage.WALFaultConfig{FailSyncsAfter: n})
-			})
-		}
-		// Behind 6 frames dirty pages — young ones that live long enough
-		// among them — are written by eviction in the middle of a batch
-		// and read back, and the query after the failure evicts too.
-		small := IndexConfig{Kind: kind, BufferPoolBytes: 6 * storage.PageSize}
-		chaosChurnSweep(t, small, "torn-write", nil, func(n int) func(storage.WALBackend) storage.WALBackend {
-			return func(b storage.WALBackend) storage.WALBackend {
-				return storage.NewFaultWALFile(b, storage.WALFaultConfig{TornWriteAfter: n, TornKeepBytes: (n * 37) % 90})
-			}
+	for n := 1; n <= 14; n++ {
+		// Torn write: the n-th WAL write persists only a prefix.
+		keep := (n * 37) % 90
+		label := fmt.Sprintf("torn-write-%d/keep-%d", n, keep)
+		chaosRun(t, label, nil, func(b storage.WALBackend) storage.WALBackend {
+			return storage.NewFaultWALFile(b, storage.WALFaultConfig{TornWriteAfter: n, TornKeepBytes: keep})
 		})
-		chaosChurnSweep(t, small, "fail-sync", nil, func(n int) func(storage.WALBackend) storage.WALBackend {
-			return func(b storage.WALBackend) storage.WALBackend {
-				return storage.NewFaultWALFile(b, storage.WALFaultConfig{FailSyncsAfter: n})
-			}
+		// Failed fsync: the write may be fully on disk, but the batch
+		// was never acknowledged.
+		label = fmt.Sprintf("fail-sync-%d", n)
+		chaosRun(t, label, nil, func(b storage.WALBackend) storage.WALBackend {
+			return storage.NewFaultWALFile(b, storage.WALFaultConfig{FailSyncsAfter: n})
 		})
 	}
+	// Behind 6 frames dirty pages — young ones that live long enough
+	// among them — are written by eviction in the middle of a batch
+	// and read back, and the query after the failure evicts too.
+	small := IndexConfig{BufferPoolBytes: 6 * storage.PageSize}
+	chaosChurnSweep(t, small, "torn-write", nil, func(n int) func(storage.WALBackend) storage.WALBackend {
+		return func(b storage.WALBackend) storage.WALBackend {
+			return storage.NewFaultWALFile(b, storage.WALFaultConfig{TornWriteAfter: n, TornKeepBytes: (n * 37) % 90})
+		}
+	})
+	chaosChurnSweep(t, small, "fail-sync", nil, func(n int) func(storage.WALBackend) storage.WALBackend {
+		return func(b storage.WALBackend) storage.WALBackend {
+			return storage.NewFaultWALFile(b, storage.WALFaultConfig{FailSyncsAfter: n})
+		}
+	})
 }
 
 // TestChaosCrashRecoveryStoreFaults sweeps the crash point across the
@@ -527,38 +545,36 @@ func TestChaosCrashRecoveryWALFaults(t *testing.T) {
 // mid-Flush crash windows (data pages partially written, header page
 // written before/after its WAL copy).
 func TestChaosCrashRecoveryStoreFaults(t *testing.T) {
-	for _, kind := range []IndexKind{MBRQT, RStar} {
-		ran := 0
-		for n := 1; n <= 40; n += 3 {
-			label := fmt.Sprintf("%v/fail-page-write-%d", kind, n)
-			if chaosRun(t, kind, label, func(s storage.Store) storage.Store {
-				return storage.NewFaultStore(s, storage.FaultConfig{FailWritesAfter: n})
-			}, nil) {
-				ran++
-			}
+	ran := 0
+	for n := 1; n <= 40; n += 3 {
+		label := fmt.Sprintf("fail-page-write-%d", n)
+		if chaosRun(t, label, func(s storage.Store) storage.Store {
+			return storage.NewFaultStore(s, storage.FaultConfig{FailWritesAfter: n})
+		}, nil) {
+			ran++
 		}
-		for n := 1; n <= 8; n++ {
-			label := fmt.Sprintf("%v/fail-store-sync-%d", kind, n)
-			if chaosRun(t, kind, label, func(s storage.Store) storage.Store {
-				return storage.NewFaultStore(s, storage.FaultConfig{FailSyncsAfter: n})
-			}, nil) {
-				ran++
-			}
-		}
-		if ran == 0 {
-			t.Fatalf("%v: every store-fault run died during build; no recovery exercised", kind)
-		}
-		chaosChurnSweep(t, IndexConfig{Kind: kind}, "fail-page-write", func(n int) func(storage.Store) storage.Store {
-			return func(s storage.Store) storage.Store {
-				return storage.NewFaultStore(s, storage.FaultConfig{FailWritesAfter: n})
-			}
-		}, nil)
-		chaosChurnSweep(t, IndexConfig{Kind: kind}, "fail-store-sync", func(n int) func(storage.Store) storage.Store {
-			return func(s storage.Store) storage.Store {
-				return storage.NewFaultStore(s, storage.FaultConfig{FailSyncsAfter: n})
-			}
-		}, nil)
 	}
+	for n := 1; n <= 8; n++ {
+		label := fmt.Sprintf("fail-store-sync-%d", n)
+		if chaosRun(t, label, func(s storage.Store) storage.Store {
+			return storage.NewFaultStore(s, storage.FaultConfig{FailSyncsAfter: n})
+		}, nil) {
+			ran++
+		}
+	}
+	if ran == 0 {
+		t.Fatal("every store-fault run died during build; no recovery exercised")
+	}
+	chaosChurnSweep(t, IndexConfig{}, "fail-page-write", func(n int) func(storage.Store) storage.Store {
+		return func(s storage.Store) storage.Store {
+			return storage.NewFaultStore(s, storage.FaultConfig{FailWritesAfter: n})
+		}
+	}, nil)
+	chaosChurnSweep(t, IndexConfig{}, "fail-store-sync", func(n int) func(storage.Store) storage.Store {
+		return func(s storage.Store) storage.Store {
+			return storage.NewFaultStore(s, storage.FaultConfig{FailSyncsAfter: n})
+		}
+	}, nil)
 }
 
 // TestFailedCheckpointEndsYouth fails a checkpoint at its very last
@@ -570,56 +586,54 @@ func TestChaosCrashRecoveryStoreFaults(t *testing.T) {
 func TestFailedCheckpointEndsYouth(t *testing.T) {
 	base := basePoints(78, 2000, 2)
 	steps := churnScenario(base)
-	for _, kind := range []IndexKind{MBRQT, RStar} {
-		var faulty *storage.FaultStore
-		testWrapStore = func(s storage.Store) storage.Store {
-			faulty = storage.NewFaultStore(s, storage.FaultConfig{})
-			return faulty
+	var faulty *storage.FaultStore
+	testWrapStore = func(s storage.Store) storage.Store {
+		faulty = storage.NewFaultStore(s, storage.FaultConfig{})
+		return faulty
+	}
+	// Behind 12 frames a reclaimed page's new bytes reach the disk by
+	// eviction, long before any checkpoint.
+	cfg := IndexConfig{BufferPoolBytes: 12 * storage.PageSize, PageFile: filepath.Join(t.TempDir(), "youth.pages")}
+	ix, err := BuildIndex(base, cfg)
+	testWrapStore = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied := 0
+	for ; applied < 12; applied++ {
+		if err := applyStep(ix, steps[applied]); err != nil {
+			t.Fatalf("step %d: %v", applied, err)
 		}
-		// Behind 12 frames a reclaimed page's new bytes reach the disk by
-		// eviction, long before any checkpoint.
-		cfg := IndexConfig{Kind: kind, BufferPoolBytes: 12 * storage.PageSize, PageFile: filepath.Join(t.TempDir(), "youth.pages")}
-		ix, err := BuildIndex(base, cfg)
-		testWrapStore = nil
-		if err != nil {
-			t.Fatal(err)
+	}
+	// A checkpoint syncs the store twice; commits never do.
+	faulty.SetConfig(storage.FaultConfig{FailSyncsAfter: 2})
+	if err := ix.Flush(); !errors.Is(err, ErrWriteFailed) {
+		t.Fatalf("Flush with a failing last sync: %v, want ErrWriteFailed", err)
+	}
+	faulty.SetConfig(storage.FaultConfig{})
+	for ; applied < len(steps); applied++ {
+		if steps[applied].isFlush() {
+			continue
 		}
-		applied := 0
-		for ; applied < 12; applied++ {
-			if err := applyStep(ix, steps[applied]); err != nil {
-				t.Fatalf("%v: step %d: %v", kind, applied, err)
-			}
+		if err := applyStep(ix, steps[applied]); err != nil {
+			t.Fatalf("step %d after the failed checkpoint: %v", applied, err)
 		}
-		// A checkpoint syncs the store twice; commits never do.
-		faulty.SetConfig(storage.FaultConfig{FailSyncsAfter: 2})
-		if err := ix.Flush(); !errors.Is(err, ErrWriteFailed) {
-			t.Fatalf("%v: Flush with a failing last sync: %v, want ErrWriteFailed", kind, err)
-		}
-		faulty.SetConfig(storage.FaultConfig{})
-		for ; applied < len(steps); applied++ {
-			if steps[applied].isFlush() {
-				continue
-			}
-			if err := applyStep(ix, steps[applied]); err != nil {
-				t.Fatalf("%v: step %d after the failed checkpoint: %v", kind, applied, err)
-			}
-		}
-		ix = nil // crash
+	}
+	ix = nil // crash
 
-		rec, err := OpenIndex(cfg.PageFile, IndexConfig{})
-		if err != nil {
-			t.Fatalf("%v: recover: %v", kind, err)
-		}
-		ref := buildReference(t, kind, base, steps, len(steps), 0)
-		requireSameJoin(t, fmt.Sprintf("%v recovered", kind), rec, ref)
-		checkIntegrity(t, fmt.Sprintf("%v recovered", kind), rec)
-		rec.RequireNoPinnedFrames(t)
-		if err := rec.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Close(); err != nil {
-			t.Fatal(err)
-		}
+	rec, err := OpenIndex(cfg.PageFile, IndexConfig{})
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	ref := buildReference(t, base, steps, len(steps), 0)
+	requireSameJoin(t, "recovered", rec, ref)
+	checkIntegrity(t, "recovered", rec)
+	rec.RequireNoPinnedFrames(t)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -678,113 +692,111 @@ func TestConcurrentWritesAndQueries(t *testing.T) {
 		batches   = 25
 		batchSize = 8
 	)
-	for _, kind := range []IndexKind{MBRQT, RStar} {
-		base := basePoints(77, 200, 2)
-		path := filepath.Join(t.TempDir(), "conc.pages")
-		ix, err := BuildIndex(base, IndexConfig{Kind: kind, PageFile: path})
-		if err != nil {
-			t.Fatal(err)
-		}
+	base := basePoints(77, 200, 2)
+	path := filepath.Join(t.TempDir(), "conc.pages")
+	ix, err := BuildIndex(base, IndexConfig{PageFile: path})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		var wg sync.WaitGroup
-		writerDone := make(chan struct{})
-		errCh := make(chan error, 16)
-		report := func(err error) {
-			select {
-			case errCh <- err:
-			default:
-			}
-		}
-
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(writerDone)
-			pts := randomPoints(78, batches*batchSize, 2)
-			for b := 0; b < batches; b++ {
-				ids := make([]uint64, batchSize)
-				for i := range ids {
-					ids[i] = 3000 + uint64(b*batchSize+i)
-				}
-				if err := ix.InsertBatch(ids, pts[b*batchSize:(b+1)*batchSize]); err != nil {
-					report(fmt.Errorf("writer batch %d: %w", b, err))
-					return
-				}
-				if b == batches/2 {
-					if err := ix.Flush(); err != nil {
-						report(fmt.Errorf("mid-run flush: %w", err))
-						return
-					}
-				}
-			}
-		}()
-
-		for r := 0; r < 3; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				for {
-					select {
-					case <-writerDone:
-						return
-					default:
-					}
-					switch r {
-					case 0:
-						res, err := SelfAllNearestNeighborsContext(context.Background(), ix, QueryConfig{Parallelism: 2})
-						if err != nil {
-							report(fmt.Errorf("reader join: %w", err))
-							return
-						}
-						if d := len(res) - len(base); d < 0 || d%batchSize != 0 {
-							report(fmt.Errorf("reader join saw %d results: not a batch boundary", len(res)))
-							return
-						}
-					case 1:
-						if _, err := ix.NearestNeighbors(Point{50, 50}, 3); err != nil {
-							report(fmt.Errorf("reader NN: %w", err))
-							return
-						}
-					default:
-						if d := ix.Len() - len(base); d < 0 || d%batchSize != 0 {
-							report(fmt.Errorf("reader Len %d: not a batch boundary", ix.Len()))
-							return
-						}
-						_ = ix.Stats()
-					}
-				}
-			}(r)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	writerDone := make(chan struct{})
+	errCh := make(chan error, 16)
+	report := func(err error) {
 		select {
-		case err := <-errCh:
-			t.Fatalf("%v: %v", kind, err)
+		case errCh <- err:
 		default:
 		}
+	}
 
-		if got, want := ix.Len(), len(base)+batches*batchSize; got != want {
-			t.Fatalf("%v: final Len %d, want %d", kind, got, want)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(writerDone)
+		pts := randomPoints(78, batches*batchSize, 2)
+		for b := 0; b < batches; b++ {
+			ids := make([]uint64, batchSize)
+			for i := range ids {
+				ids[i] = 3000 + uint64(b*batchSize+i)
+			}
+			if err := ix.InsertBatch(ids, pts[b*batchSize:(b+1)*batchSize]); err != nil {
+				report(fmt.Errorf("writer batch %d: %w", b, err))
+				return
+			}
+			if b == batches/2 {
+				if err := ix.Flush(); err != nil {
+					report(fmt.Errorf("mid-run flush: %w", err))
+					return
+				}
+			}
 		}
-		checkIntegrity(t, fmt.Sprintf("%v concurrent", kind), ix)
-		// All pins must drain once the queries finish.
-		if st := ix.Stats(); st.SnapshotPins != 0 {
-			t.Fatalf("%v: %d snapshot pins left", kind, st.SnapshotPins)
-		}
-		ix.RequireNoPinnedFrames(t)
-		if err := ix.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}()
 
-		rec, err := OpenIndex(path, IndexConfig{})
-		if err != nil {
-			t.Fatalf("%v: reopen: %v", kind, err)
-		}
-		if got, want := rec.Len(), len(base)+batches*batchSize; got != want {
-			t.Fatalf("%v: reopened Len %d, want %d", kind, got, want)
-		}
-		if err := rec.Close(); err != nil {
-			t.Fatal(err)
-		}
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-writerDone:
+					return
+				default:
+				}
+				switch r {
+				case 0:
+					res, err := SelfAllNearestNeighborsContext(context.Background(), ix, QueryConfig{Parallelism: 2})
+					if err != nil {
+						report(fmt.Errorf("reader join: %w", err))
+						return
+					}
+					if d := len(res) - len(base); d < 0 || d%batchSize != 0 {
+						report(fmt.Errorf("reader join saw %d results: not a batch boundary", len(res)))
+						return
+					}
+				case 1:
+					if _, err := ix.NearestNeighbors(Point{50, 50}, 3); err != nil {
+						report(fmt.Errorf("reader NN: %w", err))
+						return
+					}
+				default:
+					if d := ix.Len() - len(base); d < 0 || d%batchSize != 0 {
+						report(fmt.Errorf("reader Len %d: not a batch boundary", ix.Len()))
+						return
+					}
+					_ = ix.Stats()
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	select {
+	case err := <-errCh:
+		t.Fatalf("%v", err)
+	default:
+	}
+
+	if got, want := ix.Len(), len(base)+batches*batchSize; got != want {
+		t.Fatalf("final Len %d, want %d", got, want)
+	}
+	checkIntegrity(t, "concurrent", ix)
+	// All pins must drain once the queries finish.
+	if st := ix.Stats(); st.SnapshotPins != 0 {
+		t.Fatalf("%d snapshot pins left", st.SnapshotPins)
+	}
+	ix.RequireNoPinnedFrames(t)
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec, err := OpenIndex(path, IndexConfig{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if got, want := rec.Len(), len(base)+batches*batchSize; got != want {
+		t.Fatalf("reopened Len %d, want %d", got, want)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -28,7 +28,10 @@ import (
 // recovered state is checkpointed, so recovery work is never repeated.
 // The result is exactly the state after the last mutation batch whose
 // commit was acknowledged (plus, possibly, a committed prefix of an
-// unacknowledged batch that was interrupted mid-fsync).
+// unacknowledged batch that was interrupted mid-fsync). An R*-tree index
+// is read-only, so a log of one that holds insert or delete records is
+// refused with ErrInvalidConfig before anything is replayed, and the
+// records stay in the log.
 func OpenIndex(path string, cfg IndexConfig) (*Index, error) {
 	fs, err := storage.OpenFileStore(path)
 	if err != nil {
@@ -85,6 +88,10 @@ func OpenIndex(path string, cfg IndexConfig) (*Index, error) {
 		}
 		ix = &Index{tree: t, pool: pool, store: store, size: t.Len(), kind: RStar}
 	}
+	m, mutable := ix.tree.(index.Mutable)
+	if !mutable && len(ops) > 0 {
+		return fail(fmt.Errorf("ann: %s holds a read-only %v index, but its log holds %d writes: %w", path, ix.kind, len(ops), ErrInvalidConfig))
+	}
 	ix.ckptEveryBytes = cfg.CheckpointEveryBytes
 
 	ix.enableLiveUpdates(wal)
@@ -92,9 +99,9 @@ func OpenIndex(path string, cfg IndexConfig) (*Index, error) {
 		for _, op := range ops {
 			switch {
 			case op.IsWALInsert():
-				err = ix.tree.Insert(index.ObjectID(op.ID), geom.Point(op.Point))
+				err = m.Insert(index.ObjectID(op.ID), geom.Point(op.Point))
 			case op.IsWALDelete():
-				_, err = ix.tree.Delete(index.ObjectID(op.ID), geom.Point(op.Point))
+				_, err = m.Delete(index.ObjectID(op.ID), geom.Point(op.Point))
 			}
 			if err != nil {
 				return fail(fmt.Errorf("ann: WAL replay: %w", err))
@@ -111,8 +118,11 @@ func OpenIndex(path string, cfg IndexConfig) (*Index, error) {
 	// The tree now equals its durable image; the free list is not part of
 	// the image, so every page it does not reach — dead when the previous
 	// process stopped, or claimed and never checkpointed — is found again.
-	if err := ix.tree.RebuildFree(); err != nil {
-		return fail(fmt.Errorf("ann: rebuild free list: %w", err))
+	// A read-only tree frees no page and needs none.
+	if mutable {
+		if err := m.RebuildFree(); err != nil {
+			return fail(fmt.Errorf("ann: rebuild free list: %w", err))
+		}
 	}
 	return ix, nil
 }

@@ -88,6 +88,70 @@ func TestOpenIndexErrors(t *testing.T) {
 	}
 }
 
+// TestOpenIndexRefusesRStarLog: an R*-tree index is never written, so a
+// log beside its page file that holds a write is refused at open, before
+// any replay or checkpoint, and the record stays in the log. A log that
+// holds only a checkpoint's header image is restored as for MBRQT.
+func TestOpenIndexRefusesRStarLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rstar.pages")
+	pts := randomPoints(33, 300, 2)
+	built, err := BuildIndex(pts, IndexConfig{Kind: RStar, PageFile: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := built.pool.Get(built.tree.MetaPage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := append([]byte(nil), f.Data()...)
+	f.Release()
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+	writeLog := func(insert bool) {
+		w, err := createWALAt(path + ".wal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		err = w.AppendMeta(built.tree.MetaPage(), header)
+		if err == nil && insert {
+			err = w.AppendInsert(9000, []float64{1, 2})
+		}
+		if err == nil {
+			err = w.Sync()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	writeLog(false)
+	ix, err := OpenIndex(path, IndexConfig{})
+	if err != nil {
+		t.Fatalf("header-only log: %v", err)
+	}
+	if ix.Len() != len(pts) {
+		t.Fatalf("header-only log: Len %d, want %d", ix.Len(), len(pts))
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	writeLog(true)
+	if _, err := OpenIndex(path, IndexConfig{}); !errors.Is(err, ErrInvalidConfig) {
+		t.Fatalf("log holding an insert: %v, want ErrInvalidConfig", err)
+	}
+	w, err := openWALAt(path + ".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, ops, err := w.Recover(); err != nil || len(ops) != 1 || !ops[0].IsWALInsert() || ops[0].ID != 9000 {
+		t.Fatalf("after the refused open the log holds %+v (%v), want the one insert", ops, err)
+	}
+}
+
 func TestIndexStats(t *testing.T) {
 	pts := randomPoints(37, 500, 2)
 	ix, err := BuildIndex(pts, IndexConfig{})

@@ -51,157 +51,154 @@ func TestKNNReadersBesideWriter(t *testing.T) {
 		batchSize = 8
 		k         = 10
 	)
-	for _, kind := range []IndexKind{MBRQT, RStar} {
-		rng := rand.New(rand.NewSource(91))
-		base := basePoints(90, 30_000, 2)
-		queries := make([]Point, 6)
-		for j := range queries {
-			queries[j] = base[100*j+5]
-		}
-		live := make(map[uint64]Point, len(base))
-		for i, p := range base {
-			live[uint64(i)] = p
-		}
+	rng := rand.New(rand.NewSource(91))
+	base := basePoints(90, 30_000, 2)
+	queries := make([]Point, 6)
+	for j := range queries {
+		queries[j] = base[100*j+5]
+	}
+	live := make(map[uint64]Point, len(base))
+	for i, p := range base {
+		live[uint64(i)] = p
+	}
 
-		// The write history, and the exact answer to every query at every
-		// batch boundary. Even batches insert points right next to the
-		// query points, odd ones delete their current nearest neighbors.
-		type batch struct {
-			insert bool
-			ids    []uint64
-			pts    []Point
+	// The write history, and the exact answer to every query at every
+	// batch boundary. Even batches insert points right next to the
+	// query points, odd ones delete their current nearest neighbors.
+	type batch struct {
+		insert bool
+		ids    []uint64
+		pts    []Point
+	}
+	history := make([]batch, batches)
+	valid := make([]map[string]bool, len(queries))
+	record := func() {
+		for j, q := range queries {
+			if valid[j] == nil {
+				valid[j] = map[string]bool{}
+			}
+			valid[j][fmt.Sprint(bruteKNNIDs(live, q, k))] = true
 		}
-		history := make([]batch, batches)
-		valid := make([]map[string]bool, len(queries))
-		record := func() {
-			for j, q := range queries {
-				if valid[j] == nil {
-					valid[j] = map[string]bool{}
-				}
-				valid[j][fmt.Sprint(bruteKNNIDs(live, q, k))] = true
+	}
+	record()
+	for b := range history {
+		h := batch{insert: b%2 == 0}
+		for i := 0; i < batchSize; i++ {
+			q := queries[(b+i)%len(queries)]
+			if h.insert {
+				id := uint64(1_000_000 + b*batchSize + i)
+				p := Point{q[0] + rng.Float64()*0.2, q[1] + rng.Float64()*0.2}
+				h.ids, h.pts = append(h.ids, id), append(h.pts, p)
+				live[id] = p
+			} else {
+				id := bruteKNNIDs(live, q, 1)[0]
+				h.ids, h.pts = append(h.ids, id), append(h.pts, live[id])
+				delete(live, id)
 			}
 		}
+		history[b] = h
 		record()
-		for b := range history {
-			h := batch{insert: b%2 == 0}
-			for i := 0; i < batchSize; i++ {
-				q := queries[(b+i)%len(queries)]
-				if h.insert {
-					id := uint64(1_000_000 + b*batchSize + i)
-					p := Point{q[0] + rng.Float64()*0.2, q[1] + rng.Float64()*0.2}
-					h.ids, h.pts = append(h.ids, id), append(h.pts, p)
-					live[id] = p
-				} else {
-					id := bruteKNNIDs(live, q, 1)[0]
-					h.ids, h.pts = append(h.ids, id), append(h.pts, live[id])
-					delete(live, id)
+	}
+
+	ix, err := BuildIndex(base, IndexConfig{
+		PageFile:        filepath.Join(t.TempDir(), "knn.pages"),
+		BufferPoolBytes: 64 * storage.PageSize,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pages := ix.store.NumPages(); pages < 100 {
+		t.Fatalf("index has %d pages, want well over the pool's 64 frames", pages)
+	}
+
+	var wg sync.WaitGroup
+	writerDone := make(chan struct{})
+	errCh := make(chan error, 4)
+	report := func(err error) {
+		select {
+		case errCh <- err:
+		default:
+		}
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(writerDone)
+		for b, h := range history {
+			var err error
+			if h.insert {
+				err = ix.InsertBatch(h.ids, h.pts)
+			} else {
+				var n int
+				if n, err = ix.DeleteBatch(h.ids, h.pts); err == nil && n != len(h.ids) {
+					err = fmt.Errorf("deleted %d of %d", n, len(h.ids))
 				}
 			}
-			history[b] = h
-			record()
+			if err == nil && b == batches/2 {
+				err = ix.Flush()
+			}
+			if err != nil {
+				report(fmt.Errorf("writer batch %d: %w", b, err))
+				return
+			}
 		}
-
-		ix, err := BuildIndex(base, IndexConfig{
-			Kind:            kind,
-			PageFile:        filepath.Join(t.TempDir(), "knn.pages"),
-			BufferPoolBytes: 64 * storage.PageSize,
-		})
+	}()
+	answers := make([]int, 3)
+	for r := range answers {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for n := r; ; n++ {
+				select {
+				case <-writerDone:
+					return
+				default:
+				}
+				j := n % len(queries)
+				nbs, err := ix.NearestNeighbors(queries[j], k)
+				if err != nil {
+					report(fmt.Errorf("reader %d: %w", r, err))
+					return
+				}
+				ids := make([]uint64, len(nbs))
+				for i, nb := range nbs {
+					ids[i] = nb.ID
+				}
+				if !valid[j][fmt.Sprint(ids)] {
+					report(fmt.Errorf("reader %d, query %d: answer %v matches no published snapshot", r, j, ids))
+					return
+				}
+				answers[r]++
+			}
+		}(r)
+	}
+	wg.Wait()
+	select {
+	case err := <-errCh:
+		t.Fatalf("%v", err)
+	default:
+	}
+	for r, n := range answers {
+		if n == 0 {
+			t.Errorf("reader %d completed no query beside the writer", r)
+		}
+	}
+	// Quiesced: the answers are those of the final state.
+	for j, q := range queries {
+		nbs, err := ix.NearestNeighbors(q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pages := ix.store.NumPages(); pages < 100 {
-			t.Fatalf("%v: index has %d pages, want well over the pool's 64 frames", kind, pages)
-		}
-
-		var wg sync.WaitGroup
-		writerDone := make(chan struct{})
-		errCh := make(chan error, 4)
-		report := func(err error) {
-			select {
-			case errCh <- err:
-			default:
+		want := bruteKNNIDs(live, q, k)
+		for i, nb := range nbs {
+			if nb.ID != want[i] {
+				t.Fatalf("query %d after the last batch: neighbor %d is %d, want %d", j, i, nb.ID, want[i])
 			}
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(writerDone)
-			for b, h := range history {
-				var err error
-				if h.insert {
-					err = ix.InsertBatch(h.ids, h.pts)
-				} else {
-					var n int
-					if n, err = ix.DeleteBatch(h.ids, h.pts); err == nil && n != len(h.ids) {
-						err = fmt.Errorf("deleted %d of %d", n, len(h.ids))
-					}
-				}
-				if err == nil && b == batches/2 {
-					err = ix.Flush()
-				}
-				if err != nil {
-					report(fmt.Errorf("writer batch %d: %w", b, err))
-					return
-				}
-			}
-		}()
-		answers := make([]int, 3)
-		for r := range answers {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				for n := r; ; n++ {
-					select {
-					case <-writerDone:
-						return
-					default:
-					}
-					j := n % len(queries)
-					nbs, err := ix.NearestNeighbors(queries[j], k)
-					if err != nil {
-						report(fmt.Errorf("reader %d: %w", r, err))
-						return
-					}
-					ids := make([]uint64, len(nbs))
-					for i, nb := range nbs {
-						ids[i] = nb.ID
-					}
-					if !valid[j][fmt.Sprint(ids)] {
-						report(fmt.Errorf("reader %d, query %d: answer %v matches no published snapshot", r, j, ids))
-						return
-					}
-					answers[r]++
-				}
-			}(r)
-		}
-		wg.Wait()
-		select {
-		case err := <-errCh:
-			t.Fatalf("%v: %v", kind, err)
-		default:
-		}
-		for r, n := range answers {
-			if n == 0 {
-				t.Errorf("%v: reader %d completed no query beside the writer", kind, r)
-			}
-		}
-		// Quiesced: the answers are those of the final state.
-		for j, q := range queries {
-			nbs, err := ix.NearestNeighbors(q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := bruteKNNIDs(live, q, k)
-			for i, nb := range nbs {
-				if nb.ID != want[i] {
-					t.Fatalf("%v: query %d after the last batch: neighbor %d is %d, want %d", kind, j, i, nb.ID, want[i])
-				}
-			}
-		}
-		storage.RequireNoPinnedFrames(t, ix.pool)
-		if err := ix.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	storage.RequireNoPinnedFrames(t, ix.pool)
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -162,24 +162,20 @@ func (ix *Index) checkpointLocked() error {
 // passes validation must be applicable, so WAL replay cannot hit a
 // rejection the original caller never saw. Failures wrap
 // ErrInvalidConfig, which the serving layer classifies as BAD_REQUEST.
-func (ix *Index) validateMutation(ids []ObjectID, pts []Point) error {
+func validateMutation(t index.Mutable, ids []ObjectID, pts []Point) error {
 	if len(ids) != len(pts) {
 		return fmt.Errorf("ann: %d ids for %d points: %w", len(ids), len(pts), ErrInvalidConfig)
 	}
 	if len(ids) == 0 {
 		return fmt.Errorf("ann: empty mutation batch: %w", ErrInvalidConfig)
 	}
-	dim := ix.tree.Dim()
-	var space geom.Rect
-	if bounded, ok := ix.tree.(interface{ Space() geom.Rect }); ok {
-		space = bounded.Space()
-	}
+	dim, space := t.Dim(), t.Space()
 	for i, pt := range pts {
 		if len(pt) != dim {
 			return fmt.Errorf("ann: point %d has dimensionality %d, expected %d: %w", i, len(pt), dim, ErrInvalidConfig)
 		}
-		if space.Dim() > 0 && !space.Contains(geom.Point(pt)) {
-			return fmt.Errorf("ann: point %d (%v) lies outside the index space %v (the PR quadtree's root cell is fixed at build time; rebuild with a larger dataset extent, or use the R*-tree backend for unbounded growth): %w", i, pt, space, ErrInvalidConfig)
+		if !space.Contains(geom.Point(pt)) {
+			return fmt.Errorf("ann: point %d (%v) lies outside the index space %v (the PR quadtree's root cell is fixed at build time; rebuild with a larger dataset extent): %w", i, pt, space, ErrInvalidConfig)
 		}
 	}
 	return nil
@@ -197,9 +193,9 @@ func (ix *Index) Insert(id ObjectID, pt Point) error {
 // queries started after see all of it — never a partial batch. IDs are
 // not required to be unique; duplicates are indexed independently.
 //
-// For an MBRQT index every point must lie inside the index space fixed
-// at build time (the PR decomposition's root cell); the R*-tree backend
-// has no such constraint.
+// Every point must lie inside the index space fixed at build time (the
+// PR decomposition's root cell). An R*-tree index is read-only: its
+// writes fail with ErrInvalidConfig.
 func (ix *Index) InsertBatch(ids []ObjectID, pts []Point) error {
 	_, err := ix.commit(ids, pts, (*storage.WAL).AppendInsert, func(t index.Mutable, id index.ObjectID, pt geom.Point) (bool, error) {
 		return true, t.Insert(id, pt)
@@ -226,11 +222,16 @@ func (ix *Index) DeleteBatch(ids []ObjectID, pts []Point) (int, error) {
 // commit is the one write path: validate → log → fsync → apply →
 // publish → maybe checkpoint. logOp appends one op to the WAL and apply
 // performs it on the tree, reporting whether it took effect; commit
-// returns how many did.
+// returns how many did. Only a Mutable tree is written: an R*-tree index
+// refuses before anything is logged.
 func (ix *Index) commit(ids []ObjectID, pts []Point,
 	logOp func(*storage.WAL, uint64, []float64) error,
 	apply func(index.Mutable, index.ObjectID, geom.Point) (bool, error)) (int, error) {
-	if err := ix.validateMutation(ids, pts); err != nil {
+	m, ok := ix.tree.(index.Mutable)
+	if !ok {
+		return 0, fmt.Errorf("ann: an %v index is read-only: %w", ix.kind, ErrInvalidConfig)
+	}
+	if err := validateMutation(m, ids, pts); err != nil {
 		return 0, err
 	}
 	ix.writeMu.Lock()
@@ -257,7 +258,7 @@ func (ix *Index) commit(ids []ObjectID, pts []Point,
 	}
 	applied := 0
 	for i := range ids {
-		ok, err := apply(ix.tree, index.ObjectID(ids[i]), geom.Point(pts[i]))
+		ok, err := apply(m, index.ObjectID(ids[i]), geom.Point(pts[i]))
 		if err != nil {
 			// The log and the tree have diverged; refuse further writes
 			// (recovery on reopen reconciles from the log).

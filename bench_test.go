@@ -7,6 +7,7 @@
 package allnn_test
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -84,7 +85,7 @@ func runEngine(b *testing.B, tree index.Tree, opts core.Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(tree, tree, opts, func(core.Result) error { return nil }); err != nil {
+		if _, err := core.RunContext(context.Background(), tree, tree, opts, func(core.Result) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -319,13 +320,13 @@ func BenchmarkExpandRStar_WarmCache(b *testing.B) { benchExpand(b, bench.KindRSt
 func benchCollectCache(b *testing.B, budget int64) {
 	tree, _ := buildSelf(b, bench.KindMBRQT, fig3aPoints())
 	opts := core.Options{ExcludeSelf: true, NodeCacheBytes: budget}
-	if _, _, err := core.Collect(tree, tree, opts); err != nil {
+	if _, _, err := core.CollectContext(context.Background(), tree, tree, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.Collect(tree, tree, opts); err != nil {
+		if _, _, err := core.CollectContext(context.Background(), tree, tree, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

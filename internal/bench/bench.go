@@ -14,6 +14,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -283,7 +284,7 @@ func runMBA(name string, cfg Config, p *prepared, opts core.Options) (Measuremen
 		return Measurement{}, err
 	}
 	return measure(name, cfg, pool, 0, func() (uint64, error) {
-		stats, err := core.Run(ir, is, opts, func(core.Result) error { return nil })
+		stats, err := core.RunContext(context.Background(), ir, is, opts, func(core.Result) error { return nil })
 		stats.AddTo(cfg.Metrics) // no-op on a nil registry
 		return stats.Results, err
 	})

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,9 +13,9 @@ import (
 )
 
 // RunMBAReport is the observability deep-dive: one self-ANN join over the
-// TAC surrogate executed through core.RunReport, so the full unified
-// QueryReport — engine counters, buffer-pool and node-cache activity,
-// and the Expand/Filter/Gather stage timing breakdown — is printed for a
+// TAC surrogate executed through core.RunReportContext, so the full
+// unified QueryReport — engine counters, buffer-pool and node-cache
+// activity, and the Expand/Filter/Gather stage timing breakdown — is printed for a
 // single query instead of the aggregate tables of the paper experiments.
 //
 // With Config.TracePath set, the run is traced and written as Chrome
@@ -48,7 +49,7 @@ func RunMBAReport(cfg Config) error {
 		opts.Tracer = tracer
 	}
 
-	rep, err := core.RunReport(ir, is, opts, func(core.Result) error { return nil })
+	rep, err := core.RunReportContext(context.Background(), ir, is, opts, func(core.Result) error { return nil })
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -81,13 +82,13 @@ func BenchmarkCollect(b *testing.B) {
 			{"cachewarm", Options{ExcludeSelf: true}},
 		} {
 			b.Run(fmt.Sprintf("%s/%s", bb.name, mode.name), func(b *testing.B) {
-				if _, _, err := Collect(tree, tree, mode.opts); err != nil {
+				if _, _, err := CollectContext(context.Background(), tree, tree, mode.opts); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := Collect(tree, tree, mode.opts); err != nil {
+					if _, _, err := CollectContext(context.Background(), tree, tree, mode.opts); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -118,13 +119,13 @@ func BenchmarkLeafJoinAkNN(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			opts := Options{K: k, ExcludeSelf: true}
 			emit := func(Result) error { return nil }
-			if _, err := Run(tree, tree, opts, emit); err != nil {
+			if _, err := RunContext(context.Background(), tree, tree, opts, emit); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(tree, tree, opts, emit); err != nil {
+				if _, err := RunContext(context.Background(), tree, tree, opts, emit); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -153,7 +154,7 @@ func BenchmarkJoinPeakHeap(b *testing.B) {
 				opts := Options{K: k, ExcludeSelf: true, Parallelism: 2, OrderedEmit: mode == "ordered"}
 				rows := 0
 				emit := func(Result) error { rows++; return nil }
-				if _, err := Run(tree, tree, opts, emit); err != nil {
+				if _, err := RunContext(context.Background(), tree, tree, opts, emit); err != nil {
 					b.Fatal(err)
 				}
 				runtime.GC()
@@ -176,7 +177,7 @@ func BenchmarkJoinPeakHeap(b *testing.B) {
 				allocated := read(allocBytes)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := Run(tree, tree, opts, emit); err != nil {
+					if _, err := RunContext(context.Background(), tree, tree, opts, emit); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -7,7 +7,7 @@ import (
 
 // setupNodeCaches attaches (or detaches) decoded-node caches on the two
 // indexes according to Options.NodeCacheBytes and returns the distinct
-// caches in use, so Run can report per-execution hit/miss deltas. A
+// caches in use, so RunContext can report per-execution hit/miss deltas. A
 // self-join passes the same tree twice and therefore yields one cache.
 //
 // readers is the expected number of concurrent readers (the run's
@@ -15,7 +15,7 @@ import (
 // do not serialise on one shard lock. Attachment is idempotent: a tree
 // keeps its cache (and its warm contents) across runs as long as the
 // budget does not change and the shard count still covers the readers,
-// which is what makes steady-state Collect calls allocation-free.
+// which is what makes steady-state CollectContext calls allocation-free.
 func setupNodeCaches(ir, is index.Tree, budget int64, readers int) []*index.NodeCache {
 	var caches []*index.NodeCache
 	seen := map[*index.NodeCache]bool{}

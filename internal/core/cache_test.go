@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -36,7 +37,7 @@ func TestNodeCacheTraversalInvariance(t *testing.T) {
 		for _, k := range []int{1, 3} {
 			ir, is := b.build(t, rPts), b.build(t, sPts)
 			off := Options{K: k, NodeCacheBytes: NodeCacheDisabled}
-			wantRes, wantStats, err := Collect(ir, is, off)
+			wantRes, wantStats, err := CollectContext(context.Background(), ir, is, off)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,7 +49,7 @@ func TestNodeCacheTraversalInvariance(t *testing.T) {
 			}
 			for _, pass := range []string{"cold", "warm"} {
 				on := Options{K: k}
-				gotRes, gotStats, err := Collect(ir, is, on)
+				gotRes, gotStats, err := CollectContext(context.Background(), ir, is, on)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -102,26 +103,26 @@ func TestWarmExpandAllocationFree(t *testing.T) {
 	}
 }
 
-// TestNodeCacheSurvivesAcrossRuns checks that Run keeps a tree's cache
+// TestNodeCacheSurvivesAcrossRuns checks that RunContext keeps a tree's cache
 // (and its contents) when the budget is unchanged, and replaces it when
 // the budget changes.
 func TestNodeCacheSurvivesAcrossRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tree := buildMBRQT(t, uniformPoints(rng, 500, 2, 100))
-	if _, _, err := Collect(tree, tree, Options{ExcludeSelf: true}); err != nil {
+	if _, _, err := CollectContext(context.Background(), tree, tree, Options{ExcludeSelf: true}); err != nil {
 		t.Fatal(err)
 	}
 	first := tree.(index.NodeCacher).NodeCacheRef()
 	if first == nil {
 		t.Fatal("default options did not attach a cache")
 	}
-	if _, _, err := Collect(tree, tree, Options{ExcludeSelf: true}); err != nil {
+	if _, _, err := CollectContext(context.Background(), tree, tree, Options{ExcludeSelf: true}); err != nil {
 		t.Fatal(err)
 	}
 	if tree.(index.NodeCacher).NodeCacheRef() != first {
 		t.Fatal("unchanged budget replaced the cache")
 	}
-	if _, _, err := Collect(tree, tree, Options{ExcludeSelf: true, NodeCacheBytes: 1 << 20}); err != nil {
+	if _, _, err := CollectContext(context.Background(), tree, tree, Options{ExcludeSelf: true, NodeCacheBytes: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
 	if c := tree.(index.NodeCacher).NodeCacheRef(); c == first || c.Cap() != 1<<20 {
@@ -129,15 +130,8 @@ func TestNodeCacheSurvivesAcrossRuns(t *testing.T) {
 	}
 }
 
-// mutableTree is the subset of index.Tree plus the mutation entry points
-// shared by both index implementations.
-type mutableTree interface {
-	index.Tree
-	Insert(index.ObjectID, geom.Point) error
-}
-
 // TestNodeCacheInvalidationOnMutation interleaves queries with inserts
-// (and deletes, for the R*-tree) on a warm cache and cross-checks every
+// (and then deletes) on a warm cache and cross-checks every
 // query against a cache-free run over the same tree. Stale decoded nodes
 // would surface as diverging results.
 func TestNodeCacheInvalidationOnMutation(t *testing.T) {
@@ -153,11 +147,11 @@ func TestNodeCacheInvalidationOnMutation(t *testing.T) {
 	}
 
 	check := func(name string, tree index.Tree) {
-		cached, _, err := Collect(tree, tree, Options{ExcludeSelf: true})
+		cached, _, err := CollectContext(context.Background(), tree, tree, Options{ExcludeSelf: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		plain, _, err := Collect(tree, tree, Options{ExcludeSelf: true, NodeCacheBytes: NodeCacheDisabled})
+		plain, _, err := CollectContext(context.Background(), tree, tree, Options{ExcludeSelf: true, NodeCacheBytes: NodeCacheDisabled})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -167,7 +161,7 @@ func TestNodeCacheInvalidationOnMutation(t *testing.T) {
 	}
 
 	t.Run("mbrqt-insert", func(t *testing.T) {
-		tree := buildMBRQT(t, base).(mutableTree)
+		tree := buildMBRQT(t, base).(index.Mutable)
 		check("initial", tree)
 		for i, p := range extra {
 			if err := tree.Insert(index.ObjectID(1000+i), p); err != nil {
@@ -180,11 +174,8 @@ func TestNodeCacheInvalidationOnMutation(t *testing.T) {
 		check("final", tree)
 	})
 
-	t.Run("rstar-insert-delete", func(t *testing.T) {
-		tree := buildRStar(t, base).(interface {
-			mutableTree
-			Delete(index.ObjectID, geom.Point) (bool, error)
-		})
+	t.Run("mbrqt-insert-delete", func(t *testing.T) {
+		tree := buildMBRQT(t, base).(index.Mutable)
 		check("initial", tree)
 		for i, p := range extra {
 			if err := tree.Insert(index.ObjectID(1000+i), p); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -109,7 +110,7 @@ func TestChaosANNRunsUnderFaults(t *testing.T) {
 				Parallelism:    par,
 				NodeCacheBytes: NodeCacheDisabled,
 			}
-			results, _, err := Collect(tree, tree, opts)
+			results, _, err := CollectContext(context.Background(), tree, tree, opts)
 			requireChaosErr(t, err)
 			if err == nil && len(results) != len(pts) {
 				t.Fatalf("parallelism=%d run %d: %d results, want %d", par, run, len(results), len(pts))

@@ -11,9 +11,9 @@ import (
 	"allnn/internal/pq"
 )
 
-// KClosestPairs returns the k closest pairs (r, s), r from ir and s from
-// is, ascending by distance — the k-closest-pair query of Corral et al.
-// (SIGMOD 2000), the line of work the paper's MINMAXDIST discussion
+// KClosestPairsContext returns the k closest pairs (r, s), r from ir and s
+// from is, ascending by distance — the k-closest-pair query of Corral et
+// al. (SIGMOD 2000), the line of work the paper's MINMAXDIST discussion
 // refers to. The traversal is best-first over subtree pairs ordered by
 // MINMINDIST, with MAXMAXDIST-based upper bounds pruning pairs that
 // cannot reach the top k.
@@ -21,13 +21,9 @@ import (
 // When excludeSelf is set, pairs with equal ObjectIDs are skipped, and
 // for a self-join each unordered pair appears twice (once per direction),
 // matching the two-dataset semantics of the operation.
-func KClosestPairs(ir, is index.Tree, k int, excludeSelf bool) ([]Pair, Stats, error) {
-	return KClosestPairsContext(context.Background(), ir, is, k, excludeSelf)
-}
-
-// KClosestPairsContext is KClosestPairs with cancellation: when ctx is
-// cancelled or its deadline passes, the best-first traversal stops at
-// the next frontier pop and returns ctx.Err() with no results (partial
+//
+// When ctx is cancelled or its deadline passes, the best-first traversal
+// stops at the next frontier pop and returns ctx.Err() with no results (partial
 // top-k output would be misleading — the pairs found so far need not be
 // the globally closest). A context that can never be cancelled costs
 // nothing — see RunContext.

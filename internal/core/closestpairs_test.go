@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -33,7 +34,7 @@ func TestKClosestPairsMatchesBrute(t *testing.T) {
 	ir := buildMBRQT(t, rPts)
 	is := buildRStar(t, sPts)
 	for _, k := range []int{1, 5, 50} {
-		got, _, err := KClosestPairs(ir, is, k, false)
+		got, _, err := KClosestPairsContext(context.Background(), ir, is, k, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func TestKClosestPairsSelfJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	pts := clusteredPoints(rng, 200, 2, 100)
 	ix := buildMBRQT(t, pts)
-	got, _, err := KClosestPairs(ix, ix, 10, true)
+	got, _, err := KClosestPairsContext(context.Background(), ix, ix, 10, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestKClosestPairsKLargerThanAll(t *testing.T) {
 	sPts := []geom.Point{{2, 2}}
 	ir := buildMBRQT(t, rPts)
 	is := buildMBRQT(t, sPts)
-	got, _, err := KClosestPairs(ir, is, 100, false)
+	got, _, err := KClosestPairsContext(context.Background(), ir, is, 100, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +92,11 @@ func TestKClosestPairsKLargerThanAll(t *testing.T) {
 func TestKClosestPairsValidation(t *testing.T) {
 	ir := buildMBRQT(t, []geom.Point{{1, 1}})
 	is := buildMBRQT(t, []geom.Point{{1, 1, 1}})
-	if _, _, err := KClosestPairs(ir, is, 1, false); err == nil {
+	if _, _, err := KClosestPairsContext(context.Background(), ir, is, 1, false); err == nil {
 		t.Fatal("expected dimensionality error")
 	}
 	is2 := buildMBRQT(t, []geom.Point{{2, 2}})
-	if _, _, err := KClosestPairs(ir, is2, 0, false); err == nil {
+	if _, _, err := KClosestPairsContext(context.Background(), ir, is2, 0, false); err == nil {
 		t.Fatal("expected error for k = 0")
 	}
 }

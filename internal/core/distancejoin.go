@@ -9,7 +9,7 @@ import (
 	"allnn/internal/index"
 )
 
-// Pair is one result of a distance join or of KClosestPairs: the ids of
+// Pair is one result of a distance join or of KClosestPairsContext: the ids of
 // two objects, one from each index, and their Euclidean distance. Like
 // Neighbor it is the row type all the way out (ann.Pair and wire.Pair
 // are aliases of it).
@@ -18,21 +18,17 @@ type Pair struct {
 	Dist float64
 }
 
-// DistanceJoin reports every pair (r, s), r from ir and s from is, with
-// Euclidean distance at most d (the Distance Join of Hjaltason & Samet,
+// DistanceJoinContext reports every pair (r, s), r from ir and s from is,
+// with Euclidean distance at most d (the Distance Join of Hjaltason & Samet,
 // Section 2 of the paper — the operation ANN methods are most closely
 // related to). It uses the same synchronized bi-directional traversal as
 // the ANN engine, pruning subtree pairs whose MINMINDIST exceeds d.
 //
 // When excludeSelf is set, pairs with equal ObjectIDs are skipped (use
 // for self-joins).
-func DistanceJoin(ir, is index.Tree, d float64, excludeSelf bool, emit func(Pair) error) (Stats, error) {
-	return DistanceJoinContext(context.Background(), ir, is, d, excludeSelf, emit)
-}
-
-// DistanceJoinContext is DistanceJoin with cancellation: when ctx is
-// cancelled or its deadline passes, the traversal stops at the next node
-// expansion and returns ctx.Err() alongside the stats gathered so far
+//
+// When ctx is cancelled or its deadline passes, the traversal stops at the
+// next node expansion and returns ctx.Err() alongside the stats gathered so far
 // (emit is not called again after the cancellation is observed). A
 // context that can never be cancelled costs nothing — see RunContext.
 func DistanceJoinContext(ctx context.Context, ir, is index.Tree, d float64, excludeSelf bool, emit func(Pair) error) (Stats, error) {

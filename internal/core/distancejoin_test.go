@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -30,7 +31,7 @@ func checkJoin(t *testing.T, rPts, sPts []geom.Point, d float64, excludeSelf boo
 	ir := buildMBRQT(t, rPts)
 	is := buildRStar(t, sPts)
 	var got [][2]int
-	_, err := DistanceJoin(ir, is, d, excludeSelf, func(p Pair) error {
+	_, err := DistanceJoinContext(context.Background(), ir, is, d, excludeSelf, func(p Pair) error {
 		got = append(got, [2]int{int(p.R), int(p.S)})
 		if actual := geom.Dist(rPts[p.R], sPts[p.S]); math.Abs(actual-p.Dist) > 1e-9 {
 			t.Fatalf("pair (%d,%d): reported dist %g, actual %g", p.R, p.S, p.Dist, actual)
@@ -89,11 +90,11 @@ func TestDistanceJoinZeroDistance(t *testing.T) {
 func TestDistanceJoinValidation(t *testing.T) {
 	ir := buildMBRQT(t, []geom.Point{{1, 1}})
 	is := buildMBRQT(t, []geom.Point{{1, 1, 1}})
-	if _, err := DistanceJoin(ir, is, 1, false, func(Pair) error { return nil }); err == nil {
+	if _, err := DistanceJoinContext(context.Background(), ir, is, 1, false, func(Pair) error { return nil }); err == nil {
 		t.Fatal("expected dimensionality error")
 	}
 	is2 := buildMBRQT(t, []geom.Point{{2, 2}})
-	if _, err := DistanceJoin(ir, is2, -1, false, func(Pair) error { return nil }); err == nil {
+	if _, err := DistanceJoinContext(context.Background(), ir, is2, -1, false, func(Pair) error { return nil }); err == nil {
 		t.Fatal("expected negative-distance error")
 	}
 }

@@ -28,7 +28,7 @@ func hashRun(t *testing.T, ir, is index.Tree, opts Options) (uint64, Stats) {
 		binary.LittleEndian.PutUint64(word[:], v)
 		h.Write(word[:])
 	}
-	stats, err := Run(ir, is, opts, func(r Result) error {
+	stats, err := RunContext(context.Background(), ir, is, opts, func(r Result) error {
 		write(r.ID)
 		for _, n := range r.Neighbors {
 			write(n.ID)
@@ -203,7 +203,7 @@ func TestFusedLeafAtomicTask(t *testing.T) {
 	// delivered stops the run before any worker starts.
 	boom := errors.New("boom")
 	tiny := cases[1]
-	_, err := Run(tiny.tree, tiny.tree, Options{K: 1, ExcludeSelf: true, Parallelism: 4, OrderedEmit: true},
+	_, err := RunContext(context.Background(), tiny.tree, tiny.tree, Options{K: 1, ExcludeSelf: true, Parallelism: 4, OrderedEmit: true},
 		func(Result) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("emit error from a frontier leaf: got %v, want boom", err)
@@ -269,12 +269,12 @@ func TestFusedLeafSteadyStateAllocs(t *testing.T) {
 	tree := fcTree(t, 4000)
 	opts := Options{K: 10, ExcludeSelf: true}
 	emit := func(Result) error { return nil }
-	stats, err := Run(tree, tree, opts, emit) // warms the node cache and the scratch
+	stats, err := RunContext(context.Background(), tree, tree, opts, emit) // warms the node cache and the scratch
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := Run(tree, tree, opts, emit); err != nil {
+		if _, err := RunContext(context.Background(), tree, tree, opts, emit); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -14,19 +14,6 @@ import (
 	"allnn/internal/pq"
 )
 
-// Run executes an ANN/AkNN query: for every point in the query index ir,
-// it finds the Options.K nearest points in the target index is, calling
-// emit once per query object. Results stream in index traversal order.
-//
-// Run is the paper's Algorithm 2 (MBA): it seeds the root LPQ, then
-// processes the LPQ queue depth-first (ANN-DFBI, Algorithm 3) with
-// bi-directional node expansion and the Three-Stage pruning of
-// Algorithm 4 down to the leaves of I_R, each of which is answered by one
-// fused leaf join. Over MBRQT indexes this is MBA; over R*-trees, RBA.
-func Run(ir, is index.Tree, opts Options, emit func(Result) error) (Stats, error) {
-	return RunContext(context.Background(), ir, is, opts, emit)
-}
-
 // armCancel wires a context to the polling-based cancellation machinery
 // shared by every traversal: a watcher goroutine flips the returned
 // atomic flag when ctx is cancelled, and the engine's loops poll it. The
@@ -57,10 +44,20 @@ func armCancel(ctx context.Context) (cancelled *atomic.Bool, disarm func(), err 
 	return cancelled, disarm, nil
 }
 
-// RunContext is Run with cancellation: when ctx is cancelled (or its
-// deadline passes), the traversal — serial or parallel — stops at the
-// next loop boundary, releases its resources (no buffer-pool pin survives
-// an abort) and returns ctx.Err(). A context that can never be cancelled
+// RunContext executes an ANN/AkNN query: for every point in the query
+// index ir, it finds the Options.K nearest points in the target index is,
+// calling emit once per query object. Results stream in index traversal
+// order.
+//
+// It is the paper's Algorithm 2 (MBA): it seeds the root LPQ, then
+// processes the LPQ queue depth-first (ANN-DFBI, Algorithm 3) with
+// bi-directional node expansion and the Three-Stage pruning of
+// Algorithm 4 down to the leaves of I_R, each of which is answered by one
+// fused leaf join. Over MBRQT indexes this is MBA; over R*-trees, RBA.
+//
+// When ctx is cancelled (or its deadline passes), the traversal — serial
+// or parallel — stops at the next loop boundary, releases its resources
+// (no buffer-pool pin survives an abort) and returns ctx.Err(). A context that can never be cancelled
 // (context.Background()) costs nothing: the cancellation machinery — one
 // watcher goroutine flipping a shared atomic flag the engine polls — is
 // only armed when ctx.Done() is non-nil.
@@ -163,14 +160,9 @@ func RunContext(ctx context.Context, ir, is index.Tree, opts Options, emit func(
 	return stats, err
 }
 
-// Collect runs the query and materialises all results.
-func Collect(ir, is index.Tree, opts Options) ([]Result, Stats, error) {
-	return CollectContext(context.Background(), ir, is, opts)
-}
-
-// CollectContext is Collect with cancellation (see RunContext). On early
-// cancellation the results gathered so far are returned alongside
-// ctx.Err().
+// CollectContext runs the query and materialises all results. On early
+// cancellation (see RunContext) the results gathered so far are returned
+// alongside ctx.Err().
 func CollectContext(ctx context.Context, ir, is index.Tree, opts Options) ([]Result, Stats, error) {
 	var out []Result
 	stats, err := RunContext(ctx, ir, is, opts, func(r Result) error {

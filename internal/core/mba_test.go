@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -71,7 +72,7 @@ func buildRStar(t testing.TB, pts []geom.Point) index.Tree {
 // distances of every query object against the brute-force reference.
 func checkAgainstBrute(t *testing.T, ir, is index.Tree, rPts, sPts []geom.Point, opts Options) Stats {
 	t.Helper()
-	got, stats, err := Collect(ir, is, opts)
+	got, stats, err := CollectContext(context.Background(), ir, is, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestSelfJoinWithDuplicatePoints(t *testing.T) {
 	pts := []geom.Point{{1, 1}, {1, 1}, {5, 5}, {9, 9}}
 	ir := buildMBRQT(t, pts)
 	is := buildMBRQT(t, pts)
-	got, _, err := Collect(ir, is, Options{ExcludeSelf: true})
+	got, _, err := CollectContext(context.Background(), ir, is, Options{ExcludeSelf: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestTinyDatasets(t *testing.T) {
 func TestDimensionalityMismatchFails(t *testing.T) {
 	ir := buildMBRQT(t, []geom.Point{{1, 1}})
 	is := buildMBRQT(t, []geom.Point{{1, 1, 1}})
-	if _, _, err := Collect(ir, is, Options{}); err == nil {
+	if _, _, err := CollectContext(context.Background(), ir, is, Options{}); err == nil {
 		t.Fatal("expected error for mismatched dimensionality")
 	}
 }
@@ -232,11 +233,11 @@ func TestNXNDistPrunesMoreThanMaxMax(t *testing.T) {
 	pts := clusteredPoints(rng, 2000, 2, 1000)
 	ir := buildMBRQT(t, pts)
 	is := buildMBRQT(t, pts)
-	_, nxn, err := Collect(ir, is, Options{Metric: NXNDist, ExcludeSelf: true})
+	_, nxn, err := CollectContext(context.Background(), ir, is, Options{Metric: NXNDist, ExcludeSelf: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, mm, err := Collect(ir, is, Options{Metric: MaxMaxDist, ExcludeSelf: true})
+	_, mm, err := CollectContext(context.Background(), ir, is, Options{Metric: MaxMaxDist, ExcludeSelf: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestStatsPopulated(t *testing.T) {
 	pts := uniformPoints(rng, 300, 2, 100)
 	ir := buildMBRQT(t, pts)
 	is := buildMBRQT(t, pts)
-	_, stats, err := Collect(ir, is, Options{ExcludeSelf: true})
+	_, stats, err := CollectContext(context.Background(), ir, is, Options{ExcludeSelf: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestEmptyTargetIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Collect(ir, empty, Options{})
+	got, _, err := CollectContext(context.Background(), ir, empty, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +305,7 @@ func TestEmptyQueryIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Collect(empty, is, Options{})
+	got, _, err := CollectContext(context.Background(), empty, is, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

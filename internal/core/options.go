@@ -79,7 +79,7 @@ type Options struct {
 	// soon as workers produce them, in scheduling-dependent order. No
 	// effect when Parallelism <= 1.
 	OrderedEmit bool
-	// NodeCacheBytes bounds the decoded-node cache Run attaches to each
+	// NodeCacheBytes bounds the decoded-node cache RunContext attaches to each
 	// index that supports one (see index.NodeCacher): 0 selects
 	// index.DefaultNodeCacheBytes, a positive value is the budget in
 	// bytes, and a negative value (NodeCacheDisabled) detaches the cache
@@ -99,18 +99,18 @@ type Options struct {
 	// Registry, when non-nil, receives engine observations that only
 	// exist mid-run (currently the per-subtree drain-time histogram of
 	// the parallel executor, "engine.subtree_nanos"). Final counters are
-	// published by RunReport, not Run.
+	// published by RunReportContext, not RunContext.
 	Registry *obs.Registry
 	// Sched, when non-nil, accumulates the execution's scheduling and
 	// batch-kernel activity (see SchedStats). Unlike Stats these numbers
 	// are not invariant across serial and parallel execution — task and
 	// split counts depend on timing — which is why they live outside
-	// Stats and its parity guarantees. RunReport sets this to collect
+	// Stats and its parity guarantees. RunReportContext sets this to collect
 	// QueryReport.Sched.
 	Sched *SchedStats
 
 	// timings, when non-nil, receives the per-stage wall-time breakdown.
-	// Set by RunReport; stage clocks cost two time.Now() calls per LPQ
+	// Set by RunReportContext; stage clocks cost two time.Now() calls per LPQ
 	// when enabled and nothing when nil.
 	timings *Timings
 }

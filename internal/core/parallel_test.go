@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,7 +16,7 @@ import (
 // collectWith runs the engine and materialises results without sorting.
 func collectWith(t *testing.T, ir, is index.Tree, opts Options) ([]Result, Stats) {
 	t.Helper()
-	got, stats, err := Collect(ir, is, opts)
+	got, stats, err := CollectContext(context.Background(), ir, is, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestParallelEmitError(t *testing.T) {
 	for _, ordered := range []bool{true, false} {
 		ir := &leafRows{Tree: tree}
 		seen, failedAt := 0, int64(-1)
-		_, err := Run(ir, tree, Options{Parallelism: workers, OrderedEmit: ordered, ExcludeSelf: true},
+		_, err := RunContext(context.Background(), ir, tree, Options{Parallelism: workers, OrderedEmit: ordered, ExcludeSelf: true},
 			func(Result) error {
 				if failedAt >= 0 {
 					t.Errorf("ordered=%v: emit called again after it failed", ordered)

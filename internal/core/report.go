@@ -102,8 +102,8 @@ func distinctPools(trees ...index.Tree) []*storage.BufferPool {
 	return pools
 }
 
-// RunReport executes the query like Run and returns the unified
-// QueryReport alongside the error. Pool and cache activity is
+// RunReportContext executes the query like RunContext and returns the
+// unified QueryReport alongside the error. Pool and cache activity is
 // attributed to the run by snapshotting their cumulative counters
 // before and after, so long-lived pools need no reset.
 //
@@ -112,12 +112,9 @@ func distinctPools(trees ...index.Tree) []*storage.BufferPool {
 // and caches are wired under "pool" and "cache" (callback-backed and
 // idempotent, summing when an R-vs-S join has two), and the query wall
 // time is observed into the "engine.query_nanos" histogram.
-func RunReport(ir, is index.Tree, opts Options, emit func(Result) error) (QueryReport, error) {
-	return RunReportContext(context.Background(), ir, is, opts, emit)
-}
-
-// RunReportContext is RunReport with cancellation (see RunContext). On
-// early cancellation the report covers the work done up to the abort.
+//
+// On early cancellation (see RunContext) the report covers the work done
+// up to the abort.
 func RunReportContext(ctx context.Context, ir, is index.Tree, opts Options, emit func(Result) error) (QueryReport, error) {
 	var rep QueryReport
 	pools := distinctPools(ir, is)
@@ -126,7 +123,7 @@ func RunReportContext(ctx context.Context, ir, is index.Tree, opts Options, emit
 		poolsBefore[i] = p.Stats()
 	}
 	// Attach the caches up-front so their counters can be snapshotted;
-	// Run's own setupNodeCaches call is idempotent and reuses them.
+	// RunContext's own setupNodeCaches call is idempotent and reuses them.
 	caches := setupNodeCaches(ir, is, opts.NodeCacheBytes, opts.Parallelism)
 	cachesBefore := cacheSnapshot(caches)
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"testing"
@@ -50,7 +51,7 @@ func TestRunReportRegistryParity(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	opts := Options{Registry: reg}
-	rep, err := RunReport(ir, is, opts, func(Result) error { return nil })
+	rep, err := RunReportContext(context.Background(), ir, is, opts, func(Result) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestRunReportTimings(t *testing.T) {
 	pts := clusteredPoints(rng, 1000, 2, 100)
 	tree := buildMBRQT(t, pts)
 
-	rep, err := RunReport(tree, tree, Options{ExcludeSelf: true}, func(Result) error { return nil })
+	rep, err := RunReportContext(context.Background(), tree, tree, Options{ExcludeSelf: true}, func(Result) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestRunReportTimings(t *testing.T) {
 
 	// Parallel runs sum the stage clocks over workers; the structure that
 	// must hold is main-phase partitioning, plus Frontier being counted.
-	prep, err := RunReport(tree, tree,
+	prep, err := RunReportContext(context.Background(), tree, tree,
 		Options{ExcludeSelf: true, Parallelism: 4, OrderedEmit: true},
 		func(Result) error { return nil })
 	if err != nil {
@@ -180,7 +181,7 @@ func TestTraceSpanNesting(t *testing.T) {
 	tree := buildMBRQT(t, pts)
 
 	tr := obs.NewTracer()
-	if _, _, err := Collect(tree, tree, Options{ExcludeSelf: true, Tracer: tr}); err != nil {
+	if _, _, err := CollectContext(context.Background(), tree, tree, Options{ExcludeSelf: true, Tracer: tr}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -256,7 +257,7 @@ func TestTraceParallelLanes(t *testing.T) {
 
 	tr := obs.NewTracer()
 	opts := Options{ExcludeSelf: true, Parallelism: 4, OrderedEmit: true, Tracer: tr}
-	if _, _, err := Collect(tree, tree, opts); err != nil {
+	if _, _, err := CollectContext(context.Background(), tree, tree, opts); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

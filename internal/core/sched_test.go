@@ -80,7 +80,7 @@ func TestSchedulerSplitsStragglers(t *testing.T) {
 	tree := buildMBRQT(t, pts)
 
 	opts := Options{ExcludeSelf: true, Parallelism: 4, OrderedEmit: true}
-	rep, err := RunReport(tree, tree, opts, func(Result) error { return nil })
+	rep, err := RunReportContext(context.Background(), tree, tree, opts, func(Result) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSchedulerSplitsStragglers(t *testing.T) {
 
 	// A serial run of the same query reports no scheduling activity but
 	// still batches its leaf joins.
-	rep, err = RunReport(tree, tree, Options{ExcludeSelf: true}, func(Result) error { return nil })
+	rep, err = RunReportContext(context.Background(), tree, tree, Options{ExcludeSelf: true}, func(Result) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestParallelBoundedParking(t *testing.T) {
 			opts.Parallelism = workers
 			opts.OrderedEmit = true
 			var err error
-			stats, err = Run(ir, tree, opts, func(r Result) error {
+			stats, err = RunContext(context.Background(), ir, tree, opts, func(r Result) error {
 				got = append(got, r)
 				if emitted.Add(1) == 1 {
 					close(first)

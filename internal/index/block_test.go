@@ -11,6 +11,7 @@ import (
 	"allnn/internal/index"
 	"allnn/internal/index/indextest"
 	"allnn/internal/pq"
+	"allnn/internal/rstar"
 	"allnn/internal/storage"
 )
 
@@ -121,10 +122,10 @@ func TestBatchMatchesSinglesAndReference(t *testing.T) {
 	}
 }
 
-// TestBatchEdges: an emptied tree answers every probe with nothing, k < 1
-// and an empty batch are no work, a probe of the wrong dimensionality is an
-// error, and an error from the between hook ends the batch with no result
-// and no pinned frame.
+// TestBatchEdges: an emptied MBRQT and an empty R*-tree answer every
+// probe with nothing, k < 1 and an empty batch are no work, a probe of the
+// wrong dimensionality is an error, and an error from the between hook
+// ends the batch with no result and no pinned frame.
 func TestBatchEdges(t *testing.T) {
 	stop := errors.New("stop")
 	for _, kind := range []string{"mbrqt", "rstar"} {
@@ -156,11 +157,17 @@ func TestBatchEdges(t *testing.T) {
 			t.Fatalf("%s: batch stopped before probe 3 returned %v, %v", kind, res, err)
 		}
 
-		one := newTree(t, kind, pool, pts[:1])
-		if ok, err := one.Delete(0, pts[0]); err != nil || !ok {
-			t.Fatalf("%s: delete: %v %v", kind, ok, err)
+		var empty index.Tree
+		if kind == "mbrqt" {
+			one := newTree(t, kind, pool, pts[:1]).(index.Mutable)
+			if ok, err := one.Delete(0, pts[0]); err != nil || !ok {
+				t.Fatalf("%s: delete: %v %v", kind, ok, err)
+			}
+			empty = one
+		} else if empty, err = rstar.New(pool, 3, rstar.Config{}); err != nil {
+			t.Fatal(err)
 		}
-		res, err = index.BatchNearestNeighbors(one, qs, 4, nil)
+		res, err = index.BatchNearestNeighbors(empty, qs, 4, nil)
 		if err != nil || len(res) != 3 || res[0] != nil || res[2] != nil {
 			t.Fatalf("%s: emptied tree: %v, %v", kind, res, err)
 		}

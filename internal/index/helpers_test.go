@@ -13,20 +13,15 @@ import (
 	"allnn/internal/storage"
 )
 
-// mutableTree is what the tests below need of either tree kind.
-type mutableTree interface {
-	index.Tree
-	Insert(id index.ObjectID, pt geom.Point) error
-	Delete(id index.ObjectID, pt geom.Point) (bool, error)
-}
-
 // chainBucket makes MBRQT leaves several records long at every tested
 // dimensionality (a record holds 340 2-D or 92 10-D points).
 const chainBucket = 1200
 
-func newTree(t testing.TB, kind string, pool *storage.BufferPool, pts []geom.Point) mutableTree {
+// newTree bulk-loads pts into a tree of the kind; an "mbrqt" one is an
+// index.Mutable.
+func newTree(t testing.TB, kind string, pool *storage.BufferPool, pts []geom.Point) index.Tree {
 	t.Helper()
-	var tree mutableTree
+	var tree index.Tree
 	var err error
 	if kind == "rstar" {
 		tree, err = rstar.BulkLoad(pool, pts, nil, rstar.Config{})

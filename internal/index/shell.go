@@ -19,16 +19,12 @@ type Source interface {
 	Visit(child storage.PageID, fn func(Block) error) error
 }
 
-// Mutable is a tree kind inside its Shell: the decomposition's own Insert,
-// Delete and integrity check beside the methods it inherits by embedding.
-// The ann layer's write path and the conformance in indextest drive both
-// kinds through it.
-type Mutable interface {
+// Shelled is a tree kind inside its Shell, as both kinds are: the read
+// side plus the snapshot and checkpoint lifecycle it inherits by
+// embedding. The ann layer holds every index by it.
+type Shelled interface {
 	Tree
 	NodeCacher
-	Insert(id ObjectID, pt geom.Point) error
-	Delete(id ObjectID, pt geom.Point) (bool, error)
-	CheckIntegrity() error
 	EnableCoW()
 	Publish() (*Snapshot, func())
 	DrainReclaim() error
@@ -38,6 +34,18 @@ type Mutable interface {
 	MetaPage() storage.PageID
 	Pool() *storage.BufferPool
 	PageGauges() (free, drained, deferred, young int64)
+}
+
+// Mutable is a Shelled tree that is written after build — MBRQT; the
+// R*-tree is built and then only read. It adds the decomposition's own
+// Insert, Delete, fixed space, integrity check and free-list rebuild. The
+// ann layer's write path and the conformance in indextest drive it.
+type Mutable interface {
+	Shelled
+	Insert(id ObjectID, pt geom.Point) error
+	Delete(id ObjectID, pt geom.Point) (bool, error)
+	Space() geom.Rect
+	CheckIntegrity() error
 	RebuildFree() error
 }
 
@@ -78,7 +86,9 @@ type Mutable interface {
 //
 // The two points where the trees differ are injected: writeMeta renders
 // the tree header into the meta page, and dead says when a released ref
-// leaves its page without a live record.
+// leaves its page without a live record. Only a tree that is written
+// after build defers refs, so only MBRQT has a dead; the R*-tree passes
+// nil.
 type Shell struct {
 	pool      *storage.BufferPool
 	meta      storage.PageID
@@ -112,7 +122,7 @@ type Shell struct {
 }
 
 // NewShell wraps the decomposition src, whose header lives in page meta
-// of pool's store.
+// of pool's store. dead may be nil for a tree that never calls Defer.
 func NewShell(pool *storage.BufferPool, meta storage.PageID, src Source, writeMeta func() error,
 	dead func(ref storage.PageID) (storage.PageID, bool, error)) *Shell {
 	return &Shell{pool: pool, meta: meta, src: src, writeMeta: writeMeta, dead: dead}

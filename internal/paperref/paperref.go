@@ -21,9 +21,9 @@ import (
 	"allnn/internal/pq"
 )
 
-// Run answers the ANN/AkNN query of core.Run — for every point of ir its k
-// nearest points of is, one emit per query object, in index traversal
-// order — with the paper's literal algorithm, and returns the number of
+// Run answers the ANN/AkNN query of core.RunContext — for every point of
+// ir its k nearest points of is, one emit per query object, in index
+// traversal order — with the paper's literal algorithm, and returns the number of
 // owner/candidate distance evaluations it made. excludeSelf drops the
 // neighbor carrying the query object's own id (one extra neighbor is
 // searched so pruning stays sound). k below 1 means 1.

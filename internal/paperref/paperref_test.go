@@ -1,6 +1,7 @@
 package paperref
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash"
@@ -224,7 +225,7 @@ func TestAgreesWithBruteForce(t *testing.T) {
 }
 
 // TestCoreMatchesPaperRef is the differential the production engine is
-// held to: serial and ordered-parallel, core.Run emits the reference's
+// held to: serial and ordered-parallel, core.RunContext emits the reference's
 // stream byte for byte (both traverse I_R depth-first, and in general
 // position a row has one correct form).
 func TestCoreMatchesPaperRef(t *testing.T) {
@@ -236,11 +237,11 @@ func TestCoreMatchesPaperRef(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			eng := newRowHasher()
 			opts := core.Options{K: c.k, ExcludeSelf: c.excludeSelf, Metric: c.metric, Parallelism: par, OrderedEmit: true}
-			if _, err := core.Run(c.ir, c.is, opts, eng.emit); err != nil {
+			if _, err := core.RunContext(context.Background(), c.ir, c.is, opts, eng.emit); err != nil {
 				t.Fatal(err)
 			}
 			if eng.sum() != ref.sum() {
-				t.Fatalf("core.Run at parallelism %d emits a different stream than the reference", par)
+				t.Fatalf("core.RunContext at parallelism %d emits a different stream than the reference", par)
 			}
 		}
 	})

@@ -75,8 +75,7 @@ func (t *Tree) strLevel(entries []entry, capacity int, leaf bool) ([]entry, erro
 			return nil, err
 		}
 		n := &node{leaf: leaf, entries: group}
-		pid, err = t.writeNode(pid, n)
-		if err != nil {
+		if err := t.writeNode(pid, n); err != nil {
 			return nil, err
 		}
 		parents = append(parents, entry{mbr: n.mbr(t.dim), child: pid, count: n.countPoints()})

@@ -1,7 +1,6 @@
 package rstar
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"allnn/internal/geom"
@@ -37,40 +36,6 @@ func (t *Tree) CheckIntegrity() error {
 	if t.size > 0 && !mbr.Equal(t.bounds) {
 		return fmt.Errorf("rstar: recorded bounds %v but data MBR %v", t.bounds, mbr)
 	}
-	return nil
-}
-
-// RebuildFree implements index.Mutable: one walk over the internal
-// nodes (the tree is balanced, so a leaf is known by its depth and not
-// read) names every page the tree holds, and the shell takes every other
-// page for its free list.
-func (t *Tree) RebuildFree() error {
-	held := make(map[storage.PageID]bool)
-	var walk func(pid storage.PageID, depth int) error
-	walk = func(pid storage.PageID, depth int) error {
-		held[pid] = true
-		if depth == t.height {
-			return nil
-		}
-		var kids []storage.PageID
-		err := t.viewNode(pid, func(v nodeView) error {
-			stride := internalEntrySize(t.dim)
-			for i := 0; i < v.num; i++ {
-				kids = append(kids, storage.PageID(binary.LittleEndian.Uint32(v.body[i*stride:])))
-			}
-			return nil
-		})
-		for i := 0; err == nil && i < len(kids); i++ {
-			err = walk(kids[i], depth+1)
-		}
-		return err
-	}
-	if t.root != storage.InvalidPage {
-		if err := walk(t.root, 1); err != nil {
-			return err
-		}
-	}
-	t.AdoptFree(func(pid storage.PageID) bool { return held[pid] })
 	return nil
 }
 

@@ -2,7 +2,8 @@
 // Schneider, Seeger; SIGMOD 1990): ChooseSubtree with minimal overlap
 // enlargement at the leaf level, the margin-driven split axis selection,
 // and forced reinsertion on first overflow per level. It is the index the
-// paper's BNN and RBA competitors run on.
+// paper's BNN and RBA competitors run on, built — by STR bulk load, or by
+// insertion for Fig 3(a) — and then only read: there is no delete.
 //
 // Every node occupies exactly one 8 KB page; the fanout is whatever fits
 // (around 200 entries in 2-D, around 45 in 10-D). Entries carry subtree
@@ -120,8 +121,8 @@ func (v nodeView) block(dim int) index.Block {
 }
 
 // collectNode materialises a parsed node. Every entry owns its
-// coordinate slices: the mutation paths move entries between nodes and
-// grow MBRs in place.
+// coordinate slices: Insert moves entries between nodes and grows MBRs in
+// place.
 func collectNode(v nodeView, dim int) *node {
 	n := &node{leaf: v.leaf, entries: make([]entry, v.num)}
 	b := v.block(dim)
@@ -176,21 +177,10 @@ func (t *Tree) readNode(pid storage.PageID) (*node, error) {
 	return n, err
 }
 
-// writeNode stores n, normally at pid, and returns the page the node now
-// occupies. A node on a published page is never overwritten: the new
-// version lands on a freshly allocated (writable) page, the old page is
-// deferred for the snapshots still reading it, and the caller must
-// record the returned page in the parent. Every structural mutation
-// funnels through here, so it also drops the page's stale decoded form
-// from the node cache.
-func (t *Tree) writeNode(pid storage.PageID, n *node) (storage.PageID, error) {
-	if t.Defer(pid, pid) {
-		newPid, err := t.allocPage()
-		if err != nil {
-			return storage.InvalidPage, err
-		}
-		pid = newPid
-	}
+// writeNode stores n in place at pid. Every structural change funnels
+// through here, so it also drops the page's stale decoded form from the
+// node cache.
+func (t *Tree) writeNode(pid storage.PageID, n *node) error {
 	t.Invalidate(pid)
 	var max int
 	if n.leaf {
@@ -199,11 +189,11 @@ func (t *Tree) writeNode(pid storage.PageID, n *node) (storage.PageID, error) {
 		max = maxEntriesFor(internalEntrySize(t.dim))
 	}
 	if len(n.entries) > max {
-		return storage.InvalidPage, fmt.Errorf("rstar: node with %d entries exceeds page fanout %d", len(n.entries), max)
+		return fmt.Errorf("rstar: node with %d entries exceeds page fanout %d", len(n.entries), max)
 	}
 	f, err := t.pool.Get(pid)
 	if err != nil {
-		return storage.InvalidPage, fmt.Errorf("rstar: write node page %d: %w", pid, err)
+		return fmt.Errorf("rstar: write node page %d: %w", pid, err)
 	}
 	defer f.Release()
 	data := f.Data()
@@ -241,24 +231,11 @@ func (t *Tree) writeNode(pid storage.PageID, n *node) (storage.PageID, error) {
 		}
 	}
 	f.MarkDirty()
-	return pid, nil
+	return nil
 }
 
-// freePage returns a node page to the free list, dropping any cached
-// decode so a recycled page can never serve stale entries. A published
-// page is only deferred: snapshots may still traverse it, and the durable
-// root may still reference it, so it re-enters the free list via reclaim
-// and the checkpoint fence.
-func (t *Tree) freePage(pid storage.PageID) {
-	if t.Defer(pid, pid) {
-		return
-	}
-	t.Invalidate(pid)
-	t.FreePage(pid)
-}
-
-// allocPage claims a page from the free list or the shared store. It
-// comes zeroed and stays resident for the writeNode that follows.
+// allocPage claims a page for a new node. It comes zeroed and stays
+// resident for the writeNode that follows.
 func (t *Tree) allocPage() (storage.PageID, error) {
 	f, err := t.Claim()
 	if err != nil {

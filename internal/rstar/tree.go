@@ -62,10 +62,13 @@ func (c Config) reinsertCount() int {
 	return p
 }
 
-// Tree is a disk-resident R*-tree over points. What it shares with MBRQT
-// — Expand over the node cache, snapshots, page reclaim and the ordered
-// checkpoint — is the embedded index.Shell; R* nodes occupy whole pages,
-// so a ref is a page id and a page is dead the moment its node is.
+// Tree is a disk-resident R*-tree over points, built — by BulkLoad, or by
+// New and Insert for the paper's Fig 3(a) — and then only read. What it
+// shares with MBRQT — Expand over the node cache, snapshots and the
+// ordered checkpoint — is the embedded index.Shell; R* nodes occupy whole
+// pages, so a ref is a page id. Insert writes nodes in place: it must not
+// run once a snapshot has been published, and the tree is not an
+// index.Mutable.
 type Tree struct {
 	*index.Shell
 	pool *storage.BufferPool
@@ -114,8 +117,7 @@ func New(pool *storage.BufferPool, dim int, cfg Config) (*Tree, error) {
 
 // attach wraps the tree, anchored at its meta page, in its shell.
 func (t *Tree) attach(meta storage.PageID) {
-	t.Shell = index.NewShell(t.pool, meta, t, t.writeMeta,
-		func(page storage.PageID) (storage.PageID, bool, error) { return page, true, nil })
+	t.Shell = index.NewShell(t.pool, meta, t, t.writeMeta, nil)
 }
 
 // Open loads a persisted tree anchored at the given meta page.
@@ -246,8 +248,7 @@ func (t *Tree) insertEntry(e entry, level int) error {
 		if err != nil {
 			return err
 		}
-		pid, err = t.writeNode(pid, &node{leaf: true, entries: []entry{e}})
-		if err != nil {
+		if err := t.writeNode(pid, &node{leaf: true, entries: []entry{e}}); err != nil {
 			return err
 		}
 		t.root = pid
@@ -258,16 +259,14 @@ func (t *Tree) insertEntry(e entry, level int) error {
 	if err != nil {
 		return err
 	}
-	t.root = res.pid
 	if res.split != nil {
 		// Grow a new root over the old root and its split sibling.
-		oldRootEntry := entry{mbr: res.mbr, child: res.pid, count: res.count}
+		oldRootEntry := entry{mbr: res.mbr, child: t.root, count: res.count}
 		newRoot, err := t.allocPage()
 		if err != nil {
 			return err
 		}
-		newRoot, err = t.writeNode(newRoot, &node{leaf: false, entries: []entry{oldRootEntry, *res.split}})
-		if err != nil {
+		if err := t.writeNode(newRoot, &node{leaf: false, entries: []entry{oldRootEntry, *res.split}}); err != nil {
 			return err
 		}
 		t.root = newRoot
@@ -276,10 +275,9 @@ func (t *Tree) insertEntry(e entry, level int) error {
 	return nil
 }
 
-// insertResult carries the updated geometry — and the possibly relocated
-// page — of a child back to its parent.
+// insertResult carries the updated geometry of a child back to its
+// parent.
 type insertResult struct {
-	pid   storage.PageID // where the node lives now (CoW may relocate it)
 	mbr   geom.Rect
 	count uint32
 	split *entry // sibling created by a node split, to be added to the parent
@@ -295,11 +293,7 @@ func (t *Tree) insertRec(pid storage.PageID, nodeLevel int, e entry, targetLevel
 		if len(n.entries) > t.cfg.MaxEntries {
 			return t.handleOverflow(pid, n, nodeLevel)
 		}
-		newPid, err := t.writeNode(pid, n)
-		if err != nil {
-			return insertResult{}, err
-		}
-		return insertResult{pid: newPid, mbr: n.mbr(t.dim), count: n.countPoints()}, nil
+		return t.rewrite(pid, n)
 	}
 
 	i := t.chooseSubtree(n, e.mbr, nodeLevel-1 == targetLevel)
@@ -308,7 +302,6 @@ func (t *Tree) insertRec(pid storage.PageID, nodeLevel int, e entry, targetLevel
 	if err != nil {
 		return insertResult{}, err
 	}
-	child.child = res.pid
 	child.mbr = res.mbr
 	child.count = res.count
 	if res.split != nil {
@@ -317,11 +310,15 @@ func (t *Tree) insertRec(pid storage.PageID, nodeLevel int, e entry, targetLevel
 			return t.handleOverflow(pid, n, nodeLevel)
 		}
 	}
-	newPid, err := t.writeNode(pid, n)
-	if err != nil {
+	return t.rewrite(pid, n)
+}
+
+// rewrite stores n back at pid and describes it to the parent.
+func (t *Tree) rewrite(pid storage.PageID, n *node) (insertResult, error) {
+	if err := t.writeNode(pid, n); err != nil {
 		return insertResult{}, err
 	}
-	return insertResult{pid: newPid, mbr: n.mbr(t.dim), count: n.countPoints()}, nil
+	return insertResult{mbr: n.mbr(t.dim), count: n.countPoints()}, nil
 }
 
 // chooseSubtree implements the R* descent heuristic: at the level just
@@ -376,18 +373,14 @@ func (t *Tree) handleOverflow(pid storage.PageID, n *node, level int) (insertRes
 		t.reinserting[level] = true
 		kept, evicted := t.pickReinsertions(n)
 		n.entries = kept
-		newPid, err := t.writeNode(pid, n)
-		if err != nil {
-			return insertResult{}, err
-		}
 		for _, ev := range evicted {
 			t.pending = append(t.pending, pendingEntry{e: ev, level: level})
 		}
-		return insertResult{pid: newPid, mbr: n.mbr(t.dim), count: n.countPoints()}, nil
+		return t.rewrite(pid, n)
 	}
 
 	left, right := t.splitNode(n)
-	leftPid, err := t.writeNode(pid, left)
+	res, err := t.rewrite(pid, left)
 	if err != nil {
 		return insertResult{}, err
 	}
@@ -395,17 +388,11 @@ func (t *Tree) handleOverflow(pid storage.PageID, n *node, level int) (insertRes
 	if err != nil {
 		return insertResult{}, err
 	}
-	sibPage, err = t.writeNode(sibPage, right)
-	if err != nil {
+	if err := t.writeNode(sibPage, right); err != nil {
 		return insertResult{}, err
 	}
-	sibEntry := entry{mbr: right.mbr(t.dim), child: sibPage, count: right.countPoints()}
-	return insertResult{
-		pid:   leftPid,
-		mbr:   left.mbr(t.dim),
-		count: left.countPoints(),
-		split: &sibEntry,
-	}, nil
+	res.split = &entry{mbr: right.mbr(t.dim), child: sibPage, count: right.countPoints()}
+	return res, nil
 }
 
 // pickReinsertions removes the p entries whose centers are farthest from

@@ -68,6 +68,13 @@ func TestServedMutations(t *testing.T) {
 	if _, err := cl.Insert(ctx, "nope", []uint64{1}, []ann.Point{{1, 2}}); !client.IsNotFound(err) {
 		t.Fatalf("unknown index: %v, want NOT_FOUND", err)
 	}
+	// An R*-tree index is read-only.
+	if err := srv.Catalog().Add("rstar", buildIndex(t, pts, ann.RStar)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Insert(ctx, "rstar", []uint64{9000}, []ann.Point{target}); !client.IsBadRequest(err) {
+		t.Fatalf("insert into an R*-tree index: %v, want BAD_REQUEST", err)
+	}
 
 	// The WRITE_FAILED classification helper matches the wire code.
 	if !client.IsWriteFailed(&wire.Error{Code: wire.CodeWriteFailed}) {

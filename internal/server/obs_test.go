@@ -235,7 +235,15 @@ func TestAdmissionMetrics(t *testing.T) {
 	if _, err := cl.KNN(ctx, "pts", ann.Point{1, 2}, 1); !client.IsBusy(err) {
 		t.Fatalf("over-capacity query: got %v, want SERVER_BUSY", err)
 	}
-	snap = reg.Snapshot()
+	// The server counts a failed request after its reply is flushed, so
+	// the rejection may not be counted yet when the client sees it.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		snap = reg.Snapshot()
+		counted := snap.Counters["server.errors.server_busy"] > busyBefore && snap.Counters["server.rejected"] > 0
+		if counted || time.Now().After(deadline) {
+			break
+		}
+	}
 	if got := snap.Counters["server.errors.server_busy"]; got != busyBefore+1 {
 		t.Errorf("server.errors.server_busy = %d, want %d", got, busyBefore+1)
 	}

@@ -258,14 +258,14 @@ func TestServedParity(t *testing.T) {
 // dropped would show.
 func TestServedStatsParity(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.pages")
-	pts := randomPoints(112, 400, 2)
-	ix, err := ann.BuildIndex(pts, ann.IndexConfig{Kind: ann.RStar, PageFile: path})
+	pts := randomPoints(112, 4000, 2)
+	ix, err := ann.BuildIndex(pts, ann.IndexConfig{PageFile: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	batch := func(ix *ann.Index, id uint64) {
 		t.Helper()
-		if err := ix.InsertBatch([]uint64{id, id + 1}, []ann.Point{{float64(id % 100), 1}, {2, float64(id % 100)}}); err != nil {
+		if err := ix.InsertBatch([]uint64{id, id + 1}, []ann.Point{{float64(id%50) + 25, 50}, {50, float64(id%50) + 25}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -292,9 +292,11 @@ func TestServedStatsParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	collectJoin(t, st)
-	// A join under a cache too small for the tree evicts, and the pages
-	// writes after it copy and reclaim take their cached nodes along.
-	if _, err := ann.SelfAllKNearestNeighborsContext(context.Background(), ix, 2, ann.QueryConfig{NodeCacheBytes: 32 << 10}); err != nil {
+	// A serial join under a cache too small for the tree evicts (it evicts
+	// nothing above ≈ 600 KB), and the pages writes after it copy and
+	// reclaim take their cached nodes along (none are cached below
+	// ≈ 190 KB).
+	if _, err := ann.SelfAllKNearestNeighborsContext(context.Background(), ix, 2, ann.QueryConfig{Parallelism: 1, NodeCacheBytes: 384 << 10}); err != nil {
 		t.Fatal(err)
 	}
 	batch(ix, 1008)

@@ -22,6 +22,11 @@ import (
 // its preamble before the service gives up on it.
 const handshakeTimeout = 10 * time.Second
 
+// replyGrace bounds how long a forced drain waits, after cancelling the
+// requests in flight, for them to write their error replies before it
+// closes the client connections under them.
+const replyGrace = 250 * time.Millisecond
+
 // Handler answers one request that passed the drain gate. It writes the
 // response frame(s) through w and returns nil, or returns the error that
 // decides the request before a terminal frame was written; the Service
@@ -124,7 +129,8 @@ func (s *Service) Serve(ln net.Listener) error {
 // Shutdown drains the service: listeners close, new requests are
 // refused with SHUTTING_DOWN, and requests in flight — streams included
 // — run to completion before the connections close. If ctx expires
-// first, the base context is cancelled, Abort runs and every client
+// first, the base context is cancelled and Abort runs, so the requests
+// in flight end SHUTTING_DOWN; after at most replyGrace every client
 // connection closes, so a request blocked writing to a client that
 // stopped reading ends with its write error; Shutdown then returns
 // ctx.Err() once the last request has ended.
@@ -156,12 +162,17 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// stop cancels the base context, runs Abort and closes every client
-// connection.
+// stop cancels the base context and runs Abort, then closes every client
+// connection once no request is active or replyGrace has passed, so a
+// cancelled request can still write its SHUTTING_DOWN reply.
 func (s *Service) stop() {
 	s.cancel()
 	if s.Abort != nil {
 		s.Abort()
+	}
+	select {
+	case <-s.idle:
+	case <-time.After(replyGrace):
 	}
 	s.mu.Lock()
 	for conn := range s.conns {
