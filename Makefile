@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check check loc bench-smoke bench-spine-smoke bench-ab trace-smoke fuzz-corpus chaos chaos-recover churn-table fuzz-smoke race-sched serve-smoke obs-serve-smoke router-smoke
+.PHONY: build test race vet fmt-check check loc bench-smoke bench-spine-smoke bench-ab trace-smoke fuzz-corpus chaos chaos-recover churn-table fuzz-smoke race-sched race-router serve-smoke obs-serve-smoke router-smoke
 
 build:
 	$(GO) build ./...
@@ -89,6 +89,12 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeResponse -fuzztime=5s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzDecodeReport -fuzztime=5s ./ann/client
 	$(GO) test -run=NONE -fuzz=FuzzDecodeWALRecord -fuzztime=5s ./internal/storage
+
+# race-router runs the router suite five times under the race detector:
+# the scatter legs, backend pools, breaker and failure paths are where a
+# race would hide, and one run rarely shows it.
+race-router:
+	$(GO) test -race -count=5 ./internal/router
 
 # serve-smoke boots the real annserve daemon on a temp index, drives a
 # batched kNN and a streamed self-join through the client, and asserts

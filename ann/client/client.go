@@ -123,16 +123,11 @@ func IsBadRequest(err error) bool { return wire.IsCode(err, wire.CodeBadRequest)
 // IsCorruptIndex reports whether an index file failed verification.
 func IsCorruptIndex(err error) bool { return wire.IsCode(err, wire.CodeCorruptIndex) }
 
-// IsShardUnavailable reports whether a strict-mode router failed the
-// request because a shard's backend was down (after retries).
+// IsShardUnavailable reports whether a router failed the request
+// because a shard it needed had its backend down (after retries). A
+// routed answer is exact or fails: a routed stream fails so before its
+// first row.
 func IsShardUnavailable(err error) bool { return wire.IsCode(err, wire.CodeShardUnavailable) }
-
-// IsPartialResult reports whether a degraded-mode router served the
-// request with one or more shards unavailable. For queries returning
-// data alongside this error (KNN, BatchKNN, Range) the data is the
-// partial gather; for streams, everything received before the error is
-// exact for the shards that answered.
-func IsPartialResult(err error) bool { return wire.IsCode(err, wire.CodePartialResult) }
 
 // IsWriteFailed reports whether err is the server's WRITE_FAILED error:
 // an Insert/Delete batch could not be made durable (failed log append or
@@ -334,8 +329,6 @@ func wireK(k int) (uint32, error) {
 }
 
 // KNN returns the k nearest indexed points to q in the named index.
-// Against a degraded-mode router with a dead shard, the neighbors are
-// returned alongside a non-nil error satisfying IsPartialResult.
 func (c *Client) KNN(ctx context.Context, index string, q ann.Point, k int) ([]ann.Neighbor, error) {
 	k32, err := wireK(k)
 	if err != nil {
@@ -345,8 +338,7 @@ func (c *Client) KNN(ctx context.Context, index string, q ann.Point, k int) ([]a
 	if err != nil {
 		return nil, err
 	}
-	rep := reply.(*wire.KNNReply)
-	return rep.Neighbors, partialErr(rep.Partial)
+	return reply.(*wire.KNNReply).Neighbors, nil
 }
 
 // BatchKNN answers one kNN probe per query point in a single request;
@@ -360,8 +352,7 @@ func (c *Client) BatchKNN(ctx context.Context, index string, qs []ann.Point, k i
 	if err != nil {
 		return nil, err
 	}
-	rep := reply.(*wire.BatchKNNReply)
-	return rep.Results, partialErr(rep.Partial)
+	return reply.(*wire.BatchKNNReply).Results, nil
 }
 
 // Range returns the ids of the indexed points inside the box [lo, hi].
@@ -370,8 +361,7 @@ func (c *Client) Range(ctx context.Context, index string, lo, hi ann.Point) ([]u
 	if err != nil {
 		return nil, err
 	}
-	rep := reply.(*wire.RangeReply)
-	return rep.IDs, partialErr(rep.Partial)
+	return reply.(*wire.RangeReply).IDs, nil
 }
 
 // RangePoints returns the ids AND coordinates of the indexed points
@@ -383,7 +373,7 @@ func (c *Client) RangePoints(ctx context.Context, index string, lo, hi ann.Point
 		return nil, nil, err
 	}
 	rep := reply.(*wire.RangePointsReply)
-	return rep.IDs, rep.Points, partialErr(rep.Partial)
+	return rep.IDs, rep.Points, nil
 }
 
 // ShardMap fetches the shard topology of a routed dataset from an
@@ -394,16 +384,6 @@ func (c *Client) ShardMap(ctx context.Context, name string) (wire.ShardMap, erro
 		return wire.ShardMap{}, err
 	}
 	return reply.(*wire.ShardMapReply).Map, nil
-}
-
-// partialErr converts a reply's PartialInfo block into the typed
-// PARTIAL_RESULT error (nil for a complete reply).
-func partialErr(p *wire.PartialInfo) error {
-	if p == nil {
-		return nil
-	}
-	return &wire.Error{Code: wire.CodePartialResult,
-		Msg: fmt.Sprintf("shards unavailable: %v", p.Missing)}
 }
 
 // ClosestPairs returns the k closest (r, s) pairs across two catalog

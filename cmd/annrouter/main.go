@@ -9,11 +9,10 @@
 // Examples:
 //
 //	annrouter -addr :4320 -shardmap pts.shardmap.json
-//	annrouter -addr :4320 -shardmap pts.shardmap.json -mode degraded -fanout 8
+//	annrouter -addr :4320 -shardmap pts.shardmap.json -fanout 8
 //
-// -mode selects the failure policy when a shard is unreachable: strict
-// (default) fails the request with SHARD_UNAVAILABLE; degraded answers
-// from the live shards and marks the reply PARTIAL_RESULT. SIGTERM or
+// A routed answer is exact or an error: a request that needs a shard
+// whose backend is unreachable fails with SHARD_UNAVAILABLE. SIGTERM or
 // SIGINT drains gracefully, exactly as annserve does.
 package main
 
@@ -59,7 +58,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	var (
 		addr         = fs.String("addr", ":4320", "TCP listen address")
 		maps         mapFlags
-		modeFlag     = fs.String("mode", "strict", "failure policy for dead shards: strict or degraded")
 		fanout       = fs.Int("fanout", 0, "max concurrently outstanding backend RPCs, which also bounds the connections pooled per backend (0: 2x GOMAXPROCS; 1: serial scatter over one connection per backend)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long a drain waits for in-flight queries before cancelling them")
 		backoffBase  = fs.Duration("backoff-base", 100*time.Millisecond, "initial per-backend cool-off after a transport failure")
@@ -74,10 +72,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	if len(maps) == 0 {
 		return fmt.Errorf("no -shardmap given (nothing to route)")
 	}
-	mode, err := router.ParseMode(*modeFlag)
-	if err != nil {
-		return err
-	}
 
 	var files []*router.MapFile
 	for _, path := range maps {
@@ -90,7 +84,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 
 	reg := obs.NewRegistry()
 	rt, err := router.New(router.Config{
-		Mode:        mode,
 		MaxFanout:   *fanout,
 		BackoffBase: *backoffBase,
 		BackoffMax:  *backoffMax,
@@ -103,8 +96,8 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		return err
 	}
 	for _, m := range files {
-		fmt.Fprintf(stderr, "annrouter: routing %s: %d shards, %s curve, mode %s\n",
-			m.Name, len(m.Shards), m.Curve, mode)
+		fmt.Fprintf(stderr, "annrouter: routing %s: %d shards, %s curve\n",
+			m.Name, len(m.Shards), m.Curve)
 	}
 
 	stopProf, err := prof.Start(reg)

@@ -199,7 +199,8 @@ func TestRouterFlagValidation(t *testing.T) {
 	if err := run([]string{"-shardmap", missing}, &stderr, nil); err == nil {
 		t.Error("missing shard-map file accepted")
 	}
-	if err := run([]string{"-shardmap", missing, "-mode", "lenient"}, &stderr, nil); err == nil || !strings.Contains(err.Error(), "mode") {
-		t.Errorf("bad -mode: got %v", err)
+	// There is one failure policy, and no flag to choose another.
+	if err := run([]string{"-shardmap", missing, "-mode", "degraded"}, &stderr, nil); err == nil || !strings.Contains(err.Error(), "-mode") {
+		t.Errorf("-mode: got %v, want the undefined flag refused", err)
 	}
 }

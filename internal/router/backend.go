@@ -55,20 +55,12 @@ func newBackend(shardName, addr string, cfg Config) *backend {
 	}
 }
 
-// shardError marks an RPC failure as "this shard is unavailable" — the
-// signal the gather layer turns into SHARD_UNAVAILABLE (strict mode) or
-// a PartialInfo entry (degraded mode). Any other error from a backend
-// RPC is a real answer from a live node and propagates untouched.
-type shardError struct {
-	shard string
-	err   error
+// unavailable is the SHARD_UNAVAILABLE error an RPC fails with when it
+// could not reach shard's backend. Any other error from a backend RPC is
+// a real answer from a live node and propagates untouched.
+func unavailable(shard string, err error) *wire.Error {
+	return &wire.Error{Code: wire.CodeShardUnavailable, Msg: fmt.Sprintf("shard %s unavailable: %v", shard, err)}
 }
-
-func (e *shardError) Error() string {
-	return fmt.Sprintf("shard %s unavailable: %v", e.shard, e.err)
-}
-
-func (e *shardError) Unwrap() error { return e.err }
 
 // transientRPC classifies the failure taxonomy the backend retries or
 // breaks on: transport errors (dead conn, refused dial, timeout at the
@@ -92,7 +84,7 @@ var errPoolClosed = errors.New("router is shutting down")
 
 // checkout hands the caller a connection of its own: the most recently
 // used idle one, or a fresh dial. While the breaker is open a dial is
-// not attempted and checkout fails immediately with a shardError.
+// not attempted and checkout fails immediately with SHARD_UNAVAILABLE.
 func (b *backend) checkout(ctx context.Context) (*client.Client, error) {
 	b.mu.Lock()
 	if n := len(b.idle); n > 0 {
@@ -110,7 +102,7 @@ func (b *backend) checkout(ctx context.Context) (*client.Client, error) {
 	}
 	b.mu.Unlock()
 	if refused != nil {
-		return nil, &shardError{shard: b.shardName, err: refused}
+		return nil, unavailable(b.shardName, refused)
 	}
 
 	// Dial outside the lock: a slow dial must not hold up the RPCs that
@@ -118,7 +110,7 @@ func (b *backend) checkout(ctx context.Context) (*client.Client, error) {
 	cli, err := client.DialRetry(ctx, b.addr, b.dial)
 	if err != nil {
 		b.trip()
-		return nil, &shardError{shard: b.shardName, err: err}
+		return nil, unavailable(b.shardName, err)
 	}
 	b.mu.Lock()
 	closed := b.closed
@@ -128,7 +120,7 @@ func (b *backend) checkout(ctx context.Context) (*client.Client, error) {
 	b.mu.Unlock()
 	if closed {
 		cli.Close()
-		return nil, &shardError{shard: b.shardName, err: errPoolClosed}
+		return nil, unavailable(b.shardName, errPoolClosed)
 	}
 	return cli, nil
 }
@@ -201,7 +193,7 @@ func (b *backend) close() {
 // retrying a transient failure once on a fresh connection (a pooled
 // conn whose peer restarted looks exactly like a dead node until
 // redialled). A second transient failure trips the breaker and
-// surfaces as a shardError.
+// fails SHARD_UNAVAILABLE.
 func (b *backend) do(ctx context.Context, fn func(*client.Client) error) error {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
@@ -222,5 +214,5 @@ func (b *backend) do(ctx context.Context, fn func(*client.Client) error) error {
 		}
 	}
 	b.trip()
-	return &shardError{shard: b.shardName, err: lastErr}
+	return unavailable(b.shardName, lastErr)
 }

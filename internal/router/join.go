@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 
 	"allnn/ann"
@@ -54,7 +53,7 @@ func (r *Router) handleWithin(ctx context.Context, req *wire.WithinReq, w *wire.
 		return wire.BadRequest("distance must be non-negative, got %v", req.Dist)
 	}
 	d := req.Dist
-	g := r.newGather()
+	g := newGather()
 
 	// Phase A: every shard's own distance join, gathered into per-shard
 	// pair lists (kept separate so emission preserves shard order).
@@ -83,12 +82,8 @@ func (r *Router) handleWithin(ctx context.Context, req *wire.WithinReq, w *wire.
 	type task struct{ i, j int }
 	var tasks []task
 	prunedPairs := 0
-	missing := missingShards(g, ds)
 	for i := range ds.shards {
 		for j := i + 1; j < len(ds.shards); j++ {
-			if missing[i] || missing[j] {
-				continue
-			}
 			if geom.MinDist(ds.shards[i].mbr, ds.shards[j].mbr) > d {
 				prunedPairs++
 				continue
@@ -168,22 +163,7 @@ func (r *Router) handleWithin(ctx context.Context, req *wire.WithinReq, w *wire.
 	if err := frames.Flush(); err != nil {
 		return err
 	}
-	return r.endStream(g, frames.Count, w)
-}
-
-// endStream terminates a routed stream: KindEnd on a complete gather,
-// or — per the protocol's degraded-stream convention — a KindError
-// frame with PARTIAL_RESULT in place of KindEnd when shards were lost
-// (everything streamed before it remains valid).
-func (r *Router) endStream(g *gather, total uint64, w *wire.ResponseWriter) error {
-	if p := r.finishPartial(g.partial()); p != nil {
-		w.SendError(&wire.Error{
-			Code: wire.CodePartialResult,
-			Msg:  "shards unavailable: " + strings.Join(p.Missing, ", "),
-		})
-		return nil
-	}
-	return w.Send(wire.KindEnd, &wire.StreamEnd{Count: total})
+	return w.Send(wire.KindEnd, &wire.StreamEnd{Count: frames.Count})
 }
 
 // --- distributed ANN self-join ----------------------------------------------
@@ -214,7 +194,7 @@ func (r *Router) handleJoin(ctx context.Context, req *wire.JoinReq, w *wire.Resp
 		return wire.BadRequest("a join row with k=%d may need %d bytes, over the %d-byte frame limit", req.K, row, wire.MaxFrame)
 	}
 	k := int(req.K)
-	g := r.newGather()
+	g := newGather()
 
 	// Phase A: per-shard self-joins, buffered per shard in stream
 	// (ascending local id) order.
@@ -260,7 +240,6 @@ func (r *Router) handleJoin(ctx context.Context, req *wire.JoinReq, w *wire.Resp
 	}
 	probes := make([][]probeRef, len(ds.shards)) // target shard -> refs
 	prunedProbes := 0
-	missing := missingShards(g, ds)
 	for si := range ds.shards {
 		for pos, res := range perShard[si].results {
 			bound := math.Inf(1)
@@ -268,7 +247,7 @@ func (r *Router) handleJoin(ctx context.Context, req *wire.JoinReq, w *wire.Resp
 				bound = res.Neighbors[k-1].Dist
 			}
 			for sj, t := range ds.shards {
-				if sj == si || missing[sj] {
+				if sj == si {
 					continue
 				}
 				if geom.MinDistPointRect(res.Point, t.mbr) <= bound {
@@ -334,5 +313,5 @@ func (r *Router) handleJoin(ctx context.Context, req *wire.JoinReq, w *wire.Resp
 	if err := frames.Flush(); err != nil {
 		return err
 	}
-	return r.endStream(g, frames.Count, w)
+	return w.Send(wire.KindEnd, &wire.StreamEnd{Count: frames.Count})
 }

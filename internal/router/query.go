@@ -29,11 +29,9 @@ import (
 //     (distance, global id).
 //
 // The NXNDIST seed is geometric: it holds whether or not the shard's
-// backend is reachable, because the shard's points exist either way —
-// so in strict mode (where the answer always covers the full dataset,
-// or fails) it is always safe. A degraded reply covers only the live
-// shards' points, and a bound derived from a dead shard's MBR could
-// wrongly prune a live shard, so degraded gathers seed with +Inf.
+// backend is reachable, because the shard's points exist either way.
+// A request that needs a shard it cannot reach fails rather than
+// answering over the others, so the seed is always safe.
 
 // shardBatchKNN asks shard s, over cli, for the k nearest neighbors of
 // each of qs in one BatchKNN request, in global ids.
@@ -76,11 +74,11 @@ func mergeTopK(cands, nbs []wire.Neighbor, k int) []wire.Neighbor {
 // k-th distance, so neither prunes a shard that could contribute; the
 // seed costs an NXNDIST per shard and a sort, so it is computed only
 // for a query still short of k.
-func (r *Router) knnBound(ds *dataset, q geom.Point, cands []wire.Neighbor, k int) float64 {
+func knnBound(ds *dataset, q geom.Point, cands []wire.Neighbor, k int) float64 {
 	if len(cands) >= k {
 		return cands[k-1].Dist
 	}
-	return r.knnSeed(ds, q, k)
+	return nxnSeed(ds, q, k)
 }
 
 // sortNeighbors orders by ascending distance, ties by ascending global
@@ -92,15 +90,6 @@ func sortNeighbors(nbs []wire.Neighbor) {
 		}
 		return cmp.Compare(a.ID, b.ID)
 	})
-}
-
-// knnSeed returns the radius a query starts from, before any shard has
-// answered.
-func (r *Router) knnSeed(ds *dataset, q geom.Point, k int) float64 {
-	if r.cfg.Mode == Degraded {
-		return math.Inf(1)
-	}
-	return nxnSeed(ds, q, k)
 }
 
 // nxnSeed returns the k-th smallest NXNDIST(q, shard MBR) across
@@ -121,18 +110,6 @@ func nxnSeed(ds *dataset, q geom.Point, k int) float64 {
 	return dists[k-1]
 }
 
-// missingShards snapshots which shards already failed this gather, by
-// shard index (all false under a strict router, which aborts instead).
-func missingShards(g *gather, ds *dataset) []bool {
-	missing := make([]bool, len(ds.shards))
-	if g.mode == Degraded {
-		for si, s := range ds.shards {
-			missing[si] = g.isMissing(s.name)
-		}
-	}
-	return missing
-}
-
 // routedBatch answers a batch of kNN probes with grouped two-phase
 // scatter: one BatchKNN per owner shard, then one BatchKNN per
 // fan-out shard carrying every query that could not prune it. Returns
@@ -145,8 +122,7 @@ func (r *Router) routedBatch(ctx context.Context, g *gather, ds *dataset, querie
 	replies := make([][]wire.Result, len(ds.shards))
 
 	// runPhase sends every shard with a group its probes as one BatchKNN
-	// and, once the legs are in, merges the replies in shard order (a
-	// shard lost to a degraded gather left none).
+	// and, once the legs are in, merges the replies in shard order.
 	runPhase := func() error {
 		var shards []*shard
 		for si, s := range ds.shards {
@@ -188,14 +164,12 @@ func (r *Router) routedBatch(ctx context.Context, g *gather, ds *dataset, querie
 	}
 
 	// Phase 2: per query, fan out only to the shards whose MINDIST beats
-	// the bound gathered so far. A shard phase 1 found dead is not asked
-	// again: it would fail the same way, after another dial.
+	// the bound gathered so far.
 	pruned := 0
-	missing := missingShards(g, ds)
 	for qi, q := range queries {
-		b := r.knnBound(ds, q, cands[qi], k)
+		b := knnBound(ds, q, cands[qi], k)
 		for si, s := range ds.shards {
-			if si == owners[qi] || missing[si] {
+			if si == owners[qi] {
 				continue
 			}
 			if geom.MinDistPointRect(q, s.mbr) <= b {
@@ -223,7 +197,7 @@ func (r *Router) handleKNN(ctx context.Context, req *wire.KNNReq, w *wire.Respon
 		return wire.BadRequest("query point has %d dims, dataset %q has %d", len(req.Point), req.Index, ds.dim)
 	}
 	k := int(req.K)
-	g := r.newGather()
+	g := newGather()
 	// probe asks the given shards for their k nearest and merges the
 	// answers in shard order.
 	replies := make([][]wire.Neighbor, len(ds.shards))
@@ -251,7 +225,7 @@ func (r *Router) handleKNN(ctx context.Context, req *wire.KNNReq, w *wire.Respon
 	if err := probe(ds.shards[owner : owner+1]); err != nil {
 		return err
 	}
-	b := r.knnBound(ds, req.Point, cands, k)
+	b := knnBound(ds, req.Point, cands, k)
 	var fan []*shard
 	for si, s := range ds.shards {
 		if si == owner {
@@ -265,10 +239,7 @@ func (r *Router) handleKNN(ctx context.Context, req *wire.KNNReq, w *wire.Respon
 		return err
 	}
 	r.prune(len(ds.shards) - 1 - len(fan))
-	return w.Send(wire.KindResult, &wire.KNNReply{
-		Neighbors: cands,
-		Partial:   r.finishPartial(g.partial()),
-	})
+	return w.Send(wire.KindResult, &wire.KNNReply{Neighbors: cands})
 }
 
 func (r *Router) handleBatchKNN(ctx context.Context, req *wire.BatchKNNReq, w *wire.ResponseWriter) error {
@@ -284,7 +255,10 @@ func (r *Router) handleBatchKNN(ctx context.Context, req *wire.BatchKNNReq, w *w
 			return wire.BadRequest("query point %d has %d dims, dataset %q has %d", i, len(p), req.Index, ds.dim)
 		}
 	}
-	g := r.newGather()
+	if err := wire.CheckBatchReply(len(req.Points), ds.dim, int64(req.K), int64(ds.points())); err != nil {
+		return err
+	}
+	g := newGather()
 	res, pruned, err := r.routedBatch(ctx, g, ds, req.Points, int(req.K))
 	if err != nil {
 		return err
@@ -294,10 +268,7 @@ func (r *Router) handleBatchKNN(ctx context.Context, req *wire.BatchKNNReq, w *w
 	for i, p := range req.Points {
 		results[i] = wire.Result{ID: uint64(i), Point: p, Neighbors: res[i]}
 	}
-	return w.Send(wire.KindResult, &wire.BatchKNNReply{
-		Results: results,
-		Partial: r.finishPartial(g.partial()),
-	})
+	return w.Send(wire.KindResult, &wire.BatchKNNReply{Results: results})
 }
 
 // --- box queries ------------------------------------------------------------
@@ -336,7 +307,7 @@ func (r *Router) handleRange(ctx context.Context, req *wire.RangeReq, w *wire.Re
 	if werr != nil {
 		return werr
 	}
-	g := r.newGather()
+	g := newGather()
 	var mu sync.Mutex
 	var ids []uint64
 	if err := r.scatter(ctx, g, hit, func(s *shard) error {
@@ -361,10 +332,7 @@ func (r *Router) handleRange(ctx context.Context, req *wire.RangeReq, w *wire.Re
 	// Canonical routed order: ascending global id (a single node's
 	// traversal order does not survive a merge).
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return w.Send(wire.KindResult, &wire.RangeReply{
-		IDs:     ids,
-		Partial: r.finishPartial(g.partial()),
-	})
+	return w.Send(wire.KindResult, &wire.RangeReply{IDs: ids})
 }
 
 func (r *Router) handleRangePoints(ctx context.Context, req *wire.RangePointsReq, w *wire.ResponseWriter) error {
@@ -376,7 +344,7 @@ func (r *Router) handleRangePoints(ctx context.Context, req *wire.RangePointsReq
 	if werr != nil {
 		return werr
 	}
-	g := r.newGather()
+	g := newGather()
 	type entry struct {
 		id uint64
 		pt []float64
@@ -405,9 +373,8 @@ func (r *Router) handleRangePoints(ctx context.Context, req *wire.RangePointsReq
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
 	reply := &wire.RangePointsReply{
-		IDs:     make([]uint64, len(entries)),
-		Points:  make([][]float64, len(entries)),
-		Partial: r.finishPartial(g.partial()),
+		IDs:    make([]uint64, len(entries)),
+		Points: make([][]float64, len(entries)),
 	}
 	for i, e := range entries {
 		reply.IDs[i] = e.id

@@ -2,7 +2,6 @@ package router
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -14,44 +13,9 @@ import (
 	"allnn/internal/wire"
 )
 
-// Mode selects the router's failure policy when a shard's backend is
-// unreachable after retries.
-type Mode int
-
-const (
-	// Strict fails the whole request fast with SHARD_UNAVAILABLE — the
-	// default: no silent data loss.
-	Strict Mode = iota
-	// Degraded answers with what the live shards produced, marked
-	// PARTIAL_RESULT. A degraded reply is the exact answer over the
-	// union of the live shards' points.
-	Degraded
-)
-
-func (m Mode) String() string {
-	if m == Degraded {
-		return "degraded"
-	}
-	return "strict"
-}
-
-// ParseMode maps "strict"/"degraded" to its Mode.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "strict", "":
-		return Strict, nil
-	case "degraded":
-		return Degraded, nil
-	default:
-		return 0, fmt.Errorf("router: unknown mode %q (want strict or degraded)", s)
-	}
-}
-
-// Config parameterises a Router. The zero value is usable (strict
-// mode, fan-out bounded at 2×GOMAXPROCS).
+// Config parameterises a Router. The zero value is usable (fan-out
+// bounded at 2×GOMAXPROCS).
 type Config struct {
-	// Mode is the failure policy for dead shards.
-	Mode Mode
 	// MaxFanout bounds concurrently outstanding backend RPCs across the
 	// whole router (scatter admission) — and with them the connections
 	// checked out of, and kept idle in, each backend's pool. 1
@@ -79,7 +43,6 @@ type Config struct {
 type Router struct {
 	wire.Service
 
-	cfg      Config
 	datasets map[string]*dataset
 
 	// fanout is the scatter admission semaphore: one slot per
@@ -93,7 +56,6 @@ type Router struct {
 	shardsPruned    *obs.Counter
 	legGoroutines   *obs.Counter
 	unavailable     *obs.Counter
-	partials        *obs.Counter
 	mergeStreams    *obs.Histogram
 	latencies       map[wire.Op]*obs.Histogram
 }
@@ -114,7 +76,6 @@ func New(cfg Config, maps ...*MapFile) (*Router, error) {
 		cfg.BackoffMax = 5 * time.Second
 	}
 	r := &Router{
-		cfg:      cfg,
 		datasets: make(map[string]*dataset),
 		fanout:   make(chan struct{}, cfg.MaxFanout),
 	}
@@ -146,7 +107,6 @@ func New(cfg Config, maps ...*MapFile) (*Router, error) {
 	r.shardsPruned = reg.Counter("router.shards_pruned")
 	r.legGoroutines = reg.Counter("router.scatter_goroutines")
 	r.unavailable = reg.Counter("router.shard_unavailable")
-	r.partials = reg.Counter("router.partial_results")
 	r.mergeStreams = reg.Histogram("router.merge.streams", obs.ExpBuckets(1, 2, 8))
 	r.latencies = make(map[wire.Op]*obs.Histogram)
 	for _, op := range []wire.Op{
@@ -253,109 +213,53 @@ func (r *Router) dataset(name string) (*dataset, error) {
 
 // --- scatter-gather plumbing ------------------------------------------------
 
-// gather tracks one request's scatter across shards: which shards
-// failed (for degraded replies), plus the strict-mode abort. A request
-// runs its scatters one after another, so one gather serves them all.
+// gather tracks one request's scatter across shards: the first
+// failure, which decides the request, and the abort signal it raises. A
+// request runs its scatters one after another, so one gather serves
+// them all.
 type gather struct {
-	mode Mode
 	// legs counts the scatter legs running on goroutines of their own.
 	legs sync.WaitGroup
 
-	mu sync.Mutex
-	// missing names the shards that were unavailable (degraded mode).
-	missing []string
-	// failed is the first hard failure (strict-mode shardError, or any
-	// non-shard error in either mode).
+	mu     sync.Mutex
 	failed error
 	// abort is closed when failed is set: scatter legs still waiting for
 	// admission are skipped.
 	abort chan struct{}
 }
 
-// failLocked records the failure that decides the request.
-func (g *gather) failLocked(err error) {
+// fail records err unless an earlier failure already decided the
+// request.
+func (g *gather) fail(err error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.failed == nil {
 		g.failed = err
 		close(g.abort)
 	}
 }
 
-// shardDown records one unavailable shard, returning false when the
-// gather must abort (strict mode).
-func (g *gather) shardDown(name string, err error) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.mode == Degraded {
-		g.missing = append(g.missing, name)
-		return true
-	}
-	g.failLocked(&wire.Error{Code: wire.CodeShardUnavailable, Msg: err.Error()})
-	return false
-}
-
-// hardFail records a non-shard failure (always aborts).
-func (g *gather) hardFail(err error) {
-	g.mu.Lock()
-	g.failLocked(err)
-	g.mu.Unlock()
-}
-
-// err returns the recorded abort error, if any.
+// err returns the failure that decided the request, if any.
 func (g *gather) err() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.failed
 }
 
-// isMissing reports whether a shard already failed this gather —
-// multi-phase requests skip work destined for a shard that is known
-// dead.
-func (g *gather) isMissing(name string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, m := range g.missing {
-		if m == name {
-			return true
-		}
-	}
-	return false
-}
-
-// partial returns the PartialInfo block for a degraded gather (nil when
-// every shard answered). Shard names are deduplicated (a shard can fail
-// in several phases) and sorted for determinism.
-func (g *gather) partial() *wire.PartialInfo {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.missing) == 0 {
-		return nil
-	}
-	seen := make(map[string]bool, len(g.missing))
-	var missing []string
-	for _, m := range g.missing {
-		if !seen[m] {
-			seen[m] = true
-			missing = append(missing, m)
-		}
-	}
-	sort.Strings(missing)
-	return &wire.PartialInfo{Missing: missing}
-}
-
-// newGather starts a gather under the router's failure mode.
-func (r *Router) newGather() *gather {
-	return &gather{mode: r.cfg.Mode, abort: make(chan struct{})}
+func newGather() *gather {
+	return &gather{abort: make(chan struct{})}
 }
 
 // scatterN runs fn once per task index, each leg admitted by the
 // router-wide fan-out semaphore (MaxFanout=1 degenerates to serial
 // execution in index order). The last leg runs on the caller's
 // goroutine — the request has nothing else to do until its legs are in
-// — so n legs cost n−1 goroutines and a scatter of one costs none. A
-// shardError from fn (which names its shard) is routed through the
-// gather's failure policy; any other error aborts. scatterN returns
-// the gather's abort error, if any. Legs run concurrently — fn must
-// synchronise its own result writes.
+// — so n legs cost n−1 goroutines and a scatter of one costs none. The
+// first error from fn aborts the legs not yet admitted; a shard that
+// could not be reached fails SHARD_UNAVAILABLE (see backend.do), so the
+// request is exact or fails. scatterN returns the gather's error, if
+// any. Legs run concurrently — fn must synchronise its own result
+// writes.
 func (r *Router) scatterN(ctx context.Context, g *gather, n int, fn func(int) error) error {
 	for i := 0; i < n && r.admit(ctx, g); i++ {
 		if i == n-1 {
@@ -374,8 +278,8 @@ func (r *Router) scatterN(ctx context.Context, g *gather, n int, fn func(int) er
 }
 
 // admit takes a fan-out slot for a scatter's next leg. It reports false
-// when the remaining legs are to be skipped: a strict-mode failure
-// already decided the request, or its context is done.
+// when the remaining legs are to be skipped: a failure already decided
+// the request, or its context is done.
 func (r *Router) admit(ctx context.Context, g *gather) bool {
 	select {
 	case r.fanout <- struct{}{}:
@@ -383,25 +287,18 @@ func (r *Router) admit(ctx context.Context, g *gather) bool {
 	case <-g.abort:
 		return false
 	case <-ctx.Done():
-		g.hardFail(ctx.Err())
+		g.fail(ctx.Err())
 		return false
 	}
 }
 
-// runLeg runs one admitted leg, gives its fan-out slot back and routes
-// its failure through the gather.
+// runLeg runs one admitted leg, gives its fan-out slot back and records
+// its failure in the gather.
 func (r *Router) runLeg(g *gather, i int, fn func(int) error) {
 	defer func() { <-r.fanout }()
-	err := fn(i)
-	if err == nil {
-		return
+	if err := fn(i); err != nil {
+		g.fail(err)
 	}
-	var se *shardError
-	if errors.As(err, &se) {
-		g.shardDown(se.shard, err)
-		return
-	}
-	g.hardFail(err)
 }
 
 // scatter runs fn once per selected shard via scatterN, recording the
@@ -425,13 +322,4 @@ func (r *Router) prune(n int) {
 	if n > 0 {
 		r.shardsPruned.Add(uint64(n))
 	}
-}
-
-// finishPartial bumps the partial-results counter when a degraded
-// gather lost shards.
-func (r *Router) finishPartial(p *wire.PartialInfo) *wire.PartialInfo {
-	if p != nil {
-		r.partials.Inc()
-	}
-	return p
 }

@@ -44,8 +44,7 @@ func (b *testBackend) kill(t *testing.T) {
 }
 
 // fixture is a routed deployment: n shard backends, a curve-ordered
-// single-node baseline over the identical points, and a router in the
-// requested mode.
+// single-node baseline over the identical points, and a router.
 type fixture struct {
 	name       string
 	pts        []ann.Point // curve order == global id order
@@ -110,7 +109,7 @@ func startBackendAt(t testing.TB, addr, name string, pts []ann.Point) *testBacke
 // startFixture partitions pts into shards Hilbert shards and stands up
 // the whole deployment. Backoff is kept short so failure tests don't
 // stall on the circuit breaker.
-func startFixture(t testing.TB, pts []geom.Point, shards int, mode Mode, fanout int) *fixture {
+func startFixture(t testing.TB, pts []geom.Point, shards int, fanout int) *fixture {
 	t.Helper()
 	part, err := curve.Partition(pts, shards, curve.Hilbert)
 	if err != nil {
@@ -132,7 +131,6 @@ func startFixture(t testing.TB, pts []geom.Point, shards int, mode Mode, fanout 
 	sb := startBackend(t, "pts", f.pts)
 
 	_, f.routerAddr = serveRouter(t, Config{
-		Mode:        mode,
 		MaxFanout:   fanout,
 		Metrics:     f.reg,
 		Dial:        client.DialConfig{Retries: 1, Backoff: 10 * time.Millisecond},
@@ -196,8 +194,8 @@ func queryMix(pts []ann.Point) []ann.Point {
 	return qs
 }
 
-// collectJoin drains a self-join stream; the error (nil, partial, or
-// hard failure) is returned alongside whatever arrived.
+// collectJoin drains a self-join stream; the error is returned
+// alongside whatever arrived.
 func collectJoin(t *testing.T, cl *client.Client, name string, k int) ([]ann.Result, error) {
 	t.Helper()
 	st, err := cl.SelfJoin(context.Background(), name, k)
@@ -255,7 +253,7 @@ func TestRoutedParity(t *testing.T) {
 			label = "serial"
 		}
 		t.Run(label, func(t *testing.T) {
-			f := startFixture(t, pts, 4, Strict, fanout)
+			f := startFixture(t, pts, 4, fanout)
 			ctx := context.Background()
 
 			for _, k := range []int{1, 4} {
@@ -375,7 +373,7 @@ func TestRoutedKNNPrunesShards(t *testing.T) {
 			uniq = append(uniq, p)
 		}
 	}
-	f := startFixture(t, uniq, 4, Strict, 0)
+	f := startFixture(t, uniq, 4, 0)
 	ctx := context.Background()
 
 	pruned := f.reg.Counter("router.shards_pruned")
@@ -414,13 +412,13 @@ func (f *fixture) ownerPoints(dead int) (deadQ, liveQ ann.Point) {
 	panic("single-shard fixture")
 }
 
-// TestStrictShardFailure kills one backend under a strict router: any
-// request that needs the dead shard fails fast with SHARD_UNAVAILABLE,
-// while queries whose bounds prune the dead shard keep answering
-// exactly.
+// TestStrictShardFailure kills one backend: every routed verb that
+// needs the dead shard fails fast with SHARD_UNAVAILABLE, the two
+// streams before their first row, while queries whose bounds prune the
+// dead shard keep answering exactly.
 func TestStrictShardFailure(t *testing.T) {
 	pts := datagen.GaussianClusters(7, 600, datagen.ScaledBounds(2, 1000), 12, 0.01)
-	f := startFixture(t, pts, 4, Strict, 0)
+	f := startFixture(t, pts, 4, 0)
 	ctx := context.Background()
 
 	const dead = 1
@@ -433,110 +431,42 @@ func TestStrictShardFailure(t *testing.T) {
 	}
 	f.backends[dead].kill(t)
 
-	if _, err := f.routed.KNN(ctx, "pts", deadQ, 1); !client.IsShardUnavailable(err) {
-		t.Fatalf("kNN owned by the dead shard: got %v, want SHARD_UNAVAILABLE", err)
+	lo, hi := ann.Point{0, 0}, ann.Point{1000, 1000} // every shard's MBR
+	// rows turns a stream's row count into an error: a failed stream
+	// must deliver none.
+	rows := func(n int, err error) error {
+		if n > 0 {
+			return fmt.Errorf("%d rows before %v", n, err)
+		}
+		return err
 	}
-	if _, err := collectJoin(t, f.routed, "pts", 4); !client.IsShardUnavailable(err) {
-		t.Fatalf("self-join with a dead shard: got %v, want SHARD_UNAVAILABLE", err)
-	}
-	if _, err := collectWithin(t, f.routed, "pts", 20); !client.IsShardUnavailable(err) {
-		t.Fatalf("within-distance with a dead shard: got %v, want SHARD_UNAVAILABLE", err)
+	for _, verb := range []struct {
+		name string
+		call func() error
+	}{
+		{"KNN owned by the dead shard", func() error { _, err := f.routed.KNN(ctx, "pts", deadQ, 1); return err }},
+		{"BatchKNN", func() error { _, err := f.routed.BatchKNN(ctx, "pts", []ann.Point{liveQ, deadQ}, 1); return err }},
+		{"Range", func() error { _, err := f.routed.Range(ctx, "pts", lo, hi); return err }},
+		{"RangePoints", func() error { _, _, err := f.routed.RangePoints(ctx, "pts", lo, hi); return err }},
+		{"SelfJoin", func() error { got, err := collectJoin(t, f.routed, "pts", 4); return rows(len(got), err) }},
+		{"WithinDistance", func() error { got, err := collectWithin(t, f.routed, "pts", 20); return rows(len(got), err) }},
+	} {
+		if err := verb.call(); !client.IsShardUnavailable(err) {
+			t.Errorf("%s with a dead shard: got %v, want SHARD_UNAVAILABLE", verb.name, err)
+		}
 	}
 	if unavailable := f.reg.Counter("router.shard_unavailable").Value(); unavailable == 0 {
 		t.Fatal("router.shard_unavailable counter did not advance")
 	}
 
 	// An on-cluster k=1 query owned by a live shard: the NXNDIST-seeded
-	// bound prunes the dead shard, so strict mode still answers.
+	// bound prunes the dead shard, so the router still answers, exactly.
 	gotLive, err := f.routed.KNN(ctx, "pts", liveQ, 1)
 	if err != nil {
 		t.Fatalf("kNN pruning the dead shard: %v", err)
 	}
 	if !reflect.DeepEqual(gotLive, wantLive) {
 		t.Fatalf("post-failure answer changed: %+v, want %+v", gotLive, wantLive)
-	}
-}
-
-// TestDegradedPartialResult kills one backend under a degraded router:
-// replies carry the live shards' exact answer plus the PARTIAL_RESULT
-// marker, and streams end with PARTIAL_RESULT instead of a clean end.
-func TestDegradedPartialResult(t *testing.T) {
-	pts := uniformPoints(23, 500)
-	f := startFixture(t, pts, 4, Degraded, 0)
-	ctx := context.Background()
-
-	const dead = 2
-	deadBase, deadCount := f.perShard[dead][0], f.perShard[dead][1]
-	inDead := func(id uint64) bool { return id >= deadBase && id < deadBase+deadCount }
-	f.backends[dead].kill(t)
-
-	// Degraded kNN is the exact answer over the union of live shards —
-	// checked against brute force over the live points.
-	q := ann.Point{500, 500}
-	const k = 5
-	got, err := f.routed.KNN(ctx, "pts", q, k)
-	if !client.IsPartialResult(err) {
-		t.Fatalf("degraded kNN error: got %v, want PARTIAL_RESULT", err)
-	}
-	type cand struct {
-		id uint64
-		d  float64
-	}
-	var want []cand
-	for id, p := range f.pts {
-		if inDead(uint64(id)) {
-			continue
-		}
-		dx, dy := p[0]-q[0], p[1]-q[1]
-		want = append(want, cand{uint64(id), math.Sqrt(dx*dx + dy*dy)})
-	}
-	sort.Slice(want, func(a, b int) bool { return want[a].d < want[b].d })
-	if len(got) != k {
-		t.Fatalf("degraded kNN returned %d neighbors, want %d", len(got), k)
-	}
-	for i, n := range got {
-		if n.ID != want[i].id || math.Abs(n.Dist-want[i].d) > 1e-9 {
-			t.Fatalf("degraded kNN rank %d: got id %d dist %v, want id %d dist %v",
-				i, n.ID, n.Dist, want[i].id, want[i].d)
-		}
-	}
-
-	// Degraded streams: data from the live shards, then PARTIAL_RESULT.
-	results, err := collectJoin(t, f.routed, "pts", 2)
-	if !client.IsPartialResult(err) {
-		t.Fatalf("degraded self-join error: got %v, want PARTIAL_RESULT", err)
-	}
-	if len(results) == 0 {
-		t.Fatal("degraded self-join returned no results from the live shards")
-	}
-	for _, r := range results {
-		if inDead(uint64(r.ID)) {
-			t.Fatalf("degraded self-join emitted result for dead-shard point %d", r.ID)
-		}
-		for _, n := range r.Neighbors {
-			if inDead(uint64(n.ID)) {
-				t.Fatalf("degraded self-join point %d lists dead-shard neighbor %d", r.ID, n.ID)
-			}
-		}
-	}
-	if got := len(results); got != len(f.pts)-int(deadCount) {
-		t.Fatalf("degraded self-join returned %d results, want %d (live points)", got, len(f.pts)-int(deadCount))
-	}
-
-	pairs, err := collectWithin(t, f.routed, "pts", 40)
-	if !client.IsPartialResult(err) {
-		t.Fatalf("degraded within error: got %v, want PARTIAL_RESULT", err)
-	}
-	if len(pairs) == 0 {
-		t.Fatal("degraded within-distance returned no pairs from the live shards")
-	}
-	for _, p := range pairs {
-		if inDead(p.r) || inDead(p.s) {
-			t.Fatalf("degraded within emitted dead-shard pair (%d, %d)", p.r, p.s)
-		}
-	}
-	if f.reg.Counter("router.partial_results").Value() == 0 {
-		t.Fatal("router.partial_results counter did not advance")
 	}
 }
 
@@ -579,11 +509,25 @@ func (f *fixture) sameRows(t *testing.T, k int, want []ann.Result) {
 // TestJoinRowsWiderThanAFrame joins at a k whose 512-row frame would
 // exceed wire.MaxFrame (2-D, k = 1000: ≈ 33 KB a row): the stream is cut
 // by bytes too, so the served and routed joins answer row for row as the
-// direct one. A k whose single row could not be framed is refused before
-// the join runs.
+// direct one. A batch whose reply, or a k whose single join row, could
+// not be framed is refused before it runs.
 func TestJoinRowsWiderThanAFrame(t *testing.T) {
-	f := startFixture(t, uniformPoints(17, 1001), 2, Strict, 0)
+	f := startFixture(t, uniformPoints(17, 1001), 2, 0)
 	f.sameRows(t, 1000, f.directSelfJoin(t, 1000))
+
+	// A batch of 600 probes at k = 1001 needs ≈ 20 MB: refused on both
+	// paths, and by the router before any leg, although each shard's leg
+	// (≈ 500 points) would fit a frame.
+	contacted := f.reg.Counter("router.shards_contacted")
+	before := contacted.Value()
+	for name, cl := range map[string]*client.Client{"served": f.single, "routed": f.routed} {
+		if _, err := cl.BatchKNN(context.Background(), "pts", f.pts[:600], 1001); !client.IsBadRequest(err) {
+			t.Errorf("%s batch with a reply wider than a frame: %v, want BAD_REQUEST", name, err)
+		}
+	}
+	if n := contacted.Value() - before; n != 0 {
+		t.Errorf("the refused batch contacted %d shards, want 0", n)
+	}
 
 	// 30-D rows of 66 000 neighbors need ≈ 17 MB each. The router refuses
 	// from its shard map alone, before contacting the (absent) backend.
@@ -612,7 +556,7 @@ func TestJoinRowsWiderThanAFrame(t *testing.T) {
 // serves the next request, and the client refuses a k the wire cannot
 // carry before sending it.
 func TestKBeyondDataset(t *testing.T) {
-	f := startFixture(t, uniformPoints(19, 300), 2, Strict, 0)
+	f := startFixture(t, uniformPoints(19, 300), 2, 0)
 	want := f.directSelfJoin(t, len(f.pts))
 	if got := f.directSelfJoin(t, 100_000_000); !reflect.DeepEqual(got, want) {
 		t.Fatal("direct k=1e8 differs from k=|S|")
@@ -640,7 +584,7 @@ func TestKBeyondDataset(t *testing.T) {
 // the library returns ErrInvalidConfig, and the server and the router
 // both answer BAD_REQUEST.
 func TestInvalidBox(t *testing.T) {
-	f := startFixture(t, uniformPoints(23, 200), 2, Strict, 0)
+	f := startFixture(t, uniformPoints(23, 200), 2, 0)
 	ix, err := ann.BuildIndex(f.pts, ann.IndexConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -672,7 +616,7 @@ func TestInvalidBox(t *testing.T) {
 // --- request validation ------------------------------------------------------
 
 func TestRouterRejects(t *testing.T) {
-	f := startFixture(t, uniformPoints(5, 200), 2, Strict, 0)
+	f := startFixture(t, uniformPoints(5, 200), 2, 0)
 	ctx := context.Background()
 
 	if _, err := f.routed.KNN(ctx, "nope", ann.Point{1, 2}, 1); !client.IsNotFound(err) {
@@ -702,7 +646,7 @@ func TestRouterRejects(t *testing.T) {
 }
 
 func TestShardMapServed(t *testing.T) {
-	f := startFixture(t, uniformPoints(3, 300), 3, Strict, 0)
+	f := startFixture(t, uniformPoints(3, 300), 3, 0)
 	m, err := f.routed.ShardMap(context.Background(), "pts")
 	if err != nil {
 		t.Fatal(err)
@@ -730,22 +674,6 @@ func TestShardMapServed(t *testing.T) {
 
 // --- unit tests --------------------------------------------------------------
 
-func TestGatherPartialDedup(t *testing.T) {
-	g := &gather{mode: Degraded}
-	for _, name := range []string{"b", "a", "b", "a", "c"} {
-		if !g.shardDown(name, fmt.Errorf("down")) {
-			t.Fatal("degraded gather aborted on a shard failure")
-		}
-	}
-	p := g.partial()
-	if p == nil || !reflect.DeepEqual(p.Missing, []string{"a", "b", "c"}) {
-		t.Fatalf("partial() = %+v, want sorted deduped [a b c]", p)
-	}
-	if !g.isMissing("a") || g.isMissing("d") {
-		t.Fatal("isMissing misreports")
-	}
-}
-
 func TestInflate(t *testing.T) {
 	r := geom.NewRect(geom.Point{1, 2}, geom.Point{3, 4})
 	in := inflate(r, 0.5)
@@ -755,20 +683,5 @@ func TestInflate(t *testing.T) {
 	// The input must be untouched (Clone semantics).
 	if !reflect.DeepEqual(r.Lo, geom.Point{1, 2}) {
 		t.Fatalf("inflate mutated its input: %+v", r)
-	}
-}
-
-func TestParseMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Mode
-		ok   bool
-	}{
-		{"strict", Strict, true}, {"", Strict, true}, {"degraded", Degraded, true}, {"lenient", 0, false},
-	} {
-		got, err := ParseMode(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseMode(%q) = %v, %v", tc.in, got, err)
-		}
 	}
 }

@@ -17,11 +17,9 @@
 // id-ordered stream with no sort — byte-identical to a single-node run
 // over the curve-ordered unpartitioned dataset.
 //
-// A dead backend fails a strict-mode router's requests fast with
-// SHARD_UNAVAILABLE; a degraded-mode router answers with what the live
-// shards produced, marked PARTIAL_RESULT. Either way the semantics are
-// crisp: a degraded reply is the exact answer over the union of the
-// live shards' points.
+// A routed answer is exact or an error: a request that needs a shard
+// whose backend is down fails fast with SHARD_UNAVAILABLE, and every
+// other request is answered as the single node would.
 package router
 
 import (
@@ -210,7 +208,7 @@ type dataset struct {
 // shard pairs one map entry with its backend connection state.
 type shard struct {
 	index   int    // position in dataset.shards
-	name    string // index name on the backend (also the PartialInfo label)
+	name    string // index name on the backend
 	idBase  uint64
 	count   uint64
 	loKey   uint64

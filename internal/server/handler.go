@@ -168,12 +168,6 @@ func (s *Server) handleKNN(ctx context.Context, req *wire.KNNReq, w *wire.Respon
 		return err
 	}
 	defer e.release()
-	if req.K < 1 {
-		return wire.BadRequest("k must be at least 1, got %d", req.K)
-	}
-	if len(req.Point) != ix.Dim() {
-		return wire.BadRequest("query point has %d dims, index %q has %d", len(req.Point), req.Index, ix.Dim())
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -190,21 +184,10 @@ func (s *Server) handleBatchKNN(ctx context.Context, req *wire.BatchKNNReq, w *w
 		return err
 	}
 	defer e.release()
-	if req.K < 1 {
-		return wire.BadRequest("k must be at least 1, got %d", req.K)
-	}
-	for i, p := range req.Points {
-		if len(p) != ix.Dim() {
-			return wire.BadRequest("query point %d has %d dims, index %q has %d", i, len(p), req.Index, ix.Dim())
-		}
-	}
-	// Refuse a batch whose reply could not be framed before computing it,
-	// by the reply's worst case: one row of min(k, Len) neighbors per
-	// probe. The same bound caps the arrays the batch allocates up front.
-	perProbe := wire.RowBytes(ix.Dim(), min(int64(req.K), int64(ix.Len())))
-	if worst := 64 + int64(len(req.Points))*perProbe; worst > wire.MaxFrame {
-		return wire.BadRequest("a batch of %d probes with k=%d may need a %d-byte reply, over the %d-byte frame limit: send smaller batches",
-			len(req.Points), req.K, worst, wire.MaxFrame)
+	// Refuse a batch whose reply could not be framed before computing it.
+	// The same bound caps the arrays the batch allocates up front.
+	if err := wire.CheckBatchReply(len(req.Points), ix.Dim(), int64(req.K), int64(ix.Len())); err != nil {
+		return err
 	}
 	// The whole batch is one query on one snapshot; the deadline is
 	// checked between probes, so a huge batch cannot overstay.
@@ -295,9 +278,6 @@ func (s *Server) queryConfig(rc *reqCtx) ann.QueryConfig {
 }
 
 func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHeader, req *wire.JoinReq, w *wire.ResponseWriter) error {
-	if req.K < 1 {
-		return wire.BadRequest("k must be at least 1, got %d", req.K)
-	}
 	sName := req.S
 	if req.Self {
 		sName = req.R
@@ -368,9 +348,6 @@ func (s *Server) handleWithin(ctx context.Context, req *wire.WithinReq, w *wire.
 }
 
 func (s *Server) handlePairs(ctx context.Context, req *wire.PairsReq, w *wire.ResponseWriter) error {
-	if req.K < 1 {
-		return wire.BadRequest("k must be at least 1, got %d", req.K)
-	}
 	rix, six, release, err := s.acquirePair(req.R, req.S)
 	if err != nil {
 		return err

@@ -481,66 +481,34 @@ type StatsReply struct {
 func (m *StatsReply) encode(e *Encoder) { e.String(string(m.Stats)) }
 func (m *StatsReply) decode(d *Decoder) { m.Stats = []byte(d.String("stats")) }
 
-// KNNReply answers OpKNN. Partial is set only by a degraded-mode
-// router when a shard was unavailable (see PartialInfo).
+// KNNReply answers OpKNN.
 type KNNReply struct {
 	Neighbors []Neighbor
-	Partial   *PartialInfo
 }
 
-func (m *KNNReply) encode(e *Encoder) {
-	encodeNeighbors(e, m.Neighbors)
-	if m.Partial != nil {
-		m.Partial.encode(e)
-	}
-}
+func (m *KNNReply) encode(e *Encoder) { encodeNeighbors(e, m.Neighbors) }
 
 func (m *KNNReply) decode(d *Decoder) {
 	d.reserve(0)
 	m.Neighbors = d.neighbors("knn neighbors")
-	if d.Err() != nil {
-		return
-	}
-	m.Partial = decodeTrailingPartial(d)
 }
 
 // BatchKNNReply answers OpBatchKNN, one Result per query point in
-// request order. Partial is set only by a degraded-mode router.
+// request order.
 type BatchKNNReply struct {
 	Results []Result
-	Partial *PartialInfo
 }
 
-func (m *BatchKNNReply) encode(e *Encoder) {
-	encodeResults(e, m.Results)
-	if m.Partial != nil {
-		m.Partial.encode(e)
-	}
-}
+func (m *BatchKNNReply) encode(e *Encoder) { encodeResults(e, m.Results) }
+func (m *BatchKNNReply) decode(d *Decoder) { m.Results = d.results("batch results") }
 
-func (m *BatchKNNReply) decode(d *Decoder) {
-	m.Results = d.results("batch results")
-	m.Partial = decodeTrailingPartial(d)
-}
-
-// RangeReply answers OpRange. Partial is set only by a degraded-mode
-// router.
+// RangeReply answers OpRange.
 type RangeReply struct {
-	IDs     []uint64
-	Partial *PartialInfo
+	IDs []uint64
 }
 
-func (m *RangeReply) encode(e *Encoder) {
-	e.U64s(m.IDs)
-	if m.Partial != nil {
-		m.Partial.encode(e)
-	}
-}
-
-func (m *RangeReply) decode(d *Decoder) {
-	m.IDs = d.U64s("range ids")
-	m.Partial = decodeTrailingPartial(d)
-}
+func (m *RangeReply) encode(e *Encoder) { e.U64s(m.IDs) }
+func (m *RangeReply) decode(d *Decoder) { m.IDs = d.U64s("range ids") }
 
 // JoinFrame is one KindStream chunk of an OpJoin result stream.
 type JoinFrame struct {

@@ -515,6 +515,19 @@ func RowBytes(dim int, nbs int64) int64 {
 	return 8 + point + 5 + nbs*(16+point)
 }
 
+// CheckBatchReply refuses a BatchKNN of n probes at k over points
+// dim-dimensional points whose reply could not be framed, by its worst
+// case: one row of min(k, points) neighbors per probe. The server and
+// the router ask it before any work, so a batch is refused alike on
+// either path, whatever its legs would have answered.
+func CheckBatchReply(n, dim int, k, points int64) error {
+	if worst := 64 + int64(n)*RowBytes(dim, min(k, points)); worst > MaxFrame {
+		return BadRequest("a batch of %d probes with k=%d may need a %d-byte reply, over the %d-byte frame limit: send smaller batches",
+			n, k, worst, MaxFrame)
+	}
+	return nil
+}
+
 func uvarintBytes(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
 
 func f64sBytes(vs []float64) int { return uvarintBytes(len(vs)) + 8*len(vs) }

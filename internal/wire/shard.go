@@ -138,9 +138,6 @@ func (m *RangePointsReq) decode(d *Decoder) {
 type RangePointsReply struct {
 	IDs    []uint64
 	Points [][]float64
-	// Partial, when non-nil, marks a degraded routed reply (see
-	// PartialInfo); encoded only when set.
-	Partial *PartialInfo
 }
 
 func (m *RangePointsReply) encode(e *Encoder) {
@@ -148,9 +145,6 @@ func (m *RangePointsReply) encode(e *Encoder) {
 	e.Uvarint(uint64(len(m.Points)))
 	for _, p := range m.Points {
 		e.F64s(p)
-	}
-	if m.Partial != nil {
-		m.Partial.encode(e)
 	}
 }
 
@@ -166,47 +160,4 @@ func (m *RangePointsReply) decode(d *Decoder) {
 			m.Points[i] = d.F64s("range points point")
 		}
 	}
-	m.Partial = decodeTrailingPartial(d)
-}
-
-// PartialInfo marks a degraded-mode scatter-gather reply: the named
-// shards were unavailable, so the reply holds only what the live shards
-// produced. It is appended after the reply body only when set, so a
-// complete reply stays byte-identical to the version-1 encoding (the
-// same presence-gating discipline as StreamEnd's Report). Streaming ops
-// signal partiality differently — a KindError frame with
-// CodePartialResult in place of KindEnd.
-type PartialInfo struct {
-	// Missing names the shards that did not answer.
-	Missing []string
-}
-
-func (p *PartialInfo) encode(e *Encoder) {
-	e.Uvarint(uint64(len(p.Missing)))
-	for _, s := range p.Missing {
-		e.String(s)
-	}
-}
-
-func (p *PartialInfo) decode(d *Decoder) {
-	n := d.Count(1, "partial missing")
-	if d.Err() != nil || n == 0 {
-		return
-	}
-	p.Missing = make([]string, n)
-	for i := range p.Missing {
-		p.Missing[i] = d.String("partial shard")
-	}
-}
-
-// decodeTrailingPartial reads an optional trailing PartialInfo block —
-// shared by the reply types that can be served partially by a
-// degraded-mode router.
-func decodeTrailingPartial(d *Decoder) *PartialInfo {
-	if d.Err() != nil || d.Remaining() == 0 {
-		return nil
-	}
-	p := &PartialInfo{}
-	p.decode(d)
-	return p
 }

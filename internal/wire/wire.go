@@ -41,16 +41,17 @@ import (
 const Magic = "ANNS"
 
 // Version is the protocol version this build speaks. Version 2 added
-// the shard-routing frames (OpShardMap, OpRangePoints, the partial-
-// result reply block and the SHARD_UNAVAILABLE/PARTIAL_RESULT error
-// codes); version 3 dropped the approximate-query request extension, so
-// the trace extension follows the body directly, and the report's
-// approximate-cut counter; version 4 carries the stats reply and the
-// join report as one length-prefixed field holding each record's own
-// JSON. There is one version and no negotiated downgrade: a peer
+// the shard-routing frames (OpShardMap, OpRangePoints and the
+// SHARD_UNAVAILABLE error code); version 3 dropped the approximate-query
+// request extension, so the trace extension follows the body directly,
+// and the report's approximate-cut counter; version 4 carries the stats
+// reply and the join report as one length-prefixed field holding each
+// record's own JSON; version 5 dropped the partial-result block a
+// router could append to a reply, and its error code, so a reply is
+// complete or an error. There is one version and no negotiated downgrade: a peer
 // announcing any other is rejected at the handshake rather than failing
 // mid-stream on a frame it cannot parse.
-const Version = 4
+const Version = 5
 
 // MaxFrame bounds a single frame's payload. Requests are small; result
 // streams are cut into frames below it (see Batcher). A peer announcing
@@ -173,14 +174,9 @@ const (
 	// and the failed batch's durability is indeterminate.
 	CodeWriteFailed ErrorCode = 8
 	// CodeShardUnavailable: a routed request needed a shard whose
-	// backend is down (after retries). Strict-mode routers fail the
-	// whole request with this code rather than return partial data.
+	// backend is down (after retries). The router fails the whole
+	// request with this code rather than answer over the other shards.
 	CodeShardUnavailable ErrorCode = 9
-	// CodePartialResult: a degraded-mode router gathered what it could
-	// but one or more shards were unavailable. For streams this arrives
-	// after the KindStream frames in place of KindEnd: everything
-	// streamed so far is exact for the shards that answered.
-	CodePartialResult ErrorCode = 10
 )
 
 // String implements fmt.Stringer with the protocol's canonical names.
@@ -204,8 +200,6 @@ func (c ErrorCode) String() string {
 		return "WRITE_FAILED"
 	case CodeShardUnavailable:
 		return "SHARD_UNAVAILABLE"
-	case CodePartialResult:
-		return "PARTIAL_RESULT"
 	default:
 		return fmt.Sprintf("CODE(%d)", uint16(c))
 	}

@@ -112,14 +112,15 @@ func responseSamples() []struct {
 		{19, KindResult, OpShardMap, &ShardMapReply{Map: sampleShardMap()}},
 		{20, KindResult, OpRangePoints, &RangePointsReply{IDs: []uint64{3, 7}, Points: [][]float64{{0.1, 0.2}, {0.3, 0.4}}}},
 		{21, KindResult, OpRangePoints, &RangePointsReply{}},
-		{22, KindResult, OpKNN, &KNNReply{Neighbors: nb, Partial: &PartialInfo{Missing: []string{"pts-s1"}}}},
-		{23, KindResult, OpBatchKNN, &BatchKNNReply{Results: res, Partial: &PartialInfo{Missing: []string{"pts-s0", "pts-s1"}}}},
-		{24, KindResult, OpRange, &RangeReply{IDs: []uint64{1}, Partial: &PartialInfo{}}},
-		{25, KindError, OpJoin, &ErrorReply{Code: CodePartialResult, Msg: "shard pts-s1 unavailable"}},
+		{22, KindResult, OpKNN, &KNNReply{Neighbors: []Neighbor{{ID: 500, Dist: 0.5, Point: []float64{1, 2, 3}}, {ID: 9, Dist: 0.75}}}},
+		{23, KindResult, OpBatchKNN, &BatchKNNReply{Results: []Result{{ID: 0, Point: []float64{0.5, 0.5}}}}},
+		{24, KindResult, OpRange, &RangeReply{}},
+		// A routed answer is complete or an error: a routed stream that
+		// needs a dead shard fails before its first row.
+		{25, KindError, OpJoin, &ErrorReply{Code: CodeShardUnavailable, Msg: "shard pts-s1 unavailable: connection refused"}},
 		{26, KindError, OpKNN, &ErrorReply{Code: CodeShardUnavailable, Msg: "dial refused"}},
-		{27, KindResult, OpRangePoints, &RangePointsReply{IDs: []uint64{9}, Points: [][]float64{{1.5, -2.5}},
-			Partial: &PartialInfo{Missing: []string{"pts-s2"}}}},
-		{28, KindResult, OpRangePoints, &RangePointsReply{Partial: &PartialInfo{Missing: []string{"pts-s0"}}}},
+		{27, KindResult, OpRangePoints, &RangePointsReply{IDs: []uint64{9}, Points: [][]float64{{1.5, -2.5}}}},
+		{28, KindError, OpBatchKNN, &ErrorReply{Code: CodeBadRequest, Msg: "a batch of 300 probes with k=2000 may need a 20409364-byte reply"}},
 	}
 }
 
@@ -174,6 +175,11 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	payload, _ := EncodeRequest(RequestHeader{ID: 1, Op: OpList}, &ListReq{}, nil)
 	if _, _, err := DecodeRequest(append(payload, 0xFF)); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+	// So is a version-4 router's partial-result block after a reply.
+	reply, _ := EncodeResponse(1, KindResult, OpKNN, &KNNReply{}, nil)
+	if _, _, _, _, err := DecodeResponse(append(reply, 1, 2, 's', '1')); err == nil {
+		t.Error("trailing partial-result block accepted")
 	}
 	// A huge announced count with no backing bytes must fail cleanly,
 	// not allocate.
@@ -324,67 +330,6 @@ func TestStreamEndReport(t *testing.T) {
 	}
 }
 
-// TestPartialExtension pins the compatibility contract of the trailing
-// PartialInfo block on scatter-gather replies: a complete reply is
-// byte-identical to the version-1 encoding, a partial one appends the
-// block after the body, and the round trip is lossless.
-func TestPartialExtension(t *testing.T) {
-	nb := []Neighbor{{ID: 7, Dist: 1.25, Point: []float64{3, 4}}}
-	complete, err := EncodeResponse(1, KindResult, OpKNN, &KNNReply{Neighbors: nb}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	partial, err := EncodeResponse(1, KindResult, OpKNN,
-		&KNNReply{Neighbors: nb, Partial: &PartialInfo{Missing: []string{"s1"}}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(partial[:len(complete)], complete) {
-		t.Error("partial KNNReply is not the complete frame plus a trailing block")
-	}
-	// count (1) + string len (1) + "s1" (2).
-	if len(partial) != len(complete)+4 {
-		t.Fatalf("partial block adds %d bytes, want 4", len(partial)-len(complete))
-	}
-	_, _, _, body, err := DecodeResponse(complete)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if body.(*KNNReply).Partial != nil {
-		t.Error("complete reply decoded with a Partial block")
-	}
-	_, _, _, body, err = DecodeResponse(partial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := body.(*KNNReply).Partial
-	if got == nil || len(got.Missing) != 1 || got.Missing[0] != "s1" {
-		t.Errorf("partial reply decoded as %+v", got)
-	}
-
-	// Same contract on RangeReply (whose body has no element count of
-	// its own beyond the id list).
-	full, err := EncodeResponse(2, KindResult, OpRange, &RangeReply{IDs: []uint64{3, 1}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := EncodeResponse(2, KindResult, OpRange,
-		&RangeReply{IDs: []uint64{3, 1}, Partial: &PartialInfo{Missing: []string{"a", "b"}}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(part[:len(full)], full) {
-		t.Error("partial RangeReply is not the complete frame plus a trailing block")
-	}
-	_, _, _, body, err = DecodeResponse(part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := body.(*RangeReply).Partial; got == nil || len(got.Missing) != 2 {
-		t.Errorf("partial RangeReply decoded as %+v", got)
-	}
-}
-
 // TestShardMapRoundTrip exercises the full topology encoding.
 func TestShardMapRoundTrip(t *testing.T) {
 	want := sampleShardMap()
@@ -453,17 +398,17 @@ func TestHandshake(t *testing.T) {
 		t.Error("future version accepted")
 	}
 	// The version gate: there is one version, and a peer one version
-	// behind — version 3, whose stats reply and join report were
-	// field-by-field binary — is told both.
+	// behind — version 4, whose routed replies could carry a trailing
+	// partial-result block — is told both.
 	if err := ReadHandshake(bytes.NewReader([]byte{'A', 'N', 'N', 'S', 0})); err == nil {
 		t.Error("version 0 accepted")
 	}
-	err := ReadHandshake(bytes.NewReader([]byte{'A', 'N', 'N', 'S', 3}))
+	err := ReadHandshake(bytes.NewReader([]byte{'A', 'N', 'N', 'S', 4}))
 	if err == nil {
-		t.Fatal("version 3 accepted")
+		t.Fatal("version 4 accepted")
 	}
-	if want := fmt.Sprintf("protocol version 3, want %d", Version); !strings.Contains(err.Error(), want) {
-		t.Errorf("version 3 refused as %q, want it to name both versions (%q)", err, want)
+	if want := fmt.Sprintf("protocol version 4, want %d", Version); !strings.Contains(err.Error(), want) {
+		t.Errorf("version 4 refused as %q, want it to name both versions (%q)", err, want)
 	}
 }
 
