@@ -97,15 +97,17 @@ race-router:
 	$(GO) test -race -count=5 ./internal/router
 
 # serve-smoke boots the real annserve daemon on a temp index, drives a
-# batched kNN and a streamed self-join through the client, and asserts
-# byte parity with direct library calls plus a clean SIGTERM drain.
+# batched kNN, a streamed self-join and a streamed box query through the
+# client, and asserts byte parity with direct library calls plus a clean
+# SIGTERM drain.
 serve-smoke:
 	$(GO) test -run TestServeSmoke -count=1 -v ./cmd/annserve
 
 # router-smoke boots the real annrouter daemon over two in-process
 # annserve shards (shard-map file, flags, signal handling), asserts
-# routed kNN and self-join byte parity against direct library calls on
-# the curve-ordered dataset, and delivers a SIGTERM for a clean drain.
+# routed kNN, self-join and box-query byte parity against direct library
+# calls on the curve-ordered dataset and the served shard map against
+# the map file, and delivers a SIGTERM for a clean drain.
 router-smoke:
 	$(GO) test -run TestRouterSmoke -count=1 -v ./cmd/annrouter
 

@@ -157,8 +157,8 @@ type QueryConfig struct {
 	// positive value sets the budget in bytes; a negative value detaches
 	// the cache so every expansion decodes from the pool. The cache only
 	// changes speed, never results. It governs joins only: the point
-	// queries (Index.NearestNeighbors, Index.RangeSearch*) read each node
-	// once, in its pinned page, and neither use nor fill it.
+	// queries (Index.NearestNeighbors, Index.RangeSearchWithPoints) read
+	// each node once, in its pinned page, and neither use nor fill it.
 	NodeCacheBytes int64
 	// TraceOut, when non-nil, receives the query's execution trace as
 	// Chrome trace-event JSON when the query completes — open it at
@@ -398,32 +398,11 @@ func (ix *Index) BatchNearestNeighbors(ctx context.Context, qs []Point, k int) (
 	return out, nil
 }
 
-// RangeSearch returns the ids of all indexed points inside the box
-// [lo, hi] (boundaries inclusive).
-func (ix *Index) RangeSearch(lo, hi Point) ([]ObjectID, error) {
-	box, err := ix.box(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	v, t := ix.acquire()
-	defer ix.release(v)
-	res, err := index.RangeSearch(t, box)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ObjectID, len(res))
-	for i, r := range res {
-		out[i] = uint64(r.Object)
-	}
-	return out, nil
-}
-
 // RangeSearchWithPoints returns the ids and coordinates of all indexed
 // points inside the box [lo, hi] (boundaries inclusive), as parallel
-// slices. It backs the wire protocol's OpRangePoints — the
-// boundary-strip fetch distributed within-distance queries are built
-// on, where the caller needs the coordinates to compute exact
-// cross-shard distances locally.
+// slices, in the index's traversal order. It is the one box query: the
+// wire protocol's OpRange streams its rows, and a router's distributed
+// within-distance join fetches its boundary strips with it.
 func (ix *Index) RangeSearchWithPoints(lo, hi Point) ([]ObjectID, []Point, error) {
 	box, err := ix.box(lo, hi)
 	if err != nil {

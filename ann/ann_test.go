@@ -250,12 +250,12 @@ func TestIndexQueries(t *testing.T) {
 	if len(nn) != 2 || nn[0].ID != 1 {
 		t.Fatalf("NearestNeighbors = %+v", nn)
 	}
-	ids, err := ix.RangeSearch(Point{4, 4}, Point{11, 11})
+	ids, _, err := ix.RangeSearchWithPoints(Point{4, 4}, Point{11, 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) != 2 {
-		t.Fatalf("RangeSearch found %d, want 2", len(ids))
+		t.Fatalf("RangeSearchWithPoints found %d, want 2", len(ids))
 	}
 }
 

@@ -355,35 +355,49 @@ func (c *Client) BatchKNN(ctx context.Context, index string, qs []ann.Point, k i
 	return reply.(*wire.BatchKNNReply).Results, nil
 }
 
-// Range returns the ids of the indexed points inside the box [lo, hi].
-func (c *Client) Range(ctx context.Context, index string, lo, hi ann.Point) ([]uint64, error) {
-	reply, err := c.roundTrip(ctx, wire.OpRange, &wire.RangeReq{Index: index, Lo: lo, Hi: hi})
-	if err != nil {
-		return nil, err
-	}
-	return reply.(*wire.RangeReply).IDs, nil
-}
-
-// RangePoints returns the ids AND coordinates of the indexed points
-// inside the box [lo, hi], as parallel slices — the boundary-strip fetch
-// routed within-distance queries are built on.
-func (c *Client) RangePoints(ctx context.Context, index string, lo, hi ann.Point) ([]uint64, []ann.Point, error) {
-	reply, err := c.roundTrip(ctx, wire.OpRangePoints, &wire.RangePointsReq{Index: index, Lo: lo, Hi: hi})
+// Range returns the ids and coordinates of the indexed points inside
+// the box [lo, hi] (boundaries inclusive), as parallel slices, as
+// ann.Index.RangeSearchWithPoints does. The answer streams, so a box of
+// any size is answered; a stream that ends in an error returns no rows.
+func (c *Client) Range(ctx context.Context, index string, lo, hi ann.Point) ([]uint64, []ann.Point, error) {
+	id, err := c.begin(ctx, wire.OpRange, &wire.RangeReq{Index: index, Lo: lo, Hi: hi}, JoinOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := reply.(*wire.RangePointsReply)
-	return rep.IDs, rep.Points, nil
+	st := &JoinStream{c: c, id: id}
+	var ids []uint64
+	var pts []ann.Point
+	for st.Next() {
+		ids = append(ids, st.cur.ID)
+		pts = append(pts, st.cur.Point)
+	}
+	if err := st.Err(); err != nil {
+		return nil, nil, err
+	}
+	return ids, pts, nil
 }
 
 // ShardMap fetches the shard topology of a routed dataset from an
-// annrouter. A plain annserve answers BAD_REQUEST (IsBadRequest).
+// annrouter. A plain annserve answers BAD_REQUEST (IsBadRequest). A
+// reply that does not decode to a valid map ends the connection.
 func (c *Client) ShardMap(ctx context.Context, name string) (wire.ShardMap, error) {
-	reply, err := c.roundTrip(ctx, wire.OpShardMap, &wire.ShardMapReq{Name: name})
+	var m wire.ShardMap
+	id, err := c.begin(ctx, wire.OpShardMap, &wire.ShardMapReq{Name: name}, JoinOptions{})
 	if err != nil {
-		return wire.ShardMap{}, err
+		return m, err
 	}
-	return reply.(*wire.ShardMapReply).Map, nil
+	defer c.reqMu.unlock()
+	reply, err := c.result(id, wire.OpShardMap)
+	if err != nil {
+		return m, err
+	}
+	if err := decodeRecord("shard map", reply.(*wire.ShardMapReply).Map, &m); err != nil {
+		return wire.ShardMap{}, c.fail(err)
+	}
+	if err := m.Validate(); err != nil {
+		return wire.ShardMap{}, c.fail(fmt.Errorf("client: invalid shard map: %w", err))
+	}
+	return m, nil
 }
 
 // ClosestPairs returns the k closest (r, s) pairs across two catalog

@@ -68,15 +68,18 @@ func TestReportDecodeRejectsHostile(t *testing.T) {
 }
 
 // TestHostileReportEndsConnection serves END frames carrying hostile
-// reports and stats replies that do not decode: each is a decode error
-// that ends the connection, so the next request fails at once with the
-// same error.
+// reports, and stats and shard-map replies that do not decode to a valid
+// record: each is a decode error that ends the connection, so the next
+// request fails at once with the same error.
 func TestHostileReportEndsConnection(t *testing.T) {
 	var body atomic.Value // the reply the handler sends, set before each request
 	svc := &wire.Service{Name: "test", Handler: func(_ context.Context, hdr wire.RequestHeader, _ wire.Message, _ string, w *wire.ResponseWriter) error {
 		b := []byte(body.Load().(string))
-		if hdr.Op == wire.OpStats {
+		switch hdr.Op {
+		case wire.OpStats:
 			return w.Send(wire.KindResult, &wire.StatsReply{Stats: b})
+		case wire.OpShardMap:
+			return w.Send(wire.KindResult, &wire.ShardMapReply{Map: b})
 		}
 		return w.Send(wire.KindEnd, &wire.StreamEnd{Count: 0, Report: b})
 	}}
@@ -134,6 +137,16 @@ func TestHostileReportEndsConnection(t *testing.T) {
 		body.Store(b)
 		_, err = cl.Stats(ctx, "pts")
 		requireLatched("stats "+b, cl, err)
+		cl.Close()
+	}
+	for _, b := range []string{`{"name":`, `{"name":"pts","curve":"peano","bounds_lo":[0],"bounds_hi":[1]}`} {
+		cl, err := Dial(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		body.Store(b)
+		_, err = cl.ShardMap(ctx, "pts")
+		requireLatched("shard map "+b, cl, err)
 		cl.Close()
 	}
 }

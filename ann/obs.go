@@ -55,12 +55,5 @@ func (m *MetricsRegistry) WriteJSON(w io.Writer) error {
 }
 
 // Handler returns an http.Handler serving the JSON snapshot — the
-// endpoint behind the cmd tools' -metrics-addr flag.
+// /metrics endpoint behind annquery's -pprof-addr flag.
 func (m *MetricsRegistry) Handler() http.Handler { return m.registry() }
-
-// Serve starts a background HTTP server on addr exposing /metrics (the
-// snapshot) and /debug/pprof/, returning the bound address (useful with
-// ":0"). The server lives until the process exits.
-func (m *MetricsRegistry) Serve(addr string) (string, error) {
-	return obs.Serve(addr, m.registry())
-}

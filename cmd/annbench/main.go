@@ -6,14 +6,14 @@
 //	annbench -all -scale 0.1         # the full evaluation at 10% cardinality
 //	annbench -exp fig3b -latency 2ms # different modeled disk latency
 //	annbench -exp mba -trace out.json -json report.json
-//	annbench -all -metrics-addr :9100 -cpuprofile cpu.pprof
+//	annbench -all -pprof-addr :9100 -cpuprofile cpu.pprof
 //
 // The -scale flag multiplies the paper's dataset cardinalities (500K-700K
 // points); 1.0 reproduces the full sizes but takes correspondingly long.
 // A progress heartbeat is printed to stderr after each measurement;
 // -quiet suppresses it. -trace writes a Chrome trace-event JSON of the
 // traced experiment ("mba"), loadable at https://ui.perfetto.dev;
-// -metrics-addr serves the live metrics registry (plus /debug/pprof/)
+// -pprof-addr serves the live metrics registry (plus /debug/pprof/)
 // over HTTP while the experiments run.
 package main
 
@@ -32,17 +32,16 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("annbench: ")
 	var (
-		exp         = flag.String("exp", "", "experiment to run (see -list)")
-		all         = flag.Bool("all", false, "run every experiment")
-		list        = flag.Bool("list", false, "list experiments and exit")
-		scale       = flag.Float64("scale", 0.05, "fraction of the paper's dataset cardinalities")
-		latency     = flag.Duration("latency", time.Millisecond, "modeled time per page transfer")
-		pool        = flag.Int("pool", 512*1024, "buffer pool size in bytes (experiments that vary it ignore this)")
-		seed        = flag.Int64("seed", 1, "dataset generator seed")
-		jsonOut     = flag.String("json", "", "write a machine-readable summary here (mba experiment)")
-		quiet       = flag.Bool("quiet", false, "suppress the per-measurement progress heartbeat on stderr")
-		tracePath   = flag.String("trace", "", "write a Chrome trace-event JSON of the traced experiment here (mba experiment; open at ui.perfetto.dev)")
-		metricsAddr = flag.String("metrics-addr", "", "serve the metrics registry as JSON (and /debug/pprof/) on this address")
+		exp       = flag.String("exp", "", "experiment to run (see -list)")
+		all       = flag.Bool("all", false, "run every experiment")
+		list      = flag.Bool("list", false, "list experiments and exit")
+		scale     = flag.Float64("scale", 0.05, "fraction of the paper's dataset cardinalities")
+		latency   = flag.Duration("latency", time.Millisecond, "modeled time per page transfer")
+		pool      = flag.Int("pool", 512*1024, "buffer pool size in bytes (experiments that vary it ignore this)")
+		seed      = flag.Int64("seed", 1, "dataset generator seed")
+		jsonOut   = flag.String("json", "", "write a machine-readable summary here (mba experiment)")
+		quiet     = flag.Bool("quiet", false, "suppress the per-measurement progress heartbeat on stderr")
+		tracePath = flag.String("trace", "", "write a Chrome trace-event JSON of the traced experiment here (mba experiment; open at ui.perfetto.dev)")
 	)
 	var prof obs.ProfileFlags
 	prof.Register(flag.CommandLine)
@@ -56,14 +55,9 @@ func main() {
 	}
 
 	var reg *obs.Registry
-	if *metricsAddr != "" {
+	if prof.PprofAddr != "" {
 		reg = obs.NewRegistry()
 		bench.DeclareMetricFamilies(reg)
-		addr, err := obs.Serve(*metricsAddr, reg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "annbench: metrics on http://%s/metrics\n", addr)
 	}
 	stopProf, err := prof.Start(reg)
 	if err != nil {

@@ -160,7 +160,7 @@ func writeSharded(stdout io.Writer, out string, pts []geom.Point, n int, curveSt
 	name := filepath.Base(base)
 	m := router.MapFromPartitioning(name, part, addrs)
 	mapPath := base + ".shardmap.json"
-	if err := m.Save(mapPath); err != nil {
+	if err := router.SaveMapFile(mapPath, m); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "wrote shard map (%d shards, %s curve) to %s\n", len(m.Shards), m.Curve, mapPath)

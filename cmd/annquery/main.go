@@ -20,7 +20,8 @@
 // vs flush time, wire bytes) only the server can measure; -trace-id
 // labels a remote request across the server's logs and debug endpoints;
 // -cpuprofile, -memprofile and -pprof-addr enable the standard Go
-// profiling hooks.
+// profiling hooks; -pprof-addr also serves the query's metrics registry
+// at /metrics.
 package main
 
 import (
@@ -69,9 +70,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		remote  = fs.String("remote", "", "route the query to the annserve daemon at this address")
 		traceID = fs.String("trace-id", "", "with -remote: label the request in the server's logs and debug endpoints")
 
-		tracePath   = fs.String("trace", "", "write a Chrome trace-event JSON of the query here (open at ui.perfetto.dev)")
-		report      = fs.Bool("report", false, "print the unified QueryReport (counters + stage timings) as JSON to stderr")
-		metricsAddr = fs.String("metrics-addr", "", "serve the metrics registry as JSON (and /debug/pprof/) on this address")
+		tracePath = fs.String("trace", "", "write a Chrome trace-event JSON of the query here (open at ui.perfetto.dev)")
+		report    = fs.Bool("report", false, "print the unified QueryReport (counters + stage timings) as JSON to stderr")
 	)
 	var prof obs.ProfileFlags
 	prof.Register(fs)
@@ -116,15 +116,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown metric %q", *metric)
 	}
 
-	var metrics *ann.MetricsRegistry
-	if *metricsAddr != "" {
-		metrics = ann.NewMetricsRegistry()
-		addr, err := metrics.Serve(*metricsAddr)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "annquery: metrics on http://%s/metrics\n", addr)
-		qcfg.Metrics = metrics
+	var routes []obs.Route
+	if prof.PprofAddr != "" {
+		qcfg.Metrics = ann.NewMetricsRegistry()
+		routes = append(routes, obs.Route{Pattern: "/metrics", Handler: qcfg.Metrics.Handler()})
 	}
 	var traceFile *os.File
 	if *tracePath != "" {
@@ -143,7 +138,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			_ = enc.Encode(rep)
 		}
 	}
-	stopProf, err := prof.Start(nil)
+	stopProf, err := prof.Start(nil, routes...)
 	if err != nil {
 		return err
 	}

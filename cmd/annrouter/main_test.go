@@ -8,6 +8,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -89,12 +90,18 @@ func TestRouterSmoke(t *testing.T) {
 	// The library emits traversal order; the router emits ascending
 	// global id. Canonicalize the ground truth to the router's order.
 	sort.Slice(wantSelf, func(a, b int) bool { return wantSelf[a].ID < wantSelf[b].ID })
+	lo, hi := ann.Point{20, 20}, ann.Point{60, 60}
+	boxIDs, _, err := full.RangeSearchWithPoints(lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(boxIDs)
 	if err := full.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	mapPath := filepath.Join(t.TempDir(), "pts.shardmap.json")
-	if err := router.MapFromPartitioning("pts", part, addrs).Save(mapPath); err != nil {
+	if err := router.SaveMapFile(mapPath, router.MapFromPartitioning("pts", part, addrs)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -156,13 +163,32 @@ func TestRouterSmoke(t *testing.T) {
 		t.Fatalf("routed self-AkNN diverges from the direct call (%d vs %d results)", len(gotSelf), len(wantSelf))
 	}
 
-	// The topology is served back over the wire.
+	// Routed box query parity, in ascending global id.
+	gotIDs, gotPts, err := cl.Range(ctx, "pts", lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gotIDs) == 0 || !reflect.DeepEqual(gotIDs, boxIDs) {
+		t.Fatalf("routed box query diverges from the direct call (%d vs %d rows)", len(gotIDs), len(boxIDs))
+	}
+	for i, id := range gotIDs {
+		if !reflect.DeepEqual(gotPts[i], ordered[id]) {
+			t.Fatalf("routed box row %d has point %v, dataset has %v", id, gotPts[i], ordered[id])
+		}
+	}
+
+	// The topology is served back over the wire: the record the router
+	// loaded from its map file.
 	m, err := cl.ShardMap(ctx, "pts")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Shards) != 2 || m.Name != "pts" {
-		t.Fatalf("served shard map: %+v", m)
+	loaded, err := router.LoadMapFile(mapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m, *loaded) {
+		t.Fatalf("served shard map %+v, map file %+v", m, *loaded)
 	}
 
 	// SIGTERM → clean drain.

@@ -42,6 +42,11 @@ func TestServeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lo, hi := ann.Point{20, 20}, ann.Point{60, 60}
+	wantIDs, wantPts, err := ix.RangeSearchWithPoints(lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ix.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -105,6 +110,15 @@ func TestServeSmoke(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotSelf, wantSelf) {
 		t.Fatalf("served self-AkNN diverges from direct call (%d vs %d results)", len(gotSelf), len(wantSelf))
+	}
+
+	// Streamed box query, in the index's traversal order.
+	gotIDs, gotPts, err := cl.Range(ctx, "pts", lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gotIDs) == 0 || !reflect.DeepEqual(gotIDs, wantIDs) || !reflect.DeepEqual(gotPts, wantPts) {
+		t.Fatalf("served box query diverges from direct call (%d vs %d rows)", len(gotIDs), len(wantIDs))
 	}
 
 	// SIGTERM → clean drain.

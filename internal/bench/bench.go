@@ -60,7 +60,7 @@ type Config struct {
 	TracePath string
 	// Metrics, when non-nil, receives the counters of experiments that
 	// publish them (currently "mba"); annbench serves it at
-	// -metrics-addr.
+	// -pprof-addr.
 	Metrics *obs.Registry
 }
 
@@ -291,7 +291,7 @@ func runMBA(name string, cfg Config, p *prepared, opts core.Options) (Measuremen
 }
 
 // DeclareMetricFamilies pre-creates the six stats families in r by
-// accumulating zero-valued stats, so a freshly served -metrics-addr
+// accumulating zero-valued stats, so a freshly served -pprof-addr
 // snapshot lists every stable metric name (DESIGN.md §10) before any
 // experiment has produced counts.
 func DeclareMetricFamilies(r *obs.Registry) {

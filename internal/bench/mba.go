@@ -23,7 +23,7 @@ import (
 // Config.JSONPath set, the QueryReport itself is written as JSON — the
 // input to the EXPERIMENTS.md counter-reproduction workflow. With
 // Config.Metrics set, the counters are also published there (annbench
-// serves that registry at -metrics-addr).
+// serves that registry at -pprof-addr).
 func RunMBAReport(cfg Config) error {
 	cfg = cfg.withDefaults()
 	w := cfg.Out

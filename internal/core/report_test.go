@@ -39,7 +39,7 @@ func TestStatsParitySerialVsParallel4(t *testing.T) {
 
 // TestRunReportRegistryParity: after a single-query run, the registry's
 // snapshot must agree with the returned QueryReport on every engine, pool
-// and cache metric — the acceptance check behind -metrics-addr.
+// and cache metric — the acceptance check behind -pprof-addr's /metrics.
 func TestRunReportRegistryParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	rPts := clusteredPoints(rng, 800, 2, 100)

@@ -19,7 +19,7 @@ type Route struct {
 	Handler http.Handler
 }
 
-// Mux returns the debug mux served at -metrics-addr / -pprof-addr:
+// Mux returns the debug mux served at -pprof-addr:
 // /metrics holds the registry snapshot (when reg is non-nil),
 // /metrics/prom its Prometheus text exposition, and /debug/pprof/ the
 // standard profiling endpoints. Extra routes are mounted as given.

@@ -375,7 +375,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 }
 
 // ServeHTTP implements http.Handler, serving the JSON snapshot (the
-// expvar-style endpoint behind the cmd tools' -metrics-addr flag).
+// expvar-style /metrics endpoint behind the cmd tools' -pprof-addr flag).
 func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	_ = r.WriteJSON(w)

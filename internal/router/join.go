@@ -21,7 +21,8 @@ import (
 // requires q within distance d of shard i's boundary MBR, so the
 // router fetches the two boundary strips — shard i's points inside
 // inflate(MBR_j, d) and shard j's points inside inflate(MBR_i, d) —
-// via OpRangePoints and brute-forces the strip product locally.
+// with one box query each (client.Range) and brute-forces the strip
+// product locally.
 // Shard pairs whose MINDIST(MBR_i, MBR_j) exceeds d are pruned without
 // any fetch.
 
@@ -102,7 +103,7 @@ func (r *Router) handleWithin(ctx context.Context, req *wire.WithinReq, w *wire.
 			var st strip
 			err := s.backend.do(ctx, func(cli *client.Client) error {
 				var err error
-				st.ids, st.pts, err = cli.RangePoints(ctx, s.name, box.Lo, box.Hi)
+				st.ids, st.pts, err = cli.Range(ctx, s.name, box.Lo, box.Hi)
 				return err
 			})
 			return st, err
@@ -160,10 +161,7 @@ func (r *Router) handleWithin(ctx context.Context, req *wire.WithinReq, w *wire.
 			}
 		}
 	}
-	if err := frames.Flush(); err != nil {
-		return err
-	}
-	return w.Send(wire.KindEnd, &wire.StreamEnd{Count: frames.Count})
+	return frames.End()
 }
 
 // --- distributed ANN self-join ----------------------------------------------
@@ -342,5 +340,5 @@ func (r *Router) handleJoin(ctx context.Context, req *wire.JoinReq, w *wire.Resp
 			return err
 		}
 	}
-	return w.Send(wire.KindEnd, &wire.StreamEnd{Count: frames.Count})
+	return frames.End()
 }

@@ -162,7 +162,7 @@ func oneShardMap(addr string) *MapFile {
 	return &MapFile{
 		Name: "pts", Curve: "hilbert",
 		BoundsLo: []float64{0, 0}, BoundsHi: []float64{1000, 1000},
-		Shards: []MapShard{{
+		Shards: []wire.ShardInfo{{
 			Name: "pts-0", Addr: addr, LoKey: 0, HiKey: math.MaxUint64, Count: 1,
 			MBRLo: []float64{0, 0}, MBRHi: []float64{1000, 1000},
 		}},
@@ -530,7 +530,7 @@ func fakeShards(t testing.TB, counts []int, before map[int]func()) (*MapFile, []
 		if i == len(counts)-1 {
 			hi = math.MaxUint64
 		}
-		m.Shards = append(m.Shards, MapShard{Name: fmt.Sprintf("pts-%d", i), Addr: fb.addr,
+		m.Shards = append(m.Shards, wire.ShardInfo{Name: fmt.Sprintf("pts-%d", i), Addr: fb.addr,
 			LoKey: uint64(i) * step, HiKey: hi, IDBase: base, Count: uint64(c),
 			MBRLo: []float64{x0, 0}, MBRHi: []float64{x0 + 1, 0}})
 	}
@@ -737,10 +737,10 @@ func TestConcurrentRoutedParity(t *testing.T) {
 							return
 						}
 						lo, hi := ann.Point{q[0] - 80, q[1] - 80}, ann.Point{q[0] + 80, q[1] + 80}
-						wantR, err1 := single.Range(ctx, "pts", lo, hi)
-						gotR, err2 := routed.Range(ctx, "pts", lo, hi)
-						sort.Slice(wantR, func(a, b int) bool { return wantR[a] < wantR[b] })
-						if err1 != nil || err2 != nil || len(gotR) == 0 || !reflect.DeepEqual(gotR, wantR) {
+						wantR, wantP, err1 := single.Range(ctx, "pts", lo, hi)
+						gotR, gotP, err2 := routed.Range(ctx, "pts", lo, hi)
+						wantR, wantP = byID(wantR, wantP)
+						if err1 != nil || err2 != nil || len(gotR) == 0 || !reflect.DeepEqual(gotR, wantR) || !reflect.DeepEqual(gotP, wantP) {
 							t.Errorf("client %d range around %v: routed %v (%v), single %v (%v)", c, q, gotR, err2, wantR, err1)
 							return
 						}

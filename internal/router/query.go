@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"allnn/ann"
 	"allnn/ann/client"
@@ -298,6 +297,11 @@ func (r *Router) boxShards(ds *dataset, name string, lo, hi []float64) ([]*shard
 	return hit, nil
 }
 
+// handleRange runs the box on every shard it can touch, in parallel, and
+// streams the rows shard by shard, each shard's sorted by local id.
+// Shards carry contiguous global-id ranges in curve order, so the stream
+// is in ascending global id (a single node's traversal order does not
+// survive a merge).
 func (r *Router) handleRange(ctx context.Context, req *wire.RangeReq, w *wire.ResponseWriter) error {
 	ds, err := r.dataset(req.Index)
 	if err != nil {
@@ -307,78 +311,34 @@ func (r *Router) handleRange(ctx context.Context, req *wire.RangeReq, w *wire.Re
 	if werr != nil {
 		return werr
 	}
-	g := newGather()
-	var mu sync.Mutex
-	var ids []uint64
-	if err := r.scatter(ctx, g, hit, func(s *shard) error {
-		var local []uint64
-		err := s.backend.do(ctx, func(cli *client.Client) error {
-			var err error
-			local, err = cli.Range(ctx, s.name, req.Lo, req.Hi)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		for _, id := range local {
-			ids = append(ids, id+s.idBase)
-		}
-		mu.Unlock()
-		return nil
-	}); err != nil {
-		return err
-	}
-	// Canonical routed order: ascending global id (a single node's
-	// traversal order does not survive a merge).
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return w.Send(wire.KindResult, &wire.RangeReply{IDs: ids})
-}
-
-func (r *Router) handleRangePoints(ctx context.Context, req *wire.RangePointsReq, w *wire.ResponseWriter) error {
-	ds, err := r.dataset(req.Index)
-	if err != nil {
-		return err
-	}
-	hit, werr := r.boxShards(ds, req.Index, req.Lo, req.Hi)
-	if werr != nil {
-		return werr
-	}
-	g := newGather()
-	type entry struct {
-		id uint64
-		pt []float64
-	}
-	var mu sync.Mutex
-	var entries []entry
-	if err := r.scatter(ctx, g, hit, func(s *shard) error {
+	rows := make([][]wire.Result, len(ds.shards))
+	if err := r.scatter(ctx, newGather(), hit, func(s *shard) error {
 		var ids []uint64
 		var pts []ann.Point
-		err := s.backend.do(ctx, func(cli *client.Client) error {
-			var err error
-			ids, pts, err = cli.RangePoints(ctx, s.name, req.Lo, req.Hi)
+		err := s.backend.do(ctx, func(cli *client.Client) (err error) {
+			ids, pts, err = cli.Range(ctx, s.name, req.Lo, req.Hi)
 			return err
 		})
 		if err != nil {
 			return err
 		}
-		mu.Lock()
+		res := make([]wire.Result, len(ids))
 		for i, id := range ids {
-			entries = append(entries, entry{id: id + s.idBase, pt: pts[i]})
+			res[i] = wire.Result{ID: s.idBase + id, Point: pts[i]}
 		}
-		mu.Unlock()
+		slices.SortFunc(res, func(a, b wire.Result) int { return cmp.Compare(a.ID, b.ID) })
+		rows[s.index] = res
 		return nil
 	}); err != nil {
 		return err
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
-	reply := &wire.RangePointsReply{
-		IDs:    make([]uint64, len(entries)),
-		Points: make([][]float64, len(entries)),
+	frames := wire.NewBatcher[wire.Result](w)
+	for _, res := range rows {
+		for _, row := range res {
+			if err := frames.Add(row); err != nil {
+				return err
+			}
+		}
 	}
-	for i, e := range entries {
-		reply.IDs[i] = e.id
-		reply.Points[i] = e.pt
-	}
-	return w.Send(wire.KindResult, reply)
+	return frames.End()
 }

@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sort"
@@ -113,7 +114,7 @@ func New(cfg Config, maps ...*MapFile) (*Router, error) {
 	r.latencies = make(map[wire.Op]*obs.Histogram)
 	for _, op := range []wire.Op{
 		wire.OpList, wire.OpShardMap,
-		wire.OpKNN, wire.OpBatchKNN, wire.OpRange, wire.OpRangePoints,
+		wire.OpKNN, wire.OpBatchKNN, wire.OpRange,
 		wire.OpJoin, wire.OpWithinDistance,
 	} {
 		r.latencies[op] = reg.Histogram("router."+op.String()+".latency_ns", obs.LatencyBuckets())
@@ -147,15 +148,17 @@ func (r *Router) dispatch(ctx context.Context, hdr wire.RequestHeader, body wire
 		if err != nil {
 			return err
 		}
-		return w.Send(wire.KindResult, &wire.ShardMapReply{Map: ds.wireMap})
+		m, err := json.Marshal(ds.m)
+		if err != nil {
+			return err
+		}
+		return w.Send(wire.KindResult, &wire.ShardMapReply{Map: m})
 	case *wire.KNNReq:
 		return r.handleKNN(ctx, req, w)
 	case *wire.BatchKNNReq:
 		return r.handleBatchKNN(ctx, req, w)
 	case *wire.RangeReq:
 		return r.handleRange(ctx, req, w)
-	case *wire.RangePointsReq:
-		return r.handleRangePoints(ctx, req, w)
 	case *wire.WithinReq:
 		return r.handleWithin(ctx, req, w)
 	case *wire.JoinReq:

@@ -218,6 +218,21 @@ func sortResults(rs []ann.Result) {
 	sort.Slice(rs, func(a, b int) bool { return rs[a].ID < rs[b].ID })
 }
 
+// byID returns a box answer's parallel ids and points in ascending id,
+// the routed order (a single node answers in traversal order).
+func byID(ids []uint64, pts []ann.Point) ([]uint64, []ann.Point) {
+	order := make([]int, len(ids))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return ids[order[a]] < ids[order[b]] })
+	sids, spts := make([]uint64, len(ids)), make([]ann.Point, len(ids))
+	for i, o := range order {
+		sids[i], spts[i] = ids[o], pts[o]
+	}
+	return sids, spts
+}
+
 type pair struct {
 	r, s uint64
 	d    float64
@@ -243,8 +258,8 @@ func collectWithin(t *testing.T, cl *client.Client, name string, dist float64) (
 
 // TestRoutedParity pins the acceptance criterion: every routed answer
 // is identical to the single node's over the same curve-ordered
-// dataset — point and batched kNN exactly (k ∈ {1, 4}), range and
-// range-points as id-sorted sets, within-distance as the sorted pair
+// dataset — point and batched kNN exactly (k ∈ {1, 4}), the box query
+// as id-sorted rows, within-distance as the sorted pair
 // multiset, and the ANN self-join per point after id-canonicalizing the
 // single node's traversal-ordered stream. Runs with serial scatter
 // (fanout 1) and parallel fan-out.
@@ -314,29 +329,21 @@ func TestRoutedParity(t *testing.T) {
 				{{0, 0}, {1000, 1000}},
 				{{400, 400}, {401, 401}}, // likely empty
 			} {
-				want, err := f.single.Range(ctx, "pts", box[0], box[1])
+				wantIDs, wantPts, err := f.single.Range(ctx, "pts", box[0], box[1])
 				if err != nil {
 					t.Fatal(err)
 				}
-				sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
-				got, err := f.routed.Range(ctx, "pts", box[0], box[1])
+				wantIDs, wantPts = byID(wantIDs, wantPts)
+				ids, rpts, err := f.routed.Range(ctx, "pts", box[0], box[1])
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
-					t.Fatalf("range %v: routed %v, single (sorted) %v", box, got, want)
-				}
-
-				ids, rpts, err := f.routed.RangePoints(ctx, "pts", box[0], box[1])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(ids, got) && !(len(ids) == 0 && len(got) == 0) {
-					t.Fatalf("range-points %v: ids %v, range ids %v", box, ids, got)
+				if len(ids) != len(wantIDs) || len(ids) > 0 && (!reflect.DeepEqual(ids, wantIDs) || !reflect.DeepEqual(rpts, wantPts)) {
+					t.Fatalf("range %v: routed %v, single (sorted) %v", box, ids, wantIDs)
 				}
 				for i, id := range ids {
 					if !reflect.DeepEqual(rpts[i], f.pts[id]) {
-						t.Fatalf("range-points %v: id %d has point %v, dataset has %v", box, id, rpts[i], f.pts[id])
+						t.Fatalf("range %v: id %d has point %v, dataset has %v", box, id, rpts[i], f.pts[id])
 					}
 				}
 			}
@@ -449,8 +456,7 @@ func TestStrictShardFailure(t *testing.T) {
 	}{
 		{"KNN owned by the dead shard", func() error { _, err := f.routed.KNN(ctx, "pts", deadQ, 1); return err }},
 		{"BatchKNN", func() error { _, err := f.routed.BatchKNN(ctx, "pts", []ann.Point{liveQ, deadQ}, 1); return err }},
-		{"Range", func() error { _, err := f.routed.Range(ctx, "pts", lo, hi); return err }},
-		{"RangePoints", func() error { _, _, err := f.routed.RangePoints(ctx, "pts", lo, hi); return err }},
+		{"Range", func() error { ids, _, err := f.routed.Range(ctx, "pts", lo, hi); return rows(len(ids), err) }},
 		{"SelfJoin", func() error { got, err := collectJoin(t, f.routed, "pts", 4); return rows(len(got), err) }},
 		{"WithinDistance", func() error { got, err := collectWithin(t, f.routed, "pts", 20); return rows(len(got), err) }},
 	} {
@@ -570,7 +576,8 @@ func (f *fixture) sameRows(t *testing.T, k int, want []ann.Result) {
 // exceed wire.MaxFrame (2-D, k = 1000: ≈ 33 KB a row): the stream is cut
 // by bytes too, so the served and routed joins answer row for row as the
 // direct one. A batch whose reply, or a k whose single join row, could
-// not be framed is refused before it runs.
+// not be framed is refused before it runs. A box whose rows pass a frame
+// streams: served and routed answer the direct rows.
 func TestJoinRowsWiderThanAFrame(t *testing.T) {
 	f := startFixture(t, uniformPoints(17, 1001), 2, 0)
 	f.sameRows(t, 1000, f.directSelfJoin(t, 1000))
@@ -589,24 +596,56 @@ func TestJoinRowsWiderThanAFrame(t *testing.T) {
 		t.Errorf("the refused batch contacted %d shards, want 0", n)
 	}
 
-	// 30-D rows of 66 000 neighbors need ≈ 17 MB each. The router refuses
-	// from its shard map alone, before contacting the (absent) backend.
-	const dim, n = 30, 66_000
+	// 30-D rows of 70 000 neighbors need ≈ 18 MB each. The router refuses
+	// from its shard map alone, before contacting the backend.
+	const dim, n = 30, 70_000
 	pts := datagen.Uniform(29, n, datagen.ScaledBounds(dim, 1))
 	served := make([]ann.Point, n)
 	for i, p := range pts {
 		served[i] = ann.Point(p)
 	}
-	wide := startBackend(t, "pts", served)
+	wide := startBackend(t, "pts-0", served)
 	lo, hi := make([]float64, dim), make([]float64, dim)
 	for i := range hi {
 		hi[i] = 1
 	}
-	_, routerAddr := serveRouter(t, Config{}, &MapFile{Name: "pts", Curve: "zorder", BoundsLo: lo, BoundsHi: hi,
-		Shards: []MapShard{{Name: "pts-0", Addr: "127.0.0.1:1", HiKey: math.MaxUint64, Count: n, MBRLo: lo, MBRHi: hi}}})
-	for name, addr := range map[string]string{"served": wide.addr, "routed": routerAddr} {
-		if _, err := collectJoin(t, dial(t, addr), "pts", n); !client.IsBadRequest(err) {
-			t.Errorf("%s join with a row wider than a frame: %v, want BAD_REQUEST", name, err)
+	reg := obs.NewRegistry()
+	_, routerAddr := serveRouter(t, Config{Metrics: reg}, &MapFile{Name: "pts", Curve: "zorder", BoundsLo: lo, BoundsHi: hi,
+		Shards: []wire.ShardInfo{{Name: "pts-0", Addr: wide.addr, HiKey: math.MaxUint64, Count: n, MBRLo: lo, MBRHi: hi}}})
+	paths := []struct {
+		name string
+		cl   *client.Client
+		ix   string
+	}{{"served", dial(t, wide.addr), "pts-0"}, {"routed", dial(t, routerAddr), "pts"}}
+	for _, p := range paths {
+		if _, err := collectJoin(t, p.cl, p.ix, n); !client.IsBadRequest(err) {
+			t.Errorf("%s join with a row wider than a frame: %v, want BAD_REQUEST", p.name, err)
+		}
+	}
+	if n := reg.Counter("router.shards_contacted").Value(); n != 0 {
+		t.Errorf("the refused join contacted %d shards, want 0", n)
+	}
+
+	// The unit box holds every point: ≈ 17.5 MB of 250-byte rows.
+	ix, err := ann.BuildIndex(served, ann.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	wantIDs, wantPts, err := ix.RangeSearchWithPoints(lo, hi)
+	if err != nil || len(wantIDs) != n {
+		t.Fatalf("direct box: %d rows, %v; want %d", len(wantIDs), err, n)
+	}
+	for _, p := range paths {
+		ids, got, err := p.cl.Range(context.Background(), p.ix, lo, hi)
+		if err != nil {
+			t.Fatalf("%s box of %d rows: %v", p.name, n, err)
+		}
+		if p.name == "routed" {
+			wantIDs, wantPts = byID(wantIDs, wantPts)
+		}
+		if !reflect.DeepEqual(ids, wantIDs) || !reflect.DeepEqual(got, wantPts) {
+			t.Errorf("%s box: %d rows differ from the direct query's %d", p.name, len(ids), len(wantIDs))
 		}
 	}
 }
@@ -656,18 +695,12 @@ func TestInvalidBox(t *testing.T) {
 		{{100, 100}, {200}},      // mismatched corners
 		{{1, 2, 3}, {4, 5, 6}},   // wrong dimensionality
 	} {
-		if _, err := ix.RangeSearch(box[0], box[1]); !errors.Is(err, ann.ErrInvalidConfig) {
+		if _, _, err := ix.RangeSearchWithPoints(box[0], box[1]); !errors.Is(err, ann.ErrInvalidConfig) {
 			t.Errorf("direct Range %v: %v, want ErrInvalidConfig", box, err)
 		}
-		if _, _, err := ix.RangeSearchWithPoints(box[0], box[1]); !errors.Is(err, ann.ErrInvalidConfig) {
-			t.Errorf("direct RangePoints %v: %v, want ErrInvalidConfig", box, err)
-		}
 		for name, cl := range map[string]*client.Client{"served": f.single, "routed": f.routed} {
-			if _, err := cl.Range(ctx, "pts", box[0], box[1]); !client.IsBadRequest(err) {
+			if _, _, err := cl.Range(ctx, "pts", box[0], box[1]); !client.IsBadRequest(err) {
 				t.Errorf("%s Range %v: %v, want BAD_REQUEST", name, box, err)
-			}
-			if _, _, err := cl.RangePoints(ctx, "pts", box[0], box[1]); !client.IsBadRequest(err) {
-				t.Errorf("%s RangePoints %v: %v, want BAD_REQUEST", name, box, err)
 			}
 		}
 	}

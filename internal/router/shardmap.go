@@ -25,7 +25,6 @@ package router
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 
 	"allnn/internal/curve"
@@ -34,41 +33,11 @@ import (
 	"allnn/internal/wire"
 )
 
-// MapShard is one shard entry of the on-disk shard map (the JSON twin
-// of wire.ShardInfo).
-type MapShard struct {
-	// Name is the index name mounted on the backend's catalog.
-	Name string `json:"name"`
-	// Addr is the backend's host:port.
-	Addr string `json:"addr"`
-	// LoKey and HiKey delimit the shard's curve-key range (inclusive on
-	// both ends; consecutive shards tile the whole uint64 key space).
-	LoKey uint64 `json:"lo_key"`
-	HiKey uint64 `json:"hi_key"`
-	// IDBase is the global id of the shard's first point: global id =
-	// IDBase + local id on the backend.
-	IDBase uint64 `json:"id_base"`
-	Count  uint64 `json:"count"`
-	// MBRLo and MBRHi are the corners of the shard's boundary MBR.
-	MBRLo []float64 `json:"mbr_lo"`
-	MBRHi []float64 `json:"mbr_hi"`
-}
-
 // MapFile is the on-disk shard map: one logical dataset cut into
 // curve-range shards. cmd/anngen writes it next to the per-shard point
-// files; cmd/annrouter loads it at startup.
-type MapFile struct {
-	// Name is the logical dataset name the router serves.
-	Name string `json:"name"`
-	// Curve is the partitioning curve ("zorder" or "hilbert").
-	Curve string `json:"curve"`
-	// BoundsLo and BoundsHi are the curve encoder's bounds (the dataset
-	// bounding rect at partitioning time); query points map to curve
-	// keys against them.
-	BoundsLo []float64  `json:"bounds_lo"`
-	BoundsHi []float64  `json:"bounds_hi"`
-	Shards   []MapShard `json:"shards"`
-}
+// files; cmd/annrouter loads it at startup and serves it over
+// OpShardMap. It is wire.ShardMap, the one declaration of the record.
+type MapFile = wire.ShardMap
 
 // LoadMapFile reads and validates a shard map.
 func LoadMapFile(path string) (*MapFile, error) {
@@ -86,80 +55,13 @@ func LoadMapFile(path string) (*MapFile, error) {
 	return &m, nil
 }
 
-// Save writes the map as indented JSON.
-func (m *MapFile) Save(path string) error {
+// SaveMapFile writes m to path as indented JSON.
+func SaveMapFile(path string, m *MapFile) error {
 	raw, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
-// Validate checks the structural invariants routing depends on: a known
-// curve, matching dimensionalities, and shard key ranges that are
-// adjacent, ascending and tile the whole key space, with contiguous
-// global-id ranges in shard order.
-func (m *MapFile) Validate() error {
-	if m.Name == "" {
-		return fmt.Errorf("dataset name is empty")
-	}
-	if _, err := curve.ParseKind(m.Curve); err != nil {
-		return err
-	}
-	dim := len(m.BoundsLo)
-	if dim == 0 || len(m.BoundsHi) != dim {
-		return fmt.Errorf("bounds dims (%d, %d) invalid", len(m.BoundsLo), len(m.BoundsHi))
-	}
-	if len(m.Shards) == 0 {
-		return fmt.Errorf("no shards")
-	}
-	if m.Shards[0].LoKey != 0 {
-		return fmt.Errorf("first shard starts at key %d, want 0", m.Shards[0].LoKey)
-	}
-	if last := m.Shards[len(m.Shards)-1]; last.HiKey != math.MaxUint64 {
-		return fmt.Errorf("last shard ends at key %d, want MaxUint64", last.HiKey)
-	}
-	var idNext uint64
-	for i, s := range m.Shards {
-		if s.Name == "" || s.Addr == "" {
-			return fmt.Errorf("shard %d: empty name or addr", i)
-		}
-		if s.LoKey > s.HiKey {
-			return fmt.Errorf("shard %d: inverted key range [%d, %d]", i, s.LoKey, s.HiKey)
-		}
-		if i > 0 && s.LoKey != m.Shards[i-1].HiKey+1 {
-			return fmt.Errorf("shard %d: range starts at %d, previous ends at %d (must be adjacent)", i, s.LoKey, m.Shards[i-1].HiKey)
-		}
-		if s.IDBase != idNext {
-			return fmt.Errorf("shard %d: id base %d, want %d (global ids must be contiguous in shard order)", i, s.IDBase, idNext)
-		}
-		idNext += s.Count
-		if len(s.MBRLo) != dim || len(s.MBRHi) != dim {
-			return fmt.Errorf("shard %d: MBR dims (%d, %d) do not match bounds dim %d", i, len(s.MBRLo), len(s.MBRHi), dim)
-		}
-	}
-	return nil
-}
-
-// ToWire converts the map to its wire form (served over OpShardMap).
-func (m *MapFile) ToWire() wire.ShardMap {
-	kind, _ := curve.ParseKind(m.Curve)
-	wm := wire.ShardMap{
-		Name:     m.Name,
-		Curve:    uint8(kind),
-		BoundsLo: m.BoundsLo,
-		BoundsHi: m.BoundsHi,
-		Shards:   make([]wire.ShardInfo, len(m.Shards)),
-	}
-	for i, s := range m.Shards {
-		wm.Shards[i] = wire.ShardInfo{
-			Name: s.Name, Addr: s.Addr,
-			LoKey: s.LoKey, HiKey: s.HiKey,
-			IDBase: s.IDBase, Count: s.Count,
-			MBRLo: s.MBRLo, MBRHi: s.MBRHi,
-		}
-	}
-	return wm
 }
 
 // MapFromPartitioning builds the shard map for a partitioning: shard i
@@ -175,7 +77,7 @@ func MapFromPartitioning(name string, p *curve.Partitioning, addrs []string) *Ma
 	}
 	var idBase uint64
 	for i, s := range p.Shards {
-		ms := MapShard{
+		ms := wire.ShardInfo{
 			Name:   fmt.Sprintf("%s-%d", name, i),
 			LoKey:  s.LoKey,
 			HiKey:  s.HiKey,
@@ -193,16 +95,14 @@ func MapFromPartitioning(name string, p *curve.Partitioning, addrs []string) *Ma
 	return m
 }
 
-// dataset is the runtime form of one routed dataset: parsed rects, the
-// curve encoder for key routing, and the backends.
+// dataset is the runtime form of one routed dataset: the map it was
+// built from (served over OpShardMap), the curve encoder for key
+// routing, and the backends.
 type dataset struct {
-	name    string
-	curve   curve.Kind
-	bounds  geom.Rect
-	dim     int
-	enc     curve.Encoder
-	shards  []*shard
-	wireMap wire.ShardMap
+	m      *MapFile
+	dim    int
+	enc    curve.Encoder
+	shards []*shard
 }
 
 // shard pairs one map entry with its backend connection state.
@@ -233,14 +133,7 @@ func newDataset(m *MapFile, cfg Config) (*dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds := &dataset{
-		name:    m.Name,
-		curve:   kind,
-		bounds:  bounds,
-		dim:     bounds.Dim(),
-		enc:     enc,
-		wireMap: m.ToWire(),
-	}
+	ds := &dataset{m: m, dim: bounds.Dim(), enc: enc}
 	for i, s := range m.Shards {
 		ds.shards = append(ds.shards, &shard{
 			index:   i,

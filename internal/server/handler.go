@@ -41,8 +41,6 @@ func (s *Server) dispatch(ctx context.Context, rc *reqCtx, hdr wire.RequestHeade
 		return s.withSlot(ctx, rc, func() error { return s.handleBatchKNN(ctx, req, w) })
 	case *wire.RangeReq:
 		return s.withSlot(ctx, rc, func() error { return s.handleRange(ctx, req, w) })
-	case *wire.RangePointsReq:
-		return s.withSlot(ctx, rc, func() error { return s.handleRangePoints(ctx, req, w) })
 	case *wire.JoinReq:
 		return s.withSlot(ctx, rc, func() error { return s.handleJoin(ctx, rc, hdr, req, w) })
 	case *wire.WithinReq:
@@ -202,27 +200,9 @@ func (s *Server) handleBatchKNN(ctx context.Context, req *wire.BatchKNNReq, w *w
 	return w.Send(wire.KindResult, &wire.BatchKNNReply{Results: results})
 }
 
+// handleRange streams the box's points, in the index's traversal order,
+// as join rows without neighbors.
 func (s *Server) handleRange(ctx context.Context, req *wire.RangeReq, w *wire.ResponseWriter) error {
-	e, ix, err := s.catalog.acquire(req.Index)
-	if err != nil {
-		return err
-	}
-	defer e.release()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	ids, err := ix.RangeSearch(req.Lo, req.Hi)
-	if err != nil {
-		return err
-	}
-	return w.Send(wire.KindResult, &wire.RangeReply{IDs: ids})
-}
-
-// handleRangePoints is the coordinate-bearing variant of handleRange,
-// serving the boundary-strip fetches a router's distributed
-// within-distance evaluation issues: the router needs the points
-// themselves to compute exact cross-shard distances.
-func (s *Server) handleRangePoints(ctx context.Context, req *wire.RangePointsReq, w *wire.ResponseWriter) error {
 	e, ix, err := s.catalog.acquire(req.Index)
 	if err != nil {
 		return err
@@ -235,7 +215,13 @@ func (s *Server) handleRangePoints(ctx context.Context, req *wire.RangePointsReq
 	if err != nil {
 		return err
 	}
-	return w.Send(wire.KindResult, &wire.RangePointsReply{IDs: ids, Points: pts})
+	frames := wire.NewBatcher[wire.Result](w)
+	for i, id := range ids {
+		if err := frames.Add(wire.Result{ID: id, Point: pts[i]}); err != nil {
+			return err
+		}
+	}
+	return frames.End()
 }
 
 // --- join ops ---------------------------------------------------------------
@@ -341,10 +327,7 @@ func (s *Server) handleWithin(ctx context.Context, req *wire.WithinReq, w *wire.
 	if err != nil {
 		return err
 	}
-	if err := frames.Flush(); err != nil {
-		return err
-	}
-	return w.Send(wire.KindEnd, &wire.StreamEnd{Count: frames.Count})
+	return frames.End()
 }
 
 func (s *Server) handlePairs(ctx context.Context, req *wire.PairsReq, w *wire.ResponseWriter) error {

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -18,11 +19,13 @@ import (
 
 // TestServedMutations drives the insert/delete wire ops end to end:
 // writes through the client change what subsequent served queries see,
-// and error classification matches the client helpers.
+// error classification matches the client helpers, and every write is
+// timed under its index's label.
 func TestServedMutations(t *testing.T) {
 	pts := randomPoints(110, 200, 2)
 	ix := buildIndex(t, pts, ann.MBRQT)
-	srv, cl, _ := startServer(t, Config{})
+	reg := obs.NewRegistry()
+	srv, cl, _ := startServer(t, Config{Metrics: reg})
 	if err := srv.Catalog().Add("pts", ix); err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +85,30 @@ func TestServedMutations(t *testing.T) {
 	}
 	if client.IsWriteFailed(&wire.Error{Code: wire.CodeBadRequest}) {
 		t.Fatal("IsWriteFailed must not match other codes")
+	}
+
+	// Every write above, refused ones included, has a per-index latency
+	// histogram. The server observes a request after flushing its reply,
+	// so the last one may not be in yet.
+	want := map[string]uint64{
+		"server.insert.pts.latency_ns":   3,
+		"server.delete.pts.latency_ns":   2,
+		"server.insert.nope.latency_ns":  1,
+		"server.insert.rstar.latency_ns": 1,
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		hists, missing := reg.Snapshot().Histograms, ""
+		for name, n := range want {
+			if hists[name].Count != n {
+				missing = fmt.Sprintf("%s = %+v, want count %d", name, hists[name], n)
+			}
+		}
+		if missing == "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(missing)
+		}
 	}
 }
 

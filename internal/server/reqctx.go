@@ -74,6 +74,10 @@ func requestIndexLabel(body wire.Message) string {
 		return req.Index
 	case *wire.RangeReq:
 		return req.Index
+	case *wire.InsertReq:
+		return req.Index
+	case *wire.DeleteReq:
+		return req.Index
 	case *wire.JoinReq:
 		if req.Self || req.S == req.R || req.S == "" {
 			return req.R

@@ -145,7 +145,7 @@ func New(cfg Config) *Server {
 	s.latencies = make(map[wire.Op]*obs.Histogram)
 	for _, op := range []wire.Op{
 		wire.OpOpen, wire.OpClose, wire.OpList, wire.OpStats,
-		wire.OpKNN, wire.OpBatchKNN, wire.OpRange, wire.OpRangePoints,
+		wire.OpKNN, wire.OpBatchKNN, wire.OpRange,
 		wire.OpJoin, wire.OpWithinDistance, wire.OpClosestPairs,
 		wire.OpInsert, wire.OpDelete, wire.OpShardMap,
 	} {

@@ -168,18 +168,18 @@ func TestServedParity(t *testing.T) {
 		}
 	}
 
-	// Range search.
+	// Range search (streamed).
 	lo, hi := ann.Point{20, 20}, ann.Point{60, 60}
-	wantIDs, err := six.RangeSearch(lo, hi)
+	wantIDs, wantPts, err := six.RangeSearchWithPoints(lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotIDs, err := cl.Range(ctx, "s", lo, hi)
+	gotIDs, gotPts, err := cl.Range(ctx, "s", lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gotIDs, wantIDs) {
-		t.Fatalf("served range = %v, want %v", gotIDs, wantIDs)
+	if !reflect.DeepEqual(gotIDs, wantIDs) || !reflect.DeepEqual(gotPts, wantPts) {
+		t.Fatalf("served range = %v %v, want %v %v", gotIDs, gotPts, wantIDs, wantPts)
 	}
 
 	// Within-distance join (streamed).
@@ -614,7 +614,7 @@ func TestMixedWorkloadRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := ann.Point{10, 10}, ann.Point{70, 70}
-	wantIDs, err := six.RangeSearch(lo, hi)
+	wantIDs, wantPts, err := six.RangeSearchWithPoints(lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,12 +708,12 @@ func TestMixedWorkloadRace(t *testing.T) {
 						return
 					}
 				case 4: // range + closest pairs
-					gotIDs, err := cl.Range(ctx, "s", lo, hi)
+					gotIDs, gotPts, err := cl.Range(ctx, "s", lo, hi)
 					if err != nil {
 						errc <- fmt.Errorf("g%d range: %w", g, err)
 						return
 					}
-					if !reflect.DeepEqual(gotIDs, wantIDs) {
+					if !reflect.DeepEqual(gotIDs, wantIDs) || !reflect.DeepEqual(gotPts, wantPts) {
 						errc <- fmt.Errorf("g%d: range parity failure", g)
 						return
 					}

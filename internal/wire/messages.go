@@ -272,7 +272,10 @@ func (m *BatchKNNReq) decode(d *Decoder) {
 	}
 }
 
-// RangeReq (OpRange) asks for the ids inside the box [Lo, Hi].
+// RangeReq (OpRange) asks for every indexed point inside the box
+// [Lo, Hi] (boundaries inclusive). The answer streams like a join's: one
+// Result{ID, Point} row per point, with no neighbors, in JoinFrames
+// closed by KindEnd, so no box is too large to answer.
 type RangeReq struct {
 	Index  string
 	Lo, Hi []float64
@@ -502,15 +505,8 @@ type BatchKNNReply struct {
 func (m *BatchKNNReply) encode(e *Encoder) { encodeResults(e, m.Results) }
 func (m *BatchKNNReply) decode(d *Decoder) { m.Results = d.results("batch results") }
 
-// RangeReply answers OpRange.
-type RangeReply struct {
-	IDs []uint64
-}
-
-func (m *RangeReply) encode(e *Encoder) { e.U64s(m.IDs) }
-func (m *RangeReply) decode(d *Decoder) { m.IDs = d.U64s("range ids") }
-
-// JoinFrame is one KindStream chunk of an OpJoin result stream.
+// JoinFrame is one KindStream chunk of an OpJoin or OpRange result
+// stream.
 type JoinFrame struct {
 	Results []Result
 }
@@ -639,8 +635,6 @@ func requestBody(op Op) (Message, error) {
 		return &DeleteReq{}, nil
 	case OpShardMap:
 		return &ShardMapReq{}, nil
-	case OpRangePoints:
-		return &RangePointsReq{}, nil
 	default:
 		return nil, fmt.Errorf("wire: unknown request op %d", uint8(op))
 	}
@@ -655,7 +649,7 @@ func responseBody(kind ResponseKind, op Op) (Message, error) {
 		return &StreamEnd{}, nil
 	case KindStream:
 		switch op {
-		case OpJoin:
+		case OpJoin, OpRange:
 			return &JoinFrame{}, nil
 		case OpWithinDistance:
 			return &PairFrame{}, nil
@@ -675,8 +669,6 @@ func responseBody(kind ResponseKind, op Op) (Message, error) {
 			return &KNNReply{}, nil
 		case OpBatchKNN:
 			return &BatchKNNReply{}, nil
-		case OpRange:
-			return &RangeReply{}, nil
 		case OpClosestPairs:
 			return &PairsReply{}, nil
 		case OpInsert:
@@ -685,8 +677,6 @@ func responseBody(kind ResponseKind, op Op) (Message, error) {
 			return &DeleteReply{}, nil
 		case OpShardMap:
 			return &ShardMapReply{}, nil
-		case OpRangePoints:
-			return &RangePointsReply{}, nil
 		}
 		return nil, fmt.Errorf("wire: op %s has no single-frame result", op)
 	default:

@@ -505,6 +505,15 @@ func (b *Batcher[T]) Flush() error {
 	return err
 }
 
+// End sends the rows still collected and closes the stream with its
+// count.
+func (b *Batcher[T]) End() error {
+	if err := b.Flush(); err != nil {
+		return err
+	}
+	return b.w.Send(KindEnd, &StreamEnd{Count: b.Count})
+}
+
 // RowBytes bounds the encoding of one Result of dim-dimensional points
 // carrying nbs neighbors: an id, the point after a length of at most 2
 // bytes, a neighbor count of at most 5 bytes, and per neighbor an id, a

@@ -15,7 +15,8 @@
 // Every request payload begins with a RequestHeader (id, op, timeout);
 // every response payload with the echoed request id and a ResponseKind.
 // Responses to one request are either a single KindResult frame, or a
-// sequence of KindStream frames closed by KindEnd (streaming joins), or
+// sequence of KindStream frames closed by KindEnd (joins and box
+// queries), or
 // a single KindError frame carrying a typed error code.
 //
 // Framing contract: every frame goes through WriteFrame and ReadFrame,
@@ -41,17 +42,19 @@ import (
 const Magic = "ANNS"
 
 // Version is the protocol version this build speaks. Version 2 added
-// the shard-routing frames (OpShardMap, OpRangePoints and the
-// SHARD_UNAVAILABLE error code); version 3 dropped the approximate-query
-// request extension, so the trace extension follows the body directly,
-// and the report's approximate-cut counter; version 4 carries the stats
-// reply and the join report as one length-prefixed field holding each
-// record's own JSON; version 5 dropped the partial-result block a
-// router could append to a reply, and its error code, so a reply is
-// complete or an error. There is one version and no negotiated downgrade: a peer
-// announcing any other is rejected at the handshake rather than failing
-// mid-stream on a frame it cannot parse.
-const Version = 5
+// the shard-routing frames (OpShardMap, a coordinate-bearing box query
+// and the SHARD_UNAVAILABLE error code); version 3 dropped the
+// approximate-query request extension, so the trace extension follows
+// the body directly, and the report's approximate-cut counter; version
+// 4 carries the stats reply and the join report as one length-prefixed
+// field holding each record's own JSON; version 5 dropped the
+// partial-result block a router could append to a reply, and its error
+// code, so a reply is complete or an error; version 6 has one box query,
+// whose id-and-point rows stream like a join's, and carries the shard
+// map as its record's JSON. There is one version and no negotiated
+// downgrade: a peer announcing any other is rejected at the handshake
+// rather than failing mid-stream on a frame it cannot parse.
+const Version = 6
 
 // MaxFrame bounds a single frame's payload. Requests are small; result
 // streams are cut into frames below it (see Batcher). A peer announcing
@@ -74,7 +77,7 @@ const (
 	OpKNN Op = 5
 	// OpBatchKNN answers many kNN probes in one request.
 	OpBatchKNN Op = 6
-	// OpRange returns the ids inside an axis-aligned box.
+	// OpRange streams the ids and points inside an axis-aligned box.
 	OpRange Op = 7
 	// OpJoin runs an ANN/AkNN join, streaming result frames.
 	OpJoin Op = 8
@@ -90,10 +93,6 @@ const (
 	// (annrouter only; a plain annserve answers BAD_REQUEST).
 	// Version-gated: requires protocol version >= 2.
 	OpShardMap Op = 13
-	// OpRangePoints returns the ids AND coordinates inside an
-	// axis-aligned box — the boundary-strip fetch the router uses to
-	// recover cross-shard pairs. Version-gated: requires version >= 2.
-	OpRangePoints Op = 14
 )
 
 // String implements fmt.Stringer; it is also the server's per-op
@@ -126,8 +125,6 @@ func (op Op) String() string {
 		return "delete"
 	case OpShardMap:
 		return "shard_map"
-	case OpRangePoints:
-		return "range_points"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(op))
 	}

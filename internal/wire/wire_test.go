@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -46,8 +47,8 @@ func requestSamples() []struct {
 		{RequestHeader{ID: 20, Op: OpDelete}, &DeleteReq{Index: "pts", IDs: []uint64{10}, Points: [][]float64{{1, 2}}}},
 		// Shard-routing frames (protocol version 2).
 		{RequestHeader{ID: 21, Op: OpShardMap}, &ShardMapReq{Name: "pts"}},
-		{RequestHeader{ID: 22, Op: OpRangePoints}, &RangePointsReq{Index: "pts", Lo: []float64{0, 0}, Hi: []float64{1, 1}}},
-		{RequestHeader{ID: 23, Op: OpRangePoints, TraceID: "strip-3"}, &RangePointsReq{Index: "s0"}},
+		{RequestHeader{ID: 22, Op: OpRange, Timeout: time.Second}, &RangeReq{Index: "pts", Lo: []float64{0, 0, 0}, Hi: []float64{1, 1, 1}}},
+		{RequestHeader{ID: 23, Op: OpRange, TraceID: "strip-3"}, &RangeReq{Index: "s0"}},
 	}
 }
 
@@ -56,7 +57,7 @@ func requestSamples() []struct {
 func sampleShardMap() ShardMap {
 	return ShardMap{
 		Name:     "pts",
-		Curve:    2, // hilbert
+		Curve:    "hilbert",
 		BoundsLo: []float64{0, 0},
 		BoundsHi: []float64{1, 1},
 		Shards: []ShardInfo{
@@ -96,7 +97,7 @@ func responseSamples() []struct {
 		{4, KindResult, OpStats, &StatsReply{Stats: []byte(`{"points":100,"dim":2,"pool_hits":10,"cache_bytes":1048576,"wal_records":42}`)}},
 		{5, KindResult, OpKNN, &KNNReply{Neighbors: nb}},
 		{6, KindResult, OpBatchKNN, &BatchKNNReply{Results: res}},
-		{7, KindResult, OpRange, &RangeReply{IDs: []uint64{3, 1, 4}}},
+		{7, KindStream, OpRange, &JoinFrame{Results: []Result{{ID: 3, Point: []float64{1, 2}}, {ID: 1, Point: []float64{0.5, 0}}, {ID: 4}}}},
 		{8, KindStream, OpJoin, &JoinFrame{Results: res}},
 		{9, KindStream, OpWithinDistance, &PairFrame{Pairs: prs}},
 		{10, KindResult, OpClosestPairs, &PairsReply{Pairs: prs}},
@@ -109,17 +110,17 @@ func responseSamples() []struct {
 		{17, KindResult, OpDelete, &DeleteReply{Found: 1, Size: 101}},
 		{18, KindError, OpInsert, &ErrorReply{Code: CodeWriteFailed, Msg: "fsync failed"}},
 		// Shard-routing frames (protocol version 2).
-		{19, KindResult, OpShardMap, &ShardMapReply{Map: sampleShardMap()}},
-		{20, KindResult, OpRangePoints, &RangePointsReply{IDs: []uint64{3, 7}, Points: [][]float64{{0.1, 0.2}, {0.3, 0.4}}}},
-		{21, KindResult, OpRangePoints, &RangePointsReply{}},
+		{19, KindResult, OpShardMap, &ShardMapReply{Map: sampleShardMapJSON()}},
+		{20, KindStream, OpRange, &JoinFrame{Results: []Result{{ID: 3, Point: []float64{0.1, 0.2}}, {ID: 7, Point: []float64{0.3, 0.4}}}}},
+		{21, KindEnd, OpRange, &StreamEnd{Count: 2}},
 		{22, KindResult, OpKNN, &KNNReply{Neighbors: []Neighbor{{ID: 500, Dist: 0.5, Point: []float64{1, 2, 3}}, {ID: 9, Dist: 0.75}}}},
 		{23, KindResult, OpBatchKNN, &BatchKNNReply{Results: []Result{{ID: 0, Point: []float64{0.5, 0.5}}}}},
-		{24, KindResult, OpRange, &RangeReply{}},
+		{24, KindError, OpRange, &ErrorReply{Code: CodeBadRequest, Msg: "inverted box bounds in dimension 0: [1, 0]"}},
 		// A routed answer is complete or an error: a routed stream that
 		// needs a dead shard fails before its first row.
 		{25, KindError, OpJoin, &ErrorReply{Code: CodeShardUnavailable, Msg: "shard pts-s1 unavailable: connection refused"}},
 		{26, KindError, OpKNN, &ErrorReply{Code: CodeShardUnavailable, Msg: "dial refused"}},
-		{27, KindResult, OpRangePoints, &RangePointsReply{IDs: []uint64{9}, Points: [][]float64{{1.5, -2.5}}}},
+		{27, KindStream, OpRange, &JoinFrame{Results: []Result{{ID: 9, Point: []float64{1.5, -2.5}}}}},
 		{28, KindError, OpBatchKNN, &ErrorReply{Code: CodeBadRequest, Msg: "a batch of 300 probes with k=2000 may need a 20409364-byte reply"}},
 	}
 }
@@ -330,10 +331,20 @@ func TestStreamEndReport(t *testing.T) {
 	}
 }
 
-// TestShardMapRoundTrip exercises the full topology encoding.
+// sampleShardMapJSON is sampleShardMap as OpShardMap carries it.
+func sampleShardMapJSON() []byte {
+	b, err := json.Marshal(sampleShardMap())
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// TestShardMapRoundTrip carries the shard map's record through an
+// OpShardMap reply and back, and checks the invariants Validate holds a
+// map file and a served map to.
 func TestShardMapRoundTrip(t *testing.T) {
-	want := sampleShardMap()
-	payload, err := EncodeResponse(9, KindResult, OpShardMap, &ShardMapReply{Map: want}, nil)
+	payload, err := EncodeResponse(9, KindResult, OpShardMap, &ShardMapReply{Map: sampleShardMapJSON()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,21 +352,30 @@ func TestShardMapRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := body.(*ShardMapReply).Map; !reflect.DeepEqual(got, want) {
+	var got ShardMap
+	if err := json.Unmarshal(body.(*ShardMapReply).Map, &got); err != nil {
+		t.Fatal(err)
+	}
+	if want := sampleShardMap(); !reflect.DeepEqual(got, want) {
 		t.Errorf("shard map round trip = %+v, want %+v", got, want)
 	}
-	// A hostile shard count with no backing bytes fails cleanly.
-	e := NewEncoder(nil)
-	e.U64(9)
-	e.U8(uint8(KindResult))
-	e.U8(uint8(OpShardMap))
-	e.String("pts")
-	e.U8(1)
-	e.F64s(nil)
-	e.F64s(nil)
-	e.Uvarint(1 << 40)
-	if _, _, _, _, err := DecodeResponse(e.Bytes()); err == nil {
-		t.Error("absurd shard count accepted")
+	if err := got.Validate(); err != nil {
+		t.Errorf("sample map invalid: %v", err)
+	}
+	for name, breakIt := range map[string]func(m *ShardMap){
+		"unknown curve":       func(m *ShardMap) { m.Curve = "peano" },
+		"no shards":           func(m *ShardMap) { m.Shards = nil },
+		"key gap":             func(m *ShardMap) { m.Shards[1].LoKey++ },
+		"short key space":     func(m *ShardMap) { m.Shards[1].HiKey-- },
+		"id gap":              func(m *ShardMap) { m.Shards[1].IDBase++ },
+		"mbr dims":            func(m *ShardMap) { m.Shards[0].MBRLo = m.Shards[0].MBRLo[:1] },
+		"empty shard address": func(m *ShardMap) { m.Shards[0].Addr = "" },
+	} {
+		m := sampleShardMap()
+		breakIt(&m)
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s: map accepted", name)
+		}
 	}
 }
 
@@ -398,17 +418,17 @@ func TestHandshake(t *testing.T) {
 		t.Error("future version accepted")
 	}
 	// The version gate: there is one version, and a peer one version
-	// behind — version 4, whose routed replies could carry a trailing
-	// partial-result block — is told both.
+	// behind — version 5, whose box query answered in one frame that a
+	// large box overflowed — is told both.
 	if err := ReadHandshake(bytes.NewReader([]byte{'A', 'N', 'N', 'S', 0})); err == nil {
 		t.Error("version 0 accepted")
 	}
-	err := ReadHandshake(bytes.NewReader([]byte{'A', 'N', 'N', 'S', 4}))
+	err := ReadHandshake(bytes.NewReader([]byte{'A', 'N', 'N', 'S', 5}))
 	if err == nil {
-		t.Fatal("version 4 accepted")
+		t.Fatal("version 5 accepted")
 	}
-	if want := fmt.Sprintf("protocol version 4, want %d", Version); !strings.Contains(err.Error(), want) {
-		t.Errorf("version 4 refused as %q, want it to name both versions (%q)", err, want)
+	if want := fmt.Sprintf("protocol version 5, want %d", Version); !strings.Contains(err.Error(), want) {
+		t.Errorf("version 5 refused as %q, want it to name both versions (%q)", err, want)
 	}
 }
 
