@@ -342,17 +342,32 @@ func (c *Client) KNN(ctx context.Context, index string, q ann.Point, k int) ([]a
 }
 
 // BatchKNN answers one kNN probe per query point in a single request;
-// results come back in request order with IDs 0..len(qs)-1.
+// results come back in request order with IDs 0..len(qs)-1. A reply with
+// another row count, or a row out of place, ends the connection.
 func (c *Client) BatchKNN(ctx context.Context, index string, qs []ann.Point, k int) ([]ann.Result, error) {
 	k32, err := wireK(k)
 	if err != nil {
 		return nil, err
 	}
-	reply, err := c.roundTrip(ctx, wire.OpBatchKNN, &wire.BatchKNNReq{Index: index, K: k32, Points: qs})
+	id, err := c.begin(ctx, wire.OpBatchKNN, &wire.BatchKNNReq{Index: index, K: k32, Points: qs}, JoinOptions{})
 	if err != nil {
 		return nil, err
 	}
-	return reply.(*wire.BatchKNNReply).Results, nil
+	defer c.reqMu.unlock()
+	reply, err := c.result(id, wire.OpBatchKNN)
+	if err != nil {
+		return nil, err
+	}
+	res := reply.(*wire.BatchKNNReply).Results
+	if len(res) != len(qs) {
+		return nil, c.fail(fmt.Errorf("client: batch of %d probes answered with %d rows", len(qs), len(res)))
+	}
+	for i := range res {
+		if res[i].ID != uint64(i) {
+			return nil, c.fail(fmt.Errorf("client: batch row %d carries id %d", i, res[i].ID))
+		}
+	}
+	return res, nil
 }
 
 // Range returns the ids and coordinates of the indexed points inside

@@ -68,12 +68,16 @@ func TestReportDecodeRejectsHostile(t *testing.T) {
 }
 
 // TestHostileReportEndsConnection serves END frames carrying hostile
-// reports, and stats and shard-map replies that do not decode to a valid
-// record: each is a decode error that ends the connection, so the next
-// request fails at once with the same error.
+// reports, stats and shard-map replies that do not decode to a valid
+// record, and BatchKNN replies whose rows do not match the probes: each
+// is an error that ends the connection, so the next request fails at
+// once with the same error.
 func TestHostileReportEndsConnection(t *testing.T) {
-	var body atomic.Value // the reply the handler sends, set before each request
+	var body, batch atomic.Value // the reply the handler sends, set before each request
 	svc := &wire.Service{Name: "test", Handler: func(_ context.Context, hdr wire.RequestHeader, _ wire.Message, _ string, w *wire.ResponseWriter) error {
+		if hdr.Op == wire.OpBatchKNN {
+			return w.Send(wire.KindResult, &wire.BatchKNNReply{Results: batch.Load().([]wire.Result)})
+		}
 		b := []byte(body.Load().(string))
 		switch hdr.Op {
 		case wire.OpStats:
@@ -147,6 +151,20 @@ func TestHostileReportEndsConnection(t *testing.T) {
 		body.Store(b)
 		_, err = cl.ShardMap(ctx, "pts")
 		requireLatched("shard map "+b, cl, err)
+		cl.Close()
+	}
+	for name, rows := range map[string][]wire.Result{
+		"batch row missing":       {{ID: 0}},
+		"batch row extra":         {{ID: 0}, {ID: 1}, {ID: 2}, {ID: 3}},
+		"batch rows out of place": {{ID: 0}, {ID: 2}, {ID: 1}},
+	} {
+		cl, err := Dial(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch.Store(rows)
+		_, err = cl.BatchKNN(ctx, "pts", []ann.Point{{0, 0}, {1, 1}, {2, 2}}, 1)
+		requireLatched(name, cl, err)
 		cl.Close()
 	}
 }

@@ -168,8 +168,8 @@ func (r *Router) handleWithin(ctx context.Context, req *wire.WithinReq, w *wire.
 //
 // The all-k-nearest-neighbor self-join decomposes into a per-shard
 // self-join plus a boundary fix-up: a point's true neighbors can only
-// lie outside its shard if another shard's boundary MBR is closer than
-// its k-th within-shard neighbor (MINDIST(p, MBR) ≤ bound). The router
+// lie outside its shard if another shard's boundary MBR is within its
+// bound (MINDIST(p, MBR) ≤ bound, the routed probe's fan-out). The router
 // streams it shard by shard, one shard read ahead, with rows at their
 // local id: shards carry contiguous global-id ranges in curve order, so
 // the stream is in ascending global id.
@@ -217,60 +217,6 @@ func (s *shard) selfJoin(ctx context.Context, cli *client.Client, k int) ([]wire
 	return rows, st.Close()
 }
 
-// fixUp sends each of shard home's rows to the foreign shards its k-th
-// distance cannot prune, one BatchKNN per shard, and appends the answers
-// to the rows' neighbors. It returns how many rows the replies held.
-func (r *Router) fixUp(ctx context.Context, g *gather, ds *dataset, home int, rows []wire.Result, k int) (int, error) {
-	probes := make([][]int, len(ds.shards)) // foreign shard -> row positions
-	pruned, n := 0, 0
-	for pos, res := range rows {
-		if res.Point == nil {
-			continue
-		}
-		bound := math.Inf(1)
-		if len(res.Neighbors) >= k {
-			bound = res.Neighbors[k-1].Dist
-		}
-		for sj, t := range ds.shards {
-			if sj == home {
-				continue
-			}
-			if geom.MinDistPointRect(res.Point, t.mbr) <= bound {
-				probes[sj] = append(probes[sj], pos)
-				n++
-			} else {
-				pruned++
-			}
-		}
-	}
-	r.prune(pruned)
-	var targets []*shard
-	for sj := range ds.shards {
-		if len(probes[sj]) > 0 {
-			targets = append(targets, ds.shards[sj])
-		}
-	}
-	replies := make([][]wire.Result, len(ds.shards))
-	if err := r.scatter(ctx, g, targets, func(s *shard) error {
-		pts := make([][]float64, len(probes[s.index]))
-		for i, pos := range probes[s.index] {
-			pts[i] = rows[pos].Point
-		}
-		return s.backend.do(ctx, func(cli *client.Client) (err error) {
-			replies[s.index], err = shardBatchKNN(ctx, cli, s, pts, k)
-			return err
-		})
-	}); err != nil {
-		return 0, err
-	}
-	for sj, positions := range probes {
-		for i, pos := range positions {
-			rows[pos].Neighbors = append(rows[pos].Neighbors, replies[sj][i].Neighbors...)
-		}
-	}
-	return n, nil
-}
-
 func (r *Router) handleJoin(ctx context.Context, req *wire.JoinReq, w *wire.ResponseWriter) error {
 	if !req.Self {
 		return wire.BadRequest("the router distributes self-joins of one routed dataset; got R=%q, S=%q (run cross-dataset joins on a single backend)", req.R, req.S)
@@ -282,8 +228,8 @@ func (r *Router) handleJoin(ctx context.Context, req *wire.JoinReq, w *wire.Resp
 	if req.K < 1 {
 		return wire.BadRequest("k must be at least 1, got %d", req.K)
 	}
-	if row := 64 + wire.RowBytes(ds.dim, min(int64(req.K), int64(ds.points()))); row > wire.MaxFrame {
-		return wire.BadRequest("a join row with k=%d may need %d bytes, over the %d-byte frame limit", req.K, row, wire.MaxFrame)
+	if err := wire.CheckJoinRow(ds.dim, int64(req.K), int64(ds.points())); err != nil {
+		return err
 	}
 	k := int(req.K)
 	g := newGather()
@@ -320,7 +266,7 @@ func (r *Router) handleJoin(ctx context.Context, req *wire.JoinReq, w *wire.Resp
 		if i+1 < len(ds.shards) {
 			next = r.readShard(ctx, ds.shards[i+1], k)
 		}
-		fixups, err := r.fixUp(ctx, g, ds, i, rows, k)
+		fixups, err := r.fanOut(ctx, g, ds, rows, func(int) int { return i }, k)
 		if err != nil {
 			return err
 		}
@@ -329,9 +275,8 @@ func (r *Router) handleJoin(ctx context.Context, req *wire.JoinReq, w *wire.Resp
 			if res.Point == nil {
 				continue
 			}
-			sortNeighbors(res.Neighbors)
 			res.ID += s.idBase
-			res.Neighbors = res.Neighbors[:min(len(res.Neighbors), k)]
+			res.Neighbors = topK(res.Neighbors, k)
 			if err := frames.Add(res); err != nil {
 				return err
 			}

@@ -149,9 +149,13 @@ func (q *fakeReq) reply(kind wire.ResponseKind, body wire.Message) {
 }
 
 // answerKNN replies to a kNN request with one neighbor of the given
-// local id.
+// local id. A routed point kNN reaches a shard as a KNN, never as a
+// batch of one.
 func (q *fakeReq) answerKNN(t testing.TB, id uint64) {
 	t.Helper()
+	if q.hdr.Op != wire.OpKNN {
+		t.Fatalf("fake backend got a %v request, want %v", q.hdr.Op, wire.OpKNN)
+	}
 	q.send(t, wire.KindResult, &wire.KNNReply{
 		Neighbors: []wire.Neighbor{{ID: id, Dist: 1, Point: []float64{1, 1}}},
 	})

@@ -5,7 +5,6 @@ import (
 	"context"
 	"math"
 	"slices"
-	"sort"
 
 	"allnn/ann"
 	"allnn/ann/client"
@@ -13,33 +12,144 @@ import (
 	"allnn/internal/wire"
 )
 
-// --- kNN (point and batch) --------------------------------------------------
+// --- routed point probes ---------------------------------------------------
 //
-// Routed kNN is two-phase, after the paper's bound structure:
+// Every routed point probe — a kNN, each point of a batch, each row of a
+// self-join — is a wire.Result row whose Point is the probe and whose
+// Neighbors are its candidates, answered in two phases after the paper's
+// bound structure:
 //
-//  1. The shard owning the query point's curve key answers first; its
-//     k-th neighbor distance is an upper bound on the true k-th
-//     distance. Before any shard answers, the NXNDIST seed already
-//     bounds the radius: every shard MBR guarantees one point within
-//     NXNDIST(q, MBR) of q (Lemma 3.1), so the k-th smallest NXNDIST
-//     across shards bounds the k-th neighbor distance.
-//  2. Only the shards whose MINDIST(q, MBR) does not exceed the bound
-//     are contacted; the rest are pruned. Gathered candidates merge by
-//     (distance, global id).
+//  1. The shard owning the probe's curve key answers first (a self-join
+//     row's home shard already has, in its own join).
+//  2. The row goes on to every other shard whose MINDIST(point, MBR)
+//     does not exceed the row's bound (see bound); the rest are pruned.
 //
-// The NXNDIST seed is geometric: it holds whether or not the shard's
-// backend is reachable, because the shard's points exist either way.
-// A request that needs a shard it cannot reach fails rather than
-// answering over the others, so the seed is always safe.
+// Replies are appended to the rows in shard order, and each row is
+// sorted by (distance, global id) and cut to k once, at the end. A
+// request that needs a shard it cannot reach fails rather than answering
+// over the others, so the bound's NXNDIST terms, which hold because the
+// shard's points exist, are always safe.
 
-// shardBatchKNN asks shard s, over cli, for the k nearest neighbors of
-// each of qs in one BatchKNN request, in global ids.
-func shardBatchKNN(ctx context.Context, cli *client.Client, s *shard, qs [][]float64, k int) ([]wire.Result, error) {
-	res, err := cli.BatchKNN(ctx, s.name, qs, k)
-	for i := range res {
-		s.globalize(res[i].Neighbors)
+// routeKNN answers rows with their k nearest neighbors over ds, in global
+// ids: each row goes to its owner shard, then fans out.
+func (r *Router) routeKNN(ctx context.Context, g *gather, ds *dataset, rows []wire.Result, k int) error {
+	owners := make([]int, len(rows))
+	groups := make([][]int, len(ds.shards))
+	for i := range rows {
+		owners[i] = ds.locate(rows[i].Point)
+		groups[owners[i]] = append(groups[owners[i]], i)
 	}
-	return res, err
+	if err := r.ask(ctx, g, ds, rows, groups, k); err != nil {
+		return err
+	}
+	if _, err := r.fanOut(ctx, g, ds, rows, func(i int) int { return owners[i] }, k); err != nil {
+		return err
+	}
+	for i := range rows {
+		rows[i].Neighbors = topK(rows[i].Neighbors, k)
+	}
+	return nil
+}
+
+// fanOut sends each row that has a Point to every shard but its owner
+// whose MINDIST to the point the row's bound cannot prune, and appends
+// the answers to the row's candidates, unsorted. It returns how many
+// probes it sent, each one reply row.
+func (r *Router) fanOut(ctx context.Context, g *gather, ds *dataset, rows []wire.Result, owner func(row int) int, k int) (int, error) {
+	groups := make([][]int, len(ds.shards))
+	pruned, n := 0, 0
+	for i, row := range rows {
+		if row.Point == nil {
+			continue
+		}
+		own := owner(i)
+		b := bound(ds, own, row.Point, row.Neighbors, k)
+		for si, s := range ds.shards {
+			if si == own {
+				continue
+			}
+			if geom.MinDistPointRect(row.Point, s.mbr) <= b {
+				groups[si] = append(groups[si], i)
+				n++
+			} else {
+				pruned++
+			}
+		}
+	}
+	r.prune(pruned)
+	return n, r.ask(ctx, g, ds, rows, groups, k)
+}
+
+// ask sends every shard with a group its rows' points — one KNN for a
+// group of one, else one BatchKNN — and, once the legs are in, appends
+// the answers, in global ids, to the rows in shard order.
+func (r *Router) ask(ctx context.Context, g *gather, ds *dataset, rows []wire.Result, groups [][]int, k int) error {
+	var shards []*shard
+	for si, s := range ds.shards {
+		if len(groups[si]) > 0 {
+			shards = append(shards, s)
+		}
+	}
+	replies := make([][]wire.Result, len(ds.shards))
+	if err := r.scatter(ctx, g, shards, func(s *shard) error {
+		group := groups[s.index]
+		return s.backend.do(ctx, func(cli *client.Client) error {
+			if len(group) == 1 {
+				nbs, err := cli.KNN(ctx, s.name, rows[group[0]].Point, k)
+				replies[s.index] = []wire.Result{{Neighbors: nbs}}
+				return err
+			}
+			pts := make([][]float64, len(group))
+			for i, ri := range group {
+				pts[i] = rows[ri].Point
+			}
+			var err error
+			replies[s.index], err = cli.BatchKNN(ctx, s.name, pts, k)
+			return err
+		})
+	}); err != nil {
+		return err
+	}
+	for _, s := range shards {
+		for i, res := range replies[s.index] {
+			s.globalize(res.Neighbors)
+			row := &rows[groups[s.index][i]]
+			if len(row.Neighbors) == 0 {
+				row.Neighbors = res.Neighbors
+			} else {
+				row.Neighbors = append(row.Neighbors, res.Neighbors...)
+			}
+		}
+	}
+	return nil
+}
+
+// bound returns a row's pruning radius, an upper bound on its true k-th
+// neighbor distance: its k-th candidate distance once it has k (the
+// candidates of one shard, in ascending distance), else the k-th
+// smallest of its candidate distances and NXNDIST(point, MBR) for every
+// non-empty shard but the owner — each such shard holds a point within
+// that distance (Lemma 3.1), and none of them is a candidate. The
+// owner's NXNDIST is left out: the point itself may be the owner's
+// point that meets it, and a self-join row does not count itself.
+func bound(ds *dataset, owner int, p geom.Point, cands []wire.Neighbor, k int) float64 {
+	if len(cands) >= k {
+		return cands[k-1].Dist
+	}
+	dists := make([]float64, 0, len(cands)+len(ds.shards))
+	for _, c := range cands {
+		dists = append(dists, c.Dist)
+	}
+	for si, s := range ds.shards {
+		if si != owner && s.count > 0 {
+			dists = append(dists, geom.NXNDist(geom.PointRect(p), s.mbr))
+		}
+	}
+	if len(dists) < k {
+		return math.Inf(1)
+	}
+	slices.Sort(dists)
+	return dists[k-1]
 }
 
 // globalize turns a shard's local neighbor ids into global ones, in
@@ -51,137 +161,16 @@ func (s *shard) globalize(nbs []wire.Neighbor) {
 	}
 }
 
-// mergeTopK merges one shard's answer, in global ids, into a query's
-// candidates, kept in canonical order and cut to k so the k-th distance
-// bound and the final top-k fall out directly. The first answer becomes
-// the candidate list itself.
-func mergeTopK(cands, nbs []wire.Neighbor, k int) []wire.Neighbor {
-	if len(cands) == 0 {
-		cands = nbs
-	} else {
-		cands = append(cands, nbs...)
-	}
-	sortNeighbors(cands)
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	return cands
-}
-
-// knnBound returns a query's pruning radius: the k-th candidate distance
-// once k candidates are gathered, else the seed. Either bounds the true
-// k-th distance, so neither prunes a shard that could contribute; the
-// seed costs an NXNDIST per shard and a sort, so it is computed only
-// for a query still short of k.
-func knnBound(ds *dataset, q geom.Point, cands []wire.Neighbor, k int) float64 {
-	if len(cands) >= k {
-		return cands[k-1].Dist
-	}
-	return nxnSeed(ds, q, k)
-}
-
-// sortNeighbors orders by ascending distance, ties by ascending global
-// id — the canonical merged order.
-func sortNeighbors(nbs []wire.Neighbor) {
+// topK sorts a row's candidates by ascending distance, ties by ascending
+// global id — the canonical merged order — and cuts them to k.
+func topK(nbs []wire.Neighbor, k int) []wire.Neighbor {
 	slices.SortStableFunc(nbs, func(a, b wire.Neighbor) int {
 		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.ID, b.ID)
 	})
-}
-
-// nxnSeed returns the k-th smallest NXNDIST(q, shard MBR) across
-// shards — the pre-contact bound on the k-th neighbor distance — or
-// +Inf when fewer than k shards exist.
-func nxnSeed(ds *dataset, q geom.Point, k int) float64 {
-	dists := make([]float64, 0, len(ds.shards))
-	for _, s := range ds.shards {
-		if s.count == 0 {
-			continue
-		}
-		dists = append(dists, geom.NXNDist(geom.PointRect(q), s.mbr))
-	}
-	if len(dists) < k {
-		return math.Inf(1)
-	}
-	sort.Float64s(dists)
-	return dists[k-1]
-}
-
-// routedBatch answers a batch of kNN probes with grouped two-phase
-// scatter: one BatchKNN per owner shard, then one BatchKNN per
-// fan-out shard carrying every query that could not prune it. Returns
-// per-query neighbor lists (request order) and the pruned-shard count.
-func (r *Router) routedBatch(ctx context.Context, g *gather, ds *dataset, queries [][]float64, k int) ([][]wire.Neighbor, int, error) {
-	cands := make([][]wire.Neighbor, len(queries))
-	owners := make([]int, len(queries))
-	// Per shard: the query indices of the running phase, and its reply.
-	groups := make([][]int, len(ds.shards))
-	replies := make([][]wire.Result, len(ds.shards))
-
-	// runPhase sends every shard with a group its probes as one BatchKNN
-	// and, once the legs are in, merges the replies in shard order.
-	runPhase := func() error {
-		var shards []*shard
-		for si, s := range ds.shards {
-			if len(groups[si]) > 0 {
-				shards = append(shards, s)
-			}
-		}
-		if err := r.scatter(ctx, g, shards, func(s *shard) error {
-			qidx := groups[s.index]
-			pts := make([][]float64, len(qidx))
-			for i, qi := range qidx {
-				pts[i] = queries[qi]
-			}
-			return s.backend.do(ctx, func(cli *client.Client) error {
-				var err error
-				replies[s.index], err = shardBatchKNN(ctx, cli, s, pts, k)
-				return err
-			})
-		}); err != nil {
-			return err
-		}
-		for _, s := range shards {
-			for i, res := range replies[s.index] {
-				qi := groups[s.index][i]
-				cands[qi] = mergeTopK(cands[qi], res.Neighbors, k)
-			}
-			groups[s.index], replies[s.index] = groups[s.index][:0], nil
-		}
-		return nil
-	}
-
-	// Phase 1: every query to its owner shard.
-	for qi, q := range queries {
-		owners[qi] = ds.locate(q)
-		groups[owners[qi]] = append(groups[owners[qi]], qi)
-	}
-	if err := runPhase(); err != nil {
-		return nil, 0, err
-	}
-
-	// Phase 2: per query, fan out only to the shards whose MINDIST beats
-	// the bound gathered so far.
-	pruned := 0
-	for qi, q := range queries {
-		b := knnBound(ds, q, cands[qi], k)
-		for si, s := range ds.shards {
-			if si == owners[qi] {
-				continue
-			}
-			if geom.MinDistPointRect(q, s.mbr) <= b {
-				groups[si] = append(groups[si], qi)
-			} else {
-				pruned++
-			}
-		}
-	}
-	if err := runPhase(); err != nil {
-		return nil, 0, err
-	}
-	return cands, pruned, nil
+	return nbs[:min(len(nbs), k)]
 }
 
 func (r *Router) handleKNN(ctx context.Context, req *wire.KNNReq, w *wire.ResponseWriter) error {
@@ -195,50 +184,11 @@ func (r *Router) handleKNN(ctx context.Context, req *wire.KNNReq, w *wire.Respon
 	if len(req.Point) != ds.dim {
 		return wire.BadRequest("query point has %d dims, dataset %q has %d", len(req.Point), req.Index, ds.dim)
 	}
-	k := int(req.K)
-	g := newGather()
-	// probe asks the given shards for their k nearest and merges the
-	// answers in shard order.
-	replies := make([][]wire.Neighbor, len(ds.shards))
-	var cands []wire.Neighbor
-	probe := func(shards []*shard) error {
-		if err := r.scatter(ctx, g, shards, func(s *shard) error {
-			return s.backend.do(ctx, func(cli *client.Client) error {
-				nbs, err := cli.KNN(ctx, s.name, req.Point, k)
-				s.globalize(nbs)
-				replies[s.index] = nbs
-				return err
-			})
-		}); err != nil {
-			return err
-		}
-		for _, s := range shards {
-			cands = mergeTopK(cands, replies[s.index], k)
-		}
-		return nil
-	}
-
-	// Phase 1: the owner alone. Phase 2: the shards its bound cannot
-	// prune — on clustered data, usually none.
-	owner := ds.locate(req.Point)
-	if err := probe(ds.shards[owner : owner+1]); err != nil {
+	rows := []wire.Result{{Point: req.Point}}
+	if err := r.routeKNN(ctx, newGather(), ds, rows, int(req.K)); err != nil {
 		return err
 	}
-	b := knnBound(ds, req.Point, cands, k)
-	var fan []*shard
-	for si, s := range ds.shards {
-		if si == owner {
-			continue
-		}
-		if geom.MinDistPointRect(req.Point, s.mbr) <= b {
-			fan = append(fan, s)
-		}
-	}
-	if err := probe(fan); err != nil {
-		return err
-	}
-	r.prune(len(ds.shards) - 1 - len(fan))
-	return w.Send(wire.KindResult, &wire.KNNReply{Neighbors: cands})
+	return w.Send(wire.KindResult, &wire.KNNReply{Neighbors: rows[0].Neighbors})
 }
 
 func (r *Router) handleBatchKNN(ctx context.Context, req *wire.BatchKNNReq, w *wire.ResponseWriter) error {
@@ -257,17 +207,14 @@ func (r *Router) handleBatchKNN(ctx context.Context, req *wire.BatchKNNReq, w *w
 	if err := wire.CheckBatchReply(len(req.Points), ds.dim, int64(req.K), int64(ds.points())); err != nil {
 		return err
 	}
-	g := newGather()
-	res, pruned, err := r.routedBatch(ctx, g, ds, req.Points, int(req.K))
-	if err != nil {
+	rows := make([]wire.Result, len(req.Points))
+	for i, p := range req.Points {
+		rows[i] = wire.Result{ID: uint64(i), Point: p}
+	}
+	if err := r.routeKNN(ctx, newGather(), ds, rows, int(req.K)); err != nil {
 		return err
 	}
-	r.prune(pruned)
-	results := make([]wire.Result, len(req.Points))
-	for i, p := range req.Points {
-		results[i] = wire.Result{ID: uint64(i), Point: p, Neighbors: res[i]}
-	}
-	return w.Send(wire.KindResult, &wire.BatchKNNReply{Results: results})
+	return w.Send(wire.KindResult, &wire.BatchKNNReply{Results: rows})
 }
 
 // --- box queries ------------------------------------------------------------

@@ -364,6 +364,50 @@ func TestRoutedParity(t *testing.T) {
 			}
 		})
 	}
+
+	// Tiny shards: every row is short of k after its owner answers, so
+	// the fan-out bound rests on the other shards' NXNDIST alone.
+	for _, tiny := range []struct {
+		n  int
+		ks []int
+	}{{4, []int{1, 2}}, {20, []int{6}}} {
+		t.Run(fmt.Sprintf("tiny%d", tiny.n), func(t *testing.T) {
+			f := startFixture(t, uniformPoints(13, tiny.n), 4, 0)
+			for i, sh := range f.perShard {
+				if sh[1] != uint64(tiny.n/4) {
+					t.Fatalf("shard %d holds %d points, want %d", i, sh[1], tiny.n/4)
+				}
+			}
+			ctx := context.Background()
+			for _, k := range tiny.ks {
+				for _, q := range queryMix(f.pts) {
+					want, err := f.single.KNN(ctx, "pts", q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := f.routed.KNN(ctx, "pts", q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("k=%d q=%v: routed %+v, single %+v", k, q, got, want)
+					}
+				}
+				gotJoin, err := collectJoin(t, f.routed, "pts", k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantJoin, err := collectJoin(t, f.single, "pts", k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sortResults(wantJoin)
+				if !reflect.DeepEqual(gotJoin, wantJoin) {
+					t.Fatalf("k=%d: routed join %+v, single %+v", k, gotJoin, wantJoin)
+				}
+			}
+		})
+	}
 }
 
 // TestRoutedKNNPrunesShards verifies the two-phase NXNDIST bound does

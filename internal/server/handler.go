@@ -226,10 +226,10 @@ func (s *Server) handleRange(ctx context.Context, req *wire.RangeReq, w *wire.Re
 
 // --- join ops ---------------------------------------------------------------
 
-// acquirePair read-locks the R and S indexes of a two-index op. When
-// both names are equal the entry is locked once — acquiring the same
-// RWMutex twice from one goroutine can deadlock against a pending
-// Close.
+// acquirePair read-locks the R and S indexes of a two-index op and
+// refuses a pair whose dimensions differ. When both names are equal the
+// entry is locked once — acquiring the same RWMutex twice from one
+// goroutine can deadlock against a pending Close.
 func (s *Server) acquirePair(rName, sName string) (rix, six *ann.Index, release func(), err error) {
 	re, rix, err := s.catalog.acquire(rName)
 	if err != nil {
@@ -242,6 +242,11 @@ func (s *Server) acquirePair(rName, sName string) (rix, six *ann.Index, release 
 	if err != nil {
 		re.release()
 		return nil, nil, nil, err
+	}
+	if rix.Dim() != six.Dim() {
+		se.release()
+		re.release()
+		return nil, nil, nil, wire.BadRequest("indexes %q (dim %d) and %q (dim %d) do not join", rName, rix.Dim(), sName, six.Dim())
 	}
 	return rix, six, func() { se.release(); re.release() }, nil
 }
@@ -273,11 +278,8 @@ func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHea
 		return err
 	}
 	defer release()
-	if rix.Dim() != six.Dim() {
-		return wire.BadRequest("indexes %q (dim %d) and %q (dim %d) do not join", req.R, rix.Dim(), req.S, six.Dim())
-	}
-	if row := 64 + wire.RowBytes(six.Dim(), min(int64(req.K), int64(six.Len()))); row > wire.MaxFrame {
-		return wire.BadRequest("a join row with k=%d may need %d bytes, over the %d-byte frame limit", req.K, row, wire.MaxFrame)
+	if err := wire.CheckJoinRow(six.Dim(), int64(req.K), int64(six.Len())); err != nil {
+		return err
 	}
 
 	frames := wire.NewBatcher[wire.Result](w)
@@ -316,9 +318,6 @@ func (s *Server) handleWithin(ctx context.Context, req *wire.WithinReq, w *wire.
 		return err
 	}
 	defer release()
-	if rix.Dim() != six.Dim() {
-		return wire.BadRequest("indexes %q (dim %d) and %q (dim %d) do not join", req.R, rix.Dim(), req.S, six.Dim())
-	}
 
 	frames := wire.NewBatcher[wire.Pair](w)
 	err = ann.WithinDistanceContext(ctx, rix, six, req.Dist, req.ExcludeSelf, func(rID, sID uint64, dist float64) error {
@@ -336,9 +335,6 @@ func (s *Server) handlePairs(ctx context.Context, req *wire.PairsReq, w *wire.Re
 		return err
 	}
 	defer release()
-	if rix.Dim() != six.Dim() {
-		return wire.BadRequest("indexes %q (dim %d) and %q (dim %d) do not join", req.R, rix.Dim(), req.S, six.Dim())
-	}
 	pairs, err := ann.ClosestPairsContext(ctx, rix, six, int(req.K), req.ExcludeSelf)
 	if err != nil {
 		return err

@@ -537,6 +537,16 @@ func CheckBatchReply(n, dim int, k, points int64) error {
 	return nil
 }
 
+// CheckJoinRow refuses a join at k over points dim-dimensional points
+// whose widest row, one of min(k, points) neighbors, could not be
+// framed. The server and the router ask it before any work.
+func CheckJoinRow(dim int, k, points int64) error {
+	if row := 64 + RowBytes(dim, min(k, points)); row > MaxFrame {
+		return BadRequest("a join row with k=%d may need %d bytes, over the %d-byte frame limit", k, row, MaxFrame)
+	}
+	return nil
+}
+
 func uvarintBytes(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
 
 func f64sBytes(vs []float64) int { return uvarintBytes(len(vs)) + 8*len(vs) }
