@@ -123,11 +123,14 @@ obs-serve-smoke:
 # BenchmarkRangeSearch (both trees, in memory and behind 64 frames),
 # ann/client's BenchmarkClientRoundTrip (one served KNN k=10 and one
 # BatchKNN of 64 over loopback: µs and allocs per op; a streamed
-# SelfJoin k=4 of 20 000 points: allocs per row, ≈ 1, and rows/s) and
+# SelfJoin k=4 of 20 000 points: allocs per row, ≈ 1, and rows/s),
 # internal/router's BenchmarkRoutedMix (the routed point mix: median
-# kNN and batch latency, goroutines spawned per request) and
+# kNN and batch latency, goroutines spawned per request),
 # BenchmarkRoutedJoin (a 4-shard self-join at k=4: rows/s and the peak
-# live heap) included.
+# live heap), internal/mbrqt's BenchmarkBulkLoad (the TAC-like 200 K 2-D
+# and FC-like 40 K 10-D index builds: time, bytes and allocations per
+# load) and internal/curve's BenchmarkPartition (200 K clustered points
+# into 4 Hilbert shards) included.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 

@@ -35,6 +35,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"allnn/internal/core"
@@ -235,6 +236,9 @@ func BuildIndex(points []Point, cfg IndexConfig) (*Index, error) {
 		if len(p) != dim {
 			return nil, fmt.Errorf("ann: point %d has dimensionality %d, expected %d", i, len(p), dim)
 		}
+		if d := nanDim(p); d >= 0 {
+			return nil, fmt.Errorf("ann: point %d is NaN in dimension %d: %w", i, d, ErrInvalidConfig)
+		}
 		gp[i] = geom.Point(p)
 	}
 	poolBytes := cfg.BufferPoolBytes
@@ -353,8 +357,18 @@ func (ix *Index) checkQuery(k int, probes ...Point) error {
 		if len(q) != dim {
 			return fmt.Errorf("ann: query point %d has %d dims, the index %d: %w", i, len(q), dim, ErrInvalidConfig)
 		}
+		if d := nanDim(q); d >= 0 {
+			return fmt.Errorf("ann: query point %d is NaN in dimension %d: %w", i, d, ErrInvalidConfig)
+		}
 	}
 	return nil
+}
+
+// nanDim returns the first dimension in which p is NaN, or -1. NaN fails
+// every comparison, so it would slip past the space and box checks and
+// then break the engine's distance order; every entry point refuses it.
+func nanDim(p Point) int {
+	return slices.IndexFunc(p, math.IsNaN)
 }
 
 // appendNeighbors appends the index layer's results to dst in this
@@ -431,6 +445,9 @@ func (ix *Index) box(lo, hi Point) (geom.Rect, error) {
 		return geom.Rect{}, fmt.Errorf("ann: box corners of %d and %d dims for an index of %d: %w", len(lo), len(hi), ix.Dim(), ErrInvalidConfig)
 	}
 	for d := range lo {
+		if math.IsNaN(lo[d]) || math.IsNaN(hi[d]) {
+			return geom.Rect{}, fmt.Errorf("ann: NaN box bound in dimension %d: %w", d, ErrInvalidConfig)
+		}
 		if lo[d] > hi[d] {
 			return geom.Rect{}, fmt.Errorf("ann: inverted box bounds in dimension %d: [%g, %g]: %w", d, lo[d], hi[d], ErrInvalidConfig)
 		}

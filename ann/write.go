@@ -174,6 +174,9 @@ func validateMutation(t index.Mutable, ids []ObjectID, pts []Point) error {
 		if len(pt) != dim {
 			return fmt.Errorf("ann: point %d has dimensionality %d, expected %d: %w", i, len(pt), dim, ErrInvalidConfig)
 		}
+		if d := nanDim(pt); d >= 0 {
+			return fmt.Errorf("ann: point %d is NaN in dimension %d: %w", i, d, ErrInvalidConfig)
+		}
 		if !space.Contains(geom.Point(pt)) {
 			return fmt.Errorf("ann: point %d (%v) lies outside the index space %v (the PR quadtree's root cell is fixed at build time; rebuild with a larger dataset extent): %w", i, pt, space, ErrInvalidConfig)
 		}

@@ -1,8 +1,10 @@
 package curve
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"allnn/internal/geom"
@@ -96,6 +98,12 @@ type Partitioning struct {
 	enc Encoder
 }
 
+// keyed is a point's curve key beside its index in the dataset.
+type keyed struct {
+	key uint64
+	i   int
+}
+
 // Partition cuts pts into at most n balanced contiguous curve-range
 // shards. Every shard is non-empty; heavily duplicated keys can force
 // fewer than n shards (a run of equal keys is never split across a
@@ -112,15 +120,18 @@ func Partition(pts []geom.Point, n int, kind Kind) (*Partitioning, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]uint64, len(pts))
+	// Each point's key is computed once and sorted beside its index;
+	// ties go to the lower index, so the order is the stable one.
+	order := make([]keyed, len(pts))
 	for i, p := range pts {
-		keys[i] = enc.Value(p)
+		order[i] = keyed{key: enc.Value(p), i: i}
 	}
-	order := make([]int, len(pts))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	slices.SortFunc(order, func(a, b keyed) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
+	})
 
 	part := &Partitioning{Kind: kind, Bounds: bounds, enc: enc}
 	start := 0
@@ -136,35 +147,26 @@ func Partition(pts []geom.Point, n int, kind Kind) (*Partitioning, error) {
 		}
 		// Never cut inside a run of equal keys: the whole run belongs to
 		// the shard that owns its key.
-		for end < len(order) && keys[order[end]] == keys[order[end-1]] {
+		for end < len(order) && order[end].key == order[end-1].key {
 			end++
 		}
 		idx := make([]int, end-start)
-		copy(idx, order[start:end])
 		mbr := geom.EmptyRect(bounds.Dim())
-		for _, i := range idx {
-			mbr.ExpandPoint(pts[i])
+		for j, o := range order[start:end] {
+			idx[j] = o.i
+			mbr.ExpandPoint(pts[o.i])
 		}
-		part.Shards = append(part.Shards, Shard{MBR: mbr, Points: idx})
+		// Key ranges tile the whole key space: the first shard starts at
+		// 0, each later one at its first key (strictly greater than the
+		// last key before it, by the run rule), and every shard ends just
+		// before the next one starts, the last at MaxUint64.
+		lo := uint64(0)
+		if start > 0 {
+			lo = order[start].key
+			part.Shards[len(part.Shards)-1].HiKey = lo - 1
+		}
+		part.Shards = append(part.Shards, Shard{LoKey: lo, HiKey: math.MaxUint64, MBR: mbr, Points: idx})
 		start = end
-	}
-
-	// Assign key ranges: shard boundaries sit between the last key of one
-	// shard and the first key of the next (strictly greater by
-	// construction). The first shard starts at 0 and the last ends at
-	// MaxUint64 so the ranges tile the whole key space.
-	for i := range part.Shards {
-		if i == 0 {
-			part.Shards[i].LoKey = 0
-		} else {
-			part.Shards[i].LoKey = part.Shards[i-1].HiKey + 1
-		}
-		if i == len(part.Shards)-1 {
-			part.Shards[i].HiKey = math.MaxUint64
-		} else {
-			next := part.Shards[i+1].Points[0]
-			part.Shards[i].HiKey = keys[next] - 1
-		}
 	}
 	return part, nil
 }

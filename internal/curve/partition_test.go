@@ -3,6 +3,8 @@ package curve
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"allnn/internal/datagen"
@@ -154,6 +156,94 @@ func TestPartitionDuplicateKeys(t *testing.T) {
 	checkPartitioning(t, pts, part, 8)
 }
 
+// referencePartition is Partition as first written: per-point keys
+// ordered by a stable sort of indices, shards cut the same way, key
+// ranges assigned afterwards. It pins Partition's output.
+func referencePartition(pts []geom.Point, n int, kind Kind) []Shard {
+	bounds := geom.BoundingRect(pts)
+	enc, err := NewEncoder(kind, bounds)
+	if err != nil {
+		panic(err)
+	}
+	keys := make([]uint64, len(pts))
+	for i, p := range pts {
+		keys[i] = enc.Value(p)
+	}
+	order := make([]int, len(pts))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	var shards []Shard
+	for start := 0; start < len(order); {
+		size := (len(order) - start + max(n-len(shards), 1) - 1) / max(n-len(shards), 1)
+		end := min(start+size, len(order))
+		for end < len(order) && keys[order[end]] == keys[order[end-1]] {
+			end++
+		}
+		idx := append([]int(nil), order[start:end]...)
+		mbr := geom.EmptyRect(bounds.Dim())
+		for _, i := range idx {
+			mbr.ExpandPoint(pts[i])
+		}
+		shards = append(shards, Shard{MBR: mbr, Points: idx})
+		start = end
+	}
+	for i := range shards {
+		if i > 0 {
+			shards[i].LoKey = shards[i-1].HiKey + 1
+		}
+		shards[i].HiKey = math.MaxUint64
+		if i < len(shards)-1 {
+			shards[i].HiKey = keys[shards[i+1].Points[0]] - 1
+		}
+	}
+	return shards
+}
+
+// TestPartitionMatchesStableOrder holds every shard's points, MBR and
+// key range to the stable-sort reference, over sets heavy with equal
+// keys and shard counts from one to more than there are keys.
+func TestPartitionMatchesStableOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	locs := datagen.Uniform(12, 9, datagen.UnitBounds(2))
+	dups := make([]geom.Point, 300)
+	for i := range dups {
+		dups[i] = locs[rng.Intn(len(locs))].Clone()
+	}
+	mixed := append(datagen.GaussianClusters(13, 400, datagen.UnitBounds(2), 4, 0.05), dups[:120]...)
+	rng.Shuffle(len(mixed), func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
+	wide := datagen.Uniform(14, 200, datagen.UnitBounds(3))
+	wide = append(wide, wide[:80]...)
+	for _, tc := range []struct {
+		name string
+		pts  []geom.Point
+		kind Kind
+	}{
+		{"dups/hilbert", dups, Hilbert},
+		{"dups/zorder", dups, ZOrder},
+		{"mixed/hilbert", mixed, Hilbert},
+		{"mixed/zorder", mixed, ZOrder},
+		{"3d/zorder", wide, ZOrder},
+	} {
+		for _, n := range []int{1, 4, len(tc.pts) + 1} {
+			part, err := Partition(tc.pts, n, tc.kind)
+			if err != nil {
+				t.Fatalf("%s, %d shards: %v", tc.name, n, err)
+			}
+			want := referencePartition(tc.pts, n, tc.kind)
+			if len(part.Shards) != len(want) {
+				t.Fatalf("%s, %d shards: got %d shards, reference %d", tc.name, n, len(part.Shards), len(want))
+			}
+			for i := range want {
+				if !reflect.DeepEqual(part.Shards[i], want[i]) {
+					t.Fatalf("%s, %d shards: shard %d = %+v, reference %+v", tc.name, n, i, part.Shards[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestPartitionSmallAndDegenerate(t *testing.T) {
 	// Fewer points than shards.
 	pts := datagen.Uniform(3, 3, datagen.UnitBounds(2))
@@ -197,5 +287,18 @@ func TestParseKind(t *testing.T) {
 	}
 	if ZOrder.String() != "zorder" || Hilbert.String() != "hilbert" {
 		t.Fatal("Kind.String mismatch")
+	}
+}
+
+// BenchmarkPartition times cutting 200 K clustered 2-D points into 4
+// Hilbert shards, the routed workload's partitioning.
+func BenchmarkPartition(b *testing.B) {
+	pts := datagen.GaussianClusters(1, 200_000, datagen.UnitBounds(2), 40, 0.02)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Partition(pts, 4, Hilbert); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"allnn/internal/geom"
 	"allnn/internal/index"
@@ -310,54 +309,16 @@ func (t *Tree) insertAt(ref nodeRef, cell geom.Rect, depth int, id index.ObjectI
 }
 
 // splitLeaf converts an overflowing leaf into an internal node whose
-// children are fresh leaves, one per non-empty quadrant. Quadrants that
-// still overflow are split recursively (all points may share a quadrant).
-// The returned depth is that of the deepest leaf created.
+// children are fresh leaves, split again while they overflow: the bulk
+// load's split over the leaf's objects. The returned depth is that of
+// the deepest leaf created.
 func (t *Tree) splitLeaf(n *node, cell geom.Rect, depth int) (*node, int, error) {
-	groups := make(map[uint32][]object)
-	for _, o := range n.objects {
-		q := quadOf(o.pt, cell)
-		groups[q] = append(groups[q], o)
+	l := t.newLoader(len(n.objects))
+	for i, o := range n.objects {
+		l.set(i, o.id, o.pt)
 	}
-	internal := &node{leaf: false}
-	// Deterministic child order keeps the on-disk layout reproducible.
-	quads := make([]uint32, 0, len(groups))
-	for q := range groups {
-		quads = append(quads, q)
-	}
-	sort.Slice(quads, func(i, j int) bool { return quads[i] < quads[j] })
-	maxDepth := depth + 1
-	for _, q := range quads {
-		objs := groups[q]
-		child := &node{leaf: true, objects: objs}
-		sub := childCell(cell, q)
-		if len(objs) > t.cfg.BucketCapacity && depth+1 < t.cfg.MaxDepth {
-			var err error
-			var d int
-			child, d, err = t.splitLeaf(child, sub, depth+1)
-			if err != nil {
-				return nil, 0, err
-			}
-			if d > maxDepth {
-				maxDepth = d
-			}
-		}
-		ref, err := t.writeNewNode(child)
-		if err != nil {
-			return nil, 0, err
-		}
-		mbr := geom.EmptyRect(t.dim)
-		for _, o := range objs {
-			mbr.ExpandPoint(o.pt)
-		}
-		internal.children = append(internal.children, childSlot{
-			quad:  q,
-			ref:   ref,
-			count: uint32(len(objs)),
-			mbr:   mbr,
-		})
-	}
-	return internal, maxDepth, nil
+	split, height, _, err := l.split(0, 0, len(n.objects), cell, depth)
+	return split, height, err
 }
 
 // BulkLoad builds a tree from a point set in one pass. The space defaults
@@ -372,21 +333,24 @@ func BulkLoad(pool *storage.BufferPool, pts []geom.Point, ids []index.ObjectID, 
 	if ids != nil && len(ids) != len(pts) {
 		return nil, fmt.Errorf("mbrqt: %d ids for %d points", len(ids), len(pts))
 	}
+	if uint64(len(pts)) > math.MaxUint32 {
+		return nil, fmt.Errorf("mbrqt: BulkLoad of %d points; a key holds a 32-bit position", len(pts))
+	}
 	bounds := geom.BoundingRect(pts)
 	space := inflate(bounds)
 	t, err := New(pool, space, cfg)
 	if err != nil {
 		return nil, err
 	}
-	objs := make([]object, len(pts))
+	l := t.newLoader(len(pts))
 	for i, p := range pts {
 		oid := index.ObjectID(i)
 		if ids != nil {
 			oid = ids[i]
 		}
-		objs[i] = object{id: oid, pt: p}
+		l.set(i, oid, p)
 	}
-	rootRef, height, err := t.buildSubtree(objs, space, 1)
+	rootRef, height, _, err := l.build(0, 0, len(pts), space, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -397,43 +361,137 @@ func BulkLoad(pool *storage.BufferPool, pts []geom.Point, ids []index.ObjectID, 
 	return t, t.writeMeta()
 }
 
-// buildSubtree writes the subtree for objs (all within cell) and returns
-// its ref and height.
-func (t *Tree) buildSubtree(objs []object, cell geom.Rect, depth int) (nodeRef, int, error) {
-	if len(objs) <= t.cfg.BucketCapacity || depth >= t.cfg.MaxDepth {
-		ref, err := t.writeNewNode(&node{leaf: true, objects: objs})
-		return ref, depth, err
+// loader is one build's working set, allocated once: every object's
+// coordinates, packed, and its id, each in two buffers; one key per
+// object for the radix passes, and a second key buffer; one vector of cell
+// midpoints; and the leaf being written. A node finds its objects at a
+// run of positions in one buffer — siblings own disjoint runs — and
+// leaves them, grouped by quadrant, at the same run of the other buffer
+// for its children. A node's working set is its own run, contiguous and
+// shrinking with depth, so per-node state stays linear in its points and
+// the passes below the top levels stay in cache.
+type loader struct {
+	t         *Tree
+	dim       int
+	xs        [2][]float64
+	ids       [2][]index.ObjectID
+	keys, tmp []uint64
+	mid       geom.Point
+	leaf      []object
+}
+
+// newLoader sizes a loader for n objects, which set places in buffer 0.
+func (t *Tree) newLoader(n int) *loader {
+	l := &loader{t: t, dim: t.dim, keys: make([]uint64, n), tmp: make([]uint64, n), mid: make(geom.Point, t.dim)}
+	for b := range l.xs {
+		l.xs[b] = make([]float64, n*t.dim)
+		l.ids[b] = make([]index.ObjectID, n)
 	}
-	groups := make(map[uint32][]object)
-	for _, o := range objs {
-		q := quadOf(o.pt, cell)
-		groups[q] = append(groups[q], o)
+	return l
+}
+
+func (l *loader) set(i int, id index.ObjectID, pt geom.Point) {
+	copy(l.xs[0][i*l.dim:], pt)
+	l.ids[0][i] = id
+}
+
+// point returns the coordinates at position i of buffer b.
+func (l *loader) point(b, i int) geom.Point {
+	return l.xs[b][i*l.dim : (i+1)*l.dim : (i+1)*l.dim]
+}
+
+// build writes the subtree for the objects at [lo, hi) of buffer b, all
+// within cell, and returns its ref, height and MBR.
+func (l *loader) build(b, lo, hi int, cell geom.Rect, depth int) (nodeRef, int, geom.Rect, error) {
+	if hi-lo <= l.t.cfg.BucketCapacity || depth >= l.t.cfg.MaxDepth {
+		mbr := geom.EmptyRect(l.dim)
+		l.leaf = l.leaf[:0]
+		for i := lo; i < hi; i++ {
+			pt := l.point(b, i)
+			mbr.ExpandPoint(pt)
+			l.leaf = append(l.leaf, object{id: l.ids[b][i], pt: pt})
+		}
+		ref, err := l.t.writeNewNode(&node{leaf: true, objects: l.leaf})
+		return ref, depth, mbr, err
 	}
-	quads := make([]uint32, 0, len(groups))
-	for q := range groups {
-		quads = append(quads, q)
+	n, height, mbr, err := l.split(b, lo, hi, cell, depth)
+	if err != nil {
+		return invalidRef, 0, geom.Rect{}, err
 	}
-	sort.Slice(quads, func(i, j int) bool { return quads[i] < quads[j] })
+	ref, err := l.t.writeNewNode(n)
+	return ref, height, mbr, err
+}
+
+// split groups the objects at [lo, hi) of buffer b by quadrant of cell,
+// writes one subtree per non-empty quadrant in ascending quadrant order
+// and returns the internal node over them, unwritten, with the depth of
+// its deepest leaf and the objects' MBR. The grouping is a
+// least-significant-digit radix pass over keys packing each object's
+// quadrant code above its position: one stable binary split per
+// dimension whose bit varies among the objects, so the codes end
+// ascending and every quadrant keeps its objects in their incoming order
+// — the records, and the page file, depend on the input order alone.
+func (l *loader) split(b, lo, hi int, cell geom.Rect, depth int) (*node, int, geom.Rect, error) {
+	for d := range l.mid {
+		l.mid[d] = (cell.Lo[d] + cell.Hi[d]) / 2
+	}
+	mbr := geom.EmptyRect(l.dim)
+	var ones [MaxDim]int
+	for i := lo; i < hi; i++ {
+		pt := l.point(b, i)
+		mbr.ExpandPoint(pt)
+		var q uint64
+		for d, v := range pt {
+			if v >= l.mid[d] {
+				q |= 1 << uint(d)
+				ones[d]++
+			}
+		}
+		l.keys[i] = q<<32 | uint64(i)
+	}
+	src, dst := l.keys[lo:hi], l.tmp[lo:hi]
+	for d, n1 := range ones[:l.dim] {
+		if n1 == 0 || n1 == hi-lo {
+			continue
+		}
+		bit := uint64(1) << uint(32+d)
+		z, o := 0, hi-lo-n1
+		for _, k := range src {
+			if k&bit == 0 {
+				dst[z] = k
+				z++
+			} else {
+				dst[o] = k
+				o++
+			}
+		}
+		src, dst = dst, src
+	}
+	// Move the objects into the other buffer in key order.
+	nb := 1 - b
+	for j, k := range src {
+		i := int(uint32(k))
+		copy(l.point(nb, lo+j), l.point(b, i))
+		l.ids[nb][lo+j] = l.ids[b][i]
+	}
 
 	n := &node{leaf: false}
-	maxDepth := depth
-	for _, q := range quads {
-		g := groups[q]
-		childRef, h, err := t.buildSubtree(g, childCell(cell, q), depth+1)
+	height := depth
+	for s := 0; s < len(src); {
+		q := uint32(src[s] >> 32)
+		e := s + 1
+		for e < len(src) && uint32(src[e]>>32) == q {
+			e++
+		}
+		ref, h, cmbr, err := l.build(nb, lo+s, lo+e, childCell(cell, q), depth+1)
 		if err != nil {
-			return invalidRef, 0, err
+			return nil, 0, geom.Rect{}, err
 		}
-		if h > maxDepth {
-			maxDepth = h
-		}
-		mbr := geom.EmptyRect(t.dim)
-		for _, o := range g {
-			mbr.ExpandPoint(o.pt)
-		}
-		n.children = append(n.children, childSlot{quad: q, ref: childRef, count: uint32(len(g)), mbr: mbr})
+		height = max(height, h)
+		n.children = append(n.children, childSlot{quad: q, ref: ref, count: uint32(e - s), mbr: cmbr})
+		s = e
 	}
-	ref, err := t.writeNewNode(n)
-	return ref, maxDepth, err
+	return n, height, mbr, nil
 }
 
 // inflate grows a rect by a tiny relative margin so that boundary points

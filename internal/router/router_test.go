@@ -750,6 +750,62 @@ func TestInvalidBox(t *testing.T) {
 	}
 }
 
+// TestNaNCoordinateRefused sends a NaN coordinate down every path that
+// takes one: the library refuses it with ErrInvalidConfig — at build, at
+// write and at query — and the server and the router answer BAD_REQUEST.
+// NaN passes every comparison-based check, so before it was refused an
+// accepted NaN point broke every later join.
+func TestNaNCoordinateRefused(t *testing.T) {
+	f := startFixture(t, uniformPoints(29, 300), 2, 0)
+	nan := math.NaN()
+	if _, err := ann.BuildIndex([]ann.Point{{1, 2}, {nan, 3}, {4, 5}}, ann.IndexConfig{}); !errors.Is(err, ann.ErrInvalidConfig) {
+		t.Errorf("BuildIndex over a NaN point: %v, want ErrInvalidConfig", err)
+	}
+	ix, err := ann.BuildIndex(f.pts, ann.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	bad := ann.Point{nan, 50}
+	if err := ix.Insert(5000, bad); !errors.Is(err, ann.ErrInvalidConfig) {
+		t.Errorf("direct Insert: %v, want ErrInvalidConfig", err)
+	}
+	if _, err := ix.NearestNeighbors(bad, 3); !errors.Is(err, ann.ErrInvalidConfig) {
+		t.Errorf("direct kNN: %v, want ErrInvalidConfig", err)
+	}
+	if _, err := ix.BatchNearestNeighbors(context.Background(), []ann.Point{{1, 2}, bad}, 3); !errors.Is(err, ann.ErrInvalidConfig) {
+		t.Errorf("direct batch kNN: %v, want ErrInvalidConfig", err)
+	}
+	boxes := [][2]ann.Point{{{nan, 0}, {500, 500}}, {{0, 0}, {500, nan}}}
+	for _, box := range boxes {
+		if _, _, err := ix.RangeSearchWithPoints(box[0], box[1]); !errors.Is(err, ann.ErrInvalidConfig) {
+			t.Errorf("direct Range %v: %v, want ErrInvalidConfig", box, err)
+		}
+	}
+	// The refused insert left nothing behind: the self-join still runs.
+	if rows, err := ann.SelfAllKNearestNeighborsContext(context.Background(), ix, 2, ann.QueryConfig{}); err != nil || len(rows) != len(f.pts) {
+		t.Errorf("self-join after the refused insert: %d rows, %v; want %d", len(rows), err, len(f.pts))
+	}
+
+	ctx := context.Background()
+	if _, err := f.single.Insert(ctx, "pts", []uint64{5000}, []ann.Point{bad}); !client.IsBadRequest(err) {
+		t.Errorf("served Insert: %v, want BAD_REQUEST", err)
+	}
+	for name, cl := range map[string]*client.Client{"served": f.single, "routed": f.routed} {
+		if _, err := cl.KNN(ctx, "pts", bad, 3); !client.IsBadRequest(err) {
+			t.Errorf("%s kNN: %v, want BAD_REQUEST", name, err)
+		}
+		if _, err := cl.BatchKNN(ctx, "pts", []ann.Point{{1, 2}, bad}, 3); !client.IsBadRequest(err) {
+			t.Errorf("%s batch kNN: %v, want BAD_REQUEST", name, err)
+		}
+		for _, box := range boxes {
+			if _, _, err := cl.Range(ctx, "pts", box[0], box[1]); !client.IsBadRequest(err) {
+				t.Errorf("%s Range %v: %v, want BAD_REQUEST", name, box, err)
+			}
+		}
+	}
+}
+
 // --- request validation ------------------------------------------------------
 
 func TestRouterRejects(t *testing.T) {
