@@ -154,11 +154,13 @@ PAIRS ?= 10
 bench-ab:
 	tools/bench-ab.sh $(A) $(B) --workload $(WORKLOAD) --pairs $(PAIRS)
 
-# trace-smoke validates the observability artifacts end to end: it runs
-# the traced "mba" experiment and checks the emitted Chrome trace JSON
-# (span coverage and nesting) and QueryReport against the registry.
+# trace-smoke validates the observability artifacts end to end: the
+# engine's trace (setup/seed/traverse cover >= 95% of the query span,
+# every filter span nests in an expand span, one lane per worker), the
+# QueryReport against the registry, annquery's -trace file and -report
+# count, and the declared metric family names.
 trace-smoke:
-	$(GO) test -run TestTraceSmoke -v ./internal/bench
+	$(GO) test -run 'TestTraceSpanNesting|TestTraceParallelLanes|TestRunReportRegistryParity|TestRunTraceAndReport|TestDeclareMetricFamilies' -v ./internal/core ./cmd/annquery ./internal/bench
 
 # race-sched runs the scheduler (claim order, interleaved splits, the
 # parked-rows window, the emit-error and parked-cancel stops),

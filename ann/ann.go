@@ -15,9 +15,8 @@
 //
 // Indexes default to the paper's MBRQT (an MBR-enhanced bucket PR
 // quadtree); the paper's R*-tree baseline is available, read-only,
-// through IndexConfig.Kind.
-// Queries default to the paper's NXNDIST pruning metric; the traditional
-// MAXMAXDIST is available through QueryConfig for comparison.
+// through IndexConfig.Kind. Queries prune with the paper's NXNDIST
+// metric.
 //
 // Queries run in parallel by default: independent subtrees of the query
 // index are drained by a pool of worker goroutines (one per CPU unless
@@ -76,16 +75,6 @@ func (k IndexKind) String() string {
 	return "MBRQT"
 }
 
-// Metric selects the ANN pruning metric.
-type Metric int
-
-const (
-	// NXNDist is the paper's tight pruning bound (default).
-	NXNDist Metric = iota
-	// MaxMaxDist is the traditional loose bound; expect large slowdowns.
-	MaxMaxDist
-)
-
 // IndexConfig configures BuildIndex. The zero value is ready to use.
 type IndexConfig struct {
 	// Kind selects the index structure (default MBRQT).
@@ -135,8 +124,6 @@ var ErrInvalidConfig = errors.New("invalid options")
 
 // QueryConfig configures the ANN/AkNN execution.
 type QueryConfig struct {
-	// Metric selects the pruning bound (default NXNDist).
-	Metric Metric
 	// Parallelism is the number of worker goroutines draining independent
 	// subtrees of the query index concurrently: 0 (the default) uses
 	// runtime.GOMAXPROCS(0), 1 forces the single-threaded engine, and any
@@ -524,9 +511,6 @@ func run(ctx context.Context, r, s *Index, k int, cfg QueryConfig, excludeSelf b
 		Parallelism:    par,
 		OrderedEmit:    !cfg.UnorderedEmit,
 		NodeCacheBytes: cfg.NodeCacheBytes,
-	}
-	if cfg.Metric == MaxMaxDist {
-		opts.Metric = core.MaxMaxDist
 	}
 	// Pin one snapshot per index for the whole query: a self-join must see
 	// the SAME snapshot on both sides (a write committing between two

@@ -93,20 +93,18 @@ func TestAllKNearestNeighborsBothMetrics(t *testing.T) {
 	s := randomPoints(4, 200, 3)
 	const k = 4
 	want := bruteNN(r, s, k, false)
-	for _, metric := range []Metric{NXNDist, MaxMaxDist} {
-		ir, _ := BuildIndex(r, IndexConfig{})
-		is, _ := BuildIndex(s, IndexConfig{})
-		results, err := AllKNearestNeighborsContext(context.Background(), ir, is, k, QueryConfig{Metric: metric})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sort.Slice(results, func(a, b int) bool { return results[a].ID < results[b].ID })
-		for i, res := range results {
-			for n := range res.Neighbors {
-				if math.Abs(res.Neighbors[n].Dist-want[i][n]) > 1e-9 {
-					t.Fatalf("metric %d: point %d neighbor %d dist %g, want %g",
-						metric, i, n, res.Neighbors[n].Dist, want[i][n])
-				}
+	ir, _ := BuildIndex(r, IndexConfig{})
+	is, _ := BuildIndex(s, IndexConfig{})
+	results, err := AllKNearestNeighborsContext(context.Background(), ir, is, k, QueryConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(results, func(a, b int) bool { return results[a].ID < results[b].ID })
+	for i, res := range results {
+		for n := range res.Neighbors {
+			if math.Abs(res.Neighbors[n].Dist-want[i][n]) > 1e-9 {
+				t.Fatalf("point %d neighbor %d dist %g, want %g",
+					i, n, res.Neighbors[n].Dist, want[i][n])
 			}
 		}
 	}

@@ -5,14 +5,16 @@
 // Examples:
 //
 //	annquery -r queries.pts -s targets.pts -k 1
-//	annquery -r catalog.pts -self -k 5 -index rstar -metric maxmax
+//	annquery -r catalog.pts -self -k 5 -index rstar
 //	annquery -r catalog.pts -self -trace trace.json -report -quiet
 //	annquery -r catalog.pts -self -r-pagefile catalog.pages        # build and persist
 //	annquery -r-pagefile catalog.pages -self -k 2                  # reopen, no rebuild
 //	annquery -remote localhost:4321 -r pts -self -k 2              # served query
 //
 // With -remote, -r and -s name indexes in the server's catalog rather
-// than dataset files. -trace writes the query's execution trace as
+// than dataset files, and the flags that only a local query can honour
+// (-index, -r-pagefile, -s-pagefile, -trace and the profiling flags) are
+// refused. -trace writes the query's execution trace as
 // Chrome trace-event JSON (open at https://ui.perfetto.dev); -report
 // prints the unified QueryReport (counters + stage timings) as JSON to
 // stderr — with -remote the server computes it and ships it back on the
@@ -33,6 +35,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"allnn/ann"
@@ -51,6 +54,14 @@ func main() {
 	}
 }
 
+// localOnly names the flags a served query cannot honour: the server
+// owns the index and its page files, and the trace and profiles would
+// describe this client, not the query.
+var localOnly = map[string]bool{
+	"index": true, "r-pagefile": true, "s-pagefile": true, "trace": true,
+	"cpuprofile": true, "memprofile": true, "pprof-addr": true,
+}
+
 // run parses args and executes the query; separated from main for
 // testability.
 func run(args []string, stdout, stderr io.Writer) error {
@@ -64,7 +75,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		selfQ   = fs.Bool("self", false, "self-join: exclude each point's own pairing")
 		k       = fs.Int("k", 1, "neighbors per query point")
 		kindStr = fs.String("index", "mbrqt", "index structure: mbrqt | rstar")
-		metric  = fs.String("metric", "nxndist", "pruning metric: nxndist | maxmax")
 		quiet   = fs.Bool("quiet", false, "suppress per-point output; print only the summary")
 		timeout = fs.Duration("timeout", 0, "abort the query after this long (0 disables); exits with ctx deadline error")
 		remote  = fs.String("remote", "", "route the query to the annserve daemon at this address")
@@ -87,6 +97,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *remote != "" {
+		var local []string
+		fs.Visit(func(f *flag.Flag) {
+			if localOnly[f.Name] {
+				local = append(local, "-"+f.Name)
+			}
+		})
+		if len(local) > 0 {
+			return fmt.Errorf("%s cannot be used with -remote", strings.Join(local, ", "))
+		}
 		return runRemote(ctx, *remote, *rPath, *sPath, *selfQ, *k, *quiet, *report, *traceID, stdout, stderr)
 	}
 
@@ -107,14 +126,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown index kind %q", *kindStr)
 	}
 	qcfg := ann.QueryConfig{}
-	switch *metric {
-	case "nxndist":
-		qcfg.Metric = ann.NXNDist
-	case "maxmax":
-		qcfg.Metric = ann.MaxMaxDist
-	default:
-		return fmt.Errorf("unknown metric %q", *metric)
-	}
 
 	var routes []obs.Route
 	if prof.PprofAddr != "" {
@@ -194,9 +205,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	queryTime := time.Since(queryStart)
-	fmt.Fprintf(stderr, "annquery: %d results, index build %v, query %v (%s, %s, k=%d)\n",
+	fmt.Fprintf(stderr, "annquery: %d results, index build %v, query %v (%s, k=%d)\n",
 		count, buildTime.Round(time.Millisecond), queryTime.Round(time.Millisecond),
-		*kindStr, *metric, *k)
+		*kindStr, *k)
 	return nil
 }
 

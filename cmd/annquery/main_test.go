@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -59,23 +60,69 @@ func TestRunSelfJoinAllIndexesAndMetrics(t *testing.T) {
 	pts := []geom.Point{{0, 0}, {1, 1}, {5, 5}, {6, 6}}
 	r := writeDataset(t, "r.pts", pts)
 	for _, idx := range []string{"mbrqt", "rstar"} {
-		for _, metric := range []string{"nxndist", "maxmax"} {
-			var out, errBuf bytes.Buffer
-			err := run([]string{"-r", r, "-self", "-k", "2", "-index", idx, "-metric", metric}, &out, &errBuf)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", idx, metric, err)
-			}
-			lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-			if len(lines) != 4 {
-				t.Fatalf("%s/%s: %d lines", idx, metric, len(lines))
-			}
-			// Each line: id + 2 neighbors.
-			for _, l := range lines {
-				if len(strings.Split(l, "\t")) != 3 {
-					t.Fatalf("%s/%s: malformed line %q", idx, metric, l)
-				}
+		var out, errBuf bytes.Buffer
+		if err := run([]string{"-r", r, "-self", "-k", "2", "-index", idx}, &out, &errBuf); err != nil {
+			t.Fatalf("%s: %v", idx, err)
+		}
+		lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+		if len(lines) != 4 {
+			t.Fatalf("%s: %d lines", idx, len(lines))
+		}
+		// Each line: id + 2 neighbors.
+		for _, l := range lines {
+			if len(strings.Split(l, "\t")) != 3 {
+				t.Fatalf("%s: malformed line %q", idx, l)
 			}
 		}
+	}
+}
+
+// TestRunTraceAndReport is the CLI end of the trace smoke: -trace writes
+// Chrome trace-event JSON holding the query span, and -report's engine
+// result count is the number of rows printed.
+func TestRunTraceAndReport(t *testing.T) {
+	pts := make([]geom.Point, 300)
+	for i := range pts {
+		pts[i] = geom.Point{float64(i % 17), float64(i / 17)}
+	}
+	r := writeDataset(t, "r.pts", pts)
+	tracePath := filepath.Join(t.TempDir(), "trace.json")
+	var out, errBuf bytes.Buffer
+	if err := run([]string{"-r", r, "-self", "-k", "3", "-trace", tracePath, "-report"}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string   `json:"name"`
+			Ph   string   `json:"ph"`
+			Dur  *float64 `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("trace is not Chrome trace-event JSON: %v", err)
+	}
+	query := false
+	for _, e := range doc.TraceEvents {
+		if e.Name == "query" && e.Ph == "X" && e.Dur != nil {
+			query = true
+		}
+	}
+	if !query {
+		t.Fatalf("trace has no query span among %d events", len(doc.TraceEvents))
+	}
+
+	var rep struct{ Engine struct{ Results uint64 } }
+	if err := json.NewDecoder(&errBuf).Decode(&rep); err != nil {
+		t.Fatalf("stderr does not open with a JSON report: %v", err)
+	}
+	rows := strings.Count(out.String(), "\n")
+	if rows != len(pts) || rep.Engine.Results != uint64(rows) {
+		t.Fatalf("printed %d rows, report counts %d results, want both %d", rows, rep.Engine.Results, len(pts))
 	}
 }
 
@@ -304,10 +351,34 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-r", r, "-self", "-index", "btree"}, &out, &errBuf); err == nil {
 		t.Error("expected error for unknown index")
 	}
-	if err := run([]string{"-r", r, "-self", "-metric", "euclid"}, &out, &errBuf); err == nil {
-		t.Error("expected error for unknown metric")
-	}
 	if err := run([]string{"-r", "/does/not/exist", "-self"}, &out, &errBuf); err == nil {
 		t.Error("expected error for missing file")
+	}
+
+	// A served query refuses, by name, every flag only a local query can
+	// honour, before it writes a file or dials the server; the same query
+	// without the flag succeeds.
+	addr := serve(t, []geom.Point{{0, 0}, {1, 1}})
+	served := []string{"-remote", addr, "-r", "pts", "-self", "-quiet"}
+	if err := run(served, &out, &errBuf); err != nil {
+		t.Fatalf("served query: %v", err)
+	}
+	dir := t.TempDir()
+	for _, tc := range [][]string{
+		{"-index", "rstar"},
+		{"-r-pagefile", filepath.Join(dir, "r.pages")},
+		{"-s-pagefile", filepath.Join(dir, "s.pages")},
+		{"-trace", filepath.Join(dir, "trace.json")},
+		{"-cpuprofile", filepath.Join(dir, "cpu.pprof")},
+		{"-memprofile", filepath.Join(dir, "mem.pprof")},
+		{"-pprof-addr", "127.0.0.1:0"},
+	} {
+		err := run(append(slices.Clip(served), tc...), &out, &errBuf)
+		if err == nil || !strings.Contains(err.Error(), tc[0]) {
+			t.Errorf("%s with -remote: got %v, want an error naming %s", tc[0], err, tc[0])
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("refused served queries left %d files behind", len(entries))
 	}
 }

@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"allnn/internal/core"
-	"allnn/internal/geom"
-	"allnn/internal/hnn"
 	"allnn/internal/paperref"
-	"allnn/internal/storage"
 )
 
 // RunAblations measures what DESIGN.md §5 calls out, all on the TAC
@@ -19,22 +16,21 @@ import (
 //     data, where the printed max-of-MAXD rule inside every object's LPQ
 //     makes the literal row take its time — at k = 10;
 //   - index structure under the identical engine: MBRQT (MBA) vs
-//     R*-tree (RBA), both with NXNDIST;
-//   - the hash-based HNN baseline, which uses no index.
-func RunAblations(cfg Config) error {
+//     R*-tree (RBA), both with NXNDIST.
+func RunAblations(cfg Config) ([]Measurement, error) {
 	cfg = cfg.withDefaults()
 	pts := tacData(cfg)
 	qt, err := prepareSelf(KindMBRQT, pts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rs, err := prepareSelf(KindRStar, pts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	qtQ, err := prepareSelf(KindMBRQT, pts[:len(pts)/4])
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	var ms []Measurement
@@ -48,28 +44,25 @@ func RunAblations(cfg Config) error {
 
 	base := core.Options{ExcludeSelf: true}
 	if err := add(runMBA("MBA (default engine)", cfg, qt, base)); err != nil {
-		return err
+		return nil, err
 	}
 	if err := add(runPaperRef("MBA paper-literal (Algorithms 2–4 as printed)", cfg, qt, 1)); err != nil {
-		return err
+		return nil, err
 	}
 	if err := add(runMBA("RBA (R*-tree, same engine)", cfg, rs, base)); err != nil {
-		return err
-	}
-	if err := add(runHNNConfig("HNN (hash-based, no index)", cfg, pts)); err != nil {
-		return err
+		return nil, err
 	}
 	k10 := core.Options{ExcludeSelf: true, K: 10}
 	if err := add(runMBA("AkNN k=10, default engine (1/4 data)", cfg, qtQ, k10)); err != nil {
-		return err
+		return nil, err
 	}
 	if err := add(runPaperRef("AkNN k=10, paper-literal (1/4 data)", cfg, qtQ, 10)); err != nil {
-		return err
+		return nil, err
 	}
 
 	printTable(cfg.Out, fmt.Sprintf(
 		"Ablations on TAC (%d points, self-join, 512KB pool)", len(pts)), ms)
-	return nil
+	return ms, nil
 }
 
 // runPaperRef executes the paper-literal reference engine as a self-join
@@ -86,25 +79,6 @@ func runPaperRef(name string, cfg Config, p *prepared, k int) (Measurement, erro
 			results++
 			return nil
 		})
-		return results, err
-	})
-}
-
-// runHNNConfig executes the hash-based baseline over a fresh store/pool
-// of the configured size; both the bucket spill and the ring searches
-// flow through the pool. The sequential read of both inputs is charged
-// explicitly.
-func runHNNConfig(name string, cfg Config, pts []geom.Point) (Measurement, error) {
-	pool := storage.NewBufferPool(storage.NewMemStore(), storage.FramesForBytes(cfg.PoolBytes))
-	ds := hnn.FromPoints(pts)
-	extra := 2 * scanPages(len(pts), len(pts[0]))
-	return measure(name, cfg, pool, extra, func() (uint64, error) {
-		var results uint64
-		st, err := hnn.Join(ds, ds, pool, hnn.Options{ExcludeSelf: true}, func(core.Result) error {
-			results++
-			return nil
-		})
-		st.AddTo(cfg.Metrics) // no-op on a nil registry
 		return results, err
 	})
 }

@@ -24,7 +24,6 @@ import (
 	"allnn/internal/core"
 	"allnn/internal/geom"
 	"allnn/internal/gorder"
-	"allnn/internal/hnn"
 	"allnn/internal/index"
 	"allnn/internal/mbrqt"
 	"allnn/internal/nodecache"
@@ -46,40 +45,14 @@ type Config struct {
 	Seed int64
 	// Out receives the report (default os.Stdout set by the caller).
 	Out io.Writer
-	// JSONPath, when non-empty, makes experiments that support it
-	// (currently "mba") also write a machine-readable summary there.
-	JSONPath string
 	// Progress, when non-nil, receives one heartbeat line per completed
 	// measurement (elapsed time, result rows, rows/sec), so long runs
 	// show liveness without polluting the report on Out. annbench wires
 	// os.Stderr here unless -quiet is given.
 	Progress io.Writer
-	// TracePath, when non-empty, makes experiments that support it
-	// (currently "mba") write a Chrome trace-event JSON of their traced
-	// run there — open it at https://ui.perfetto.dev.
-	TracePath string
-	// Metrics, when non-nil, receives the counters of experiments that
-	// publish them (currently "mba"); annbench serves it at
-	// -pprof-addr.
+	// Metrics, when non-nil, accumulates the engine, BNN and GORDER
+	// counters of every measurement; annbench serves it at -pprof-addr.
 	Metrics *obs.Registry
-}
-
-// Provenance records the runtime context a bench artifact was collected
-// under. Committed artifacts carry it so a single-core collection can
-// never be mistaken for a multi-core one.
-type Provenance struct {
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	GoVersion  string `json:"go_version"`
-}
-
-// CollectProvenance samples the current runtime.
-func CollectProvenance() Provenance {
-	return Provenance{
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-	}
 }
 
 func (c Config) withDefaults() Config {
@@ -118,11 +91,14 @@ type Measurement struct {
 // Total returns CPU + I/O time.
 func (m Measurement) Total() time.Duration { return m.CPU + m.IOTime }
 
-// Experiment is a registered, runnable experiment.
+// Experiment is a registered, runnable experiment. Run prints the
+// experiment's table to Config.Out and returns the Measurement rows it
+// printed, in print order; table2 and prune print no measurements and
+// return none.
 type Experiment struct {
 	Name        string
 	Description string
-	Run         func(Config) error
+	Run         func(Config) ([]Measurement, error)
 }
 
 // Experiments lists every table/figure runner in paper order.
@@ -135,8 +111,7 @@ func Experiments() []Experiment {
 		{"fig5", "Figure 5: AkNN on TAC, k = 10..50 — MBA vs GORDER", RunFig5},
 		{"fig6", "Figure 6: AkNN on FC, k = 10..50 — MBA vs GORDER", RunFig6},
 		{"prune", "Section 4.3 support: node-level pruning power, NXNDIST vs MAXMAXDIST on both indexes", RunPruning},
-		{"ablate", "Ablations: the default engine vs the paper's algorithm as printed (k = 1, k = 10), index choice, HNN", RunAblations},
-		{"mba", "Observability deep-dive: one traced MBA self-join with the unified QueryReport (counters, stage timings; -trace writes Perfetto JSON)", RunMBAReport},
+		{"ablate", "Ablations: the default engine vs the paper's algorithm as printed (k = 1, k = 10), index choice", RunAblations},
 	}
 }
 
@@ -290,7 +265,7 @@ func runMBA(name string, cfg Config, p *prepared, opts core.Options) (Measuremen
 	})
 }
 
-// DeclareMetricFamilies pre-creates the six stats families in r by
+// DeclareMetricFamilies pre-creates the five stats families in r by
 // accumulating zero-valued stats, so a freshly served -pprof-addr
 // snapshot lists every stable metric name (DESIGN.md §10) before any
 // experiment has produced counts.
@@ -299,7 +274,6 @@ func DeclareMetricFamilies(r *obs.Registry) {
 	storage.Stats{}.AddTo(r, "pool")
 	nodecache.Counters{}.AddTo(r, "cache")
 	gorder.Stats{}.AddTo(r)
-	hnn.Stats{}.AddTo(r)
 	bnn.Stats{}.AddTo(r)
 }
 

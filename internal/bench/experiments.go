@@ -26,7 +26,7 @@ func syntheticData(cfg Config, dim int) []geom.Point {
 
 // RunTable2 prints the dataset inventory (paper Table 2) with the
 // cardinalities actually generated at the configured scale.
-func RunTable2(cfg Config) error {
+func RunTable2(cfg Config) ([]Measurement, error) {
 	cfg = cfg.withDefaults()
 	w := cfg.Out
 	fmt.Fprintf(w, "\nTable 2: experimental datasets (scale %.3f of the paper's cardinalities)\n", cfg.Scale)
@@ -45,7 +45,7 @@ func RunTable2(cfg Config) error {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s %12d %5d  %s\n", r.name, len(r.pts), len(r.pts[0]), r.desc)
 	}
-	return nil
+	return nil, nil
 }
 
 // runBNNConfig executes BNN against a prepared R*-tree with the given
@@ -94,16 +94,16 @@ func runGorderConfig(name string, cfg Config, rPts, sPts []geom.Point, opts gord
 
 // RunFig3a reproduces Figure 3(a): the ANN self-join of the TAC dataset
 // under BNN, RBA and MBA with both pruning metrics, plus GORDER.
-func RunFig3a(cfg Config) error {
+func RunFig3a(cfg Config) ([]Measurement, error) {
 	cfg = cfg.withDefaults()
 	pts := tacData(cfg)
 	qtPrep, err := prepareSelf(KindMBRQT, pts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rsPrep, err := prepareSelf(KindRStar, pts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	var ms []Measurement
@@ -117,24 +117,24 @@ func RunFig3a(cfg Config) error {
 	for _, metric := range []core.Metric{core.MaxMaxDist, core.NXNDist} {
 		if err := add(runBNNConfig("BNN "+metric.String(), cfg, rsPrep, pts,
 			bnn.Options{Metric: metric, ExcludeSelf: true})); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	for _, metric := range []core.Metric{core.MaxMaxDist, core.NXNDist} {
 		if err := add(runMBA("RBA "+metric.String(), cfg, rsPrep,
 			core.Options{Metric: metric, ExcludeSelf: true})); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	for _, metric := range []core.Metric{core.MaxMaxDist, core.NXNDist} {
 		if err := add(runMBA("MBA "+metric.String(), cfg, qtPrep,
 			core.Options{Metric: metric, ExcludeSelf: true})); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if err := add(runGorderConfig("GORDER", cfg, pts, pts,
 		gorder.Options{ExcludeSelf: true})); err != nil {
-		return err
+		return nil, err
 	}
 
 	printTable(cfg.Out, fmt.Sprintf(
@@ -145,17 +145,17 @@ func RunFig3a(cfg Config) error {
 		"\nheadline ratios — NXNDIST over MAXMAXDIST: MBA %s, RBA %s, BNN %s; MBA over GORDER %s; MBA over RBA (both NXNDIST) %s\n",
 		speedup(ms[4], ms[5]), speedup(ms[2], ms[3]), speedup(ms[0], ms[1]),
 		speedup(ms[6], ms[5]), speedup(ms[3], ms[5]))
-	return nil
+	return ms, nil
 }
 
 // RunFig3b reproduces Figure 3(b): ANN on the 10-D FC dataset, MBA vs
 // GORDER, with the buffer pool varied from 512 KB to 8 MB.
-func RunFig3b(cfg Config) error {
+func RunFig3b(cfg Config) ([]Measurement, error) {
 	cfg = cfg.withDefaults()
 	pts := fcData(cfg)
 	prep, err := prepareSelf(KindMBRQT, pts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var ms []Measurement
 	for _, poolBytes := range []int{512 << 10, 1 << 20, 4 << 20, 8 << 20} {
@@ -164,40 +164,40 @@ func RunFig3b(cfg Config) error {
 		label := fmt.Sprintf("%dKB", poolBytes>>10)
 		m, err := runMBA("MBA "+label, c, prep, core.Options{ExcludeSelf: true})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ms = append(ms, m)
 		g, err := runGorderConfig("GORDER "+label, c, pts, pts, gorder.Options{ExcludeSelf: true})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ms = append(ms, g)
 	}
 	printTable(cfg.Out, fmt.Sprintf(
 		"Figure 3(b): ANN on FC (%d points, 10-D, self-join) across buffer pool sizes", len(pts)), ms)
-	return nil
+	return ms, nil
 }
 
 // RunFig4 reproduces Figure 4: the effect of dimensionality on MBA vs
 // GORDER over the synthetic 500K 2/4/6-D datasets.
-func RunFig4(cfg Config) error {
+func RunFig4(cfg Config) ([]Measurement, error) {
 	cfg = cfg.withDefaults()
 	var ms []Measurement
 	for _, dim := range []int{2, 4, 6} {
 		pts := syntheticData(cfg, dim)
 		prep, err := prepareSelf(KindMBRQT, pts)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		m, err := runMBA(fmt.Sprintf("MBA %dD", dim), cfg, prep, core.Options{ExcludeSelf: true})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ms = append(ms, m)
 		g, err := runGorderConfig(fmt.Sprintf("GORDER %dD", dim), cfg, pts, pts,
 			gorder.Options{ExcludeSelf: true})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ms = append(ms, g)
 	}
@@ -205,37 +205,37 @@ func RunFig4(cfg Config) error {
 	for i := 0; i < len(ms); i += 2 {
 		fmt.Fprintf(cfg.Out, "  %s: MBA faster than GORDER by %s\n", ms[i].Name[4:], speedup(ms[i+1], ms[i]))
 	}
-	return nil
+	return ms, nil
 }
 
 // RunFig5 reproduces Figure 5: AkNN on TAC for k = 10..50.
-func RunFig5(cfg Config) error {
+func RunFig5(cfg Config) ([]Measurement, error) {
 	return runAkNNSweep(cfg, "Figure 5: AkNN on TAC", tacData(cfg.withDefaults()))
 }
 
 // RunFig6 reproduces Figure 6: AkNN on FC for k = 10..50.
-func RunFig6(cfg Config) error {
+func RunFig6(cfg Config) ([]Measurement, error) {
 	return runAkNNSweep(cfg, "Figure 6: AkNN on FC", fcData(cfg.withDefaults()))
 }
 
-func runAkNNSweep(cfg Config, title string, pts []geom.Point) error {
+func runAkNNSweep(cfg Config, title string, pts []geom.Point) ([]Measurement, error) {
 	cfg = cfg.withDefaults()
 	prep, err := prepareSelf(KindMBRQT, pts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var ms []Measurement
 	for k := 10; k <= 50; k += 10 {
 		m, err := runMBA(fmt.Sprintf("MBA k=%d", k), cfg, prep,
 			core.Options{K: k, ExcludeSelf: true})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ms = append(ms, m)
 		g, err := runGorderConfig(fmt.Sprintf("GORDER k=%d", k), cfg, pts, pts,
 			gorder.Options{K: k, ExcludeSelf: true})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ms = append(ms, g)
 	}
@@ -243,5 +243,5 @@ func runAkNNSweep(cfg Config, title string, pts []geom.Point) error {
 	for i := 0; i < len(ms); i += 2 {
 		fmt.Fprintf(cfg.Out, "  %s: MBA faster than GORDER by %s\n", ms[i].Name[4:], speedup(ms[i+1], ms[i]))
 	}
-	return nil
+	return ms, nil
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"allnn/internal/core"
 	"allnn/internal/geom"
@@ -20,7 +19,7 @@ import (
 // This isolates the pruning power of the metric (and of the index's
 // decomposition) from the engine's exact-distance feedback, which in a
 // full ANN run takes over as soon as leaf objects are reached.
-func RunPruning(cfg Config) error {
+func RunPruning(cfg Config) ([]Measurement, error) {
 	cfg = cfg.withDefaults()
 	pts := tacData(cfg)
 	w := cfg.Out
@@ -31,15 +30,15 @@ func RunPruning(cfg Config) error {
 	for _, kind := range []IndexKind{KindMBRQT, KindRStar} {
 		prep, err := prepareSelf(kind, pts)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		tree, _, _, err := prep.open(64 << 20)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		levels, err := collectLevels(tree)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		name := "MBRQT"
 		if kind == KindRStar {
@@ -60,7 +59,7 @@ func RunPruning(cfg Config) error {
 				name, lvl, len(nodes), nxn, mm, ratio)
 		}
 	}
-	return nil
+	return nil, nil
 }
 
 // collectLevels returns the node MBRs of the tree grouped by depth
@@ -135,17 +134,4 @@ func avgSurvivors(nodes []geom.Rect, metric core.Metric) float64 {
 		return 0
 	}
 	return total / float64(owners)
-}
-
-// sortRectsByCenter gives deterministic sampling order (helper for tests).
-func sortRectsByCenter(rects []geom.Rect) {
-	sort.Slice(rects, func(a, b int) bool {
-		ca, cb := rects[a].Center(), rects[b].Center()
-		for d := range ca {
-			if ca[d] != cb[d] {
-				return ca[d] < cb[d]
-			}
-		}
-		return false
-	})
 }
