@@ -27,12 +27,14 @@ check: fmt-check vet race bench-smoke trace-smoke
 
 # loc prints the size figures ROADMAP tracks at every re-anchor: Go lines
 # outside benchmark/ (a module of its own) and the ignored .bench_build/,
-# non-test and test, and the two long documents.
+# non-test and test, the two long documents, and the lines of the public
+# ann API's `go doc -short` listing.
 GOFILES = find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*'
 loc:
 	@echo "non-test Go lines outside benchmark/: $$($(GOFILES) -not -name '*_test.go' | xargs cat | wc -l)"
 	@echo "test Go lines outside benchmark/:     $$($(GOFILES) -name '*_test.go' | xargs cat | wc -l)"
 	@wc -l DESIGN.md EXPERIMENTS.md | head -2
+	@echo "go doc -short ./ann lines:            $$($(GO) doc -short ./ann | wc -l)"
 
 # chaos runs the fault-injection suite under the race detector: thousands
 # of queries over a store that fails 1% of reads, corruption surfacing,

@@ -3,15 +3,16 @@
 // over multi-dimensional point datasets, implementing Chen & Patel,
 // "Efficient Evaluation of All-Nearest-Neighbor Queries" (ICDE 2007).
 //
-// The typical flow is: build an Index over each dataset, then run
-// AllNearestNeighborsContext (or AllKNearestNeighborsContext) across the
-// two indexes. For self-joins ("for every point, its nearest other
-// point"), build one index and use the Self variants. Every join takes a
-// context first; context.Background() runs it to completion.
+// The typical flow is: build an Index over each dataset, then Join the
+// two indexes — k = 1 is ANN, a larger k AkNN. For a self-join ("for
+// every point, its nearest other point"), build one index, pass it as
+// both sides and set excludeSelf. Join streams its rows to a callback;
+// JoinAll collects them. Every join takes a context first;
+// context.Background() runs it to completion.
 //
 //	r, _ := ann.BuildIndex(queryPoints, ann.IndexConfig{})
 //	s, _ := ann.BuildIndex(targetPoints, ann.IndexConfig{})
-//	results, _ := ann.AllNearestNeighborsContext(ctx, r, s, ann.QueryConfig{})
+//	results, _ := ann.JoinAll(ctx, r, s, 1, false, ann.QueryConfig{})
 //
 // Indexes default to the paper's MBRQT (an MBR-enhanced bucket PR
 // quadtree); the paper's R*-tree baseline is available, read-only,
@@ -23,8 +24,7 @@
 // QueryConfig.Parallelism says otherwise) over the shared, concurrency-
 // safe buffer pool, and results are released in index traversal order so
 // output is identical to a serial run. Set QueryConfig.Parallelism to 1
-// for the paper's single-threaded engine, or QueryConfig.UnorderedEmit
-// for the fastest streaming mode when result order does not matter.
+// for the paper's single-threaded engine.
 package ann
 
 import (
@@ -116,28 +116,29 @@ var (
 // ErrInvalidConfig is wrapped by every request rejected for its
 // arguments, so callers — and the serving layer, which answers
 // BAD_REQUEST — can classify bad requests with errors.Is: a query with k
-// below 1 or a probe or box of the wrong dimensionality, an inverted box,
-// a write to a read-only R*-tree index, and a rejected mutation batch (ids
-// and points of unequal count, an empty batch, a point of the wrong
-// dimensionality or outside the index space).
+// below 1, a NaN or negative join distance, two indexes or a probe or box
+// of different dimensionality, an inverted box, a write to a read-only
+// R*-tree index, and a rejected mutation batch (ids and points of unequal
+// count, an empty batch, a point of the wrong dimensionality or outside
+// the index space).
 var ErrInvalidConfig = errors.New("invalid options")
 
-// QueryConfig configures the ANN/AkNN execution.
+// refusal is an ErrInvalidConfig whose text is its message alone, so a
+// served refusal reads as the router's, which makes the same check.
+type refusal string
+
+func (e refusal) Error() string { return string(e) }
+func (refusal) Unwrap() error   { return ErrInvalidConfig }
+
+// QueryConfig configures a Join.
 type QueryConfig struct {
 	// Parallelism is the number of worker goroutines draining independent
 	// subtrees of the query index concurrently: 0 (the default) uses
 	// runtime.GOMAXPROCS(0), 1 forces the single-threaded engine, and any
 	// higher value runs that many workers. Workers share the index buffer
-	// pool, which is safe for concurrent readers. Results are the same at
-	// every setting; see UnorderedEmit for ordering.
+	// pool, which is safe for concurrent readers. Results are released in
+	// index traversal order, byte-identical at every setting.
 	Parallelism int
-	// UnorderedEmit lets a parallel execution emit each result as soon as
-	// its worker produces it, in scheduling-dependent order — the fastest
-	// mode. By default parallel results are released in index traversal
-	// order, byte-identical to the serial engine's output. Ignored when
-	// the execution is serial (serial output is always in traversal
-	// order).
-	UnorderedEmit bool
 	// NodeCacheBytes bounds the decoded-node cache a join keeps above each
 	// index's buffer pool: decoded node entry slices are shared across the
 	// repeated expansions of ANN traversal instead of being re-parsed
@@ -156,10 +157,6 @@ type QueryConfig struct {
 	// Tracing costs a few timestamps per index node; nil (the default)
 	// costs nothing.
 	TraceOut io.Writer
-	// Metrics, when non-nil, accumulates this query's counters, the live
-	// pool/cache state and the query-latency histogram into the shared
-	// registry (see MetricsRegistry).
-	Metrics *MetricsRegistry
 	// OnReport, when non-nil, is called once after the query with the
 	// unified QueryReport (counters + timings) for this run.
 	OnReport func(QueryReport)
@@ -167,7 +164,7 @@ type QueryConfig struct {
 
 // observed reports whether any observability output is requested.
 func (cfg QueryConfig) observed() bool {
-	return cfg.TraceOut != nil || cfg.Metrics != nil || cfg.OnReport != nil
+	return cfg.TraceOut != nil || cfg.OnReport != nil
 }
 
 // Neighbor is one neighbor in a query result: ID is the neighbor's
@@ -181,6 +178,14 @@ type Neighbor = core.Neighbor
 // coordinates, and Neighbors holds the k nearest target points (fewer if
 // the target dataset is smaller).
 type Result = core.Result
+
+// QueryReport is the unified per-query observability record produced via
+// QueryConfig.OnReport: the engine's work counters, the buffer-pool and
+// decoded-node-cache activity attributable to the run, and the
+// wall-time breakdown across the paper's Expand/Filter/Gather stages.
+// It marshals to stable JSON (see EXPERIMENTS.md for reproducing the
+// paper's counter tables from it).
+type QueryReport = core.QueryReport
 
 // Index is a dataset indexed for ANN processing. The query methods and
 // the package-level query functions are safe for concurrent use on a
@@ -442,62 +447,16 @@ func (ix *Index) box(lo, hi Point) (geom.Rect, error) {
 	return geom.Rect{Lo: lo, Hi: hi}, nil
 }
 
-// AllNearestNeighborsContext computes, for every point of r, its nearest
-// neighbor in s. When ctx is cancelled or its deadline passes, the query
-// — serial or parallel — stops promptly, releases its storage resources,
-// and returns ctx.Err() alongside the results produced so far; pass
-// context.Background() for a query that runs to completion.
-func AllNearestNeighborsContext(ctx context.Context, r, s *Index, cfg QueryConfig) ([]Result, error) {
-	return AllKNearestNeighborsContext(ctx, r, s, 1, cfg)
-}
-
-// AllKNearestNeighborsContext computes, for every point of r, its k
-// nearest neighbors in s (cancellation as AllNearestNeighborsContext).
-func AllKNearestNeighborsContext(ctx context.Context, r, s *Index, k int, cfg QueryConfig) ([]Result, error) {
-	return collect(ctx, r, s, k, cfg, false)
-}
-
-// SelfAllNearestNeighborsContext computes, for every point of ix, its
-// nearest *other* point in the same dataset (the self pairing is
-// excluded) — the form used by single-linkage clustering and most
-// scientific workloads (cancellation as AllNearestNeighborsContext).
-func SelfAllNearestNeighborsContext(ctx context.Context, ix *Index, cfg QueryConfig) ([]Result, error) {
-	return SelfAllKNearestNeighborsContext(ctx, ix, 1, cfg)
-}
-
-// SelfAllKNearestNeighborsContext computes, for every point of ix, its k
-// nearest other points in the same dataset (cancellation as
-// AllNearestNeighborsContext).
-func SelfAllKNearestNeighborsContext(ctx context.Context, ix *Index, k int, cfg QueryConfig) ([]Result, error) {
-	return collect(ctx, ix, ix, k, cfg, true)
-}
-
-func collect(ctx context.Context, r, s *Index, k int, cfg QueryConfig, excludeSelf bool) ([]Result, error) {
-	var out []Result
-	err := run(ctx, r, s, k, cfg, excludeSelf, func(res Result) error {
-		out = append(out, res)
-		return nil
-	})
-	return out, err
-}
-
-// StreamAllKNearestNeighborsContext is AllKNearestNeighborsContext with a
-// streaming callback instead of a materialised slice: emit is called
-// once per query point, in index traversal order, and not again after
-// the cancellation is observed.
-func StreamAllKNearestNeighborsContext(ctx context.Context, r, s *Index, k int, cfg QueryConfig, emit func(Result) error) error {
-	return run(ctx, r, s, k, cfg, false, emit)
-}
-
-// StreamSelfAllKNearestNeighborsContext is SelfAllKNearestNeighborsContext
-// with a streaming callback — the form the serving layer uses so
-// self-join results flow to the client without materialising
-// server-side.
-func StreamSelfAllKNearestNeighborsContext(ctx context.Context, ix *Index, k int, cfg QueryConfig, emit func(Result) error) error {
-	return run(ctx, ix, ix, k, cfg, true, emit)
-}
-
-func run(ctx context.Context, r, s *Index, k int, cfg QueryConfig, excludeSelf bool, emit func(Result) error) error {
+// Join computes, for every point of r, its k nearest neighbors in s —
+// ANN at k = 1, AkNN above — and calls emit once per point of r, in index
+// traversal order. With excludeSelf each point's pairing with the s point
+// of its own id is skipped: pass one index twice for a self-join ("for
+// every point, its nearest other points"). When ctx is cancelled or its
+// deadline passes the query — serial or parallel — stops promptly,
+// releases its storage resources and returns ctx.Err(); emit is not
+// called again after the cancellation is observed. An emit error ends
+// the query the same way.
+func Join(ctx context.Context, r, s *Index, k int, excludeSelf bool, cfg QueryConfig, emit func(Result) error) error {
 	if err := r.checkQuery(k); err != nil {
 		return err
 	}
@@ -509,13 +468,58 @@ func run(ctx context.Context, r, s *Index, k int, cfg QueryConfig, excludeSelf b
 		K:              k,
 		ExcludeSelf:    excludeSelf,
 		Parallelism:    par,
-		OrderedEmit:    !cfg.UnorderedEmit,
+		OrderedEmit:    true,
 		NodeCacheBytes: cfg.NodeCacheBytes,
 	}
-	// Pin one snapshot per index for the whole query: a self-join must see
-	// the SAME snapshot on both sides (a write committing between two
-	// acquires would otherwise join across versions), so the r snapshot is
-	// reused when r and s are one index.
+	return pinned(r, s, func(rTree, sTree index.Tree) error {
+		if !cfg.observed() {
+			_, err := core.RunContext(ctx, rTree, sTree, opts, emit)
+			return err
+		}
+		var tracer *obs.Tracer
+		if cfg.TraceOut != nil {
+			tracer = obs.NewTracer()
+		}
+		opts.Tracer = tracer
+		rep, err := core.RunReportContext(ctx, rTree, sTree, opts, emit)
+		if cfg.TraceOut != nil {
+			if werr := tracer.WriteJSON(cfg.TraceOut); werr != nil && err == nil {
+				err = werr
+			}
+		}
+		if cfg.OnReport != nil {
+			cfg.OnReport(rep)
+		}
+		return err
+	})
+}
+
+// JoinAll is Join collecting the rows into a slice; on an error it
+// returns the rows produced so far beside it.
+func JoinAll(ctx context.Context, r, s *Index, k int, excludeSelf bool, cfg QueryConfig) ([]Result, error) {
+	var out []Result
+	err := Join(ctx, r, s, k, excludeSelf, cfg, func(res Result) error {
+		out = append(out, res)
+		return nil
+	})
+	return out, err
+}
+
+// StreamSelfAllKNearestNeighborsContext is Join(ctx, ix, ix, k, true,
+// cfg, emit). It stays only because the benchmark spine names it, and
+// goes with ROADMAP item 4.
+func StreamSelfAllKNearestNeighborsContext(ctx context.Context, ix *Index, k int, cfg QueryConfig, emit func(Result) error) error {
+	return Join(ctx, ix, ix, k, true, cfg, emit)
+}
+
+// pinned runs fn over the snapshots a two-index query reads, one per
+// index for the whole query, after refusing a pair whose dimensions
+// differ. A self-join pins one snapshot for both sides: a write
+// committing between two acquires would otherwise join across versions.
+func pinned(r, s *Index, fn func(rTree, sTree index.Tree) error) error {
+	if r.Dim() != s.Dim() {
+		return fmt.Errorf("ann: indexes of %d and %d dims do not join: %w", r.Dim(), s.Dim(), ErrInvalidConfig)
+	}
 	rv, rTree := r.acquire()
 	defer r.release(rv)
 	sTree := rTree
@@ -524,26 +528,7 @@ func run(ctx context.Context, r, s *Index, k int, cfg QueryConfig, excludeSelf b
 		sv, sTree = s.acquire()
 		defer s.release(sv)
 	}
-	if !cfg.observed() {
-		_, err := core.RunContext(ctx, rTree, sTree, opts, emit)
-		return err
-	}
-	var tracer *obs.Tracer
-	if cfg.TraceOut != nil {
-		tracer = obs.NewTracer()
-	}
-	opts.Tracer = tracer
-	opts.Registry = cfg.Metrics.registry()
-	rep, err := core.RunReportContext(ctx, rTree, sTree, opts, emit)
-	if cfg.TraceOut != nil {
-		if werr := tracer.WriteJSON(cfg.TraceOut); werr != nil && err == nil {
-			err = werr
-		}
-	}
-	if cfg.OnReport != nil {
-		cfg.OnReport(rep)
-	}
-	return err
+	return fn(rTree, sTree)
 }
 
 // WithinDistanceContext reports every pair of points (one from r, one
@@ -553,18 +538,15 @@ func run(ctx context.Context, r, s *Index, k int, cfg QueryConfig, excludeSelf b
 // stops promptly and returns ctx.Err(); emit is not called again after
 // the cancellation is observed.
 func WithinDistanceContext(ctx context.Context, r, s *Index, d float64, excludeSelf bool, emit func(rID, sID ObjectID, dist float64) error) error {
-	rv, rTree := r.acquire()
-	defer r.release(rv)
-	sTree := rTree
-	if s != r {
-		var sv *version
-		sv, sTree = s.acquire()
-		defer s.release(sv)
+	if !(d >= 0) {
+		return refusal(fmt.Sprintf("distance must be non-negative, got %v", d))
 	}
-	_, err := core.DistanceJoinContext(ctx, rTree, sTree, d, excludeSelf, func(p Pair) error {
-		return emit(p.R, p.S, p.Dist)
+	return pinned(r, s, func(rTree, sTree index.Tree) error {
+		_, err := core.DistanceJoinContext(ctx, rTree, sTree, d, excludeSelf, func(p Pair) error {
+			return emit(p.R, p.S, p.Dist)
+		})
+		return err
 	})
-	return err
 }
 
 // Pair is one result of ClosestPairsContext: the ids of an r point and
@@ -582,14 +564,10 @@ func ClosestPairsContext(ctx context.Context, r, s *Index, k int, excludeSelf bo
 	if err := r.checkQuery(k); err != nil {
 		return nil, err
 	}
-	rv, rTree := r.acquire()
-	defer r.release(rv)
-	sTree := rTree
-	if s != r {
-		var sv *version
-		sv, sTree = s.acquire()
-		defer s.release(sv)
-	}
-	pairs, _, err := core.KClosestPairsContext(ctx, rTree, sTree, k, excludeSelf)
+	var pairs []Pair
+	err := pinned(r, s, func(rTree, sTree index.Tree) (err error) {
+		pairs, _, err = core.KClosestPairsContext(ctx, rTree, sTree, k, excludeSelf)
+		return err
+	})
 	return pairs, err
 }

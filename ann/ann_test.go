@@ -6,8 +6,12 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
+
+	"allnn/internal/bruteforce"
+	"allnn/internal/geom"
 )
 
 func randomPoints(seed int64, n, dim int) []Point {
@@ -56,36 +60,91 @@ func TestBuildIndexValidation(t *testing.T) {
 	}
 }
 
-func TestAllNearestNeighborsBothKinds(t *testing.T) {
+// TestJoin holds Join and JoinAll to an exhaustive scan: ANN and AkNN,
+// across two indexes and as a self-join, over both index kinds, serial
+// and parallel. excludeSelf over two distinct indexes skips, for each r
+// point, the s point of its own id: here that is its twin, a copy
+// displaced by 1e-3 and so its nearest neighbor. Join streams the rows
+// JoinAll collects.
+func TestJoin(t *testing.T) {
 	r := randomPoints(1, 200, 2)
 	s := randomPoints(2, 250, 2)
-	want := bruteNN(r, s, 1, false)
-	for _, kind := range []IndexKind{MBRQT, RStar} {
-		ir, err := BuildIndex(r, IndexConfig{Kind: kind})
-		if err != nil {
-			t.Fatal(err)
-		}
-		is, err := BuildIndex(s, IndexConfig{Kind: kind})
-		if err != nil {
-			t.Fatal(err)
-		}
-		results, err := AllNearestNeighborsContext(context.Background(), ir, is, QueryConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(results) != len(r) {
-			t.Fatalf("%v: got %d results, want %d", kind, len(results), len(r))
-		}
-		sort.Slice(results, func(a, b int) bool { return results[a].ID < results[b].ID })
-		for i, res := range results {
-			if len(res.Neighbors) != 1 {
-				t.Fatalf("%v: point %d has %d neighbors", kind, i, len(res.Neighbors))
-			}
-			if math.Abs(res.Neighbors[0].Dist-want[i][0]) > 1e-9 {
-				t.Fatalf("%v: point %d NN dist %g, want %g", kind, i, res.Neighbors[0].Dist, want[i][0])
-			}
-		}
+	var twins []Point
+	for _, p := range r {
+		twins = append(twins, Point{p[0] + 1e-3, p[1]})
 	}
+	twins = append(twins, s[:50]...)
+	for _, tc := range []struct {
+		name        string
+		kind        IndexKind
+		s           []Point // nil: a self-join over r's index
+		k, par      int
+		excludeSelf bool
+	}{
+		{name: "ann-mbrqt", kind: MBRQT, s: s, k: 1},
+		{name: "ann-rstar", kind: RStar, s: s, k: 1},
+		{name: "aknn", kind: MBRQT, s: s, k: 2},
+		{name: "self-ann", kind: MBRQT, k: 1, excludeSelf: true},
+		{name: "self-aknn-rstar", kind: RStar, k: 4, excludeSelf: true},
+		{name: "exclude-self-distinct/serial", kind: MBRQT, s: twins, k: 3, par: 1, excludeSelf: true},
+		{name: "exclude-self-distinct/par4", kind: MBRQT, s: twins, k: 3, par: 4, excludeSelf: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ir, err := BuildIndex(r, IndexConfig{Kind: tc.kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ir.Close()
+			is, sPts := ir, r
+			if tc.s != nil {
+				if is, err = BuildIndex(tc.s, IndexConfig{Kind: tc.kind}); err != nil {
+					t.Fatal(err)
+				}
+				defer is.Close()
+				sPts = tc.s
+			}
+			cfg := QueryConfig{Parallelism: tc.par}
+			got, err := JoinAll(context.Background(), ir, is, tc.k, tc.excludeSelf, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var streamed []Result
+			if err := Join(context.Background(), ir, is, tc.k, tc.excludeSelf, cfg, func(res Result) error {
+				streamed = append(streamed, res)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(streamed, got) {
+				t.Fatal("Join streamed other rows than JoinAll collected")
+			}
+			want := bruteforce.AkNN(bruteforce.FromPoints(geomPoints(r)), bruteforce.FromPoints(geomPoints(sPts)), tc.k, tc.excludeSelf)
+			if len(got) != len(want) {
+				t.Fatalf("got %d rows, want %d", len(got), len(want))
+			}
+			sort.Slice(got, func(a, b int) bool { return got[a].ID < got[b].ID })
+			for i, row := range got {
+				if len(row.Neighbors) != len(want[i].Neighbors) {
+					t.Fatalf("point %d: %d neighbors, want %d", i, len(row.Neighbors), len(want[i].Neighbors))
+				}
+				for n, nb := range row.Neighbors {
+					w := want[i].Neighbors[n]
+					if nb.ID != uint64(w.Object) || math.Abs(nb.Dist-w.Dist) > 1e-9 {
+						t.Fatalf("point %d neighbor %d: id %d at %g, want id %d at %g", i, n, nb.ID, nb.Dist, w.Object, w.Dist)
+					}
+				}
+			}
+		})
+	}
+}
+
+// geomPoints views points as the engine's point type.
+func geomPoints(pts []Point) []geom.Point {
+	out := make([]geom.Point, len(pts))
+	for i, p := range pts {
+		out[i] = p
+	}
+	return out
 }
 
 func TestAllKNearestNeighborsBothMetrics(t *testing.T) {
@@ -95,7 +154,7 @@ func TestAllKNearestNeighborsBothMetrics(t *testing.T) {
 	want := bruteNN(r, s, k, false)
 	ir, _ := BuildIndex(r, IndexConfig{})
 	is, _ := BuildIndex(s, IndexConfig{})
-	results, err := AllKNearestNeighborsContext(context.Background(), ir, is, k, QueryConfig{})
+	results, err := JoinAll(context.Background(), ir, is, k, false, QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,50 +169,9 @@ func TestAllKNearestNeighborsBothMetrics(t *testing.T) {
 	}
 }
 
-func TestSelfJoin(t *testing.T) {
-	pts := randomPoints(5, 150, 2)
-	ix, err := BuildIndex(pts, IndexConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := SelfAllNearestNeighborsContext(context.Background(), ix, QueryConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := bruteNN(pts, pts, 1, true)
-	sort.Slice(results, func(a, b int) bool { return results[a].ID < results[b].ID })
-	for i, res := range results {
-		if res.Neighbors[0].ID == res.ID {
-			t.Fatalf("point %d returned itself", i)
-		}
-		if math.Abs(res.Neighbors[0].Dist-want[i][0]) > 1e-9 {
-			t.Fatalf("point %d self-join NN dist %g, want %g", i, res.Neighbors[0].Dist, want[i][0])
-		}
-	}
-}
-
-func TestStreamDeliversAll(t *testing.T) {
-	r := randomPoints(6, 80, 2)
-	s := randomPoints(7, 90, 2)
-	ir, _ := BuildIndex(r, IndexConfig{})
-	is, _ := BuildIndex(s, IndexConfig{})
-	seen := map[uint64]bool{}
-	err := StreamAllKNearestNeighborsContext(context.Background(), ir, is, 2, QueryConfig{}, func(res Result) error {
-		seen[res.ID] = true
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 80 {
-		t.Fatalf("stream delivered %d results, want 80", len(seen))
-	}
-}
-
-// TestParallelismConfig pins the public contract of the Parallelism and
-// UnorderedEmit knobs: the default (parallel, ordered) run matches the
-// forced-serial run exactly, and an unordered run yields the same result
-// set modulo order.
+// TestParallelismConfig pins the public contract of the Parallelism
+// knob: the default (parallel) run matches the forced-serial run
+// exactly, in the same order.
 func TestParallelismConfig(t *testing.T) {
 	pts := randomPoints(20, 1500, 2)
 	for _, kind := range []IndexKind{MBRQT, RStar} {
@@ -162,11 +180,11 @@ func TestParallelismConfig(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ix.Close()
-		serial, err := SelfAllKNearestNeighborsContext(context.Background(), ix, 2, QueryConfig{Parallelism: 1})
+		serial, err := JoinAll(context.Background(), ix, ix, 2, true, QueryConfig{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		deflt, err := SelfAllKNearestNeighborsContext(context.Background(), ix, 2, QueryConfig{})
+		deflt, err := JoinAll(context.Background(), ix, ix, 2, true, QueryConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,38 +202,37 @@ func TestParallelismConfig(t *testing.T) {
 				}
 			}
 		}
-		unordered, err := SelfAllKNearestNeighborsContext(context.Background(), ix, 2, QueryConfig{Parallelism: 4, UnorderedEmit: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		byID := append([]Result(nil), serial...)
-		sort.Slice(byID, func(a, b int) bool { return byID[a].ID < byID[b].ID })
-		sort.Slice(unordered, func(a, b int) bool { return unordered[a].ID < unordered[b].ID })
-		for i := range byID {
-			if unordered[i].ID != byID[i].ID ||
-				unordered[i].Neighbors[0].Dist != byID[i].Neighbors[0].Dist {
-				t.Fatalf("%v: unordered result set differs at object %d", kind, byID[i].ID)
-			}
-		}
 	}
 }
 
-// TestInvalidK: a k below 1 and a probe of the wrong dimensionality are
-// rejected on the direct path with ErrInvalidConfig, the type the served
-// paths answer BAD_REQUEST for.
+// TestInvalidK: a k below 1, a negative join distance and a probe or
+// index of the wrong dimensionality are rejected on the direct path with
+// ErrInvalidConfig, the type the served paths answer BAD_REQUEST for.
 func TestInvalidK(t *testing.T) {
 	ctx := context.Background()
 	ix, err := BuildIndex(randomPoints(8, 10, 2), IndexConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix3, err := BuildIndex(randomPoints(8, 10, 3), IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	none := func(ObjectID, ObjectID, float64) error { return nil }
 	for name, call := range map[string]func() error{
+		"join 2-D × 3-D":   func() error { _, err := JoinAll(ctx, ix, ix3, 1, false, QueryConfig{}); return err },
+		"within 2-D × 3-D": func() error { return WithinDistanceContext(ctx, ix3, ix, 1, false, none) },
+		"within d=-1":      func() error { return WithinDistanceContext(ctx, ix, ix, -1, true, none) },
+		"closest pairs 2-D × 3-D": func() error {
+			_, err := ClosestPairsContext(ctx, ix, ix3, 1, false)
+			return err
+		},
 		"join k=0": func() error {
-			_, err := AllKNearestNeighborsContext(ctx, ix, ix, 0, QueryConfig{})
+			_, err := JoinAll(ctx, ix, ix, 0, false, QueryConfig{})
 			return err
 		},
 		"self-join k=0": func() error {
-			return StreamSelfAllKNearestNeighborsContext(ctx, ix, 0, QueryConfig{}, func(Result) error { return nil })
+			return Join(ctx, ix, ix, 0, true, QueryConfig{}, func(Result) error { return nil })
 		},
 		"closest pairs k=0": func() error { _, err := ClosestPairsContext(ctx, ix, ix, 0, true); return err },
 		"kNN k=0":           func() error { _, err := ix.NearestNeighbors(Point{1, 2}, 0); return err },
@@ -265,7 +282,7 @@ func TestFileBackedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	res, err := SelfAllNearestNeighborsContext(context.Background(), ix, QueryConfig{})
+	res, err := JoinAll(context.Background(), ix, ix, 1, true, QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

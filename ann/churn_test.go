@@ -91,16 +91,14 @@ func TestChurnPlateau(t *testing.T) {
 	for _, row := range churnRows {
 		t.Run(fmt.Sprintf("%v/%s", MBRQT, row.name), func(t *testing.T) {
 			ix, fresh := churn(t, pts, row.file, row.flushEvery, batches)
-			reg := NewMetricsRegistry()
-			ix.RegisterWALMetrics(reg)
 			got := ix.store.NumPages()
-			g := reg.registry().Snapshot().Gauges
+			free, drained, deferred, young := ix.tree.PageGauges()
 			t.Logf("%d → %d pages after %d batches; free %d, drained %d, deferred refs %d, young %d", fresh, got, batches,
-				g["storage.free_pages"], g["storage.drained_pages"], g["storage.deferred_refs"], g["storage.young_pages"])
+				free, drained, deferred, young)
 			if got > 4*fresh {
 				t.Fatalf("store grew from %d to %d pages (> 4×) under constant-cardinality churn", fresh, got)
 			}
-			if g["storage.free_pages"]+g["storage.drained_pages"] == 0 {
+			if free+drained == 0 {
 				t.Fatal("the lifecycle gauges report no page on its way back")
 			}
 			if reads := ix.Stats().PoolReads; reads != 0 {

@@ -508,8 +508,8 @@ type JoinOptions struct {
 	WantReport bool
 }
 
-// Join starts the AkNN join of r against s server-side (as
-// ann.StreamAllKNearestNeighborsContext) and returns the result stream.
+// Join starts the AkNN join of r against s server-side (as ann.Join
+// with excludeSelf unset) and returns the result stream.
 func (c *Client) Join(ctx context.Context, r, s string, k int) (*JoinStream, error) {
 	return c.startJoin(ctx, &wire.JoinReq{R: r, S: s}, k, JoinOptions{})
 }
@@ -519,9 +519,8 @@ func (c *Client) JoinWith(ctx context.Context, r, s string, k int, opts JoinOpti
 	return c.startJoin(ctx, &wire.JoinReq{R: r, S: s}, k, opts)
 }
 
-// SelfJoin starts the AkNN self-join of index server-side (as
-// ann.StreamSelfAllKNearestNeighborsContext) and returns the result
-// stream.
+// SelfJoin starts the AkNN self-join of index server-side (as ann.Join
+// of index with itself, excludeSelf set) and returns the result stream.
 func (c *Client) SelfJoin(ctx context.Context, index string, k int) (*JoinStream, error) {
 	return c.startJoin(ctx, &wire.JoinReq{R: index, Self: true}, k, JoinOptions{})
 }

@@ -152,7 +152,7 @@ func buildReference(t *testing.T, base []Point, steps []mutation, failed, prefix
 func requireSameJoin(t *testing.T, label string, got, want *Index) {
 	t.Helper()
 	join := func(ix *Index) []Result {
-		res, err := SelfAllKNearestNeighborsContext(context.Background(), ix, 2, QueryConfig{Parallelism: 1})
+		res, err := JoinAll(context.Background(), ix, ix, 2, true, QueryConfig{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("%s: self-join: %v", label, err)
 		}
@@ -272,7 +272,7 @@ func TestLiveInsertDelete(t *testing.T) {
 			t.Fatalf("%s: wrong-dim insert: %v", label, err)
 		}
 
-		ix.RequireNoPinnedFrames(t)
+		storage.RequireNoPinnedFrames(t, ix.pool)
 		if err := ix.Close(); err != nil {
 			t.Fatalf("%s: close: %v", label, err)
 		}
@@ -321,7 +321,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	inserted := false
 	count := 0
-	err = StreamSelfAllKNearestNeighborsContext(t.Context(), ix, 1, QueryConfig{Parallelism: 1}, func(Result) error {
+	err = Join(t.Context(), ix, ix, 1, true, QueryConfig{Parallelism: 1}, func(Result) error {
 		count++
 		if !inserted {
 			// The query has pinned its snapshot; commit a batch now.
@@ -339,7 +339,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if ix.Len() != len(base)+1 {
 		t.Fatalf("post-write Len %d", ix.Len())
 	}
-	ix.RequireNoPinnedFrames(t)
+	storage.RequireNoPinnedFrames(t, ix.pool)
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestRecoveryAfterCrash(t *testing.T) {
 	ref := buildReference(t, base, steps, len(steps), 0)
 	requireSameJoin(t, "recovered", rec, ref)
 	checkIntegrity(t, "recovered", rec)
-	rec.RequireNoPinnedFrames(t)
+	storage.RequireNoPinnedFrames(t, rec.pool)
 
 	// Clean close checkpoints; the next open has nothing to replay.
 	if err := rec.Close(); err != nil {
@@ -430,10 +430,10 @@ func chaosRunSteps(t *testing.T, cfg IndexConfig, label string, base []Point, st
 		if failedStep >= 0 {
 			// The writer is broken but queries must still serve the last
 			// published snapshot, and release it cleanly.
-			if _, err := SelfAllNearestNeighborsContext(context.Background(), ix, QueryConfig{}); err != nil {
+			if _, err := JoinAll(context.Background(), ix, ix, 1, true, QueryConfig{}); err != nil {
 				t.Fatalf("%s: query after write failure: %v", label, err)
 			}
-			ix.RequireNoPinnedFrames(t)
+			storage.RequireNoPinnedFrames(t, ix.pool)
 		}
 	}
 	testWrapStore, testWrapWAL = nil, nil
@@ -473,7 +473,7 @@ func chaosRunSteps(t *testing.T, cfg IndexConfig, label string, base []Point, st
 	ref := buildReference(t, base, steps, failedStep, prefix)
 	requireSameJoin(t, label, rec, ref)
 	checkIntegrity(t, label, rec)
-	rec.RequireNoPinnedFrames(t)
+	storage.RequireNoPinnedFrames(t, rec.pool)
 	if err := rec.Close(); err != nil {
 		t.Fatalf("%s: close: %v", label, err)
 	}
@@ -628,7 +628,7 @@ func TestFailedCheckpointEndsYouth(t *testing.T) {
 	ref := buildReference(t, base, steps, len(steps), 0)
 	requireSameJoin(t, "recovered", rec, ref)
 	checkIntegrity(t, "recovered", rec)
-	rec.RequireNoPinnedFrames(t)
+	storage.RequireNoPinnedFrames(t, rec.pool)
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -664,10 +664,10 @@ func TestWriteFailedClassification(t *testing.T) {
 	if ix.Len() != len(base) {
 		t.Fatalf("failed batch changed Len to %d", ix.Len())
 	}
-	if _, err := SelfAllNearestNeighborsContext(context.Background(), ix, QueryConfig{}); err != nil {
+	if _, err := JoinAll(context.Background(), ix, ix, 1, true, QueryConfig{}); err != nil {
 		t.Fatalf("query after write failure: %v", err)
 	}
-	ix.RequireNoPinnedFrames(t)
+	storage.RequireNoPinnedFrames(t, ix.pool)
 	// The failed batch is indeterminate: its write may have reached the
 	// file even though the fsync was never acknowledged.
 	rec, err := OpenIndex(path, IndexConfig{})
@@ -744,7 +744,7 @@ func TestConcurrentWritesAndQueries(t *testing.T) {
 				}
 				switch r {
 				case 0:
-					res, err := SelfAllNearestNeighborsContext(context.Background(), ix, QueryConfig{Parallelism: 2})
+					res, err := JoinAll(context.Background(), ix, ix, 1, true, QueryConfig{Parallelism: 2})
 					if err != nil {
 						report(fmt.Errorf("reader join: %w", err))
 						return
@@ -783,7 +783,7 @@ func TestConcurrentWritesAndQueries(t *testing.T) {
 	if st := ix.Stats(); st.SnapshotPins != 0 {
 		t.Fatalf("%d snapshot pins left", st.SnapshotPins)
 	}
-	ix.RequireNoPinnedFrames(t)
+	storage.RequireNoPinnedFrames(t, ix.pool)
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -4,16 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"testing"
 )
 
 // TestQueryObservability drives the public observability surface end to
-// end: TraceOut receives parseable Chrome trace-event JSON, OnReport
-// receives a QueryReport consistent with the emitted results, and a
-// shared MetricsRegistry accumulates the counters across queries.
+// end: TraceOut receives parseable Chrome trace-event JSON, and OnReport
+// receives a QueryReport consistent with the emitted results.
 func TestQueryObservability(t *testing.T) {
 	pts := randomPoints(3, 300, 2)
 	ix, err := BuildIndex(pts, IndexConfig{})
@@ -23,14 +20,12 @@ func TestQueryObservability(t *testing.T) {
 
 	var trace bytes.Buffer
 	var reports []QueryReport
-	metrics := NewMetricsRegistry()
 	cfg := QueryConfig{
 		TraceOut: &trace,
-		Metrics:  metrics,
 		OnReport: func(rep QueryReport) { reports = append(reports, rep) },
 	}
 
-	results, err := SelfAllKNearestNeighborsContext(context.Background(), ix, 1, cfg)
+	results, err := JoinAll(context.Background(), ix, ix, 1, true, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,57 +62,6 @@ func TestQueryObservability(t *testing.T) {
 	if !sawQuery {
 		t.Fatal("trace has no query span")
 	}
-
-	// A second run accumulates into the same registry.
-	cfg2 := QueryConfig{Metrics: metrics}
-	if _, err := SelfAllKNearestNeighborsContext(context.Background(), ix, 1, cfg2); err != nil {
-		t.Fatal(err)
-	}
-	var snap bytes.Buffer
-	if err := metrics.WriteJSON(&snap); err != nil {
-		t.Fatal(err)
-	}
-	var s struct {
-		Counters map[string]uint64 `json:"counters"`
-	}
-	if err := json.Unmarshal(snap.Bytes(), &s); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := s.Counters["engine.results"], uint64(2*len(pts)); got != want {
-		t.Fatalf("engine.results after two runs = %d, want %d", got, want)
-	}
-
-	// The registry serves the same snapshot over HTTP.
-	srv := httptest.NewServer(metrics.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var served struct {
-		Counters map[string]uint64 `json:"counters"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&served); err != nil {
-		t.Fatal(err)
-	}
-	if served.Counters["engine.results"] != s.Counters["engine.results"] {
-		t.Fatalf("served snapshot differs: %d vs %d",
-			served.Counters["engine.results"], s.Counters["engine.results"])
-	}
-}
-
-// TestNilMetricsRegistry: a nil registry is the disabled state and every
-// method must still be callable.
-func TestNilMetricsRegistry(t *testing.T) {
-	var m *MetricsRegistry
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if m.Handler() == nil {
-		t.Fatal("nil registry Handler must still serve (an empty snapshot)")
-	}
 }
 
 // TestQueryReportPoolFileBacked: a query report taken through
@@ -144,7 +88,7 @@ func TestQueryReportPoolFileBacked(t *testing.T) {
 			OnReport:       func(r QueryReport) { rep = r },
 		}
 		before := ix.Stats()
-		if _, err := SelfAllKNearestNeighborsContext(context.Background(), ix, 1, cfg); err != nil {
+		if _, err := JoinAll(context.Background(), ix, ix, 1, true, cfg); err != nil {
 			t.Fatal(err)
 		}
 		after := ix.Stats()

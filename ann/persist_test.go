@@ -22,7 +22,7 @@ func TestOpenIndexRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := SelfAllKNearestNeighborsContext(context.Background(), built, 2, QueryConfig{})
+		want, err := JoinAll(context.Background(), built, built, 2, true, QueryConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestOpenIndexRoundTrip(t *testing.T) {
 		if ix.Len() != len(pts) || ix.Dim() != 2 {
 			t.Fatalf("%v: reopened Len=%d Dim=%d", kind, ix.Len(), ix.Dim())
 		}
-		got, err := SelfAllKNearestNeighborsContext(context.Background(), ix, 2, QueryConfig{})
+		got, err := JoinAll(context.Background(), ix, ix, 2, true, QueryConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestOpenIndexRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		ix.RequireNoPinnedFrames(t)
+		storage.RequireNoPinnedFrames(t, ix.pool)
 		if err := ix.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestIndexStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	if _, err := SelfAllNearestNeighborsContext(context.Background(), ix, QueryConfig{}); err != nil {
+	if _, err := JoinAll(context.Background(), ix, ix, 1, true, QueryConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	st := ix.Stats()

@@ -111,8 +111,8 @@ func (ix *Index) publishLocked() {
 }
 
 // totalPins sums the pins across the version chain — the number of
-// snapshot references currently held by in-flight queries (the
-// wal.snapshot_pins gauge).
+// snapshot references currently held by in-flight queries
+// (IndexStats.SnapshotPins).
 func (ix *Index) totalPins() int64 {
 	ix.verMu.Lock()
 	defer ix.verMu.Unlock()
@@ -130,9 +130,6 @@ func (ix *Index) enableLiveUpdates(wal *storage.WAL) {
 	ix.wal = wal
 	ix.tree.EnableCoW()
 	ix.publishLocked()
-	if wal != nil {
-		wal.SetPinsFunc(ix.totalPins)
-	}
 }
 
 // checkpointLocked runs the full checkpoint protocol: data pages flushed

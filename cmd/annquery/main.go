@@ -22,8 +22,7 @@
 // vs flush time, wire bytes) only the server can measure; -trace-id
 // labels a remote request across the server's logs and debug endpoints;
 // -cpuprofile, -memprofile and -pprof-addr enable the standard Go
-// profiling hooks; -pprof-addr also serves the query's metrics registry
-// at /metrics.
+// profiling hooks.
 package main
 
 import (
@@ -126,12 +125,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown index kind %q", *kindStr)
 	}
 	qcfg := ann.QueryConfig{}
-
-	var routes []obs.Route
-	if prof.PprofAddr != "" {
-		qcfg.Metrics = ann.NewMetricsRegistry()
-		routes = append(routes, obs.Route{Pattern: "/metrics", Handler: qcfg.Metrics.Handler()})
-	}
 	var traceFile *os.File
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
@@ -149,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			_ = enc.Encode(rep)
 		}
 	}
-	stopProf, err := prof.Start(nil, routes...)
+	stopProf, err := prof.Start(nil)
 	if err != nil {
 		return err
 	}
@@ -189,20 +182,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		printResult(w, res)
 		return nil
 	}
-	if *selfQ && sIx == rIx {
-		results, err := ann.SelfAllKNearestNeighborsContext(ctx, rIx, *k, qcfg)
-		if err != nil {
-			return err
-		}
-		for _, res := range results {
-			if err := emit(res); err != nil {
-				return err
-			}
-		}
-	} else {
-		if err := ann.StreamAllKNearestNeighborsContext(ctx, rIx, sIx, *k, qcfg, emit); err != nil {
-			return err
-		}
+	if err := ann.Join(ctx, rIx, sIx, *k, *selfQ && sIx == rIx, qcfg, emit); err != nil {
+		return err
 	}
 	queryTime := time.Since(queryStart)
 	fmt.Fprintf(stderr, "annquery: %d results, index build %v, query %v (%s, k=%d)\n",

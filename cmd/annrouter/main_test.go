@@ -83,7 +83,7 @@ func TestRouterSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSelf, err := ann.SelfAllKNearestNeighborsContext(context.Background(), full, 4, ann.QueryConfig{})
+	wantSelf, err := ann.JoinAll(context.Background(), full, full, 4, true, ann.QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

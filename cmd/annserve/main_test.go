@@ -34,7 +34,7 @@ func TestServeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSelf, err := ann.SelfAllKNearestNeighborsContext(context.Background(), ix, 4, ann.QueryConfig{})
+	wantSelf, err := ann.JoinAll(context.Background(), ix, ix, 4, true, ann.QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func main() {
 
 	// One AkNN self-join provides each point's nearest neighbors; edges
 	// shorter than the linking length connect components.
-	results, err := ann.SelfAllKNearestNeighborsContext(context.Background(), ix, neighborsPerPoint, ann.QueryConfig{})
+	results, err := ann.JoinAll(context.Background(), ix, ix, neighborsPerPoint, true, ann.QueryConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func main() {
 	}
 
 	participation := func(from, to *ann.Index) (float64, error) {
-		results, err := ann.AllNearestNeighborsContext(context.Background(), from, to, ann.QueryConfig{})
+		results, err := ann.JoinAll(context.Background(), from, to, 1, false, ann.QueryConfig{})
 		if err != nil {
 			return 0, err
 		}

@@ -40,7 +40,7 @@ func main() {
 	}
 
 	// All-Nearest-Neighbors: one result per query point.
-	results, err := ann.AllNearestNeighborsContext(ctx, r, s, ann.QueryConfig{})
+	results, err := ann.JoinAll(ctx, r, s, 1, false, ann.QueryConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func main() {
 
 	// AkNN self-join: for every target point, its 3 nearest other targets.
 	fmt.Println("\n3 nearest neighbors of the first few target points (self-join):")
-	selfResults, err := ann.SelfAllKNearestNeighborsContext(ctx, s, 3, ann.QueryConfig{})
+	selfResults, err := ann.JoinAll(ctx, s, s, 3, true, ann.QueryConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	matches, err := ann.AllNearestNeighborsContext(context.Background(), ixA, ixB, ann.QueryConfig{})
+	matches, err := ann.JoinAll(context.Background(), ixA, ixB, 1, false, ann.QueryConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -589,7 +589,7 @@ func (f *fixture) directSelfJoin(t *testing.T, k int) []ann.Result {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	rows, err := ann.SelfAllKNearestNeighborsContext(context.Background(), ix, k, ann.QueryConfig{})
+	rows, err := ann.JoinAll(context.Background(), ix, ix, k, true, ann.QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -750,9 +750,10 @@ func TestInvalidBox(t *testing.T) {
 	}
 }
 
-// TestNaNCoordinateRefused sends a NaN coordinate down every path that
-// takes one: the library refuses it with ErrInvalidConfig — at build, at
-// write and at query — and the server and the router answer BAD_REQUEST.
+// TestNaNCoordinateRefused sends a NaN coordinate or distance down every
+// path that takes one: the library refuses it with ErrInvalidConfig — at
+// build, at write and at query — and the server and the router answer
+// BAD_REQUEST.
 // NaN passes every comparison-based check, so before it was refused an
 // accepted NaN point broke every later join.
 func TestNaNCoordinateRefused(t *testing.T) {
@@ -783,8 +784,15 @@ func TestNaNCoordinateRefused(t *testing.T) {
 		}
 	}
 	// The refused insert left nothing behind: the self-join still runs.
-	if rows, err := ann.SelfAllKNearestNeighborsContext(context.Background(), ix, 2, ann.QueryConfig{}); err != nil || len(rows) != len(f.pts) {
+	if rows, err := ann.JoinAll(context.Background(), ix, ix, 2, true, ann.QueryConfig{}); err != nil || len(rows) != len(f.pts) {
 		t.Errorf("self-join after the refused insert: %d rows, %v; want %d", len(rows), err, len(f.pts))
+	}
+	// A NaN distance passes every comparison too: unrefused, a
+	// within-distance join would emit every pair.
+	pairs := 0
+	count := func(uint64, uint64, float64) error { pairs++; return nil }
+	if err := ann.WithinDistanceContext(context.Background(), ix, ix, nan, true, count); !errors.Is(err, ann.ErrInvalidConfig) || pairs != 0 {
+		t.Errorf("direct within NaN: %d pairs, %v; want none and ErrInvalidConfig", pairs, err)
 	}
 
 	ctx := context.Background()
@@ -803,6 +811,19 @@ func TestNaNCoordinateRefused(t *testing.T) {
 				t.Errorf("%s Range %v: %v, want BAD_REQUEST", name, box, err)
 			}
 		}
+	}
+	// Served and routed refuse a NaN distance in the same words.
+	msgs := map[string]string{}
+	for name, cl := range map[string]*client.Client{"served": f.single, "routed": f.routed} {
+		_, err := cl.WithinDistance(ctx, "pts", "pts", nan, true, count)
+		if !client.IsBadRequest(err) || pairs != 0 {
+			t.Errorf("%s within NaN: %d pairs, %v; want none and BAD_REQUEST", name, pairs, err)
+			continue
+		}
+		msgs[name] = err.Error()
+	}
+	if msgs["served"] != msgs["routed"] {
+		t.Errorf("within NaN refused as %q served, %q routed", msgs["served"], msgs["routed"])
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -172,16 +173,16 @@ func (c *Catalog) CloseAll() error {
 // frames are pinned — the leak check concurrency tests run between
 // workload phases.
 func (c *Catalog) RequireNoPinnedFrames(t storage.TB) {
+	t.Helper()
 	c.mu.Lock()
-	entries := make([]*catalogEntry, 0, len(c.entries))
-	for _, e := range c.entries {
-		entries = append(entries, e)
-	}
+	entries := maps.Clone(c.entries)
 	c.mu.Unlock()
-	for _, e := range entries {
+	for name, e := range entries {
 		e.mu.RLock()
 		if !e.closed && e.ix != nil {
-			e.ix.RequireNoPinnedFrames(t)
+			if n := e.ix.Stats().PinnedFrames; n != 0 {
+				t.Errorf("index %q: buffer pool leak: %d frame(s) still pinned", name, n)
+			}
 		}
 		e.mu.RUnlock()
 	}

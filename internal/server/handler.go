@@ -288,11 +288,7 @@ func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHea
 	// mid-run, keeping the report's engine/flush split disjoint.
 	flushBefore := w.FlushNs
 	engineStart := time.Now()
-	if req.Self {
-		err = ann.StreamSelfAllKNearestNeighborsContext(ctx, rix, int(req.K), cfg, frames.Add)
-	} else {
-		err = ann.StreamAllKNearestNeighborsContext(ctx, rix, six, int(req.K), cfg, frames.Add)
-	}
+	err = ann.Join(ctx, rix, six, int(req.K), req.Self, cfg, frames.Add)
 	rc.engineNs = time.Since(engineStart).Nanoseconds() - (w.FlushNs - flushBefore)
 	if err != nil {
 		return err
@@ -310,9 +306,6 @@ func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHea
 }
 
 func (s *Server) handleWithin(ctx context.Context, req *wire.WithinReq, w *wire.ResponseWriter) error {
-	if !(req.Dist >= 0) {
-		return wire.BadRequest("distance must be non-negative, got %v", req.Dist)
-	}
 	rix, six, release, err := s.acquirePair(req.R, req.S)
 	if err != nil {
 		return err

@@ -16,6 +16,7 @@ import (
 
 	"allnn/ann"
 	"allnn/ann/client"
+	"allnn/internal/core"
 	"allnn/internal/obs"
 	"allnn/internal/wire"
 )
@@ -45,23 +46,21 @@ func TestServedReportParity(t *testing.T) {
 	// layout; only the total lookup count is parity-invariant. Fold the
 	// split into one number, the same normalisation the engine's own
 	// parity tests apply.
-	normalize := func(s ann.Stats) ann.Stats {
+	normalize := func(s core.Stats) core.Stats {
 		s.NodeCacheHits += s.NodeCacheMisses
 		s.NodeCacheMisses = 0
 		return s
 	}
-	direct := func(par int, self bool) ([]ann.Result, ann.Stats) {
+	direct := func(par int, self bool) ([]ann.Result, core.Stats) {
 		t.Helper()
 		var rep ann.QueryReport
 		cfg := ann.QueryConfig{Parallelism: par,
 			OnReport: func(r ann.QueryReport) { rep = r }}
-		var rows []ann.Result
-		var err error
+		s := six
 		if self {
-			rows, err = ann.SelfAllKNearestNeighborsContext(context.Background(), rix, 3, cfg)
-		} else {
-			rows, err = ann.AllKNearestNeighborsContext(context.Background(), rix, six, 3, cfg)
+			s = rix
 		}
+		rows, err := ann.JoinAll(context.Background(), rix, s, 3, self, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +143,7 @@ func TestReportVersionGate(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	want, err := ann.SelfAllKNearestNeighborsContext(context.Background(), ix, 2, ann.QueryConfig{})
+	want, err := ann.JoinAll(context.Background(), ix, ix, 2, true, ann.QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,7 +140,7 @@ func TestServedParity(t *testing.T) {
 		}
 
 		// ANN / AkNN join.
-		want, err := ann.AllKNearestNeighborsContext(context.Background(), rix, six, k, ann.QueryConfig{})
+		want, err := ann.JoinAll(context.Background(), rix, six, k, false, ann.QueryConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,11 +150,11 @@ func TestServedParity(t *testing.T) {
 		}
 		got := collectJoin(t, st)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("k=%d: served join diverges from direct AllKNearestNeighbors", k)
+			t.Fatalf("k=%d: served join diverges from direct JoinAll", k)
 		}
 
 		// Self-join variant.
-		wantSelf, err := ann.SelfAllKNearestNeighborsContext(context.Background(), rix, k, ann.QueryConfig{})
+		wantSelf, err := ann.JoinAll(context.Background(), rix, rix, k, true, ann.QueryConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestServedParity(t *testing.T) {
 		}
 		gotSelf := collectJoin(t, st)
 		if !reflect.DeepEqual(gotSelf, wantSelf) {
-			t.Fatalf("k=%d: served self-join diverges from direct SelfAllKNearestNeighbors", k)
+			t.Fatalf("k=%d: served self-join diverges from direct JoinAll", k)
 		}
 	}
 
@@ -296,7 +296,7 @@ func TestServedStatsParity(t *testing.T) {
 	// nothing above ≈ 600 KB), and the pages writes after it copy and
 	// reclaim take their cached nodes along (none are cached below
 	// ≈ 190 KB).
-	if _, err := ann.SelfAllKNearestNeighborsContext(context.Background(), ix, 2, ann.QueryConfig{Parallelism: 1, NodeCacheBytes: 384 << 10}); err != nil {
+	if _, err := ann.JoinAll(context.Background(), ix, ix, 2, true, ann.QueryConfig{Parallelism: 1, NodeCacheBytes: 384 << 10}); err != nil {
 		t.Fatal(err)
 	}
 	batch(ix, 1008)
@@ -510,7 +510,7 @@ func TestGracefulDrain(t *testing.T) {
 	// test reads it, so the join is still in flight when the probe below
 	// arrives however the goroutines are scheduled.
 	const k = 16
-	want, err := ann.SelfAllKNearestNeighborsContext(context.Background(), ix, k, ann.QueryConfig{})
+	want, err := ann.JoinAll(context.Background(), ix, ix, k, true, ann.QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,11 +601,11 @@ func TestMixedWorkloadRace(t *testing.T) {
 	ctx := context.Background()
 
 	// Direct-call baselines, computed once.
-	wantJoin, err := ann.AllKNearestNeighborsContext(context.Background(), rix, six, 2, ann.QueryConfig{})
+	wantJoin, err := ann.JoinAll(context.Background(), rix, six, 2, false, ann.QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSelf, err := ann.SelfAllKNearestNeighborsContext(context.Background(), rix, 1, ann.QueryConfig{})
+	wantSelf, err := ann.JoinAll(context.Background(), rix, rix, 1, true, ann.QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

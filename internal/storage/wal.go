@@ -10,8 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"allnn/internal/obs"
 )
 
 // The write-ahead log makes index mutations durable before they touch
@@ -359,7 +357,6 @@ type WAL struct {
 	checkpoints atomic.Uint64
 	replayed    atomic.Uint64
 	replayNs    atomic.Int64
-	pinsFn      atomic.Value // func() int64
 }
 
 // CreateWAL creates (truncating) a fresh log at path.
@@ -589,10 +586,6 @@ func (w *WAL) Size() int64 { return w.size - walHeaderSize }
 // a clean shutdown.
 func (w *WAL) Close() error { return w.f.Close() }
 
-// SetPinsFunc wires the snapshot-pin gauge (wal.snapshot_pins) to the
-// index's version chain.
-func (w *WAL) SetPinsFunc(fn func() int64) { w.pinsFn.Store(fn) }
-
 // WALStats is a snapshot of the log's counters.
 type WALStats struct {
 	Records     uint64 // records group-committed
@@ -611,25 +604,4 @@ func (w *WAL) Stats() WALStats {
 		Replayed:    w.replayed.Load(),
 		ReplayNs:    w.replayNs.Load(),
 	}
-}
-
-// Register wires the WAL into a metrics registry under the given family
-// prefix ("<prefix>.records", ".fsyncs", ".checkpoints",
-// ".replayed_records", ".replay_ns", plus gauge "<prefix>.snapshot_pins"
-// once SetPinsFunc has been called).
-func (w *WAL) Register(r *obs.Registry, prefix string) {
-	if r == nil {
-		return
-	}
-	r.CounterFunc(prefix+".records", func() uint64 { return w.records.Load() })
-	r.CounterFunc(prefix+".fsyncs", func() uint64 { return w.fsyncs.Load() })
-	r.CounterFunc(prefix+".checkpoints", func() uint64 { return w.checkpoints.Load() })
-	r.CounterFunc(prefix+".replayed_records", func() uint64 { return w.replayed.Load() })
-	r.CounterFunc(prefix+".replay_ns", func() uint64 { return uint64(w.replayNs.Load()) })
-	r.GaugeFunc(prefix+".snapshot_pins", func() int64 {
-		if fn, ok := w.pinsFn.Load().(func() int64); ok {
-			return fn()
-		}
-		return 0
-	})
 }
