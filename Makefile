@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check check loc bench-smoke bench-spine-smoke bench-ab trace-smoke fuzz-corpus chaos chaos-recover churn-table fuzz-smoke race-sched race-router serve-smoke obs-serve-smoke router-smoke
+.PHONY: build test race vet fmt-check check loc bench-smoke bench-spine-smoke bench-ab trace-smoke fuzz-corpus pagehash chaos chaos-recover churn-table fuzz-smoke race-sched race-router serve-smoke obs-serve-smoke router-smoke
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,12 @@ churn-table:
 # seeds are preserved.
 fuzz-corpus:
 	$(GO) test ./internal/wire -run TestRefreshFuzzCorpus -write-corpus
+
+# pagehash regenerates the MBRQT bulk-load page digests
+# (internal/mbrqt/testdata/pagehash) after a change that moves records
+# on purpose; TestBulkLoadPageFilePinned checks them on every test run.
+pagehash:
+	$(GO) test ./internal/mbrqt -run TestBulkLoadPageFilePinned -write-pagehash
 
 # fuzz-smoke gives each decode fuzzer a short budget on top of the
 # checked-in corpora (which every plain `go test` already replays).

@@ -319,14 +319,15 @@ func (t *Tree) serializeNode(n *node) [][]byte {
 	}
 }
 
-// writeNewNode allocates a fresh chain for n and returns its head ref.
-// Segments are allocated tail-first so each can embed its successor.
-func (t *Tree) writeNewNode(n *node) (nodeRef, error) {
+// writeNewNode allocates a fresh chain for n on the given fill list and
+// returns its head ref. Segments are allocated tail-first so each can
+// embed its successor.
+func (t *Tree) writeNewNode(n *node, fill *[]storage.PageID) (nodeRef, error) {
 	segments := t.serializeNode(n)
 	next := invalidRef
 	for i := len(segments) - 1; i >= 0; i-- {
 		binary.LittleEndian.PutUint32(segments[i][4:], uint32(next))
-		ref, err := t.rs.alloc(segments[i])
+		ref, err := t.rs.allocOn(fill, segments[i])
 		if err != nil {
 			return invalidRef, err
 		}
@@ -354,16 +355,7 @@ func (t *Tree) updateNode(ref nodeRef, n *node) (nodeRef, error) {
 	if err := t.freeNode(ref); err != nil {
 		return invalidRef, err
 	}
-	next := invalidRef
-	for i := len(segments) - 1; i >= 0; i-- {
-		binary.LittleEndian.PutUint32(segments[i][4:], uint32(next))
-		r, err := t.rs.alloc(segments[i])
-		if err != nil {
-			return invalidRef, err
-		}
-		next = r
-	}
-	return next, nil
+	return t.writeNewNode(n, &t.rs.fillPages)
 }
 
 // chainRefs returns the record refs of the node chain starting at ref.

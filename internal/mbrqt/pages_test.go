@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
+	"flag"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"allnn/internal/datagen"
@@ -46,9 +48,12 @@ func pinnedSets() []pinnedSet {
 	}
 }
 
-// pageHashes bulk-loads s into a fresh in-memory store, flushes the pool
-// and returns the hex SHA-256 of every page in page order.
-func pageHashes(t testing.TB, s pinnedSet) []string {
+var writePagehash = flag.Bool("write-pagehash", false,
+	"rewrite testdata/pagehash from the pinned sets' bulk loads")
+
+// loadPages bulk-loads s into a fresh in-memory store, flushes the pool
+// and returns every page's bytes in page order.
+func loadPages(t testing.TB, s pinnedSet) [][]byte {
 	t.Helper()
 	store := storage.NewMemStore()
 	pool := storage.NewBufferPool(store, 64)
@@ -58,25 +63,44 @@ func pageHashes(t testing.TB, s pinnedSet) []string {
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, storage.PageSize)
-	out := make([]string, store.NumPages())
+	out := make([][]byte, store.NumPages())
 	for id := range out {
-		if err := store.ReadPage(storage.PageID(id), buf); err != nil {
+		out[id] = make([]byte, storage.PageSize)
+		if err := store.ReadPage(storage.PageID(id), out[id]); err != nil {
 			t.Fatal(err)
 		}
-		sum := sha256.Sum256(buf)
+	}
+	return out
+}
+
+// pageHashes returns the hex SHA-256 of every page of s's bulk load.
+func pageHashes(t testing.TB, s pinnedSet) []string {
+	t.Helper()
+	pages := loadPages(t, s)
+	out := make([]string, len(pages))
+	for id, page := range pages {
+		sum := sha256.Sum256(page)
 		out[id] = hex.EncodeToString(sum[:])
 	}
 	return out
 }
 
-// TestBulkLoadPageFilePinned holds the bulk load to the page file it has
-// always written: every page of each pinned set must hash to the digest
-// checked in beside the test.
+// TestBulkLoadPageFilePinned holds the bulk load to the page file it
+// writes: every page of each pinned set must hash to the digest checked
+// in beside the test. A change that moves records on purpose regenerates
+// the digests with -write-pagehash (`make pagehash`).
 func TestBulkLoadPageFilePinned(t *testing.T) {
 	for _, s := range pinnedSets() {
 		t.Run(s.name, func(t *testing.T) {
-			f, err := os.Open(filepath.Join("testdata", "pagehash", s.name+".sha256"))
+			path := filepath.Join("testdata", "pagehash", s.name+".sha256")
+			got := pageHashes(t, s)
+			if *writePagehash {
+				if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			f, err := os.Open(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +113,6 @@ func TestBulkLoadPageFilePinned(t *testing.T) {
 			if err := sc.Err(); err != nil {
 				t.Fatal(err)
 			}
-			got := pageHashes(t, s)
 			if len(got) != len(want) {
 				t.Fatalf("%d pages, pinned %d", len(got), len(want))
 			}
@@ -97,6 +120,34 @@ func TestBulkLoadPageFilePinned(t *testing.T) {
 				if got[id] != want[id] {
 					t.Fatalf("page %d hashes to %s, pinned %s", id, got[id], want[id])
 				}
+			}
+		})
+	}
+}
+
+// TestBulkLoadSeparatesInternalRecords holds the bulk load's two page
+// classes: no page of a pinned set holds both a leaf record and an
+// internal one.
+func TestBulkLoadSeparatesInternalRecords(t *testing.T) {
+	for _, s := range pinnedSets() {
+		t.Run(s.name, func(t *testing.T) {
+			mixed, inner := 0, 0
+			for _, page := range loadPages(t, s)[1:] { // page 0 is the meta page
+				var kinds [3]int
+				for slot := 0; slot < pageNumSlots(page); slot++ {
+					if slotLength(page, slot) > 0 {
+						kinds[page[slotOffset(page, slot)]]++
+					}
+				}
+				if kinds[nodeTypeInternal] > 0 {
+					inner++
+					if kinds[nodeTypeLeaf] > 0 {
+						mixed++
+					}
+				}
+			}
+			if mixed > 0 {
+				t.Fatalf("%d of %d pages with internal records also hold leaf records", mixed, inner)
 			}
 		})
 	}

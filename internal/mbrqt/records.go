@@ -13,9 +13,14 @@ import (
 // quadtree split in D dimensions produces up to 2^D children holding a
 // handful of points each; giving each its own 8 KB page (as a naive
 // implementation would) shatters the index into nearly empty pages and
-// destroys the I/O behaviour that makes MBRQT attractive. Packing sibling
-// records into shared pages keeps both the page count and the traversal
-// locality close to the data's natural size.
+// destroys the I/O behaviour that makes MBRQT attractive.
+//
+// A bulk-loaded tree has two page classes. Leaf records fill pages in
+// post-order, so sibling leaves share pages. Internal records fill pages
+// of their own (a second fill list, innerPages): they are few and small,
+// so a pool keeps them resident, and a traversal that comes back to an
+// evicted internal node does not re-read a page of leaf points to reach
+// it. Incremental writes use one fill list for both kinds.
 //
 // Page layout:
 //
@@ -72,6 +77,9 @@ type recordStore struct {
 	// starts with no writable page, so its first allocation sweeps them
 	// all before it can use any.
 	fillPages []storage.PageID
+	// innerPages is the same cache for BulkLoad's internal records, which
+	// alone use it: no page it hands out ever holds a leaf record.
+	innerPages []storage.PageID
 
 	// deadSlots / liveInit track per published page how many of its
 	// records have been reclaimed vs how many were live when its first
@@ -232,17 +240,21 @@ func compactPage(data []byte) {
 	setPageFreeHigh(data, high)
 }
 
-// alloc stores record bytes and returns their ref.
-func (rs *recordStore) alloc(rec []byte) (nodeRef, error) {
+// alloc stores record bytes on the shared fill list and returns their ref.
+func (rs *recordStore) alloc(rec []byte) (nodeRef, error) { return rs.allocOn(&rs.fillPages, rec) }
+
+// allocOn stores record bytes on a page of the given fill list, or on a
+// page it claims and adds to that list, and returns their ref.
+func (rs *recordStore) allocOn(fill *[]storage.PageID, rec []byte) (nodeRef, error) {
 	if len(rec) > maxRecordSize {
 		return invalidRef, fmt.Errorf("mbrqt: record of %d bytes exceeds page capacity %d", len(rec), maxRecordSize)
 	}
 	// Try the cached fill pages, newest first.
-	for i := len(rs.fillPages) - 1; i >= 0; i-- {
-		pid := rs.fillPages[i]
+	for i := len(*fill) - 1; i >= 0; i-- {
+		pid := (*fill)[i]
 		if !rs.life.Writable(pid) {
 			// Published since it was cached: never write it.
-			rs.fillPages = append(rs.fillPages[:i], rs.fillPages[i+1:]...)
+			*fill = append((*fill)[:i], (*fill)[i+1:]...)
 			continue
 		}
 		ref, ok, err := rs.tryAllocIn(pid, rec)
@@ -253,7 +265,7 @@ func (rs *recordStore) alloc(rec []byte) (nodeRef, error) {
 			return ref, nil
 		}
 		// Page full: drop it from the cache.
-		rs.fillPages = append(rs.fillPages[:i], rs.fillPages[i+1:]...)
+		*fill = append((*fill)[:i], (*fill)[i+1:]...)
 	}
 	// A free page before a new one; the record always fits an empty page
 	// (checked above).
@@ -269,7 +281,7 @@ func (rs *recordStore) alloc(rec []byte) (nodeRef, error) {
 	initPage(f.Data())
 	f.MarkDirty()
 	f.Release()
-	rs.noteFillPage(pid)
+	noteFillPage(fill, pid)
 	ref, ok, err := rs.tryAllocIn(pid, rec)
 	if err != nil {
 		return invalidRef, err
@@ -369,7 +381,7 @@ func (rs *recordStore) free(ref nodeRef) error {
 	setSlot(f.Data(), ref.slot(), 0, 0)
 	f.MarkDirty()
 	f.Release()
-	rs.noteFillPage(ref.page())
+	noteFillPage(&rs.fillPages, ref.page())
 	return nil
 }
 
@@ -418,19 +430,21 @@ func (rs *recordStore) update(ref nodeRef, rec []byte) (nodeRef, error) {
 		setSlot(data, slot, 0, 0)
 		f.MarkDirty()
 		f.Release()
-		rs.noteFillPage(ref.page())
+		noteFillPage(&rs.fillPages, ref.page())
 		return rs.alloc(rec)
 	}
 }
 
-func (rs *recordStore) noteFillPage(pid storage.PageID) {
-	for _, p := range rs.fillPages {
+// noteFillPage adds pid to a fill list as its newest page, keeping the
+// eight newest.
+func noteFillPage(fill *[]storage.PageID, pid storage.PageID) {
+	for _, p := range *fill {
 		if p == pid {
 			return
 		}
 	}
-	rs.fillPages = append(rs.fillPages, pid)
-	if len(rs.fillPages) > 8 {
-		rs.fillPages = rs.fillPages[1:]
+	*fill = append(*fill, pid)
+	if len(*fill) > 8 {
+		*fill = (*fill)[1:]
 	}
 }

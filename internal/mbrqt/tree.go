@@ -232,7 +232,7 @@ func (t *Tree) Insert(id index.ObjectID, pt geom.Point) error {
 		return fmt.Errorf("mbrqt: point %v outside index space %v", pt, t.space)
 	}
 	if t.root == invalidRef {
-		ref, err := t.writeNewNode(&node{leaf: true, objects: []object{{id: id, pt: pt.Clone()}}})
+		ref, err := t.writeNewNode(&node{leaf: true, objects: []object{{id: id, pt: pt.Clone()}}}, &t.rs.fillPages)
 		if err != nil {
 			return err
 		}
@@ -294,7 +294,7 @@ func (t *Tree) insertAt(ref nodeRef, cell geom.Rect, depth int, id index.ObjectI
 		}
 	}
 	// No child for this quadrant yet: create a fresh leaf.
-	leafRef, err := t.writeNewNode(&node{leaf: true, objects: []object{{id: id, pt: pt.Clone()}}})
+	leafRef, err := t.writeNewNode(&node{leaf: true, objects: []object{{id: id, pt: pt.Clone()}}}, &t.rs.fillPages)
 	if err != nil {
 		return invalidRef, 0, err
 	}
@@ -324,8 +324,10 @@ func (t *Tree) splitLeaf(n *node, cell geom.Rect, depth int) (*node, int, error)
 // BulkLoad builds a tree from a point set in one pass. The space defaults
 // to the data MBR (inflated marginally so every point is strictly inside).
 // IDs are 0..len(pts)-1 unless ids is non-nil. Nodes are written in
-// post-order, which packs siblings into shared pages and gives the
-// traversal its locality.
+// post-order, leaf records on the shared fill list, where sibling leaves
+// share pages, and internal records on a fill list of their own, so no
+// page holds both kinds and the few internal pages stay resident in the
+// pool.
 func BulkLoad(pool *storage.BufferPool, pts []geom.Point, ids []index.ObjectID, cfg Config) (*Tree, error) {
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("mbrqt: BulkLoad of empty point set")
@@ -343,6 +345,7 @@ func BulkLoad(pool *storage.BufferPool, pts []geom.Point, ids []index.ObjectID, 
 		return nil, err
 	}
 	l := t.newLoader(len(pts))
+	l.innerFill = &t.rs.innerPages
 	for i, p := range pts {
 		oid := index.ObjectID(i)
 		if ids != nil {
@@ -369,7 +372,9 @@ func BulkLoad(pool *storage.BufferPool, pts []geom.Point, ids []index.ObjectID, 
 // leaves them, grouped by quadrant, at the same run of the other buffer
 // for its children. A node's working set is its own run, contiguous and
 // shrinking with depth, so per-node state stays linear in its points and
-// the passes below the top levels stay in cache.
+// the passes below the top levels stay in cache. innerFill is the fill
+// list internal records go to: the store's own for BulkLoad, the shared
+// one for an Insert's split.
 type loader struct {
 	t         *Tree
 	dim       int
@@ -378,11 +383,12 @@ type loader struct {
 	keys, tmp []uint64
 	mid       geom.Point
 	leaf      []object
+	innerFill *[]storage.PageID
 }
 
 // newLoader sizes a loader for n objects, which set places in buffer 0.
 func (t *Tree) newLoader(n int) *loader {
-	l := &loader{t: t, dim: t.dim, keys: make([]uint64, n), tmp: make([]uint64, n), mid: make(geom.Point, t.dim)}
+	l := &loader{t: t, dim: t.dim, keys: make([]uint64, n), tmp: make([]uint64, n), mid: make(geom.Point, t.dim), innerFill: &t.rs.fillPages}
 	for b := range l.xs {
 		l.xs[b] = make([]float64, n*t.dim)
 		l.ids[b] = make([]index.ObjectID, n)
@@ -411,14 +417,14 @@ func (l *loader) build(b, lo, hi int, cell geom.Rect, depth int) (nodeRef, int, 
 			mbr.ExpandPoint(pt)
 			l.leaf = append(l.leaf, object{id: l.ids[b][i], pt: pt})
 		}
-		ref, err := l.t.writeNewNode(&node{leaf: true, objects: l.leaf})
+		ref, err := l.t.writeNewNode(&node{leaf: true, objects: l.leaf}, &l.t.rs.fillPages)
 		return ref, depth, mbr, err
 	}
 	n, height, mbr, err := l.split(b, lo, hi, cell, depth)
 	if err != nil {
 		return invalidRef, 0, geom.Rect{}, err
 	}
-	ref, err := l.t.writeNewNode(n)
+	ref, err := l.t.writeNewNode(n, l.innerFill)
 	return ref, height, mbr, err
 }
 

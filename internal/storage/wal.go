@@ -36,7 +36,7 @@ import (
 // point — before the snapshot, between the snapshot and the meta page
 // write, or during the log reset — land on a consistent tree without
 // log sequence numbers in the page file (see ann.OpenIndex and
-// DESIGN.md §15).
+// DESIGN.md §14).
 //
 // Appends are group-committed: Append* buffers records in memory and
 // Sync persists the whole batch with one write and one fsync.
