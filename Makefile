@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check check loc bench-smoke bench-spine-smoke bench-ab trace-smoke fuzz-corpus pagehash chaos chaos-recover churn-table fuzz-smoke race-sched race-router serve-smoke obs-serve-smoke router-smoke
+.PHONY: build test race vet fmt-check check loc bench-smoke bench-spine-smoke bench-ab trace-smoke fuzz-corpus pagehash chaos chaos-recover churn-table pool-replay fuzz-smoke race-sched race-router serve-smoke obs-serve-smoke router-smoke
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,16 @@ chaos-recover:
 # over 300 batches — and skips itself unless -run names it).
 churn-table:
 	$(GO) test -count=1 -run TestChurnTable -v ./ann/
+
+# pool-replay logs ROADMAP item 17's table: four self-joins behind the
+# paper's 64-frame pool (Fig 3(a)'s TAC, TAC 200 K, and Fig 6's FC at
+# k = 10 and 50), each with its pins, distinct pages, and the misses of
+# plain LRU, of the pool as shipped (the engine's page hints), of the
+# dead-page oracle and of Belady (≈ 5 s; it asserts nothing —
+# TestPinReplay pins one smaller join — and skips itself unless -run
+# names it).
+pool-replay:
+	$(GO) test -count=1 -run TestPoolReplayTable -v ./internal/core
 
 # fuzz-corpus regenerates the wire seed corpora from the sample frame
 # lists (corpus_test.go) after a protocol change; curated legacy-*

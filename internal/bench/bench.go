@@ -86,6 +86,9 @@ type Measurement struct {
 	IOCount uint64
 	IOTime  time.Duration
 	Results uint64
+	// Engine is the core engine's counters for an MBA or RBA row; zero
+	// for the other algorithms.
+	Engine core.Stats
 }
 
 // Total returns CPU + I/O time.
@@ -258,11 +261,15 @@ func runMBA(name string, cfg Config, p *prepared, opts core.Options) (Measuremen
 	if err != nil {
 		return Measurement{}, err
 	}
-	return measure(name, cfg, pool, 0, func() (uint64, error) {
-		stats, err := core.RunContext(context.Background(), ir, is, opts, func(core.Result) error { return nil })
+	var stats core.Stats
+	m, err := measure(name, cfg, pool, 0, func() (uint64, error) {
+		var err error
+		stats, err = core.RunContext(context.Background(), ir, is, opts, func(core.Result) error { return nil })
 		stats.AddTo(cfg.Metrics) // no-op on a nil registry
 		return stats.Results, err
 	})
+	m.Engine = stats
+	return m, err
 }
 
 // DeclareMetricFamilies pre-creates the five stats families in r by

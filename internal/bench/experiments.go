@@ -208,24 +208,27 @@ func RunFig4(cfg Config) ([]Measurement, error) {
 	return ms, nil
 }
 
+// paperKs are the k of Figures 5 and 6.
+var paperKs = []int{10, 20, 30, 40, 50}
+
 // RunFig5 reproduces Figure 5: AkNN on TAC for k = 10..50.
 func RunFig5(cfg Config) ([]Measurement, error) {
-	return runAkNNSweep(cfg, "Figure 5: AkNN on TAC", tacData(cfg.withDefaults()))
+	return runAkNNSweep(cfg, "Figure 5: AkNN on TAC", tacData(cfg.withDefaults()), paperKs)
 }
 
 // RunFig6 reproduces Figure 6: AkNN on FC for k = 10..50.
 func RunFig6(cfg Config) ([]Measurement, error) {
-	return runAkNNSweep(cfg, "Figure 6: AkNN on FC", fcData(cfg.withDefaults()))
+	return runAkNNSweep(cfg, "Figure 6: AkNN on FC", fcData(cfg.withDefaults()), paperKs)
 }
 
-func runAkNNSweep(cfg Config, title string, pts []geom.Point) ([]Measurement, error) {
+func runAkNNSweep(cfg Config, title string, pts []geom.Point, ks []int) ([]Measurement, error) {
 	cfg = cfg.withDefaults()
 	prep, err := prepareSelf(KindMBRQT, pts)
 	if err != nil {
 		return nil, err
 	}
 	var ms []Measurement
-	for k := 10; k <= 50; k += 10 {
+	for _, k := range ks {
 		m, err := runMBA(fmt.Sprintf("MBA k=%d", k), cfg, prep,
 			core.Options{K: k, ExcludeSelf: true})
 		if err != nil {

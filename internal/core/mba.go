@@ -148,6 +148,7 @@ func RunContext(ctx context.Context, ir, is index.Tree, opts Options, emit func(
 	if opts.Parallelism > 1 {
 		err = e.runParallel(root, opts.Parallelism)
 	} else {
+		e.hints = newPageHints(ir, is)
 		err = e.dfbi(root)
 	}
 	if obsOn {
@@ -205,6 +206,10 @@ type engine struct {
 	// sched accumulates the scheduler and batch-kernel counters, merged
 	// into Options.Sched at the end of the run.
 	sched SchedStats
+
+	// hints, set for a serial join over a pool smaller than the file,
+	// tells the pool which pages the join has finished with.
+	hints *pageHints
 }
 
 // seedRoot is Algorithm 2's first step: the root of I_R owns an LPQ
@@ -246,10 +251,20 @@ func (e *engine) dfbi(q *lpq) error {
 		return err
 	}
 	releaseLPQ(q)
+	h := e.hints
+	if h != nil {
+		h.push(children)
+	}
 	for _, c := range children {
+		if h != nil {
+			h.start()
+		}
 		if err := e.dfbi(c); err != nil {
 			return err
 		}
+	}
+	if h != nil {
+		h.pop()
 	}
 	return nil
 }
@@ -347,6 +362,9 @@ func (e *engine) expandAndPrune(q *lpq) ([]*lpq, error) {
 
 	if leaf {
 		err = e.emitLeaf()
+		if err == nil && e.hints != nil {
+			e.hints.afterLeaf(e.join.maxOwnerBound)
+		}
 	}
 	out := lpqcs[:0]
 	for _, c := range lpqcs {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"allnn/internal/datagen"
@@ -19,12 +20,14 @@ import (
 // pool holds a tenth of it, as 64 frames do of the page-file benchmark's
 // 200 K-point index; at 64 frames this index fits and the join reads each
 // page once. The traversal is deterministic, so a count moves only when
-// the engine visits different nodes or the index places its records
-// differently.
+// the engine visits different nodes, tells the pool other pages are
+// finished, or the index places its records differently. The same join
+// behind a pool that holds the whole file, where the join has nothing to
+// tell the pool, gives the same rows and the same Stats.
 func TestPoolMissesPinned(t *testing.T) {
 	const (
-		joinMisses  = 550 // 888 while internal records shared pages with leaves
-		probeMisses = 743 // 1 311 then
+		joinMisses  = 547 // 550 before the join told the pool which pages it had finished with; 888 while internal records shared pages with leaves
+		probeMisses = 743 // 743 and 1 311 then
 	)
 	store := storage.NewMemStore()
 	load := storage.NewBufferPool(store, 64)
@@ -35,21 +38,32 @@ func TestPoolMissesPinned(t *testing.T) {
 	if err := load.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	pool := storage.NewBufferPool(store, 8)
-	tree, err := mbrqt.Open(pool, built.MetaPage())
-	if err != nil {
-		t.Fatal(err)
+	join := func(frames int) (*storage.BufferPool, *mbrqt.Tree, []Result, Stats) {
+		pool := storage.NewBufferPool(store, frames)
+		tree, err := mbrqt.Open(pool, built.MetaPage())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{K: 1, ExcludeSelf: true, NodeCacheBytes: NodeCacheDisabled}
+		rows, stats, err := CollectContext(context.Background(), tree, tree, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != tree.Len() {
+			t.Fatalf("self-join emitted %d rows for %d points", len(rows), tree.Len())
+		}
+		return pool, tree, rows, stats
 	}
-	opts := Options{K: 1, ExcludeSelf: true, NodeCacheBytes: NodeCacheDisabled}
-	rows := 0
-	if _, err := RunContext(context.Background(), tree, tree, opts, func(Result) error { rows++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if rows != tree.Len() {
-		t.Fatalf("self-join emitted %d rows for %d points", rows, tree.Len())
-	}
+	pool, tree, rows, stats := join(8)
 	if got := pool.Stats().Misses; got != joinMisses {
 		t.Errorf("self-join missed the pool %d times, pinned %d", got, joinMisses)
+	}
+	_, _, wantRows, wantStats := join(128)
+	if stats != wantStats {
+		t.Errorf("Stats behind 8 frames %+v, behind the whole file %+v", stats, wantStats)
+	}
+	if !reflect.DeepEqual(rows, wantRows) {
+		t.Error("rows behind 8 frames differ from rows behind the whole file")
 	}
 
 	rng := rand.New(rand.NewSource(40))

@@ -482,3 +482,29 @@ func (s *Snapshot) NodeCacheRef() *NodeCache { return s.sh.NodeCacheRef() }
 // Pool returns the parent tree's buffer pool, so a query report over a
 // snapshot accounts the page traffic it caused (core.QueryReport.Pool).
 func (s *Snapshot) Pool() *storage.BufferPool { return s.sh.pool }
+
+// pageMapper is what a Snapshot forwards of a tree that can say where
+// its nodes lie: the page of the record an Entry.Child names, and the MBR
+// of everything the records on a page hold. MBRQT implements it; the
+// engine's page hints read it.
+type pageMapper interface {
+	RefPage(ref storage.PageID) storage.PageID
+	PageBounds(data []byte) (geom.Rect, bool)
+}
+
+// RefPage forwards to a tree that can say where its nodes lie.
+func (s *Snapshot) RefPage(ref storage.PageID) storage.PageID {
+	if m, ok := s.sh.src.(pageMapper); ok {
+		return m.RefPage(ref)
+	}
+	return ref
+}
+
+// PageBounds forwards to a tree that can say where its nodes lie; over
+// one that cannot, no page has bounds.
+func (s *Snapshot) PageBounds(data []byte) (geom.Rect, bool) {
+	if m, ok := s.sh.src.(pageMapper); ok {
+		return m.PageBounds(data)
+	}
+	return geom.Rect{}, false
+}

@@ -196,6 +196,52 @@ func (t *Tree) Visit(child storage.PageID, fn func(index.Block) error) error {
 	})
 }
 
+// RefPage returns the page of the record ref (an Entry.Child) names, the
+// first of its node's chain. With PageBounds it lets the engine tell the
+// buffer pool which pages a join has finished with.
+func (t *Tree) RefPage(ref storage.PageID) storage.PageID { return nodeRef(ref).page() }
+
+// PageBounds returns the MBR of the points of every leaf record and the
+// child MBRs of every internal record on a page, read from its bytes. It
+// reports false for bytes that are not a slotted page of valid node
+// records (the meta page, a damaged page) or that hold no record.
+func (t *Tree) PageBounds(data []byte) (geom.Rect, bool) {
+	if len(data) < recHeaderLen {
+		return geom.Rect{}, false
+	}
+	n := pageNumSlots(data)
+	if n > maxSlots || recHeaderLen+n*slotEntryLen > len(data) {
+		return geom.Rect{}, false
+	}
+	r := geom.EmptyRect(t.dim)
+	lo, hi := make(geom.Point, t.dim), make(geom.Point, t.dim)
+	for s := 0; s < n; s++ {
+		if slotLength(data, s) == 0 {
+			continue
+		}
+		rec, err := recordFromPage(data, s)
+		if err != nil {
+			return geom.Rect{}, false
+		}
+		v, err := parseRecord(rec, t.dim, true, false)
+		if err != nil {
+			return geom.Rect{}, false
+		}
+		b := v.block(t.dim)
+		for i := 0; i < b.N; i++ {
+			if b.Leaf {
+				b.Object(i, lo)
+				r.ExpandPoint(lo)
+			} else {
+				b.Child(i, lo, hi)
+				r.ExpandPoint(lo)
+				r.ExpandPoint(hi)
+			}
+		}
+	}
+	return r, !r.IsEmpty()
+}
+
 // quadOf returns the quadrant code of pt within cell: bit d is set when
 // pt lies in the upper half of dimension d.
 func quadOf(pt geom.Point, cell geom.Rect) uint32 {

@@ -446,3 +446,49 @@ func TestSmallBufferPoolStillWorks(t *testing.T) {
 		t.Fatal("a 2-frame pool over this workload must miss")
 	}
 }
+
+// TestPageBoundsCoverTheirNodes checks RefPage and PageBounds on a bulk
+// load: every
+// node's MBR lies inside the bounds of the page its record is on, a page
+// that holds a record has bounds, and the meta page has none.
+func TestPageBoundsCoverTheirNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	pool := newPool(256)
+	tree, err := BulkLoad(pool, uniformPoints(rng, 3000, 2, 1), nil, Config{BucketCapacity: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := func(page storage.PageID) (geom.Rect, bool) {
+		f, err := pool.Get(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Release()
+		return tree.PageBounds(f.Data())
+	}
+	if _, ok := bounds(tree.MetaPage()); ok {
+		t.Error("the meta page has bounds")
+	}
+	root, err := tree.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := []index.Entry{root}
+	for len(nodes) > 0 {
+		e := nodes[len(nodes)-1]
+		nodes = nodes[:len(nodes)-1]
+		r, ok := bounds(tree.RefPage(e.Child))
+		if !ok || !r.ContainsRect(e.MBR) {
+			t.Fatalf("node %v with MBR %v lies on a page bounded by %v (ok %v)", e.Child, e.MBR, r, ok)
+		}
+		children, err := tree.Expand(&e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range children {
+			if !c.IsObject() {
+				nodes = append(nodes, c)
+			}
+		}
+	}
+}

@@ -16,9 +16,13 @@ import (
 // matters for reproducing the paper's I/O costs: each miss is one page
 // fetched from the store.
 type Stats struct {
-	Hits      uint64 // Get served from a resident frame
-	Misses    uint64 // Get that had to read the page from the store
-	Reads     uint64 // pages read from the store (== Misses)
+	Hits   uint64 // Get served from a resident frame
+	Misses uint64 // Get that had to read the page from the store
+	// Reads counts the misses whose read succeeded: a miss is counted
+	// before its frame is grabbed and its page read, so Misses − Reads is
+	// the number of Gets that failed (pool full, or a read error that
+	// survived the retries).
+	Reads     uint64
 	Writes    uint64 // dirty pages written back to the store
 	Evictions uint64 // frames recycled to make room
 	// Retries counts transient read failures that were retried (whether or
@@ -151,6 +155,29 @@ type BufferPool struct {
 	// trace, when set, receives a "pool.read" span per miss (lane
 	// obs.TidPool). One atomic load per Get when unset.
 	trace atomic.Pointer[obs.Tracer]
+	// pins, when set, records the page of every Get (SetPinLog).
+	pins atomic.Pointer[PinLog]
+}
+
+// PinLog records the page of every Get a pool serves, hit or miss, in
+// order. A test attaches one (SetPinLog) to replay a traversal's page
+// requests under other replacement policies; production never does.
+type PinLog struct {
+	mu    sync.Mutex
+	pages []PageID
+}
+
+// Pages returns a copy of the pages recorded so far.
+func (l *PinLog) Pages() []PageID {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]PageID(nil), l.pages...)
+}
+
+func (l *PinLog) add(id PageID) {
+	l.mu.Lock()
+	l.pages = append(l.pages, id)
+	l.mu.Unlock()
 }
 
 // Retry policy defaults: three retries starting at 200µs roughly double
@@ -351,6 +378,9 @@ func (p *BufferPool) Get(id PageID) (*Frame, error) {
 // pin pins page id, fills in the handle and returns it.
 func (p *BufferPool) pin(id PageID, h *Frame) (*Frame, error) {
 	tr := p.trace.Load()
+	if l := p.pins.Load(); l != nil {
+		l.add(id)
+	}
 	sh := p.shardOf(id)
 	h.shard, h.id = sh, id
 	sh.mu.Lock()
@@ -455,6 +485,37 @@ func (sh *poolShard) discard(id PageID) {
 	sh.free = append(sh.free, idx)
 }
 
+// Demote moves page id's frame, if it is resident and unpinned, to the
+// evict-first end of the LRU list: the caller has finished with the page
+// and expects nobody to ask for it soon. Unlike Discard the page stays
+// cached, so a wrong guess costs nothing until the frame is reused.
+func (p *BufferPool) Demote(id PageID) {
+	sh := p.shardOf(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	idx, ok := sh.table[id]
+	if !ok || sh.frames[idx].pins > 0 {
+		return
+	}
+	sh.lruRemove(idx)
+	sh.lruAppend(idx)
+}
+
+// Unpinned calls fn with every resident, unpinned page and its bytes,
+// most recently used first within each shard. It pins nothing and counts
+// no hit: fn sees the bytes under the shard's lock, so it must not call
+// into the pool and must not keep data.
+func (p *BufferPool) Unpinned(fn func(id PageID, data []byte)) {
+	for si := range p.shards {
+		sh := &p.shards[si]
+		sh.mu.Lock()
+		for idx := sh.lruHead; idx != noFrame; idx = sh.frames[idx].next {
+			fn(sh.frames[idx].id, sh.frames[idx].data)
+		}
+		sh.mu.Unlock()
+	}
+}
+
 // FlushAll writes every dirty resident page back to the store. Pinned
 // pages are flushed too (they stay resident and pinned).
 func (p *BufferPool) FlushAll() error {
@@ -521,6 +582,10 @@ func (p *BufferPool) FlushPage(id PageID) error {
 // concurrent workers' reads may overlap there — use them for when/what,
 // not for nesting.
 func (p *BufferPool) SetTracer(t *obs.Tracer) { p.trace.Store(t) }
+
+// SetPinLog attaches (or, with nil, detaches) a log receiving the page of
+// every Get. Safe to flip concurrently with Gets.
+func (p *BufferPool) SetPinLog(l *PinLog) { p.pins.Store(l) }
 
 // PinnedFrames returns the number of currently pinned frames; useful for
 // leak checking in tests.
@@ -627,6 +692,21 @@ func (sh *poolShard) lruPush(idx int) {
 	sh.lruHead = idx
 	if sh.lruTail == noFrame {
 		sh.lruTail = idx
+	}
+}
+
+// lruAppend links idx at the tail (evict-first end) of the LRU list.
+// Called with the shard lock held.
+func (sh *poolShard) lruAppend(idx int) {
+	f := &sh.frames[idx]
+	f.next = noFrame
+	f.prev = sh.lruTail
+	if sh.lruTail != noFrame {
+		sh.frames[sh.lruTail].next = idx
+	}
+	sh.lruTail = idx
+	if sh.lruHead == noFrame {
+		sh.lruHead = idx
 	}
 }
 

@@ -87,6 +87,79 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 }
 
+// TestDemoteEvictsFirst checks that a demoted page is the next victim
+// but stays cached until then, that Unpinned lists unpinned pages most
+// recently used first with their bytes, and that Demote leaves a pinned
+// or absent page alone.
+func TestDemoteEvictsFirst(t *testing.T) {
+	p := newPoolWithPages(t, 3, 5)
+	get := func(id PageID) {
+		f, err := p.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Release()
+	}
+	get(0)
+	get(1)
+	get(2) // LRU order, most recent first: 2 1 0
+	pinned, err := p.Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Demote(1) // pinned: no effect
+	p.Demote(4) // not resident: no effect
+	var seen []PageID
+	p.Unpinned(func(id PageID, data []byte) {
+		if data[0] != byte(id) {
+			t.Errorf("Unpinned hands page %d the bytes of page %d", id, data[0])
+		}
+		seen = append(seen, id)
+	})
+	if fmt.Sprint(seen) != "[2 0]" {
+		t.Fatalf("Unpinned lists %v, want [2 0]", seen)
+	}
+	pinned.Release() // order: 1 2 0
+	p.Demote(2)      // order: 1 0 2
+	p.ResetStats()
+	get(2) // still cached: a hit, and 2 is most recent again
+	if st := p.Stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("a demoted page left the pool: %+v", st)
+	}
+	p.Demote(1) // order: 2 0 1
+	get(3)      // evicts 1, the demoted page, not 0, the least recent
+	p.ResetStats()
+	get(0)
+	get(1)
+	if st := p.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("want page 0 resident and page 1 evicted: %+v", st)
+	}
+}
+
+// TestPinLogRecordsEveryGet checks that an attached log receives every
+// Get, hit or miss, in order, and a detached one nothing more.
+func TestPinLogRecordsEveryGet(t *testing.T) {
+	p := newPoolWithPages(t, 2, 4)
+	get := func(id PageID) {
+		f, err := p.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Release()
+	}
+	get(3)
+	log := new(PinLog)
+	p.SetPinLog(log)
+	for _, id := range []PageID{0, 3, 0, 2, 1} {
+		get(id)
+	}
+	p.SetPinLog(nil)
+	get(2)
+	if got := fmt.Sprint(log.Pages()); got != "[0 3 0 2 1]" {
+		t.Fatalf("pin log %s, want [0 3 0 2 1]", got)
+	}
+}
+
 func TestPinnedPagesNotEvicted(t *testing.T) {
 	p := newPoolWithPages(t, 2, 4)
 	pinned, err := p.Get(0)

@@ -299,3 +299,52 @@ func TestFaultStoreWriteCorruptionProbabilistic(t *testing.T) {
 		t.Fatalf("ReadPage after injected bit flip = %v, want ErrCorruptPage", err)
 	}
 }
+
+// TestMissesMinusReadsCountsFailedGets holds Stats to its definition: a
+// miss is counted before its frame is grabbed and its page read, and a
+// read only once it succeeded, so Misses − Reads is the number of Gets
+// that failed — on reads that stayed failed through the retries, and on
+// a pool whose every frame is pinned.
+func TestMissesMinusReadsCountsFailedGets(t *testing.T) {
+	inner := NewMemStore()
+	for i := 0; i < 16; i++ {
+		if _, err := inner.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs := NewFaultStore(inner, FaultConfig{Seed: 7, ReadErrProb: 0.4})
+	pool := NewBufferPoolWithConfig(fs, 4, fastRetries)
+	failed := 0
+	for i := 0; i < 400; i++ {
+		f, err := pool.Get(PageID(i * 7 % 16))
+		if err != nil {
+			failed++
+			continue
+		}
+		f.Release()
+	}
+	fs.SetConfig(FaultConfig{})
+	var held []*Frame
+	for id := PageID(0); id < 4; id++ {
+		f, err := pool.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, f)
+	}
+	if _, err := pool.Get(5); !errors.Is(err, ErrPoolFull) {
+		t.Fatalf("Get with every frame pinned: %v, want ErrPoolFull", err)
+	}
+	failed++
+	for _, f := range held {
+		f.Release()
+	}
+	st := pool.Stats()
+	if st.Retries == 0 || failed < 2 {
+		t.Fatalf("the store injected too little: %d retries, %d failed Gets", st.Retries, failed)
+	}
+	if got := st.Misses - st.Reads; got != uint64(failed) {
+		t.Errorf("Misses − Reads = %d − %d = %d, want the %d failed Gets", st.Misses, st.Reads, got, failed)
+	}
+	RequireNoPinnedFrames(t, pool)
+}
