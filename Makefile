@@ -52,10 +52,9 @@ chaos:
 # going on after a checkpoint that failed at its last sync, concurrent
 # insert batches against parallel snapshot-isolated queries — joins, and
 # kNN probes reading pages in place under a 64-frame pool — on
-# GOMAXPROCS=4, the shared copy-on-write conformance of
-# internal/index/indextest run by MBRQT, the tree kind written after
-# build, and the constant-cardinality churn plateau, within one process
-# and across close/open rounds.
+# GOMAXPROCS=4, MBRQT's copy-on-write conformance, and the
+# constant-cardinality churn plateau, within one process and across
+# close/open rounds.
 chaos-recover:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
 		-run 'ChaosCrashRecovery|RecoveryAfterCrash|FailedCheckpoint|WriteFailedClassification|ConcurrentWritesAndQueries|KNNReadersBesideWriter|SnapshotIsolation|RebuildFree|ChurnPlateau|ChurnAcrossReopen' \

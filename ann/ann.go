@@ -14,10 +14,8 @@
 //	s, _ := ann.BuildIndex(targetPoints, ann.IndexConfig{})
 //	results, _ := ann.JoinAll(ctx, r, s, 1, false, ann.QueryConfig{})
 //
-// Indexes default to the paper's MBRQT (an MBR-enhanced bucket PR
-// quadtree); the paper's R*-tree baseline is available, read-only,
-// through IndexConfig.Kind. Queries prune with the paper's NXNDIST
-// metric.
+// Every index is the paper's MBRQT (an MBR-enhanced bucket PR
+// quadtree), and queries prune with the paper's NXNDIST metric.
 //
 // Queries run in parallel by default: independent subtrees of the query
 // index are drained by a pool of worker goroutines (one per CPU unless
@@ -42,7 +40,6 @@ import (
 	"allnn/internal/index"
 	"allnn/internal/mbrqt"
 	"allnn/internal/obs"
-	"allnn/internal/rstar"
 	"allnn/internal/storage"
 )
 
@@ -54,31 +51,8 @@ type Point = []float64
 // sequential ids (the position in the input slice).
 type ObjectID = uint64
 
-// IndexKind selects the index structure backing an Index.
-type IndexKind int
-
-const (
-	// MBRQT is the paper's MBR-enhanced bucket PR quadtree (default;
-	// fastest for ANN workloads).
-	MBRQT IndexKind = iota
-	// RStar is a classic R*-tree, the index of the paper's RBA
-	// configuration, provided for comparison. It is read-only: built once,
-	// then queried; every write fails with ErrInvalidConfig.
-	RStar
-)
-
-// String implements fmt.Stringer.
-func (k IndexKind) String() string {
-	if k == RStar {
-		return "R*-tree"
-	}
-	return "MBRQT"
-}
-
 // IndexConfig configures BuildIndex. The zero value is ready to use.
 type IndexConfig struct {
-	// Kind selects the index structure (default MBRQT).
-	Kind IndexKind
 	// BufferPoolBytes bounds the buffer pool caching the index pages
 	// (default 64 MB; the disk-resident pages live in memory unless
 	// PageFile is set).
@@ -117,10 +91,9 @@ var (
 // arguments, so callers — and the serving layer, which answers
 // BAD_REQUEST — can classify bad requests with errors.Is: a query with k
 // below 1, a NaN or negative join distance, two indexes or a probe or box
-// of different dimensionality, an inverted box, a write to a read-only
-// R*-tree index, and a rejected mutation batch (ids and points of unequal
-// count, an empty batch, a point of the wrong dimensionality or outside
-// the index space).
+// of different dimensionality, an inverted box, and a rejected mutation
+// batch (ids and points of unequal count, an empty batch, a point of the
+// wrong dimensionality or outside the index space).
 var ErrInvalidConfig = errors.New("invalid options")
 
 // refusal is an ErrInvalidConfig whose text is its message alone, so a
@@ -195,16 +168,13 @@ type QueryReport = core.QueryReport
 // not run concurrently with queries — see internal/server's catalog for
 // the lock pattern.
 type Index struct {
-	tree  index.Shelled
-	pool  *storage.BufferPool
+	tree  *mbrqt.Tree
 	store storage.Store
-	size  int
-	kind  IndexKind
 
 	// Live-update state (write.go), armed by enableLiveUpdates; wal is
 	// set for file-backed indexes only. writeMu serialises the
-	// single-writer mutation path and guards size/writeErr; verMu guards
-	// the snapshot version chain.
+	// single-writer mutation path and guards writeErr; verMu guards the
+	// snapshot version chain.
 	wal      *storage.WAL
 	writeMu  sync.Mutex
 	writeErr error
@@ -249,20 +219,12 @@ func BuildIndex(points []Point, cfg IndexConfig) (*Index, error) {
 	}
 	pool := storage.NewBufferPool(store, storage.FramesForBytes(poolBytes))
 
-	var tree index.Shelled
-	var err error
-	switch cfg.Kind {
-	case RStar:
-		tree, err = rstar.BulkLoad(pool, gp, nil, rstar.Config{})
-	default:
-		tree, err = mbrqt.BulkLoad(pool, gp, nil, mbrqt.Config{})
-	}
+	tree, err := mbrqt.BulkLoad(pool, gp, nil, mbrqt.Config{})
 	if err != nil {
 		store.Close()
 		return nil, err
 	}
-	ix := &Index{tree: tree, pool: pool, store: store, size: len(points), kind: cfg.Kind,
-		ckptEveryBytes: cfg.CheckpointEveryBytes}
+	ix := &Index{tree: tree, store: store, ckptEveryBytes: cfg.CheckpointEveryBytes}
 	var wal *storage.WAL
 	if cfg.PageFile != "" {
 		wal, err = createWALAt(cfg.PageFile + ".wal")
@@ -316,9 +278,6 @@ func (ix *Index) Len() int {
 	defer ix.release(v)
 	return t.Len()
 }
-
-// Kind returns the index structure backing this Index.
-func (ix *Index) Kind() IndexKind { return ix.kind }
 
 // Dim returns the dimensionality of the indexed points.
 func (ix *Index) Dim() int { return ix.tree.Dim() }

@@ -61,11 +61,10 @@ func TestBuildIndexValidation(t *testing.T) {
 }
 
 // TestJoin holds Join and JoinAll to an exhaustive scan: ANN and AkNN,
-// across two indexes and as a self-join, over both index kinds, serial
-// and parallel. excludeSelf over two distinct indexes skips, for each r
-// point, the s point of its own id: here that is its twin, a copy
-// displaced by 1e-3 and so its nearest neighbor. Join streams the rows
-// JoinAll collects.
+// across two indexes and as a self-join, serial and parallel.
+// excludeSelf over two distinct indexes skips, for each r point, the s
+// point of its own id: here that is its twin, a copy displaced by 1e-3
+// and so its nearest neighbor. Join streams the rows JoinAll collects.
 func TestJoin(t *testing.T) {
 	r := randomPoints(1, 200, 2)
 	s := randomPoints(2, 250, 2)
@@ -76,28 +75,26 @@ func TestJoin(t *testing.T) {
 	twins = append(twins, s[:50]...)
 	for _, tc := range []struct {
 		name        string
-		kind        IndexKind
 		s           []Point // nil: a self-join over r's index
 		k, par      int
 		excludeSelf bool
 	}{
-		{name: "ann-mbrqt", kind: MBRQT, s: s, k: 1},
-		{name: "ann-rstar", kind: RStar, s: s, k: 1},
-		{name: "aknn", kind: MBRQT, s: s, k: 2},
-		{name: "self-ann", kind: MBRQT, k: 1, excludeSelf: true},
-		{name: "self-aknn-rstar", kind: RStar, k: 4, excludeSelf: true},
-		{name: "exclude-self-distinct/serial", kind: MBRQT, s: twins, k: 3, par: 1, excludeSelf: true},
-		{name: "exclude-self-distinct/par4", kind: MBRQT, s: twins, k: 3, par: 4, excludeSelf: true},
+		{name: "ann-mbrqt", s: s, k: 1},
+		{name: "aknn", s: s, k: 2},
+		{name: "self-ann", k: 1, excludeSelf: true},
+		{name: "self-aknn", k: 4, excludeSelf: true},
+		{name: "exclude-self-distinct/serial", s: twins, k: 3, par: 1, excludeSelf: true},
+		{name: "exclude-self-distinct/par4", s: twins, k: 3, par: 4, excludeSelf: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ir, err := BuildIndex(r, IndexConfig{Kind: tc.kind})
+			ir, err := BuildIndex(r, IndexConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ir.Close()
 			is, sPts := ir, r
 			if tc.s != nil {
-				if is, err = BuildIndex(tc.s, IndexConfig{Kind: tc.kind}); err != nil {
+				if is, err = BuildIndex(tc.s, IndexConfig{}); err != nil {
 					t.Fatal(err)
 				}
 				defer is.Close()
@@ -174,32 +171,30 @@ func TestAllKNearestNeighborsBothMetrics(t *testing.T) {
 // exactly, in the same order.
 func TestParallelismConfig(t *testing.T) {
 	pts := randomPoints(20, 1500, 2)
-	for _, kind := range []IndexKind{MBRQT, RStar} {
-		ix, err := BuildIndex(pts, IndexConfig{Kind: kind})
-		if err != nil {
-			t.Fatal(err)
+	ix, err := BuildIndex(pts, IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	serial, err := JoinAll(context.Background(), ix, ix, 2, true, QueryConfig{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deflt, err := JoinAll(context.Background(), ix, ix, 2, true, QueryConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(deflt) != len(serial) {
+		t.Fatalf("default run returned %d results, serial %d", len(deflt), len(serial))
+	}
+	for i := range serial {
+		if deflt[i].ID != serial[i].ID {
+			t.Fatalf("ordered parallel emit order diverges at %d", i)
 		}
-		defer ix.Close()
-		serial, err := JoinAll(context.Background(), ix, ix, 2, true, QueryConfig{Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		deflt, err := JoinAll(context.Background(), ix, ix, 2, true, QueryConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(deflt) != len(serial) {
-			t.Fatalf("%v: default run returned %d results, serial %d", kind, len(deflt), len(serial))
-		}
-		for i := range serial {
-			if deflt[i].ID != serial[i].ID {
-				t.Fatalf("%v: ordered parallel emit order diverges at %d", kind, i)
-			}
-			for n := range serial[i].Neighbors {
-				if deflt[i].Neighbors[n].ID != serial[i].Neighbors[n].ID ||
-					deflt[i].Neighbors[n].Dist != serial[i].Neighbors[n].Dist {
-					t.Fatalf("%v: neighbor mismatch for object %d", kind, serial[i].ID)
-				}
+		for n := range serial[i].Neighbors {
+			if deflt[i].Neighbors[n].ID != serial[i].Neighbors[n].ID ||
+				deflt[i].Neighbors[n].Dist != serial[i].Neighbors[n].Dist {
+				t.Fatalf("neighbor mismatch for object %d", serial[i].ID)
 			}
 		}
 	}
@@ -368,5 +363,21 @@ func TestClosestPairs(t *testing.T) {
 	}
 	if !sort.SliceIsSorted(pairs, func(a, b int) bool { return pairs[a].Dist < pairs[b].Dist }) {
 		t.Fatal("pairs not sorted")
+	}
+}
+
+// TestClosestPairsHugeK: a k far beyond the pair count returns every
+// pair. The collector grows with what it holds; one that reserved k
+// slots asked the runtime for 137 GB at k = 2^32-1, a fatal error no
+// caller can recover from.
+func TestClosestPairsHugeK(t *testing.T) {
+	ix, err := BuildIndex([]Point{{0, 0}, {1, 0}, {0, 2}, {3, 3}}, IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	pairs, err := ClosestPairsContext(context.Background(), ix, ix, math.MaxUint32, true)
+	if err != nil || len(pairs) != 12 {
+		t.Fatalf("got %d pairs, %v; want all 12 ordered pairs of 4 points", len(pairs), err)
 	}
 }

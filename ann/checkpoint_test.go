@@ -19,7 +19,7 @@ func TestAutoCheckpointBoundsWAL(t *testing.T) {
 		batches   = 40
 		batchSize = 8
 	)
-	t.Run(MBRQT.String(), func(t *testing.T) {
+	t.Run("MBRQT", func(t *testing.T) {
 		base := basePoints(81, 64, 2)
 		path := filepath.Join(t.TempDir(), "auto.pages")
 		ix, err := BuildIndex(base, IndexConfig{PageFile: path, CheckpointEveryBytes: budget})

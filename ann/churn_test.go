@@ -89,7 +89,7 @@ func TestChurnPlateau(t *testing.T) {
 	const n, batches = 20000, 300
 	pts := randomPoints(7, n, 2)
 	for _, row := range churnRows {
-		t.Run(fmt.Sprintf("%v/%s", MBRQT, row.name), func(t *testing.T) {
+		t.Run("MBRQT/"+row.name, func(t *testing.T) {
 			ix, fresh := churn(t, pts, row.file, row.flushEvery, batches)
 			got := ix.store.NumPages()
 			free, drained, deferred, young := ix.tree.PageGauges()
@@ -117,7 +117,7 @@ func TestChurnPlateau(t *testing.T) {
 func TestChurnAcrossReopen(t *testing.T) {
 	const n, rounds, batches = 20000, 5, 60
 	pts := randomPoints(7, n, 2)
-	t.Run(MBRQT.String(), func(t *testing.T) {
+	t.Run("MBRQT", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "reopen.pages")
 		ix, err := BuildIndex(pts, IndexConfig{PageFile: path})
 		if err != nil {

@@ -36,7 +36,6 @@ const ioGrace = 2 * time.Second
 // IndexInfo describes one catalog index.
 type IndexInfo struct {
 	Name   string
-	Kind   ann.IndexKind
 	Points int
 	Dim    int
 }
@@ -624,7 +623,6 @@ func (st *JoinStream) finish(err error) {
 func toIndexInfo(info wire.IndexInfo) IndexInfo {
 	return IndexInfo{
 		Name:   info.Name,
-		Kind:   ann.IndexKind(info.Kind),
 		Points: int(info.Points),
 		Dim:    int(info.Dim),
 	}

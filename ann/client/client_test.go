@@ -233,7 +233,7 @@ func BenchmarkClientRoundTrip(b *testing.B) {
 	for i := range pts {
 		pts[i] = ann.Point{rng.Float64() * 1000, rng.Float64() * 1000}
 	}
-	ix, err := ann.BuildIndex(pts, ann.IndexConfig{Kind: ann.MBRQT})
+	ix, err := ann.BuildIndex(pts, ann.IndexConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

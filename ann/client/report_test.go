@@ -44,7 +44,7 @@ func TestReportDecodeRejectsHostile(t *testing.T) {
 			t.Errorf("%s: report %q accepted as %+v", name, b, rep)
 		}
 	}
-	for _, b := range []string{`{"points":-1}`, `{"cache_bytes":-1}`, `{"wal_replay_ns":-2}`, `{"kind":-1}`, `{"pool_hits":-1}`, `nope`} {
+	for _, b := range []string{`{"points":-1}`, `{"cache_bytes":-1}`, `{"wal_replay_ns":-2}`, `{"pinned_frames":-1}`, `{"pool_hits":-1}`, `nope`} {
 		var st ann.IndexStats
 		if err := decodeRecord("stats", []byte(b), &st); err == nil {
 			t.Errorf("stats %q accepted as %+v", b, st)

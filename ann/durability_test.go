@@ -183,11 +183,7 @@ func requireSameJoin(t *testing.T, label string, got, want *Index) {
 // checkIntegrity runs the backing tree's structural verification.
 func checkIntegrity(t *testing.T, label string, ix *Index) {
 	t.Helper()
-	c, ok := ix.tree.(interface{ CheckIntegrity() error })
-	if !ok {
-		t.Fatalf("%s: tree has no CheckIntegrity", label)
-	}
-	if err := c.CheckIntegrity(); err != nil {
+	if err := ix.tree.CheckIntegrity(); err != nil {
 		t.Fatalf("%s: integrity: %v", label, err)
 	}
 }
@@ -272,42 +268,11 @@ func TestLiveInsertDelete(t *testing.T) {
 			t.Fatalf("%s: wrong-dim insert: %v", label, err)
 		}
 
-		storage.RequireNoPinnedFrames(t, ix.pool)
+		storage.RequireNoPinnedFrames(t, ix.tree.Pool())
 		if err := ix.Close(); err != nil {
 			t.Fatalf("%s: close: %v", label, err)
 		}
 	}
-}
-
-// TestRStarIsReadOnly: an R*-tree index is built and then only read.
-// Every write verb fails with ErrInvalidConfig before anything is logged,
-// and the index answers as before.
-func TestRStarIsReadOnly(t *testing.T) {
-	base := basePoints(79, 200, 2)
-	ix, err := BuildIndex(base, IndexConfig{Kind: RStar, PageFile: filepath.Join(t.TempDir(), "rstar.pages")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	ref, err := BuildIndex(base, IndexConfig{Kind: RStar})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Point{50, 50}
-	for name, write := range map[string]func() error{
-		"Insert":      func() error { return ix.Insert(9000, p) },
-		"InsertBatch": func() error { return ix.InsertBatch([]uint64{9000}, []Point{p}) },
-		"Delete":      func() error { _, err := ix.Delete(0, base[0]); return err },
-		"DeleteBatch": func() error { _, err := ix.DeleteBatch([]uint64{0}, base[:1]); return err },
-	} {
-		if err := write(); !errors.Is(err, ErrInvalidConfig) {
-			t.Errorf("%s: %v, want ErrInvalidConfig", name, err)
-		}
-	}
-	if ix.Len() != len(base) || !ix.wal.Empty() {
-		t.Fatalf("refused writes left Len %d and a log of %d bytes", ix.Len(), ix.wal.Size())
-	}
-	requireSameJoin(t, "after refused writes", ix, ref)
 }
 
 // TestSnapshotIsolation pins a pre-write snapshot mid-query and checks
@@ -339,7 +304,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if ix.Len() != len(base)+1 {
 		t.Fatalf("post-write Len %d", ix.Len())
 	}
-	storage.RequireNoPinnedFrames(t, ix.pool)
+	storage.RequireNoPinnedFrames(t, ix.tree.Pool())
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +339,7 @@ func TestRecoveryAfterCrash(t *testing.T) {
 	ref := buildReference(t, base, steps, len(steps), 0)
 	requireSameJoin(t, "recovered", rec, ref)
 	checkIntegrity(t, "recovered", rec)
-	storage.RequireNoPinnedFrames(t, rec.pool)
+	storage.RequireNoPinnedFrames(t, rec.tree.Pool())
 
 	// Clean close checkpoints; the next open has nothing to replay.
 	if err := rec.Close(); err != nil {
@@ -433,7 +398,7 @@ func chaosRunSteps(t *testing.T, cfg IndexConfig, label string, base []Point, st
 			if _, err := JoinAll(context.Background(), ix, ix, 1, true, QueryConfig{}); err != nil {
 				t.Fatalf("%s: query after write failure: %v", label, err)
 			}
-			storage.RequireNoPinnedFrames(t, ix.pool)
+			storage.RequireNoPinnedFrames(t, ix.tree.Pool())
 		}
 	}
 	testWrapStore, testWrapWAL = nil, nil
@@ -473,7 +438,7 @@ func chaosRunSteps(t *testing.T, cfg IndexConfig, label string, base []Point, st
 	ref := buildReference(t, base, steps, failedStep, prefix)
 	requireSameJoin(t, label, rec, ref)
 	checkIntegrity(t, label, rec)
-	storage.RequireNoPinnedFrames(t, rec.pool)
+	storage.RequireNoPinnedFrames(t, rec.tree.Pool())
 	if err := rec.Close(); err != nil {
 		t.Fatalf("%s: close: %v", label, err)
 	}
@@ -628,7 +593,7 @@ func TestFailedCheckpointEndsYouth(t *testing.T) {
 	ref := buildReference(t, base, steps, len(steps), 0)
 	requireSameJoin(t, "recovered", rec, ref)
 	checkIntegrity(t, "recovered", rec)
-	storage.RequireNoPinnedFrames(t, rec.pool)
+	storage.RequireNoPinnedFrames(t, rec.tree.Pool())
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -667,7 +632,7 @@ func TestWriteFailedClassification(t *testing.T) {
 	if _, err := JoinAll(context.Background(), ix, ix, 1, true, QueryConfig{}); err != nil {
 		t.Fatalf("query after write failure: %v", err)
 	}
-	storage.RequireNoPinnedFrames(t, ix.pool)
+	storage.RequireNoPinnedFrames(t, ix.tree.Pool())
 	// The failed batch is indeterminate: its write may have reached the
 	// file even though the fsync was never acknowledged.
 	rec, err := OpenIndex(path, IndexConfig{})
@@ -783,7 +748,7 @@ func TestConcurrentWritesAndQueries(t *testing.T) {
 	if st := ix.Stats(); st.SnapshotPins != 0 {
 		t.Fatalf("%d snapshot pins left", st.SnapshotPins)
 	}
-	storage.RequireNoPinnedFrames(t, ix.pool)
+	storage.RequireNoPinnedFrames(t, ix.tree.Pool())
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}

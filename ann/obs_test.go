@@ -69,38 +69,34 @@ func TestQueryObservability(t *testing.T) {
 // The join runs over a published snapshot of the index, and the report's
 // pool section has to see through it: over a file-backed index whose pool
 // is far smaller than the page file, Pool.Reads equals the Index.Stats()
-// delta around the join (and is not zero), for both index kinds.
+// delta around the join (and is not zero).
 func TestQueryReportPoolFileBacked(t *testing.T) {
 	pts := randomPoints(9, 4000, 2)
-	for _, kind := range []IndexKind{MBRQT, RStar} {
-		ix, err := BuildIndex(pts, IndexConfig{
-			Kind:            kind,
-			PageFile:        filepath.Join(t.TempDir(), "ix.pages"),
-			BufferPoolBytes: 8 * 8192,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rep QueryReport
-		cfg := QueryConfig{
-			Parallelism:    1,
-			NodeCacheBytes: -1, // every expansion goes to the pool
-			OnReport:       func(r QueryReport) { rep = r },
-		}
-		before := ix.Stats()
-		if _, err := JoinAll(context.Background(), ix, ix, 1, true, cfg); err != nil {
-			t.Fatal(err)
-		}
-		after := ix.Stats()
-		if want := after.PoolReads - before.PoolReads; want == 0 || rep.Pool.Reads != want {
-			t.Errorf("%v: report Pool.Reads = %d, Index.Stats() delta = %d (want equal, non-zero)",
-				kind, rep.Pool.Reads, want)
-		}
-		if want := after.PoolMisses - before.PoolMisses; rep.Pool.Misses != want {
-			t.Errorf("%v: report Pool.Misses = %d, Index.Stats() delta = %d", kind, rep.Pool.Misses, want)
-		}
-		if err := ix.Close(); err != nil {
-			t.Fatal(err)
-		}
+	ix, err := BuildIndex(pts, IndexConfig{
+		PageFile:        filepath.Join(t.TempDir(), "ix.pages"),
+		BufferPoolBytes: 8 * 8192,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep QueryReport
+	cfg := QueryConfig{
+		Parallelism:    1,
+		NodeCacheBytes: -1, // every expansion goes to the pool
+		OnReport:       func(r QueryReport) { rep = r },
+	}
+	before := ix.Stats()
+	if _, err := JoinAll(context.Background(), ix, ix, 1, true, cfg); err != nil {
+		t.Fatal(err)
+	}
+	after := ix.Stats()
+	if want := after.PoolReads - before.PoolReads; want == 0 || rep.Pool.Reads != want {
+		t.Errorf("report Pool.Reads = %d, Index.Stats() delta = %d (want equal, non-zero)", rep.Pool.Reads, want)
+	}
+	if want := after.PoolMisses - before.PoolMisses; rep.Pool.Misses != want {
+		t.Errorf("report Pool.Misses = %d, Index.Stats() delta = %d", rep.Pool.Misses, want)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,13 +1,11 @@
 package ann
 
 import (
-	"errors"
 	"fmt"
 
 	"allnn/internal/geom"
 	"allnn/internal/index"
 	"allnn/internal/mbrqt"
-	"allnn/internal/rstar"
 	"allnn/internal/storage"
 )
 
@@ -16,9 +14,8 @@ import (
 // prebuilt index online. The file's physical page framing is verified on
 // open (and every page read re-verifies its checksum), so a damaged or
 // foreign file surfaces as a clean error wrapping ErrCorruptPage instead
-// of reaching the index decoders. The index kind (MBRQT or R*-tree) is
-// detected from the stored header; cfg.Kind and cfg.PageFile are
-// ignored.
+// of reaching the index decoders, and so does a file whose header is
+// not an MBRQT's. cfg.PageFile is ignored.
 //
 // OpenIndex also runs crash recovery: the write-ahead log next to the
 // page file (<path>.wal) is scanned, a torn tail from an interrupted
@@ -28,10 +25,7 @@ import (
 // recovered state is checkpointed, so recovery work is never repeated.
 // The result is exactly the state after the last mutation batch whose
 // commit was acknowledged (plus, possibly, a committed prefix of an
-// unacknowledged batch that was interrupted mid-fsync). An R*-tree index
-// is read-only, so a log of one that holds insert or delete records is
-// refused with ErrInvalidConfig before anything is replayed, and the
-// records stay in the log.
+// unacknowledged batch that was interrupted mid-fsync).
 func OpenIndex(path string, cfg IndexConfig) (*Index, error) {
 	fs, err := storage.OpenFileStore(path)
 	if err != nil {
@@ -71,43 +65,26 @@ func OpenIndex(path string, cfg IndexConfig) (*Index, error) {
 	}
 	pool := storage.NewBufferPool(store, storage.FramesForBytes(poolBytes))
 
-	// The meta page of a bulk-loaded tree is the first page of its store;
-	// the tree kind is detected by which header magic it carries.
-	var ix *Index
-	if t, err := mbrqt.Open(pool, 0); err == nil {
-		ix = &Index{tree: t, pool: pool, store: store, size: t.Len(), kind: MBRQT}
-	} else if !errors.Is(err, storage.ErrCorruptPage) {
-		return fail(err)
-	} else {
-		t, err := rstar.Open(pool, 0)
-		if err != nil {
-			if errors.Is(err, storage.ErrCorruptPage) {
-				return fail(fmt.Errorf("ann: %s holds neither an MBRQT nor an R*-tree header: %w", path, err))
-			}
-			return fail(err)
-		}
-		ix = &Index{tree: t, pool: pool, store: store, size: t.Len(), kind: RStar}
+	// The meta page of a bulk-loaded tree is the first page of its store.
+	t, err := mbrqt.Open(pool, 0)
+	if err != nil {
+		return fail(fmt.Errorf("ann: open %s: %w", path, err))
 	}
-	m, mutable := ix.tree.(index.Mutable)
-	if !mutable && len(ops) > 0 {
-		return fail(fmt.Errorf("ann: %s holds a read-only %v index, but its log holds %d writes: %w", path, ix.kind, len(ops), ErrInvalidConfig))
-	}
-	ix.ckptEveryBytes = cfg.CheckpointEveryBytes
+	ix := &Index{tree: t, store: store, ckptEveryBytes: cfg.CheckpointEveryBytes}
 
 	ix.enableLiveUpdates(wal)
 	if snap != nil || len(ops) > 0 {
 		for _, op := range ops {
 			switch {
 			case op.IsWALInsert():
-				err = m.Insert(index.ObjectID(op.ID), geom.Point(op.Point))
+				err = t.Insert(index.ObjectID(op.ID), geom.Point(op.Point))
 			case op.IsWALDelete():
-				_, err = m.Delete(index.ObjectID(op.ID), geom.Point(op.Point))
+				_, err = t.Delete(index.ObjectID(op.ID), geom.Point(op.Point))
 			}
 			if err != nil {
 				return fail(fmt.Errorf("ann: WAL replay: %w", err))
 			}
 		}
-		ix.size = ix.tree.Len()
 		ix.publishLocked()
 		// Fold the replayed state into a fresh checkpoint so the next open
 		// starts clean; this also truncates the log.
@@ -118,11 +95,8 @@ func OpenIndex(path string, cfg IndexConfig) (*Index, error) {
 	// The tree now equals its durable image; the free list is not part of
 	// the image, so every page it does not reach — dead when the previous
 	// process stopped, or claimed and never checkpointed — is found again.
-	// A read-only tree frees no page and needs none.
-	if mutable {
-		if err := m.RebuildFree(); err != nil {
-			return fail(fmt.Errorf("ann: rebuild free list: %w", err))
-		}
+	if err := t.RebuildFree(); err != nil {
+		return fail(fmt.Errorf("ann: rebuild free list: %w", err))
 	}
 	return ix, nil
 }

@@ -1,70 +1,69 @@
 package ann
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"allnn/internal/rstar"
 	"allnn/internal/storage"
 )
 
-// TestOpenIndexRoundTrip builds a file-backed index of each kind,
-// flushes it, reopens it with OpenIndex, and checks that the reopened
-// index answers a self-join identically to the original.
+// TestOpenIndexRoundTrip builds a file-backed index, flushes it, reopens
+// it with OpenIndex, and checks that the reopened index answers a
+// self-join identically to the original.
 func TestOpenIndexRoundTrip(t *testing.T) {
 	pts := randomPoints(31, 400, 2)
-	for _, kind := range []IndexKind{MBRQT, RStar} {
-		path := filepath.Join(t.TempDir(), "index.pages")
-		built, err := BuildIndex(pts, IndexConfig{Kind: kind, PageFile: path, BufferPoolBytes: 512 * 1024})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := JoinAll(context.Background(), built, built, 2, true, QueryConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := built.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := built.Close(); err != nil {
-			t.Fatal(err)
-		}
+	path := filepath.Join(t.TempDir(), "index.pages")
+	built, err := BuildIndex(pts, IndexConfig{PageFile: path, BufferPoolBytes: 512 * 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := JoinAll(context.Background(), built, built, 2, true, QueryConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-		ix, err := OpenIndex(path, IndexConfig{BufferPoolBytes: 512 * 1024})
-		if err != nil {
-			t.Fatalf("%v: OpenIndex: %v", kind, err)
+	ix, err := OpenIndex(path, IndexConfig{BufferPoolBytes: 512 * 1024})
+	if err != nil {
+		t.Fatalf("OpenIndex: %v", err)
+	}
+	if ix.Len() != len(pts) || ix.Dim() != 2 {
+		t.Fatalf("reopened Len=%d Dim=%d", ix.Len(), ix.Dim())
+	}
+	got, err := JoinAll(context.Background(), ix, ix, 2, true, QueryConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("reopened index returned %d results, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID {
+			t.Fatalf("result %d ID %d, want %d", i, got[i].ID, want[i].ID)
 		}
-		if ix.Kind() != kind {
-			t.Fatalf("reopened kind = %v, want %v", ix.Kind(), kind)
-		}
-		if ix.Len() != len(pts) || ix.Dim() != 2 {
-			t.Fatalf("%v: reopened Len=%d Dim=%d", kind, ix.Len(), ix.Dim())
-		}
-		got, err := JoinAll(context.Background(), ix, ix, 2, true, QueryConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%v: reopened index returned %d results, want %d", kind, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].ID != want[i].ID {
-				t.Fatalf("%v: result %d ID %d, want %d", kind, i, got[i].ID, want[i].ID)
-			}
-			for n := range want[i].Neighbors {
-				if got[i].Neighbors[n].ID != want[i].Neighbors[n].ID ||
-					math.Abs(got[i].Neighbors[n].Dist-want[i].Neighbors[n].Dist) > 0 {
-					t.Fatalf("%v: neighbor mismatch for object %d", kind, want[i].ID)
-				}
+		for n := range want[i].Neighbors {
+			if got[i].Neighbors[n].ID != want[i].Neighbors[n].ID ||
+				math.Abs(got[i].Neighbors[n].Dist-want[i].Neighbors[n].Dist) > 0 {
+				t.Fatalf("neighbor mismatch for object %d", want[i].ID)
 			}
 		}
-		storage.RequireNoPinnedFrames(t, ix.pool)
-		if err := ix.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	storage.RequireNoPinnedFrames(t, ix.tree.Pool())
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -88,67 +87,75 @@ func TestOpenIndexErrors(t *testing.T) {
 	}
 }
 
-// TestOpenIndexRefusesRStarLog: an R*-tree index is never written, so a
-// log beside its page file that holds a write is refused at open, before
-// any replay or checkpoint, and the record stays in the log. A log that
-// holds only a checkpoint's header image is restored as for MBRQT.
-func TestOpenIndexRefusesRStarLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "rstar.pages")
+// TestOpenIndexForeignOrDamagedHeader: a page file whose pages verify
+// but whose first page is no MBRQT header — an R*-tree's, or an MBRQT
+// header with a dim out of range — is refused as corrupt, with the
+// path and mbrqt.Open's reason in the error, and the file is not
+// written.
+func TestOpenIndexForeignOrDamagedHeader(t *testing.T) {
+	dir := t.TempDir()
 	pts := randomPoints(33, 300, 2)
-	built, err := BuildIndex(pts, IndexConfig{Kind: RStar, PageFile: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := built.pool.Get(built.tree.MetaPage())
-	if err != nil {
-		t.Fatal(err)
-	}
-	header := append([]byte(nil), f.Data()...)
-	f.Release()
-	if err := built.Close(); err != nil {
-		t.Fatal(err)
-	}
-	writeLog := func(insert bool) {
-		w, err := createWALAt(path + ".wal")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer w.Close()
-		err = w.AppendMeta(built.tree.MetaPage(), header)
-		if err == nil && insert {
-			err = w.AppendInsert(9000, []float64{1, 2})
-		}
-		if err == nil {
-			err = w.Sync()
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
 
-	writeLog(false)
-	ix, err := OpenIndex(path, IndexConfig{})
+	foreign := filepath.Join(dir, "rstar.pages")
+	fs, err := storage.NewFileStore(foreign)
 	if err != nil {
-		t.Fatalf("header-only log: %v", err)
+		t.Fatal(err)
 	}
-	if ix.Len() != len(pts) {
-		t.Fatalf("header-only log: Len %d, want %d", ix.Len(), len(pts))
+	rt, err := rstar.BulkLoad(storage.NewBufferPool(fs, 64), geomPoints(pts), nil, rstar.Config{})
+	if err == nil {
+		err = rt.Flush()
 	}
-	if err := ix.Close(); err != nil {
+	if cerr := fs.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	writeLog(true)
-	if _, err := OpenIndex(path, IndexConfig{}); !errors.Is(err, ErrInvalidConfig) {
-		t.Fatalf("log holding an insert: %v, want ErrInvalidConfig", err)
+	damaged := filepath.Join(dir, "damaged.pages")
+	built, err := BuildIndex(pts, IndexConfig{PageFile: damaged})
+	if err == nil {
+		err = built.Close()
 	}
-	w, err := openWALAt(path + ".wal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	if _, ops, err := w.Recover(); err != nil || len(ops) != 1 || !ops[0].IsWALInsert() || ops[0].ID != 9000 {
-		t.Fatalf("after the refused open the log holds %+v (%v), want the one insert", ops, err)
+	// Rewrite the header through the store, so its page checksum holds
+	// and only the header's own check can catch the dim.
+	fs, err = storage.OpenFileStore(damaged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, storage.PageSize)
+	if err = fs.ReadPage(0, page); err == nil {
+		binary.LittleEndian.PutUint32(page[4:], 0)
+		err = fs.WritePage(0, page)
+	}
+	if cerr := fs.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct{ path, reason string }{
+		{foreign, "is not an MBRQT header"},
+		{damaged, "header dim 0 out of range"},
+	} {
+		before, err := os.ReadFile(tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = OpenIndex(tc.path, IndexConfig{})
+		if !errors.Is(err, storage.ErrCorruptPage) {
+			t.Fatalf("%s: got %v, want ErrCorruptPage", tc.path, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, tc.path) || !strings.Contains(msg, tc.reason) {
+			t.Errorf("%s: error %q does not name the path and %q", tc.path, msg, tc.reason)
+		}
+		if after, err := os.ReadFile(tc.path); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("%s: the refused open changed the page file (%v)", tc.path, err)
+		}
 	}
 }
 
@@ -163,7 +170,7 @@ func TestIndexStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := ix.Stats()
-	if st.Points != 500 || st.Dim != 2 || st.Kind != MBRQT {
+	if st.Points != 500 || st.Dim != 2 {
 		t.Fatalf("Stats shape = %+v", st)
 	}
 	if st.PoolHits == 0 {

@@ -196,7 +196,7 @@ func TestKNNReadersBesideWriter(t *testing.T) {
 			}
 		}
 	}
-	storage.RequireNoPinnedFrames(t, ix.pool)
+	storage.RequireNoPinnedFrames(t, ix.tree.Pool())
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -224,48 +224,45 @@ func (c *cancelOnErr) Err() error {
 // snapshot released.
 func TestBatchKNN(t *testing.T) {
 	pts := randomPoints(5, 20_000, 2)
-	for _, kind := range []IndexKind{MBRQT, RStar} {
-		ix, err := BuildIndex(pts, IndexConfig{
-			Kind:            kind,
-			PageFile:        filepath.Join(t.TempDir(), "batch.pages"),
-			BufferPoolBytes: 64 * storage.PageSize,
-		})
+	ix, err := BuildIndex(pts, IndexConfig{
+		PageFile:        filepath.Join(t.TempDir(), "batch.pages"),
+		BufferPoolBytes: 64 * storage.PageSize,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := pts[100:164]
+	batch, err := ix.BatchNearestNeighbors(context.Background(), qs, 10)
+	if err != nil || len(batch) != len(qs) {
+		t.Fatalf("%d answers, %v", len(batch), err)
+	}
+	for i, q := range qs {
+		single, err := ix.NearestNeighbors(q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		qs := pts[100:164]
-		batch, err := ix.BatchNearestNeighbors(context.Background(), qs, 10)
-		if err != nil || len(batch) != len(qs) {
-			t.Fatalf("%v: %d answers, %v", kind, len(batch), err)
+		if fmt.Sprint(batch[i]) != fmt.Sprint(single) {
+			t.Fatalf("probe %d: batch %v, single %v", i, batch[i], single)
 		}
-		for i, q := range qs {
-			single, err := ix.NearestNeighbors(q, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(batch[i]) != fmt.Sprint(single) {
-				t.Fatalf("%v: probe %d: batch %v, single %v", kind, i, batch[i], single)
-			}
-		}
+	}
 
-		// Err is consulted once on entry, then before every probe but the
-		// first: the second consultation follows probe 1.
-		base, cancel := context.WithCancel(context.Background())
-		ctx := &cancelOnErr{Context: base, cancel: cancel, after: 2}
-		res, err := ix.BatchNearestNeighbors(ctx, qs, 10)
-		if err != context.Canceled || res != nil {
-			t.Fatalf("%v: cancelled batch returned %d answers, %v", kind, len(res), err)
-		}
-		if ctx.calls != 2 {
-			t.Fatalf("%v: the context was consulted %d times, want 2: the batch ran on after it was cancelled", kind, ctx.calls)
-		}
-		storage.RequireNoPinnedFrames(t, ix.pool)
-		if pins := ix.Stats().SnapshotPins; pins != 0 {
-			t.Fatalf("%v: %d snapshot pins left", kind, pins)
-		}
-		if err := ix.Close(); err != nil {
-			t.Fatal(err)
-		}
+	// Err is consulted once on entry, then before every probe but the
+	// first: the second consultation follows probe 1.
+	base, cancel := context.WithCancel(context.Background())
+	ctx := &cancelOnErr{Context: base, cancel: cancel, after: 2}
+	res, err := ix.BatchNearestNeighbors(ctx, qs, 10)
+	if err != context.Canceled || res != nil {
+		t.Fatalf("cancelled batch returned %d answers, %v", len(res), err)
+	}
+	if ctx.calls != 2 {
+		t.Fatalf("the context was consulted %d times, want 2: the batch ran on after it was cancelled", ctx.calls)
+	}
+	storage.RequireNoPinnedFrames(t, ix.tree.Pool())
+	if pins := ix.Stats().SnapshotPins; pins != 0 {
+		t.Fatalf("%d snapshot pins left", pins)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -279,23 +276,21 @@ func TestWarmKNNAllocations(t *testing.T) {
 		t.Skip("the race detector's sync.Pool drops items at random")
 	}
 	pts := randomPoints(3, 20_000, 2)
-	for _, kind := range []IndexKind{MBRQT, RStar} {
-		ix, err := BuildIndex(pts, IndexConfig{Kind: kind})
-		if err != nil {
+	ix, err := BuildIndex(pts, IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		i++
+		if _, err := ix.NearestNeighbors(pts[i*37%len(pts)], 10); err != nil {
 			t.Fatal(err)
 		}
-		i := 0
-		allocs := testing.AllocsPerRun(200, func() {
-			i++
-			if _, err := ix.NearestNeighbors(pts[i*37%len(pts)], 10); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 4 {
-			t.Errorf("%v: a warm kNN k=10 allocates %.0f times, want <= 4", kind, allocs)
-		}
-		ix.Close()
+	})
+	if allocs > 4 {
+		t.Errorf("a warm kNN k=10 allocates %.0f times, want <= 4", allocs)
 	}
+	ix.Close()
 }
 
 // TestWarmBatchKNNAllocations: a batch allocates what a single probe does
@@ -307,23 +302,21 @@ func TestWarmBatchKNNAllocations(t *testing.T) {
 	}
 	pts := randomPoints(3, 20_000, 2)
 	ctx := context.Background()
-	for _, kind := range []IndexKind{MBRQT, RStar} {
-		ix, err := BuildIndex(pts, IndexConfig{Kind: kind})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range []int{64, 512} {
-			i := 0
-			allocs := testing.AllocsPerRun(20, func() {
-				i += 37
-				if _, err := ix.BatchNearestNeighbors(ctx, pts[i:i+n], 10); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs > 6 {
-				t.Errorf("%v: a warm batch of %d kNN k=10 allocates %.0f times, want <= 6", kind, n, allocs)
-			}
-		}
-		ix.Close()
+	ix, err := BuildIndex(pts, IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, n := range []int{64, 512} {
+		i := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			i += 37
+			if _, err := ix.BatchNearestNeighbors(ctx, pts[i:i+n], 10); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 6 {
+			t.Errorf("a warm batch of %d kNN k=10 allocates %.0f times, want <= 6", n, allocs)
+		}
+	}
+	ix.Close()
 }

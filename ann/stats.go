@@ -6,9 +6,8 @@ package ann
 // built or opened; cache counters cover the attached decoded-node cache
 // (zero when none is attached yet).
 type IndexStats struct {
-	Points int       `json:"points"`
-	Dim    int       `json:"dim"`
-	Kind   IndexKind `json:"kind"`
+	Points int `json:"points"`
+	Dim    int `json:"dim"`
 
 	PoolHits         uint64 `json:"pool_hits"`
 	PoolMisses       uint64 `json:"pool_misses"`
@@ -39,11 +38,11 @@ type IndexStats struct {
 
 // Stats snapshots the index. Safe to call concurrently with queries.
 func (ix *Index) Stats() IndexStats {
-	ps := ix.pool.Stats()
+	pool := ix.tree.Pool()
+	ps := pool.Stats()
 	st := IndexStats{
 		Points: ix.Len(),
 		Dim:    ix.Dim(),
-		Kind:   ix.kind,
 
 		PoolHits:         ps.Hits,
 		PoolMisses:       ps.Misses,
@@ -52,7 +51,7 @@ func (ix *Index) Stats() IndexStats {
 		PoolEvictions:    ps.Evictions,
 		PoolRetries:      ps.Retries,
 		PoolCorruptPages: ps.CorruptPages,
-		PinnedFrames:     ix.pool.PinnedFrames(),
+		PinnedFrames:     pool.PinnedFrames(),
 	}
 	if ix.wal != nil {
 		ws := ix.wal.Stats()

@@ -6,6 +6,7 @@ import (
 
 	"allnn/internal/geom"
 	"allnn/internal/index"
+	"allnn/internal/mbrqt"
 	"allnn/internal/storage"
 )
 
@@ -159,7 +160,7 @@ func (ix *Index) checkpointLocked() error {
 // passes validation must be applicable, so WAL replay cannot hit a
 // rejection the original caller never saw. Failures wrap
 // ErrInvalidConfig, which the serving layer classifies as BAD_REQUEST.
-func validateMutation(t index.Mutable, ids []ObjectID, pts []Point) error {
+func validateMutation(t *mbrqt.Tree, ids []ObjectID, pts []Point) error {
 	if len(ids) != len(pts) {
 		return fmt.Errorf("ann: %d ids for %d points: %w", len(ids), len(pts), ErrInvalidConfig)
 	}
@@ -194,10 +195,9 @@ func (ix *Index) Insert(id ObjectID, pt Point) error {
 // not required to be unique; duplicates are indexed independently.
 //
 // Every point must lie inside the index space fixed at build time (the
-// PR decomposition's root cell). An R*-tree index is read-only: its
-// writes fail with ErrInvalidConfig.
+// PR decomposition's root cell).
 func (ix *Index) InsertBatch(ids []ObjectID, pts []Point) error {
-	_, err := ix.commit(ids, pts, (*storage.WAL).AppendInsert, func(t index.Mutable, id index.ObjectID, pt geom.Point) (bool, error) {
+	_, err := ix.commit(ids, pts, (*storage.WAL).AppendInsert, func(t *mbrqt.Tree, id index.ObjectID, pt geom.Point) (bool, error) {
 		return true, t.Insert(id, pt)
 	})
 	return err
@@ -216,22 +216,17 @@ func (ix *Index) Delete(id ObjectID, pt Point) (bool, error) {
 // deleting an absent point is a durable no-op, which keeps replay
 // idempotent.
 func (ix *Index) DeleteBatch(ids []ObjectID, pts []Point) (int, error) {
-	return ix.commit(ids, pts, (*storage.WAL).AppendDelete, index.Mutable.Delete)
+	return ix.commit(ids, pts, (*storage.WAL).AppendDelete, (*mbrqt.Tree).Delete)
 }
 
 // commit is the one write path: validate → log → fsync → apply →
 // publish → maybe checkpoint. logOp appends one op to the WAL and apply
 // performs it on the tree, reporting whether it took effect; commit
-// returns how many did. Only a Mutable tree is written: an R*-tree index
-// refuses before anything is logged.
+// returns how many did.
 func (ix *Index) commit(ids []ObjectID, pts []Point,
 	logOp func(*storage.WAL, uint64, []float64) error,
-	apply func(index.Mutable, index.ObjectID, geom.Point) (bool, error)) (int, error) {
-	m, ok := ix.tree.(index.Mutable)
-	if !ok {
-		return 0, fmt.Errorf("ann: an %v index is read-only: %w", ix.kind, ErrInvalidConfig)
-	}
-	if err := validateMutation(m, ids, pts); err != nil {
+	apply func(*mbrqt.Tree, index.ObjectID, geom.Point) (bool, error)) (int, error) {
+	if err := validateMutation(ix.tree, ids, pts); err != nil {
 		return 0, err
 	}
 	ix.writeMu.Lock()
@@ -258,7 +253,7 @@ func (ix *Index) commit(ids []ObjectID, pts []Point,
 	}
 	applied := 0
 	for i := range ids {
-		ok, err := apply(m, index.ObjectID(ids[i]), geom.Point(pts[i]))
+		ok, err := apply(ix.tree, index.ObjectID(ids[i]), geom.Point(pts[i]))
 		if err != nil {
 			// The log and the tree have diverged; refuse further writes
 			// (recovery on reopen reconciles from the log).
@@ -269,7 +264,6 @@ func (ix *Index) commit(ids []ObjectID, pts []Point,
 			applied++
 		}
 	}
-	ix.size = ix.tree.Len()
 	ix.publishLocked()
 	return applied, ix.maybeCheckpointLocked()
 }

@@ -5,7 +5,7 @@
 // Examples:
 //
 //	annquery -r queries.pts -s targets.pts -k 1
-//	annquery -r catalog.pts -self -k 5 -index rstar
+//	annquery -r catalog.pts -self -k 5
 //	annquery -r catalog.pts -self -trace trace.json -report -quiet
 //	annquery -r catalog.pts -self -r-pagefile catalog.pages        # build and persist
 //	annquery -r-pagefile catalog.pages -self -k 2                  # reopen, no rebuild
@@ -13,7 +13,7 @@
 //
 // With -remote, -r and -s name indexes in the server's catalog rather
 // than dataset files, and the flags that only a local query can honour
-// (-index, -r-pagefile, -s-pagefile, -trace and the profiling flags) are
+// (-r-pagefile, -s-pagefile, -trace and the profiling flags) are
 // refused. -trace writes the query's execution trace as
 // Chrome trace-event JSON (open at https://ui.perfetto.dev); -report
 // prints the unified QueryReport (counters + stage timings) as JSON to
@@ -57,7 +57,7 @@ func main() {
 // owns the index and its page files, and the trace and profiles would
 // describe this client, not the query.
 var localOnly = map[string]bool{
-	"index": true, "r-pagefile": true, "s-pagefile": true, "trace": true,
+	"r-pagefile": true, "s-pagefile": true, "trace": true,
 	"cpuprofile": true, "memprofile": true, "pprof-addr": true,
 }
 
@@ -73,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		sPage   = fs.String("s-pagefile", "", "target index page file (see -r-pagefile)")
 		selfQ   = fs.Bool("self", false, "self-join: exclude each point's own pairing")
 		k       = fs.Int("k", 1, "neighbors per query point")
-		kindStr = fs.String("index", "mbrqt", "index structure: mbrqt | rstar")
 		quiet   = fs.Bool("quiet", false, "suppress per-point output; print only the summary")
 		timeout = fs.Duration("timeout", 0, "abort the query after this long (0 disables); exits with ctx deadline error")
 		remote  = fs.String("remote", "", "route the query to the annserve daemon at this address")
@@ -115,15 +114,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("either -s, -s-pagefile or -self is required")
 	}
 
-	cfg := ann.IndexConfig{}
-	switch *kindStr {
-	case "mbrqt":
-		cfg.Kind = ann.MBRQT
-	case "rstar":
-		cfg.Kind = ann.RStar
-	default:
-		return fmt.Errorf("unknown index kind %q", *kindStr)
-	}
 	qcfg := ann.QueryConfig{}
 	var traceFile *os.File
 	if *tracePath != "" {
@@ -153,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}()
 
 	buildStart := time.Now()
-	rIx, err := loadIndex(*rPath, *rPage, cfg)
+	rIx, err := loadIndex(*rPath, *rPage)
 	if err != nil {
 		return err
 	}
@@ -162,7 +152,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	sameSource := *selfQ && *sPath == "" && *sPage == "" ||
 		(*sPath != "" && *sPath == *rPath) || (*sPage != "" && *sPage == *rPage)
 	if !sameSource {
-		sIx, err = loadIndex(*sPath, *sPage, cfg)
+		sIx, err = loadIndex(*sPath, *sPage)
 		if err != nil {
 			return err
 		}
@@ -186,18 +176,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	queryTime := time.Since(queryStart)
-	fmt.Fprintf(stderr, "annquery: %d results, index build %v, query %v (%s, k=%d)\n",
-		count, buildTime.Round(time.Millisecond), queryTime.Round(time.Millisecond),
-		*kindStr, *k)
+	fmt.Fprintf(stderr, "annquery: %d results, index build %v, query %v (k=%d)\n",
+		count, buildTime.Round(time.Millisecond), queryTime.Round(time.Millisecond), *k)
 	return nil
 }
 
 // loadIndex resolves one side of the query: reopen a persisted page
 // file (pagePath only), build in memory (dataPath only), or build
 // file-backed and persist (both).
-func loadIndex(dataPath, pagePath string, cfg ann.IndexConfig) (*ann.Index, error) {
+func loadIndex(dataPath, pagePath string) (*ann.Index, error) {
 	if dataPath == "" {
-		return ann.OpenIndex(pagePath, cfg)
+		return ann.OpenIndex(pagePath, ann.IndexConfig{})
 	}
 	raw, err := datagen.ReadFile(dataPath)
 	if err != nil {
@@ -207,8 +196,7 @@ func loadIndex(dataPath, pagePath string, cfg ann.IndexConfig) (*ann.Index, erro
 	for i, p := range raw {
 		pts[i] = ann.Point(p)
 	}
-	cfg.PageFile = pagePath // empty means in-memory
-	ix, err := ann.BuildIndex(pts, cfg)
+	ix, err := ann.BuildIndex(pts, ann.IndexConfig{PageFile: pagePath}) // no page file: in memory
 	if err != nil {
 		return nil, err
 	}

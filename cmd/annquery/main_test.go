@@ -59,20 +59,18 @@ func TestRunCrossJoin(t *testing.T) {
 func TestRunSelfJoinAllIndexesAndMetrics(t *testing.T) {
 	pts := []geom.Point{{0, 0}, {1, 1}, {5, 5}, {6, 6}}
 	r := writeDataset(t, "r.pts", pts)
-	for _, idx := range []string{"mbrqt", "rstar"} {
-		var out, errBuf bytes.Buffer
-		if err := run([]string{"-r", r, "-self", "-k", "2", "-index", idx}, &out, &errBuf); err != nil {
-			t.Fatalf("%s: %v", idx, err)
-		}
-		lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-		if len(lines) != 4 {
-			t.Fatalf("%s: %d lines", idx, len(lines))
-		}
-		// Each line: id + 2 neighbors.
-		for _, l := range lines {
-			if len(strings.Split(l, "\t")) != 3 {
-				t.Fatalf("%s: malformed line %q", idx, l)
-			}
+	var out, errBuf bytes.Buffer
+	if err := run([]string{"-r", r, "-self", "-k", "2"}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("%d lines", len(lines))
+	}
+	// Each line: id + 2 neighbors.
+	for _, l := range lines {
+		if len(strings.Split(l, "\t")) != 3 {
+			t.Fatalf("malformed line %q", l)
 		}
 	}
 }
@@ -348,9 +346,6 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-r", r}, &out, &errBuf); err == nil {
 		t.Error("expected error without -s or -self")
 	}
-	if err := run([]string{"-r", r, "-self", "-index", "btree"}, &out, &errBuf); err == nil {
-		t.Error("expected error for unknown index")
-	}
 	if err := run([]string{"-r", "/does/not/exist", "-self"}, &out, &errBuf); err == nil {
 		t.Error("expected error for missing file")
 	}
@@ -365,7 +360,6 @@ func TestRunValidation(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for _, tc := range [][]string{
-		{"-index", "rstar"},
 		{"-r-pagefile", filepath.Join(dir, "r.pages")},
 		{"-s-pagefile", filepath.Join(dir, "s.pages")},
 		{"-trace", filepath.Join(dir, "trace.json")},

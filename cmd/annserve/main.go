@@ -144,8 +144,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		if err != nil {
 			return fmt.Errorf("mounting %s: %v", m.name, err)
 		}
-		fmt.Fprintf(stderr, "annserve: mounted %s: %s, %d points, dim %d\n",
-			m.name, ix.Kind(), ix.Len(), ix.Dim())
+		fmt.Fprintf(stderr, "annserve: mounted %s: %d points, dim %d\n", m.name, ix.Len(), ix.Dim())
 	}
 
 	if err := srv.ListenAndServe(*addr, *drainTimeout, ready); err != nil {

@@ -95,8 +95,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, info := range infos {
-		fmt.Printf("catalog: %s (%s, %d points, dim %d)\n",
-			info.Name, info.Kind, info.Points, info.Dim)
+		fmt.Printf("catalog: %s (%d points, dim %d)\n", info.Name, info.Points, info.Dim)
 	}
 	snap := reg.Snapshot()
 	fmt.Printf("metrics: %d served requests, %d engine results\n",

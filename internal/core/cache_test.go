@@ -8,6 +8,7 @@ import (
 
 	"allnn/internal/geom"
 	"allnn/internal/index"
+	"allnn/internal/mbrqt"
 )
 
 // stripCacheCounters zeroes the cache counters so runs with different
@@ -161,7 +162,7 @@ func TestNodeCacheInvalidationOnMutation(t *testing.T) {
 	}
 
 	t.Run("mbrqt-insert", func(t *testing.T) {
-		tree := buildMBRQT(t, base).(index.Mutable)
+		tree := buildMBRQT(t, base).(*mbrqt.Tree)
 		check("initial", tree)
 		for i, p := range extra {
 			if err := tree.Insert(index.ObjectID(1000+i), p); err != nil {
@@ -175,7 +176,7 @@ func TestNodeCacheInvalidationOnMutation(t *testing.T) {
 	})
 
 	t.Run("mbrqt-insert-delete", func(t *testing.T) {
-		tree := buildMBRQT(t, base).(index.Mutable)
+		tree := buildMBRQT(t, base).(*mbrqt.Tree)
 		check("initial", tree)
 		for i, p := range extra {
 			if err := tree.Insert(index.ObjectID(1000+i), p); err != nil {

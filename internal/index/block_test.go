@@ -10,6 +10,7 @@ import (
 	"allnn/internal/geom"
 	"allnn/internal/index"
 	"allnn/internal/index/indextest"
+	"allnn/internal/mbrqt"
 	"allnn/internal/pq"
 	"allnn/internal/rstar"
 	"allnn/internal/storage"
@@ -159,7 +160,7 @@ func TestBatchEdges(t *testing.T) {
 
 		var empty index.Tree
 		if kind == "mbrqt" {
-			one := newTree(t, kind, pool, pts[:1]).(index.Mutable)
+			one := newTree(t, kind, pool, pts[:1]).(*mbrqt.Tree)
 			if ok, err := one.Delete(0, pts[0]); err != nil || !ok {
 				t.Fatalf("%s: delete: %v %v", kind, ok, err)
 			}

@@ -17,8 +17,8 @@ import (
 // dimensionality (a record holds 340 2-D or 92 10-D points).
 const chainBucket = 1200
 
-// newTree bulk-loads pts into a tree of the kind; an "mbrqt" one is an
-// index.Mutable.
+// newTree bulk-loads pts into a tree of the kind; an "mbrqt" one is a
+// *mbrqt.Tree.
 func newTree(t testing.TB, kind string, pool *storage.BufferPool, pts []geom.Point) index.Tree {
 	t.Helper()
 	var tree index.Tree

@@ -19,36 +19,6 @@ type Source interface {
 	Visit(child storage.PageID, fn func(Block) error) error
 }
 
-// Shelled is a tree kind inside its Shell, as both kinds are: the read
-// side plus the snapshot and checkpoint lifecycle it inherits by
-// embedding. The ann layer holds every index by it.
-type Shelled interface {
-	Tree
-	NodeCacher
-	EnableCoW()
-	Publish() (*Snapshot, func())
-	DrainReclaim() error
-	Fence()
-	CheckpointWith(hook func(metaPage []byte) error) error
-	Flush() error
-	MetaPage() storage.PageID
-	Pool() *storage.BufferPool
-	PageGauges() (free, drained, deferred, young int64)
-}
-
-// Mutable is a Shelled tree that is written after build — MBRQT; the
-// R*-tree is built and then only read. It adds the decomposition's own
-// Insert, Delete, fixed space, integrity check and free-list rebuild. The
-// ann layer's write path and the conformance in indextest drive it.
-type Mutable interface {
-	Shelled
-	Insert(id ObjectID, pt geom.Point) error
-	Delete(id ObjectID, pt geom.Point) (bool, error)
-	Space() geom.Rect
-	CheckIntegrity() error
-	RebuildFree() error
-}
-
 // Shell is everything around a space decomposition that is the same for
 // MBRQT and the R*-tree, which embed it: the decoded-node cache slot and
 // the Expand that consults it, and the copy-on-write page lifecycle —

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"allnn/internal/index"
+	"allnn/internal/mbrqt"
 )
 
 // TestSnapshotIsolationReleaseOnReaders runs the shell the way the ann
@@ -19,7 +20,7 @@ func TestSnapshotIsolationReleaseOnReaders(t *testing.T) {
 	t.Run("mbrqt", func(t *testing.T) {
 		const n, batch, batches = 2000, 40, 50
 		pts := uniform(rand.New(rand.NewSource(5)), n, 2)
-		tree := newTree(t, "mbrqt", newPool(t, "mem"), pts).(index.Mutable)
+		tree := newTree(t, "mbrqt", newPool(t, "mem"), pts).(*mbrqt.Tree)
 		tree.EnableCoW()
 		snap, release := tree.Publish()
 		release()

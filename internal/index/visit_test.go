@@ -12,6 +12,7 @@ import (
 	"allnn/internal/geom"
 	"allnn/internal/index"
 	"allnn/internal/index/indextest"
+	"allnn/internal/mbrqt"
 	"allnn/internal/storage"
 )
 
@@ -84,7 +85,7 @@ func TestVisitMatchesExpand(t *testing.T) {
 				if longest := requireVisitMatchesExpand(t, tree); kind == "mbrqt" && longest < 2*340 {
 					t.Fatalf("longest leaf holds %d points: none chains several records", longest)
 				}
-				m, mutable := tree.(index.Mutable)
+				m, mutable := tree.(*mbrqt.Tree)
 				for batch := 0; mutable && batch < 3; batch++ {
 					for i := batch * 500; i < (batch+1)*500; i++ {
 						// A midpoint of two indexed points lies inside the index space.

@@ -91,7 +91,7 @@ func (t *Tree) checkNode(ref nodeRef, cell geom.Rect, depth int) (uint32, geom.R
 	return total, mbr, nil
 }
 
-// RebuildFree implements index.Mutable: one walk from the root counts
+// RebuildFree runs when an index is opened: one walk from the root counts
 // the records the tree holds on each page, and the record store takes
 // every other page for its free list (see recordStore.adopt).
 func (t *Tree) RebuildFree() error {

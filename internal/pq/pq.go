@@ -125,7 +125,6 @@ type KBest[T any] struct {
 func NewKBest[T any](k int) *KBest[T] {
 	b := &KBest[T]{}
 	b.ResetK(k)
-	b.items = make([]Item[T], 0, k)
 	return b
 }
 

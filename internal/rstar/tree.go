@@ -67,8 +67,7 @@ func (c Config) reinsertCount() int {
 // shares with MBRQT — Expand over the node cache, snapshots and the
 // ordered checkpoint — is the embedded index.Shell; R* nodes occupy whole
 // pages, so a ref is a page id. Insert writes nodes in place: it must not
-// run once a snapshot has been published, and the tree is not an
-// index.Mutable.
+// run once a snapshot has been published.
 type Tree struct {
 	*index.Shell
 	pool *storage.BufferPool

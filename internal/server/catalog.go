@@ -140,7 +140,6 @@ func (c *Catalog) List() []wire.IndexInfo {
 		}
 		out = append(out, wire.IndexInfo{
 			Name:   name,
-			Kind:   uint8(ix.Kind()),
 			Points: uint64(ix.Len()),
 			Dim:    uint32(ix.Dim()),
 		})

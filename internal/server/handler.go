@@ -94,7 +94,6 @@ func (s *Server) handleOpen(req *wire.OpenReq, w *wire.ResponseWriter) error {
 	}
 	return w.Send(wire.KindResult, &wire.OpenReply{Info: wire.IndexInfo{
 		Name:   req.Name,
-		Kind:   uint8(ix.Kind()),
 		Points: uint64(ix.Len()),
 		Dim:    uint32(ix.Dim()),
 	}})
@@ -328,6 +327,9 @@ func (s *Server) handlePairs(ctx context.Context, req *wire.PairsReq, w *wire.Re
 		return err
 	}
 	defer release()
+	if err := wire.CheckPairsReply(int64(req.K), int64(rix.Len()), int64(six.Len())); err != nil {
+		return err
+	}
 	pairs, err := ann.ClosestPairsContext(ctx, rix, six, int(req.K), req.ExcludeSelf)
 	if err != nil {
 		return err

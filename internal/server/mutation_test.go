@@ -23,7 +23,7 @@ import (
 // timed under its index's label.
 func TestServedMutations(t *testing.T) {
 	pts := randomPoints(110, 200, 2)
-	ix := buildIndex(t, pts, ann.MBRQT)
+	ix := buildIndex(t, pts)
 	reg := obs.NewRegistry()
 	srv, cl, _ := startServer(t, Config{Metrics: reg})
 	if err := srv.Catalog().Add("pts", ix); err != nil {
@@ -71,13 +71,6 @@ func TestServedMutations(t *testing.T) {
 	if _, err := cl.Insert(ctx, "nope", []uint64{1}, []ann.Point{{1, 2}}); !client.IsNotFound(err) {
 		t.Fatalf("unknown index: %v, want NOT_FOUND", err)
 	}
-	// An R*-tree index is read-only.
-	if err := srv.Catalog().Add("rstar", buildIndex(t, pts, ann.RStar)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Insert(ctx, "rstar", []uint64{9000}, []ann.Point{target}); !client.IsBadRequest(err) {
-		t.Fatalf("insert into an R*-tree index: %v, want BAD_REQUEST", err)
-	}
 
 	// The WRITE_FAILED classification helper matches the wire code.
 	if !client.IsWriteFailed(&wire.Error{Code: wire.CodeWriteFailed}) {
@@ -91,10 +84,9 @@ func TestServedMutations(t *testing.T) {
 	// histogram. The server observes a request after flushing its reply,
 	// so the last one may not be in yet.
 	want := map[string]uint64{
-		"server.insert.pts.latency_ns":   3,
-		"server.delete.pts.latency_ns":   2,
-		"server.insert.nope.latency_ns":  1,
-		"server.insert.rstar.latency_ns": 1,
+		"server.insert.pts.latency_ns":  3,
+		"server.delete.pts.latency_ns":  2,
+		"server.insert.nope.latency_ns": 1,
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		hists, missing := reg.Snapshot().Histograms, ""
@@ -118,7 +110,7 @@ func TestServedMutations(t *testing.T) {
 // server.delete.latency_ns on /metrics and on /metrics/prom.
 func TestWriteLatencyHistograms(t *testing.T) {
 	reg := obs.NewRegistry()
-	ix := buildIndex(t, randomPoints(111, 200, 2), ann.MBRQT)
+	ix := buildIndex(t, randomPoints(111, 200, 2))
 	srv, cl, _ := startServer(t, Config{Metrics: reg})
 	if err := srv.Catalog().Add("pts", ix); err != nil {
 		t.Fatal(err)

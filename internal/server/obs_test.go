@@ -31,8 +31,8 @@ import (
 func TestServedReportParity(t *testing.T) {
 	rPts := randomPoints(201, 600, 2)
 	sPts := randomPoints(202, 700, 2)
-	rix := buildIndex(t, rPts, ann.MBRQT)
-	six := buildIndex(t, sPts, ann.RStar)
+	rix := buildIndex(t, rPts)
+	six := buildIndex(t, sPts)
 	srv, cl, _ := startServer(t, Config{Metrics: obs.NewRegistry()})
 	if err := srv.Catalog().Add("r", rix); err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestServedReportParity(t *testing.T) {
 // a bare StreamEnd, and WantReport is rejected outside joins.
 func TestReportVersionGate(t *testing.T) {
 	pts := randomPoints(203, 400, 2)
-	ix := buildIndex(t, pts, ann.MBRQT)
+	ix := buildIndex(t, pts)
 	srv, cl, addr := startServer(t, Config{})
 	if err := srv.Catalog().Add("pts", ix); err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestAdmissionMetrics(t *testing.T) {
 	pts := randomPoints(204, 50, 2)
 	reg := obs.NewRegistry()
 	srv, cl, _ := startServer(t, Config{MaxInFlight: 1, MaxQueue: 1, Metrics: reg})
-	if err := srv.Catalog().Add("pts", buildIndex(t, pts, ann.MBRQT)); err != nil {
+	if err := srv.Catalog().Add("pts", buildIndex(t, pts)); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -361,7 +361,7 @@ func TestPanicRecoveryLogsRequestIdentity(t *testing.T) {
 		}
 		srv.Catalog().CloseAll()
 	})
-	if err := srv.Catalog().Add("pts", buildIndex(t, pts, ann.MBRQT)); err != nil {
+	if err := srv.Catalog().Add("pts", buildIndex(t, pts)); err != nil {
 		t.Fatal(err)
 	}
 	cl, err := client.Dial(ln.Addr().String())
@@ -421,7 +421,7 @@ func TestDebugEndpointsUnderLoad(t *testing.T) {
 		SlowLogSize:   1024,
 		AccessLog:     access,
 	})
-	if err := srv.Catalog().Add("pts", buildIndex(t, pts, ann.MBRQT)); err != nil {
+	if err := srv.Catalog().Add("pts", buildIndex(t, pts)); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()

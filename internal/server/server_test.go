@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"path/filepath"
@@ -60,9 +61,9 @@ func startServer(t *testing.T, cfg Config) (*Server, *client.Client, string) {
 	return srv, cl, addr
 }
 
-func buildIndex(t *testing.T, pts []ann.Point, kind ann.IndexKind) *ann.Index {
+func buildIndex(t *testing.T, pts []ann.Point) *ann.Index {
 	t.Helper()
-	ix, err := ann.BuildIndex(pts, ann.IndexConfig{Kind: kind})
+	ix, err := ann.BuildIndex(pts, ann.IndexConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +92,8 @@ func collectJoin(t *testing.T, st *client.JoinStream) []ann.Result {
 func TestServedParity(t *testing.T) {
 	rPts := randomPoints(101, 400, 2)
 	sPts := randomPoints(102, 500, 2)
-	rix := buildIndex(t, rPts, ann.MBRQT)
-	six := buildIndex(t, sPts, ann.RStar)
+	rix := buildIndex(t, rPts)
+	six := buildIndex(t, sPts)
 
 	reg := obs.NewRegistry()
 	srv, cl, _ := startServer(t, Config{Metrics: reg, Tracer: obs.NewTracer()})
@@ -228,7 +229,7 @@ func TestServedParity(t *testing.T) {
 	if len(infos) != 2 || infos[0].Name != "r" || infos[1].Name != "s" {
 		t.Fatalf("List = %+v", infos)
 	}
-	if infos[1].Kind != ann.RStar || infos[1].Points != 500 || infos[1].Dim != 2 {
+	if infos[1].Points != 500 || infos[1].Dim != 2 {
 		t.Fatalf("List entry for s = %+v", infos[1])
 	}
 	stats, err := cl.Stats(ctx, "s")
@@ -327,7 +328,7 @@ func TestServedStatsParity(t *testing.T) {
 func TestErrorTaxonomy(t *testing.T) {
 	pts := randomPoints(103, 50, 2)
 	srv, cl, _ := startServer(t, Config{})
-	if err := srv.Catalog().Add("pts", buildIndex(t, pts, ann.MBRQT)); err != nil {
+	if err := srv.Catalog().Add("pts", buildIndex(t, pts)); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -358,7 +359,7 @@ func TestErrorTaxonomy(t *testing.T) {
 func TestAdmissionControl(t *testing.T) {
 	pts := randomPoints(104, 50, 2)
 	srv, cl, _ := startServer(t, Config{MaxInFlight: 1, MaxQueue: 1})
-	if err := srv.Catalog().Add("pts", buildIndex(t, pts, ann.MBRQT)); err != nil {
+	if err := srv.Catalog().Add("pts", buildIndex(t, pts)); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -403,7 +404,7 @@ func TestAdmissionControl(t *testing.T) {
 func TestRequestDeadline(t *testing.T) {
 	pts := randomPoints(105, 100_000, 2)
 	srv, cl, _ := startServer(t, Config{})
-	if err := srv.Catalog().Add("pts", buildIndex(t, pts, ann.MBRQT)); err != nil {
+	if err := srv.Catalog().Add("pts", buildIndex(t, pts)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -424,10 +425,42 @@ func TestRequestDeadline(t *testing.T) {
 // is refused as BAD_REQUEST, naming the limit, before any probe runs; and
 // a batch's deadline is honored — one that has already passed when the
 // request arrives, and one that passes while the probes run.
+// TestClosestPairsLimits: closest pairs at the largest wire k over four
+// points is answered in full, as on the direct path. Over 1 000 × 1 000
+// points its reply of up to 2^32-1 pairs could not be framed, so it is
+// refused with BAD_REQUEST before any work, and the connection serves on.
+func TestClosestPairsLimits(t *testing.T) {
+	srv, cl, _ := startServer(t, Config{})
+	four := buildIndex(t, []ann.Point{{0, 0}, {1, 0}, {0, 2}, {3, 3}})
+	pts := randomPoints(112, 1000, 2)
+	if err := srv.Catalog().Add("four", four); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Catalog().Add("pts", buildIndex(t, pts)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want, err := ann.ClosestPairsContext(ctx, four, four, math.MaxUint32, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cl.ClosestPairs(ctx, "four", "four", math.MaxUint32, true)
+	if err != nil || len(got) != 12 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("served pairs of four points: %v, %v; want the direct path's 12 %v", got, err, want)
+	}
+	_, err = cl.ClosestPairs(ctx, "pts", "pts", math.MaxUint32, true)
+	if !client.IsBadRequest(err) || !strings.Contains(err.Error(), fmt.Sprint(wire.MaxFrame)) {
+		t.Fatalf("unframeable pairs reply: got %v, want BAD_REQUEST naming the %d-byte limit", err, wire.MaxFrame)
+	}
+	if nbs, err := cl.KNN(ctx, "pts", pts[0], 3); err != nil || len(nbs) != 3 {
+		t.Fatalf("kNN after the refusal: %v, %v", nbs, err)
+	}
+}
+
 func TestBatchKNNLimits(t *testing.T) {
 	pts := randomPoints(106, 50_000, 2)
 	srv, cl, addr := startServer(t, Config{})
-	if err := srv.Catalog().Add("pts", buildIndex(t, pts, ann.MBRQT)); err != nil {
+	if err := srv.Catalog().Add("pts", buildIndex(t, pts)); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -442,7 +475,7 @@ func TestBatchKNNLimits(t *testing.T) {
 		t.Errorf("the refusal took %v: the batch was computed first", took)
 	}
 	// With k above the cardinality the bound uses what a probe can return.
-	few := buildIndex(t, pts[:5], ann.MBRQT)
+	few := buildIndex(t, pts[:5])
 	if err := srv.Catalog().Add("few", few); err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +531,7 @@ func TestBatchKNNLimits(t *testing.T) {
 // fresh requests are refused with SHUTTING_DOWN.
 func TestGracefulDrain(t *testing.T) {
 	pts := randomPoints(106, 20_000, 2)
-	ix := buildIndex(t, pts, ann.MBRQT)
+	ix := buildIndex(t, pts)
 	srv, cl, addr := startServer(t, Config{})
 	if err := srv.Catalog().Add("pts", ix); err != nil {
 		t.Fatal(err)
@@ -575,8 +608,8 @@ func TestGracefulDrain(t *testing.T) {
 func TestMixedWorkloadRace(t *testing.T) {
 	rPts := randomPoints(107, 300, 2)
 	sPts := randomPoints(108, 400, 2)
-	rix := buildIndex(t, rPts, ann.MBRQT)
-	six := buildIndex(t, sPts, ann.RStar)
+	rix := buildIndex(t, rPts)
+	six := buildIndex(t, sPts)
 
 	// A page file for the catalog open/close churn.
 	pageFile := filepath.Join(t.TempDir(), "scratch.pages")

@@ -172,21 +172,18 @@ func (d *Decoder) pairs(what string) []Pair {
 // IndexInfo is one catalog entry as reported by list/open/stats.
 type IndexInfo struct {
 	Name   string
-	Kind   uint8 // ann.IndexKind
 	Points uint64
 	Dim    uint32
 }
 
 func (ii *IndexInfo) encode(e *Encoder) {
 	e.String(ii.Name)
-	e.U8(ii.Kind)
 	e.U64(ii.Points)
 	e.U32(ii.Dim)
 }
 
 func (ii *IndexInfo) decode(d *Decoder) {
 	ii.Name = d.String("index name")
-	ii.Kind = d.U8("index kind")
 	ii.Points = d.U64("index points")
 	ii.Dim = d.U32("index dim")
 }

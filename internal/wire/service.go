@@ -537,6 +537,23 @@ func CheckBatchReply(n, dim int, k, points int64) error {
 	return nil
 }
 
+// CheckPairsReply refuses a closest-pairs request at k between indexes
+// of r and s points whose reply could not be framed, by its worst case:
+// min(k, r·s) pairs of two ids and a distance. The server asks it before
+// any work.
+func CheckPairsReply(k, r, s int64) error {
+	n := k
+	if r <= 0 || s <= 0 {
+		n = 0
+	} else if r <= k/s {
+		n = r * s
+	}
+	if worst := 64 + 10 + 24*n; worst > MaxFrame {
+		return BadRequest("closest pairs with k=%d may need a %d-byte reply, over the %d-byte frame limit", k, worst, MaxFrame)
+	}
+	return nil
+}
+
 // CheckJoinRow refuses a join at k over points dim-dimensional points
 // whose widest row, one of min(k, points) neighbors, could not be
 // framed. The server and the router ask it before any work.

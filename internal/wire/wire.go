@@ -51,10 +51,11 @@ const Magic = "ANNS"
 // partial-result block a router could append to a reply, and its error
 // code, so a reply is complete or an error; version 6 has one box query,
 // whose id-and-point rows stream like a join's, and carries the shard
-// map as its record's JSON. There is one version and no negotiated
+// map as its record's JSON; version 7's catalog entry has no kind
+// byte, since every index is an MBRQT. There is one version and no negotiated
 // downgrade: a peer announcing any other is rejected at the handshake
 // rather than failing mid-stream on a frame it cannot parse.
-const Version = 6
+const Version = 7
 
 // MaxFrame bounds a single frame's payload. Requests are small; result
 // streams are cut into frames below it (see Batcher). A peer announcing

@@ -91,7 +91,7 @@ func responseSamples() []struct {
 		op   Op
 		body Message
 	}{
-		{1, KindResult, OpOpen, &OpenReply{Info: IndexInfo{Name: "pts", Kind: 1, Points: 100, Dim: 2}}},
+		{1, KindResult, OpOpen, &OpenReply{Info: IndexInfo{Name: "pts", Points: 100, Dim: 2}}},
 		{2, KindResult, OpClose, &CloseReply{}},
 		{3, KindResult, OpList, &ListReply{Indexes: []IndexInfo{{Name: "a", Points: 1, Dim: 3}, {Name: "b"}}}},
 		{4, KindResult, OpStats, &StatsReply{Stats: []byte(`{"points":100,"dim":2,"pool_hits":10,"cache_bytes":1048576,"wal_records":42}`)}},
