@@ -70,7 +70,8 @@ churn-table:
 
 # pool-replay logs ROADMAP item 17's table: four self-joins behind the
 # paper's 64-frame pool (Fig 3(a)'s TAC, TAC 200 K, and Fig 6's FC at
-# k = 10 and 50), each with its pins, distinct pages, and the misses of
+# k = 10 and 50), each with its index's pages in file (a layout
+# regression shows here first), its pins, distinct pages, and the misses of
 # plain LRU, of the pool as shipped (the engine's page hints), of the
 # dead-page oracle and of Belady (≈ 5 s; it asserts nothing —
 # TestPinReplay pins one smaller join — and skips itself unless -run

@@ -1,7 +1,9 @@
 package ann
 
 import (
+	"errors"
 	"fmt"
+	"os"
 
 	"allnn/internal/geom"
 	"allnn/internal/index"
@@ -32,15 +34,24 @@ func OpenIndex(path string, cfg IndexConfig) (*Index, error) {
 		return nil, err
 	}
 	store := wrapStore(fs)
-	wal, err := openWALAt(path + ".wal")
-	if err != nil {
+	// A refused open removes the log only if it made it: one that was
+	// already there may hold the only copy of the checkpoint's header.
+	walPath := path + ".wal"
+	_, statErr := os.Stat(walPath)
+	created := errors.Is(statErr, os.ErrNotExist)
+	wal, err := openWALAt(walPath)
+	fail := func(err error) (*Index, error) {
+		if wal != nil {
+			wal.Close()
+		}
 		store.Close()
+		if created {
+			os.Remove(walPath) // best effort: the open has failed already
+		}
 		return nil, err
 	}
-	fail := func(err error) (*Index, error) {
-		wal.Close()
-		store.Close()
-		return nil, err
+	if err != nil {
+		return fail(err)
 	}
 	snap, ops, err := wal.Recover()
 	if err != nil {

@@ -90,8 +90,8 @@ func TestOpenIndexErrors(t *testing.T) {
 // TestOpenIndexForeignOrDamagedHeader: a page file whose pages verify
 // but whose first page is no MBRQT header — an R*-tree's, or an MBRQT
 // header with a dim out of range — is refused as corrupt, with the
-// path and mbrqt.Open's reason in the error, and the file is not
-// written.
+// path and mbrqt.Open's reason in the error, the file is not written,
+// and no write-ahead log is left beside it that was not there before.
 func TestOpenIndexForeignOrDamagedHeader(t *testing.T) {
 	dir := t.TempDir()
 	pts := randomPoints(33, 300, 2)
@@ -146,6 +146,7 @@ func TestOpenIndexForeignOrDamagedHeader(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		walBefore, walErr := os.ReadFile(tc.path + ".wal")
 		_, err = OpenIndex(tc.path, IndexConfig{})
 		if !errors.Is(err, storage.ErrCorruptPage) {
 			t.Fatalf("%s: got %v, want ErrCorruptPage", tc.path, err)
@@ -155,6 +156,13 @@ func TestOpenIndexForeignOrDamagedHeader(t *testing.T) {
 		}
 		if after, err := os.ReadFile(tc.path); err != nil || !bytes.Equal(after, before) {
 			t.Errorf("%s: the refused open changed the page file (%v)", tc.path, err)
+		}
+		walAfter, err := os.ReadFile(tc.path + ".wal")
+		switch {
+		case walErr != nil && !errors.Is(err, os.ErrNotExist):
+			t.Errorf("%s: the refused open left a write-ahead log (%v)", tc.path, err)
+		case walErr == nil && (err != nil || !bytes.Equal(walAfter, walBefore)):
+			t.Errorf("%s: the refused open changed the write-ahead log that was there (%v)", tc.path, err)
 		}
 	}
 }

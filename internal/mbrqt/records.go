@@ -16,11 +16,12 @@ import (
 // destroys the I/O behaviour that makes MBRQT attractive.
 //
 // A bulk-loaded tree has two page classes. Leaf records fill pages in
-// post-order, so sibling leaves share pages. Internal records fill pages
-// of their own (a second fill list, innerPages): they are few and small,
-// so a pool keeps them resident, and a traversal that comes back to an
-// evicted internal node does not re-read a page of leaf points to reach
-// it. Incremental writes use one fill list for both kinds.
+// post-order, siblings along the Hilbert curve, so leaves near each
+// other share pages. Internal records fill pages of their own (a second
+// fill list, innerPages): they are few and small, so a pool keeps them
+// resident, and a traversal that comes back to an evicted internal node
+// does not re-read a page of leaf points to reach it. Incremental writes
+// use one fill list for both kinds.
 //
 // Page layout:
 //
@@ -71,11 +72,11 @@ func (r nodeRef) slot() int            { return int(uint32(r) & slotMask) }
 type recordStore struct {
 	pool *storage.BufferPool
 	life *index.Shell
-	// fillPages caches pages that recently had free space, newest last;
-	// allocation tries them before claiming a new page. Pages published
-	// since they were cached are dropped by the next alloc: a batch
-	// starts with no writable page, so its first allocation sweeps them
-	// all before it can use any.
+	// fillPages is the window of the eight pages most recently claimed or
+	// freed into, newest last; allocation tries them before claiming a
+	// new page. Pages published since they were cached are dropped by the
+	// next alloc: a batch starts with no writable page, so its first
+	// allocation sweeps them all before it can use any.
 	fillPages []storage.PageID
 	// innerPages is the same cache for BulkLoad's internal records, which
 	// alone use it: no page it hands out ever holds a leaf record.
@@ -244,7 +245,13 @@ func compactPage(data []byte) {
 func (rs *recordStore) alloc(rec []byte) (nodeRef, error) { return rs.allocOn(&rs.fillPages, rec) }
 
 // allocOn stores record bytes on a page of the given fill list, or on a
-// page it claims and adds to that list, and returns their ref.
+// page it claims and adds to that list, and returns their ref. The list
+// is a window of the eight newest pages: one too full for this record
+// stays in it for a smaller one, and leaves when it is published or when
+// a newer page pushes it out. So a record shares a page only with
+// records written near it, and a page is closed by age, not by the
+// first record it refuses. Bulk load, inserts and copy-on-write
+// rewrites all place records by this one rule.
 func (rs *recordStore) allocOn(fill *[]storage.PageID, rec []byte) (nodeRef, error) {
 	if len(rec) > maxRecordSize {
 		return invalidRef, fmt.Errorf("mbrqt: record of %d bytes exceeds page capacity %d", len(rec), maxRecordSize)
@@ -264,8 +271,6 @@ func (rs *recordStore) allocOn(fill *[]storage.PageID, rec []byte) (nodeRef, err
 		if ok {
 			return ref, nil
 		}
-		// Page full: drop it from the cache.
-		*fill = append((*fill)[:i], (*fill)[i+1:]...)
 	}
 	// A free page before a new one; the record always fits an empty page
 	// (checked above).

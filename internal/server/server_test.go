@@ -526,6 +526,47 @@ func TestBatchKNNLimits(t *testing.T) {
 	srv.Catalog().RequireNoPinnedFrames(t)
 }
 
+// TestWrongVersionRefused: a peer that announces wire version 6 gets an
+// error frame for its first request that names both versions, then the
+// connection closes, instead of a bare EOF.
+func TestWrongVersionRefused(t *testing.T) {
+	_, _, addr := startServer(t, Config{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write(append([]byte(wire.Magic), 6)); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.EncodeRequest(wire.RequestHeader{ID: 9, Op: wire.OpList}, &wire.ListReq{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(conn, payload); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatalf("reading the refusal: %v", err)
+	}
+	id, kind, _, body, err := wire.DecodeResponse(reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != 9 || kind != wire.KindError || body.(*wire.ErrorReply).Code != wire.CodeBadRequest {
+		t.Fatalf("got id %d kind %d body %+v, want BAD_REQUEST for request 9", id, kind, body)
+	}
+	msg := body.(*wire.ErrorReply).Msg
+	if want := fmt.Sprintf("version %d; the client sent version 6", wire.Version); !strings.Contains(msg, want) {
+		t.Errorf("refusal %q does not name both versions (%q)", msg, want)
+	}
+	if _, err := wire.ReadFrame(conn); err == nil {
+		t.Error("the connection stayed open after the refusal")
+	}
+}
+
 // TestGracefulDrain starts a streamed join, then shuts the server down
 // mid-stream: the join must run to completion with full parity while
 // fresh requests are refused with SHUTTING_DOWN.

@@ -216,14 +216,18 @@ func (s *Service) serveConn(conn net.Conn) {
 	}()
 
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	if err := ReadHandshake(conn); err != nil {
+	br := bufio.NewReader(conn)
+	w := &ResponseWriter{bw: bufio.NewWriter(conn), total: &s.bytesOut, Remote: remote}
+	if err := ReadHandshake(br); err != nil {
 		s.Log(LevelWarn, "handshake failed", "conn", remote, "err", err)
+		var ve *VersionError
+		if errors.As(err, &ve) {
+			s.refuseVersion(br, w, ve.Got)
+		}
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
 
-	br := bufio.NewReader(conn)
-	w := &ResponseWriter{bw: bufio.NewWriter(conn), total: &s.bytesOut, Remote: remote}
 	for {
 		payload, err := ReadFrame(br)
 		if err != nil {
@@ -237,6 +241,21 @@ func (s *Service) serveConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// refuseVersion answers the first request of a peer that speaks protocol
+// version got with an error naming both versions, so that the peer's
+// client prints why instead of seeing the connection close. A request's
+// id leads its frame in every version, so the reply reaches the request
+// that is waiting.
+func (s *Service) refuseVersion(br *bufio.Reader, w *ResponseWriter, got byte) {
+	payload, err := ReadFrame(br)
+	if err != nil {
+		return
+	}
+	w.Req, _, _ = DecodeRequest(payload)
+	w.SendError(&Error{Code: CodeBadRequest,
+		Msg: fmt.Sprintf("%s speaks wire protocol version %d; the client sent version %d", s.Name, Version, got)})
 }
 
 // serveRequest decodes one request, passes it through the drain gate to

@@ -283,7 +283,16 @@ func WriteHandshake(w io.Writer) error {
 	return err
 }
 
-// ReadHandshake consumes and verifies the connection preamble.
+// VersionError is ReadHandshake's refusal of a peer that announced
+// another protocol version.
+type VersionError struct{ Got byte }
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("wire: protocol version %d, want %d", e.Got, Version)
+}
+
+// ReadHandshake consumes and verifies the connection preamble. A peer
+// with the right magic and another version gets a *VersionError.
 func ReadHandshake(r io.Reader) error {
 	var b [5]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
@@ -293,7 +302,7 @@ func ReadHandshake(r io.Reader) error {
 		return fmt.Errorf("wire: bad handshake magic %q", b[:4])
 	}
 	if b[4] != Version {
-		return fmt.Errorf("wire: protocol version %d, want %d", b[4], Version)
+		return &VersionError{Got: b[4]}
 	}
 	return nil
 }
