@@ -97,8 +97,11 @@ pagehash:
 # line each. The mbrqt and rstar decoder targets also run every input
 # through the in-place node visitor and the point-query scan kernels;
 # FuzzVisit feeds them whole pages. FuzzDecodeReport is the client's
-# JSON decode of a join report and a stats reply.
+# JSON decode of a join report and a stats reply. FuzzBoundsAgainstExact
+# is not a decoder: it holds geom's pruning bounds (MINMINDIST,
+# MAXMAXDIST, NXNDIST, point–rect) to their exact big.Rat values.
 fuzz-smoke:
+	$(GO) test -run=NONE -fuzz=FuzzBoundsAgainstExact -fuzztime=5s ./internal/geom
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/mbrqt
 	$(GO) test -run=NONE -fuzz=FuzzRecordFromPage -fuzztime=5s ./internal/mbrqt
 	$(GO) test -run=NONE -fuzz=FuzzVisit -fuzztime=5s ./internal/mbrqt

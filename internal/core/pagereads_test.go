@@ -78,4 +78,45 @@ func TestPoolMissesPinned(t *testing.T) {
 	if got := pool.Stats().Misses; got != probeMisses {
 		t.Errorf("kNN probes missed the pool %d times, pinned %d", got, probeMisses)
 	}
+	t.Run("fig6_fc29k_k10", figure6Misses)
+}
+
+// figure6Misses holds Fig 6's k = 10 join to exact counts: a self-join
+// over 29 K FC points behind the paper's 64-frame pool, node cache off.
+// The 10-D index halves only some of its dimensions at a split, so a change
+// to that rule moves the nodes expanded on both sides and, through the
+// records' placement, the pool's misses.
+func figure6Misses(t *testing.T) {
+	const (
+		misses = 1019  // 1 252 while every split halved all ten dimensions
+		nodesR = 1681  // 2 937 then
+		nodesS = 14262 // 41 320 then
+	)
+	store := storage.NewMemStore()
+	load := storage.NewBufferPool(store, 16384)
+	built, err := mbrqt.BulkLoad(load, datagen.FCSurrogate(1, 29_000), nil, mbrqt.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := load.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	pool := storage.NewBufferPool(store, 64)
+	tree, err := mbrqt.Open(pool, built.MetaPage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.ResetStats()
+	opts := Options{K: 10, ExcludeSelf: true, NodeCacheBytes: NodeCacheDisabled}
+	stats, err := RunContext(context.Background(), tree, tree, opts, func(Result) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pool.Stats().Misses; got != misses {
+		t.Errorf("the join missed the pool %d times, pinned %d", got, misses)
+	}
+	if stats.NodesExpandedR != nodesR || stats.NodesExpandedS != nodesS {
+		t.Errorf("the join expanded %d I_R and %d I_S nodes, pinned %d and %d",
+			stats.NodesExpandedR, stats.NodesExpandedS, nodesR, nodesS)
+	}
 }

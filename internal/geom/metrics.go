@@ -80,12 +80,20 @@ func maxDistDim(ml, mh, nl, nh float64) float64 {
 // [ml, mh] its maximum is therefore attained either at an endpoint of the
 // interval or at c when c lies inside the interval, giving an O(1)
 // evaluation.
+//
+// Whether c lies in [ml, mh] is decided on differences (ml-nl <= nh-ml
+// is ml <= c), never on c rounded: rounding is monotone, so the peak is
+// never dropped when it belongs, and where the rounded differences tie
+// the peak exceeds f(ml) or f(mh) by an ulp-scale amount only. A rounded
+// c far from the origin could fall outside an interval that holds the
+// true c, and lose up to half its ulp from a bound whose scale is
+// nh-nl.
 func maxMinDim(ml, mh, nl, nh float64) float64 {
 	f := func(p float64) float64 {
 		return math.Min(math.Abs(p-nl), math.Abs(p-nh))
 	}
 	v := math.Max(f(ml), f(mh))
-	if c := (nl + nh) / 2; c >= ml && c <= mh {
+	if ml-nl <= nh-ml && nh-mh <= mh-nl {
 		v = math.Max(v, (nh-nl)/2)
 	}
 	return v
@@ -141,44 +149,54 @@ func maxPointToValue(lo, hi, v float64) float64 {
 func MinMaxDist(m, n Rect) float64 { return math.Sqrt(MinMaxDistSq(m, n)) }
 
 // NXNDistSq returns the squared NXNDIST (MINMAXMINDIST) between two MBRs,
-// computed with the O(D) two-pass scheme of the paper's Algorithm 1:
+// the quantity of the paper's Algorithm 1:
 //
-//	pass 1: S = sum over d of MAXDIST_d(M,N)^2
-//	pass 2: NXNDIST^2 = min over d of S - MAXDIST_d^2 + MAXMIN_d^2
+//	NXNDIST^2 = min over d of S - MAXDIST_d^2 + MAXMIN_d^2,
+//	S = sum over d of MAXDIST_d(M,N)^2
 //
 // Geometrically (Figure 1), for each dimension d a search region is formed
 // by sweeping a (D-1)-dimensional slab of full MAXDIST extent along
 // dimension d by only MAXMIN_d; every such region is guaranteed to contain,
 // for any r in M, at least one point of any point set whose MBR is N. The
 // squared diagonal of the smallest region is the bound.
+//
+// The algorithm's S - MAXDIST_d^2 cancels when one dimension dominates S
+// (a long N beside a narrow M) and can land far below the true value, a
+// bound too tight to be one. So pass 1 finds the d* that gains most,
+// (MAXDIST_d - MAXMIN_d)(MAXDIST_d + MAXMIN_d), and pass 2 sums
+// MAXMIN_d*^2 and every other MAXDIST_e^2: non-negative terms only, so
+// the result is within a relative (D+2)·2^-53 of the exact value on the
+// same inputs (see core's boundSlack). Any d gives a valid bound by Lemma 3.1,
+// so a d* misjudged by rounding errs loose, never tight.
 func NXNDistSq(m, n Rect) float64 {
 	dim := len(m.Lo)
 	if dim != len(n.Lo) {
 		panic(dimMismatch(dim, len(n.Lo)))
 	}
-	var total float64
-	// Pass 1 accumulates S; pass 2 needs each MAXDIST_d again. For the
-	// dimensionalities this library targets (D <= 32) a stack-friendly
-	// fixed array avoids per-call allocation on the hot path.
+	// Pass 2 needs each MAXDIST_d again. For the dimensionalities this
+	// library targets (D <= 32) a stack-friendly fixed array avoids
+	// per-call allocation on the hot path.
 	var buf [32]float64
 	maxd := buf[:0]
 	if dim > len(buf) {
 		maxd = make([]float64, 0, dim)
 	}
+	best, gain, mm := 0, -1.0, 0.0
 	for d := 0; d < dim; d++ {
 		g := maxDistDim(m.Lo[d], m.Hi[d], n.Lo[d], n.Hi[d])
 		maxd = append(maxd, g)
-		total += g * g
-	}
-	best := total
-	for d := 0; d < dim; d++ {
-		mm := maxMinDim(m.Lo[d], m.Hi[d], n.Lo[d], n.Hi[d])
-		cand := total - maxd[d]*maxd[d] + mm*mm
-		if cand < best {
-			best = cand
+		v := maxMinDim(m.Lo[d], m.Hi[d], n.Lo[d], n.Hi[d])
+		if w := (g - v) * (g + v); w > gain {
+			best, gain, mm = d, w, v
 		}
 	}
-	return best
+	s := mm * mm
+	for d, g := range maxd {
+		if d != best {
+			s += g * g
+		}
+	}
+	return s
 }
 
 // NXNDist returns the NXNDIST between two MBRs. Note the metric is

@@ -12,7 +12,8 @@ import (
 // returns a descriptive error on the first violation:
 //
 //  1. every point lies inside the cell of its leaf;
-//  2. each child slot's quadrant code matches the child's cell;
+//  2. each child slot's quadrant code has bits only in its node's split
+//     mask and matches the child's cell;
 //  3. each slot's MBR is exactly the MBR of the data below it;
 //  4. each slot's count is exactly the number of points below it;
 //  5. leaves respect the bucket capacity unless at max depth;
@@ -68,7 +69,10 @@ func (t *Tree) checkNode(ref nodeRef, cell geom.Rect, depth int) (uint32, geom.R
 			return 0, geom.Rect{}, fmt.Errorf("mbrqt: node %d has duplicate quadrant %b", ref, c.quad)
 		}
 		seen[c.quad] = true
-		sub := childCell(cell, c.quad)
+		if c.quad&^halved(n.mask, t.dim) != 0 {
+			return 0, geom.Rect{}, fmt.Errorf("mbrqt: node %d slot %d quadrant %b outside split mask %b", ref, i, c.quad, n.mask)
+		}
+		sub := childCell(cell, c.quad, n.mask)
 		cnt, childMBR, err := t.checkNode(c.ref, sub, depth+1)
 		if err != nil {
 			return 0, geom.Rect{}, err

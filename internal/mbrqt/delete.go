@@ -74,13 +74,13 @@ func (t *Tree) deleteAt(ref nodeRef, cell geom.Rect, id index.ObjectID, pt geom.
 		return qtDeleteResult{found: true, ref: newRef, mbr: n.mbr(t.dim), count: n.count()}, nil
 	}
 
-	q := quadOf(pt, cell)
+	q := quadOf(pt, cell) & halved(n.mask, t.dim)
 	for i := range n.children {
 		c := &n.children[i]
 		if c.quad != q {
 			continue
 		}
-		res, err := t.deleteAt(c.ref, childCell(cell, q), id, pt)
+		res, err := t.deleteAt(c.ref, childCell(cell, q, n.mask), id, pt)
 		if err != nil {
 			return qtDeleteResult{}, err
 		}

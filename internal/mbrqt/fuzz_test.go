@@ -131,9 +131,11 @@ func pageWithRecord(rec []byte) []byte {
 	return page
 }
 
-// seedRecords renders one valid leaf and one valid internal record at the
-// given dimensionality, so the fuzzers start from the real wire format.
-func seedRecords(dim int) (leaf, internal []byte) {
+// seedRecords renders one valid leaf record, one valid internal record
+// and, from 2-D up, one valid internal head record of a split that halved
+// dimension 1 alone, at the given dimensionality, so the fuzzers start
+// from the real record format.
+func seedRecords(dim int) (leaf, internal, masked []byte) {
 	t := &Tree{dim: dim}
 	pt := make(geom.Point, dim)
 	for d := range pt {
@@ -142,7 +144,10 @@ func seedRecords(dim int) (leaf, internal []byte) {
 	leafSegs := t.serializeNode(&node{leaf: true, objects: []object{{id: 42, pt: pt}}})
 	mbr := geom.NewRect(pt.Clone(), pt.Clone())
 	intSegs := t.serializeNode(&node{children: []childSlot{{quad: 3, ref: 7, count: 1, mbr: mbr}}})
-	return leafSegs[0], intSegs[0]
+	if dim > 1 {
+		masked = t.serializeNode(&node{mask: 0b10, children: []childSlot{{quad: 0b10, ref: 7, count: 1, mbr: mbr}}})[0]
+	}
+	return leafSegs[0], intSegs[0], masked
 }
 
 // FuzzDecodeRecord feeds arbitrary bytes to the node-record decoder: it
@@ -150,10 +155,14 @@ func seedRecords(dim int) (leaf, internal []byte) {
 // never panic or read out of bounds.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, dim := range []int{1, 2, 3, 10} {
-		leaf, internal := seedRecords(dim)
+		leaf, internal, masked := seedRecords(dim)
 		f.Add(leaf, uint8(dim), true)
 		f.Add(internal, uint8(dim), true)
 		f.Add(internal, uint8(dim), false)
+		if masked != nil {
+			f.Add(masked, uint8(dim), true)
+			f.Add(masked, uint8(dim), false)
+		}
 	}
 	f.Add([]byte{}, uint8(2), true)
 	f.Add([]byte{1, 0, 255, 255, 0, 0, 0, 0}, uint8(2), true)
@@ -219,16 +228,19 @@ func FuzzRecordFromPage(f *testing.F) {
 // refs may dangle, leave the page or loop back into it.
 func FuzzVisit(f *testing.F) {
 	for _, dim := range []int{1, 2, 3, 10} {
-		leaf, internal := seedRecords(dim)
+		leaf, internal, masked := seedRecords(dim)
 		f.Add(pageWithRecord(leaf), uint16(0), uint8(dim))
 		f.Add(pageWithRecord(internal), uint16(0), uint8(dim))
+		if masked != nil {
+			f.Add(pageWithRecord(masked), uint16(0), uint8(dim))
+		}
 		// A leaf whose continuation is itself: a ref cycle.
 		loop := slices.Clone(leaf)
 		binary.LittleEndian.PutUint32(loop[4:], uint32(makeRef(0, 0)))
 		f.Add(pageWithRecord(loop), uint16(0), uint8(dim))
 	}
 	// Two records chained inside one page, the second of the wrong type.
-	leaf, internal := seedRecords(2)
+	leaf, internal, masked := seedRecords(2)
 	binary.LittleEndian.PutUint32(leaf[4:], uint32(makeRef(0, 1)))
 	page := pageWithRecord(leaf)
 	high := pageFreeHigh(page) - len(internal)
@@ -236,6 +248,17 @@ func FuzzVisit(f *testing.F) {
 	setPageNumSlots(page, 2)
 	setPageFreeHigh(page, high)
 	setSlot(page, 1, high, len(internal))
+	f.Add(page, uint16(0), uint8(2))
+	// A masked head record chained to a second internal record, which
+	// must not carry a mask of its own.
+	head := slices.Clone(masked)
+	binary.LittleEndian.PutUint32(head[4:], uint32(makeRef(0, 1)))
+	page = pageWithRecord(head)
+	high = pageFreeHigh(page) - len(masked)
+	copy(page[high:], masked)
+	setPageNumSlots(page, 2)
+	setPageFreeHigh(page, high)
+	setSlot(page, 1, high, len(masked))
 	f.Add(page, uint16(0), uint8(2))
 	f.Add([]byte{}, uint16(0), uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, slot uint16, dimByte uint8) {

@@ -9,6 +9,13 @@
 // non-overlapping regular decomposition that makes the NXNDIST pruning
 // metric effective.
 //
+// The paper's split halves every dimension of a cell at once, which in
+// 10-D scatters an overflowing bucket over up to 1 024 mostly near-empty
+// quadrants. Here a split halves only the dimensions it needs, as a PR
+// k-d tree splits a subset (loader.splitMask), and the node keeps that
+// split mask for the writes that descend it later. In 2-D, and on data
+// of even spread, every split is still the paper's, byte for byte.
+//
 // On disk, nodes are variable-size records packed many-per-page into the
 // slotted pages of records.go; a node that outgrows a single page chains
 // several records. The tree lives inside a shared page store, so several
@@ -34,9 +41,15 @@ const (
 	nodeTypeLeaf     = 1
 	nodeTypeInternal = 2
 
-	// Node record layout: 1 byte type, 1 byte pad, 2 bytes entry count,
-	// 4 bytes continuation ref, then the entries.
+	// Node record layout: 1 byte type, 1 byte flag, 2 bytes entry count,
+	// 4 bytes continuation ref, then the entries. Flag 0 is every record
+	// of a node whose split halved every dimension, as well as every
+	// leaf and chain continuation; flag 1 marks the head record of an
+	// internal node whose split halved only some dimensions, and a
+	// uint32 split mask follows its header, before the entries.
 	recNodeHeader = 8
+	recMaskLen    = 4
+	recFlagMasked = 1
 )
 
 // childSlot is one entry of an internal node: a quadrant of the node's
@@ -57,9 +70,21 @@ type object struct {
 
 // node is the in-memory form of a (de)serialised node chain.
 type node struct {
-	leaf     bool
+	leaf bool
+	// mask has bit d set when the node's split halved dimension d; 0
+	// means it halved every dimension, the paper's split. A child's
+	// quadrant code has bits only in the mask.
+	mask     uint32
 	children []childSlot // internal nodes
 	objects  []object    // leaves
+}
+
+// halved returns the dimensions a split of mask halves.
+func halved(mask uint32, dim int) uint32 {
+	if mask == 0 {
+		return 1<<uint(dim) - 1
+	}
+	return mask
 }
 
 // count returns the number of points under the node.
@@ -105,6 +130,7 @@ func entriesPerRecord(entrySize int) int {
 // collectors over it.
 type recordView struct {
 	leaf bool
+	mask uint32 // the node's split mask, on its head record; 0: every dimension
 	num  int
 	next nodeRef // chain continuation
 	body []byte  // num entries of the record's type
@@ -128,16 +154,32 @@ func parseRecord(rec []byte, dim int, first, leaf bool) (recordView, error) {
 		leaf: typ == nodeTypeLeaf,
 		num:  int(binary.LittleEndian.Uint16(rec[2:])),
 		next: nodeRef(binary.LittleEndian.Uint32(rec[4:])),
-		body: rec[recNodeHeader:],
 	}
 	if !first && v.leaf != leaf {
 		return recordView{}, fmt.Errorf("mbrqt: node chain mixes record types: %w", storage.ErrCorruptPage)
 	}
+	hdr := recNodeHeader
+	switch flag := rec[1]; {
+	case flag == 0:
+	case flag == recFlagMasked && first && !v.leaf:
+		if len(rec) < recNodeHeader+recMaskLen {
+			return recordView{}, fmt.Errorf("mbrqt: masked node record truncated to %d bytes: %w", len(rec), storage.ErrCorruptPage)
+		}
+		v.mask = binary.LittleEndian.Uint32(rec[recNodeHeader:])
+		if all := uint32(1)<<uint(dim) - 1; v.mask == 0 || v.mask&^all != 0 || v.mask == all {
+			return recordView{}, fmt.Errorf("mbrqt: split mask %b invalid in %d dimensions: %w", v.mask, dim, storage.ErrCorruptPage)
+		}
+		hdr += recMaskLen
+	default:
+		// Only an internal node's head record carries a split mask.
+		return recordView{}, fmt.Errorf("mbrqt: record flag %d invalid here: %w", flag, storage.ErrCorruptPage)
+	}
+	v.body = rec[hdr:]
 	entrySize := internalEntrySize(dim)
 	if v.leaf {
 		entrySize = leafEntrySize(dim)
 	}
-	if want := recNodeHeader + v.num*entrySize; want != len(rec) {
+	if want := hdr + v.num*entrySize; want != len(rec) {
 		return recordView{}, fmt.Errorf("mbrqt: node record of %d bytes claims %d entries (want %d bytes): %w",
 			len(rec), v.num, want, storage.ErrCorruptPage)
 	}
@@ -156,6 +198,9 @@ func (v recordView) block(dim int) index.Block {
 // collect appends a parsed record's entries to n.
 func (n *node) collect(v recordView, dim int) {
 	n.leaf = v.leaf
+	if v.mask != 0 {
+		n.mask = v.mask
+	}
 	b := v.block(dim)
 	if v.leaf {
 		// One flat coordinate array per record keeps deserialisation at
@@ -271,19 +316,23 @@ func (t *Tree) serializeNode(n *node) [][]byte {
 		total = len(n.children)
 		typ = nodeTypeInternal
 	}
-	perRec := entriesPerRecord(entrySize)
 	var segments [][]byte
 	written := 0
 	for {
-		take := total - written
-		if take > perRec {
-			take = perRec
+		hdr := recNodeHeader
+		if written == 0 && n.mask != 0 {
+			hdr += recMaskLen
 		}
-		rec := make([]byte, recNodeHeader+take*entrySize)
+		take := min(total-written, (maxRecordSize-hdr)/entrySize)
+		rec := make([]byte, hdr+take*entrySize)
 		rec[0] = typ
 		binary.LittleEndian.PutUint16(rec[2:], uint16(take))
 		binary.LittleEndian.PutUint32(rec[4:], uint32(invalidRef))
-		off := recNodeHeader
+		if hdr > recNodeHeader {
+			rec[1] = recFlagMasked
+			binary.LittleEndian.PutUint32(rec[recNodeHeader:], n.mask)
+		}
+		off := hdr
 		if n.leaf {
 			for i := written; i < written+take; i++ {
 				o := &n.objects[i]

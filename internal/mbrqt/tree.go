@@ -257,16 +257,22 @@ func quadOf(pt geom.Point, cell geom.Rect) uint32 {
 	return q
 }
 
-// childCell returns the sub-cell of cell selected by quadrant code q.
-func childCell(cell geom.Rect, q uint32) geom.Rect {
+// childCell returns the sub-cell of cell selected by quadrant code q of a
+// split with the given mask (see node.mask): the dimensions outside the
+// mask keep the cell's extent.
+func childCell(cell geom.Rect, q, mask uint32) geom.Rect {
 	dim := cell.Dim()
-	sub := geom.Rect{Lo: make(geom.Point, dim), Hi: make(geom.Point, dim)}
+	mask = halved(mask, dim)
+	sub := cell.Clone()
 	for d := 0; d < dim; d++ {
+		if mask&(1<<uint(d)) == 0 {
+			continue
+		}
 		mid := (cell.Lo[d] + cell.Hi[d]) / 2
 		if q&(1<<uint(d)) != 0 {
-			sub.Lo[d], sub.Hi[d] = mid, cell.Hi[d]
+			sub.Lo[d] = mid
 		} else {
-			sub.Lo[d], sub.Hi[d] = cell.Lo[d], mid
+			sub.Hi[d] = mid
 		}
 	}
 	return sub
@@ -379,11 +385,11 @@ func (t *Tree) insertAt(ref nodeRef, cell geom.Rect, depth int, id index.ObjectI
 		return newRef, depth, err
 	}
 
-	q := quadOf(pt, cell)
+	q := quadOf(pt, cell) & halved(n.mask, t.dim)
 	for i := range n.children {
 		c := &n.children[i]
 		if c.quad == q {
-			childRef, leafDepth, err := t.insertAt(c.ref, childCell(cell, q), depth+1, id, pt)
+			childRef, leafDepth, err := t.insertAt(c.ref, childCell(cell, q, n.mask), depth+1, id, pt)
 			if err != nil {
 				return invalidRef, 0, err
 			}
@@ -534,10 +540,11 @@ func (l *loader) build(b, lo, hi int, cell geom.Rect, h hilbert, depth int) (nod
 }
 
 // split groups the objects at [lo, hi) of buffer b by quadrant of cell,
-// writes one subtree per non-empty quadrant in the order the Hilbert
-// curve (frame h) visits them, and returns the internal node over them,
-// unwritten, with its children in ascending quadrant order, the depth of
-// its deepest leaf and the objects' MBR. The curve order decides only
+// over the dimensions splitMask picks, writes one subtree per non-empty
+// quadrant in the order the Hilbert curve (frame h, ranking the masked
+// codes) visits them, and returns the internal node over them, unwritten,
+// with its children in ascending quadrant order, the depth of its
+// deepest leaf and the objects' MBR. The curve order decides only
 // which records share a page: the node's entries but their refs, and
 // every traversal, are the same in any write order. The grouping is a
 // least-significant-digit radix pass over keys packing each object's
@@ -549,18 +556,30 @@ func (l *loader) split(b, lo, hi int, cell geom.Rect, h hilbert, depth int) (*no
 	for d := range l.mid {
 		l.mid[d] = (cell.Lo[d] + cell.Hi[d]) / 2
 	}
+	// One pass takes the objects' MBR and quadrant codes together.
 	mbr := geom.EmptyRect(l.dim)
-	anySet, allSet := uint32(0), ^uint32(0)
 	for i := lo; i < hi; i++ {
 		pt := l.point(b, i)
-		mbr.ExpandPoint(pt)
+		mlo, mhi, mid := mbr.Lo[:len(pt)], mbr.Hi[:len(pt)], l.mid[:len(pt)]
 		var q uint32
 		for d, v := range pt {
-			if v >= l.mid[d] {
+			if v < mlo[d] {
+				mlo[d] = v
+			}
+			if v > mhi[d] {
+				mhi[d] = v
+			}
+			if v >= mid[d] {
 				q |= 1 << uint(d)
 			}
 		}
-		w := h.rank(q, l.dim)
+		l.keys[i] = uint64(q)
+	}
+	mask := l.splitMask(hi-lo, mbr)
+	in := halved(mask, l.dim)
+	anySet, allSet := uint32(0), ^uint32(0)
+	for i := lo; i < hi; i++ {
+		w := h.rank(uint32(l.keys[i])&in, l.dim)
 		anySet |= w
 		allSet &= w
 		l.keys[i] = uint64(w)<<32 | uint64(i)
@@ -594,7 +613,7 @@ func (l *loader) split(b, lo, hi int, cell geom.Rect, h hilbert, depth int) (*no
 		l.ids[nb][lo+j] = l.ids[b][i]
 	}
 
-	n := &node{leaf: false}
+	n := &node{mask: mask}
 	height := depth
 	for s := 0; s < len(src); {
 		w := uint32(src[s] >> 32)
@@ -603,7 +622,7 @@ func (l *loader) split(b, lo, hi int, cell geom.Rect, h hilbert, depth int) (*no
 			e++
 		}
 		q := h.quad(w, l.dim)
-		ref, ch, cmbr, err := l.build(nb, lo+s, lo+e, childCell(cell, q), h.child(w, l.dim), depth+1)
+		ref, ch, cmbr, err := l.build(nb, lo+s, lo+e, childCell(cell, q, mask), h.child(w, l.dim), depth+1)
 		if err != nil {
 			return nil, 0, geom.Rect{}, err
 		}
@@ -613,6 +632,49 @@ func (l *loader) split(b, lo, hi int, cell geom.Rect, h hilbert, depth int) (*no
 	}
 	slices.SortFunc(n.children, func(a, b childSlot) int { return cmp.Compare(a.quad, b.quad) })
 	return n, height, mbr, nil
+}
+
+// splitMask returns the dimensions a split of n objects with MBR mbr
+// halves (node.mask: 0 for every dimension). A dimension separates when
+// the cell's midpoint (l.mid) has objects on both sides. Halving all D
+// dimensions at once scatters a bucket over up to 2^D quadrants, most
+// of them nearly empty in high D, so the split halves the m separating
+// dimensions of widest spread, m = ⌈log₂(n / (capacity/2))⌉ — as many
+// as take n objects down to half-full buckets — and with them every
+// other separating dimension at least half as wide as the widest, so
+// that the cells stay close to cubes. Ties go to the lower dimension.
+// Every dimension that does not separate is halved too: it adds no
+// child, and a cell that kept its extent there would keep a midpoint
+// none of its objects straddle, at every depth below. A choice of every
+// dimension, or no separating dimension at all, is the paper's split;
+// in 2-D, where m ≥ 2 for any capacity above 1, that is every split.
+func (l *loader) splitMask(n int, mbr geom.Rect) uint32 {
+	m := 0
+	for c := max(l.t.cfg.BucketCapacity/2, 1); c < n; c <<= 1 {
+		m++
+	}
+	var buf [MaxDim]int
+	sep := buf[:0]
+	var mask uint32
+	for d := range l.dim {
+		if mbr.Lo[d] < l.mid[d] && l.mid[d] <= mbr.Hi[d] {
+			sep = append(sep, d)
+		} else {
+			mask |= 1 << uint(d)
+		}
+	}
+	spread := func(d int) float64 { return mbr.Hi[d] - mbr.Lo[d] }
+	slices.SortStableFunc(sep, func(a, b int) int { return cmp.Compare(spread(b), spread(a)) })
+	for i, d := range sep {
+		if i >= m && 2*spread(d) < spread(sep[0]) {
+			break
+		}
+		mask |= 1 << uint(d)
+	}
+	if mask == halved(0, l.dim) {
+		return 0
+	}
+	return mask
 }
 
 // inflate grows a rect by a tiny relative margin so that boundary points

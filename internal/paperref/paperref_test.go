@@ -103,9 +103,13 @@ func (rh *rowHasher) emit(r core.Result) error {
 // {VolatileBounds, PerObjectGather, KBoundMaxAll} — the code this package
 // was lifted from. To compare against another commit, give it a Run with
 // this signature and run this test there: it reports what it computes.
+// The FC case's tree halves only some dimensions at a split since the
+// MBRQT learned to: its rows' distance vectors are the ones recorded
+// before, and the hash moved with the emission order and the ids of
+// equal-distance neighbours (0xd7abebd78467d6c0 and 990 300 before).
 const (
-	pinnedRowHash       = 0xd7abebd78467d6c0
-	pinnedDistanceCalcs = 990300
+	pinnedRowHash       = 0x96a10da6b2304a74
+	pinnedDistanceCalcs = 1069429
 )
 
 func TestAnswersPinned(t *testing.T) {
