@@ -99,9 +99,12 @@ pagehash:
 # FuzzVisit feeds them whole pages. FuzzDecodeReport is the client's
 # JSON decode of a join report and a stats reply. FuzzBoundsAgainstExact
 # is not a decoder: it holds geom's pruning bounds (MINMINDIST,
-# MAXMAXDIST, NXNDIST, point–rect) to their exact big.Rat values.
+# MAXMAXDIST, NXNDIST, point–rect) to their exact big.Rat values, and
+# FuzzDistSqBlock holds the leaf join's distance kernel to the scalar sum,
+# bit for bit.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBoundsAgainstExact -fuzztime=5s ./internal/geom
+	$(GO) test -run=NONE -fuzz=FuzzDistSqBlock -fuzztime=5s ./internal/geom
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/mbrqt
 	$(GO) test -run=NONE -fuzz=FuzzRecordFromPage -fuzztime=5s ./internal/mbrqt
 	$(GO) test -run=NONE -fuzz=FuzzVisit -fuzztime=5s ./internal/mbrqt

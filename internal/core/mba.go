@@ -488,11 +488,11 @@ func (e *engine) drainToChildren(q *lpq, lpqcs []*lpq) error {
 // bounds[i] is owner i's admission bound. Between objects MIND = MAXD =
 // the exact distance, so a row yields one bound, its k-th distance: once
 // full, bounds[i] = min(inherited, k-th) x (1+boundSlack); until then only
-// the inherited bound applies. The prefilter, the kernel's early-out and
-// the work-heap cut all read bounds[i]. Bounds only tighten, so a snapshot
-// taken when a tile is gathered or run through the kernel is never
-// tighter than the live bound its commit re-checks: the batch path decides
-// every pair as the one-at-a-time oracle in batchjoin_test.go does.
+// the inherited bound applies. The prefilter, the commit and the
+// work-heap cut all read bounds[i]. Bounds only tighten, so the snapshot
+// the prefilter reads when a tile is gathered is never tighter than the
+// live bound its commit re-checks: the batch path decides every pair as
+// the one-at-a-time oracle in batchjoin_test.go does.
 type leafJoin struct {
 	e         *engine // stats and sched of the engine running the join
 	dim, m, k int
@@ -501,7 +501,7 @@ type leafJoin struct {
 	// The object/object probes of the leaf-level join dominate the whole
 	// ANN computation. The owners' coordinates are packed into one flat
 	// row-major matrix and their bounds cached in a parallel slice, so the
-	// kernel runs over contiguous memory with an early-out distance.
+	// kernel runs over contiguous memory.
 	flat      []float64
 	inherited float64 // the leaf owner's LPQ bound, valid for every owner (Lemma 3.2)
 	bounds    []float64
@@ -648,11 +648,10 @@ func (j *leafJoin) add(cand *index.Entry) {
 }
 
 // flush pushes the gathered candidate tile through the blocked distance
-// kernel and commits the results in candidate order. Owner bounds used as
-// kernel early-out limits are a snapshot taken here; the commit loop
-// re-reads the live bounds, which by the tightening-only argument above
-// can only prune more — and a pair the kernel aborted stored a partial
-// sum already above its snapshot limit, hence above the live one too.
+// kernel and commits the results in candidate order. The kernel stores
+// every pair's exact distance; the commit loop compares each against the
+// live bound, so a pair is admitted exactly when a one-at-a-time probe
+// would admit it.
 func (j *leafJoin) flush() {
 	n := len(j.candEnts)
 	if n == 0 {
@@ -660,10 +659,9 @@ func (j *leafJoin) flush() {
 	}
 	m := j.m
 	j.block = slices.Grow(j.block[:0], n*m)[:n*m]
-	earlyOuts := geom.DistSqBlock(j.flat, m, j.candFlat, n, j.dim, j.bounds, j.block)
+	geom.DistSqBlock(j.flat, m, j.candFlat, n, j.dim, j.bounds, j.block)
 	j.e.sched.KernelBlocks++
 	j.e.sched.KernelPairs += uint64(n * m)
-	j.e.sched.KernelEarlyOuts += uint64(earlyOuts)
 	for c := 0; c < n; c++ {
 		// Re-run the prefilter against the now-live max bound: the decision
 		// a one-at-a-time join would make for this candidate.

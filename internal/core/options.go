@@ -238,13 +238,6 @@ type SchedStats struct {
 	// and the owner x candidate pairs they evaluated.
 	KernelBlocks uint64 `json:"kernel_blocks"`
 	KernelPairs  uint64 `json:"kernel_pairs"`
-	// KernelEarlyOuts counts owner x candidate pairs the batch kernel
-	// abandoned early because the partial sum crossed the owner's bound
-	// snapshot. It lives here rather than in Stats because the snapshot
-	// is taken per tile: batching boundaries (and, under the parallel
-	// executor, subtree splits) move it, so the count is diagnostic, not
-	// parity-guaranteed.
-	KernelEarlyOuts uint64 `json:"kernel_early_outs"`
 }
 
 // Add accumulates other into s (workers keep private SchedStats, merged
@@ -255,7 +248,6 @@ func (s *SchedStats) Add(other SchedStats) {
 	s.Splits += other.Splits
 	s.KernelBlocks += other.KernelBlocks
 	s.KernelPairs += other.KernelPairs
-	s.KernelEarlyOuts += other.KernelEarlyOuts
 }
 
 // AddTo accumulates the scheduling counters into a metrics registry
@@ -266,7 +258,6 @@ func (s SchedStats) AddTo(r *obs.Registry) {
 	r.Counter("engine.sched_splits").Add(s.Splits)
 	r.Counter("engine.kernel_blocks").Add(s.KernelBlocks)
 	r.Counter("engine.kernel_pairs").Add(s.KernelPairs)
-	r.Counter("engine.prune_kernel_early_outs").Add(s.KernelEarlyOuts)
 }
 
 // AddTo accumulates the execution's counters into a metrics registry

@@ -23,34 +23,27 @@ const (
 // DistSqBlock computes squared Euclidean distances between m owner points
 // and n candidate points, both given as packed row-major matrices
 // (owners[oi*dim:(oi+1)*dim] is owner oi), writing out[ci*m+oi] for every
-// pair. limits[oi] is an early-out threshold per owner: once a pair's
-// partial sum exceeds it, the remaining dimensions are skipped and the
-// partial sum is stored. The contract callers rely on:
+// pair. limits[oi] is the caller's admission bound for owner oi. The
+// contract callers rely on:
 //
 //   - out[ci*m+oi] <= limits[oi] implies out holds the exact squared
 //     distance, accumulated dimension-by-dimension in ascending order with
 //     a single accumulator — bit-for-bit the value the scalar probe path
 //     computes (Go does not reassociate floating-point expressions).
 //   - out[ci*m+oi] > limits[oi] implies the exact distance also exceeds
-//     limits[oi] (partial sums of squares only grow), so the caller may
-//     treat the pair as pruned against any bound >= the stored value...
-//     and must not read it as a distance.
+//     limits[oi], so the caller may treat the pair as pruned.
 //
-// The two-dimensional case — the paper's datasets — skips the early-out
-// branch entirely: both terms are cheaper than the comparison.
-//
-// The returned count is the number of pairs whose accumulation stopped
-// early with dimensions still unprocessed — a work-saved diagnostic (the
-// 2-D fast path always reports zero). It feeds SchedStats and never
-// influences results.
-func DistSqBlock(owners []float64, m int, cands []float64, n, dim int, limits, out []float64) int {
+// Both hold because every stored value is the exact distance: the kernel
+// never stops a pair early. A per-dimension early-out would put a compare
+// and a branch in every step of the accumulation, and in the AkNN join
+// the pairs it could stop run through most of their dimensions anyway.
+func DistSqBlock(owners []float64, m int, cands []float64, n, dim int, limits, out []float64) {
 	if len(owners) != m*dim || len(cands) != n*dim {
 		panic("geom: DistSqBlock matrix length mismatch")
 	}
 	if len(limits) < m || len(out) < n*m {
 		panic("geom: DistSqBlock limits/out too short")
 	}
-	earlyOuts := 0
 	for c0 := 0; c0 < n; c0 += BlockCandTile {
 		c1 := min(c0+BlockCandTile, n)
 		for o0 := 0; o0 < m; o0 += BlockOwnerTile {
@@ -58,11 +51,10 @@ func DistSqBlock(owners []float64, m int, cands []float64, n, dim int, limits, o
 			if dim == 2 {
 				distSqBlock2D(owners, cands, o0, o1, c0, c1, m, out)
 			} else {
-				earlyOuts += distSqBlockGeneric(owners, cands, o0, o1, c0, c1, m, dim, limits, out)
+				distSqBlockGeneric(owners, cands, o0, o1, c0, c1, m, dim, out)
 			}
 		}
 	}
-	return earlyOuts
 }
 
 // distSqBlock2D is the dim==2 tile body: dx*dx + dy*dy matches the scalar
@@ -79,31 +71,39 @@ func distSqBlock2D(owners, cands []float64, o0, o1, c0, c1, m int, out []float64
 	}
 }
 
-// distSqBlockGeneric is the any-dimension tile body with the per-owner
-// early-out. It returns the number of pairs aborted before the final
-// dimension (an abort at the last dimension produced the full sum and is
-// not counted).
-func distSqBlockGeneric(owners, cands []float64, o0, o1, c0, c1, m, dim int, limits, out []float64) int {
-	earlyOuts := 0
+// distSqBlockGeneric is the any-dimension tile body. A single pair's sum
+// is one dependent chain of adds, so the body takes four owners per
+// candidate with four independent accumulators, which the processor
+// overlaps; each accumulator still adds its dimensions in ascending
+// order. The owners left over (o1-o0 mod 4) take the scalar loop.
+func distSqBlockGeneric(owners, cands []float64, o0, o1, c0, c1, m, dim int, out []float64) {
 	for ci := c0; ci < c1; ci++ {
 		cp := cands[ci*dim : (ci+1)*dim]
 		row := out[ci*m : ci*m+m]
-		for oi := o0; oi < o1; oi++ {
+		oi := o0
+		for ; oi+4 <= o1; oi += 4 {
+			p0 := owners[oi*dim : (oi+1)*dim]
+			p1 := owners[(oi+1)*dim : (oi+2)*dim]
+			p2 := owners[(oi+2)*dim : (oi+3)*dim]
+			p3 := owners[(oi+3)*dim : (oi+4)*dim]
+			var s0, s1, s2, s3 float64
+			for d, c := range cp {
+				d0, d1, d2, d3 := p0[d]-c, p1[d]-c, p2[d]-c, p3[d]-c
+				s0 += d0 * d0
+				s1 += d1 * d1
+				s2 += d2 * d2
+				s3 += d3 * d3
+			}
+			row[oi], row[oi+1], row[oi+2], row[oi+3] = s0, s1, s2, s3
+		}
+		for ; oi < o1; oi++ {
 			op := owners[oi*dim : (oi+1)*dim]
-			limit := limits[oi]
 			var s float64
-			for d := range cp {
-				diff := op[d] - cp[d]
+			for d, c := range cp {
+				diff := op[d] - c
 				s += diff * diff
-				if s > limit {
-					if d+1 < dim {
-						earlyOuts++
-					}
-					break
-				}
 			}
 			row[oi] = s
 		}
 	}
-	return earlyOuts
 }

@@ -6,7 +6,6 @@ import "math"
 // paper. Figure 2(a) of the paper illustrates the relationships; for two
 // MBRs M and N the metrics always satisfy
 //
-//	MINMINDIST(M,N) <= MINMAXDIST(M,N)
 //	MINMINDIST(M,N) <= NXNDIST(M,N) <= MAXMAXDIST(M,N)
 //
 // NXNDIST (a.k.a. MINMAXMINDIST) is the paper's new upper bound for ANN
@@ -99,54 +98,11 @@ func maxMinDim(ml, mh, nl, nh float64) float64 {
 	return v
 }
 
-// MinMaxDistSq returns the squared MINMAXDIST between two MBRs
-// (Corral et al., SIGMOD 2000): an upper bound on the distance between at
-// least one pair of points, one on a face of each MBR. It is included for
-// completeness and for distance-join style operations; the paper notes it
-// is *not* a valid ANN pruning bound (it bounds the closest pair, not every
-// point's NN).
-//
-// MINMAXDIST(m, n) = min over dimensions d of the distance obtained by
-// pinning dimension d to the nearer face of n and taking the maximal spread
-// in every other dimension.
-func MinMaxDistSq(m, n Rect) float64 {
-	dim := len(m.Lo)
-	if dim != len(n.Lo) {
-		panic(dimMismatch(dim, len(n.Lo)))
-	}
-	// S = sum over d of MAXDIST_d^2, then for each pinned dimension i
-	// replace MAXDIST_i^2 with the min distance from m's interval to the
-	// nearer face of n in dimension i.
-	var total float64
-	maxd := make([]float64, dim)
-	for d := range m.Lo {
-		maxd[d] = maxDistDim(m.Lo[d], m.Hi[d], n.Lo[d], n.Hi[d])
-		total += maxd[d] * maxd[d]
-	}
-	best := math.Inf(1)
-	for d := 0; d < dim; d++ {
-		// Pin dimension d to one face of n: the bound uses the face whose
-		// maximal distance from m's interval is smaller, with the maximal
-		// spread retained in every other dimension.
-		fl := maxPointToValue(m.Lo[d], m.Hi[d], n.Lo[d])
-		fh := maxPointToValue(m.Lo[d], m.Hi[d], n.Hi[d])
-		pinned := math.Min(fl, fh)
-		cand := total - maxd[d]*maxd[d] + pinned*pinned
-		if cand < best {
-			best = cand
-		}
-	}
-	return best
-}
-
 // maxPointToValue is the maximum distance from a coordinate in [lo, hi] to
 // the fixed coordinate v.
 func maxPointToValue(lo, hi, v float64) float64 {
 	return math.Max(math.Abs(lo-v), math.Abs(hi-v))
 }
-
-// MinMaxDist returns the MINMAXDIST between two MBRs.
-func MinMaxDist(m, n Rect) float64 { return math.Sqrt(MinMaxDistSq(m, n)) }
 
 // NXNDistSq returns the squared NXNDIST (MINMAXMINDIST) between two MBRs,
 // the quantity of the paper's Algorithm 1:
