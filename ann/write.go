@@ -124,12 +124,11 @@ func (ix *Index) totalPins() int64 {
 	return n
 }
 
-// enableLiveUpdates arms the mutation path: CoW mode on the tree, the
-// initial published version, and (when wal is non-nil) the durability
-// protocol. Called once, before the index is shared.
+// enableLiveUpdates arms the mutation path: the initial published
+// version and (when wal is non-nil) the durability protocol. Called
+// once, before the index is shared.
 func (ix *Index) enableLiveUpdates(wal *storage.WAL) {
 	ix.wal = wal
-	ix.tree.EnableCoW()
 	ix.publishLocked()
 }
 

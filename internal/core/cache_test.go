@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"allnn/internal/geom"
 	"allnn/internal/index"
 	"allnn/internal/mbrqt"
 )
@@ -27,80 +26,62 @@ func TestNodeCacheTraversalInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	rPts := clusteredPoints(rng, 700, 2, 100)
 	sPts := uniformPoints(rng, 600, 2, 100)
-	builders := []struct {
-		name  string
-		build func(testing.TB, []geom.Point) index.Tree
-	}{
-		{"mbrqt", buildMBRQT},
-		{"rstar", buildRStar},
-	}
-	for _, b := range builders {
-		for _, k := range []int{1, 3} {
-			ir, is := b.build(t, rPts), b.build(t, sPts)
-			off := Options{K: k, NodeCacheBytes: NodeCacheDisabled}
-			wantRes, wantStats, err := CollectContext(context.Background(), ir, is, off)
+	for _, k := range []int{1, 3} {
+		ir, is := buildMBRQT(t, rPts), buildMBRQT(t, sPts)
+		off := Options{K: k, NodeCacheBytes: NodeCacheDisabled}
+		wantRes, wantStats, err := CollectContext(context.Background(), ir, is, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantStats.NodeCacheHits != 0 || wantStats.NodeCacheMisses != 0 {
+			t.Fatalf("k=%d: disabled cache reports lookups: %+v", k, wantStats)
+		}
+		if ir.(index.NodeCacher).NodeCacheRef() != nil {
+			t.Fatal("NodeCacheBytes < 0 left a cache attached")
+		}
+		for _, pass := range []string{"cold", "warm"} {
+			on := Options{K: k}
+			gotRes, gotStats, err := CollectContext(context.Background(), ir, is, on)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wantStats.NodeCacheHits != 0 || wantStats.NodeCacheMisses != 0 {
-				t.Fatalf("%s/k=%d: disabled cache reports lookups: %+v", b.name, k, wantStats)
+			if !reflect.DeepEqual(gotRes, wantRes) {
+				t.Fatalf("k=%d/%s: cached results differ from cache-off", k, pass)
 			}
-			if nc, ok := ir.(index.NodeCacher); ok && nc.NodeCacheRef() != nil {
-				t.Fatalf("%s: NodeCacheBytes < 0 left a cache attached", b.name)
+			if stripCacheCounters(gotStats) != stripCacheCounters(wantStats) {
+				t.Fatalf("k=%d/%s: traversal counters changed: %+v vs %+v",
+					k, pass, gotStats, wantStats)
 			}
-			for _, pass := range []string{"cold", "warm"} {
-				on := Options{K: k}
-				gotRes, gotStats, err := CollectContext(context.Background(), ir, is, on)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(gotRes, wantRes) {
-					t.Fatalf("%s/k=%d/%s: cached results differ from cache-off", b.name, k, pass)
-				}
-				if stripCacheCounters(gotStats) != stripCacheCounters(wantStats) {
-					t.Fatalf("%s/k=%d/%s: traversal counters changed: %+v vs %+v",
-						b.name, k, pass, gotStats, wantStats)
-				}
-				if gotStats.NodeCacheHits+gotStats.NodeCacheMisses == 0 {
-					t.Fatalf("%s/k=%d/%s: cache enabled but no lookups recorded", b.name, k, pass)
-				}
-				if pass == "warm" && gotStats.NodeCacheMisses != 0 {
-					t.Fatalf("%s/k=%d: warm run still misses: %+v", b.name, k, gotStats)
-				}
+			if gotStats.NodeCacheHits+gotStats.NodeCacheMisses == 0 {
+				t.Fatalf("k=%d/%s: cache enabled but no lookups recorded", k, pass)
+			}
+			if pass == "warm" && gotStats.NodeCacheMisses != 0 {
+				t.Fatalf("k=%d: warm run still misses: %+v", k, gotStats)
 			}
 		}
 	}
 }
 
 // TestWarmExpandAllocationFree verifies the headline property: expanding
-// a cache-resident node allocates nothing, for both index kinds.
+// a cache-resident node allocates nothing.
 func TestWarmExpandAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	pts := uniformPoints(rng, 2000, 2, 100)
-	for _, b := range []struct {
-		name  string
-		build func(testing.TB, []geom.Point) index.Tree
-	}{
-		{"mbrqt", buildMBRQT},
-		{"rstar", buildRStar},
-	} {
-		tree := b.build(t, pts)
-		tree.(index.NodeCacher).SetNodeCache(index.NewNodeCache(0))
-		root, err := tree.Root()
-		if err != nil {
+	tree := buildMBRQT(t, uniformPoints(rng, 2000, 2, 100))
+	tree.(index.NodeCacher).SetNodeCache(index.NewNodeCache(0))
+	root, err := tree.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tree.Expand(&root); err != nil { // warm the root
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := tree.Expand(&root); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tree.Expand(&root); err != nil { // warm the root
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(200, func() {
-			if _, err := tree.Expand(&root); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: warm Expand performs %.1f allocs/op, want 0", b.name, allocs)
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm Expand performs %.1f allocs/op, want 0", allocs)
 	}
 }
 

@@ -40,7 +40,7 @@ type pageHints struct {
 }
 
 // paged is implemented by trees whose nodes lie in the pages of one
-// buffer pool and that can say where (mbrqt.Tree, index.Snapshot): the
+// buffer pool and that can say where (mbrqt.Tree, mbrqt.Snapshot): the
 // page of the record an Entry.Child names, and the MBR of everything the
 // records on a page hold — false for a page the tree cannot read.
 type paged interface {

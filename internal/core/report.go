@@ -69,8 +69,8 @@ type QueryReport struct {
 }
 
 // pooled is implemented by indexes whose pages live in a buffer pool
-// (mbrqt.Tree, rstar.Tree and the snapshots both publish). Structural, so
-// core needs no dependency on the index implementations.
+// (mbrqt.Tree, rstar.Tree and mbrqt.Snapshot). Structural, so core
+// needs no dependency on the index implementations.
 type pooled interface {
 	Pool() *storage.BufferPool
 }

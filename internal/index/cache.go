@@ -7,9 +7,9 @@ import (
 	"allnn/internal/storage"
 )
 
-// NodeCache is the decoded-node cache shared by the index implementations:
-// it maps a page id to the immutable entry slice produced by expanding that
-// node. Both MBRQT and the R*-tree key it by the value they already store in
+// NodeCache is the decoded-node cache of MBRQT, the index written after
+// build: it maps a node ref to the immutable entry slice produced by
+// expanding that node. The key is the value the tree already stores in
 // Entry.Child, so the engine's Expand(e) path becomes a cache lookup.
 //
 // Cached slices and everything they reference (points, MBR coordinate
@@ -44,8 +44,8 @@ func NewNodeCacheHinted(maxBytes int64, readers int) *NodeCache {
 }
 
 // NodeCacher is implemented by index trees that can expand through a
-// decoded-node cache. The engine attaches a cache before a run (sharing one
-// cache between trees over the same store) and reads its stats after.
+// decoded-node cache (MBRQT and its snapshots). The engine attaches a cache
+// before a run and reads its stats after.
 type NodeCacher interface {
 	// SetNodeCache attaches the cache used by Expand; nil detaches it.
 	SetNodeCache(c *NodeCache)

@@ -6,6 +6,7 @@ package index
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"allnn/internal/geom"
 	"allnn/internal/storage"
@@ -123,4 +124,59 @@ type Tree interface {
 	Visit(child storage.PageID, fn func(Block) error) error
 	// Bounds returns the MBR of all indexed points (empty rect if none).
 	Bounds() geom.Rect
+}
+
+// RootEntry builds the entry Tree.Root returns for a tree of size points
+// rooted at root (storage.InvalidPage while empty).
+func RootEntry(dim int, root storage.PageID, size int, bounds geom.Rect) Entry {
+	if root == storage.InvalidPage {
+		return Entry{Kind: NodeEntry, MBR: geom.EmptyRect(dim), Child: root}
+	}
+	return Entry{Kind: NodeEntry, MBR: bounds.Clone(), Child: root, Count: uint32(size)}
+}
+
+// Expand is the collector behind both trees' Tree.Expand: it decodes the
+// node e refers to, read through visit (the tree's Visit), into a fresh
+// entry slice.
+func Expand(e *Entry, visit func(storage.PageID, func(Block) error) error) ([]Entry, error) {
+	if e.IsObject() {
+		return nil, fmt.Errorf("index: Expand called on an object entry")
+	}
+	// visit is a func value, so this closure and out escape: two small
+	// allocations a miss on top of the decode's own, which measured
+	// cheaper than pooling a collector.
+	var out []Entry
+	err := visit(e.Child, func(b Block) error {
+		out = appendEntries(out, b)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// appendEntries materialises b's slots behind out: one entry array per
+// node (exact unless it chains) and one coordinate slab per record.
+func appendEntries(out []Entry, b Block) []Entry {
+	if out == nil {
+		out = make([]Entry, 0, b.N)
+	}
+	dim := b.Dim
+	if b.Leaf {
+		coords := make([]float64, b.N*dim)
+		for i := 0; i < b.N; i++ {
+			pt := geom.Point(coords[i*dim : (i+1)*dim : (i+1)*dim])
+			out = append(out, Entry{Kind: ObjectEntry, Object: b.Object(i, pt), MBR: geom.PointRect(pt), Count: 1, Point: pt})
+		}
+		return out
+	}
+	coords := make([]float64, b.N*2*dim)
+	for i := 0; i < b.N; i++ {
+		c := coords[i*2*dim : (i+1)*2*dim : (i+1)*2*dim]
+		mbr := geom.Rect{Lo: c[:dim:dim], Hi: c[dim:]}
+		child, count := b.Child(i, mbr.Lo, mbr.Hi)
+		out = append(out, Entry{Kind: NodeEntry, MBR: mbr, Child: child, Count: count})
+	}
+	return out
 }

@@ -119,7 +119,7 @@ func (t *Tree) RebuildFree() error {
 			return err
 		}
 	}
-	return t.rs.adopt(live)
+	return t.rs.adopt(live, t.meta)
 }
 
 // StatsReport summarises the physical shape of the tree (for debugging

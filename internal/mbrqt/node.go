@@ -397,7 +397,7 @@ func (t *Tree) updateNode(ref nodeRef, n *node) (nodeRef, error) {
 	}
 	// The decoded form of this node is stale whether or not the head ref
 	// survives the rewrite.
-	t.Invalidate(storage.PageID(ref))
+	t.cache.Load().Invalidate(storage.PageID(ref))
 	if len(segments) == 1 && len(oldChain) == 1 {
 		return t.rs.update(ref, segments[0])
 	}
@@ -426,7 +426,7 @@ func (t *Tree) freeNode(ref nodeRef) error {
 		return err
 	}
 	for _, r := range refs {
-		t.Invalidate(storage.PageID(r))
+		t.cache.Load().Invalidate(storage.PageID(r))
 		if err := t.rs.free(r); err != nil {
 			return err
 		}

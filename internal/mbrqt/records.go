@@ -3,8 +3,9 @@ package mbrqt
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
-	"allnn/internal/index"
 	"allnn/internal/storage"
 )
 
@@ -57,12 +58,13 @@ func (r nodeRef) page() storage.PageID { return storage.PageID(uint32(r) >> slot
 func (r nodeRef) slot() int            { return int(uint32(r) & slotMask) }
 
 // recordStore manages slotted pages inside a shared buffer pool. It is
-// owned by a single tree and is not safe for concurrent use.
+// owned by a single tree and is not safe for concurrent use, but for
+// reclaimQ and the gauges.
 //
-// The copy-on-write page discipline is the shell's (index.Shell); what
-// the slotted layout adds is its granularity. A record on a published
-// page is never overwritten in place: freeing one merely defers its ref,
-// and updating one defers the old copy and allocates a new record on a
+// It also owns the pages' copy-on-write lifecycle (cow.go), at the
+// granularity of the slotted layout. A record on a published page is
+// never overwritten in place: freeing one merely defers its ref, and
+// updating one defers the old copy and allocates a new record on a
 // writable page. A published page re-enters circulation whole, once
 // every record on it is dead (pageDead) — and, unless it is young, a
 // checkpoint has fenced it:
@@ -71,7 +73,6 @@ func (r nodeRef) slot() int            { return int(uint32(r) & slotMask) }
 // storage).
 type recordStore struct {
 	pool *storage.BufferPool
-	life *index.Shell
 	// fillPages is the window of the eight pages most recently claimed or
 	// freed into, newest last; allocation tries them before claiming a
 	// new page. Pages published since they were cached are dropped by the
@@ -87,17 +88,34 @@ type recordStore struct {
 	// record died (published pages are frozen, so that count is stable).
 	deadSlots map[storage.PageID]int
 	liveInit  map[storage.PageID]int
+
+	writable  map[storage.PageID]bool // pages the current batch may write
+	young     map[storage.PageID]bool // live pages claimed since the last checkpoint
+	deferred  []nodeRef               // refs unlinked on published pages this batch
+	drained   []storage.PageID        // wholly dead old pages awaiting the fence
+	freePages []storage.PageID        // reusable pages, claimed newest first
+
+	// reclaimQ collects deferred refs whose snapshots have all been
+	// released; release functions append from reader goroutines.
+	reclaimMu sync.Mutex
+	reclaimQ  []nodeRef
+
+	// The gauges mirror len(freePages), len(drained), the refs between
+	// deferRef and DrainReclaim, and len(young), for scrapers outside the
+	// writer lock.
+	nFree, nDrained, nDeferred, nYoung atomic.Int64
 }
 
 func newRecordStore(pool *storage.BufferPool) *recordStore {
-	return &recordStore{pool: pool, deadSlots: make(map[storage.PageID]int), liveInit: make(map[storage.PageID]int)}
+	return &recordStore{pool: pool, deadSlots: make(map[storage.PageID]int), liveInit: make(map[storage.PageID]int),
+		writable: make(map[storage.PageID]bool), young: make(map[storage.PageID]bool)}
 }
 
-// pageDead is the shell's dead hook: it marks a deferred-freed ref as
-// dead now that no snapshot can read it, and reports whether that was
-// the last live record of its (published) page.
-func (rs *recordStore) pageDead(ref storage.PageID) (storage.PageID, bool, error) {
-	pid := nodeRef(ref).page()
+// pageDead marks a deferred-freed ref as dead now that no snapshot can
+// read it, and reports whether that was the last live record of its
+// (published) page.
+func (rs *recordStore) pageDead(ref nodeRef) (storage.PageID, bool, error) {
+	pid := ref.page()
 	if _, ok := rs.liveInit[pid]; !ok {
 		live, err := rs.liveSlotCount(pid)
 		if err != nil {
@@ -118,7 +136,13 @@ func (rs *recordStore) pageDead(ref storage.PageID) (storage.PageID, bool, error
 // the tree just opened reaches. A page it reaches none on is free. One
 // that also holds records an earlier process had drained gets that count
 // back, so that it still comes back whole when the survivors die.
-func (rs *recordStore) adopt(live map[storage.PageID]int) error {
+//
+// The free list becomes every page of the store that live does not name,
+// the meta page apart: what a previous process left dead, or claimed and
+// never checkpointed. The tree must equal its durable image, with nothing
+// deferred or drained — right after Open or a checkpoint, before the
+// first batch. Low page ids are claimed first.
+func (rs *recordStore) adopt(live map[storage.PageID]int, meta storage.PageID) error {
 	for pid, n := range live {
 		held, err := rs.liveSlotCount(pid)
 		if err != nil {
@@ -128,7 +152,13 @@ func (rs *recordStore) adopt(live map[storage.PageID]int) error {
 			rs.liveInit[pid], rs.deadSlots[pid] = held, held-n
 		}
 	}
-	rs.life.AdoptFree(func(pid storage.PageID) bool { return live[pid] > 0 })
+	rs.freePages = rs.freePages[:0]
+	for id := storage.PageID(rs.pool.Store().NumPages()); id > 0; id-- {
+		if page := id - 1; page != meta && live[page] == 0 {
+			rs.freePages = append(rs.freePages, page)
+		}
+	}
+	rs.nFree.Store(int64(len(rs.freePages)))
 	return nil
 }
 
@@ -259,7 +289,7 @@ func (rs *recordStore) allocOn(fill *[]storage.PageID, rec []byte) (nodeRef, err
 	// Try the cached fill pages, newest first.
 	for i := len(*fill) - 1; i >= 0; i-- {
 		pid := (*fill)[i]
-		if !rs.life.Writable(pid) {
+		if !rs.writable[pid] {
 			// Published since it was cached: never write it.
 			*fill = append((*fill)[:i], (*fill)[i+1:]...)
 			continue
@@ -274,7 +304,7 @@ func (rs *recordStore) allocOn(fill *[]storage.PageID, rec []byte) (nodeRef, err
 	}
 	// A free page before a new one; the record always fits an empty page
 	// (checked above).
-	f, err := rs.life.Claim()
+	f, err := rs.claim()
 	if err != nil {
 		return invalidRef, err
 	}
@@ -376,7 +406,7 @@ func recordFromPage(data []byte, slot int) ([]byte, error) {
 // still read it, so the free is deferred until Publish hands it over
 // for reclaim.
 func (rs *recordStore) free(ref nodeRef) error {
-	if rs.life.Defer(storage.PageID(ref), ref.page()) {
+	if rs.deferRef(ref) {
 		return nil
 	}
 	f, err := rs.pool.Get(ref.page())
@@ -399,7 +429,7 @@ func (rs *recordStore) update(ref nodeRef, rec []byte) (nodeRef, error) {
 	if len(rec) > maxRecordSize {
 		return invalidRef, fmt.Errorf("mbrqt: record of %d bytes exceeds page capacity %d", len(rec), maxRecordSize)
 	}
-	if rs.life.Defer(storage.PageID(ref), ref.page()) {
+	if rs.deferRef(ref) {
 		return rs.alloc(rec)
 	}
 	f, err := rs.pool.Get(ref.page())

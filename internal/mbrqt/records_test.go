@@ -5,14 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
-	"allnn/internal/index"
 	"allnn/internal/storage"
 )
 
 func newRS() *recordStore {
-	rs := newRecordStore(storage.NewBufferPool(storage.NewMemStore(), 256))
-	rs.life = index.NewShell(rs.pool, storage.InvalidPage, nil, nil, rs.pageDead)
-	return rs
+	return newRecordStore(storage.NewBufferPool(storage.NewMemStore(), 256))
 }
 
 // read returns a copy of the record bytes. Production code reads records

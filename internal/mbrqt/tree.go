@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"allnn/internal/geom"
 	"allnn/internal/index"
@@ -38,15 +39,20 @@ func (c Config) withDefaults(dim int) Config {
 	return c
 }
 
-// Tree is a disk-resident MBR-enhanced bucket PR quadtree. What it
-// shares with the R*-tree — Expand over the node cache, snapshots, page
-// reclaim and the ordered checkpoint — is the embedded index.Shell.
+// Tree is a disk-resident MBR-enhanced bucket PR quadtree. Its pages
+// follow the copy-on-write lifecycle of cow.go.
 type Tree struct {
-	*index.Shell
 	pool *storage.BufferPool
+	meta storage.PageID // the header page
 	rs   *recordStore
 	dim  int
 	cfg  Config
+
+	// cache, when attached, serves Expand from decoded entry slices keyed
+	// by ref, so it must not be shared with a tree whose refs could
+	// collide. The pointer is atomic so concurrent readers can race with
+	// an idempotent re-attach; the cache itself is concurrency-safe.
+	cache atomic.Pointer[index.NodeCache]
 
 	root   nodeRef   // invalidRef while empty
 	space  geom.Rect // the fixed cell of the root
@@ -70,6 +76,7 @@ func New(pool *storage.BufferPool, space geom.Rect, cfg Config) (*Tree, error) {
 	}
 	t := &Tree{
 		pool:   pool,
+		rs:     newRecordStore(pool),
 		dim:    dim,
 		cfg:    cfg.withDefaults(dim),
 		root:   invalidRef,
@@ -80,23 +87,14 @@ func New(pool *storage.BufferPool, space geom.Rect, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.attach(f.ID())
+	t.meta = f.ID()
 	f.Release()
 	return t, t.writeMeta()
 }
 
-// attach wraps the tree, anchored at its meta page, in its shell and
-// hands the shell's page lifecycle to the record store.
-func (t *Tree) attach(meta storage.PageID) {
-	t.rs = newRecordStore(t.pool)
-	t.Shell = index.NewShell(t.pool, meta, t, t.writeMeta, t.rs.pageDead)
-	t.rs.life = t.Shell
-}
-
 // Open loads a previously persisted tree anchored at the given meta page.
 func Open(pool *storage.BufferPool, meta storage.PageID) (*Tree, error) {
-	t := &Tree{pool: pool}
-	t.attach(meta)
+	t := &Tree{pool: pool, meta: meta, rs: newRecordStore(pool)}
 	f, err := pool.Get(meta)
 	if err != nil {
 		return nil, err
@@ -135,7 +133,7 @@ func Open(pool *storage.BufferPool, meta storage.PageID) (*Tree, error) {
 
 // writeMeta persists the tree header to its meta page.
 func (t *Tree) writeMeta() error {
-	f, err := t.pool.Get(t.MetaPage())
+	f, err := t.pool.Get(t.meta)
 	if err != nil {
 		return err
 	}
@@ -170,6 +168,18 @@ func (t *Tree) writeMeta() error {
 	return nil
 }
 
+// Pool returns the buffer pool the tree performs its I/O through.
+func (t *Tree) Pool() *storage.BufferPool { return t.pool }
+
+// MetaPage returns the page anchoring the tree inside its store.
+func (t *Tree) MetaPage() storage.PageID { return t.meta }
+
+// SetNodeCache implements index.NodeCacher.
+func (t *Tree) SetNodeCache(c *index.NodeCache) { t.cache.Store(c) }
+
+// NodeCacheRef implements index.NodeCacher.
+func (t *Tree) NodeCacheRef() *index.NodeCache { return t.cache.Load() }
+
 // Dim implements index.Tree.
 func (t *Tree) Dim() int { return t.dim }
 
@@ -189,6 +199,24 @@ func (t *Tree) Space() geom.Rect { return t.space.Clone() }
 // (an opaque handle from the engine's point of view).
 func (t *Tree) Root() (index.Entry, error) {
 	return index.RootEntry(t.dim, storage.PageID(t.root), t.size, t.bounds), nil
+}
+
+// Expand implements index.Tree. With a node cache attached a warm
+// expansion is one lookup returning the shared immutable slice; a miss
+// decodes the node and populates the cache.
+func (t *Tree) Expand(e *index.Entry) ([]index.Entry, error) {
+	cache := t.cache.Load()
+	if !e.IsObject() {
+		if out, ok := cache.Get(e.Child); ok {
+			return out, nil
+		}
+	}
+	out, err := index.Expand(e, t.Visit)
+	if err != nil {
+		return nil, err
+	}
+	index.CachePut(cache, e.Child, out)
+	return out, nil
 }
 
 // Visit implements index.Tree: the node's records are walked in their
@@ -471,6 +499,7 @@ func BulkLoad(pool *storage.BufferPool, pts []geom.Point, ids []index.ObjectID, 
 	t.height = height
 	t.size = len(pts)
 	t.bounds = bounds
+	t.rs.settle()
 	return t, t.writeMeta()
 }
 

@@ -177,11 +177,8 @@ func (t *Tree) readNode(pid storage.PageID) (*node, error) {
 	return n, err
 }
 
-// writeNode stores n in place at pid. Every structural change funnels
-// through here, so it also drops the page's stale decoded form from the
-// node cache.
+// writeNode stores n in place at pid.
 func (t *Tree) writeNode(pid storage.PageID, n *node) error {
-	t.Invalidate(pid)
 	var max int
 	if n.leaf {
 		max = maxEntriesFor(leafEntrySize(t.dim))
@@ -237,7 +234,7 @@ func (t *Tree) writeNode(pid storage.PageID, n *node) error {
 // allocPage claims a page for a new node. It comes zeroed and stays
 // resident for the writeNode that follows.
 func (t *Tree) allocPage() (storage.PageID, error) {
-	f, err := t.Claim()
+	f, err := t.pool.NewPage()
 	if err != nil {
 		return storage.InvalidPage, err
 	}

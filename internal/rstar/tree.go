@@ -11,18 +11,19 @@ import (
 	"allnn/internal/storage"
 )
 
-// Config tunes the tree. The zero value selects page-sized fanout with
-// the canonical R* parameters (40% minimum fill, 30% forced reinsert).
+// Config tunes the tree. The zero value selects page-sized fanout. The
+// rest is the canonical R* policy: 40 % minimum fill and 30 % forced
+// reinsertion.
 type Config struct {
 	// MaxEntries caps the node fanout; 0 means "as many as fit one page".
 	// Tests use small values to force deep trees.
 	MaxEntries int
-	// MinFill is the minimum fill fraction of a node (default 0.4).
-	MinFill float64
-	// ReinsertFraction is the share of entries evicted on first overflow
-	// per level (default 0.3). Negative disables forced reinsertion.
-	ReinsertFraction float64
 }
+
+const (
+	minFill          = 0.4 // the minimum fill fraction of a node
+	reinsertFraction = 0.3 // the share of entries evicted on a level's first overflow
+)
 
 func (c Config) withDefaults(dim int) Config {
 	if c.MaxEntries <= 0 {
@@ -34,43 +35,20 @@ func (c Config) withDefaults(dim int) Config {
 	if c.MaxEntries < 4 {
 		c.MaxEntries = 4
 	}
-	if c.MinFill <= 0 || c.MinFill > 0.5 {
-		c.MinFill = 0.4
-	}
-	if c.ReinsertFraction == 0 {
-		c.ReinsertFraction = 0.3
-	}
 	return c
 }
 
-func (c Config) minEntries() int {
-	m := int(float64(c.MaxEntries) * c.MinFill)
-	if m < 1 {
-		m = 1
-	}
-	return m
-}
+func (c Config) minEntries() int { return max(int(float64(c.MaxEntries)*minFill), 1) }
 
-func (c Config) reinsertCount() int {
-	if c.ReinsertFraction < 0 {
-		return 0
-	}
-	p := int(float64(c.MaxEntries) * c.ReinsertFraction)
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
+func (c Config) reinsertCount() int { return max(int(float64(c.MaxEntries)*reinsertFraction), 1) }
 
 // Tree is a disk-resident R*-tree over points, built — by BulkLoad, or by
-// New and Insert for the paper's Fig 3(a) — and then only read. What it
-// shares with MBRQT — Expand over the node cache, snapshots and the
-// ordered checkpoint — is the embedded index.Shell; R* nodes occupy whole
-// pages, so a ref is a page id. Insert writes nodes in place: it must not
-// run once a snapshot has been published.
+// New and Insert for the paper's Fig 3(a) — and then only read. R* nodes
+// occupy whole pages, so a ref is a page id. Insert writes nodes in
+// place.
 type Tree struct {
-	*index.Shell
 	pool *storage.BufferPool
+	meta storage.PageID // the header page
 	dim  int
 	cfg  Config
 
@@ -109,20 +87,14 @@ func New(pool *storage.BufferPool, dim int, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.attach(f.ID())
+	t.meta = f.ID()
 	f.Release()
 	return t, t.writeMeta()
 }
 
-// attach wraps the tree, anchored at its meta page, in its shell.
-func (t *Tree) attach(meta storage.PageID) {
-	t.Shell = index.NewShell(t.pool, meta, t, t.writeMeta, nil)
-}
-
 // Open loads a persisted tree anchored at the given meta page.
 func Open(pool *storage.BufferPool, meta storage.PageID) (*Tree, error) {
-	t := &Tree{pool: pool}
-	t.attach(meta)
+	t := &Tree{pool: pool, meta: meta}
 	f, err := pool.Get(meta)
 	if err != nil {
 		return nil, err
@@ -133,16 +105,14 @@ func Open(pool *storage.BufferPool, meta storage.PageID) (*Tree, error) {
 		return nil, fmt.Errorf("rstar: page %d is not an R*-tree header: %w", meta, storage.ErrCorruptPage)
 	}
 	t.dim = int(binary.LittleEndian.Uint32(data[4:]))
-	if t.dim < 1 || 44+16*t.dim > storage.PageSize {
+	if t.dim < 1 || 28+16*t.dim > storage.PageSize {
 		return nil, fmt.Errorf("rstar: header dim %d out of range: %w", t.dim, storage.ErrCorruptPage)
 	}
 	t.root = storage.PageID(binary.LittleEndian.Uint32(data[8:]))
 	t.size = int(binary.LittleEndian.Uint64(data[12:]))
 	t.height = int(binary.LittleEndian.Uint32(data[20:]))
 	t.cfg.MaxEntries = int(binary.LittleEndian.Uint32(data[24:]))
-	t.cfg.MinFill = math.Float64frombits(binary.LittleEndian.Uint64(data[28:]))
-	t.cfg.ReinsertFraction = math.Float64frombits(binary.LittleEndian.Uint64(data[36:]))
-	off := 44
+	off := 28
 	t.bounds = geom.Rect{Lo: make(geom.Point, t.dim), Hi: make(geom.Point, t.dim)}
 	for d := 0; d < t.dim; d++ {
 		t.bounds.Lo[d] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
@@ -156,7 +126,7 @@ func Open(pool *storage.BufferPool, meta storage.PageID) (*Tree, error) {
 }
 
 func (t *Tree) writeMeta() error {
-	f, err := t.pool.Get(t.MetaPage())
+	f, err := t.pool.Get(t.meta)
 	if err != nil {
 		return err
 	}
@@ -168,9 +138,7 @@ func (t *Tree) writeMeta() error {
 	binary.LittleEndian.PutUint64(data[12:], uint64(t.size))
 	binary.LittleEndian.PutUint32(data[20:], uint32(t.height))
 	binary.LittleEndian.PutUint32(data[24:], uint32(t.cfg.MaxEntries))
-	binary.LittleEndian.PutUint64(data[28:], math.Float64bits(t.cfg.MinFill))
-	binary.LittleEndian.PutUint64(data[36:], math.Float64bits(t.cfg.ReinsertFraction))
-	off := 44
+	off := 28
 	for d := 0; d < t.dim; d++ {
 		binary.LittleEndian.PutUint64(data[off:], math.Float64bits(t.bounds.Lo[d]))
 		off += 8
@@ -181,6 +149,31 @@ func (t *Tree) writeMeta() error {
 	}
 	f.MarkDirty()
 	return nil
+}
+
+// Pool returns the buffer pool the tree performs its I/O through.
+func (t *Tree) Pool() *storage.BufferPool { return t.pool }
+
+// MetaPage returns the page anchoring the tree inside its store.
+func (t *Tree) MetaPage() storage.PageID { return t.meta }
+
+// Flush makes the tree durable: the data pages are written and synced
+// before the header, so a crash never leaves a durable header pointing
+// at unwritten pages.
+func (t *Tree) Flush() error {
+	if err := t.writeMeta(); err != nil {
+		return err
+	}
+	if err := t.pool.FlushAllExcept(t.meta); err != nil {
+		return err
+	}
+	if err := t.pool.Store().Sync(); err != nil {
+		return err
+	}
+	if err := t.pool.FlushPage(t.meta); err != nil {
+		return err
+	}
+	return t.pool.Store().Sync()
 }
 
 // Dim implements index.Tree.
@@ -199,6 +192,9 @@ func (t *Tree) Bounds() geom.Rect { return t.bounds.Clone() }
 func (t *Tree) Root() (index.Entry, error) {
 	return index.RootEntry(t.dim, t.root, t.size, t.bounds), nil
 }
+
+// Expand implements index.Tree, decoding the node on every call.
+func (t *Tree) Expand(e *index.Entry) ([]index.Entry, error) { return index.Expand(e, t.Visit) }
 
 // Visit implements index.Tree: the node is parsed in its pinned page and
 // handed over whole.
@@ -364,11 +360,11 @@ func (t *Tree) chooseSubtree(n *node, mbr geom.Rect, aboveTarget bool) int {
 }
 
 // handleOverflow applies the R* policy to an overflowing node: forced
-// reinsertion on the first overflow at this level (unless disabled or at
-// the root), a split otherwise.
+// reinsertion on the first overflow at this level (unless at the root),
+// a split otherwise.
 func (t *Tree) handleOverflow(pid storage.PageID, n *node, level int) (insertResult, error) {
 	isRoot := pid == t.root
-	if !isRoot && t.cfg.reinsertCount() > 0 && !t.reinserting[level] {
+	if !isRoot && !t.reinserting[level] {
 		t.reinserting[level] = true
 		kept, evicted := t.pickReinsertions(n)
 		n.entries = kept
