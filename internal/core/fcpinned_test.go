@@ -27,8 +27,8 @@ func TestFCJoinPinned(t *testing.T) {
 		distanceCalcs, enqueued, prunedOnProbe uint64
 		kernelPairs                            uint64
 	}{
-		{10, 0xcc36936e02f9baba, 1_284_084, 229_564, 1_152_682, 1_232_214},
-		{50, 0x7cf333e1d9a2d153, 1_562_394, 726_870, 830_088, 1_471_922},
+		{10, 0xcc36936e02f9baba, 1_284_084, 229_564, 1_152_682, 1_212_058},
+		{50, 0x7cf333e1d9a2d153, 1_562_394, 726_870, 830_088, 1_465_826},
 	} {
 		for _, par := range []int{1, 2} {
 			t.Run(fmt.Sprintf("k=%d/par=%d", c.k, par), func(t *testing.T) {

@@ -470,12 +470,11 @@ func (e *engine) drainToChildren(q *lpq, lpqcs []*lpq) error {
 	}
 }
 
-// leafJoin is the fused leaf join of one I_R leaf: the packed coordinates
-// and admission bounds of the leaf's m owners (the query objects), one
-// k-best accumulator row per owner, the candidate-node work heap and the
-// batch-kernel gather buffers. One lives per engine (so per parallel
-// worker), reset for each leaf: the join allocates nothing in steady
-// state. DESIGN.md §13 has the long form.
+// leafJoin is the fused leaf join of one I_R leaf: the coordinates and
+// admission bounds of the leaf's m owners (the query objects), one k-best
+// accumulator row per owner and the candidate-node work heap. One lives
+// per engine (so per parallel worker), reset for each leaf: the join
+// allocates nothing in steady state. DESIGN.md §13 has the long form.
 //
 // Owner i's row is its fill[i] <= k nearest candidates so far: dist[i*k:]
 // squared distances, ascending, and ref[i*k:] indexes into cands, the
@@ -488,20 +487,20 @@ func (e *engine) drainToChildren(q *lpq, lpqcs []*lpq) error {
 // bounds[i] is owner i's admission bound. Between objects MIND = MAXD =
 // the exact distance, so a row yields one bound, its k-th distance: once
 // full, bounds[i] = min(inherited, k-th) x (1+boundSlack); until then only
-// the inherited bound applies. The prefilter, the commit and the
-// work-heap cut all read bounds[i]. Bounds only tighten, so the snapshot
-// the prefilter reads when a tile is gathered is never tighter than the
-// live bound its commit re-checks: the batch path decides every pair as
-// the one-at-a-time oracle in batchjoin_test.go does.
+// the inherited bound applies. The prefilter, the admission test and the
+// work-heap cut all read the live bounds, so each candidate is decided
+// the moment it arrives, owner by owner, exactly as the scalar oracle in
+// batchjoin_test.go decides it.
 type leafJoin struct {
 	e         *engine // stats and sched of the engine running the join
 	dim, m, k int
 	owners    []index.Entry
 	leafMBR   geom.Rect
-	// The object/object probes of the leaf-level join dominate the whole
-	// ANN computation. The owners' coordinates are packed into one flat
-	// row-major matrix and their bounds cached in a parallel slice, so the
-	// kernel runs over contiguous memory.
+	// The object/object distances of the leaf-level join dominate the
+	// whole ANN computation, so the owners' coordinates are packed for the
+	// loop in add: in 2-D as two columns xs and ys, otherwise as one flat
+	// row-major matrix.
+	xs, ys    []float64
 	flat      []float64
 	inherited float64 // the leaf owner's LPQ bound, valid for every owner (Lemma 3.2)
 	bounds    []float64
@@ -516,14 +515,6 @@ type leafJoin struct {
 	maxOwnerBound float64
 	maxOwnerIdx   int
 	work          pq.Heap[*index.Entry]
-
-	// Batch gather buffers: candidates surviving the snapshot prefilter,
-	// their packed coordinates, and their precomputed leaf-MBR distances
-	// (re-checked against the live bound at commit).
-	candEnts []*index.Entry
-	candFlat []float64
-	candPre  []float64
-	block    []float64
 }
 
 // reset points the scratch at a new leaf owner q and its query objects,
@@ -534,7 +525,7 @@ func (j *leafJoin) reset(e *engine, q *lpq, owners []index.Entry, k int) {
 	j.dim, j.m, j.k = len(owners[0].Point), m, k
 	j.owners = owners
 	j.leafMBR = q.owner.MBR
-	j.flat = j.flat[:0]
+	j.xs, j.ys, j.flat = j.xs[:0], j.ys[:0], j.flat[:0]
 	j.bounds = slices.Grow(j.bounds[:0], m)[:m]
 	j.fill = slices.Grow(j.fill[:0], m)[:m]
 	j.dist = slices.Grow(j.dist[:0], m*j.k)[:m*j.k]
@@ -542,7 +533,12 @@ func (j *leafJoin) reset(e *engine, q *lpq, owners []index.Entry, k int) {
 	j.inherited = q.bound()
 	start := j.inherited + j.inherited*boundSlack
 	for i := range owners {
-		j.flat = append(j.flat, owners[i].Point...)
+		p := owners[i].Point
+		if j.dim == 2 {
+			j.xs, j.ys = append(j.xs, p[0]), append(j.ys, p[1])
+		} else {
+			j.flat = append(j.flat, p...)
+		}
 		j.bounds[i] = start
 		j.fill[i] = 0
 	}
@@ -558,14 +554,6 @@ func (j *leafJoin) finish() {
 	j.cands = j.cands[:0]
 	j.work.Reset()
 	j.e = nil
-	j.clearBatch()
-}
-
-func (j *leafJoin) clearBatch() {
-	clear(j.candEnts)
-	j.candEnts = j.candEnts[:0]
-	j.candFlat = j.candFlat[:0]
-	j.candPre = j.candPre[:0]
 }
 
 func (j *leafJoin) refreshMaxOwnerBound() {
@@ -624,62 +612,81 @@ func (j *leafJoin) admit(i int, d float64, cand *index.Entry, ref int) int {
 	return ref
 }
 
-// add runs the snapshot prefilter on one candidate — farther from the leaf
-// MBR than every owner's bound means no per-owner probe can succeed, and
-// most candidates fall here for one distance evaluation — and gathers
-// survivors into the batch buffers, flushing a full tile through the
-// kernel. The prefilter bound may be stale by up to one tile (looser
-// than live), so a reject here is always also a live reject; survivors
-// are re-checked against the live bound when their tile commits.
+// add decides one candidate object against every owner of the leaf. The
+// prefilter comes first: farther from the leaf MBR than every owner's
+// bound means no owner can admit it, and most candidates fall here for
+// one distance evaluation. A survivor's squared distance to each owner is
+// compared with that owner's live bound as soon as the sum is complete,
+// and admitted in owner order. Every sum adds its dimensions in ascending
+// order, so it is bit for bit the scalar probe's distance.
 func (j *leafJoin) add(cand *index.Entry) {
 	cp := cand.Point
-	j.e.stats.DistanceCalcs++
-	pre := geom.MinDistPointRectSq(cp, j.leafMBR)
-	if pre > j.maxOwnerBound {
-		j.e.stats.PrunedOnProbe += uint64(j.m)
+	st := j.e.stats
+	st.DistanceCalcs++
+	if geom.MinDistPointRectSq(cp, j.leafMBR) > j.maxOwnerBound {
+		st.PrunedOnProbe += uint64(j.m)
 		return
 	}
-	j.candEnts = append(j.candEnts, cand)
-	j.candFlat = append(j.candFlat, cp...)
-	j.candPre = append(j.candPre, pre)
-	if len(j.candEnts) >= geom.BlockCandTile {
-		j.flush()
-	}
-}
-
-// flush pushes the gathered candidate tile through the blocked distance
-// kernel and commits the results in candidate order. The kernel stores
-// every pair's exact distance; the commit loop compares each against the
-// live bound, so a pair is admitted exactly when a one-at-a-time probe
-// would admit it.
-func (j *leafJoin) flush() {
-	n := len(j.candEnts)
-	if n == 0 {
-		return
-	}
-	m := j.m
-	j.block = slices.Grow(j.block[:0], n*m)[:n*m]
-	geom.DistSqBlock(j.flat, m, j.candFlat, n, j.dim, j.bounds, j.block)
-	j.e.sched.KernelBlocks++
-	j.e.sched.KernelPairs += uint64(n * m)
-	for c := 0; c < n; c++ {
-		// Re-run the prefilter against the now-live max bound: the decision
-		// a one-at-a-time join would make for this candidate.
-		if j.candPre[c] > j.maxOwnerBound {
-			j.e.stats.PrunedOnProbe += uint64(m)
-			continue
-		}
-		j.e.stats.DistanceCalcs += uint64(m)
-		ref, admitted := -1, 0
-		for i, d := range j.block[c*m : c*m+m] {
-			if d <= j.bounds[i] {
-				ref = j.admit(i, d, j.candEnts[c], ref)
-				admitted++
+	m := uint64(j.m)
+	st.DistanceCalcs += m
+	j.e.sched.KernelPairs += m
+	enqueued := st.Enqueued
+	if j.dim == 2 {
+		bounds := j.bounds
+		xs, ys := j.xs[:len(bounds)], j.ys[:len(bounds)]
+		cx, cy, ref := cp[0], cp[1], -1
+		for i, b := range bounds {
+			dx := xs[i] - cx
+			dy := ys[i] - cy
+			if d := dx*dx + dy*dy; d <= b {
+				ref = j.admit(i, d, cand, ref)
 			}
 		}
-		j.e.stats.PrunedOnProbe += uint64(m - admitted)
+	} else {
+		j.addGeneric(cand)
 	}
-	j.clearBatch()
+	// Each admission counted one Enqueued; every other owner pruned it.
+	st.PrunedOnProbe += m - (st.Enqueued - enqueued)
+}
+
+// addGeneric is add's distance loop in any dimension but 2. A single
+// pair's sum is one dependent chain of adds, so the body takes four
+// owners at once with four independent accumulators, which the processor
+// overlaps, and compares the four sums in owner order once they are
+// complete. The owners left over (m mod 4) take the scalar loop.
+func (j *leafJoin) addGeneric(cand *index.Entry) {
+	cp, dim, flat, bounds := cand.Point, j.dim, j.flat, j.bounds
+	ref, i := -1, 0
+	for ; i+4 <= j.m; i += 4 {
+		p0 := flat[i*dim : (i+1)*dim]
+		p1 := flat[(i+1)*dim : (i+2)*dim]
+		p2 := flat[(i+2)*dim : (i+3)*dim]
+		p3 := flat[(i+3)*dim : (i+4)*dim]
+		var s0, s1, s2, s3 float64
+		for d, c := range cp {
+			d0, d1, d2, d3 := p0[d]-c, p1[d]-c, p2[d]-c, p3[d]-c
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		for x, s := range [4]float64{s0, s1, s2, s3} {
+			if s <= bounds[i+x] {
+				ref = j.admit(i+x, s, cand, ref)
+			}
+		}
+	}
+	for ; i < j.m; i++ {
+		op := flat[i*dim : (i+1)*dim]
+		var s float64
+		for d, c := range cp {
+			diff := op[d] - c
+			s += diff * diff
+		}
+		if s <= bounds[i] {
+			ref = j.admit(i, s, cand, ref)
+		}
+	}
 }
 
 // joinLeaf drains the candidates of leaf owner q's LPQ into the owners'
@@ -701,11 +708,6 @@ func (e *engine) joinLeaf(q *lpq) error {
 			j.work.Push(it.mind, it.e)
 		}
 	}
-	// Every bound-dependent decision below (the heap cut-off and the
-	// node-push pruning) must see bounds that reflect all earlier probes,
-	// exactly as a one-at-a-time join would — so the gathered tile is
-	// flushed before each work-heap pop.
-	j.flush()
 	for j.work.Len() > 0 {
 		if err := e.checkCancel(); err != nil {
 			return err
@@ -735,7 +737,6 @@ func (e *engine) joinLeaf(q *lpq) error {
 				e.stats.PrunedOnProbe++
 			}
 		}
-		j.flush()
 	}
 	return nil
 }

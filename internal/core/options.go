@@ -217,11 +217,10 @@ func (s *Stats) Add(other Stats) {
 }
 
 // SchedStats counts the parallel executor's scheduling decisions and the
-// leaf join's batch-kernel throughput. It is diagnostic, not semantic:
-// Tasks/Splits vary run to run with goroutine timing, and the kernel
-// counters depend on batching boundaries — so none of this belongs in
+// leaf join's distance work. It is diagnostic, not semantic: Tasks/Splits
+// vary run to run with goroutine timing, so none of this belongs in
 // Stats, whose serial/parallel parity is tested. A serial run reports
-// zero Tasks/Splits and whatever kernel batching the leaf join performed.
+// zero Tasks/Splits and the pairs its leaf joins computed.
 type SchedStats struct {
 	// Tasks counts subtree tasks drained to completion by workers
 	// (frontier subtrees plus split-produced children; splits themselves
@@ -234,10 +233,9 @@ type SchedStats struct {
 	// Splits counts oversized subtree tasks re-expanded into child tasks
 	// instead of being drained in place.
 	Splits uint64 `json:"splits"`
-	// KernelBlocks / KernelPairs count batch distance-kernel invocations
-	// and the owner x candidate pairs they evaluated.
-	KernelBlocks uint64 `json:"kernel_blocks"`
-	KernelPairs  uint64 `json:"kernel_pairs"`
+	// KernelPairs counts the owner x candidate pairs whose distance the
+	// leaf join computed: m for every candidate past the leaf prefilter.
+	KernelPairs uint64 `json:"kernel_pairs"`
 }
 
 // Add accumulates other into s (workers keep private SchedStats, merged
@@ -246,7 +244,6 @@ func (s *SchedStats) Add(other SchedStats) {
 	s.Tasks += other.Tasks
 	s.Steals += other.Steals
 	s.Splits += other.Splits
-	s.KernelBlocks += other.KernelBlocks
 	s.KernelPairs += other.KernelPairs
 }
 
@@ -256,7 +253,6 @@ func (s SchedStats) AddTo(r *obs.Registry) {
 	r.Counter("engine.sched_tasks").Add(s.Tasks)
 	r.Counter("engine.sched_steals").Add(s.Steals)
 	r.Counter("engine.sched_splits").Add(s.Splits)
-	r.Counter("engine.kernel_blocks").Add(s.KernelBlocks)
 	r.Counter("engine.kernel_pairs").Add(s.KernelPairs)
 }
 

@@ -93,21 +93,17 @@ func TestSchedulerSplitsStragglers(t *testing.T) {
 	if rep.Sched.Steals != 0 {
 		t.Fatalf("steals recorded from a single task stack: %+v", rep.Sched)
 	}
-	if rep.Sched.KernelBlocks == 0 || rep.Sched.KernelPairs == 0 {
-		t.Fatalf("leaf join reported no kernel batches: %+v", rep.Sched)
+	if rep.Sched.KernelPairs == 0 {
+		t.Fatalf("leaf join reported no kernel pairs: %+v", rep.Sched)
 	}
 
-	// A serial run of the same query reports no scheduling activity but
-	// still batches its leaf joins.
+	// A serial run of the same query reports no scheduling activity.
 	rep, err = RunReportContext(context.Background(), tree, tree, Options{ExcludeSelf: true}, func(Result) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Sched.Tasks != 0 || rep.Sched.Steals != 0 || rep.Sched.Splits != 0 {
 		t.Fatalf("serial run reported scheduler activity: %+v", rep.Sched)
-	}
-	if rep.Sched.KernelBlocks == 0 {
-		t.Fatalf("serial run reported no kernel batches: %+v", rep.Sched)
 	}
 }
 

@@ -1,14 +1,13 @@
 package geom
 
-// Cache-blocked batch distance kernel for the leaf-level object join.
-//
-// The engine's leaf join offers every surviving candidate object to every
-// owner object of an I_R leaf. Computed one candidate at a time, each probe
-// re-streams the owners' coordinates and bounds through the cache; computed
-// as an owner-tile x candidate-tile block, every coordinate loaded into L1
-// is reused across the whole opposite tile. The kernel works on packed
-// row-major coordinate matrices the caller gathers once per leaf, so the
-// inner loops see only contiguous float64 slabs.
+// Cache-blocked batch distance kernel: an owner-tile x candidate-tile
+// block of squared distances over packed row-major coordinate matrices.
+// The engine's leaf join does not call it: it compares each distance with
+// its owner's bound as soon as the sum is complete (core's leafJoin.add).
+// Its one caller is the benchmark's layer probe, so
+// geom.distblock_ns_per_pair_* no longer measures the engine; the kernel,
+// its tile constants and that probe go together at the next change to the
+// benchmark.
 
 const (
 	// BlockOwnerTile is the kernel's owner-axis tile. 64 owners x 8 bytes
@@ -23,20 +22,10 @@ const (
 // DistSqBlock computes squared Euclidean distances between m owner points
 // and n candidate points, both given as packed row-major matrices
 // (owners[oi*dim:(oi+1)*dim] is owner oi), writing out[ci*m+oi] for every
-// pair. limits[oi] is the caller's admission bound for owner oi. The
-// contract callers rely on:
-//
-//   - out[ci*m+oi] <= limits[oi] implies out holds the exact squared
-//     distance, accumulated dimension-by-dimension in ascending order with
-//     a single accumulator — bit-for-bit the value the scalar probe path
-//     computes (Go does not reassociate floating-point expressions).
-//   - out[ci*m+oi] > limits[oi] implies the exact distance also exceeds
-//     limits[oi], so the caller may treat the pair as pruned.
-//
-// Both hold because every stored value is the exact distance: the kernel
-// never stops a pair early. A per-dimension early-out would put a compare
-// and a branch in every step of the accumulation, and in the AkNN join
-// the pairs it could stop run through most of their dimensions anyway.
+// pair: the exact squared distance, accumulated dimension by dimension in
+// ascending order — bit for bit the scalar sum (Go does not reassociate
+// floating-point expressions). limits is read only for its length check:
+// the benchmark's probe, the one caller, passes it.
 func DistSqBlock(owners []float64, m int, cands []float64, n, dim int, limits, out []float64) {
 	if len(owners) != m*dim || len(cands) != n*dim {
 		panic("geom: DistSqBlock matrix length mismatch")
