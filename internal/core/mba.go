@@ -203,7 +203,7 @@ type engine struct {
 	// joins never nest, so one suffices.
 	join leafJoin
 
-	// sched accumulates the scheduler and batch-kernel counters, merged
+	// sched accumulates the scheduler and leaf-join counters, merged
 	// into Options.Sched at the end of the run.
 	sched SchedStats
 

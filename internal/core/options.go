@@ -102,7 +102,7 @@ type Options struct {
 	// published by RunReportContext, not RunContext.
 	Registry *obs.Registry
 	// Sched, when non-nil, accumulates the execution's scheduling and
-	// batch-kernel activity (see SchedStats). Unlike Stats these numbers
+	// leaf-join activity (see SchedStats). Unlike Stats these numbers
 	// are not invariant across serial and parallel execution — task and
 	// split counts depend on timing — which is why they live outside
 	// Stats and its parity guarantees. RunReportContext sets this to collect

@@ -62,7 +62,7 @@ type QueryReport struct {
 	Cache          nodecache.Counters  `json:"cache"`
 	CacheResidency nodecache.Residency `json:"cache_residency"`
 	Timings        Timings             `json:"timings"`
-	// Sched is the scheduling/batch-kernel activity of the run. Like
+	// Sched is the scheduling/leaf-join activity of the run. Like
 	// Timings (and unlike Engine) it is timing-dependent and carries no
 	// serial/parallel parity guarantee.
 	Sched SchedStats `json:"sched"`

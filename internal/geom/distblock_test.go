@@ -66,10 +66,9 @@ func TestDistSqBlockMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestDistSqBlockAccumulationOrder pins the bit-identity guarantee the
-// engine's byte-identical parallel output depends on: the kernel's value
-// must equal a single-accumulator ascending-dimension scalar loop, not
-// merely be close to it.
+// TestDistSqBlockAccumulationOrder pins the kernel's bit-identity
+// guarantee: its value must equal a single-accumulator ascending-dimension
+// scalar loop, not merely be close to it.
 func TestDistSqBlockAccumulationOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, dim := range blockDims {
