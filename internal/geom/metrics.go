@@ -198,25 +198,3 @@ func MaxDistPointRectSq(p Point, r Rect) float64 {
 	}
 	return s
 }
-
-// MaxDistPointRect returns the maximum distance from point p to rectangle r.
-func MaxDistPointRect(p Point, r Rect) float64 {
-	return math.Sqrt(MaxDistPointRectSq(p, r))
-}
-
-// DistSqWithin computes the squared distance between p and q with early
-// abort: as soon as the partial sum exceeds limit, it stops and reports
-// ok = false (the true distance is at least the returned partial sum).
-// The ANN probe loops reject the vast majority of candidates, so paying
-// only a prefix of the dimensions is a large win in high dimensionality.
-func DistSqWithin(p, q Point, limit float64) (float64, bool) {
-	var s float64
-	for d := range p {
-		diff := p[d] - q[d]
-		s += diff * diff
-		if s > limit {
-			return s, false
-		}
-	}
-	return s, true
-}

@@ -200,10 +200,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // 1µs .. ~16s in powers of 4.
 func LatencyBuckets() []float64 { return ExpBuckets(1e3, 4, 13) }
 
-// SizeBuckets is the default layout for sizes in bytes: 64 B .. 1 GiB in
-// powers of 4.
-func SizeBuckets() []float64 { return ExpBuckets(64, 4, 13) }
-
 // Registry is a named family of metrics. Metric accessors are
 // get-or-create and safe for concurrent use; reads during concurrent
 // updates see a consistent point-in-time snapshot per metric (not across

@@ -271,13 +271,6 @@ func NewBufferPool(store Store, numFrames int) *BufferPool {
 	return NewBufferPoolWithConfig(store, numFrames, BufferPoolConfig{})
 }
 
-// NewShardedBufferPool creates a pool of numFrames frames split across
-// numShards independently-locked shards. Pages map to shards by id, so a
-// given page always competes for the same shard's frames.
-func NewShardedBufferPool(store Store, numFrames, numShards int) *BufferPool {
-	return NewBufferPoolWithConfig(store, numFrames, BufferPoolConfig{Shards: numShards})
-}
-
 // NewBufferPoolWithConfig creates a pool of numFrames frames over store
 // with an explicit sharding and retry configuration.
 func NewBufferPoolWithConfig(store Store, numFrames int, cfg BufferPoolConfig) *BufferPool {

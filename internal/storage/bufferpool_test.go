@@ -492,7 +492,7 @@ func TestDefaultShardCount(t *testing.T) {
 }
 
 func TestShardedPoolFrameSplit(t *testing.T) {
-	p := NewShardedBufferPool(NewMemStore(), 10, 4)
+	p := NewBufferPoolWithConfig(NewMemStore(), 10, BufferPoolConfig{Shards: 4})
 	if p.NumShards() != 4 {
 		t.Fatalf("NumShards = %d, want 4", p.NumShards())
 	}
@@ -500,7 +500,7 @@ func TestShardedPoolFrameSplit(t *testing.T) {
 		t.Fatalf("NumFrames = %d, want 10", p.NumFrames())
 	}
 	// More shards than frames collapses to one frame per shard.
-	p = NewShardedBufferPool(NewMemStore(), 3, 8)
+	p = NewBufferPoolWithConfig(NewMemStore(), 3, BufferPoolConfig{Shards: 8})
 	if p.NumShards() != 3 {
 		t.Fatalf("NumShards = %d, want 3", p.NumShards())
 	}
@@ -533,7 +533,7 @@ func TestConcurrentGetStress(t *testing.T) {
 	// Frames are scarce relative to the page set so evictions happen
 	// constantly, but each shard can still hold every concurrent pin
 	// (goroutines pin at most 2 pages at a time).
-	p := NewShardedBufferPool(store, 64, 4)
+	p := NewBufferPoolWithConfig(store, 64, BufferPoolConfig{Shards: 4})
 	errc := make(chan error, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

@@ -134,9 +134,6 @@ func (s *FaultStore) Stats() FaultStats {
 	return s.stats
 }
 
-// Inner returns the wrapped store.
-func (s *FaultStore) Inner() Store { return s.inner }
-
 // decideRead decides, under the lock, whether this read faults; it
 // returns the latency to sleep and the error to inject (nil for none).
 func (s *FaultStore) decideRead(id PageID) (time.Duration, error) {
