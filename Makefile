@@ -53,12 +53,13 @@ chaos:
 # insert batches against parallel snapshot-isolated queries — joins, and
 # kNN probes reading pages in place under a 64-frame pool — on
 # GOMAXPROCS=4, MBRQT's copy-on-write conformance and snapshot
-# release, and the constant-cardinality churn plateau, within one
-# process and across close/open rounds.
+# release, close under readers (an index, and a served index, closed
+# while a join over it streams), and the constant-cardinality churn
+# plateau, within one process and across close/open rounds.
 chaos-recover:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'ChaosCrashRecovery|RecoveryAfterCrash|FailedCheckpoint|WriteFailedClassification|ConcurrentWritesAndQueries|KNNReadersBesideWriter|SnapshotIsolation|RebuildFree|ChurnPlateau|ChurnAcrossReopen' \
-		./ann/ ./internal/index/... ./internal/mbrqt
+		-run 'ChaosCrashRecovery|RecoveryAfterCrash|FailedCheckpoint|WriteFailedClassification|ConcurrentWritesAndQueries|KNNReadersBesideWriter|SnapshotIsolation|RebuildFree|ChurnPlateau|ChurnAcrossReopen|CloseWaitsForReaders|CloseIndexWaitsForJoin' \
+		./ann/ ./internal/index/... ./internal/mbrqt ./internal/server
 
 # churn-table logs EXPERIMENTS.md's "Churn and the fence cadence" table:
 # 2 000 constant-cardinality batches, store pages fresh → final, in

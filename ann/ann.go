@@ -96,6 +96,10 @@ var (
 // wrong dimensionality or outside the index space).
 var ErrInvalidConfig = errors.New("invalid options")
 
+// ErrClosed is returned by every query, write, Flush and Close that
+// reaches an index once its Close has begun.
+var ErrClosed = mbrqt.ErrClosed
+
 // refusal is an ErrInvalidConfig whose text is its message alone, so a
 // served refusal reads as the router's, which makes the same check.
 type refusal string
@@ -164,23 +168,20 @@ type QueryReport = core.QueryReport
 // the package-level query functions are safe for concurrent use on a
 // shared Index (the serving layer multiplexes many clients over one),
 // including concurrently with Insert/Delete batches: every query runs
-// against the snapshot published by the last completed batch. Close must
-// not run concurrently with queries — see internal/server's catalog for
-// the lock pattern.
+// against the snapshot published by the last completed batch. Close
+// may run beside them too: it waits for the running queries (see Close).
 type Index struct {
 	tree  *mbrqt.Tree
 	store storage.Store
 
 	// Live-update state (write.go), armed by enableLiveUpdates; wal is
 	// set for file-backed indexes only. writeMu serialises the
-	// single-writer mutation path and guards writeErr; verMu guards the
-	// snapshot version chain.
+	// single-writer mutation path and guards writeErr, the error every
+	// later write gets: a failed batch's, or ErrClosed. The readers'
+	// snapshots and pins are the tree's (mbrqt.Tree.Acquire).
 	wal      *storage.WAL
 	writeMu  sync.Mutex
 	writeErr error
-	verMu    sync.Mutex
-	head     *version
-	tail     *version
 
 	// ckptEveryBytes is IndexConfig.CheckpointEveryBytes (0 = manual).
 	ckptEveryBytes int64
@@ -247,15 +248,31 @@ func BuildIndex(points []Point, cfg IndexConfig) (*Index, error) {
 }
 
 // Close releases the index's storage (removing nothing unless the page
-// file was temporary). A file-backed index with updates not yet covered
-// by a checkpoint is checkpointed first — a clean shutdown leaves an
-// empty log, so the next OpenIndex has nothing to replay. An Index must
-// not be used after Close.
+// file was temporary). It waits for a running write batch, refuses every
+// later query and write with ErrClosed, and waits for the queries
+// already running — a join to its last row — before it checkpoints and
+// closes: a file-backed index with updates not yet covered by a
+// checkpoint is checkpointed first, so a clean shutdown leaves an empty
+// log and the next OpenIndex has nothing to replay. Close from inside
+// one of the index's own emit callbacks therefore deadlocks. A second
+// Close returns ErrClosed; Len, Dim and Stats still answer after Close.
 func (ix *Index) Close() error {
+	ix.writeMu.Lock()
+	failed := ix.writeErr
+	if failed != ErrClosed {
+		ix.writeErr = ErrClosed
+	}
+	ix.writeMu.Unlock()
+	if failed == ErrClosed {
+		return ErrClosed
+	}
+	// writeErr keeps every writer out from here on, so a reader that
+	// writes is refused rather than waited for.
+	ix.tree.CloseReaders()
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
 	var firstErr error
-	if ix.wal != nil && ix.writeErr == nil && !ix.wal.Empty() {
+	if ix.wal != nil && failed == nil && !ix.wal.Empty() {
 		if err := ix.checkpointLocked(); err != nil {
 			firstErr = err
 		}
@@ -273,11 +290,7 @@ func (ix *Index) Close() error {
 
 // Len returns the number of indexed points, as of the last published
 // update batch.
-func (ix *Index) Len() int {
-	v, t := ix.acquire()
-	defer ix.release(v)
-	return t.Len()
-}
+func (ix *Index) Len() int { return ix.tree.PublishedLen() }
 
 // Dim returns the dimensionality of the indexed points.
 func (ix *Index) Dim() int { return ix.tree.Dim() }
@@ -288,9 +301,12 @@ func (ix *Index) NearestNeighbors(q Point, k int) ([]Neighbor, error) {
 	if err := ix.checkQuery(k, q); err != nil {
 		return nil, err
 	}
-	v, t := ix.acquire()
-	defer ix.release(v)
-	res, err := index.NearestNeighbors(t, geom.Point(q), k)
+	snap, err := ix.tree.Acquire()
+	if err != nil {
+		return nil, err
+	}
+	defer snap.Release()
+	res, err := index.NearestNeighbors(snap, geom.Point(q), k)
 	if err != nil {
 		return nil, err
 	}
@@ -343,9 +359,12 @@ func (ix *Index) BatchNearestNeighbors(ctx context.Context, qs []Point, k int) (
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	v, t := ix.acquire()
-	defer ix.release(v)
-	res, err := index.BatchNearestNeighbors(t, qs, k, ctx.Err)
+	snap, err := ix.tree.Acquire()
+	if err != nil {
+		return nil, err
+	}
+	defer snap.Release()
+	res, err := index.BatchNearestNeighbors(snap, qs, k, ctx.Err)
 	if err != nil {
 		return nil, err
 	}
@@ -373,9 +392,12 @@ func (ix *Index) RangeSearchWithPoints(lo, hi Point) ([]ObjectID, []Point, error
 	if err != nil {
 		return nil, nil, err
 	}
-	v, t := ix.acquire()
-	defer ix.release(v)
-	res, err := index.RangeSearch(t, box)
+	snap, err := ix.tree.Acquire()
+	if err != nil {
+		return nil, nil, err
+	}
+	defer snap.Release()
+	res, err := index.RangeSearch(snap, box)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -479,15 +501,19 @@ func pinned(r, s *Index, fn func(rTree, sTree index.Tree) error) error {
 	if r.Dim() != s.Dim() {
 		return fmt.Errorf("ann: indexes of %d and %d dims do not join: %w", r.Dim(), s.Dim(), ErrInvalidConfig)
 	}
-	rv, rTree := r.acquire()
-	defer r.release(rv)
-	sTree := rTree
-	if s != r {
-		var sv *version
-		sv, sTree = s.acquire()
-		defer s.release(sv)
+	rSnap, err := r.tree.Acquire()
+	if err != nil {
+		return err
 	}
-	return fn(rTree, sTree)
+	defer rSnap.Release()
+	sSnap := rSnap
+	if s != r {
+		if sSnap, err = s.tree.Acquire(); err != nil {
+			return err
+		}
+		defer sSnap.Release()
+	}
+	return fn(rSnap, sSnap)
 }
 
 // WithinDistanceContext reports every pair of points (one from r, one

@@ -8,7 +8,9 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"allnn/internal/storage"
 )
@@ -803,5 +805,76 @@ func BenchmarkWALReplay(b *testing.B) {
 	b.ReportMetric(float64(st.WALReplayNs)/float64(b.N), "replay-ns/op")
 	if err := rec.Close(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestCloseWaitsForReaders closes a file-backed index while a serial
+// self-join over it streams, stalled at row 100: Close must wait for the
+// join's last row and leave the join whole, then refuse every later query,
+// write and Close with ErrClosed, while Len and Stats still answer. An
+// in-memory index refuses a kNN after Close the same way.
+func TestCloseWaitsForReaders(t *testing.T) {
+	const n = 20_000
+	pts := randomPoints(53, n, 2)
+	path := filepath.Join(t.TempDir(), "close.pages")
+	ix, err := BuildIndex(pts, IndexConfig{PageFile: path, BufferPoolBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows atomic.Int64
+	closed := make(chan error, 1)
+	err = Join(context.Background(), ix, ix, 1, true, QueryConfig{Parallelism: 1}, func(Result) error {
+		if rows.Add(1) == 100 {
+			go func() {
+				err := ix.Close()
+				if got := rows.Load(); got != n {
+					err = fmt.Errorf("Close returned after %d of %d rows (err %v)", got, n, err)
+				}
+				closed <- err
+			}()
+			time.Sleep(50 * time.Millisecond)
+			select {
+			case err := <-closed:
+				return fmt.Errorf("Close returned during the join: %v", err)
+			default:
+			}
+		}
+		return nil
+	})
+	if err != nil || rows.Load() != n {
+		t.Fatalf("the join emitted %d of %d rows: %v", rows.Load(), n, err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := ix.NearestNeighbors(pts[0], 1); !errors.Is(err, ErrClosed) {
+		t.Errorf("kNN after Close: %v", err)
+	}
+	if err := Join(context.Background(), ix, ix, 1, true, QueryConfig{}, func(Result) error { return nil }); !errors.Is(err, ErrClosed) {
+		t.Errorf("Join after Close: %v", err)
+	}
+	if err := ix.InsertBatch([]ObjectID{n}, []Point{pts[0]}); !errors.Is(err, ErrClosed) {
+		t.Errorf("InsertBatch after Close: %v", err)
+	}
+	if err := ix.Close(); !errors.Is(err, ErrClosed) {
+		t.Errorf("second Close: %v", err)
+	}
+	if got := ix.Len(); got != n {
+		t.Errorf("Len after Close = %d, want %d", got, n)
+	}
+	if st := ix.Stats(); st.Points != n || st.SnapshotPins != 0 {
+		t.Errorf("Stats after Close: %d points, %d pins", st.Points, st.SnapshotPins)
+	}
+
+	mem, err := BuildIndex(pts[:500], IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mem.NearestNeighbors(pts[0], 1); !errors.Is(err, ErrClosed) {
+		t.Errorf("kNN after Close of an in-memory index: %v", err)
 	}
 }

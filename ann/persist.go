@@ -96,7 +96,7 @@ func OpenIndex(path string, cfg IndexConfig) (*Index, error) {
 				return fail(fmt.Errorf("ann: WAL replay: %w", err))
 			}
 		}
-		ix.publishLocked()
+		t.Publish()
 		// Fold the replayed state into a fresh checkpoint so the next open
 		// starts clean; this also truncates the log.
 		if err := ix.checkpointLocked(); err != nil {

@@ -61,7 +61,7 @@ func (ix *Index) Stats() IndexStats {
 		st.WALReplayed = ws.Replayed
 		st.WALReplayNs = ws.ReplayNs
 	}
-	st.SnapshotPins = ix.totalPins()
+	st.SnapshotPins = ix.tree.Pins()
 	if c := ix.tree.NodeCacheRef(); c != nil {
 		ct := c.Counters()
 		st.CacheHits = ct.Hits

@@ -12,10 +12,10 @@ import (
 
 // This file implements live index updates: durable (WAL-backed)
 // Insert/Delete batches with snapshot-isolated queries. The write path
-// is single-writer (writeMu); the read path acquires the most recently
-// published snapshot and pins it for the duration of the query, so a
-// query always sees one consistent tree state no matter how many write
-// batches commit while it runs.
+// is single-writer (writeMu); the read path pins the most recently
+// published snapshot (mbrqt.Tree.Acquire) for the duration of the query,
+// so a query always sees one consistent tree state no matter how many
+// write batches commit while it runs.
 //
 // Durability protocol (file-backed indexes):
 //
@@ -47,89 +47,12 @@ import (
 // published snapshot.
 var ErrWriteFailed = storage.ErrWriteFailed
 
-// version is one published snapshot in the index's version chain,
-// oldest first. pins counts in-flight queries reading it; release (set
-// when the NEXT version is published) retires what that next batch
-// freed, and may run only after this version and all older ones have
-// drained — which the in-order drain walk guarantees.
-type version struct {
-	tree    index.Tree
-	pins    int64
-	release func()
-	next    *version
-}
-
-// acquire pins the newest published snapshot for a query.
-func (ix *Index) acquire() (*version, index.Tree) {
-	ix.verMu.Lock()
-	v := ix.tail
-	v.pins++
-	ix.verMu.Unlock()
-	return v, v.tree
-}
-
-// release unpins a snapshot and drains any fully-released versions.
-func (ix *Index) release(v *version) {
-	ix.verMu.Lock()
-	v.pins--
-	ix.drainLocked()
-	ix.verMu.Unlock()
-}
-
-// drainLocked retires drained versions oldest-first. A version leaves
-// the chain only when it is not the newest and nothing reads it; its
-// release then runs, making the records the SUPERSEDING batch freed
-// eligible for reclaim (no older reader can hold them anymore).
-func (ix *Index) drainLocked() {
-	for ix.head != nil && ix.head != ix.tail && ix.head.pins == 0 {
-		rel := ix.head.release
-		ix.head = ix.head.next
-		if rel != nil {
-			rel()
-		}
-	}
-}
-
-// publishLocked publishes the current tree state as the newest version.
-// Caller holds writeMu.
-func (ix *Index) publishLocked() {
-	snap, release := ix.tree.Publish()
-	newv := &version{tree: snap}
-	ix.verMu.Lock()
-	if ix.tail == nil {
-		// First publish: no older snapshot can exist, so anything the
-		// pre-publish phase (recovery replay) freed retires immediately.
-		ix.head, ix.tail = newv, newv
-		ix.verMu.Unlock()
-		release()
-		return
-	}
-	ix.tail.release = release
-	ix.tail.next = newv
-	ix.tail = newv
-	ix.drainLocked()
-	ix.verMu.Unlock()
-}
-
-// totalPins sums the pins across the version chain — the number of
-// snapshot references currently held by in-flight queries
-// (IndexStats.SnapshotPins).
-func (ix *Index) totalPins() int64 {
-	ix.verMu.Lock()
-	defer ix.verMu.Unlock()
-	var n int64
-	for v := ix.head; v != nil; v = v.next {
-		n += v.pins
-	}
-	return n
-}
-
 // enableLiveUpdates arms the mutation path: the initial published
 // version and (when wal is non-nil) the durability protocol. Called
 // once, before the index is shared.
 func (ix *Index) enableLiveUpdates(wal *storage.WAL) {
 	ix.wal = wal
-	ix.publishLocked()
+	ix.tree.Publish()
 }
 
 // checkpointLocked runs the full checkpoint protocol: data pages flushed
@@ -263,14 +186,14 @@ func (ix *Index) commit(ids []ObjectID, pts []Point,
 			applied++
 		}
 	}
-	ix.publishLocked()
+	ix.tree.Publish()
 	return applied, ix.maybeCheckpointLocked()
 }
 
 // maybeCheckpointLocked enforces IndexConfig.CheckpointEveryBytes: when
 // the just-committed batch pushed the WAL past the byte budget, the
 // regular checkpoint protocol runs before the batch returns, truncating
-// the log. Runs after publishLocked, so a checkpoint failure leaves the
+// the log. Runs after the batch is published, so a checkpoint failure leaves the
 // batch durable AND visible — the error reports only that the log could
 // not be folded into the base state, and the next batch (or Flush)
 // retries. Caller holds writeMu.

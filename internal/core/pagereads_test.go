@@ -88,8 +88,12 @@ func TestPoolMissesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, release := snapTree.Publish()
-	defer release()
+	snapTree.Publish()
+	snap, err := snapTree.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
 	snapPool.ResetStats()
 	snapRows, _, err := CollectContext(context.Background(), snap, snap, Options{K: 1, ExcludeSelf: true, NodeCacheBytes: NodeCacheDisabled})
 	if err != nil {

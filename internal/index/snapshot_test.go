@@ -10,23 +10,35 @@ import (
 )
 
 // TestSnapshotIsolationReleaseOnReaders runs a tree the way the ann
-// layer's version chain does, for the race detector: a writer commits
-// batches while the reader of each superseded snapshot scans it through
-// index.RangeSearch on its own goroutine, fires that batch's release there
-// once every older reader is done, and scrapes the gauges; the writer
-// drains and checkpoints beside them. A snapshot must scan to exactly the
-// size it froze. MBRQT is the tree kind that is written after build.
+// layer does, for the race detector: a writer commits batches while a
+// reader pins the snapshot each batch supersedes, scans it through
+// index.RangeSearch on its own goroutine, releases its pin there — which
+// retires what the next batch freed once every older reader is done —
+// and scrapes the gauges; the writer drains and checkpoints beside them.
+// A snapshot must scan to exactly the size it froze. MBRQT is the tree
+// kind that is written after build.
 func TestSnapshotIsolationReleaseOnReaders(t *testing.T) {
 	t.Run("mbrqt", func(t *testing.T) {
 		const n, batch, batches = 2000, 40, 50
 		pts := uniform(rand.New(rand.NewSource(5)), n, 2)
 		tree := newTree(t, "mbrqt", newPool(t, "mem"), pts).(*mbrqt.Tree)
-		snap, release := tree.Publish()
-		release()
+		tree.Publish()
 		var readers sync.WaitGroup
-		older := make(chan struct{})
-		close(older)
 		for b := 0; b < batches; b++ {
+			snap, err := tree.Acquire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				res, err := index.RangeSearch(snap, snap.Bounds())
+				if err != nil || len(res) != snap.Len() {
+					t.Errorf("snapshot of %d points scanned to %d: %v", snap.Len(), len(res), err)
+				}
+				snap.Release()
+				tree.PageGauges()
+			}()
 			for i := b * batch; i < (b+1)*batch; i++ {
 				if ok, err := tree.Delete(index.ObjectID(i), pts[i]); err != nil || !ok {
 					t.Fatalf("delete %d: ok=%v err=%v", i, ok, err)
@@ -39,21 +51,7 @@ func TestSnapshotIsolationReleaseOnReaders(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			next, rel := tree.Publish()
-			done := make(chan struct{})
-			readers.Add(1)
-			go func(old *mbrqt.Snapshot, older, done chan struct{}) {
-				defer readers.Done()
-				res, err := index.RangeSearch(old, old.Bounds())
-				if err != nil || len(res) != old.Len() {
-					t.Errorf("snapshot of %d points scanned to %d: %v", old.Len(), len(res), err)
-				}
-				<-older
-				rel()
-				tree.PageGauges()
-				close(done)
-			}(snap, older, done)
-			snap, older = next, done
+			tree.Publish()
 			if err := tree.DrainReclaim(); err != nil {
 				t.Fatal(err)
 			}

@@ -43,7 +43,11 @@ func TestRebuildFreeAfterReopen(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, release := tree.Publish()
+		// A reader pins each snapshot until the writer has applied the
+		// batch after the next one; before a checkpoint it lets go of all
+		// but the newest.
+		tree.Publish()
+		prev, older := pin(t, tree), (*Snapshot)(nil)
 		for r := 0; r < rounds; r++ {
 			for i := r * churn; i < (r+1)*churn; i++ {
 				if ok, err := tree.Delete(index.ObjectID(i), pts[i]); err != nil || !ok {
@@ -53,27 +57,33 @@ func TestRebuildFreeAfterReopen(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			release()
-			_, release = tree.Publish()
+			if older != nil {
+				older.Release()
+			}
+			tree.Publish()
+			older, prev = prev, pin(t, tree)
 			if err := tree.DrainReclaim(); err != nil {
 				t.Fatal(err)
 			}
 			if r%10 != 9 {
 				continue
 			}
-			release()
+			older.Release()
+			older = nil
 			if err := tree.Flush(); err != nil {
 				t.Fatal(err)
 			}
 			if reopen && r == 9 {
+				prev.Release()
 				if tree, err = Open(pool, tree.MetaPage()); err != nil {
 					t.Fatal(err)
 				}
 				if err := tree.RebuildFree(); err != nil {
 					t.Fatal(err)
 				}
+				tree.Publish()
+				prev = pin(t, tree)
 			}
-			_, release = tree.Publish()
 		}
 		if err := tree.CheckIntegrity(); err != nil {
 			t.Fatal(err)
@@ -85,6 +95,16 @@ func TestRebuildFreeAfterReopen(t *testing.T) {
 	if reopened > stayed {
 		t.Fatalf("the reopened tree's store grew to %d pages, the other's to %d", reopened, stayed)
 	}
+}
+
+// pin acquires the newest published snapshot of tree.
+func pin(t *testing.T, tree *Tree) *Snapshot {
+	t.Helper()
+	s, err := tree.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // walk expands everything below s (filling the attached node cache) and
@@ -122,9 +142,10 @@ func walk(t *testing.T, s index.Tree) (map[index.ObjectID]geom.Point, map[storag
 // snapshotIsolation is the copy-on-write conformance of the tree.
 // It loads pts[:n] into the empty tree, then commits rounds batches that
 // each delete the churn oldest points and insert the next churn of pts,
-// releasing every batch one round late (as if a reader held the previous
-// snapshot) and checkpointing every third round of the first and of the
-// last quarter — in between, pages live and die young. It asserts that
+// a reader pinning each snapshot until the writer has published the one
+// after the next, and checkpointing every third round of the first and
+// of the last quarter — in between, pages live and die young. It
+// asserts that
 //
 //   - a snapshot reads exactly the state it froze while the writer moves
 //     on, and the newest one reads the writer's;
@@ -154,7 +175,8 @@ func snapshotIsolation(t *testing.T, tree *Tree, pts []geom.Point, n, churn, rou
 	}
 	cache := index.NewNodeCache(0)
 	tree.SetNodeCache(cache)
-	prev, release := tree.Publish()
+	tree.Publish()
+	prev, older := pin(t, tree), (*Snapshot)(nil)
 	prevWant := maps.Clone(want)
 	_, prevRefs := walk(t, prev)
 	// born: the round a live ref first showed up in (a record lands on a
@@ -191,7 +213,8 @@ func snapshotIsolation(t *testing.T, tree *Tree, pts []geom.Point, n, churn, rou
 			}
 			recycled = recycled || f1 < f0 || f2 < f1
 		}
-		cur, rel := tree.Publish()
+		tree.Publish()
+		cur := pin(t, tree)
 		if got, _ := walk(t, prev); !maps.EqualFunc(got, prevWant, geom.Point.Equal) {
 			t.Fatalf("round %d: the previous snapshot changed under the writer", r)
 		}
@@ -221,7 +244,9 @@ func snapshotIsolation(t *testing.T, tree *Tree, pts []geom.Point, n, churn, rou
 			delete(loose, ref)
 			born[ref] = r
 		}
-		release() // the reader of the snapshot before prev is done
+		if older != nil {
+			older.Release() // the reader of the snapshot before prev is done
+		}
 		for ref := range unreleased {
 			if _, ok := cache.Get(ref); ok {
 				t.Fatalf("round %d: ref %d still cached after its release", r, ref)
@@ -246,7 +271,7 @@ func snapshotIsolation(t *testing.T, tree *Tree, pts []geom.Point, n, churn, rou
 			clear(loose)
 			lastCkpt = r
 		}
-		prev, release, prevWant, prevRefs, unreleased = cur, rel, maps.Clone(want), curRefs, freed
+		older, prev, prevWant, prevRefs, unreleased = prev, cur, maps.Clone(want), curRefs, freed
 	}
 	if !recycled {
 		t.Error("no operation ever took a page from the free list")

@@ -3,7 +3,6 @@ package mbrqt
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"allnn/internal/storage"
@@ -59,7 +58,7 @@ func (r nodeRef) slot() int            { return int(uint32(r) & slotMask) }
 
 // recordStore manages slotted pages inside a shared buffer pool. It is
 // owned by a single tree and is not safe for concurrent use, but for
-// reclaimQ and the gauges.
+// the gauges.
 //
 // It also owns the pages' copy-on-write lifecycle (cow.go), at the
 // granularity of the slotted layout. A record on a published page is
@@ -94,11 +93,6 @@ type recordStore struct {
 	deferred  []nodeRef               // refs unlinked on published pages this batch
 	drained   []storage.PageID        // wholly dead old pages awaiting the fence
 	freePages []storage.PageID        // reusable pages, claimed newest first
-
-	// reclaimQ collects deferred refs whose snapshots have all been
-	// released; release functions append from reader goroutines.
-	reclaimMu sync.Mutex
-	reclaimQ  []nodeRef
 
 	// The gauges mirror len(freePages), len(drained), the refs between
 	// deferRef and DrainReclaim, and len(young), for scrapers outside the

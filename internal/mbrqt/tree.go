@@ -54,6 +54,9 @@ type Tree struct {
 	// an idempotent re-attach; the cache itself is concurrency-safe.
 	cache atomic.Pointer[index.NodeCache]
 
+	// chain holds the published snapshots and their readers (cow.go).
+	chain *chain
+
 	root   nodeRef   // invalidRef while empty
 	space  geom.Rect // the fixed cell of the root
 	bounds geom.Rect // exact MBR of the data
@@ -77,6 +80,7 @@ func New(pool *storage.BufferPool, space geom.Rect, cfg Config) (*Tree, error) {
 	t := &Tree{
 		pool:   pool,
 		rs:     newRecordStore(pool),
+		chain:  new(chain),
 		dim:    dim,
 		cfg:    cfg.withDefaults(dim),
 		root:   invalidRef,
@@ -94,7 +98,7 @@ func New(pool *storage.BufferPool, space geom.Rect, cfg Config) (*Tree, error) {
 
 // Open loads a previously persisted tree anchored at the given meta page.
 func Open(pool *storage.BufferPool, meta storage.PageID) (*Tree, error) {
-	t := &Tree{pool: pool, meta: meta, rs: newRecordStore(pool)}
+	t := &Tree{pool: pool, meta: meta, rs: newRecordStore(pool), chain: new(chain)}
 	f, err := pool.Get(meta)
 	if err != nil {
 		return nil, err

@@ -107,11 +107,10 @@ func (s *Server) handleClose(req *wire.CloseReq, w *wire.ResponseWriter) error {
 }
 
 func (s *Server) handleStats(req *wire.StatsReq, w *wire.ResponseWriter) error {
-	e, ix, err := s.catalog.acquire(req.Name)
+	ix, err := s.catalog.index(req.Name)
 	if err != nil {
 		return err
 	}
-	defer e.release()
 	st, err := json.Marshal(ix.Stats())
 	if err != nil {
 		return err
@@ -121,17 +120,15 @@ func (s *Server) handleStats(req *wire.StatsReq, w *wire.ResponseWriter) error {
 
 // --- mutations --------------------------------------------------------------
 
-// The catalog entry's read lock is enough for a mutation: it only
-// excludes Close, while ann.Index's own write lock serialises writers
-// against each other (queries need no exclusion at all — they run on
-// the snapshot published by the last completed batch).
+// ann.Index serialises writers against each other and refuses them once
+// Close has begun; queries need no exclusion at all — they run on the
+// snapshot published by the last completed batch.
 
 func (s *Server) handleInsert(req *wire.InsertReq, w *wire.ResponseWriter) error {
-	e, ix, err := s.catalog.acquire(req.Index)
+	ix, err := s.catalog.index(req.Index)
 	if err != nil {
 		return err
 	}
-	defer e.release()
 	if err := ix.InsertBatch(req.IDs, req.Points); err != nil {
 		return err
 	}
@@ -142,11 +139,10 @@ func (s *Server) handleInsert(req *wire.InsertReq, w *wire.ResponseWriter) error
 }
 
 func (s *Server) handleDelete(req *wire.DeleteReq, w *wire.ResponseWriter) error {
-	e, ix, err := s.catalog.acquire(req.Index)
+	ix, err := s.catalog.index(req.Index)
 	if err != nil {
 		return err
 	}
-	defer e.release()
 	found, err := ix.DeleteBatch(req.IDs, req.Points)
 	if err != nil {
 		return err
@@ -160,11 +156,10 @@ func (s *Server) handleDelete(req *wire.DeleteReq, w *wire.ResponseWriter) error
 // --- point and box queries --------------------------------------------------
 
 func (s *Server) handleKNN(ctx context.Context, req *wire.KNNReq, w *wire.ResponseWriter) error {
-	e, ix, err := s.catalog.acquire(req.Index)
+	ix, err := s.catalog.index(req.Index)
 	if err != nil {
 		return err
 	}
-	defer e.release()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -176,11 +171,10 @@ func (s *Server) handleKNN(ctx context.Context, req *wire.KNNReq, w *wire.Respon
 }
 
 func (s *Server) handleBatchKNN(ctx context.Context, req *wire.BatchKNNReq, w *wire.ResponseWriter) error {
-	e, ix, err := s.catalog.acquire(req.Index)
+	ix, err := s.catalog.index(req.Index)
 	if err != nil {
 		return err
 	}
-	defer e.release()
 	// Refuse a batch whose reply could not be framed before computing it.
 	// The same bound caps the arrays the batch allocates up front.
 	if err := wire.CheckBatchReply(len(req.Points), ix.Dim(), int64(req.K), int64(ix.Len())); err != nil {
@@ -202,11 +196,10 @@ func (s *Server) handleBatchKNN(ctx context.Context, req *wire.BatchKNNReq, w *w
 // handleRange streams the box's points, in the index's traversal order,
 // as join rows without neighbors.
 func (s *Server) handleRange(ctx context.Context, req *wire.RangeReq, w *wire.ResponseWriter) error {
-	e, ix, err := s.catalog.acquire(req.Index)
+	ix, err := s.catalog.index(req.Index)
 	if err != nil {
 		return err
 	}
-	defer e.release()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -225,29 +218,16 @@ func (s *Server) handleRange(ctx context.Context, req *wire.RangeReq, w *wire.Re
 
 // --- join ops ---------------------------------------------------------------
 
-// acquirePair read-locks the R and S indexes of a two-index op and
-// refuses a pair whose dimensions differ. When both names are equal the
-// entry is locked once — acquiring the same RWMutex twice from one
-// goroutine can deadlock against a pending Close.
-func (s *Server) acquirePair(rName, sName string) (rix, six *ann.Index, release func(), err error) {
-	re, rix, err := s.catalog.acquire(rName)
-	if err != nil {
-		return nil, nil, nil, err
+// indexPair looks up the R and S indexes of a two-index op. A pair of
+// different dimensions is ann's to refuse.
+func (s *Server) indexPair(rName, sName string) (rix, six *ann.Index, err error) {
+	if rix, err = s.catalog.index(rName); err != nil {
+		return nil, nil, err
 	}
-	if sName == rName {
-		return rix, rix, re.release, nil
+	if six, err = s.catalog.index(sName); err != nil {
+		return nil, nil, err
 	}
-	se, six, err := s.catalog.acquire(sName)
-	if err != nil {
-		re.release()
-		return nil, nil, nil, err
-	}
-	if rix.Dim() != six.Dim() {
-		se.release()
-		re.release()
-		return nil, nil, nil, wire.BadRequest("indexes %q (dim %d) and %q (dim %d) do not join", rName, rix.Dim(), sName, six.Dim())
-	}
-	return rix, six, func() { se.release(); re.release() }, nil
+	return rix, six, nil
 }
 
 // queryConfig is the QueryConfig served joins run under: ordered emit
@@ -272,11 +252,10 @@ func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHea
 	if req.Self {
 		sName = req.R
 	}
-	rix, six, release, err := s.acquirePair(req.R, sName)
+	rix, six, err := s.indexPair(req.R, sName)
 	if err != nil {
 		return err
 	}
-	defer release()
 	if err := wire.CheckJoinRow(six.Dim(), int64(req.K), int64(six.Len())); err != nil {
 		return err
 	}
@@ -305,11 +284,10 @@ func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHea
 }
 
 func (s *Server) handleWithin(ctx context.Context, req *wire.WithinReq, w *wire.ResponseWriter) error {
-	rix, six, release, err := s.acquirePair(req.R, req.S)
+	rix, six, err := s.indexPair(req.R, req.S)
 	if err != nil {
 		return err
 	}
-	defer release()
 
 	frames := wire.NewBatcher[wire.Pair](w)
 	err = ann.WithinDistanceContext(ctx, rix, six, req.Dist, req.ExcludeSelf, func(rID, sID uint64, dist float64) error {
@@ -322,11 +300,10 @@ func (s *Server) handleWithin(ctx context.Context, req *wire.WithinReq, w *wire.
 }
 
 func (s *Server) handlePairs(ctx context.Context, req *wire.PairsReq, w *wire.ResponseWriter) error {
-	rix, six, release, err := s.acquirePair(req.R, req.S)
+	rix, six, err := s.indexPair(req.R, req.S)
 	if err != nil {
 		return err
 	}
-	defer release()
 	if err := wire.CheckPairsReply(int64(req.K), int64(rix.Len()), int64(six.Len())); err != nil {
 		return err
 	}

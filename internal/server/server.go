@@ -236,7 +236,7 @@ func wireError(err error) error {
 	switch {
 	case err == nil || errors.As(err, new(*wire.Error)):
 		return err
-	case errors.Is(err, ErrIndexNotFound):
+	case errors.Is(err, ErrIndexNotFound), errors.Is(err, ann.ErrClosed):
 		code = wire.CodeNotFound
 	case errors.Is(err, ann.ErrInvalidConfig):
 		code = wire.CodeBadRequest

@@ -641,6 +641,77 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
+// TestCloseIndexWaitsForJoin sends CloseIndex while a served self-join
+// over the same index streams: the join must complete with every row,
+// CloseIndex must reply only after it, and the name must answer
+// NOT_FOUND from then on. A served join of indexes of different
+// dimensions stays BAD_REQUEST.
+func TestCloseIndexWaitsForJoin(t *testing.T) {
+	pts := randomPoints(108, 20_000, 2)
+	ix := buildIndex(t, pts)
+	srv, cl, addr := startServer(t, Config{})
+	for name, ix := range map[string]*ann.Index{"pts": ix, "flat": buildIndex(t, pts[:50]), "cube": buildIndex(t, randomPoints(109, 50, 3))} {
+		if err := srv.Catalog().Add(name, ix); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	// As in TestGracefulDrain, the reply of a k = 16 join is too large to
+	// hide in the socket buffers: the server's join waits for this test.
+	const k = 16
+	want, err := ann.JoinAll(ctx, ix, ix, k, true, ann.QueryConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.SelfJoin(ctx, "pts", k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Next() {
+		t.Fatalf("join produced nothing: %v", st.Err())
+	}
+	results := []ann.Result{st.Result()}
+
+	cl2, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl2.Close()
+	closed := make(chan error, 1)
+	go func() { closed <- cl2.CloseIndex(ctx, "pts") }()
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case err := <-closed:
+		t.Fatalf("CloseIndex replied while the join streamed: %v", err)
+	default:
+	}
+	for st.Next() {
+		results = append(results, st.Result())
+	}
+	if err := st.Err(); err != nil {
+		t.Fatalf("join under CloseIndex: %v", err)
+	}
+	if !reflect.DeepEqual(results, want) {
+		t.Fatalf("join under CloseIndex diverges from the direct call (%d vs %d rows)", len(results), len(want))
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("CloseIndex: %v", err)
+	}
+	if _, err := cl.KNN(ctx, "pts", ann.Point{1, 2}, 1); !client.IsNotFound(err) {
+		t.Errorf("kNN after CloseIndex: got %v, want NOT_FOUND", err)
+	}
+
+	st, err = cl.Join(ctx, "flat", "cube", 1)
+	if err == nil {
+		for st.Next() {
+		}
+		err = st.Err()
+	}
+	if !client.IsBadRequest(err) {
+		t.Errorf("join of 2-D and 3-D indexes: got %v, want BAD_REQUEST", err)
+	}
+}
+
 // TestMixedWorkloadRace is the ≥64-goroutine interleaved workload of
 // the issue: kNN, batch kNN, range, joins, pairs, and catalog
 // open/stats/close traffic against one server, with exact parity
