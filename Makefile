@@ -195,7 +195,11 @@ trace-smoke:
 # differential (serial and ordered-parallel against internal/paperref)
 # under the race detector, plus one iteration of the AkNN leaf-join and
 # peak-heap benchmarks — the fast, targeted version of `make race` for
-# iterating on internal/core/parallel.go and mba.go.
+# iterating on internal/core/parallel.go and mba.go. It also runs the
+# bring-up's concurrent and table-driven code: the MBRQT bulk load
+# planned on goroutines against the serial page file, the Hilbert table
+# walk against the bit loop, and the radix-sorted curve partition
+# against a comparator sort.
 race-sched:
-	$(GO) vet ./internal/core ./internal/geom ./internal/paperref
-	$(GO) test -race -run 'Scheduler|EmitTree|Parallel|CancelParked|BatchLeafJoin|FusedLeaf|DistSqBlock|CoreMatchesPaperRef' -bench 'LeafJoinAkNN|JoinPeakHeap' -benchtime 1x -count=1 ./internal/core ./internal/geom ./internal/paperref
+	$(GO) vet ./internal/core ./internal/geom ./internal/paperref ./internal/mbrqt ./internal/curve
+	$(GO) test -race -run 'Scheduler|EmitTree|Parallel|CancelParked|BatchLeafJoin|FusedLeaf|DistSqBlock|CoreMatchesPaperRef|BulkLoadPlan|HilbertValueMatches|Partition' -bench 'LeafJoinAkNN|JoinPeakHeap' -benchtime 1x -count=1 ./internal/core ./internal/geom ./internal/paperref ./internal/mbrqt ./internal/curve

@@ -510,10 +510,11 @@ type leafJoin struct {
 	fill  []int
 	cands []*index.Entry
 
-	// maxOwnerBound caches max(bounds); maxOwnerIdx is its argmax, so a
-	// tightening of any other owner skips the O(owners) rescan.
+	// maxOwnerBound caches max(bounds) and maxOwners counts the owners
+	// at it: bounds only tighten, so the O(owners) rescan waits until the
+	// last of them has.
 	maxOwnerBound float64
-	maxOwnerIdx   int
+	maxOwners     int
 	work          pq.Heap[*index.Entry]
 }
 
@@ -558,11 +559,14 @@ func (j *leafJoin) finish() {
 
 func (j *leafJoin) refreshMaxOwnerBound() {
 	j.maxOwnerBound = math.Inf(-1)
-	j.maxOwnerIdx = -1
-	for i, b := range j.bounds {
-		if b > j.maxOwnerBound {
+	j.maxOwners = 0
+	for _, b := range j.bounds {
+		switch {
+		case b > j.maxOwnerBound:
 			j.maxOwnerBound = b
-			j.maxOwnerIdx = i
+			j.maxOwners = 1
+		case b == j.maxOwnerBound:
+			j.maxOwners++
 		}
 	}
 }
@@ -571,7 +575,7 @@ func (j *leafJoin) refreshMaxOwnerBound() {
 // passed the owner's admission bound: a stable bounded insertion into the
 // owner's row, after which a full row's k-th distance, when tighter than
 // the inherited bound, tightens the admission bound (the cached max needs
-// a rescan only when the argmax owner tightened).
+// a rescan only when the last owner at it tightened).
 // ref is the candidate's index in cands, or -1 while no owner has retained
 // it yet; the (possibly assigned) index is returned.
 func (j *leafJoin) admit(i int, d float64, cand *index.Entry, ref int) int {
@@ -604,8 +608,12 @@ func (j *leafJoin) admit(i int, d float64, cand *index.Entry, ref int) int {
 		if row[k-1] < b {
 			b = row[k-1]
 		}
-		j.bounds[i] = b + b*boundSlack
-		if i == j.maxOwnerIdx {
+		b += b * boundSlack
+		if j.bounds[i] == j.maxOwnerBound && b < j.maxOwnerBound {
+			j.maxOwners--
+		}
+		j.bounds[i] = b
+		if j.maxOwners == 0 {
 			j.refreshMaxOwnerBound()
 		}
 	}

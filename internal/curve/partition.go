@@ -1,10 +1,8 @@
 package curve
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"allnn/internal/geom"
@@ -104,6 +102,42 @@ type keyed struct {
 	i   int
 }
 
+// radixSort sorts order by key, stably: a least-significant-digit radix
+// sort, one pass per key byte. One read counts every byte's digits, and
+// a byte all keys share (the high bytes of a 42-bit Hilbert key, say)
+// takes no pass.
+func radixSort(order []keyed) {
+	if len(order) < 2 {
+		return
+	}
+	var counts [8][256]int
+	for _, o := range order {
+		for b := range counts {
+			counts[b][byte(o.key>>(8*b))]++
+		}
+	}
+	src, dst := order, make([]keyed, len(order))
+	for b := range counts {
+		c := &counts[b]
+		if c[byte(src[0].key>>(8*b))] == len(src) {
+			continue
+		}
+		// Turn the counts into each digit's first position.
+		sum := 0
+		for d, n := range c {
+			c[d] = sum
+			sum += n
+		}
+		for _, o := range src {
+			d := byte(o.key >> (8 * b))
+			dst[c[d]] = o
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	copy(order, src)
+}
+
 // Partition cuts pts into at most n balanced contiguous curve-range
 // shards. Every shard is non-empty; heavily duplicated keys can force
 // fewer than n shards (a run of equal keys is never split across a
@@ -121,17 +155,13 @@ func Partition(pts []geom.Point, n int, kind Kind) (*Partitioning, error) {
 		return nil, err
 	}
 	// Each point's key is computed once and sorted beside its index;
-	// ties go to the lower index, so the order is the stable one.
+	// the sort is stable and the input in index order, so ties go to
+	// the lower index.
 	order := make([]keyed, len(pts))
 	for i, p := range pts {
 		order[i] = keyed{key: enc.Value(p), i: i}
 	}
-	slices.SortFunc(order, func(a, b keyed) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.i, b.i)
-	})
+	radixSort(order)
 
 	part := &Partitioning{Kind: kind, Bounds: bounds, enc: enc}
 	start := 0

@@ -203,7 +203,7 @@ func referencePartition(pts []geom.Point, n int, kind Kind) []Shard {
 
 // TestPartitionMatchesStableOrder holds every shard's points, MBR and
 // key range to the stable-sort reference, over sets heavy with equal
-// keys and shard counts from one to more than there are keys.
+// keys, odd sizes and shard counts from one to more than there are keys.
 func TestPartitionMatchesStableOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	locs := datagen.Uniform(12, 9, datagen.UnitBounds(2))
@@ -215,6 +215,13 @@ func TestPartitionMatchesStableOrder(t *testing.T) {
 	rng.Shuffle(len(mixed), func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
 	wide := datagen.Uniform(14, 200, datagen.UnitBounds(3))
 	wide = append(wide, wide[:80]...)
+	// Odd-sized clustered data, a fifth of it repeated: runs of equal
+	// keys of every length, some across the balanced cut points.
+	clustered := datagen.GaussianClusters(15, 20_001, datagen.UnitBounds(2), 7, 0.01)
+	for i := 0; i < 4_001; i++ {
+		clustered = append(clustered, clustered[rng.Intn(2_000)].Clone())
+	}
+	rng.Shuffle(len(clustered), func(i, j int) { clustered[i], clustered[j] = clustered[j], clustered[i] })
 	for _, tc := range []struct {
 		name string
 		pts  []geom.Point
@@ -225,8 +232,10 @@ func TestPartitionMatchesStableOrder(t *testing.T) {
 		{"mixed/hilbert", mixed, Hilbert},
 		{"mixed/zorder", mixed, ZOrder},
 		{"3d/zorder", wide, ZOrder},
+		{"clustered/hilbert", clustered, Hilbert},
+		{"clustered/zorder", clustered, ZOrder},
 	} {
-		for _, n := range []int{1, 4, len(tc.pts) + 1} {
+		for _, n := range []int{1, 3, 4, 7, len(tc.pts) + 1} {
 			part, err := Partition(tc.pts, n, tc.kind)
 			if err != nil {
 				t.Fatalf("%s, %d shards: %v", tc.name, n, err)

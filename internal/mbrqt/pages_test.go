@@ -5,9 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -150,5 +153,34 @@ func TestBulkLoadSeparatesInternalRecords(t *testing.T) {
 				t.Fatalf("%d of %d pages with internal records also hold leaf records", mixed, inner)
 			}
 		})
+	}
+}
+
+// TestBulkLoadPlanDeterministic holds the bulk load's page file to the
+// serial one when every split above one object may plan its subtrees on
+// goroutines, at GOMAXPROCS 1, 2 and 4: the pinned sets page by page, and
+// a TAC-like 200 K load hashed whole.
+func TestBulkLoadPlanDeterministic(t *testing.T) {
+	sets := append(pinnedSets(), pinnedSet{name: "tac2d_200k", pts: datagen.TACSurrogate(1, 200_000)})
+	defer func(n, procs int) {
+		planSpawnMin = n
+		runtime.GOMAXPROCS(procs)
+	}(planSpawnMin, runtime.GOMAXPROCS(0))
+	for _, s := range sets {
+		planSpawnMin = math.MaxInt
+		serial := loadPages(t, s)
+		planSpawnMin = 1
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			got := loadPages(t, s)
+			if len(got) != len(serial) {
+				t.Fatalf("%s, GOMAXPROCS %d: %d pages, serial %d", s.name, procs, len(got), len(serial))
+			}
+			for id := range got {
+				if !slices.Equal(got[id], serial[id]) {
+					t.Fatalf("%s, GOMAXPROCS %d: page %d differs from the serial load", s.name, procs, id)
+				}
+			}
+		}
 	}
 }
